@@ -19,7 +19,6 @@ def main():
     ap.add_argument("--seed", type=int, default=20250810)
     ap.add_argument("--dt-slow", type=float, default=0.0005)
     ap.add_argument("--t-slow", type=float, default=2.0)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     plan = SweepPlan(
@@ -33,7 +32,7 @@ def main():
         window_t0_slow=args.t_slow - 1.0,
         record_every=20,
     )
-    result = nu_sweep(plan, threads=args.threads)
+    result = nu_sweep(plan)
 
     for summary in result.summaries:
         cells = ", ".join(

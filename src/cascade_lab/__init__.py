@@ -31,12 +31,14 @@ from .forcing import NoiseSpec, RngStream, ProfileError, bk_sum, m_star, sample_
 from .integrators import (
     SimParams,
     TrajectoryState,
+    EnsembleState,
     TrajectoryAbortError,
     ou_exact_step,
     phase_rotation_step,
     strang_step,
     em_step,
     run_trajectory,
+    run_ensemble,
     continue_trajectory,
     zero_field,
     single_mode,

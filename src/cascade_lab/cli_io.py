@@ -450,7 +450,7 @@ def _u0_factory(cfg: RunConfig, nu: float):
     return lambda stream_id: u0
 
 
-def _cmd_simulate(cfg: RunConfig, out: str | None, threads: int) -> int:
+def _cmd_simulate(cfg: RunConfig, out: str | None) -> int:
     nu = cfg.nu if cfg.nu is not None else cfg.nu_grid[0]
     params = cfg.params_for(nu)
     observables = tuple(Observable.parse(o) for o in cfg.observables)
@@ -462,7 +462,6 @@ def _cmd_simulate(cfg: RunConfig, out: str | None, threads: int) -> int:
         _u0_factory(cfg, nu),
         observables=observables,
         window_t0=max(0.0, params.T - 1.0 / nu),
-        threads=threads,
     )
     run_dir = prepare_run_dir(cfg, out)
     write_streams(run_dir, streams)
@@ -471,7 +470,7 @@ def _cmd_simulate(cfg: RunConfig, out: str | None, threads: int) -> int:
     return 0
 
 
-def _cmd_sweep(cfg: RunConfig, out: str | None, threads: int) -> int:
+def _cmd_sweep(cfg: RunConfig, out: str | None) -> int:
     plan = SweepPlan(
         grid=cfg.grid(),
         noise_profile=cfg.profile,
@@ -486,7 +485,7 @@ def _cmd_sweep(cfg: RunConfig, out: str | None, threads: int) -> int:
         nonlinear=cfg.nonlinear,
         observables=tuple(Observable.parse(o) for o in cfg.observables),
     )
-    result = nu_sweep(plan, threads=threads)
+    result = nu_sweep(plan)
     run_dir = prepare_run_dir(cfg, out)
     for nu, streams in zip(plan.nu_grid, result.streams):
         write_streams(run_dir, streams, label=f"nu_{nu:g}")
@@ -515,7 +514,7 @@ def _cmd_sweep(cfg: RunConfig, out: str | None, threads: int) -> int:
     return 0 if ok else 1
 
 
-def _cmd_stationary(cfg: RunConfig, out: str | None, threads: int) -> int:
+def _cmd_stationary(cfg: RunConfig, out: str | None) -> int:
     plan = SweepPlan(
         grid=cfg.grid(),
         noise_profile=cfg.profile,
@@ -529,7 +528,7 @@ def _cmd_stationary(cfg: RunConfig, out: str | None, threads: int) -> int:
         scheme=cfg.scheme,
         nonlinear=cfg.nonlinear,
     )
-    result = stationary_sweep(plan, threads=threads)
+    result = stationary_sweep(plan)
     run_dir = prepare_run_dir(cfg, out)
     for nu, streams in zip(plan.nu_grid, result.streams):
         write_streams(run_dir, streams, label=f"nu_{nu:g}")
@@ -552,7 +551,7 @@ def _cmd_stationary(cfg: RunConfig, out: str | None, threads: int) -> int:
     return 0 if ok else 1
 
 
-def _cmd_occupation(cfg: RunConfig, out: str | None, threads: int) -> int:
+def _cmd_occupation(cfg: RunConfig, out: str | None) -> int:
     if not cfg.occupation_run:
         raise ConfigError(["occupation.run (an existing run directory) is required"])
     run_dir = Path(cfg.occupation_run)
@@ -580,7 +579,7 @@ def _cmd_occupation(cfg: RunConfig, out: str | None, threads: int) -> int:
     return 0 if ok else 1
 
 
-def _cmd_spectrum(cfg: RunConfig, out: str | None, threads: int) -> int:
+def _cmd_spectrum(cfg: RunConfig, out: str | None) -> int:
     import numpy as np
 
     nu = cfg.nu if cfg.nu is not None else cfg.nu_grid[0]
@@ -596,7 +595,6 @@ def _cmd_spectrum(cfg: RunConfig, out: str | None, threads: int) -> int:
         cfg.M,
         _u0_factory(cfg, nu),
         observables=(),
-        threads=threads,
         recorder_factory=recorder_factory,
     )
     burn = 0.2 * params.T
@@ -646,22 +644,10 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _cmd_selftest(threads: int) -> int:
+def _cmd_selftest() -> int:
     from .selftest import run_selftest
 
     return 0 if run_selftest() else 1
-
-
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("CASCADE_LAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError([f"CASCADE_LAB_THREADS = {env!r} is not an integer"])
-    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -679,7 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="section.key=value",
         help="override a config entry (repeatable)",
     )
-    common.add_argument("--threads", type=int, help="worker threads (env CASCADE_LAB_THREADS)")
     for name, doc in [
         ("simulate", "run a single ensemble"),
         ("sweep", "run the viscosity sweep with trend verdicts"),
@@ -705,11 +690,10 @@ def run_command(argv: list[str]) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        threads = _resolve_threads(args) if args.command != "fit" else 1
         if args.command == "fit":
             return _cmd_fit(args)
         if args.command == "selftest":
-            return _cmd_selftest(threads)
+            return _cmd_selftest()
         cfg = _load_config(args)
         dispatch = {
             "simulate": _cmd_simulate,
@@ -718,7 +702,7 @@ def run_command(argv: list[str]) -> int:
             "occupation": _cmd_occupation,
             "spectrum": _cmd_spectrum,
         }
-        return dispatch[args.command](cfg, args.out, threads)
+        return dispatch[args.command](cfg, args.out)
     except ConfigError as exc:
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)

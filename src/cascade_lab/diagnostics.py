@@ -34,8 +34,8 @@ from math import exp, sqrt
 import numpy as np
 
 from . import schema
-from .integrators import SimParams, TrajectoryState
-from .spectral import cm_norm, sobolev_norm, spectrum_shells, sup_norm
+from .integrators import EnsembleState, TrajectoryState
+from .spectral import SpectralField, cm_norm, sobolev_norm, spectrum_shells, sup_norm
 
 DISCRETIZATION_NOTE = (
     "tau_Gamma discretized to the first sample time; one-sample-interval bias, "
@@ -59,7 +59,13 @@ class DiagnosticsRecord:
 
 
 class NormRecorder:
-    """Trajectory sink computing a DiagnosticsRecord at each recorded step."""
+    """Trajectory sink computing a DiagnosticsRecord at each recorded step.
+
+    It takes one trajectory's state or an ensemble state, and keeps each
+    trajectory's records under its stream id in ``streams``.  Sobolev norms and
+    the lattice sup are computed for all rows at once, the C^m norm and the
+    shells row by row.
+    """
 
     def __init__(
         self,
@@ -72,23 +78,32 @@ class NormRecorder:
         self.ms = tuple(float(m) for m in ms)
         self.cm_order = cm_order
         self.shells = shells
-        self.records: list[DiagnosticsRecord] = []
+        self.streams: dict[int, list[DiagnosticsRecord]] = {}
 
-    def __call__(self, state: TrajectoryState) -> None:
+    @property
+    def records(self) -> list[DiagnosticsRecord]:
+        """The records of a recorder that has observed a single trajectory."""
+        if len(self.streams) > 1:
+            raise ValueError(f"recorder holds {len(self.streams)} streams; read .streams")
+        return next(iter(self.streams.values()), [])
+
+    def __call__(self, state: TrajectoryState | EnsembleState) -> None:
         u = state.u
-        rec = DiagnosticsRecord(
-            t=state.t,
-            tau=self.nu * state.t,
-            norms={m: sobolev_norm(u, m) for m in self.ms},
-            sup=sup_norm(u),
-            cm=cm_norm(u, self.cm_order) if self.cm_order is not None else None,
-            shells=tuple(e for _, e in spectrum_shells(u)) if self.shells else None,
-        )
-        self.records.append(rec)
-
-
-def recorder_for(params: SimParams, **kwargs) -> NormRecorder:
-    return NormRecorder(nu=params.nu, **kwargs)
+        norms = {m: np.atleast_1d(sobolev_norm(u, m)) for m in self.ms}
+        sups = np.atleast_1d(sup_norm(u))
+        rows = u.coeffs.reshape(len(state.rngs), *u.grid.coeff_shape)
+        per_row = self.cm_order is not None or self.shells
+        for i, rng in enumerate(state.rngs):
+            row = SpectralField(u.grid, rows[i]) if per_row else None
+            rec = DiagnosticsRecord(
+                t=state.t,
+                tau=self.nu * state.t,
+                norms={m: float(v[i]) for m, v in norms.items()},
+                sup=float(sups[i]),
+                cm=cm_norm(row, self.cm_order) if self.cm_order is not None else None,
+                shells=tuple(e for _, e in spectrum_shells(row)) if self.shells else None,
+            )
+            self.streams.setdefault(rng.stream_id, []).append(rec)
 
 
 # --- stream serialization ----------------------------------------------------

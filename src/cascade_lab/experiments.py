@@ -13,8 +13,7 @@ constants.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
@@ -27,13 +26,8 @@ from .diagnostics import (
     time_avg_sobolev,
 )
 from .forcing import NoiseSpec, bk_sum
-from .integrators import (
-    SimParams,
-    TrajectoryAbortError,
-    constrained_profile,
-    run_trajectory,
-)
-from .spectral import GridSpec
+from .integrators import SimParams, constrained_profile, run_ensemble
+from .spectral import GridSpec, SpectralField
 
 QUANTILES = (5, 25, 50, 75, 95)
 
@@ -158,44 +152,34 @@ def ensemble_run(
     u0_factory,
     observables: tuple[Observable, ...] = (),
     window_t0: float | None = None,
-    threads: int = 1,
     max_abort_fraction: float = 0.01,
     recorder_factory=None,
 ) -> tuple[EnsembleSummary, list[list[DiagnosticsRecord]]]:
-    """Run M independent trajectories (stream ids 0..M-1) and summarize observables.
+    """Run M trajectories (stream ids 0..M-1) as one batch and summarize observables.
 
-    ``u0_factory(stream_id)`` supplies initial data; observables are evaluated
-    on the window [window_t0, window_t0 + 1/nu] (default: the second half of a
-    two-slow-unit run, i.e. t0 = T - 1/nu).  Aborted trajectories are
-    excluded from statistics; more than ``max_abort_fraction`` aborts raises.
-    Deterministic given the params seed, regardless of the thread count.
+    ``u0_factory(stream_id)`` supplies initial data, and
+    ``recorder_factory(params)``, if given, the recorder that observes every
+    trajectory.  Observables are evaluated on the window
+    [window_t0, window_t0 + 1/nu] (default: the second half of a two-slow-unit
+    run, i.e. t0 = T - 1/nu).  A trajectory that turns non-finite is dropped at
+    that step and excluded from statistics; more than ``max_abort_fraction``
+    aborts raises.  Each stream is a pure function of (seed, stream_id), for
+    any M.
     """
     if M < 1:
         raise ValueError("ensemble size must be >= 1")
     if window_t0 is None:
         window_t0 = max(0.0, params.T - 1.0 / params.nu)
-
-    def one(stream_id: int):
-        p = replace(params, stream_id=stream_id)
-        rec = (
-            recorder_factory(p)
-            if recorder_factory is not None
-            else _needed_recorder(observables, p.nu)
-        )
-        try:
-            run_trajectory(u0_factory(stream_id), spec, p, rec)
-        except TrajectoryAbortError:
-            return None
-        return rec.records
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(M)))
-    else:
-        results = [one(i) for i in range(M)]
-
-    streams = [r for r in results if r is not None]
-    aborts = M - len(streams)
+    rec = (
+        recorder_factory(params)
+        if recorder_factory is not None
+        else _needed_recorder(observables, params.nu)
+    )
+    u0 = SpectralField(grid, np.stack([u0_factory(sid).coeffs for sid in range(M)]))
+    _, aborted = run_ensemble(u0, spec, params, rec)
+    lost = {exc.last_state.rng.stream_id for exc in aborted}
+    streams = [rec.streams[sid] for sid in range(M) if sid not in lost]
+    aborts = len(aborted)
     if aborts > max_abort_fraction * M:
         raise EnsembleAbortError(
             f"{aborts}/{M} trajectories aborted (tolerated fraction {max_abort_fraction})"
@@ -354,7 +338,6 @@ def _strictly_increasing(values) -> bool:
 
 def nu_sweep(
     plan: SweepPlan,
-    threads: int = 1,
     upper_slack: float = 0.5,
     sup_inf_ratio_bound: float = 3.0,
 ) -> SweepResult:
@@ -380,7 +363,6 @@ def nu_sweep(
             plan.u0_factory(nu),
             observables=plan.observables,
             window_t0=plan.window_t0_slow / nu,
-            threads=threads,
         )
         summaries.append(summary)
         streams_per_nu.append(streams)
@@ -446,7 +428,6 @@ class StationarySweepResult:
 def stationary_sweep(
     plan: SweepPlan,
     ms: tuple[float, ...] = (1.0, 2.0, 3.0),
-    threads: int = 1,
     burn_in_fraction: float = 0.2,
     kappa: float = 0.02,
     min_t_slow: float = 10.0,
@@ -483,7 +464,6 @@ def stationary_sweep(
             plan.M,
             plan.u0_factory(nu),
             observables=(),
-            threads=threads,
             recorder_factory=recorder_factory,
         )
         balance_reports.append(

@@ -21,7 +21,7 @@ replay is part of the output contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import prod, sqrt
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -69,18 +69,18 @@ class RngStream:
         bitgen = Philox(key=[self.base_seed, self.stream_id])
         object.__setattr__(self, "_bitgen", bitgen)
         object.__setattr__(self, "_gen", Generator(bitgen))
+        # A fresh generator's state: counter 0, empty buffer, no cached uint32.
+        # Only the counter's two high words change from one address to the next.
         object.__setattr__(self, "_state", bitgen.state)
 
     def normals(self, step_index: int, substream: int, count: int) -> np.ndarray:
         """Standard normals at the addressed counter position (no stream state)."""
         if step_index < 0 or substream < 0:
             raise ValueError("step_index and substream must be nonnegative")
-        st = self._state
-        st["state"]["counter"][:] = (0, 0, substream, step_index)
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bitgen.state = st
+        counter = self._state["state"]["counter"]
+        counter[2] = substream
+        counter[3] = step_index
+        self._bitgen.state = self._state
         return self._gen.standard_normal(count)
 
 
@@ -201,6 +201,18 @@ def bk_sum(spec: NoiseSpec, k: float) -> float:
     return float(np.sum(mode_abs_sq(spec.grid) ** k * b2))
 
 
+def complex_normals(rngs, step_index: int, substream: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Standard complex Gaussians z_re + i z_im, one row per stream, reshaped to ``shape``.
+
+    Each stream draws 2k normals at (step_index, substream), k = size / len(rngs):
+    the real parts of its row first, then the imaginary parts, in C order.
+    """
+    k = prod(shape) // len(rngs)
+    draws = [rng.normals(step_index, substream, 2 * k).reshape(2, k) for rng in rngs]
+    z = draws[0] if len(draws) == 1 else np.stack(draws, axis=1)  # (2, [M,] k)
+    return (z[0] + 1j * z[1]).reshape(shape)
+
+
 def sample_increments(
     spec: NoiseSpec,
     dt: float,
@@ -219,7 +231,5 @@ def sample_increments(
     if step_index is None:
         step_index = rng.counter
         rng.counter += 1
-    k = spec.grid.n_modes
-    z = rng.normals(step_index, substream, 2 * k)
-    g = (z[:k] + 1j * z[k:]).reshape(spec.grid.coeff_shape)
+    g = complex_normals((rng,), step_index, substream, spec.grid.coeff_shape)
     return spec.amplitudes * (sqrt(dt) * g)

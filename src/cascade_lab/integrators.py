@@ -11,6 +11,12 @@ integral of motion of that flow).  The production scheme is the Strang
 composition  OU(dt/2) o phase(dt) o OU(dt/2);  an explicit Euler-Maruyama
 step over the full drift serves as an independent oracle.
 
+Both step kernels act on a field with an optional leading row axis, so an
+ensemble of M trajectories advances as one (M, D, ..., D) array: one DST-I
+pair, one OU update and one finite check per step for all rows.  Each row
+keeps its own stream, so row i is bit for bit the single trajectory with
+stream id i; a single trajectory is the same kernel without the row axis.
+
 The slow-time description tau = nu * t needs no separate integrator: a fast
 chain with parameters (nu, dt) performs, number for number, the same updates
 as a unit-viscosity chain at step dtau = nu*dt with the phase angle rescaled
@@ -26,7 +32,7 @@ from __future__ import annotations
 import json
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import ceil, sqrt
 from typing import Callable
@@ -41,7 +47,7 @@ from .forcing import (
     SUB_PATH,
     NoiseSpec,
     RngStream,
-    sample_increments,
+    complex_normals,
 )
 from .spectral import (
     GridMismatchError,
@@ -117,6 +123,36 @@ class TrajectoryState:
     rng: RngStream
     step_index: int
 
+    @property
+    def rngs(self) -> tuple[RngStream, ...]:
+        return (self.rng,)
+
+
+@dataclass
+class EnsembleState:
+    """M trajectories at a common step: a field with a leading row axis, one stream per row."""
+
+    t: float
+    u: SpectralField
+    rngs: tuple[RngStream, ...]
+    step_index: int
+
+    def rows(self) -> list[TrajectoryState]:
+        grid = self.u.grid
+        return [
+            TrajectoryState(self.t, SpectralField(grid, c), rng, self.step_index)
+            for c, rng in zip(self.u.coeffs, self.rngs)
+        ]
+
+    @classmethod
+    def stack(cls, states: list[TrajectoryState]) -> "EnsembleState":
+        first = states[0]
+        u = SpectralField(first.u.grid, np.stack([s.u.coeffs for s in states]))
+        return cls(first.t, u, tuple(s.rng for s in states), first.step_index)
+
+
+State = TrajectoryState | EnsembleState
+
 
 def default_dt(scheme: str, nu: float, grid: GridSpec, safety: float = 0.5) -> float:
     """Scheme defaults: accuracy-limited 0.01 for strang, stability-limited for em."""
@@ -168,8 +204,8 @@ def ou_exact_step(
     u_d <- exp(-nu |d|^2 dt) u_d + sqrt(nu) b_d gamma_d, where gamma_d is the
     stochastic convolution with per-component variance
     (1 - exp(-2 nu |d|^2 dt)) / (2 nu |d|^2); exact in distribution for any dt.
-    Pass ``conv`` to supply gamma_d explicitly (coupled-path studies), else it
-    is drawn at (step_index, substream).
+    Pass ``conv`` to supply gamma_d explicitly (one row per row of ``u``), else
+    it is drawn from ``rng`` at (step_index, substream).
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -179,10 +215,7 @@ def ou_exact_step(
     if conv is None:
         if rng is None:
             raise ValueError("either an RngStream or an explicit conv draw is required")
-        k = u.grid.n_modes
-        z = rng.normals(step_index, substream, 2 * k)
-        g = (z[:k] + 1j * z[k:]).reshape(u.grid.coeff_shape)
-        conv = conv_sd * g
+        conv = conv_sd * complex_normals((rng,), step_index, substream, u.coeffs.shape)
     new = u.coeffs * decay + sqrt(nu) * spec.amplitudes * conv
     return SpectralField(u.grid, new)
 
@@ -199,46 +232,66 @@ def phase_rotation_step(u: SpectralField, dt: float) -> SpectralField:
         return u
     p = to_physical(u)
     v = p.values
-    rotated = v * np.exp(-1j * dt * (v.real**2 + v.imag**2))
+    e = np.exp(-1j * dt * (v.real**2 + v.imag**2))
+    # With FMA, v*e and e*v round differently, and numpy turns `v * np.exp(...)`
+    # into e*v once the temporary reaches 256 KiB: keep the operand order fixed.
+    rotated = np.multiply(v, e, out=e)
     return to_spectral(PhysicalField(u.grid, rotated), u.grid.D)
 
 
-def strang_step(state: TrajectoryState, spec: NoiseSpec, params: SimParams) -> TrajectoryState:
+def _strang(
+    u: SpectralField, spec: NoiseSpec, nu: float, dt: float, nonlinear: bool,
+    conv0: np.ndarray, conv1: np.ndarray,
+) -> SpectralField:
+    """OU(dt/2) o phase(dt) o OU(dt/2) with the two half-step convolutions given."""
+    u = ou_exact_step(u, spec, nu, dt / 2.0, conv=conv0)
+    if nonlinear:
+        u = phase_rotation_step(u, dt)
+    return ou_exact_step(u, spec, nu, dt / 2.0, conv=conv1)
+
+
+def _advanced(state: State, u: SpectralField, dt: float) -> State:
+    k = state.step_index + 1
+    return replace(state, t=k * dt, u=u, step_index=k)
+
+
+def strang_step(state: State, spec: NoiseSpec, params: SimParams) -> State:
     """Symmetric composition OU(dt/2) o phase(dt) o OU(dt/2).
 
-    Uses exactly two convolution draws addressed by (step_index, half).
+    Takes a TrajectoryState or an EnsembleState and returns the same kind.
+    Uses exactly two convolution draws per stream, addressed by (step_index, half).
     """
     k = state.step_index
-    half = params.dt / 2.0
-    u = ou_exact_step(state.u, spec, params.nu, half, state.rng, k, SUB_OU_HALF0)
-    if params.nonlinear:
-        u = phase_rotation_step(u, params.dt)
-    u = ou_exact_step(u, spec, params.nu, half, state.rng, k, SUB_OU_HALF1)
-    return TrajectoryState(t=(k + 1) * params.dt, u=u, rng=state.rng, step_index=k + 1)
+    _, conv_sd = _ou_tables(state.u.grid, params.nu, params.dt / 2.0)
+    shape = state.u.coeffs.shape
+    conv0 = conv_sd * complex_normals(state.rngs, k, SUB_OU_HALF0, shape)
+    conv1 = conv_sd * complex_normals(state.rngs, k, SUB_OU_HALF1, shape)
+    u = _strang(state.u, spec, params.nu, params.dt, params.nonlinear, conv0, conv1)
+    return _advanced(state, u, params.dt)
 
 
-def _em_drift(u: SpectralField, nu: float, nonlinear: bool) -> np.ndarray:
-    """nu * Lap(u) - i * Pi(|u|^2 u) in mode space (Pi = evaluate-then-truncate)."""
+def _euler_maruyama(
+    u: SpectralField, nu: float, dt: float, nonlinear: bool, increment: np.ndarray
+) -> SpectralField:
+    """u + dt*(nu Lap u - i Pi(|u|^2 u)) + sqrt(nu)*increment (Pi = evaluate-then-truncate)."""
     drift = -nu * mode_abs_sq(u.grid) * u.coeffs
     if nonlinear:
         p = to_physical(u)
         cubic = (p.values.real**2 + p.values.imag**2) * p.values
         drift = drift - 1j * to_spectral(PhysicalField(u.grid, cubic), u.grid.D).coeffs
-    return drift
+    return SpectralField(u.grid, u.coeffs + dt * drift + sqrt(nu) * increment)
 
 
 def em_step(
-    state: TrajectoryState,
-    spec: NoiseSpec,
-    params: SimParams,
-    increment: np.ndarray | None = None,
-) -> TrajectoryState:
+    state: State, spec: NoiseSpec, params: SimParams, increment: np.ndarray | None = None
+) -> State:
     """Explicit Euler-Maruyama step over the full drift (oracle scheme).
 
-    u <- u + dt*(nu Lap u - i Pi(|u|^2 u)) + sqrt(nu) dxi.  Warns when the
-    stiffness guard nu |d_max|^2 dt < 1 is violated.  Non-finite output raises
-    through the field constructor and is turned into a trajectory abort by the
-    run loop.
+    u <- u + dt*(nu Lap u - i Pi(|u|^2 u)) + sqrt(nu) dxi.  Takes a
+    TrajectoryState or an EnsembleState and returns the same kind.  Warns when
+    the stiffness guard nu |d_max|^2 dt < 1 is violated.  Non-finite output
+    raises through the field constructor and is turned into a trajectory abort
+    by the run loop.
     """
     grid = state.u.grid
     if params.nu * grid.n * grid.D**2 * params.dt >= 1.0:
@@ -248,22 +301,71 @@ def em_step(
             RuntimeWarning,
             stacklevel=2,
         )
-    k = state.step_index
     if increment is None:
-        increment = sample_increments(spec, params.dt, state.rng, k, SUB_INCREMENT)
-    drift = _em_drift(state.u, params.nu, params.nonlinear)
-    new = state.u.coeffs + params.dt * drift + sqrt(params.nu) * increment
-    u = SpectralField(grid, new)
-    return TrajectoryState(t=(k + 1) * params.dt, u=u, rng=state.rng, step_index=k + 1)
+        g = complex_normals(state.rngs, state.step_index, SUB_INCREMENT, state.u.coeffs.shape)
+        increment = spec.amplitudes * (sqrt(params.dt) * g)
+    u = _euler_maruyama(state.u, params.nu, params.dt, params.nonlinear, increment)
+    return _advanced(state, u, params.dt)
 
 
 # --- trajectory driver --------------------------------------------------------
 
-Sink = Callable[[TrajectoryState], None]
+Sink = Callable[[State], None]
 
 
 def initial_state(u0: SpectralField, params: SimParams) -> TrajectoryState:
     return TrajectoryState(t=0.0, u=u0, rng=RngStream(params.seed, params.stream_id), step_index=0)
+
+
+def _checked_step(step, state: State, spec: NoiseSpec, params: SimParams) -> State:
+    try:
+        return step(state, spec, params)
+    except NonFiniteFieldError as exc:
+        raise TrajectoryAbortError(
+            f"non-finite field at step {state.step_index + 1} "
+            f"(last good t = {state.t:.6g}): {exc}",
+            state,
+        ) from exc
+
+
+def _advance(
+    state: State, spec: NoiseSpec, params: SimParams, sink: Sink | None
+) -> tuple[State | None, list[TrajectoryAbortError]]:
+    """Step a trajectory or an ensemble to ceil(T/dt) steps; returns (final state, aborts).
+
+    The sink sees the state at step 0 (fresh starts only), after every
+    record_every-th step, and at the final step.  A single trajectory that
+    turns non-finite raises TrajectoryAbortError with the last good state.  An
+    ensemble redoes a non-finite step row by row: failing rows are dropped,
+    each with its abort, and the others go on (final state None if none is left).
+    """
+    if spec.grid != state.u.grid:
+        raise GridMismatchError("state and noise spec live on different grids")
+    step = strang_step if params.scheme == "strang" else em_step
+    n_steps = params.n_steps
+    aborts: list[TrajectoryAbortError] = []
+    if sink is not None and state.step_index == 0:
+        sink(state)
+    while state.step_index < n_steps:
+        try:
+            state = _checked_step(step, state, spec, params)
+        except TrajectoryAbortError:
+            if isinstance(state, TrajectoryState):
+                raise
+            kept = []
+            for row in state.rows():
+                try:
+                    kept.append(_checked_step(step, row, spec, params))
+                except TrajectoryAbortError as exc:
+                    aborts.append(exc)
+            if not kept:
+                return None, aborts
+            state = EnsembleState.stack(kept)
+        if sink is not None and (
+            state.step_index % params.record_every == 0 or state.step_index == n_steps
+        ):
+            sink(state)
+    return state, aborts
 
 
 def continue_trajectory(
@@ -274,31 +376,9 @@ def continue_trajectory(
 ) -> TrajectoryState:
     """Advance a trajectory to ceil(T/dt) steps, invoking the sink at the record cadence.
 
-    The sink sees the state at step 0 (fresh starts only), after every
-    record_every-th step, and at the final step.  Non-finite fields abort with
-    the last good state attached.
+    Non-finite fields abort with the last good state attached.
     """
-    if spec.grid != state.u.grid:
-        raise GridMismatchError("state and noise spec live on different grids")
-    step = strang_step if params.scheme == "strang" else em_step
-    n_steps = params.n_steps
-    if sink is not None and state.step_index == 0:
-        sink(state)
-    while state.step_index < n_steps:
-        try:
-            new_state = step(state, spec, params)
-        except NonFiniteFieldError as exc:
-            raise TrajectoryAbortError(
-                f"non-finite field at step {state.step_index + 1} "
-                f"(last good t = {state.t:.6g}): {exc}",
-                state,
-            ) from exc
-        state = new_state
-        if sink is not None and (
-            state.step_index % params.record_every == 0 or state.step_index == n_steps
-        ):
-            sink(state)
-    return state
+    return _advance(state, spec, params, sink)[0]
 
 
 def run_trajectory(
@@ -309,6 +389,22 @@ def run_trajectory(
 ) -> TrajectoryState:
     """Run one trajectory from t = 0; deterministic given (seed, stream_id)."""
     return continue_trajectory(initial_state(u0, params), spec, params, sink)
+
+
+def run_ensemble(
+    u0: SpectralField,
+    spec: NoiseSpec,
+    params: SimParams,
+    sink: Sink | None = None,
+) -> tuple[EnsembleState | None, list[TrajectoryAbortError]]:
+    """Run the M rows of ``u0`` together from t = 0 as stream ids 0..M-1.
+
+    Row i follows, bit for bit, ``run_trajectory`` of that row with stream id
+    i (``params.stream_id`` is not used).  Returns the final state of the rows
+    that stayed finite (None if none did) and one abort per dropped row.
+    """
+    rngs = tuple(RngStream(params.seed, sid) for sid in range(len(u0.coeffs)))
+    return _advance(EnsembleState(0.0, u0, rngs, 0), spec, params, sink)
 
 
 # --- initial data library -----------------------------------------------------
@@ -331,9 +427,7 @@ def smooth_random_field(
     grid: GridSpec, q: float, rng: RngStream, amplitude: float = 1.0
 ) -> SpectralField:
     """Random field with coefficients ~ |d|^(-q) * complex Gaussian (substream-addressed)."""
-    k = grid.n_modes
-    z = rng.normals(0, SUB_INIT, 2 * k)
-    g = (z[:k] + 1j * z[k:]).reshape(grid.coeff_shape)
+    g = complex_normals((rng,), 0, SUB_INIT, grid.coeff_shape)
     coeffs = amplitude * np.sqrt(mode_abs_sq(grid)) ** (-q) * g
     return SpectralField(grid, coeffs)
 
@@ -466,11 +560,8 @@ def run_strang_on_path(
     u = u0
     for k in range(n_steps):
         g1 = _window_conv(path, fine_decay, 2 * k * r, (2 * k + 1) * r)
-        u = ou_exact_step(u, path.spec, path.nu, dt / 2.0, conv=g1)
-        if nonlinear:
-            u = phase_rotation_step(u, dt)
         g2 = _window_conv(path, fine_decay, (2 * k + 1) * r, (2 * k + 2) * r)
-        u = ou_exact_step(u, path.spec, path.nu, dt / 2.0, conv=g2)
+        u = _strang(u, path.spec, path.nu, dt, nonlinear, g1, g2)
     return u
 
 
@@ -486,12 +577,10 @@ def run_em_on_path(
             f"path length {path.n_fine} fine steps is not a whole number of dt = {dt} steps"
         )
     n_steps = path.n_fine // r
-    sqrt_nu = sqrt(path.nu)
     u = u0
     for k in range(n_steps):
         incr = path.spec.amplitudes * path.dbeta[k * r : (k + 1) * r].sum(axis=0)
-        drift = _em_drift(u, path.nu, nonlinear)
-        u = SpectralField(u.grid, u.coeffs + dt * drift + sqrt_nu * incr)
+        u = _euler_maruyama(u, path.nu, dt, nonlinear, incr)
     return u
 
 

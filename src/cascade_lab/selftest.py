@@ -2,17 +2,27 @@
 
 Covers the transform round trip and discrete Parseval identity, coefficient
 interpolation, norm homogeneity, the pure-decay and stationary limits of the
-exact linear step, phase-rotation isometry, draw replay, and the power-law
-fit oracle.  Runs in a few seconds; the CLI exposes it as ``selftest``.
+exact linear step, phase-rotation isometry, draw replay, the batched ensemble
+step against single steps, and the power-law fit oracle.  Runs in a few seconds; the CLI exposes it as ``selftest``.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
 from .experiments import fit_exponent
 from .forcing import NoiseSpec, RngStream
-from .integrators import ou_exact_step, phase_rotation_step, single_mode
+from .integrators import (
+    EnsembleState,
+    SimParams,
+    initial_state,
+    ou_exact_step,
+    phase_rotation_step,
+    single_mode,
+    strang_step,
+)
 from .spectral import (
     GridSpec,
     SpectralField,
@@ -80,6 +90,16 @@ def run_selftest(verbose: bool = True) -> bool:
     s1 = RngStream(123, 5).normals(17, 1, 64)
     s2 = RngStream(123, 5).normals(17, 1, 64)
     check("draw replay is bit-identical", bool(np.array_equal(s1, s2)))
+
+    grid2 = GridSpec(2, 32, 16)
+    spec2 = NoiseSpec.band(grid2, [1.0, 1.0, 1.0])
+    params = SimParams(nu=0.5, dt=0.01, T=0.01, seed=3)
+    rows = [
+        initial_state(_random_field(grid2, 20 + i), replace(params, stream_id=i)) for i in range(16)
+    ]
+    batched = strang_step(EnsembleState.stack(rows), spec2, params).u.coeffs
+    single = np.stack([strang_step(r, spec2, params).u.coeffs for r in rows])
+    check("batched Strang step n=2 M=16 equals 16 single steps", batched.tobytes() == single.tobytes())
 
     fit = fit_exponent([(0.4, 0.4**-2), (0.2, 0.2**-2), (0.1, 0.1**-2)])
     check("exponent fit oracle (alpha = 2)", abs(fit.alpha - 2.0) <= 1e-12 and fit.r2 >= 1 - 1e-12)

@@ -14,6 +14,10 @@ lattice.
 
 Fields are immutable value objects and all operations are pure functions, so
 concurrent use on distinct fields gives the same results as serial execution.
+A field may carry a leading row axis, one row per trajectory of an ensemble:
+the transforms act on the last n axes, and ``sobolev_norm``/``sup_norm``
+return one value per row.  Row results are bit-identical to single-field
+results.
 """
 
 from __future__ import annotations
@@ -117,19 +121,25 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise NonFiniteFieldError(f"{what} contains non-finite entries")
 
 
+def _check_shape(shape: tuple[int, ...], grid_shape: tuple[int, ...], what: str) -> None:
+    """Accept the grid's shape, optionally behind one leading row axis."""
+    if shape[-len(grid_shape) :] != grid_shape or len(shape) - len(grid_shape) not in (0, 1):
+        raise ValueError(f"{what} shape {shape} does not match grid {grid_shape}")
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """Mode coefficients u_d over {1..D}^n; represents u(x) = sum_d u_d phi_d(x)."""
+    """Mode coefficients u_d over {1..D}^n; represents u(x) = sum_d u_d phi_d(x).
+
+    ``coeffs`` has the grid's coefficient shape, or (M, *coeff_shape) for M rows.
+    """
 
     grid: GridSpec
     coeffs: np.ndarray
 
     def __post_init__(self):
         c = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
-        if c.shape != self.grid.coeff_shape:
-            raise ValueError(
-                f"coefficient shape {c.shape} does not match grid {self.grid.coeff_shape}"
-            )
+        _check_shape(c.shape, self.grid.coeff_shape, "coefficient")
         _check_finite(c, "spectral field")
         object.__setattr__(self, "coeffs", c)
 
@@ -140,17 +150,14 @@ class SpectralField:
 
 @dataclass(frozen=True, eq=False)
 class PhysicalField:
-    """Complex lattice values over the N^n interior collocation points."""
+    """Complex lattice values over the N^n interior collocation points (optionally per row)."""
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.values, dtype=np.complex128)
-        if v.shape != self.grid.values_shape:
-            raise ValueError(
-                f"value shape {v.shape} does not match grid {self.grid.values_shape}"
-            )
+        _check_shape(v.shape, self.grid.values_shape, "value")
         _check_finite(v, "physical field")
         object.__setattr__(self, "values", v)
 
@@ -167,15 +174,20 @@ def basis_eval(d, x) -> float:
     return float((2.0 / pi) ** (n / 2.0) * np.prod(np.sin(d * x)))
 
 
+def _space_axes(grid: GridSpec) -> tuple[int, ...]:
+    return tuple(range(-grid.n, 0))
+
+
 def to_physical(u: SpectralField) -> PhysicalField:
     """Evaluate the field on the collocation lattice (DST-I per axis)."""
     grid = u.grid
     if grid.D == grid.N:
         buf = u.coeffs
     else:
-        buf = np.zeros(grid.values_shape, dtype=np.complex128)
-        buf[(slice(0, grid.D),) * grid.n] = u.coeffs
-    vals = sfft.dstn(buf, type=1) * (2.0 * pi) ** (-grid.n / 2.0)
+        rows = u.coeffs.shape[: u.coeffs.ndim - grid.n]
+        buf = np.zeros(rows + grid.values_shape, dtype=np.complex128)
+        buf[(..., *(slice(0, grid.D),) * grid.n)] = u.coeffs
+    vals = sfft.dstn(buf, type=1, axes=_space_axes(grid)) * (2.0 * pi) ** (-grid.n / 2.0)
     return PhysicalField(grid, vals)
 
 
@@ -191,7 +203,7 @@ def to_spectral(p: PhysicalField, D: int | None = None) -> SpectralField:
     if not 1 <= D <= grid.N:
         raise GridMismatchError(f"requested truncation D={D} outside 1..N={grid.N}")
     scale = (2.0 * pi) ** (grid.n / 2.0) / (2.0 * (grid.N + 1)) ** grid.n
-    c = sfft.dstn(p.values, type=1)[(slice(0, D),) * grid.n] * scale
+    c = sfft.dstn(p.values, type=1, axes=_space_axes(grid))[(..., *(slice(0, D),) * grid.n)] * scale
     out_grid = grid if D == grid.D else GridSpec(grid.n, grid.N, D)
     return SpectralField(out_grid, c)
 
@@ -207,21 +219,31 @@ def lattice_inner(p: PhysicalField, q: PhysicalField) -> float:
     return p.grid.quadrature_weight * float(np.sum((p.values * np.conj(q.values)).real))
 
 
-def sobolev_norm(u: SpectralField, m: float) -> float:
-    """Homogeneous Sobolev norm: ||u||_m^2 = sum_d |d|^(2m) |u_d|^2 (m >= 0, fractional ok)."""
+def sobolev_norm(u: SpectralField, m: float) -> float | np.ndarray:
+    """Homogeneous Sobolev norm: ||u||_m^2 = sum_d |d|^(2m) |u_d|^2 (m >= 0, fractional ok).
+
+    A float for a single field, one value per row for a field with a row axis.
+    """
     if m < 0:
         raise ValueError(f"Sobolev order must be >= 0, got m={m}")
     c = u.coeffs
     energy = c.real**2 + c.imag**2
-    if m == 0:
+    if m != 0:
+        energy = mode_abs_sq(u.grid) ** m * energy
+    if c.ndim == u.grid.n:
         return sqrt(float(np.sum(energy)))
-    w = mode_abs_sq(u.grid) ** m
-    return sqrt(float(np.sum(w * energy)))
+    return np.sqrt(energy.reshape(len(c), -1).sum(axis=1))
 
 
-def sup_norm(u: SpectralField) -> float:
-    """Max of |u| over the collocation lattice (a lower approximation of the true sup)."""
-    return float(np.abs(to_physical(u).values).max())
+def sup_norm(u: SpectralField) -> float | np.ndarray:
+    """Max of |u| over the collocation lattice (a lower approximation of the true sup).
+
+    A float for a single field, one value per row for a field with a row axis.
+    """
+    mod = np.abs(to_physical(u).values)
+    if u.coeffs.ndim == u.grid.n:
+        return float(mod.max())
+    return mod.reshape(len(mod), -1).max(axis=1)
 
 
 def _apply_along_axis(mat: np.ndarray, arr: np.ndarray, ax: int) -> np.ndarray:

@@ -317,14 +317,6 @@ class TestRunCommand:
         assert any(l["type"] == "balance" for l in lines)
         assert (run_dir / "streams" / "nu_0.5").exists()
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        path = write_cfg(tmp_path, SMALL_RUN)
-        out = tmp_path / "out"
-        monkeypatch.setenv("CASCADE_LAB_THREADS", "2")
-        assert run_command(["simulate", "--config", path, "--out", str(out)]) == 0
-        monkeypatch.setenv("CASCADE_LAB_THREADS", "banana")
-        assert run_command(["simulate", "--config", path, "--out", str(out)]) == 2
-
     def test_read_run_streams_round_trip(self, tmp_path):
         path = write_cfg(tmp_path, SMALL_RUN)
         out = tmp_path / "out"

@@ -1,12 +1,14 @@
 """Ensembles, exponent fits, and sweep verdict logic."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cascade_lab.diagnostics import NormRecorder, stream_csv_text
 from cascade_lab.experiments import (
     EnsembleAbortError,
     Observable,
@@ -17,8 +19,14 @@ from cascade_lab.experiments import (
     stationary_sweep,
 )
 from cascade_lab.forcing import NoiseSpec, bk_sum
-from cascade_lab.integrators import SimParams, constrained_profile, zero_field
-from cascade_lab.spectral import GridSpec
+from cascade_lab.integrators import (
+    SimParams,
+    TrajectoryAbortError,
+    constrained_profile,
+    run_trajectory,
+    zero_field,
+)
+from cascade_lab.spectral import GridSpec, SpectralField
 
 GRID = GridSpec(1, 16, 8)
 BAND = NoiseSpec.band(GRID, [1.0, 1.0, 1.0])
@@ -116,16 +124,6 @@ class TestEnsembleRun:
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
 
-    def test_threads_do_not_change_results(self):
-        params = small_params()
-        obs = (Observable("time_avg_sobolev", 1.0),)
-        serial = ensemble_run(GRID, BAND, params, 4, lambda sid: zero_field(GRID), obs)
-        threaded = ensemble_run(
-            GRID, BAND, params, 4, lambda sid: zero_field(GRID), obs, threads=4
-        )
-        assert serial[0] == threaded[0]
-        assert serial[1] == threaded[1]
-
     def test_event_frequencies_sum_to_one(self):
         params = small_params()
         _, streams = ensemble_run(GRID, BAND, params, 16, lambda sid: zero_field(GRID))
@@ -160,6 +158,32 @@ class TestEnsembleRun:
                     lambda sid: constrained_profile(GRID, 1.0),
                     (Observable("sup_inf"),),
                 )
+
+    def test_partial_abort_drops_only_the_failing_stream(self):
+        # Stream 2 starts at 1e160: |u|^2 overflows in its first phase rotation.
+        params = small_params()
+
+        def u0(sid):
+            if sid == 2:
+                return SpectralField(GRID, np.full(GRID.coeff_shape, 1e160, dtype=complex))
+            return zero_field(GRID)
+
+        def recorder(p):
+            return NormRecorder(nu=p.nu)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            summary, streams = ensemble_run(
+                GRID, BAND, params, 4, u0, max_abort_fraction=0.5, recorder_factory=recorder
+            )
+            with pytest.raises(TrajectoryAbortError) as info:
+                run_trajectory(u0(2), BAND, replace(params, stream_id=2))
+        assert summary.aborts == 1 and len(streams) == 3
+        assert info.value.last_state.step_index == 0 and info.value.last_good_time == 0.0
+        for sid, records in zip((0, 1, 3), streams):
+            rec = recorder(params)
+            run_trajectory(u0(sid), BAND, replace(params, stream_id=sid), rec)
+            assert stream_csv_text(records) == stream_csv_text(rec.records)
 
     def test_quantiles_monotone(self):
         params = small_params()
