@@ -1,5 +1,8 @@
 """Golden output hashes, and the check that an ensemble equals its single runs.
 
+The golden runs cover every subcommand that writes files; their hashes pin
+every byte of each run directory (manifest, config, reports and streams).
+
 Output bytes depend on the numpy and scipy builds and on the CPU's SIMD level
 (with FMA, a complex product rounds differently with its operands swapped).
 The golden hashes below were taken on the build named in ``GOLDEN_ENV``; on
@@ -110,6 +113,142 @@ def criterion_10_hashes(tmp_path) -> dict:
     assert run_command(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     streams = next(out.iterdir()) / "streams"
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(streams.glob("*.csv"))}
+
+
+# Base config of the golden runs; each run adds its viscosity, horizon and kind
+# as overrides.  Every horizon is an exact integer number of steps, except that
+# ``simulate-fast`` takes T = 3.0 at nu = 0.1: there T * nu / nu is
+# 3.0000000000000004, one step more than T.
+GOLDEN_BASE = """
+[grid]
+n = 1
+N = 16
+D = 8
+
+[noise]
+profile = band:1,1,1
+
+[sim]
+dt = 0.02
+record_every = 5
+
+[ensemble]
+M = 2
+base_seed = 2026
+
+[experiment]
+observables = time_avg_sobolev:1,sup_sobolev:2,sup_cm:2,sup_inf
+"""
+
+GRID_3 = "sim.nu_grid=0.5,0.4,0.25"
+
+# name -> (subcommand, overrides)
+GOLDEN_RUNS = {
+    "simulate-slow": ("simulate", ["sim.nu=0.5", "sim.T_slow=1.0"]),
+    "simulate-fast": (
+        "simulate",
+        ["sim.nu=0.1", "sim.T=3.0", "sim.dt=0.01", "experiment.observables=sup_sobolev:2,sup_inf"],
+    ),
+    "spectrum": ("spectrum", ["sim.nu=0.5", "sim.T_slow=1.0"]),
+    "sweep-slow": ("sweep", [GRID_3, "sim.T_slow=2.0"]),
+    "sweep-fast": ("sweep", [GRID_3, "sim.T=8.0"]),
+    "stationary": ("stationary", [GRID_3, "sim.T_slow=13.0", "sim.dt=0.05"]),
+}
+
+# sha256 of every file of each golden run directory, by relative path;
+# ``occupation`` runs over the ``simulate-slow`` directory and adds its report.
+GOLDEN_RUNS_SHA256 = {
+    "simulate-slow": {
+        "config.ini": "a4800193562c07b5925aef81a2af9c44d78b94bba53a1f81e49c2d3bfc30e1d9",
+        "manifest.json": "74cf9fdd5c99aacf696e719f2aa54f64723763930e67201fd8ff99e6278a2b42",
+        "occupation_report.jsonl": "60f323fbe9fccd71d2d803e7482e4617e62e7d4b9495b6e351cf1dc114e851b1",
+        "report.jsonl": "c29db4b219a3b8d17e6c6c2f02c779ab385af96390843f28764d370b47a96e7d",
+        "streams/traj_0000.csv": "f6f29db4739e424208df588e703b91be8abfe9852202ede320a995ef70a1b07e",
+        "streams/traj_0001.csv": "81837d5902a7e6d1823d4bf4ab6751fbdffa30648f7b401aefd9fef333621c4e",
+    },
+    "simulate-fast": {
+        "config.ini": "a7f1ba2cefa99d3c01dbd3db1f227bbd51994bc140d2db497e5edfbc1c640112",
+        "manifest.json": "d22ee7a3a08b8a6da15b6bc432bfcf6d417ef69d8d40f2a068117f45726cfb14",
+        "report.jsonl": "592aac23a278545c1ce667ab12cca7d0af1a14620bd04fa74fd557c056f5a75c",
+        "streams/traj_0000.csv": "fab7346a82cfa4f7b733b36269c4d2362fc8bb1c4938b6d9cf26ddf7c14b45d6",
+        "streams/traj_0001.csv": "8e5c84795d6b1b6a62c1e21380bb9ab638c847bae91b8da4bba658026a52294e",
+    },
+    "spectrum": {
+        "config.ini": "cce74964518b9418d7653a39ed7445742afb0099234a3a0dd795c23d3fcf35c0",
+        "manifest.json": "235a40c6b37ded2502185b676754e64fe6b9db4e2f2dbd380a32f6051e893f84",
+        "report.jsonl": "64b2eb8908fbb50b290c0e70b0f087c485eba829432ba148d2ccd0967ab5828c",
+        "streams/traj_0000.csv": "2ce7fa6b73aab8428925eb64a444d5ea7cdc0adff64043d448fea13cfb2d4f86",
+        "streams/traj_0001.csv": "54b0554de48099dc55dbf2f3cfa7bf94defefddb871356995b85ae54b95c5e46",
+    },
+    "sweep-slow": {
+        "config.ini": "c88e843ebf461471f57903e49538d6257692c5849a3a5fb9ee2475cba18e58c1",
+        "manifest.json": "a48d0540246fd2392d50e8fa0770516a4262ad9653154bdc785c75f9442446bd",
+        "report.jsonl": "43f64e5c23d805fed033113cb38171cb4e9409332c410f21e6840703603576f7",
+        "streams/nu_0.25/traj_0000.csv": "aa4965eee8c0ad1f22ef9a47102d315dcd4d0b8c954178cb3de574fcfe4ae518",
+        "streams/nu_0.25/traj_0001.csv": "399672de52b080411e8c9c5218d5991fae62926b0f7bff24258eeef6790b8db4",
+        "streams/nu_0.4/traj_0000.csv": "2b6cdceda10899baea13878cc487fd7e2014aea76caa5be688cb1085c542a9ce",
+        "streams/nu_0.4/traj_0001.csv": "656d8e44aa8d74d7f48ba8ae6d062466ae033b866688de5fa1163b503759f165",
+        "streams/nu_0.5/traj_0000.csv": "52c75d3a0fee110d54d5a524bdd1f1ecdf2f18d5fdb3579b7e55f5795714af23",
+        "streams/nu_0.5/traj_0001.csv": "a19853792515a85aaa34648a53074e99f54b199b86e0386fd4f0581aa8b77787",
+    },
+    "sweep-fast": {
+        "config.ini": "ea929485771aa343f4520296c4716117284cff5cc870af66f91ccb11b1cb4746",
+        "manifest.json": "ee35e5fb665e934be2872197f060e471db6ffc40b76b08317d171b052fc830b5",
+        "report.jsonl": "43f64e5c23d805fed033113cb38171cb4e9409332c410f21e6840703603576f7",
+        "streams/nu_0.25/traj_0000.csv": "aa4965eee8c0ad1f22ef9a47102d315dcd4d0b8c954178cb3de574fcfe4ae518",
+        "streams/nu_0.25/traj_0001.csv": "399672de52b080411e8c9c5218d5991fae62926b0f7bff24258eeef6790b8db4",
+        "streams/nu_0.4/traj_0000.csv": "2b6cdceda10899baea13878cc487fd7e2014aea76caa5be688cb1085c542a9ce",
+        "streams/nu_0.4/traj_0001.csv": "656d8e44aa8d74d7f48ba8ae6d062466ae033b866688de5fa1163b503759f165",
+        "streams/nu_0.5/traj_0000.csv": "52c75d3a0fee110d54d5a524bdd1f1ecdf2f18d5fdb3579b7e55f5795714af23",
+        "streams/nu_0.5/traj_0001.csv": "a19853792515a85aaa34648a53074e99f54b199b86e0386fd4f0581aa8b77787",
+    },
+    "stationary": {
+        "config.ini": "ac2b2d30290eb5486c97b2dcbab0c4672cb6eda33075b1626c1a98e8147fbc71",
+        "manifest.json": "b094e34741e37b131a67bd718118db78b8c9c5e6eb67fc3bf197ccf9de071089",
+        "report.jsonl": "2238dd20bd634b5aeb7392b5edaf874706a75660167f8d0068e6afd8e19baf35",
+        "streams/nu_0.25/traj_0000.csv": "8e0ec61aa6fcf43fde863dd32f59e8d572aa93d8fd615de46f26ac37e0f549de",
+        "streams/nu_0.25/traj_0001.csv": "18661dc0d78985d696556cd8129acbccb063bf2278f45342fdf397a42d2f9604",
+        "streams/nu_0.4/traj_0000.csv": "56c35e0e967791ad239251a292812e7185604474df33d9033e6cf9adbf39055f",
+        "streams/nu_0.4/traj_0001.csv": "8edde8c21e009496590340d851a74d9a9d924c42705d5dbdd065869b325dbbfa",
+        "streams/nu_0.5/traj_0000.csv": "100fecdd7ec2968d11db4b57e54723a9d71b6c18228d1a42738a14d817d48836",
+        "streams/nu_0.5/traj_0001.csv": "fd59162fc2ea7e482b0eb9fdb67ad91077a8811e99dade54949673ceb11a0821",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def golden_runs(tmp_path_factory) -> dict:
+    """Run every golden config, then ``occupation`` over ``simulate-slow``; name -> run directory."""
+    tmp = tmp_path_factory.mktemp("golden")
+    cfg = tmp / "golden.ini"
+    cfg.write_text(GOLDEN_BASE)
+
+    def run(command, overrides, out):
+        args = [command, "--config", str(cfg), "--out", str(out)]
+        for item in overrides:
+            args += ["--override", item]
+        return run_command(args)
+
+    dirs = {}
+    for name, (command, overrides) in GOLDEN_RUNS.items():
+        assert run(command, overrides + [f"experiment.kind={command}"], tmp / name) in (0, 1), name
+        (dirs[name],) = (tmp / name).iterdir()
+    simulate = GOLDEN_RUNS["simulate-slow"][1]
+    assert run("occupation", simulate + [f"occupation.run={dirs['simulate-slow']}"], tmp) == 0
+    return dirs
+
+
+def tree_hashes(run_dir) -> dict:
+    return {
+        str(p.relative_to(run_dir)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(run_dir.rglob("*"))
+        if p.is_file()
+    }
+
+
+def test_golden_runs_match(golden_runs):
+    skip_unless_golden_build()
+    assert {name: tree_hashes(d) for name, d in golden_runs.items()} == GOLDEN_RUNS_SHA256
 
 
 N2_GRID = GridSpec(2, 32, 16)
