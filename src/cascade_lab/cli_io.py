@@ -50,13 +50,12 @@ from .diagnostics import (
 from .experiments import (
     Observable,
     SweepPlan,
-    ensemble_run,
     fit_exponent,
     nu_sweep,
     stationary_sweep,
 )
 from .forcing import NoiseSpec, ProfileError, bk_sum
-from .integrators import SimParams, constrained_profile, default_dt
+from .integrators import default_dt
 from .spectral import GridSpec
 
 
@@ -114,18 +113,32 @@ class RunConfig:
     def noise(self) -> NoiseSpec:
         return NoiseSpec.from_profile(self.grid(), self.profile)
 
-    def horizon_for(self, nu: float) -> float:
-        return self.T if self.T is not None else self.T_slow / nu
+    def plan(self, kind: str | None = None) -> SweepPlan:
+        """The ensembles that subcommand ``kind`` (default: experiment.kind) runs.
 
-    def params_for(self, nu: float) -> SimParams:
-        return SimParams(
-            nu=nu,
+        ``simulate`` and ``spectrum`` run the first viscosity alone, to the
+        fast horizon T (or T_slow / nu).  ``sweep`` and ``stationary`` run the
+        whole grid to the slow horizon T_slow (or T * min(nu_grid)).
+        """
+        nus = self.nu_grid or (self.nu,)
+        T = None
+        if (kind or self.kind) in ("simulate", "spectrum"):
+            nus = nus[:1]
+            T = self.T if self.T is not None else self.T_slow / nus[0]
+        return SweepPlan(
+            grid=self.grid(),
+            noise_profile=self.profile,
+            nu_grid=nus,
+            M=self.M,
+            base_seed=self.base_seed,
             dt=self.dt,
-            T=self.horizon_for(nu),
-            scheme=self.scheme,
+            t_slow_total=self.T_slow if self.T_slow is not None else self.T * min(nus),
+            T=T,
+            window_t0_slow=self.window_t0_slow,
             record_every=self.record_every,
-            seed=self.base_seed,
+            scheme=self.scheme,
             nonlinear=self.nonlinear,
+            observables=tuple(Observable.parse(o) for o in self.observables),
         )
 
 
@@ -388,15 +401,15 @@ def _json_line(d: dict) -> str:
 
 
 def write_manifest(run_dir: Path, cfg: RunConfig) -> None:
-    manifest = {
-        "schema_version": schema.SCHEMA_VERSION,
-        "code_version": __version__,
-        "kind": cfg.kind,
-        "config_hash": config_hash(cfg),
-        "base_seed": cfg.base_seed,
-        "noise_profile": cfg.profile,
-        "config": emit_config(cfg),
-    }
+    manifest = schema.report(
+        "manifest",
+        code_version=__version__,
+        kind=cfg.kind,
+        config_hash=config_hash(cfg),
+        base_seed=cfg.base_seed,
+        noise_profile=cfg.profile,
+        config=emit_config(cfg),
+    )
     atomic_write_text(run_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
@@ -445,98 +458,54 @@ def _load_config(args) -> RunConfig:
     return parse_config(text, overrides)
 
 
-def _u0_factory(cfg: RunConfig, nu: float):
-    u0 = constrained_profile(cfg.grid(), nu)
-    return lambda stream_id: u0
+def _write_run(cfg: RunConfig, out: str | None, streams: dict[str, list], reports: list[dict]) -> Path:
+    """Write a run directory: manifest, config, each ensemble's streams under streams/<label>, the report."""
+    run_dir = prepare_run_dir(cfg, out)
+    for label, ensemble in streams.items():
+        write_streams(run_dir, ensemble, label)
+    atomic_write_text(run_dir / "report.jsonl", "".join(_json_line(r) for r in reports))
+    return run_dir
+
+
+def _per_nu(plan: SweepPlan, streams) -> dict[str, list]:
+    return {f"nu_{nu:g}": ensemble for nu, ensemble in zip(plan.nu_grid, streams)}
 
 
 def _cmd_simulate(cfg: RunConfig, out: str | None) -> int:
-    nu = cfg.nu if cfg.nu is not None else cfg.nu_grid[0]
-    params = cfg.params_for(nu)
-    observables = tuple(Observable.parse(o) for o in cfg.observables)
-    summary, streams = ensemble_run(
-        cfg.grid(),
-        cfg.noise(),
-        params,
-        cfg.M,
-        _u0_factory(cfg, nu),
-        observables=observables,
-        window_t0=max(0.0, params.T - 1.0 / nu),
-    )
-    run_dir = prepare_run_dir(cfg, out)
-    write_streams(run_dir, streams)
-    atomic_write_text(run_dir / "report.jsonl", _json_line(summary.to_json_dict()))
+    plan = cfg.plan("simulate")
+    (nu,) = plan.nu_grid
+    summary, streams = plan.ensemble(nu)
+    run_dir = _write_run(cfg, out, {"": streams}, [summary.to_json_dict()])
     print(f"simulate: {cfg.M} trajectories at nu={nu} -> {run_dir}")
     return 0
 
 
 def _cmd_sweep(cfg: RunConfig, out: str | None) -> int:
-    plan = SweepPlan(
-        grid=cfg.grid(),
-        noise_profile=cfg.profile,
-        nu_grid=cfg.nu_grid,
-        M=cfg.M,
-        base_seed=cfg.base_seed,
-        dt=cfg.dt,
-        t_slow_total=cfg.T_slow if cfg.T_slow is not None else cfg.T * min(cfg.nu_grid),
-        window_t0_slow=cfg.window_t0_slow,
-        record_every=cfg.record_every,
-        scheme=cfg.scheme,
-        nonlinear=cfg.nonlinear,
-        observables=tuple(Observable.parse(o) for o in cfg.observables),
-    )
+    plan = cfg.plan("sweep")
     result = nu_sweep(plan)
-    run_dir = prepare_run_dir(cfg, out)
-    for nu, streams in zip(plan.nu_grid, result.streams):
-        write_streams(run_dir, streams, label=f"nu_{nu:g}")
-    lines = []
-    for summary in result.summaries:
-        lines.append(_json_line(summary.to_json_dict()))
-    for name, fit in result.fits.items():
-        if fit is not None:
-            lines.append(_json_line(fit.to_json_dict(observable=name)))
-    for name, verdicts in result.verdicts.items():
-        lines.append(
-            _json_line(
-                {
-                    "schema_version": schema.SCHEMA_VERSION,
-                    "type": "sweep_verdict",
-                    "observable": name,
-                    "verdicts": {k: (bool(v) if isinstance(v, bool) else v) for k, v in verdicts.items()},
-                }
-            )
-        )
-    atomic_write_text(run_dir / "report.jsonl", "".join(lines))
-    ok = result.all_verdicts_pass
+    reports = [summary.to_json_dict() for summary in result.summaries]
+    reports += [fit.to_json_dict(observable=name) for name, fit in result.fits.items() if fit is not None]
+    reports += [
+        schema.report("sweep_verdict", observable=name, verdicts=verdicts)
+        for name, verdicts in result.verdicts.items()
+    ]
+    run_dir = _write_run(cfg, out, _per_nu(plan, result.streams), reports)
     for name, verdicts in result.verdicts.items():
         print(f"sweep {name}: " + ", ".join(f"{k}={v}" for k, v in verdicts.items()))
     print(f"sweep report -> {run_dir}")
-    return 0 if ok else 1
+    return 0 if result.all_verdicts_pass else 1
 
 
 def _cmd_stationary(cfg: RunConfig, out: str | None) -> int:
-    plan = SweepPlan(
-        grid=cfg.grid(),
-        noise_profile=cfg.profile,
-        nu_grid=cfg.nu_grid,
-        M=cfg.M,
-        base_seed=cfg.base_seed,
-        dt=cfg.dt,
-        t_slow_total=cfg.T_slow if cfg.T_slow is not None else cfg.T * min(cfg.nu_grid),
-        window_t0_slow=cfg.window_t0_slow,
-        record_every=cfg.record_every,
-        scheme=cfg.scheme,
-        nonlinear=cfg.nonlinear,
-    )
+    plan = cfg.plan("stationary")
     result = stationary_sweep(plan)
-    run_dir = prepare_run_dir(cfg, out)
-    for nu, streams in zip(plan.nu_grid, result.streams):
-        write_streams(run_dir, streams, label=f"nu_{nu:g}")
-    lines = [_json_line(rep.to_json_dict()) for rep in result.balance]
-    for m, fit in result.moment_fits.items():
-        if fit is not None:
-            lines.append(_json_line(fit.to_json_dict(observable=f"stationary_sobolev_{m:g}")))
-    atomic_write_text(run_dir / "report.jsonl", "".join(lines))
+    reports = [rep.to_json_dict() for rep in result.balance]
+    reports += [
+        fit.to_json_dict(observable=f"stationary_sobolev_{m:g}")
+        for m, fit in result.moment_fits.items()
+        if fit is not None
+    ]
+    run_dir = _write_run(cfg, out, _per_nu(plan, result.streams), reports)
     ok = True
     for rep in result.balance:
         status = "degenerate" if rep.degenerate else f"residual={rep.relative_residual:.3g}"
@@ -582,36 +551,22 @@ def _cmd_occupation(cfg: RunConfig, out: str | None) -> int:
 def _cmd_spectrum(cfg: RunConfig, out: str | None) -> int:
     import numpy as np
 
-    nu = cfg.nu if cfg.nu is not None else cfg.nu_grid[0]
-    params = cfg.params_for(nu)
+    plan = cfg.plan("spectrum")
+    (nu,) = plan.nu_grid
 
     def recorder_factory(p):
         return NormRecorder(nu=p.nu, ms=(0.0, 1.0, 2.0), shells=True)
 
-    _, streams = ensemble_run(
-        cfg.grid(),
-        cfg.noise(),
-        params,
-        cfg.M,
-        _u0_factory(cfg, nu),
-        observables=(),
-        recorder_factory=recorder_factory,
-    )
-    burn = 0.2 * params.T
+    _, streams = plan.ensemble(nu, recorder_factory)
+    burn = 0.2 * plan.T
     shells = np.array(
         [r.shells for s in streams for r in s if r.t >= burn and r.shells is not None]
     )
     mean_shells = shells.mean(axis=0)
-    run_dir = prepare_run_dir(cfg, out)
-    report = {
-        "schema_version": schema.SCHEMA_VERSION,
-        "type": "spectrum",
-        "nu": nu,
-        "M": cfg.M,
-        "shells": [[k + 1, float(e)] for k, e in enumerate(mean_shells)],
-    }
-    atomic_write_text(run_dir / "report.jsonl", _json_line(report))
-    write_streams(run_dir, streams)
+    report = schema.report(
+        "spectrum", nu=nu, M=cfg.M, shells=[[k + 1, float(e)] for k, e in enumerate(mean_shells)]
+    )
+    run_dir = _write_run(cfg, out, {"": streams}, [report])
     head = ", ".join(f"E_{k + 1}={e:.4g}" for k, e in enumerate(mean_shells[:6]))
     print(f"spectrum nu={nu}: {head} ... -> {run_dir}")
     return 0

@@ -206,20 +206,7 @@ class OccupationReport:
     note: str = DISCRETIZATION_NOTE
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": schema.SCHEMA_VERSION,
-            "type": "occupation",
-            "chi": self.chi,
-            "gamma": self.gamma,
-            "tau0": self.tau0,
-            "tau": self.tau,
-            "n_traj": self.n_traj,
-            "lhs_mean": self.lhs_mean,
-            "lhs_se": self.lhs_se,
-            "rhs_bound": self.rhs_bound,
-            "passed": self.passed,
-            "note": self.note,
-        }
+        return schema.report("occupation", **vars(self))
 
 
 def occupation_check(
@@ -288,19 +275,7 @@ class StationaryCheckReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": schema.SCHEMA_VERSION,
-            "type": "stationary_check",
-            "chi": self.chi,
-            "gamma": self.gamma,
-            "n_samples": self.n_samples,
-            "frequency": self.frequency,
-            "wilson_low": self.wilson_low,
-            "wilson_high": self.wilson_high,
-            "bound": self.bound,
-            "applicable": self.applicable,
-            "passed": self.passed,
-        }
+        return schema.report("stationary_check", **vars(self))
 
 
 def _wilson(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -377,19 +352,18 @@ class BalanceReport:
     nu: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": schema.SCHEMA_VERSION,
-            "type": "balance",
-            "nu": self.nu,
-            "window_start": self.window[0],
-            "window_end": self.window[1],
-            "avg_h1_sq": self.avg_h1_sq,
-            "b0": self.b0,
-            "relative_residual": self.relative_residual,
-            "se": self.se,
-            "n_batches": self.n_batches,
-            "degenerate": self.degenerate,
-        }
+        return schema.report(
+            "balance",
+            nu=self.nu,
+            window_start=self.window[0],
+            window_end=self.window[1],
+            avg_h1_sq=self.avg_h1_sq,
+            b0=self.b0,
+            relative_residual=self.relative_residual,
+            se=self.se,
+            n_batches=self.n_batches,
+            degenerate=self.degenerate,
+        )
 
 
 def balance_check(

@@ -18,6 +18,7 @@ from math import sqrt
 
 import numpy as np
 
+from . import schema
 from .diagnostics import (
     BalanceReport,
     DiagnosticsRecord,
@@ -26,10 +27,12 @@ from .diagnostics import (
     time_avg_sobolev,
 )
 from .forcing import NoiseSpec, bk_sum
-from .integrators import SimParams, constrained_profile, run_ensemble
+from .integrators import KAPPA, SimParams, constrained_profile, run_ensemble
 from .spectral import GridSpec, SpectralField
 
 QUANTILES = (5, 25, 50, 75, 95)
+
+BURN_IN_FRACTION = 0.2  # leading share of a stationary run left out of its averages
 
 OBSERVABLE_KINDS = ("sup_sobolev", "time_avg_sobolev", "sup_cm", "sup_inf")
 
@@ -103,15 +106,12 @@ class EnsembleSummary:
     observables: dict[str, ObservableStats]
 
     def to_json_dict(self) -> dict:
-        from . import schema
-
-        return {
-            "schema_version": schema.SCHEMA_VERSION,
-            "type": "ensemble_summary",
-            "nu": self.nu,
-            "M": self.M,
-            "aborts": self.aborts,
-            "observables": {
+        return schema.report(
+            "ensemble_summary",
+            nu=self.nu,
+            M=self.M,
+            aborts=self.aborts,
+            observables={
                 name: {
                     "mean": st.mean,
                     "variance": st.variance,
@@ -120,7 +120,7 @@ class EnsembleSummary:
                 }
                 for name, st in self.observables.items()
             },
-        }
+        )
 
 
 def _stats(values: np.ndarray) -> ObservableStats:
@@ -205,17 +205,14 @@ class ScalingFit:
     r2: float
 
     def to_json_dict(self, observable: str = "") -> dict:
-        from . import schema
-
-        return {
-            "schema_version": schema.SCHEMA_VERSION,
-            "type": "scaling_fit",
-            "observable": observable,
-            "alpha": self.alpha,
-            "intercept": self.intercept,
-            "r2": self.r2,
-            "points": [[nu, q] for nu, q in self.points],
-        }
+        return schema.report(
+            "scaling_fit",
+            observable=observable,
+            alpha=self.alpha,
+            intercept=self.intercept,
+            r2=self.r2,
+            points=[[nu, q] for nu, q in self.points],
+        )
 
 
 def fit_exponent(points) -> ScalingFit:
@@ -242,12 +239,14 @@ def fit_exponent(points) -> ScalingFit:
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """A viscosity grid with per-entry ensemble settings and start-data policy.
+    """A viscosity grid with per-entry ensemble settings; one entry is a single ensemble.
 
     The fast-time horizon per entry is ``t_slow_total / nu`` and observables
     are evaluated on the unit slow-time window starting at
-    ``window_t0_slow / nu``; initial data follow the constrained smooth
-    profile (lattice sup <= init_sup, ||u||_m <= nu^(-init_kappa * m)).
+    ``window_t0_slow / nu``.  With a fast-time horizon ``T``, every entry runs
+    to ``T`` instead and observables use its last slow unit [T - 1/nu, T]
+    (clipped at 0).  Initial data follow the constrained smooth profile
+    (lattice sup 1, ||u||_3 <= nu^(-3 KAPPA)).
 
     With ``dt_slow`` set, every entry steps at the same slow-time increment
     (fast dt = dt_slow / nu).  Draws are addressed by step index, so all
@@ -265,6 +264,7 @@ class SweepPlan:
     dt: float = 0.01
     dt_slow: float | None = None
     t_slow_total: float = 2.0
+    T: float | None = None
     window_t0_slow: float = 1.0
     record_every: int = 10
     scheme: str = "strang"
@@ -275,9 +275,6 @@ class SweepPlan:
         Observable("sup_cm", 2.0),
         Observable("sup_inf"),
     )
-    init_sup: float = 1.0
-    init_kappa: float = 0.02
-    init_m: float = 3.0
 
     def __post_init__(self):
         nus = self.nu_grid
@@ -285,12 +282,6 @@ class SweepPlan:
             raise ValueError("nu_grid entries must lie in (0, 1]")
         if any(a <= b for a, b in zip(nus, nus[1:])):
             raise ValueError("nu_grid must be strictly decreasing")
-        if self.M < 2:
-            raise ValueError("sweeps need ensembles of M >= 2")
-        if self.window_t0_slow + 1.0 > self.t_slow_total + 1e-12:
-            raise ValueError(
-                "observable window extends past the horizon: need window_t0_slow + 1 <= t_slow_total"
-            )
         if self.dt_slow is not None and self.dt_slow <= 0:
             raise ValueError(f"dt_slow must be positive, got {self.dt_slow}")
 
@@ -298,11 +289,10 @@ class SweepPlan:
         return NoiseSpec.from_profile(self.grid, self.noise_profile)
 
     def params_for(self, nu: float) -> SimParams:
-        dt = self.dt if self.dt_slow is None else self.dt_slow / nu
         return SimParams(
             nu=nu,
-            dt=dt,
-            T=self.t_slow_total / nu,
+            dt=self.dt if self.dt_slow is None else self.dt_slow / nu,
+            T=self.T if self.T is not None else self.t_slow_total / nu,
             scheme=self.scheme,
             record_every=self.record_every,
             seed=self.base_seed,
@@ -310,10 +300,34 @@ class SweepPlan:
         )
 
     def u0_factory(self, nu: float):
-        u0 = constrained_profile(
-            self.grid, nu, sup_bound=self.init_sup, kappa=self.init_kappa, m=self.init_m
-        )
+        u0 = constrained_profile(self.grid, nu)
         return lambda stream_id: u0
+
+    def ensemble(self, nu: float, recorder_factory=None):
+        """``ensemble_run`` at grid entry ``nu`` with the plan's observables.
+
+        With ``recorder_factory``, no observables are evaluated: the caller
+        reads the streams that recorder writes.
+        """
+        return ensemble_run(
+            self.grid,
+            self.spec(),
+            self.params_for(nu),
+            self.M,
+            self.u0_factory(nu),
+            observables=self.observables if recorder_factory is None else (),
+            window_t0=None if self.T is not None else self.window_t0_slow / nu,
+            recorder_factory=recorder_factory,
+        )
+
+
+def _check_sweep(plan: SweepPlan) -> None:
+    if plan.M < 2:
+        raise ValueError("sweeps need ensembles of M >= 2")
+    if plan.window_t0_slow + 1.0 > plan.t_slow_total + 1e-12:
+        raise ValueError(
+            "observable window extends past the horizon: need window_t0_slow + 1 <= t_slow_total"
+        )
 
 
 @dataclass(frozen=True)
@@ -336,34 +350,21 @@ def _strictly_increasing(values) -> bool:
     return all(b > a for a, b in zip(values, values[1:]))
 
 
-def nu_sweep(
-    plan: SweepPlan,
-    upper_slack: float = 0.5,
-    sup_inf_ratio_bound: float = 3.0,
-) -> SweepResult:
+def nu_sweep(plan: SweepPlan) -> SweepResult:
     """Run the viscosity sweep and judge trend verdicts per observable.
 
     For Sobolev-type observables of order m the verdicts are: fitted alpha
-    positive (energy moves to high modes as nu shrinks), alpha <= m + slack
-    (the a-priori upper scaling), and ensemble means strictly increasing along
-    the decreasing nu grid.  For C^m observables the median trend is judged;
-    for the lattice sup the max/min median ratio across the grid is compared
-    against ``sup_inf_ratio_bound`` (the sup-norm moments are nu-uniform).
+    positive (energy moves to high modes as nu shrinks), alpha <= m + 0.5
+    (the a-priori upper scaling with a desk-scale slack), and ensemble means
+    strictly increasing along the decreasing nu grid.  For C^m observables the
+    median trend is judged; for the lattice sup the max/min median ratio
+    across the grid must stay below 3 (the sup-norm moments are nu-uniform).
     """
-    spec = plan.spec()
+    _check_sweep(plan)
     summaries = []
     streams_per_nu = []
     for nu in plan.nu_grid:
-        params = plan.params_for(nu)
-        summary, streams = ensemble_run(
-            plan.grid,
-            spec,
-            params,
-            plan.M,
-            plan.u0_factory(nu),
-            observables=plan.observables,
-            window_t0=plan.window_t0_slow / nu,
-        )
+        summary, streams = plan.ensemble(nu)
         summaries.append(summary)
         streams_per_nu.append(streams)
 
@@ -380,7 +381,7 @@ def nu_sweep(
         v: dict[str, bool | float] = {}
         if obs.kind in ("sup_sobolev", "time_avg_sobolev"):
             # a-priori envelope of E||u||_m^2 is nu^(-m); slack covers desk-scale noise
-            upper = float(obs.m) + upper_slack
+            upper = float(obs.m) + 0.5
             v["means_strictly_increasing"] = _strictly_increasing(means)
             if fit is not None:
                 v["alpha_positive"] = fit.alpha > 0
@@ -393,7 +394,7 @@ def nu_sweep(
         elif obs.kind == "sup_inf":
             ratio = max(medians) / min(medians) if min(medians) > 0 else float("inf")
             v["median_ratio"] = ratio
-            v["nu_uniform"] = ratio < sup_inf_ratio_bound
+            v["nu_uniform"] = ratio < 3.0
         verdicts[name] = v
     return SweepResult(
         plan=plan,
@@ -425,53 +426,39 @@ class StationarySweepResult:
     exponent_consistent: dict[float, bool]
 
 
-def stationary_sweep(
-    plan: SweepPlan,
-    ms: tuple[float, ...] = (1.0, 2.0, 3.0),
-    burn_in_fraction: float = 0.2,
-    kappa: float = 0.02,
-    min_t_slow: float = 10.0,
-) -> StationarySweepResult:
+def stationary_sweep(plan: SweepPlan, ms: tuple[float, ...] = (1.0, 2.0, 3.0)) -> StationarySweepResult:
     """Long-run averages per nu as stationary-measure surrogates.
 
     Per viscosity: the balance report for E||u||_1^2 = B_0 and the moment
-    table E||u||_m^2 with batch-means error bars.  Across the grid, the fitted
-    exponent of each moment is compared against the window
-    [2 m kappa - 1, m]; constants are free, only exponent consistency is
+    table E||u||_m^2 with batch-means error bars, both after the burn-in
+    ``BURN_IN_FRACTION``, which must leave at least 10 slow units.  Across the
+    grid, the fitted exponent of each moment is compared against the window
+    [2 m KAPPA - 1, m]; constants are free, only exponent consistency is
     judged.
     """
-    post_burn = plan.t_slow_total * (1.0 - burn_in_fraction)
-    if post_burn < min_t_slow:
+    _check_sweep(plan)
+    post_burn = plan.t_slow_total * (1.0 - BURN_IN_FRACTION)
+    if post_burn < 10.0:
         raise ValueError(
-            f"insufficient run length: {post_burn:.3g} slow units after burn-in, need {min_t_slow}"
+            f"insufficient run length: {post_burn:.3g} slow units after burn-in, need 10.0"
         )
-    spec = plan.spec()
-    b0 = bk_sum(spec, 0.0)
+    b0 = bk_sum(plan.spec(), 0.0)
+    rec_ms = tuple(sorted({0.0, 1.0, 2.0} | {float(m) for m in ms}))
+
+    def recorder_factory(p):
+        return NormRecorder(nu=p.nu, ms=rec_ms)
+
     balance_reports = []
     streams_per_nu = []
     rows: dict[float, list[MomentRow]] = {m: [] for m in ms}
     for nu in plan.nu_grid:
-        params = plan.params_for(nu)
-        rec_ms = tuple(sorted({0.0, 1.0, 2.0} | {float(m) for m in ms}))
-
-        def recorder_factory(p, _ms=rec_ms):
-            return NormRecorder(nu=p.nu, ms=_ms)
-
-        _, streams = ensemble_run(
-            plan.grid,
-            spec,
-            params,
-            plan.M,
-            plan.u0_factory(nu),
-            observables=(),
-            recorder_factory=recorder_factory,
-        )
+        _, streams = plan.ensemble(nu, recorder_factory)
         balance_reports.append(
-            balance_check(streams, b0, nu, burn_in_fraction=burn_in_fraction)
+            balance_check(streams, b0, nu, burn_in_fraction=BURN_IN_FRACTION)
         )
         streams_per_nu.append(streams)
         t_end = streams[0][-1].t
-        cut = burn_in_fraction * t_end
+        cut = BURN_IN_FRACTION * t_end
         kept = [i for i, r in enumerate(streams[0]) if r.t >= cut]
         for m in ms:
             series = np.array([[s[i].norm(m) ** 2 for i in kept] for s in streams])
@@ -481,7 +468,7 @@ def stationary_sweep(
             rows[m].append(
                 MomentRow(m=m, mean_sq=float(ens_mean.mean()), se=float(bm.std(ddof=1) / sqrt(20)))
             )
-    window = {m: (2.0 * m * kappa - 1.0, float(m)) for m in ms}
+    window = {m: (2.0 * m * KAPPA - 1.0, float(m)) for m in ms}
     fits: dict[float, ScalingFit | None] = {}
     consistent: dict[float, bool] = {}
     for m in ms:

@@ -50,8 +50,7 @@ class RngStream:
     ``normals(step_index, substream, count)`` is pure: it returns the same
     draws as a freshly constructed ``Generator(Philox(counter, key))`` with
     counter ``[0, 0, substream, step_index]`` and key ``[base_seed,
-    stream_id]``.  ``counter`` is only a convenience cursor for callers that
-    draw sequentially; the addressed interface never touches it.
+    stream_id]``.
 
     Single-owner: one stream per trajectory.  Distinct (base_seed, stream_id)
     pairs are independent Philox keys.
@@ -59,7 +58,6 @@ class RngStream:
 
     base_seed: int
     stream_id: int
-    counter: int = 0
 
     def __post_init__(self):
         if not 0 <= self.base_seed < _U64:
@@ -217,19 +215,15 @@ def sample_increments(
     spec: NoiseSpec,
     dt: float,
     rng: RngStream,
-    step_index: int | None = None,
+    step_index: int,
     substream: int = SUB_INCREMENT,
 ) -> np.ndarray:
     """Per-mode complex increments b_d * (g^R + i g^I) with g ~ N(0, dt).
 
     Drawing order over d is lexicographic (C order of the coefficient array):
-    all real parts first, then all imaginary parts.  When ``step_index`` is
-    omitted the stream's cursor is used and advanced.
+    all real parts first, then all imaginary parts.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if step_index is None:
-        step_index = rng.counter
-        rng.counter += 1
     g = complex_normals((rng,), step_index, substream, spec.grid.coeff_shape)
     return spec.amplitudes * (sqrt(dt) * g)

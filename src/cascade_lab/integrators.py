@@ -432,11 +432,16 @@ def smooth_random_field(
     return SpectralField(grid, coeffs)
 
 
+# Growth exponent of the start-data cap ||u0||_m <= nu^(-KAPPA m); the
+# stationary sweep's exponent window [2 m KAPPA - 1, m] uses the same value.
+KAPPA = 0.02
+
+
 def constrained_profile(
     grid: GridSpec,
     nu: float,
     sup_bound: float = 1.0,
-    kappa: float = 0.02,
+    kappa: float = KAPPA,
     m: float = 3.0,
     decay: float = 3.0,
 ) -> SpectralField:
@@ -588,7 +593,8 @@ def run_em_on_path(
 #
 # Layout: 8-byte magic, uint32 length of a JSON metadata blob, the blob, then a
 # field snapshot.  The metadata carries the time, the step index, and the rng
-# addressing state, which is all that is needed to resume bit-exactly.
+# key (base seed, stream id), which is all that is needed to resume bit-exactly;
+# the ``counter`` key of older checkpoints is ignored.
 
 CHECKPOINT_MAGIC = b"CLABCKP1"
 
@@ -602,7 +608,6 @@ def checkpoint_to_bytes(state: TrajectoryState) -> bytes:
             "step_index": state.step_index,
             "base_seed": state.rng.base_seed,
             "stream_id": state.rng.stream_id,
-            "counter": state.rng.counter,
         },
         sort_keys=True,
     ).encode()
@@ -617,7 +622,7 @@ def checkpoint_from_bytes(buf: bytes) -> TrajectoryState:
     (meta_len,) = struct.unpack("<I", buf[8:12])
     meta = json.loads(buf[12 : 12 + meta_len].decode())
     u = field_from_bytes(buf[12 + meta_len :])
-    rng = RngStream(meta["base_seed"], meta["stream_id"], counter=meta["counter"])
+    rng = RngStream(meta["base_seed"], meta["stream_id"])
     return TrajectoryState(t=meta["t"], u=u, rng=rng, step_index=meta["step_index"])
 
 

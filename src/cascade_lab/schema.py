@@ -83,6 +83,8 @@ SUMMARY_FIELDS = REPORT_COMMON + ("nu", "M", "aborts", "observables")
 
 SWEEP_VERDICT_FIELDS = REPORT_COMMON + ("observable", "verdicts")
 
+SPECTRUM_FIELDS = REPORT_COMMON + ("nu", "M", "shells")
+
 MANIFEST_FIELDS = (
     "schema_version",
     "code_version",
@@ -92,3 +94,30 @@ MANIFEST_FIELDS = (
     "noise_profile",
     "config",
 )
+
+# Field order of every JSON object by its ``type`` (the manifest has no type field).
+FIELDS = {
+    "occupation": OCCUPATION_FIELDS,
+    "stationary_check": STATIONARY_FIELDS,
+    "balance": BALANCE_FIELDS,
+    "scaling_fit": FIT_FIELDS,
+    "ensemble_summary": SUMMARY_FIELDS,
+    "sweep_verdict": SWEEP_VERDICT_FIELDS,
+    "spectrum": SPECTRUM_FIELDS,
+    "manifest": MANIFEST_FIELDS,
+}
+
+
+def report(kind: str, /, **values) -> dict:
+    """The JSON object of ``kind`` with ``values`` in its frozen field order.
+
+    ``schema_version`` and ``type`` are filled in; any other field missing from
+    ``values``, or not in the schema, raises ValueError.
+    """
+    fields = FIELDS[kind]
+    values["schema_version"] = SCHEMA_VERSION
+    if "type" in fields:
+        values["type"] = kind
+    if values.keys() != set(fields):
+        raise ValueError(f"{kind} fields {sorted(values)} differ from the schema {list(fields)}")
+    return {name: values[name] for name in fields}

@@ -57,6 +57,22 @@ observables = sup_inf
 """
 
 
+class TestPlan:
+    def test_fast_horizon_is_taken_as_given(self):
+        # T * nu / nu = 3.0000000000000004 at nu = 0.1 would take one step more
+        cfg = parse_config(MINIMAL.replace("T_slow = 1.0", "T = 3.0"))
+        params = cfg.plan("simulate").params_for(0.1)
+        assert params.T == 3.0 and params.n_steps == 300
+        assert cfg.plan("sweep").t_slow_total == 3.0 * 0.1
+
+    def test_single_kinds_run_the_first_viscosity(self):
+        cfg = parse_config(MINIMAL.replace("nu = 0.1", "nu_grid = 0.4,0.2,0.1"))
+        spectrum, sweep = cfg.plan("spectrum"), cfg.plan("sweep")
+        assert spectrum.nu_grid == (0.4,) and spectrum.T == 1.0 / 0.4
+        assert sweep.nu_grid == (0.4, 0.2, 0.1) and sweep.T is None
+        assert cfg.plan().nu_grid == spectrum.nu_grid  # experiment.kind defaults to simulate
+
+
 class TestParseConfig:
     def test_minimal_with_defaults(self):
         cfg = parse_config(MINIMAL)

@@ -199,10 +199,11 @@ class TestSweepPlan:
     def test_validation(self):
         with pytest.raises(ValueError, match="decreasing"):
             SweepPlan(GRID, "band:1", (0.1, 0.2), M=4, base_seed=1)
+        SweepPlan(GRID, "band:1", (0.2,), M=1, base_seed=1)  # a single ensemble
         with pytest.raises(ValueError, match="M >= 2"):
-            SweepPlan(GRID, "band:1", (0.2, 0.1), M=1, base_seed=1)
+            nu_sweep(SweepPlan(GRID, "band:1", (0.2, 0.1), M=1, base_seed=1))
         with pytest.raises(ValueError, match="window"):
-            SweepPlan(GRID, "band:1", (0.2, 0.1), M=4, base_seed=1, t_slow_total=1.5)
+            nu_sweep(SweepPlan(GRID, "band:1", (0.2, 0.1), M=4, base_seed=1, t_slow_total=1.5))
 
     def test_u0_policy_applied_per_nu(self):
         plan = SweepPlan(GRID, "band:1,1,1", (0.4, 0.2), M=2, base_seed=1)
@@ -210,7 +211,7 @@ class TestSweepPlan:
 
         for nu in plan.nu_grid:
             u0 = plan.u0_factory(nu)(0)
-            assert sup_norm(u0) <= plan.init_sup + 1e-12
+            assert sup_norm(u0) <= 1.0 + 1e-12
 
 
 class TestNuSweep:

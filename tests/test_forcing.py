@@ -170,14 +170,6 @@ class TestSampleIncrements:
         b = sample_increments(spec, 0.25, RngStream(42, 3), step_index=11)
         assert np.array_equal(a, b)
 
-    def test_cursor_advances_when_unaddressed(self):
-        spec = NoiseSpec.band(GRID, [1.0])
-        rng = RngStream(0, 0)
-        a = sample_increments(spec, 0.1, rng)
-        b = sample_increments(spec, 0.1, rng)
-        assert rng.counter == 2
-        assert not np.array_equal(a, b)
-
     def test_variance_matches_gaussian_oracle(self):
         # Re-part variance of b_d * g with b = 1 should be dt; 1e5 samples, 3 sigma.
         spec = NoiseSpec.single(GridSpec(1, 4, 2), 1)

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 import scipy
 
+from cascade_lab import schema
 from cascade_lab.cli_io import run_command
 from cascade_lab.diagnostics import NormRecorder, stream_csv_text
 from cascade_lab.experiments import Observable, ensemble_run
@@ -249,6 +250,29 @@ def tree_hashes(run_dir) -> dict:
 def test_golden_runs_match(golden_runs):
     skip_unless_golden_build()
     assert {name: tree_hashes(d) for name, d in golden_runs.items()} == GOLDEN_RUNS_SHA256
+
+
+def test_reports_follow_schema(golden_runs):
+    # holds on any build: field names and orders do not depend on the numbers
+    types = set()
+    for run_dir in golden_runs.values():
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert tuple(manifest) == schema.MANIFEST_FIELDS
+        for path in run_dir.glob("*.jsonl"):
+            for line in path.read_text().splitlines():
+                obj = json.loads(line)
+                assert tuple(obj) == schema.FIELDS[obj["type"]], f"{path.name}: {obj['type']}"
+                types.add(obj["type"])
+    assert types == set(schema.FIELDS) - {"manifest", "stationary_check"}
+
+
+def test_report_rejects_missing_or_extra_fields():
+    fit = dict(observable="x", alpha=1.0, intercept=0.0, r2=1.0, points=[])
+    assert tuple(schema.report("scaling_fit", **fit)) == schema.FIT_FIELDS
+    with pytest.raises(ValueError, match="differ"):
+        schema.report("scaling_fit", **{**fit, "extra": 1})
+    with pytest.raises(ValueError, match="differ"):
+        schema.report("scaling_fit", alpha=1.0)
 
 
 N2_GRID = GridSpec(2, 32, 16)

@@ -1,5 +1,7 @@
 """Integrators: exact sub-flows, splitting, the EM oracle, and trajectory plumbing."""
 
+import json
+import struct
 import warnings
 from math import exp, log, pi, sqrt
 
@@ -385,6 +387,17 @@ class TestCheckpoints:
         resumed = continue_trajectory(load_checkpoint(path), BAND, params)
         assert resumed.step_index == full.step_index
         assert np.array_equal(resumed.u.coeffs, full.u.coeffs)
+
+    def test_counter_key_of_older_files_is_ignored(self):
+        state = initial_state(random_field(GRID, 13, 0.2), SimParams(nu=0.5, dt=0.01, T=0.1, seed=3))
+        buf = checkpoint_to_bytes(state)
+        (n,) = struct.unpack("<I", buf[8:12])
+        meta = json.loads(buf[12 : 12 + n])
+        assert "counter" not in meta
+        blob = json.dumps({**meta, "counter": 7}, sort_keys=True).encode()
+        back = checkpoint_from_bytes(buf[:8] + struct.pack("<I", len(blob)) + blob + buf[12 + n :])
+        assert (back.t, back.step_index, back.rng.stream_id) == (state.t, state.step_index, 0)
+        assert np.array_equal(back.u.coeffs, state.u.coeffs)
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
