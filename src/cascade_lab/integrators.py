@@ -104,7 +104,15 @@ class SimParams:
 
     @property
     def n_steps(self) -> int:
-        return ceil(self.T / self.dt)
+        """T / dt rounded up, or to the nearest integer when within a relative 1e-9 of it.
+
+        A horizon that is a whole number of steps up to float rounding (e.g.
+        T = 1/0.4, dt = 0.01/0.4, T / dt = 100.00000000000001) takes exactly
+        that number of steps.
+        """
+        ratio = self.T / self.dt
+        nearest = round(ratio)
+        return nearest if abs(ratio - nearest) <= 1e-9 * ratio else ceil(ratio)
 
     def tau(self, t: float) -> float:
         """Slow time tau = nu * t."""
@@ -331,7 +339,7 @@ def _checked_step(step, state: State, spec: NoiseSpec, params: SimParams) -> Sta
 def _advance(
     state: State, spec: NoiseSpec, params: SimParams, sink: Sink | None
 ) -> tuple[State | None, list[TrajectoryAbortError]]:
-    """Step a trajectory or an ensemble to ceil(T/dt) steps; returns (final state, aborts).
+    """Step a trajectory or an ensemble to ``params.n_steps``; returns (final state, aborts).
 
     The sink sees the state at step 0 (fresh starts only), after every
     record_every-th step, and at the final step.  A single trajectory that
@@ -374,7 +382,7 @@ def continue_trajectory(
     params: SimParams,
     sink: Sink | None = None,
 ) -> TrajectoryState:
-    """Advance a trajectory to ceil(T/dt) steps, invoking the sink at the record cadence.
+    """Advance a trajectory to ``params.n_steps``, invoking the sink at the record cadence.
 
     Non-finite fields abort with the last good state attached.
     """

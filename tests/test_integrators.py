@@ -422,3 +422,10 @@ class TestSimParams:
         assert p.tau(8.0) == 2.0
         assert p.t_of_tau(2.0) == 8.0
         assert p.n_steps == 100
+
+    def test_n_steps_is_exact_for_whole_step_horizons(self):
+        # T / dt = 100.00000000000001 here; ceil would take a 101st step
+        p = SimParams(nu=0.4, dt=0.01 / 0.4, T=1.0 / 0.4)
+        assert p.T / p.dt > 100 and p.n_steps == 100
+        assert SimParams(nu=0.1, dt=0.01, T=3.0 * 0.1 / 0.1).n_steps == 300
+        assert SimParams(nu=0.5, dt=0.3, T=1.0).n_steps == 4  # a real remainder still rounds up
