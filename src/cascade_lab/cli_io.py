@@ -47,9 +47,10 @@ from .diagnostics import (
     read_stream_csv,
     stream_csv_text,
 )
-from .experiments import (
+from .experiments import (  # ensemble_run stays importable here for perfbench's tracer
     Observable,
     SweepPlan,
+    ensemble_run,  # noqa: F401
     fit_exponent,
     nu_sweep,
     stationary_sweep,
@@ -458,8 +459,10 @@ def _load_config(args) -> RunConfig:
     return parse_config(text, overrides)
 
 
-def _write_run(cfg: RunConfig, out: str | None, streams: dict[str, list], reports: list[dict]) -> Path:
-    """Write a run directory: manifest, config, each ensemble's streams under streams/<label>, the report."""
+def _write_run(
+    cfg: RunConfig, out: str | None, streams: dict[str, list], reports: list[dict]
+) -> Path:
+    """Write a run directory: manifest, config, report, and each ensemble under streams/<label>."""
     run_dir = prepare_run_dir(cfg, out)
     for label, ensemble in streams.items():
         write_streams(run_dir, ensemble, label)

@@ -426,7 +426,9 @@ class StationarySweepResult:
     exponent_consistent: dict[float, bool]
 
 
-def stationary_sweep(plan: SweepPlan, ms: tuple[float, ...] = (1.0, 2.0, 3.0)) -> StationarySweepResult:
+def stationary_sweep(
+    plan: SweepPlan, ms: tuple[float, ...] = (1.0, 2.0, 3.0)
+) -> StationarySweepResult:
     """Long-run averages per nu as stationary-measure surrogates.
 
     Per viscosity: the balance report for E||u||_1^2 = B_0 and the moment
