@@ -456,6 +456,8 @@ def _load_config(args) -> RunConfig:
         if not sep:
             raise ConfigError([f"override {item!r} is not of the form section.key=value"])
         overrides[key.strip()] = value.strip()
+    if args.command in KINDS:  # the run directory and manifest name the subcommand that ran
+        overrides["experiment.kind"] = args.command
     return parse_config(text, overrides)
 
 

@@ -69,17 +69,21 @@ class RngStream:
         object.__setattr__(self, "_gen", Generator(bitgen))
         # A fresh generator's state: counter 0, empty buffer, no cached uint32.
         # Only the counter's two high words change from one address to the next.
-        object.__setattr__(self, "_state", bitgen.state)
+        # Kept as ints and lists, which the state setter reads faster than arrays.
+        state = bitgen.state
+        state["state"] = {k: v.tolist() for k, v in state["state"].items()}
+        state["buffer"] = state["buffer"].tolist()
+        object.__setattr__(self, "_state", state)
 
-    def normals(self, step_index: int, substream: int, count: int) -> np.ndarray:
-        """Standard normals at the addressed counter position (no stream state)."""
+    def normals(self, step_index: int, substream: int, count=None, out=None) -> np.ndarray:
+        """Standard normals at the addressed counter (no stream state), into ``out`` if given."""
         if step_index < 0 or substream < 0:
             raise ValueError("step_index and substream must be nonnegative")
         counter = self._state["state"]["counter"]
         counter[2] = substream
         counter[3] = step_index
         self._bitgen.state = self._state
-        return self._gen.standard_normal(count)
+        return self._gen.standard_normal(count if out is None else None, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,9 +210,10 @@ def complex_normals(rngs, step_index: int, substream: int, shape: tuple[int, ...
     the real parts of its row first, then the imaginary parts, in C order.
     """
     k = prod(shape) // len(rngs)
-    draws = [rng.normals(step_index, substream, 2 * k).reshape(2, k) for rng in rngs]
-    z = draws[0] if len(draws) == 1 else np.stack(draws, axis=1)  # (2, [M,] k)
-    return (z[0] + 1j * z[1]).reshape(shape)
+    z = np.empty((len(rngs), 2 * k))
+    for rng, row in zip(rngs, z):
+        rng.normals(step_index, substream, out=row)
+    return (z[:, :k] + 1j * z[:, k:]).reshape(shape)
 
 
 def sample_increments(

@@ -2,7 +2,7 @@
 
 Covers the transform round trip and discrete Parseval identity, coefficient
 interpolation, norm homogeneity, the pure-decay and stationary limits of the
-exact linear step, phase-rotation isometry, draw replay, the batched ensemble
+exact linear step, phase-rotation isometry, addressed draws, the batched ensemble
 step against single steps, and the power-law fit oracle.  Runs in a few seconds; the CLI exposes it as ``selftest``.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .experiments import fit_exponent
 from .forcing import NoiseSpec, RngStream
@@ -87,9 +88,11 @@ def run_selftest(verbose: bool = True) -> bool:
     after = lattice_inner(to_physical(rotated), to_physical(rotated))
     check("phase rotation preserves lattice L2", abs(after - before) <= 1e-12 * before)
 
-    s1 = RngStream(123, 5).normals(17, 1, 64)
-    s2 = RngStream(123, 5).normals(17, 1, 64)
-    check("draw replay is bit-identical", bool(np.array_equal(s1, s2)))
+    stream = RngStream(2**64 - 1, 2**63)  # an address at the uint64 extremes
+    stream.normals(3, 0, 7)  # leave the generator mid-block before re-addressing it
+    fresh = Generator(Philox(counter=[0, 0, 1, 2**40], key=[2**64 - 1, 2**63])).standard_normal(64)
+    got = stream.normals(2**40, 1, 64)
+    check("addressed draw equals a freshly built Philox", bool(np.array_equal(got, fresh)))
 
     grid2 = GridSpec(2, 32, 16)
     spec2 = NoiseSpec.band(grid2, [1.0, 1.0, 1.0])

@@ -318,6 +318,27 @@ class TestRunCommand:
         assert len(list((run_dir / "streams" / "nu_0.5").glob("traj_*.csv"))) == 2
         assert len(list((run_dir / "streams" / "nu_0.4").glob("traj_*.csv"))) == 2
 
+    def test_run_dir_and_manifest_name_the_subcommand(self, tmp_path, capsys):
+        text = SMALL_RUN.replace("nu = 0.5\n", "nu_grid = 0.5,0.4\n").replace(
+            "kind = simulate", "kind = sweep"
+        ).replace("M = 3", "M = 2").replace("T_slow = 1.0", "T_slow = 2.0")
+        path = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert run_command(["simulate", "--config", path, "--out", str(out)]) == 0
+        assert run_command(["sweep", "--config", path, "--out", str(out)]) in (0, 1)
+        run_dirs = {d.name.split("-")[0]: d for d in out.iterdir()}
+        assert sorted(run_dirs) == ["simulate", "sweep"]
+        for kind, run_dir in run_dirs.items():
+            assert json.loads((run_dir / "manifest.json").read_text())["kind"] == kind
+        assert len(list((run_dirs["simulate"] / "streams").glob("traj_*.csv"))) == 2
+        assert not list((run_dirs["sweep"] / "streams").glob("traj_*.csv"))
+
+    def test_sweep_without_nu_grid_exits_2(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, SMALL_RUN.replace("M = 3", "M = 2"))
+        assert run_command(["sweep", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "needs sim.nu_grid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_stationary_cli_small(self, tmp_path, capsys):
         text = SMALL_RUN.replace("nu = 0.5\n", "nu_grid = 0.5,0.4\n").replace(
             "kind = simulate", "kind = stationary"

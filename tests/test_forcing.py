@@ -12,6 +12,7 @@ from cascade_lab.forcing import (
     ProfileError,
     RngStream,
     bk_sum,
+    complex_normals,
     m_star,
     sample_increments,
 )
@@ -119,13 +120,24 @@ class TestBkSums:
 
 class TestRngStream:
     def test_matches_fresh_philox_construction(self):
-        stream = RngStream(base_seed=12345, stream_id=7)
-        for step, sub, count in [(0, 0, 16), (17, 1, 64), (9999, 3, 128)]:
+        streams = {}
+        for seed, sid, step, sub, count in [
+            (12345, 7, 0, 0, 16),
+            (12345, 7, 17, 1, 64),
+            (12345, 7, 9999, 3, 128),
+            (2**64 - 1, 2**63, 2**40, 1, 64),  # an address at the uint64 extremes
+        ]:
+            stream = streams.setdefault((seed, sid), RngStream(seed, sid))
             expected = Generator(
-                Philox(counter=[0, 0, sub, step], key=[12345, 7])
+                Philox(counter=[0, 0, sub, step], key=[seed, sid])
             ).standard_normal(count)
             got = stream.normals(step, sub, count)
             assert np.array_equal(got, expected)
+            # the same draw into one row of a preallocated buffer
+            rows = np.zeros((2, count))
+            row = rows[1]
+            assert stream.normals(step, sub, out=row) is row
+            assert np.array_equal(row, expected) and not rows[0].any()
 
     def test_replay_identical(self):
         a = RngStream(1, 2).normals(5, 0, 32)
@@ -151,6 +163,19 @@ class TestRngStream:
             RngStream(-1, 0)
         with pytest.raises(ValueError):
             RngStream(0, 2**64)
+
+
+class TestComplexNormals:
+    @pytest.mark.parametrize("M, shape", [(5, (5, 8)), (5, (5, 4, 4)), (1, (4, 4))])
+    def test_bits_equal_per_stream_stack(self, M, shape):
+        rngs = [RngStream(31, sid) for sid in range(M)]
+        k = int(np.prod(shape)) // M
+        # Reference: each stream's 2k draws split into (re, im), stacked to (2, M, k).
+        z = np.stack([rng.normals(9, SUB_INCREMENT, 2 * k).reshape(2, k) for rng in rngs], axis=1)
+        expected = (z[0] + 1j * z[1]).reshape(shape)
+        got = complex_normals(rngs, 9, SUB_INCREMENT, shape)
+        assert got.shape == shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestSampleIncrements:
