@@ -1,6 +1,7 @@
 """Fast invariant self-test: exact identities every healthy checkout must satisfy.
 
-Covers the transform round trip and discrete Parseval identity, coefficient
+Covers the transform round trip and discrete Parseval identity, the per-axis
+transforms against scipy's n-D transform, coefficient
 interpolation, norm homogeneity, the pure-decay and stationary limits of the
 exact linear step, phase-rotation isometry, addressed draws, the batched ensemble
 step against single steps, and the power-law fit oracle.  Runs in a few seconds; the CLI exposes it as ``selftest``.
@@ -9,8 +10,10 @@ step against single steps, and the power-law fit oracle.  Runs in a few seconds;
 from __future__ import annotations
 
 from dataclasses import replace
+from math import pi
 
 import numpy as np
+import scipy.fft as sfft
 from numpy.random import Generator, Philox
 
 from .experiments import fit_exponent
@@ -28,6 +31,8 @@ from .spectral import (
     GridSpec,
     SpectralField,
     lattice_inner,
+    lattice_values,
+    mode_coeffs,
     sobolev_norm,
     to_physical,
     to_spectral,
@@ -58,6 +63,19 @@ def run_selftest(verbose: bool = True) -> bool:
         coeff = float(np.sum(np.abs(u.coeffs) ** 2))
         rel = abs(quad - coeff) / coeff
         check(f"discrete Parseval n={grid.n} (rel err {rel:.2e})", rel <= 1e-12)
+
+    grid = GridSpec(2, 32, 16)
+    rows = np.stack([_random_field(grid, 30 + i).coeffs for i in range(3)])
+    padded = np.zeros((3, *grid.values_shape), dtype=np.complex128)
+    padded[:, : grid.D, : grid.D] = rows
+    lattice = lattice_values(grid, rows)
+    ref = sfft.dstn(padded, type=1, axes=(1, 2)) * (2.0 * pi) ** (-grid.n / 2.0)
+    same = lattice.tobytes() == ref.tobytes()
+    modes = np.ascontiguousarray(mode_coeffs(grid, lattice, grid.D))
+    full = sfft.dstn(lattice, type=1, axes=(1, 2))[:, : grid.D, : grid.D]
+    scale = (2.0 * pi) ** (grid.n / 2.0) / (2.0 * (grid.N + 1)) ** grid.n
+    same = same and modes.tobytes() == np.ascontiguousarray(full * scale).tobytes()
+    check("per-axis DST-I equals scipy dstn (n=2 N=32 D=16, M=3)", same)
 
     grid = GridSpec(1, 64, 32)
     ok = True

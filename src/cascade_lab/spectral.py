@@ -174,21 +174,37 @@ def basis_eval(d, x) -> float:
     return float((2.0 / pi) ** (n / 2.0) * np.prod(np.sin(d * x)))
 
 
-def _space_axes(grid: GridSpec) -> tuple[int, ...]:
-    return tuple(range(-grid.n, 0))
+def lattice_values(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Lattice values of mode coefficients over the last n axes (the math of :func:`to_physical`).
+
+    DST-I one axis at a time, in the order of ``dstn`` over the last n axes;
+    each axis is zero-padded from D to N only when its turn comes, so lines
+    that carry no retained mode are never transformed.  The bits equal one
+    ``dstn`` over the zero-padded block.
+    """
+    v = coeffs
+    for ax in range(coeffs.ndim - grid.n, coeffs.ndim):
+        v = sfft.dst(v, type=1, n=grid.N, axis=ax)
+    return v * (2.0 * pi) ** (-grid.n / 2.0)
+
+
+def mode_coeffs(grid: GridSpec, values: np.ndarray, D: int) -> np.ndarray:
+    """Modes {1..D}^n of lattice values over the last n axes (the math of :func:`to_spectral`).
+
+    DST-I one axis at a time, in the order of ``dstn`` over the last n axes,
+    keeping the first D outputs of each axis before the next one, so lines
+    whose outputs would be discarded are never transformed.  The bits equal
+    one ``dstn`` followed by the truncation.
+    """
+    v = values
+    for ax in range(values.ndim - grid.n, values.ndim):
+        v = sfft.dst(v, type=1, axis=ax)[(slice(None),) * ax + (slice(0, D),)]
+    return v * ((2.0 * pi) ** (grid.n / 2.0) / (2.0 * (grid.N + 1)) ** grid.n)
 
 
 def to_physical(u: SpectralField) -> PhysicalField:
     """Evaluate the field on the collocation lattice (DST-I per axis)."""
-    grid = u.grid
-    if grid.D == grid.N:
-        buf = u.coeffs
-    else:
-        rows = u.coeffs.shape[: u.coeffs.ndim - grid.n]
-        buf = np.zeros(rows + grid.values_shape, dtype=np.complex128)
-        buf[(..., *(slice(0, grid.D),) * grid.n)] = u.coeffs
-    vals = sfft.dstn(buf, type=1, axes=_space_axes(grid)) * (2.0 * pi) ** (-grid.n / 2.0)
-    return PhysicalField(grid, vals)
+    return PhysicalField(u.grid, lattice_values(u.grid, u.coeffs))
 
 
 def to_spectral(p: PhysicalField, D: int | None = None) -> SpectralField:
@@ -202,10 +218,8 @@ def to_spectral(p: PhysicalField, D: int | None = None) -> SpectralField:
         D = grid.D
     if not 1 <= D <= grid.N:
         raise GridMismatchError(f"requested truncation D={D} outside 1..N={grid.N}")
-    scale = (2.0 * pi) ** (grid.n / 2.0) / (2.0 * (grid.N + 1)) ** grid.n
-    c = sfft.dstn(p.values, type=1, axes=_space_axes(grid))[(..., *(slice(0, D),) * grid.n)] * scale
     out_grid = grid if D == grid.D else GridSpec(grid.n, grid.N, D)
-    return SpectralField(out_grid, c)
+    return SpectralField(out_grid, mode_coeffs(grid, p.values, D))
 
 
 def lattice_inner(p: PhysicalField, q: PhysicalField) -> float:
@@ -246,10 +260,18 @@ def sup_norm(u: SpectralField) -> float | np.ndarray:
     return mod.reshape(len(mod), -1).max(axis=1)
 
 
-def _apply_along_axis(mat: np.ndarray, arr: np.ndarray, ax: int) -> np.ndarray:
-    moved = np.moveaxis(arr, ax, 0)
-    out = np.tensordot(mat, moved, axes=(1, 0))
-    return np.moveaxis(out, 0, ax)
+@lru_cache(maxsize=None)
+def _cm_axes(grid: GridSpec, m: int) -> tuple[tuple, ...]:
+    """Per axis: the permutation bringing it to the front, its inverse, and d^b along it for b = 0..m."""
+    d_axis = np.arange(1, grid.D + 1, dtype=float)
+    out = []
+    for ax in range(grid.n):
+        perm = (ax, *(i for i in range(grid.n) if i != ax))
+        shape = [1] * grid.n
+        shape[ax] = grid.D
+        powers = tuple((d_axis**b).reshape(shape) for b in range(m + 1))
+        out.append((perm, tuple(perm.index(i) for i in range(grid.n)), powers))
+    return tuple(out)
 
 
 def cm_norm(u: SpectralField, m: int) -> float:
@@ -257,27 +279,36 @@ def cm_norm(u: SpectralField, m: int) -> float:
 
     Each partial derivative is computed spectrally; differentiating sin(d x)
     k times gives d^k times sin or cos by the parity of k, with a sign that is
-    common to every mode and therefore drops out of the modulus.
+    common to every mode and therefore drops out of the modulus.  Axes are
+    evaluated in order and the stage after axes 0..k is shared by every beta
+    with the same beta_0..beta_k; each stage is one matrix product on the
+    operands ``tensordot`` would build.
     """
     if m != int(m) or m < 0:
         raise ValueError(f"C^m order must be a nonnegative integer, got {m}")
     m = int(m)
     grid = u.grid
     sin_m, cos_m = _eval_matrices(grid)
-    d_axis = np.arange(1, grid.D + 1, dtype=float)
+    axes = _cm_axes(grid, m)
+    stages = [u.coeffs]  # stages[k]: the current beta's prefix applied to axes 0..k-1
+    prev: tuple[int, ...] = ()
     best = 0.0
     for beta in product(range(m + 1), repeat=grid.n):
         if sum(beta) > m:
             continue
-        vals = u.coeffs
-        for ax, b in enumerate(beta):
-            if b > 0:
-                shape = [1] * grid.n
-                shape[ax] = grid.D
-                vals = vals * (d_axis**b).reshape(shape)
-            mat = sin_m if b % 2 == 0 else cos_m
-            vals = _apply_along_axis(mat, vals, ax)
-        best = max(best, float(np.abs(vals).max()))
+        k = 0
+        while k < len(prev) and beta[k] == prev[k]:
+            k += 1
+        del stages[k + 1 :]
+        for ax in range(k, grid.n):
+            b = beta[ax]
+            perm, inv, powers = axes[ax]
+            vals = stages[ax] * powers[b] if b > 0 else stages[ax]
+            moved = vals.transpose(perm)
+            out = np.dot(sin_m if b % 2 == 0 else cos_m, moved.reshape(grid.D, -1))
+            stages.append(out.reshape((grid.N, *moved.shape[1:])).transpose(inv))
+        best = max(best, float(np.abs(stages[-1]).max()))
+        prev = beta
     return best
 
 

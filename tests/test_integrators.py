@@ -38,6 +38,7 @@ from cascade_lab.integrators import (
 )
 from cascade_lab.spectral import (
     GridSpec,
+    NonFiniteFieldError,
     PhysicalField,
     SpectralField,
     lattice_inner,
@@ -143,6 +144,15 @@ class TestPhaseRotation:
         before = np.abs(to_physical(u).values)
         after = np.abs(to_physical(phase_rotation_step(u, 1.7)).values)
         np.testing.assert_allclose(after, before, rtol=1e-13)
+
+    def test_overflowing_modulus_raises(self):
+        # Every coefficient is finite, but |u|^2 overflows on the lattice.
+        for grid in (GRID, GridSpec(2, 32, 16)):
+            u = single_mode(grid, (1,) * grid.n, c=1e160)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                with pytest.raises(NonFiniteFieldError):
+                    phase_rotation_step(u, 0.01)
 
     def test_truncation_only_removes_energy(self):
         u = random_field(GRID, 5)  # D = N/2: rotation spills into discarded modes

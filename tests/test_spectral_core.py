@@ -1,22 +1,28 @@
 """Spectral core: transforms against direct-summation oracles, norm identities."""
 
 import threading
+from itertools import product
 from math import pi, sqrt
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascade_lab.spectral import (
     GridSpec,
+    NonFiniteFieldError,
     PhysicalField,
     SpectralField,
+    _eval_matrices,
     basis_eval,
     cm_norm,
     field_from_bytes,
     field_to_bytes,
     lattice_inner,
+    lattice_values,
+    mode_coeffs,
     sobolev_norm,
     spectrum_shells,
     sup_norm,
@@ -171,6 +177,58 @@ class TestTransforms:
             assert np.array_equal(a, b)
 
 
+def dstn_lattice_values(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Reference: one dstn over the coefficient block zero-padded to the lattice."""
+    buf = np.zeros(coeffs.shape[: coeffs.ndim - grid.n] + grid.values_shape, dtype=np.complex128)
+    buf[(..., *(slice(0, grid.D),) * grid.n)] = coeffs
+    return sfft.dstn(buf, type=1, axes=tuple(range(-grid.n, 0))) * (2.0 * pi) ** (-grid.n / 2.0)
+
+
+def dstn_mode_coeffs(grid: GridSpec, values: np.ndarray, D: int) -> np.ndarray:
+    """Reference: one dstn over the lattice block, then truncation to {1..D}^n."""
+    scale = (2.0 * pi) ** (grid.n / 2.0) / (2.0 * (grid.N + 1)) ** grid.n
+    full = sfft.dstn(values, type=1, axes=tuple(range(-grid.n, 0)))
+    return full[(..., *(slice(0, D),) * grid.n)] * scale
+
+
+TRANSFORM_GRIDS = [
+    GridSpec(1, 64, 32), GridSpec(1, 12, 12), GridSpec(1, 9, 4),
+    GridSpec(2, 32, 16), GridSpec(2, 12, 12), GridSpec(2, 9, 4),
+    GridSpec(3, 12, 5), GridSpec(3, 6, 6),
+]
+
+
+class TestTransformHelpers:
+    """The per-axis, line-pruned DST-I helpers against one dstn over the whole block."""
+
+    @pytest.mark.parametrize("grid", TRANSFORM_GRIDS, ids=str)
+    @pytest.mark.parametrize("rows", [(), (3,), (5,)])
+    def test_bits_equal_dstn(self, grid, rows):
+        rng = np.random.default_rng(grid.n * 100 + grid.N + len(rows))
+        c_shape = rows + grid.coeff_shape
+        coeffs = (rng.normal(size=c_shape) + 1j * rng.normal(size=c_shape)) * 10.0 ** rng.uniform(
+            -5, 5, size=c_shape
+        )
+        got = lattice_values(grid, coeffs)
+        assert got.shape == rows + grid.values_shape
+        assert got.tobytes() == dstn_lattice_values(grid, coeffs).tobytes()
+        v_shape = rows + grid.values_shape
+        values = rng.normal(size=v_shape) + 1j * rng.normal(size=v_shape)
+        for D in sorted({grid.D, grid.N}):
+            got = np.ascontiguousarray(mode_coeffs(grid, values, D))
+            ref = np.ascontiguousarray(dstn_mode_coeffs(grid, values, D))
+            assert got.shape == rows + (D,) * grid.n
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_wrappers_reject_non_finite_results(self):
+        grid = GridSpec(2, 8, 4)
+        with pytest.raises(NonFiniteFieldError):  # finite coefficients, overflowing lattice sum
+            to_physical(SpectralField(grid, np.full(grid.coeff_shape, 1e308, dtype=complex)))
+        with pytest.raises(NonFiniteFieldError):
+            to_spectral(PhysicalField(grid, np.full(grid.values_shape, 1e308, dtype=complex)))
+
+
 class TestNorms:
     def test_single_mode_norm(self):
         grid = GridSpec(1, 16, 8)
@@ -258,6 +316,40 @@ class TestCmNorm:
         u = SpectralField.zeros(GridSpec(1, 16, 8))
         with pytest.raises(ValueError):
             cm_norm(u, 1.5)
+
+    @pytest.mark.parametrize("grid", [GridSpec(1, 64, 32), GridSpec(2, 32, 16), GridSpec(2, 9, 9),
+                                      GridSpec(3, 10, 5)], ids=str)
+    def test_equals_per_beta_tensordot(self, grid):
+        rng = np.random.default_rng(grid.n * 7 + grid.N)
+        shape = (3,) + grid.coeff_shape
+        batch = SpectralField(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        for scale in (1e-5, 1e-2, 1.0, 1e3, 1e5):
+            for i in range(3):  # rows of a batched field, as the recorder passes them
+                u = SpectralField(grid, scale * batch.coeffs[i])
+                for m in range(4):
+                    assert cm_norm(u, m) == cm_norm_per_beta(u, m)
+
+
+def cm_norm_per_beta(u: SpectralField, m: int) -> float:
+    """Reference: every beta evaluated from the coefficients with tensordot and moveaxis."""
+    grid = u.grid
+    sin_m, cos_m = _eval_matrices(grid)
+    d_axis = np.arange(1, grid.D + 1, dtype=float)
+    best = 0.0
+    for beta in product(range(m + 1), repeat=grid.n):
+        if sum(beta) > m:
+            continue
+        vals = u.coeffs
+        for ax, b in enumerate(beta):
+            if b > 0:
+                shape = [1] * grid.n
+                shape[ax] = grid.D
+                vals = vals * (d_axis**b).reshape(shape)
+            mat = sin_m if b % 2 == 0 else cos_m
+            out = np.tensordot(mat, np.moveaxis(vals, ax, 0), axes=(1, 0))
+            vals = np.moveaxis(out, 0, ax)
+        best = max(best, float(np.abs(vals).max()))
+    return best
 
 
 class TestSpectrumShells:
