@@ -322,10 +322,11 @@ class TestCmNorm:
     def test_equals_per_beta_tensordot(self, grid):
         rng = np.random.default_rng(grid.n * 7 + grid.N)
         shape = (3,) + grid.coeff_shape
-        batch = SpectralField(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        base = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         for scale in (1e-5, 1e-2, 1.0, 1e3, 1e5):
+            batch = SpectralField(grid, scale * base)
             for i in range(3):  # rows of a batched field, as the recorder passes them
-                u = SpectralField(grid, scale * batch.coeffs[i])
+                u = SpectralField(grid, batch.coeffs[i])
                 for m in range(4):
                     assert cm_norm(u, m) == cm_norm_per_beta(u, m)
 
