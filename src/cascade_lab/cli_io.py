@@ -40,6 +40,8 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, schema
 from .diagnostics import (
     NormRecorder,
@@ -530,8 +532,6 @@ def _cmd_occupation(cfg: RunConfig, out: str | None) -> int:
         raise ConfigError(["occupation.run (an existing run directory) is required"])
     run_dir = Path(cfg.occupation_run)
     streams = read_run_streams(run_dir)
-    import numpy as np
-
     n0 = np.array([r.norm(0.0) for s in streams for r in s])
     n2 = np.array([r.norm(2.0) for s in streams for r in s])
     gamma = cfg.occupation_gamma_factor * float(np.median(n2))
@@ -548,14 +548,13 @@ def _cmd_occupation(cfg: RunConfig, out: str | None) -> int:
         print(
             f"occupation chi={chi:.4g}: lhs = {report.lhs_mean:.4g} (se {report.lhs_se:.2g}) "
             f"<= bound {report.rhs_bound:.4g} -> {'pass' if report.passed else 'FAIL'}"
+            + ("" if report.informative else " (uninformative: never at or below chi)")
         )
     atomic_write_text(run_dir / "occupation_report.jsonl", "".join(lines))
     return 0 if ok else 1
 
 
 def _cmd_spectrum(cfg: RunConfig, out: str | None) -> int:
-    import numpy as np
-
     plan = cfg.plan("spectrum")
     (nu,) = plan.nu_grid
 

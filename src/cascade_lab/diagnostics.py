@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import io
+import warnings
 from dataclasses import dataclass
 from math import exp, sqrt
 
@@ -62,8 +63,8 @@ class NormRecorder:
     """Trajectory sink computing a DiagnosticsRecord at each recorded step.
 
     It takes one trajectory's state or an ensemble state, and keeps each
-    trajectory's records under its stream id in ``streams``.  Sobolev norms and
-    the lattice sup are computed for all rows at once, the C^m norm and the
+    trajectory's records under its stream id in ``streams``.  Sobolev norms,
+    the lattice sup and the C^m norm are computed for all rows at once, the
     shells row by row.
     """
 
@@ -91,17 +92,17 @@ class NormRecorder:
         u = state.u
         norms = {m: np.atleast_1d(sobolev_norm(u, m)) for m in self.ms}
         sups = np.atleast_1d(sup_norm(u))
-        rows = u.coeffs.reshape(len(state.rngs), *u.grid.coeff_shape)
-        per_row = self.cm_order is not None or self.shells
+        cms = np.atleast_1d(cm_norm(u, self.cm_order)) if self.cm_order is not None else None
+        rows = u.coeffs.reshape(-1, *u.grid.coeff_shape)
         for i, rng in enumerate(state.rngs):
-            row = SpectralField(u.grid, rows[i]) if per_row else None
             rec = DiagnosticsRecord(
                 t=state.t,
                 tau=self.nu * state.t,
                 norms={m: float(v[i]) for m, v in norms.items()},
                 sup=float(sups[i]),
-                cm=cm_norm(row, self.cm_order) if self.cm_order is not None else None,
-                shells=tuple(e for _, e in spectrum_shells(row)) if self.shells else None,
+                cm=float(cms[i]) if cms is not None else None,
+                shells=tuple(e for _, e in spectrum_shells(SpectralField(u.grid, rows[i])))
+                if self.shells else None,
             )
             self.streams.setdefault(rng.stream_id, []).append(rec)
 
@@ -202,6 +203,7 @@ class OccupationReport:
     lhs_mean: float
     lhs_se: float
     rhs_bound: float
+    informative: bool  # false if no stream spent sampled time at ||u||_0 <= chi: lhs 0, se 0, vacuous pass
     passed: bool
     note: str = DISCRETIZATION_NOTE
 
@@ -255,6 +257,7 @@ def occupation_check(
         lhs_mean=mean,
         lhs_se=se,
         rhs_bound=rhs,
+        informative=bool(integrals.any()),
         passed=mean <= rhs + 2.0 * se,
     )
 
@@ -390,8 +393,6 @@ def balance_check(
             f"window too short: {len(kept_idx)} samples for {n_batches} batches (< 2 per batch)"
         )
     if nu * (t_end - cut) < min_t_slow:
-        import warnings
-
         warnings.warn(
             f"balance window is only {nu * (t_end - cut):.3g} slow-time units "
             f"(heuristic minimum {min_t_slow})",

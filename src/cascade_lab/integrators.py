@@ -55,6 +55,8 @@ from .spectral import (
     NonFiniteFieldError,
     PhysicalField,
     SpectralField,
+    field_from_bytes,
+    field_to_bytes,
     lattice_values,
     mode_abs_sq,
     mode_coeffs,
@@ -230,24 +232,33 @@ def ou_exact_step(
     return SpectralField(u.grid, new)
 
 
+def _phase_factor(phase: np.ndarray) -> np.ndarray:
+    """exp(-i phase) as cos and -sin filled into one complex array: the bits of ``np.exp(-1j * phase)``."""
+    e = np.empty(phase.shape, dtype=np.complex128)
+    np.cos(phase, out=e.real)
+    np.negative(np.sin(phase, out=e.imag), out=e.imag)
+    return e
+
+
 def phase_rotation_step(u: SpectralField, dt: float) -> SpectralField:
     """Exact flow of u_t = -i |u|^2 u: pointwise u <- u * exp(-i |u|^2 dt) on the lattice.
 
     The pointwise modulus is preserved exactly before the closing Galerkin
     truncation to the retained modes.  Only the returned field is validated:
-    a non-finite lattice value (or an overflowing |u|^2) turns into NaN through
-    exp and the transform, so that check still raises NonFiniteFieldError.
+    a non-finite lattice value (or an overflowing |u|^2) turns into NaN, without
+    warnings, through the phase factor and the transform, so that check still
+    raises NonFiniteFieldError.
     """
     if dt < 0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
     if dt == 0:
         return u
-    v = lattice_values(u.grid, u.coeffs)
-    e = np.exp(-1j * dt * (v.real**2 + v.imag**2))
-    # With FMA, v*e and e*v round differently, and numpy turns `v * np.exp(...)`
-    # into e*v once the temporary reaches 256 KiB: keep the operand order fixed.
-    rotated = np.multiply(v, e, out=e)
-    return SpectralField(u.grid, mode_coeffs(u.grid, rotated, u.grid.D))
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = lattice_values(u.grid, u.coeffs)
+        phase = dt * (v.real**2 + v.imag**2)
+        # With FMA, v*e and e*v round differently: keep the operand order fixed.
+        rotated = np.multiply(v, _phase_factor(phase), out=v)
+        return SpectralField(u.grid, mode_coeffs(u.grid, rotated, u.grid.D))
 
 
 def _strang(
@@ -611,8 +622,6 @@ CHECKPOINT_MAGIC = b"CLABCKP1"
 
 
 def checkpoint_to_bytes(state: TrajectoryState) -> bytes:
-    from .spectral import field_to_bytes
-
     meta = json.dumps(
         {
             "t": state.t,
@@ -626,8 +635,6 @@ def checkpoint_to_bytes(state: TrajectoryState) -> bytes:
 
 
 def checkpoint_from_bytes(buf: bytes) -> TrajectoryState:
-    from .spectral import field_from_bytes
-
     if len(buf) < 12 or buf[:8] != CHECKPOINT_MAGIC:
         raise ValueError("not a checkpoint (bad magic)")
     (meta_len,) = struct.unpack("<I", buf[8:12])

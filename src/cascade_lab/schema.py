@@ -9,7 +9,7 @@ directory that contains them.
 
 from __future__ import annotations
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Per-trajectory time-series CSV: t, tau, one column per configured Sobolev
 # order, then the lattice sup, then optional C^m and shell columns.
@@ -49,6 +49,7 @@ OCCUPATION_FIELDS = REPORT_COMMON + (
     "lhs_mean",
     "lhs_se",
     "rhs_bound",
+    "informative",
     "passed",
     "note",
 )

@@ -1,19 +1,18 @@
 """Fast invariant self-test: exact identities every healthy checkout must satisfy.
 
-Covers the transform round trip and discrete Parseval identity, the per-axis
-transforms against scipy's n-D transform, coefficient
-interpolation, norm homogeneity, the pure-decay and stationary limits of the
-exact linear step, phase-rotation isometry, addressed draws, the batched ensemble
-step against single steps, and the power-law fit oracle.  Runs in a few seconds; the CLI exposes it as ``selftest``.
+Covers the transform round trip and discrete Parseval identity, the transforms
+row by row and against direct sums of the basis, coefficient interpolation, norm
+homogeneity, the pure-decay and stationary limits of the exact linear step,
+phase-rotation isometry, addressed draws, the batched ensemble step against single
+steps, and the power-law fit oracle.  Runs in a few seconds; the CLI exposes it as ``selftest``.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from math import pi
+from itertools import product
 
 import numpy as np
-import scipy.fft as sfft
 from numpy.random import Generator, Philox
 
 from .experiments import fit_exponent
@@ -30,6 +29,7 @@ from .integrators import (
 from .spectral import (
     GridSpec,
     SpectralField,
+    basis_eval,
     lattice_inner,
     lattice_values,
     mode_coeffs,
@@ -64,18 +64,25 @@ def run_selftest(verbose: bool = True) -> bool:
         rel = abs(quad - coeff) / coeff
         check(f"discrete Parseval n={grid.n} (rel err {rel:.2e})", rel <= 1e-12)
 
-    grid = GridSpec(2, 32, 16)
-    rows = np.stack([_random_field(grid, 30 + i).coeffs for i in range(3)])
-    padded = np.zeros((3, *grid.values_shape), dtype=np.complex128)
-    padded[:, : grid.D, : grid.D] = rows
-    lattice = lattice_values(grid, rows)
-    ref = sfft.dstn(padded, type=1, axes=(1, 2)) * (2.0 * pi) ** (-grid.n / 2.0)
-    same = lattice.tobytes() == ref.tobytes()
-    modes = np.ascontiguousarray(mode_coeffs(grid, lattice, grid.D))
-    full = sfft.dstn(lattice, type=1, axes=(1, 2))[:, : grid.D, : grid.D]
-    scale = (2.0 * pi) ** (grid.n / 2.0) / (2.0 * (grid.N + 1)) ** grid.n
-    same = same and modes.tobytes() == np.ascontiguousarray(full * scale).tobytes()
-    check("per-axis DST-I equals scipy dstn (n=2 N=32 D=16, M=3)", same)
+    same = True
+    for grid in (GridSpec(1, 64, 32), GridSpec(2, 32, 16), GridSpec(3, 10, 5)):
+        rows = np.stack([_random_field(grid, 30 + i).coeffs for i in range(3)])
+        lattice = lattice_values(grid, rows)
+        modes = mode_coeffs(grid, lattice, grid.D)
+        for i in range(3):
+            same = same and lattice[i].tobytes() == lattice_values(grid, rows[i]).tobytes()
+            same = same and modes[i].tobytes() == mode_coeffs(grid, lattice[i], grid.D).tobytes()
+    check("sine-matrix transforms: 3 rows equal 3 single rows (n = 1, 2, 3)", same)
+
+    grid = GridSpec(2, 12, 6)  # direct sums of u_d phi_d(x_j), and their quadrature inverse
+    u = _random_field(grid, 17)
+    d_all = list(product(range(1, grid.D + 1), repeat=grid.n))
+    basis = np.array([[basis_eval(d, x) for d in d_all] for x in product(grid.points, repeat=grid.n)])
+    lattice = lattice_values(grid, u.coeffs).ravel()
+    modes = mode_coeffs(grid, lattice.reshape(grid.values_shape), grid.D).ravel()
+    pairs = ((lattice, basis @ u.coeffs.ravel()), (modes, grid.quadrature_weight * (basis.T @ lattice)))
+    err = max(float(np.abs(a - b).max() / np.abs(b).max()) for a, b in pairs)
+    check(f"sine-matrix transforms equal direct sums of phi_d (n=2, rel err {err:.1e})", err <= 1e-13)
 
     grid = GridSpec(1, 64, 32)
     ok = True

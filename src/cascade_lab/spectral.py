@@ -7,17 +7,17 @@ walls.  Odd 2pi-periodic extension selects the product sine basis
 
 which is orthonormal for the plain L2 inner product on the cube and satisfies
 -Laplace(phi_d) = |d|^2 phi_d.  Collocation uses the interior lattice
-x_j = j*pi/(N+1), j = 1..N per axis; a type-I discrete sine transform per
-axis maps between mode coefficients and lattice values, and the quadrature
-weight (pi/(N+1))^n makes the retained basis exactly orthonormal on the
-lattice.
+x_j = j*pi/(N+1), j = 1..N per axis; a product with the per-axis sine matrix
+(a type-I discrete sine transform) maps between mode coefficients and lattice
+values, and the quadrature weight (pi/(N+1))^n makes the retained basis
+exactly orthonormal on the lattice.
 
 Fields are immutable value objects and all operations are pure functions, so
 concurrent use on distinct fields gives the same results as serial execution.
 A field may carry a leading row axis, one row per trajectory of an ensemble:
-the transforms act on the last n axes, and ``sobolev_norm``/``sup_norm``
-return one value per row.  Row results are bit-identical to single-field
-results.
+the transforms act on the last n axes, and ``sobolev_norm``/``sup_norm``/
+``cm_norm`` return one value per row.  Every matrix product is taken per row,
+never across rows, so row results are bit-identical to single-field results.
 """
 
 from __future__ import annotations
@@ -25,11 +25,9 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from math import ceil, pi, sqrt
 
 import numpy as np
-import scipy.fft as sfft
 
 
 class GridMismatchError(ValueError):
@@ -100,19 +98,22 @@ def mode_abs_sq(grid: GridSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _eval_matrices(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis (N x D) sine and cosine evaluation matrices on the lattice.
+def _sine_matrices(grid: GridSpec, D: int) -> tuple[np.ndarray, ...]:
+    """Read-only complex matrices of one axis, modes 1..D: the (N x D) sine matrix, its transpose,
+    the (D x N) projection (sine transposed times the quadrature weight pi/(N+1)), its transpose,
+    and the (N x D) cosine matrix; rows of sine and cosine are lattice points, (2/pi)^(1/2) folded in."""
+    angle = grid.points[:, None] * np.arange(1, D + 1)[None, :]
+    sin_m, cos_m = sqrt(2.0 / pi) * np.sin(angle), sqrt(2.0 / pi) * np.cos(angle)
+    proj = (pi / (grid.N + 1)) * sin_m.T
+    out = tuple(np.array(a, dtype=np.complex128, order="C") for a in (sin_m, sin_m.T, proj, proj.T, cos_m))
+    for mat in out:
+        mat.flags.writeable = False
+    return out
 
-    Rows are lattice points, columns are modes; the basis normalization
-    (2/pi)^(1/2) per axis is folded in.
-    """
-    x = grid.points[:, None]
-    d = np.arange(1, grid.D + 1)[None, :]
-    scale = sqrt(2.0 / pi)
-    sin_m = scale * np.sin(d * x)
-    cos_m = scale * np.cos(d * x)
-    sin_m.flags.writeable = False
-    cos_m.flags.writeable = False
+
+def _eval_matrices(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The per-axis (N x D) sine and cosine evaluation matrices of ``grid``."""
+    sin_m, *_, cos_m = _sine_matrices(grid, grid.D)
     return sin_m, cos_m
 
 
@@ -174,36 +175,33 @@ def basis_eval(d, x) -> float:
     return float((2.0 / pi) ** (n / 2.0) * np.prod(np.sin(d * x)))
 
 
-def lattice_values(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Lattice values of mode coefficients over the last n axes (the math of :func:`to_physical`).
+def _per_axis(grid: GridSpec, a: np.ndarray, mat: np.ndarray, mat_t: np.ndarray) -> np.ndarray:
+    """Apply ``mat`` along each of the last n axes of ``a``, one stacked product per row.
 
-    DST-I one axis at a time, in the order of ``dstn`` over the last n axes;
-    each axis is zero-padded from D to N only when its turn comes, so lines
-    that carry no retained mode are never transformed.  The bits equal one
-    ``dstn`` over the zero-padded block.
-    """
-    v = coeffs
-    for ax in range(coeffs.ndim - grid.n, coeffs.ndim):
-        v = sfft.dst(v, type=1, n=grid.N, axis=ax)
-    return v * (2.0 * pi) ** (-grid.n / 2.0)
+    For n >= 3 each step multiplies the front grid axis and rotates it to the back.
+    One 2-D product across rows would make a row's bits depend on M."""
+    if grid.n == 1:
+        return (a[..., None, :] @ mat_t)[..., 0, :]
+    if grid.n == 2:
+        return mat @ a @ mat_t
+    lead = a.shape[: a.ndim - grid.n]
+    for _ in range(grid.n):
+        a = (mat @ a.reshape(*lead, mat.shape[1], -1)).swapaxes(-1, -2)
+    return a.reshape(lead + (mat.shape[0],) * grid.n)
+
+
+def lattice_values(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Lattice values of mode coefficients over the last n axes (the math of :func:`to_physical`)."""
+    return _per_axis(grid, coeffs, *_sine_matrices(grid, grid.D)[:2])
 
 
 def mode_coeffs(grid: GridSpec, values: np.ndarray, D: int) -> np.ndarray:
-    """Modes {1..D}^n of lattice values over the last n axes (the math of :func:`to_spectral`).
-
-    DST-I one axis at a time, in the order of ``dstn`` over the last n axes,
-    keeping the first D outputs of each axis before the next one, so lines
-    whose outputs would be discarded are never transformed.  The bits equal
-    one ``dstn`` followed by the truncation.
-    """
-    v = values
-    for ax in range(values.ndim - grid.n, values.ndim):
-        v = sfft.dst(v, type=1, axis=ax)[(slice(None),) * ax + (slice(0, D),)]
-    return v * ((2.0 * pi) ** (grid.n / 2.0) / (2.0 * (grid.N + 1)) ** grid.n)
+    """Modes {1..D}^n of lattice values over the last n axes (the math of :func:`to_spectral`)."""
+    return _per_axis(grid, values, *_sine_matrices(grid, D)[2:4])
 
 
 def to_physical(u: SpectralField) -> PhysicalField:
-    """Evaluate the field on the collocation lattice (DST-I per axis)."""
+    """Evaluate the field on the collocation lattice (the sine matrix per axis)."""
     return PhysicalField(u.grid, lattice_values(u.grid, u.coeffs))
 
 
@@ -214,8 +212,7 @@ def to_spectral(p: PhysicalField, D: int | None = None) -> SpectralField:
     content in modes above D is discarded (Galerkin truncation).
     """
     grid = p.grid
-    if D is None:
-        D = grid.D
+    D = grid.D if D is None else D
     if not 1 <= D <= grid.N:
         raise GridMismatchError(f"requested truncation D={D} outside 1..N={grid.N}")
     out_grid = grid if D == grid.D else GridSpec(grid.n, grid.N, D)
@@ -260,56 +257,39 @@ def sup_norm(u: SpectralField) -> float | np.ndarray:
     return mod.reshape(len(mod), -1).max(axis=1)
 
 
-@lru_cache(maxsize=None)
-def _cm_axes(grid: GridSpec, m: int) -> tuple[tuple, ...]:
-    """Per axis: the permutation bringing it to the front, its inverse, and d^b along it for b = 0..m."""
-    d_axis = np.arange(1, grid.D + 1, dtype=float)
-    out = []
-    for ax in range(grid.n):
-        perm = (ax, *(i for i in range(grid.n) if i != ax))
-        shape = [1] * grid.n
-        shape[ax] = grid.D
-        powers = tuple((d_axis**b).reshape(shape) for b in range(m + 1))
-        out.append((perm, tuple(perm.index(i) for i in range(grid.n)), powers))
-    return tuple(out)
-
-
-def cm_norm(u: SpectralField, m: int) -> float:
+def cm_norm(u: SpectralField, m: int) -> float | np.ndarray:
     """Discrete C^m norm: max over |beta| <= m of the lattice sup of |d^beta u|.
 
     Each partial derivative is computed spectrally; differentiating sin(d x)
     k times gives d^k times sin or cos by the parity of k, with a sign that is
     common to every mode and therefore drops out of the modulus.  Axes are
-    evaluated in order and the stage after axes 0..k is shared by every beta
-    with the same beta_0..beta_k; each stage is one matrix product on the
-    operands ``tensordot`` would build.
+    evaluated in order, depth first, so the stage after axes 0..k is shared by
+    every beta with the same beta_0..beta_k; each stage is one matrix product
+    per row on the operands ``tensordot`` would build.  A float for a single
+    field, one value per row for a field with a row axis.
     """
     if m != int(m) or m < 0:
         raise ValueError(f"C^m order must be a nonnegative integer, got {m}")
-    m = int(m)
-    grid = u.grid
+    grid, n = u.grid, u.grid.n
     sin_m, cos_m = _eval_matrices(grid)
-    axes = _cm_axes(grid, m)
-    stages = [u.coeffs]  # stages[k]: the current beta's prefix applied to axes 0..k-1
-    prev: tuple[int, ...] = ()
-    best = 0.0
-    for beta in product(range(m + 1), repeat=grid.n):
-        if sum(beta) > m:
-            continue
-        k = 0
-        while k < len(prev) and beta[k] == prev[k]:
-            k += 1
-        del stages[k + 1 :]
-        for ax in range(k, grid.n):
-            b = beta[ax]
-            perm, inv, powers = axes[ax]
-            vals = stages[ax] * powers[b] if b > 0 else stages[ax]
-            moved = vals.transpose(perm)
-            out = np.dot(sin_m if b % 2 == 0 else cos_m, moved.reshape(grid.D, -1))
-            stages.append(out.reshape((grid.N, *moved.shape[1:])).transpose(inv))
-        best = max(best, float(np.abs(stages[-1]).max()))
-        prev = beta
-    return best
+    d_axis = np.arange(1, grid.D + 1, dtype=float)
+    lead = u.coeffs.shape[: u.coeffs.ndim - n]
+
+    def sup_from(vals: np.ndarray, ax: int, budget: int) -> np.ndarray:
+        # axes 0..ax-1 are done; max over beta_ax.. with sum <= budget
+        if ax == n:
+            return np.abs(vals).reshape(*lead, -1).max(axis=-1)
+        best = np.zeros(lead)
+        for b in range(budget + 1):
+            scaled = vals * (d_axis**b).reshape((-1,) + (1,) * (n - 1 - ax)) if b else vals
+            moved = np.moveaxis(scaled, ax - n, -n)
+            out = (sin_m if b % 2 == 0 else cos_m) @ moved.reshape(*lead, grid.D, -1)
+            out = out.reshape(lead + (grid.N,) + moved.shape[len(lead) + 1 :])
+            best = np.maximum(best, sup_from(np.moveaxis(out, -n, ax - n), ax + 1, budget - b))
+        return best
+
+    best = sup_from(u.coeffs, 0, int(m))
+    return best if lead else float(best)
 
 
 def spectrum_shells(u: SpectralField) -> list[tuple[int, float]]:

@@ -63,6 +63,16 @@ class TestOccupationCheck:
         tight = occupation_check([stream], chi=0.1, gamma=2.0, tau0=0.0, tau=1.0, b0=3.0)
         assert not tight.passed  # 1 > 4*0.1*2/3 ~ 0.27
 
+    def test_informative_only_when_some_time_is_spent_below_chi(self):
+        above = synth_stream(UNIFORM_TAUS, np.full(101, 5.0), np.full(101, 0.1))
+        below = synth_stream(UNIFORM_TAUS, np.zeros(101), np.full(101, 1.0))
+        capped = synth_stream(UNIFORM_TAUS, np.zeros(101), np.full(101, 7.0))
+        for streams, informative in (([above], False), ([capped, above], False), ([above, below], True)):
+            report = occupation_check(streams, chi=1.0, gamma=7.0, tau0=0.0, tau=1.0, b0=3.0)
+            assert report.informative is informative
+            assert (report.lhs_mean == 0.0 and report.lhs_se == 0.0) is not informative
+            assert report.to_json_dict()["informative"] is informative
+
     def test_stopping_truncates_window(self):
         # ||u||_2 crosses Gamma at tau = 0.5; the indicator is on throughout.
         n2 = np.where(UNIFORM_TAUS < 0.5, 0.0, 9.0)

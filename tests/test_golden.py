@@ -3,21 +3,26 @@
 The golden runs cover every subcommand that writes files; their hashes pin
 every byte of each run directory (manifest, config, reports and streams).
 
-Output bytes depend on the numpy and scipy builds and on the CPU's SIMD level
-(with FMA, a complex product rounds differently with its operands swapped).
-The golden hashes below were taken on the build named in ``GOLDEN_ENV``; on
-any other build those tests skip and name the difference.  The ensemble
+Output bytes depend on the numpy build, the BLAS build it links (the
+transforms are products with sine matrices) and the CPU's SIMD level (with
+FMA, a complex product rounds differently with its operands swapped).  The
+golden hashes below were taken on the build named in ``GOLDEN_ENV``; on any
+other build those tests skip and name the difference.  The ensemble
 cross-check holds on any build: M trajectories stepped together as one array
-give, bit for bit, the streams of M single-trajectory runs.
+give, bit for bit, the streams of M single-trajectory runs; so does the check
+that one and two BLAS threads write the same bytes.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from cascade_lab import schema
 from cascade_lab.cli_io import run_command
@@ -35,7 +40,7 @@ from cascade_lab.spectral import GridSpec
 
 GOLDEN_ENV = {
     "numpy": "2.4.6",
-    "scipy": "1.17.1",
+    "blas": "scipy-openblas 0.3.31.188.0",
     "simd_baseline": ["X86_V2"],
     "simd_found": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"],
 }
@@ -91,10 +96,12 @@ N2_ENSEMBLE_SHA256 = "e6c529fec2ac0866375927ed2d0e4f684a38b8aeed4d37e7f41e287edf
 
 
 def env_stamp() -> dict:
-    simd = np.show_config(mode="dicts").get("SIMD Extensions", {})
+    config = np.show_config(mode="dicts")
+    simd = config.get("SIMD Extensions", {})
+    blas = config.get("Build Dependencies", {}).get("blas", {})
     return {
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
         "simd_baseline": list(simd.get("baseline", [])),
         "simd_found": list(simd.get("found", [])),
     }
@@ -252,6 +259,16 @@ def test_golden_runs_match(golden_runs):
     assert {name: tree_hashes(d) for name, d in golden_runs.items()} == GOLDEN_RUNS_SHA256
 
 
+def test_golden_occupation_lines_are_uninformative(golden_runs):
+    # simulate-slow starts from the constrained profile and ||u||_0 never falls
+    # to chi within the window: each line passes, and says it tests nothing.
+    lines = (golden_runs["simulate-slow"] / "occupation_report.jsonl").read_text().splitlines()
+    reports = [json.loads(line) for line in lines]
+    assert len(reports) == 3
+    for r in reports:
+        assert (r["informative"], r["passed"], r["lhs_mean"], r["lhs_se"]) == (False, True, 0.0, 0.0)
+
+
 def test_reports_follow_schema(golden_runs):
     # holds on any build: field names and orders do not depend on the numbers
     types = set()
@@ -338,3 +355,34 @@ def test_ensemble_equals_single_runs(grid, scheme):
         rec = full_recorder(p)
         run_trajectory(u0(sid), spec, p, rec)
         assert stream_csv_text(records) == stream_csv_text(rec.records), f"stream {sid} differs"
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(code: str, **env) -> str:
+    full_env = {**os.environ, "PYTHONPATH": str(SRC), **env}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=full_env, capture_output=True, text=True, check=True
+    )
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_one_and_two_blas_threads_write_the_same_bytes():
+    code = "import test_golden; print(test_golden.n2_ensemble_hash())"
+    tests_dir = str(Path(__file__).resolve().parent)
+    hashes = {
+        threads: run_python(code, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=f"{SRC}{os.pathsep}{tests_dir}")
+        for threads in ("1", "2")
+    }
+    assert hashes["1"] == hashes["2"]
+
+
+def test_package_and_selftest_do_not_load_scipy():
+    code = (
+        "import sys, cascade_lab\n"
+        "from cascade_lab.cli_io import run_command\n"
+        "code = run_command(['selftest'])\n"
+        "print(code, 'scipy' in sys.modules)"
+    )
+    assert run_python(code) == "0 False"

@@ -14,6 +14,7 @@ from cascade_lab.forcing import NoiseSpec, RngStream
 from cascade_lab.integrators import (
     SimParams,
     TrajectoryAbortError,
+    _phase_factor,
     checkpoint_from_bytes,
     checkpoint_to_bytes,
     constrained_profile,
@@ -42,6 +43,8 @@ from cascade_lab.spectral import (
     PhysicalField,
     SpectralField,
     lattice_inner,
+    lattice_values,
+    mode_coeffs,
     sobolev_norm,
     to_physical,
     to_spectral,
@@ -149,10 +152,34 @@ class TestPhaseRotation:
         # Every coefficient is finite, but |u|^2 overflows on the lattice.
         for grid in (GRID, GridSpec(2, 32, 16)):
             u = single_mode(grid, (1,) * grid.n, c=1e160)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                with pytest.raises(NonFiniteFieldError):
-                    phase_rotation_step(u, 0.01)
+            with pytest.raises(NonFiniteFieldError):
+                phase_rotation_step(u, 0.01)
+
+    def test_overflow_raises_without_warnings(self):
+        for grid in (GRID, GridSpec(2, 32, 16)):
+            for rows in ((), (3,)):
+                c = single_mode(grid, (1,) * grid.n, c=1e160).coeffs
+                u = SpectralField(grid, np.broadcast_to(c, rows + c.shape))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(NonFiniteFieldError):
+                        phase_rotation_step(u, 0.01)
+
+    @pytest.mark.parametrize("grid", [GridSpec(1, 64, 32), GridSpec(2, 32, 16)], ids=str)
+    @pytest.mark.parametrize("M", [1, 3, 5])
+    def test_phase_factor_equals_complex_exp(self, grid, M):
+        rng = np.random.default_rng(M)
+        for scale in (1e-6, 1e-2, 1.0, 1e2, 1e6):
+            shape = (M,) + grid.coeff_shape
+            c = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            v = lattice_values(grid, c)
+            for dt in (0.01, 0.37):
+                phase = dt * (v.real**2 + v.imag**2)
+                reference = np.exp(-1j * dt * (v.real**2 + v.imag**2))
+                assert _phase_factor(phase).tobytes() == reference.tobytes()
+                u = SpectralField(grid, c)
+                expected = mode_coeffs(grid, np.multiply(v, np.exp(-1j * phase)), grid.D)
+                assert phase_rotation_step(u, dt).coeffs.tobytes() == expected.tobytes()
 
     def test_truncation_only_removes_energy(self):
         u = random_field(GRID, 5)  # D = N/2: rotation spills into discarded modes

@@ -198,27 +198,42 @@ TRANSFORM_GRIDS = [
 ]
 
 
+def random_block(rng, shape):
+    """Complex entries whose magnitudes span ten decades."""
+    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 10.0 ** rng.uniform(-5, 5, size=shape)
+
+
+def assert_close_to(got: np.ndarray, ref: np.ndarray) -> None:
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 class TestTransformHelpers:
-    """The per-axis, line-pruned DST-I helpers against one dstn over the whole block."""
+    """The sine-matrix helpers against one dstn over the whole block, and row by row."""
 
     @pytest.mark.parametrize("grid", TRANSFORM_GRIDS, ids=str)
     @pytest.mark.parametrize("rows", [(), (3,), (5,)])
-    def test_bits_equal_dstn(self, grid, rows):
+    def test_close_to_dstn(self, grid, rows):
         rng = np.random.default_rng(grid.n * 100 + grid.N + len(rows))
-        c_shape = rows + grid.coeff_shape
-        coeffs = (rng.normal(size=c_shape) + 1j * rng.normal(size=c_shape)) * 10.0 ** rng.uniform(
-            -5, 5, size=c_shape
-        )
-        got = lattice_values(grid, coeffs)
-        assert got.shape == rows + grid.values_shape
-        assert got.tobytes() == dstn_lattice_values(grid, coeffs).tobytes()
-        v_shape = rows + grid.values_shape
-        values = rng.normal(size=v_shape) + 1j * rng.normal(size=v_shape)
+        coeffs = random_block(rng, rows + grid.coeff_shape)
+        assert_close_to(lattice_values(grid, coeffs), dstn_lattice_values(grid, coeffs))
+        values = random_block(rng, rows + grid.values_shape)
         for D in sorted({grid.D, grid.N}):
-            got = np.ascontiguousarray(mode_coeffs(grid, values, D))
-            ref = np.ascontiguousarray(dstn_mode_coeffs(grid, values, D))
-            assert got.shape == rows + (D,) * grid.n
-            assert got.tobytes() == ref.tobytes()
+            assert_close_to(mode_coeffs(grid, values, D), dstn_mode_coeffs(grid, values, D))
+
+    @pytest.mark.parametrize("grid", TRANSFORM_GRIDS, ids=str)
+    @pytest.mark.parametrize("M", [1, 3, 5, 17])
+    def test_rows_equal_single_rows(self, grid, M):
+        rng = np.random.default_rng(grid.n * 100 + grid.N + M)
+        coeffs = random_block(rng, (M,) + grid.coeff_shape)
+        values = random_block(rng, (M,) + grid.values_shape)
+        lattice = lattice_values(grid, coeffs)
+        for i in range(M):
+            assert lattice[i].tobytes() == lattice_values(grid, coeffs[i]).tobytes()
+        for D in sorted({grid.D, grid.N}):
+            modes = mode_coeffs(grid, values, D)
+            for i in range(M):
+                assert modes[i].tobytes() == mode_coeffs(grid, values[i], D).tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_wrappers_reject_non_finite_results(self):
@@ -329,6 +344,15 @@ class TestCmNorm:
                 u = SpectralField(grid, batch.coeffs[i])
                 for m in range(4):
                     assert cm_norm(u, m) == cm_norm_per_beta(u, m)
+
+    @pytest.mark.parametrize("grid", [GridSpec(1, 64, 32), GridSpec(2, 32, 16), GridSpec(3, 10, 5)], ids=str)
+    def test_rows_equal_single_rows(self, grid):
+        rng = np.random.default_rng(grid.n * 11 + grid.N)
+        batch = SpectralField(grid, random_block(rng, (5,) + grid.coeff_shape))
+        for m in range(4):
+            got = cm_norm(batch, m)
+            assert got.shape == (5,)
+            assert got.tolist() == [cm_norm(SpectralField(grid, c), m) for c in batch.coeffs]
 
 
 def cm_norm_per_beta(u: SpectralField, m: int) -> float:
