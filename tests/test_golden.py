@@ -73,26 +73,26 @@ observables = sup_inf
 
 # sha256 of streams/traj_NNNN.csv written by ``simulate`` on CRITERION_10_CONFIG
 CRITERION_10_SHA256 = {
-    "traj_0000.csv": "0a3a38d4564c3c49842e5b323d4a485d4f0cdfffdcfce5b20ecf99d8692d77f0",
-    "traj_0001.csv": "ebfa7ec204089a8d2f3e79c5db4e2ee12f32ec19209f7e0ae49e021be44d1a72",
-    "traj_0002.csv": "b286c9d20d45090c8883aa055b134a2f027a08c3b82a01335a53c7a112308a45",
-    "traj_0003.csv": "f1fc86fe9e82b0940068d03542fe3abf07fbe25c8e99aa95b12906558762ac5e",
-    "traj_0004.csv": "ac29baa2dcff29ce6a406ee1b647b02194eb4711d6ec19b75edad4c26708aeea",
-    "traj_0005.csv": "61cc68c7f78355985e032a0c76f32597148bc2c73f468b4a5c2f556d27c040e5",
-    "traj_0006.csv": "e2147d6e0c820076657ce7ec697d0fa277667ede9ce814057a519bff7a92af1f",
-    "traj_0007.csv": "364e65a9f0ece2fe5d44e0c2a889f146b8386dba6ff43d3513ca9fa94e71e88e",
-    "traj_0008.csv": "a34cd812c2867c8b4231d92bfb0b4f0bb26b700212d13239c895cb84d9287c0a",
-    "traj_0009.csv": "9e9e69742635c6b287a6af89a7758431664f7c399f826e4cb70a554b2091cb7d",
-    "traj_0010.csv": "28dd702f1ac7ec235290ef4c0b66aaa6e3ccf54703480119a85ad08e802403a9",
-    "traj_0011.csv": "e93f0e1b4349aed390fbeaa4016252aac2028f35aa4ffd5d6b0a8ddfd51487e6",
-    "traj_0012.csv": "f1d0d2127f351278662033c6ff8e0bb73598b6c2c999784a4e58b44a5e76346a",
-    "traj_0013.csv": "c541d1299d03d9417c55bdbd9e1865f92c7fb30520bb19712056c39ff599b2d9",
-    "traj_0014.csv": "9dea081863391f0e7e9f75e6fbeb24ae6242e0a4e1ea60df31c0bcf056c82c7c",
-    "traj_0015.csv": "b2595424882edee5008743529b9ec1d3529c197d252d885f604d5ea4b4e9df59",
+    "traj_0000.csv": "1c650686e833ef82d8778d46af2ac56445c0101ef5def53d7269b3a09ba0ac86",
+    "traj_0001.csv": "c8a759f814211c70d1ea46713d5ca5d21e6ba2a8fa2166172641441a3c6cae9c",
+    "traj_0002.csv": "e39861e8cbaaa5d47c778456750d3d4c5239c94be10813dd8032b7471dfdc19d",
+    "traj_0003.csv": "0010065aeb6d0f64ef66684ab15cec66fdb365e40f3493fe19823bde76b02227",
+    "traj_0004.csv": "4efc91d22edc4d2e10b1006a742b1e6848910902949d61b474755f31b9936019",
+    "traj_0005.csv": "91429f97e36504aa93e5939df47c2c8eaee78167bda84f7e0c657402bf5aafd0",
+    "traj_0006.csv": "09104e9f4d5443c3b7f41111aaaa7364a0929c0457e3cd7cc62725f5962cec0c",
+    "traj_0007.csv": "8c42700c830537a2a46543157f4a3986db2da4d43064acf578e6b5247ab48ca7",
+    "traj_0008.csv": "e5ac5c27109e4cfa00cbb8d98187a1261acd3ded1e5690b7f85cf03563862b9b",
+    "traj_0009.csv": "3f3d276bb07b61481d76a1df9fcd7ee0ddb54412836186da6f9350b72977a7e3",
+    "traj_0010.csv": "61a3e49604eae483e54e3531bba91419325156be7cdbc71bd5a518938bbb345e",
+    "traj_0011.csv": "917d6b429dbccb023412cdb8f9ae1ab4d7105ec20e1bc5ab9ba4c819840a2e02",
+    "traj_0012.csv": "0e4b5f02f0e9a99bdaa0a614ad6b1606574a44c22fdafb4d251d4741729cfab6",
+    "traj_0013.csv": "f19d3c175febf234d7526dc5a28960070ab107cb7da25bb21cb8f5b8dd724e1a",
+    "traj_0014.csv": "f61766689cb740cdeb9416e6f82ea1312d4911046886f0a32c86d724bfc369a1",
+    "traj_0015.csv": "08ee9ae98d9d61982d8c9474cad1d3bb877c6f60816244285bf7715c628f7705",
 }
 
 # sha256 over the CSV streams and the summary of ``n2_ensemble``
-N2_ENSEMBLE_SHA256 = "e6c529fec2ac0866375927ed2d0e4f684a38b8aeed4d37e7f41e287edfeb13e0"
+N2_ENSEMBLE_SHA256 = "7db4892573cb3127b107fef43aebedab3dc61f519cd569619dda1694a27fc197"
 
 
 def env_stamp() -> dict:
@@ -168,58 +168,58 @@ GOLDEN_RUNS = {
 GOLDEN_RUNS_SHA256 = {
     "simulate-slow": {
         "config.ini": "a4800193562c07b5925aef81a2af9c44d78b94bba53a1f81e49c2d3bfc30e1d9",
-        "manifest.json": "74cf9fdd5c99aacf696e719f2aa54f64723763930e67201fd8ff99e6278a2b42",
-        "occupation_report.jsonl": "60f323fbe9fccd71d2d803e7482e4617e62e7d4b9495b6e351cf1dc114e851b1",
-        "report.jsonl": "c29db4b219a3b8d17e6c6c2f02c779ab385af96390843f28764d370b47a96e7d",
-        "streams/traj_0000.csv": "f6f29db4739e424208df588e703b91be8abfe9852202ede320a995ef70a1b07e",
-        "streams/traj_0001.csv": "81837d5902a7e6d1823d4bf4ab6751fbdffa30648f7b401aefd9fef333621c4e",
+        "manifest.json": "09b26ea12b9920c411bf3264f37a2cc39c04e0545bde56b65349395a1f958654",
+        "occupation_report.jsonl": "f93500b0ff10f337856f062e7ec70f598289429d0e7f7d8c57f1738378edd401",
+        "report.jsonl": "63e4096196536f18ab0f9d9337c66085185cf8e9cb9f602e75ac33ec10cfe07a",
+        "streams/traj_0000.csv": "bf02edb062fb49a48b4c60d27624a38813f751bc376b0bf1806aff1fbb55a5de",
+        "streams/traj_0001.csv": "4e725bd484936a9ac3a3b0888d600126372e9b24dc21f49b8cce9039ae9502f5",
     },
     "simulate-fast": {
         "config.ini": "a7f1ba2cefa99d3c01dbd3db1f227bbd51994bc140d2db497e5edfbc1c640112",
-        "manifest.json": "d22ee7a3a08b8a6da15b6bc432bfcf6d417ef69d8d40f2a068117f45726cfb14",
-        "report.jsonl": "592aac23a278545c1ce667ab12cca7d0af1a14620bd04fa74fd557c056f5a75c",
-        "streams/traj_0000.csv": "fab7346a82cfa4f7b733b36269c4d2362fc8bb1c4938b6d9cf26ddf7c14b45d6",
-        "streams/traj_0001.csv": "8e5c84795d6b1b6a62c1e21380bb9ab638c847bae91b8da4bba658026a52294e",
+        "manifest.json": "0c4bb717523f24e287f9818dabab23c7702ec6f1b8d936dec3328e39b1a155b4",
+        "report.jsonl": "eca720b0285f2b298fcb7455be4a84cde6093ca00e2df0064efd9df8f7a0cbbf",
+        "streams/traj_0000.csv": "1759793fa7e43ede88e55033ffcdb1293090b5fd661fd7722d384e588f4d1c57",
+        "streams/traj_0001.csv": "5b26b9c36d7f21af07b1203bbbc38888fd16c9b8ac3b98d6b03f9ffdbb689720",
     },
     "spectrum": {
         "config.ini": "cce74964518b9418d7653a39ed7445742afb0099234a3a0dd795c23d3fcf35c0",
-        "manifest.json": "235a40c6b37ded2502185b676754e64fe6b9db4e2f2dbd380a32f6051e893f84",
-        "report.jsonl": "64b2eb8908fbb50b290c0e70b0f087c485eba829432ba148d2ccd0967ab5828c",
-        "streams/traj_0000.csv": "2ce7fa6b73aab8428925eb64a444d5ea7cdc0adff64043d448fea13cfb2d4f86",
-        "streams/traj_0001.csv": "54b0554de48099dc55dbf2f3cfa7bf94defefddb871356995b85ae54b95c5e46",
+        "manifest.json": "dce458be6a434dae0b7f968e6de5c1aecbd127827e0655ec9c717305b6fb54eb",
+        "report.jsonl": "762af1f9ed17cfd95a384e260fdcc638b3114f050da029a09ac6809bba982b94",
+        "streams/traj_0000.csv": "e38899387b47b92e1369ab84e77efa790531c96c1f57803340991fee6e484975",
+        "streams/traj_0001.csv": "7f3c42a616cd84b46b4133f8071eef6c44073a501a143e40c66cf21e9486b7be",
     },
     "sweep-slow": {
         "config.ini": "c88e843ebf461471f57903e49538d6257692c5849a3a5fb9ee2475cba18e58c1",
-        "manifest.json": "a48d0540246fd2392d50e8fa0770516a4262ad9653154bdc785c75f9442446bd",
-        "report.jsonl": "43f64e5c23d805fed033113cb38171cb4e9409332c410f21e6840703603576f7",
-        "streams/nu_0.25/traj_0000.csv": "aa4965eee8c0ad1f22ef9a47102d315dcd4d0b8c954178cb3de574fcfe4ae518",
-        "streams/nu_0.25/traj_0001.csv": "399672de52b080411e8c9c5218d5991fae62926b0f7bff24258eeef6790b8db4",
-        "streams/nu_0.4/traj_0000.csv": "2b6cdceda10899baea13878cc487fd7e2014aea76caa5be688cb1085c542a9ce",
-        "streams/nu_0.4/traj_0001.csv": "656d8e44aa8d74d7f48ba8ae6d062466ae033b866688de5fa1163b503759f165",
-        "streams/nu_0.5/traj_0000.csv": "52c75d3a0fee110d54d5a524bdd1f1ecdf2f18d5fdb3579b7e55f5795714af23",
-        "streams/nu_0.5/traj_0001.csv": "a19853792515a85aaa34648a53074e99f54b199b86e0386fd4f0581aa8b77787",
+        "manifest.json": "908577db0cd3dfaa90ad00efa85b8a8de1536070e65ef70c727351c0a5b78a6a",
+        "report.jsonl": "44b6b54f5df43c7c9331482541a85eb7bd2a2b0faf0978a08b9e61bc6d993433",
+        "streams/nu_0.25/traj_0000.csv": "e7136426f74062d3f88d50636206a6dbe3735ab18bffb28547695e088220e675",
+        "streams/nu_0.25/traj_0001.csv": "d9fd6b66eade13548bace328737bd299631ea609c7fbed6c090cd1ed11cca9f1",
+        "streams/nu_0.4/traj_0000.csv": "33e0ee8bdacce0cf484d480f4f061e34150bbf59d3e185ae0740e2d9764163c0",
+        "streams/nu_0.4/traj_0001.csv": "6aeb1e6dd740df9949409bc45a42332f904c92f56cedd5a8ae37300766a06492",
+        "streams/nu_0.5/traj_0000.csv": "96b1a01a4a5f85fb963bbdeda020bd7ccabcfc461087b6634b57894ade0dfb7b",
+        "streams/nu_0.5/traj_0001.csv": "3f008b144906e68db31cbf53b3d6a41550395e426e852a63c37ae484ac279893",
     },
     "sweep-fast": {
         "config.ini": "ea929485771aa343f4520296c4716117284cff5cc870af66f91ccb11b1cb4746",
-        "manifest.json": "ee35e5fb665e934be2872197f060e471db6ffc40b76b08317d171b052fc830b5",
-        "report.jsonl": "43f64e5c23d805fed033113cb38171cb4e9409332c410f21e6840703603576f7",
-        "streams/nu_0.25/traj_0000.csv": "aa4965eee8c0ad1f22ef9a47102d315dcd4d0b8c954178cb3de574fcfe4ae518",
-        "streams/nu_0.25/traj_0001.csv": "399672de52b080411e8c9c5218d5991fae62926b0f7bff24258eeef6790b8db4",
-        "streams/nu_0.4/traj_0000.csv": "2b6cdceda10899baea13878cc487fd7e2014aea76caa5be688cb1085c542a9ce",
-        "streams/nu_0.4/traj_0001.csv": "656d8e44aa8d74d7f48ba8ae6d062466ae033b866688de5fa1163b503759f165",
-        "streams/nu_0.5/traj_0000.csv": "52c75d3a0fee110d54d5a524bdd1f1ecdf2f18d5fdb3579b7e55f5795714af23",
-        "streams/nu_0.5/traj_0001.csv": "a19853792515a85aaa34648a53074e99f54b199b86e0386fd4f0581aa8b77787",
+        "manifest.json": "5b716ed7a54e8ffeb7bf775be7d1ded87443060be8b16d18dfcdd9d4cfd03671",
+        "report.jsonl": "44b6b54f5df43c7c9331482541a85eb7bd2a2b0faf0978a08b9e61bc6d993433",
+        "streams/nu_0.25/traj_0000.csv": "e7136426f74062d3f88d50636206a6dbe3735ab18bffb28547695e088220e675",
+        "streams/nu_0.25/traj_0001.csv": "d9fd6b66eade13548bace328737bd299631ea609c7fbed6c090cd1ed11cca9f1",
+        "streams/nu_0.4/traj_0000.csv": "33e0ee8bdacce0cf484d480f4f061e34150bbf59d3e185ae0740e2d9764163c0",
+        "streams/nu_0.4/traj_0001.csv": "6aeb1e6dd740df9949409bc45a42332f904c92f56cedd5a8ae37300766a06492",
+        "streams/nu_0.5/traj_0000.csv": "96b1a01a4a5f85fb963bbdeda020bd7ccabcfc461087b6634b57894ade0dfb7b",
+        "streams/nu_0.5/traj_0001.csv": "3f008b144906e68db31cbf53b3d6a41550395e426e852a63c37ae484ac279893",
     },
     "stationary": {
         "config.ini": "ac2b2d30290eb5486c97b2dcbab0c4672cb6eda33075b1626c1a98e8147fbc71",
-        "manifest.json": "b094e34741e37b131a67bd718118db78b8c9c5e6eb67fc3bf197ccf9de071089",
-        "report.jsonl": "2238dd20bd634b5aeb7392b5edaf874706a75660167f8d0068e6afd8e19baf35",
-        "streams/nu_0.25/traj_0000.csv": "8e0ec61aa6fcf43fde863dd32f59e8d572aa93d8fd615de46f26ac37e0f549de",
-        "streams/nu_0.25/traj_0001.csv": "18661dc0d78985d696556cd8129acbccb063bf2278f45342fdf397a42d2f9604",
-        "streams/nu_0.4/traj_0000.csv": "56c35e0e967791ad239251a292812e7185604474df33d9033e6cf9adbf39055f",
-        "streams/nu_0.4/traj_0001.csv": "8edde8c21e009496590340d851a74d9a9d924c42705d5dbdd065869b325dbbfa",
-        "streams/nu_0.5/traj_0000.csv": "100fecdd7ec2968d11db4b57e54723a9d71b6c18228d1a42738a14d817d48836",
-        "streams/nu_0.5/traj_0001.csv": "fd59162fc2ea7e482b0eb9fdb67ad91077a8811e99dade54949673ceb11a0821",
+        "manifest.json": "aac7bfbc66884f031d20f3ce91d46d75b1a9119cdc0676e009049d6b2b2adb9c",
+        "report.jsonl": "7b84706db9177ec3f730bba4f478f27ca2f22e67547ae81f996298ea67a6f601",
+        "streams/nu_0.25/traj_0000.csv": "a7246fa67de8bb781ffa0ef7811e50916218bfac114b7ff4c44d393edf82fd2f",
+        "streams/nu_0.25/traj_0001.csv": "0cfecd92fd8f754f64fb933444d2aaa45e3798ca5e0022281edcb175d3634526",
+        "streams/nu_0.4/traj_0000.csv": "0d3085a321ca2f2bcc7bb3e92f2eddd308f9080d4d6cc3a6d3d54413f22433cc",
+        "streams/nu_0.4/traj_0001.csv": "6790587720854e1602dcb9f8928876a2bfaa7950baf226b0020fe6a8c1f13e91",
+        "streams/nu_0.5/traj_0000.csv": "7a990a7910ee2f2ed978c58253e1eea3f4cbd20e9823e22906ddeb3980461bb9",
+        "streams/nu_0.5/traj_0001.csv": "44efded16f7b6da988fbfede24d04c7bf4e1032f8bf5fa2e04922f8c8726e4f6",
     },
 }
 
