@@ -274,18 +274,20 @@ def cm_norm(u: SpectralField, m: int) -> float | np.ndarray:
     sin_m, cos_m = _eval_matrices(grid)
     d_axis = np.arange(1, grid.D + 1, dtype=float)
     lead = u.coeffs.shape[: u.coeffs.ndim - n]
+    k = len(lead)
 
     def sup_from(vals: np.ndarray, ax: int, budget: int) -> np.ndarray:
         # axes 0..ax-1 are done; max over beta_ax.. with sum <= budget
         if ax == n:
             return np.abs(vals).reshape(*lead, -1).max(axis=-1)
+        perm = (*range(k), k + ax, *(k + i for i in range(n) if i != ax))  # grid axis ax to the front
+        inv = tuple(perm.index(i) for i in range(k + n))
         best = np.zeros(lead)
         for b in range(budget + 1):
-            scaled = vals * (d_axis**b).reshape((-1,) + (1,) * (n - 1 - ax)) if b else vals
-            moved = np.moveaxis(scaled, ax - n, -n)
+            moved = (vals * (d_axis**b).reshape((-1,) + (1,) * (n - 1 - ax)) if b else vals).transpose(perm)
             out = (sin_m if b % 2 == 0 else cos_m) @ moved.reshape(*lead, grid.D, -1)
-            out = out.reshape(lead + (grid.N,) + moved.shape[len(lead) + 1 :])
-            best = np.maximum(best, sup_from(np.moveaxis(out, -n, ax - n), ax + 1, budget - b))
+            out = out.reshape(lead + (grid.N,) + moved.shape[k + 1 :]).transpose(inv)
+            best = np.maximum(best, sup_from(out, ax + 1, budget - b))
         return best
 
     best = sup_from(u.coeffs, 0, int(m))
