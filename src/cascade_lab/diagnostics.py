@@ -89,20 +89,15 @@ class NormRecorder:
         return next(iter(self.streams.values()), [])
 
     def __call__(self, state: TrajectoryState | EnsembleState) -> None:
-        u = state.u
-        norms = {m: np.atleast_1d(sobolev_norm(u, m)) for m in self.ms}
-        sups = np.atleast_1d(sup_norm(u))
-        cms = np.atleast_1d(cm_norm(u, self.cm_order)) if self.cm_order is not None else None
+        u, t = state.u, state.t
+        norms = zip(*(np.atleast_1d(sobolev_norm(u, m)).tolist() for m in self.ms))
+        sups = np.atleast_1d(sup_norm(u)).tolist()
+        cms = np.atleast_1d(cm_norm(u, self.cm_order)).tolist() if self.cm_order is not None else None
         rows = u.coeffs.reshape(-1, *u.grid.coeff_shape)
-        for i, rng in enumerate(state.rngs):
+        for rng, c, row_norms, sup, cm in zip(state.rngs, rows, norms, sups, cms or [None] * len(sups)):
+            shells = tuple(e for _, e in spectrum_shells(SpectralField(u.grid, c))) if self.shells else None
             rec = DiagnosticsRecord(
-                t=state.t,
-                tau=self.nu * state.t,
-                norms={m: float(v[i]) for m, v in norms.items()},
-                sup=float(sups[i]),
-                cm=float(cms[i]) if cms is not None else None,
-                shells=tuple(e for _, e in spectrum_shells(SpectralField(u.grid, rows[i])))
-                if self.shells else None,
+                t=t, tau=self.nu * t, norms=dict(zip(self.ms, row_norms)), sup=sup, cm=cm, shells=shells
             )
             self.streams.setdefault(rng.stream_id, []).append(rec)
 
@@ -121,17 +116,16 @@ def write_stream_csv(records: list[DiagnosticsRecord], fh) -> None:
         cm_order=0 if first.cm is not None else None,
         n_shells=len(first.shells) if first.shells is not None else 0,
     )
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(cols)
+    # No column name or float repr holds a comma, quote or line break: csv.writer would write the same.
+    lines = [",".join(cols)]
     for rec in records:
-        row = [repr(rec.t), repr(rec.tau)]
-        row += [repr(v) for v in rec.norms.values()]
-        row.append(repr(rec.sup))
+        row = [rec.t, rec.tau, *rec.norms.values(), rec.sup]
         if rec.cm is not None:
-            row.append(repr(rec.cm))
+            row.append(rec.cm)
         if rec.shells is not None:
-            row += [repr(v) for v in rec.shells]
-        writer.writerow(row)
+            row += rec.shells
+        lines.append(",".join(map(repr, row)))
+    fh.write("\n".join(lines) + "\n")
 
 
 def stream_csv_text(records: list[DiagnosticsRecord]) -> str:

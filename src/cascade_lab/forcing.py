@@ -213,7 +213,9 @@ def complex_normals(rngs, step_index: int, substream: int, shape: tuple[int, ...
     z = np.empty((len(rngs), 2 * k))
     for rng, row in zip(rngs, z):
         rng.normals(step_index, substream, out=row)
-    return (z[:, :k] + 1j * z[:, k:]).reshape(shape)
+    out = np.empty((len(rngs), k), dtype=np.complex128)
+    out.real, out.imag = z[:, :k], z[:, k:]
+    return out.reshape(shape)
 
 
 def sample_increments(

@@ -12,10 +12,10 @@ composition  OU(dt/2) o phase(dt) o OU(dt/2);  an explicit Euler-Maruyama
 step over the full drift serves as an independent oracle.
 
 Both step kernels act on a field with an optional leading row axis, so an
-ensemble of M trajectories advances as one (M, D, ..., D) array: one DST-I
-pair, one OU update and one finite check per step for all rows.  Each row
-keeps its own stream, so row i is bit for bit the single trajectory with
-stream id i; a single trajectory is the same kernel without the row axis.
+ensemble advances as one (M, D, ..., D) array.  A Strang step is two OU halves
+around a phase rotation (one sine-matrix pair), three validated fields, then a
+flush of subnormal components to 0.0.  Row i keeps its own stream and is bit for
+bit the single trajectory with stream id i (the same kernel, no row axis).
 
 The slow-time description tau = nu * t needs no separate integrator: a fast
 chain with parameters (nu, dt) performs, number for number, the same updates
@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import struct
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil, sqrt
 from typing import Callable
@@ -191,14 +191,15 @@ def _conv_variance(lam: np.ndarray, dt: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _ou_tables(grid: GridSpec, nu: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cached (decay, conv standard deviation) arrays for one OU step size."""
-    lam = nu * mode_abs_sq(grid)
+def _ou_tables(spec: NoiseSpec, nu: float, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cached (decay, conv standard deviation, sqrt(nu) b_d) arrays for one OU step size."""
+    lam = nu * mode_abs_sq(spec.grid)
     decay = np.exp(-lam * dt)
     sd = np.sqrt(_conv_variance(lam, dt))
-    decay.flags.writeable = False
-    sd.flags.writeable = False
-    return decay, sd
+    scale = sqrt(nu) * spec.amplitudes
+    for table in (decay, sd, scale):
+        table.flags.writeable = False
+    return decay, sd, scale
 
 
 def ou_exact_step(
@@ -223,12 +224,13 @@ def ou_exact_step(
         raise ValueError(f"dt must be positive, got {dt}")
     if spec.grid != u.grid:
         raise GridMismatchError("field and noise spec live on different grids")
-    decay, conv_sd = _ou_tables(u.grid, nu, dt)
+    decay, conv_sd, scale = _ou_tables(spec, nu, dt)
     if conv is None:
         if rng is None:
             raise ValueError("either an RngStream or an explicit conv draw is required")
         conv = conv_sd * complex_normals((rng,), step_index, substream, u.coeffs.shape)
-    new = u.coeffs * decay + sqrt(nu) * spec.amplitudes * conv
+    new = u.coeffs * decay
+    new += scale * conv
     return SpectralField(u.grid, new)
 
 
@@ -255,7 +257,9 @@ def phase_rotation_step(u: SpectralField, dt: float) -> SpectralField:
         return u
     with np.errstate(over="ignore", invalid="ignore"):
         v = lattice_values(u.grid, u.coeffs)
-        phase = dt * (v.real**2 + v.imag**2)
+        phase = np.square(v.real)
+        phase += np.square(v.imag)
+        phase *= dt
         # With FMA, v*e and e*v round differently: keep the operand order fixed.
         rotated = np.multiply(v, _phase_factor(phase), out=v)
         return SpectralField(u.grid, mode_coeffs(u.grid, rotated, u.grid.D))
@@ -265,16 +269,19 @@ def _strang(
     u: SpectralField, spec: NoiseSpec, nu: float, dt: float, nonlinear: bool,
     conv0: np.ndarray, conv1: np.ndarray,
 ) -> SpectralField:
-    """OU(dt/2) o phase(dt) o OU(dt/2) with the two half-step convolutions given."""
+    """OU(dt/2) o phase(dt) o OU(dt/2) with the two half-step convolutions given, subnormals set to 0.0."""
     u = ou_exact_step(u, spec, nu, dt / 2.0, conv=conv0)
     if nonlinear:
         u = phase_rotation_step(u, dt)
-    return ou_exact_step(u, spec, nu, dt / 2.0, conv=conv1)
+    u = ou_exact_step(u, spec, nu, dt / 2.0, conv=conv1)
+    parts = u.coeffs.view(np.float64)  # a new array: flushing it in place leaves the input intact
+    parts[np.abs(parts) < np.finfo(np.float64).tiny] = 0.0  # subnormal x * decay can round back to x
+    return u
 
 
 def _advanced(state: State, u: SpectralField, dt: float) -> State:
     k = state.step_index + 1
-    return replace(state, t=k * dt, u=u, step_index=k)
+    return type(state)(k * dt, u, state.rng if isinstance(state, TrajectoryState) else state.rngs, k)
 
 
 def strang_step(state: State, spec: NoiseSpec, params: SimParams) -> State:
@@ -284,10 +291,11 @@ def strang_step(state: State, spec: NoiseSpec, params: SimParams) -> State:
     Uses exactly two convolution draws per stream, addressed by (step_index, half).
     """
     k = state.step_index
-    _, conv_sd = _ou_tables(state.u.grid, params.nu, params.dt / 2.0)
+    _, conv_sd, _ = _ou_tables(spec, params.nu, params.dt / 2.0)
     shape = state.u.coeffs.shape
-    conv0 = conv_sd * complex_normals(state.rngs, k, SUB_OU_HALF0, shape)
-    conv1 = conv_sd * complex_normals(state.rngs, k, SUB_OU_HALF1, shape)
+    conv0, conv1 = (complex_normals(state.rngs, k, sub, shape) for sub in (SUB_OU_HALF0, SUB_OU_HALF1))
+    conv0 *= conv_sd
+    conv1 *= conv_sd
     u = _strang(state.u, spec, params.nu, params.dt, params.nonlinear, conv0, conv1)
     return _advanced(state, u, params.dt)
 

@@ -200,11 +200,13 @@ def mode_coeffs(grid: GridSpec, values: np.ndarray, D: int) -> np.ndarray:
     return _per_axis(grid, values, *_sine_matrices(grid, D)[2:4])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing product raises below, unwarned
 def to_physical(u: SpectralField) -> PhysicalField:
     """Evaluate the field on the collocation lattice (the sine matrix per axis)."""
     return PhysicalField(u.grid, lattice_values(u.grid, u.coeffs))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def to_spectral(p: PhysicalField, D: int | None = None) -> SpectralField:
     """Project lattice values onto the retained modes {1..D}^n.
 
@@ -230,6 +232,14 @@ def lattice_inner(p: PhysicalField, q: PhysicalField) -> float:
     return p.grid.quadrature_weight * float(np.sum((p.values * np.conj(q.values)).real))
 
 
+@lru_cache(maxsize=None)
+def _sobolev_weights(grid: GridSpec, m: float) -> np.ndarray:
+    weights = mode_abs_sq(grid) ** m  # |d|^(2m)
+    weights.flags.writeable = False
+    return weights
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing field has norm inf, unwarned
 def sobolev_norm(u: SpectralField, m: float) -> float | np.ndarray:
     """Homogeneous Sobolev norm: ||u||_m^2 = sum_d |d|^(2m) |u_d|^2 (m >= 0, fractional ok).
 
@@ -240,7 +250,7 @@ def sobolev_norm(u: SpectralField, m: float) -> float | np.ndarray:
     c = u.coeffs
     energy = c.real**2 + c.imag**2
     if m != 0:
-        energy = mode_abs_sq(u.grid) ** m * energy
+        energy = _sobolev_weights(u.grid, m) * energy
     if c.ndim == u.grid.n:
         return sqrt(float(np.sum(energy)))
     return np.sqrt(energy.reshape(len(c), -1).sum(axis=1))

@@ -171,19 +171,33 @@ class TestEnsembleRun:
         def recorder(p):
             return NormRecorder(nu=p.nu)
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            summary, streams = ensemble_run(
-                GRID, BAND, params, 4, u0, max_abort_fraction=0.5, recorder_factory=recorder
-            )
-            with pytest.raises(TrajectoryAbortError) as info:
-                run_trajectory(u0(2), BAND, replace(params, stream_id=2))
+        summary, streams = ensemble_run(
+            GRID, BAND, params, 4, u0, max_abort_fraction=0.5, recorder_factory=recorder
+        )
+        with pytest.raises(TrajectoryAbortError) as info:
+            run_trajectory(u0(2), BAND, replace(params, stream_id=2))
         assert summary.aborts == 1 and len(streams) == 3
         assert info.value.last_state.step_index == 0 and info.value.last_good_time == 0.0
         for sid, records in zip((0, 1, 3), streams):
             rec = recorder(params)
             run_trajectory(u0(sid), BAND, replace(params, stream_id=sid), rec)
             assert stream_csv_text(records) == stream_csv_text(rec.records)
+
+    def test_overflowing_stream_is_recorded_and_dropped_without_warnings(self):
+        # The recorder sees stream 1's step-0 state at 1e160 (||u||_m overflows to
+        # inf); its first phase rotation then fails and the stream is dropped.
+        def u0(sid):
+            if sid == 1:
+                return SpectralField(GRID, np.full(GRID.coeff_shape, 1e160, dtype=complex))
+            return zero_field(GRID)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary, streams = ensemble_run(
+                GRID, BAND, small_params(), 2, u0, max_abort_fraction=0.5,
+                recorder_factory=lambda p: NormRecorder(nu=p.nu, ms=(0.0, 1.0, 2.0), cm_order=1),
+            )
+        assert summary.aborts == 1 and len(streams) == 1
 
     def test_quantiles_monotone(self):
         params = small_params()

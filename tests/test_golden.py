@@ -330,19 +330,22 @@ def full_recorder(p):
 
 
 @pytest.mark.parametrize(
-    "grid, scheme",
+    "grid, scheme, nonlinear",
     [
-        (GridSpec(1, 64, 32), "strang"),
-        (GridSpec(1, 32, 16), "em"),
-        (N2_GRID, "strang"),  # M=16 lattice batch is 256 KiB: numpy's temporary-elision size
-        (N2_GRID, "em"),
+        (GridSpec(1, 64, 32), "strang", True),
+        (GridSpec(1, 32, 16), "em", True),
+        (N2_GRID, "strang", True),  # M=16 lattice batch is 256 KiB: numpy's temporary-elision size
+        (N2_GRID, "em", True),
+        (GridSpec(1, 64, 32), "strang", False),  # the linear path of simulate-occupation
     ],
-    ids=["n1-strang", "n1-em", "n2-strang", "n2-em"],
+    ids=["n1-strang", "n1-em", "n2-strang", "n2-em", "n1-strang-linear"],
 )
-def test_ensemble_equals_single_runs(grid, scheme):
+def test_ensemble_equals_single_runs(grid, scheme, nonlinear):
     nu, M = 0.5, 16
     dt = default_dt(scheme, nu, grid)
-    params = SimParams(nu=nu, dt=dt, T=12 * dt, scheme=scheme, record_every=4, seed=99)
+    params = SimParams(
+        nu=nu, dt=dt, T=12 * dt, scheme=scheme, record_every=4, seed=99, nonlinear=nonlinear
+    )
     spec = NoiseSpec.from_profile(grid, "band:1,1,1")
 
     def u0(sid):

@@ -12,8 +12,10 @@ from cascade_lab.diagnostics import NormRecorder
 from cascade_lab.experiments import fit_exponent
 from cascade_lab.forcing import NoiseSpec, RngStream
 from cascade_lab.integrators import (
+    EnsembleState,
     SimParams,
     TrajectoryAbortError,
+    TrajectoryState,
     _phase_factor,
     checkpoint_from_bytes,
     checkpoint_to_bytes,
@@ -215,6 +217,41 @@ class TestStrangStep:
             state.rng.normals(1234, 17, 8)  # unrelated address
             state = strang_step(state, BAND, params)
         assert np.array_equal(direct.u.coeffs, state.u.coeffs)
+
+    def test_noise_free_linear_run_flushes_subnormals(self):
+        # Every half-step factor exp(-nu |d|^2 dt / 2) here is at most exp(-0.5) > 1/2:
+        # without the flush the modes would stop at subnormal values instead of 0.0.
+        tiny = np.finfo(np.float64).tiny
+        params = SimParams(nu=1.0, dt=1.0, T=800.0, nonlinear=False, seed=1)
+        u0 = constrained_profile(GRID, params.nu)
+
+        def no_subnormals(state):
+            parts = np.abs(state.u.coeffs.view(np.float64))
+            assert np.all((parts == 0.0) | (parts >= tiny)), f"subnormal at step {state.step_index}"
+
+        final = run_trajectory(u0, SILENT, params, no_subnormals)
+        assert final.step_index == 800 and not np.any(final.u.coeffs.view(np.float64))
+        path = sample_coupled_path(SILENT, params.nu, 0.5, 1600, RngStream(1, 0))
+        assert not np.any(run_strang_on_path(u0, path, params.dt, nonlinear=False).coeffs.view(np.float64))
+
+    def test_step_leaves_its_input_unchanged(self):
+        params = SimParams(nu=0.5, dt=0.01, T=1.0, seed=3)
+        for rows in ((), (3,)):
+            c = random_field(GRID, 4, scale=0.3).coeffs
+            u = SpectralField(GRID, np.broadcast_to(c, rows + c.shape))
+            rngs = tuple(RngStream(3, sid) for sid in range(rows[0])) if rows else None
+            state = EnsembleState(0.0, u, rngs, 0) if rows else initial_state(u, params)
+            before = state.u.coeffs.tobytes()
+            after = strang_step(state, BAND, params)
+            assert state.u.coeffs.tobytes() == before != after.u.coeffs.tobytes()
+        # A step that fails at step_index > 0 leaves the last good state as it was.
+        good = TrajectoryState(0.05, single_mode(GRID, 1, c=1e160), RngStream(3, 0), 5)
+        before = good.u.coeffs.tobytes()
+        with pytest.raises(NonFiniteFieldError):
+            strang_step(good, BAND, params)
+        with pytest.raises(TrajectoryAbortError) as info:
+            continue_trajectory(good, BAND, params)
+        assert info.value.last_state is good and good.u.coeffs.tobytes() == before
 
     def test_self_convergence_on_fixed_path(self):
         # RMS over four fixed paths of the successive-halving differences at

@@ -1,6 +1,7 @@
 """Spectral core: transforms against direct-summation oracles, norm identities."""
 
 import threading
+import warnings
 from itertools import product
 from math import pi, sqrt
 
@@ -236,13 +237,22 @@ class TestTransformHelpers:
             for i in range(M):
                 assert modes[i].tobytes() == mode_coeffs(grid, values[i], D).tobytes()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_wrappers_reject_non_finite_results(self):
         grid = GridSpec(2, 8, 4)
         with pytest.raises(NonFiniteFieldError):  # finite coefficients, overflowing lattice sum
             to_physical(SpectralField(grid, np.full(grid.coeff_shape, 1e308, dtype=complex)))
         with pytest.raises(NonFiniteFieldError):
             to_spectral(PhysicalField(grid, np.full(grid.values_shape, 1e308, dtype=complex)))
+
+    def test_overflow_raises_without_warnings(self):
+        grid = GridSpec(2, 8, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteFieldError):
+                to_physical(SpectralField(grid, np.full(grid.coeff_shape, 1e308, dtype=complex)))
+            with pytest.raises(NonFiniteFieldError):
+                to_spectral(PhysicalField(grid, np.full(grid.values_shape, 1e308, dtype=complex)))
+            assert sobolev_norm(SpectralField(grid, np.full(grid.coeff_shape, 1e160, dtype=complex)), 1) == np.inf
 
 
 class TestNorms:
