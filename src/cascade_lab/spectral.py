@@ -304,6 +304,7 @@ def cm_norm(u: SpectralField, m: int) -> float | np.ndarray:
     return best if lead else float(best)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def spectrum_shells(u: SpectralField) -> list[tuple[int, float]]:
     """Shell energies E_k = sum over k <= |d| < k+1 of |u_d|^2, k = 1..ceil(sqrt(n) D).
 

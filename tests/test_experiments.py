@@ -184,8 +184,8 @@ class TestEnsembleRun:
             assert stream_csv_text(records) == stream_csv_text(rec.records)
 
     def test_overflowing_stream_is_recorded_and_dropped_without_warnings(self):
-        # The recorder sees stream 1's step-0 state at 1e160 (||u||_m overflows to
-        # inf); its first phase rotation then fails and the stream is dropped.
+        # The recorder sees stream 1's step-0 state at 1e160 (||u||_m and the shell
+        # energies overflow to inf); its first phase rotation fails and it is dropped.
         def u0(sid):
             if sid == 1:
                 return SpectralField(GRID, np.full(GRID.coeff_shape, 1e160, dtype=complex))
@@ -195,7 +195,7 @@ class TestEnsembleRun:
             warnings.simplefilter("error")
             summary, streams = ensemble_run(
                 GRID, BAND, small_params(), 2, u0, max_abort_fraction=0.5,
-                recorder_factory=lambda p: NormRecorder(nu=p.nu, ms=(0.0, 1.0, 2.0), cm_order=1),
+                recorder_factory=lambda p: NormRecorder(nu=p.nu, cm_order=1, shells=True),
             )
         assert summary.aborts == 1 and len(streams) == 1
 

@@ -219,8 +219,8 @@ class TestStrangStep:
         assert np.array_equal(direct.u.coeffs, state.u.coeffs)
 
     def test_noise_free_linear_run_flushes_subnormals(self):
-        # Every half-step factor exp(-nu |d|^2 dt / 2) here is at most exp(-0.5) > 1/2:
-        # without the flush the modes would stop at subnormal values instead of 0.0.
+        # Mode 1's half-step factor exp(-nu dt / 2) = exp(-0.5) exceeds 1/2, so without
+        # the flush it would stop at a subnormal value (x * factor rounds back to x).
         tiny = np.finfo(np.float64).tiny
         params = SimParams(nu=1.0, dt=1.0, T=800.0, nonlinear=False, seed=1)
         u0 = constrained_profile(GRID, params.nu)
@@ -235,17 +235,22 @@ class TestStrangStep:
         assert not np.any(run_strang_on_path(u0, path, params.dt, nonlinear=False).coeffs.view(np.float64))
 
     def test_step_leaves_its_input_unchanged(self):
+        # The step flushes subnormals in its own result, never in its input.
         params = SimParams(nu=0.5, dt=0.01, T=1.0, seed=3)
-        for rows in ((), (3,)):
-            c = random_field(GRID, 4, scale=0.3).coeffs
-            u = SpectralField(GRID, np.broadcast_to(c, rows + c.shape))
-            rngs = tuple(RngStream(3, sid) for sid in range(rows[0])) if rows else None
-            state = EnsembleState(0.0, u, rngs, 0) if rows else initial_state(u, params)
+        c = random_field(GRID, 4, scale=0.3).coeffs.copy()
+        c[-1] = 1e-310 + 1e-310j
+        rows = SpectralField(GRID, np.stack([c, 2 * c, 3 * c]))
+        for state in (
+            initial_state(SpectralField(GRID, c), params),
+            EnsembleState(0.0, rows, tuple(RngStream(3, sid) for sid in range(3)), 0),
+        ):
             before = state.u.coeffs.tobytes()
             after = strang_step(state, BAND, params)
             assert state.u.coeffs.tobytes() == before != after.u.coeffs.tobytes()
         # A step that fails at step_index > 0 leaves the last good state as it was.
-        good = TrajectoryState(0.05, single_mode(GRID, 1, c=1e160), RngStream(3, 0), 5)
+        bad = np.zeros(GRID.coeff_shape, dtype=complex)
+        bad[0], bad[-1] = 1e160, 1e-310
+        good = TrajectoryState(0.05, SpectralField(GRID, bad), RngStream(3, 0), 5)
         before = good.u.coeffs.tobytes()
         with pytest.raises(NonFiniteFieldError):
             strang_step(good, BAND, params)
