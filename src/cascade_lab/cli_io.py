@@ -46,6 +46,7 @@ from . import __version__, schema
 from .diagnostics import (
     NormRecorder,
     occupation_check,
+    occupation_columns,
     read_stream_csv,
     stream_csv_text,
 )
@@ -532,8 +533,9 @@ def _cmd_occupation(cfg: RunConfig, out: str | None) -> int:
         raise ConfigError(["occupation.run (an existing run directory) is required"])
     run_dir = Path(cfg.occupation_run)
     streams = read_run_streams(run_dir)
-    n0 = np.array([r.norm(0.0) for s in streams for r in s])
-    n2 = np.array([r.norm(2.0) for s in streams for r in s])
+    columns = occupation_columns(streams)
+    n0 = np.concatenate([c[1] for c in columns])
+    n2 = np.concatenate([c[2] for c in columns])
     gamma = cfg.occupation_gamma_factor * float(np.median(n2))
     b0 = bk_sum(cfg.noise(), 0.0)
     lines = []
@@ -541,7 +543,7 @@ def _cmd_occupation(cfg: RunConfig, out: str | None) -> int:
     for frac in cfg.occupation_chi_fracs:
         chi = frac * float(np.median(n0))
         report = occupation_check(
-            streams, chi, gamma, cfg.occupation_tau0, cfg.occupation_tau, b0
+            streams, chi, gamma, cfg.occupation_tau0, cfg.occupation_tau, b0, columns
         )
         lines.append(_json_line(report.to_json_dict()))
         ok = ok and report.passed

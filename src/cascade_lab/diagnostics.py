@@ -26,10 +26,10 @@ invalidates) the occupation bound check; reports carry that note.
 
 from __future__ import annotations
 
-import csv
 import io
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from math import exp, sqrt
 
 import numpy as np
@@ -135,25 +135,27 @@ def stream_csv_text(records: list[DiagnosticsRecord]) -> str:
 
 
 def read_stream_csv(fh) -> list[DiagnosticsRecord]:
-    reader = csv.reader(fh)
-    header = next(reader)
-    norm_cols = [(i, float(c[len("norm_") :])) for i, c in enumerate(header) if c.startswith("norm_")]
-    sup_i = header.index("sup")
-    cm_i = header.index("cm") if "cm" in header else None
-    shell_is = [i for i, c in enumerate(header) if c.startswith("shell_")]
-    records = []
-    for row in reader:
-        records.append(
-            DiagnosticsRecord(
-                t=float(row[0]),
-                tau=float(row[1]),
-                norms={m: float(row[i]) for i, m in norm_cols},
-                sup=float(row[sup_i]),
-                cm=float(row[cm_i]) if cm_i is not None else None,
-                shells=tuple(float(row[i]) for i in shell_is) if shell_is else None,
-            )
-        )
-    return records
+    """Records of a stream CSV in the frozen column order; every float reads back to its bits.
+
+    All fields are parsed in one pass and the records are assembled column by column.
+    """
+    header, *lines = fh.read().splitlines()
+    cols = header.split(",")
+    ms = tuple(float(c[len("norm_") :]) for c in cols if c.startswith("norm_"))
+    has_cm = "cm" in cols
+    n_shells = sum(c.startswith("shell_") for c in cols)
+    expected = schema.stream_columns(ms, with_sup=True, cm_order=0 if has_cm else None, n_shells=n_shells)
+    if cols != expected:
+        raise ValueError(f"stream columns {cols} are not in the frozen order {expected}")
+    if any(line.count(",") != len(cols) - 1 for line in lines):
+        raise ValueError(f"a stream row does not have {len(cols)} fields")
+    flat = list(map(float, ",".join(lines).split(","))) if lines else []
+    c = [flat[i :: len(cols)] for i in range(len(cols))]
+    sup_i = 2 + len(ms)
+    norms = map(dict, map(zip, repeat(ms), zip(*c[2:sup_i]) if ms else repeat(())))
+    cms = c[sup_i + 1] if has_cm else repeat(None)
+    shells = zip(*c[sup_i + 1 + has_cm :]) if n_shells else repeat(None)
+    return list(map(DiagnosticsRecord, c[0], c[1], norms, c[sup_i], cms, shells))
 
 
 # --- integration helpers -------------------------------------------------------
@@ -205,6 +207,18 @@ class OccupationReport:
         return schema.report("occupation", **vars(self))
 
 
+def occupation_columns(streams: list[list[DiagnosticsRecord]]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each stream's (tau, ||u||_0, ||u||_2) columns, built once to serve several occupation checks."""
+    return [
+        (
+            np.array([r.tau for r in records]),
+            np.array([r.norms[0.0] for r in records]),
+            np.array([r.norms[2.0] for r in records]),
+        )
+        for records in streams
+    ]
+
+
 def occupation_check(
     streams: list[list[DiagnosticsRecord]],
     chi: float,
@@ -212,12 +226,14 @@ def occupation_check(
     tau0: float,
     tau: float,
     b0: float,
+    columns: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
 ) -> OccupationReport:
     """Check E int_{tau0}^{tau ^ tau_Gamma} 1[||u||_0 <= chi] ds <= 2 (1+tau) chi Gamma / B0.
 
     Per trajectory, tau_Gamma is the first sample time >= tau0 with
     ||u||_2 >= Gamma, and the indicator integral uses the left-rectangle rule
     in slow time.  Pass/fail is judged at a two-standard-error margin.
+    ``columns`` (``occupation_columns(streams)``) saves rebuilding them per chi.
     """
     if not streams:
         raise ValueError("empty ensemble")
@@ -226,10 +242,7 @@ def occupation_check(
     if b0 <= 0:
         raise ValueError("occupation bound is vacuous for degenerate noise (B0 = 0)")
     integrals = []
-    for records in streams:
-        taus = _taus(records)
-        n0 = _column(records, 0.0)
-        n2 = _column(records, 2.0)
+    for taus, n0, n2 in occupation_columns(streams) if columns is None else columns:
         hit = np.flatnonzero((taus >= tau0 - 1e-12) & (n2 >= gamma))
         tau_gamma = taus[hit[0]] if hit.size else np.inf
         end = min(tau, tau_gamma)

@@ -16,6 +16,15 @@ bit-reproducible, checkpoints resumable, and coupled-path integrator
 comparisons possible.  Gaussians come from numpy's ziggurat sampler on top of
 the Philox4x64 counter generator; the choice is fixed because bit-exact
 replay is part of the output contract.
+
+Only the forced modes (b_d > 0, ``NoiseSpec.forced``) carry a Brownian motion,
+so only they are drawn.  A Strang step draws once per stream, 4s normals at
+(step_index, SUB_OU) for s forced modes, laid out re_0 | im_0 | re_1 | im_1 over
+the forced modes in C order: the two half-step convolutions.  An exact OU step
+with its own draw and an Euler-Maruyama increment draw 2s normals (re | im).  A
+degenerate spec draws nothing.  Random initial data (SUB_INIT) draws every mode.
+Before schema version 3 every retained mode was drawn, at two addresses per
+Strang step, and most of those draws were multiplied by b_d = 0.
 """
 
 from __future__ import annotations
@@ -30,8 +39,7 @@ from .spectral import GridSpec, mode_abs_sq
 
 # Substream tags for counter addressing.  One 256-bit Philox counter block per
 # (substream, step_index) pair; numpy fills the low 128 bits while drawing.
-SUB_OU_HALF0 = 0  # convolution draw, first half of a split step
-SUB_OU_HALF1 = 1  # convolution draw, second half of a split step
+SUB_OU = 0  # OU convolution draws: both halves of a Strang step, or one exact OU step
 SUB_INCREMENT = 2  # raw Brownian increments (Euler-Maruyama)
 SUB_PATH = 3  # fine-level joint path draws for coupled-integrator studies
 SUB_INIT = 5  # random initial data
@@ -111,10 +119,13 @@ class NoiseSpec:
             raise ValueError("amplitudes must be nonnegative")
         b.flags.writeable = False
         object.__setattr__(self, "amplitudes", b)
+        forced = np.flatnonzero(b > 0)
+        forced.flags.writeable = False
+        object.__setattr__(self, "forced", forced)  # flat C-order indices of the modes with b_d > 0
 
     @property
     def degenerate(self) -> bool:
-        return not bool(np.any(self.amplitudes > 0))
+        return not self.forced.size
 
     @property
     def b_star(self) -> float:
@@ -203,6 +214,26 @@ def bk_sum(spec: NoiseSpec, k: float) -> float:
     return float(np.sum(mode_abs_sq(spec.grid) ** k * b2))
 
 
+def _draw_rows(rngs, step_index: int, substream: int, count: int) -> np.ndarray:
+    """(len(rngs), count) standard normals, row i drawn by stream i at (step_index, substream).
+
+    No stream is addressed when ``count`` is 0.
+    """
+    z = np.empty((len(rngs), count))
+    if count:
+        for rng, row in zip(rngs, z):
+            rng.normals(step_index, substream, out=row)
+    return z
+
+
+def _complex_blocks(z: np.ndarray, blocks: int) -> np.ndarray:
+    """Rows laid out re_0 | im_0 | re_1 | im_1 | ... as complex blocks, shape (rows, blocks, k)."""
+    parts = z.reshape(len(z), blocks, 2, -1)
+    out = np.empty(parts[:, :, 0].shape, dtype=np.complex128)
+    out.real, out.imag = parts[:, :, 0], parts[:, :, 1]
+    return out
+
+
 def complex_normals(rngs, step_index: int, substream: int, shape: tuple[int, ...]) -> np.ndarray:
     """Standard complex Gaussians z_re + i z_im, one row per stream, reshaped to ``shape``.
 
@@ -210,12 +241,36 @@ def complex_normals(rngs, step_index: int, substream: int, shape: tuple[int, ...
     the real parts of its row first, then the imaginary parts, in C order.
     """
     k = prod(shape) // len(rngs)
-    z = np.empty((len(rngs), 2 * k))
-    for rng, row in zip(rngs, z):
-        rng.normals(step_index, substream, out=row)
-    out = np.empty((len(rngs), k), dtype=np.complex128)
-    out.real, out.imag = z[:, :k], z[:, k:]
-    return out.reshape(shape)
+    return _complex_blocks(_draw_rows(rngs, step_index, substream, 2 * k), 1).reshape(shape)
+
+
+def ou_convolutions(rngs, step_index: int, sd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two half-step OU convolutions of one Strang step, each (len(rngs), s), over the forced modes.
+
+    Each stream draws 4s normals at (step_index, SUB_OU), laid out
+    re_0 | im_0 | re_1 | im_1; both halves are scaled by ``sd``, the convolution
+    standard deviation of the s forced modes.
+    """
+    conv = _complex_blocks(_draw_rows(rngs, step_index, SUB_OU, 4 * sd.size), 2)
+    conv *= sd
+    return conv[:, 0], conv[:, 1]
+
+
+def forced_increments(
+    spec: NoiseSpec, dt: float, rngs, step_index: int, substream: int = SUB_INCREMENT
+) -> np.ndarray:
+    """Per-mode complex increments b_d * (g^R + i g^I), g ~ N(0, dt), one row per stream.
+
+    Each stream draws 2s normals over the s forced modes (real parts, then
+    imaginary parts, in C order); unforced modes get 0.  Shape (len(rngs), *coeff_shape).
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    forced = spec.forced
+    g = complex_normals(rngs, step_index, substream, (len(rngs), forced.size))
+    out = np.zeros((len(rngs), spec.grid.n_modes), dtype=np.complex128)
+    out[:, forced] = spec.amplitudes.reshape(-1)[forced] * (sqrt(dt) * g)
+    return out.reshape(len(rngs), *spec.grid.coeff_shape)
 
 
 def sample_increments(
@@ -225,12 +280,5 @@ def sample_increments(
     step_index: int,
     substream: int = SUB_INCREMENT,
 ) -> np.ndarray:
-    """Per-mode complex increments b_d * (g^R + i g^I) with g ~ N(0, dt).
-
-    Drawing order over d is lexicographic (C order of the coefficient array):
-    all real parts first, then all imaginary parts.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    g = complex_normals((rng,), step_index, substream, spec.grid.coeff_shape)
-    return spec.amplitudes * (sqrt(dt) * g)
+    """One stream's per-mode complex increments (``forced_increments`` without the row axis)."""
+    return forced_increments(spec, dt, (rng,), step_index, substream)[0]

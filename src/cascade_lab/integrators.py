@@ -17,6 +17,12 @@ around a phase rotation (one sine-matrix pair), three validated fields, then a
 flush of subnormal components to 0.0.  Row i keeps its own stream and is bit for
 bit the single trajectory with stream id i (the same kernel, no row axis).
 
+Only the s forced modes (b_d > 0) are driven: each stream draws once per Strang
+step, 4s normals at (step_index, SUB_OU) that hold both half-step convolutions
+(``forcing.ou_convolutions``), and each OU half adds its convolution on those
+modes only; an unforced mode is exactly u_d * decay.  Output schema 3 starts
+here: earlier versions drew every retained mode at two addresses per step.
+
 The slow-time description tau = nu * t needs no separate integrator: a fast
 chain with parameters (nu, dt) performs, number for number, the same updates
 as a unit-viscosity chain at step dtau = nu*dt with the phase angle rescaled
@@ -40,14 +46,14 @@ from typing import Callable
 import numpy as np
 
 from .forcing import (
-    SUB_INCREMENT,
     SUB_INIT,
-    SUB_OU_HALF0,
-    SUB_OU_HALF1,
+    SUB_OU,
     SUB_PATH,
     NoiseSpec,
     RngStream,
     complex_normals,
+    forced_increments,
+    ou_convolutions,
 )
 from .spectral import (
     GridMismatchError,
@@ -192,14 +198,22 @@ def _conv_variance(lam: np.ndarray, dt: float) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _ou_tables(spec: NoiseSpec, nu: float, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cached (decay, conv standard deviation, sqrt(nu) b_d) arrays for one OU step size."""
+    """Cached decay over all modes, and conv standard deviation and sqrt(nu) b_d over the forced modes."""
     lam = nu * mode_abs_sq(spec.grid)
     decay = np.exp(-lam * dt)
-    sd = np.sqrt(_conv_variance(lam, dt))
-    scale = sqrt(nu) * spec.amplitudes
+    sd = np.sqrt(_conv_variance(lam, dt)).reshape(-1)[spec.forced]
+    scale = sqrt(nu) * spec.amplitudes.reshape(-1)[spec.forced]
     for table in (decay, sd, scale):
         table.flags.writeable = False
     return decay, sd, scale
+
+
+@lru_cache(maxsize=64)
+def _forced_flat(spec: NoiseSpec, rows: int) -> np.ndarray:
+    """Flat indices of the forced modes in a C-contiguous field of ``rows`` rows, row by row."""
+    idx = (spec.forced + spec.grid.n_modes * np.arange(rows)[:, None]).reshape(-1)
+    idx.flags.writeable = False
+    return idx
 
 
 def ou_exact_step(
@@ -209,7 +223,7 @@ def ou_exact_step(
     dt: float,
     rng: RngStream | None = None,
     step_index: int = 0,
-    substream: int = SUB_OU_HALF0,
+    substream: int = SUB_OU,
     conv: np.ndarray | None = None,
 ) -> SpectralField:
     """Exact one-step solve of du_d = -nu |d|^2 u_d dt + sqrt(nu) b_d dbeta_d.
@@ -217,8 +231,10 @@ def ou_exact_step(
     u_d <- exp(-nu |d|^2 dt) u_d + sqrt(nu) b_d gamma_d, where gamma_d is the
     stochastic convolution with per-component variance
     (1 - exp(-2 nu |d|^2 dt)) / (2 nu |d|^2); exact in distribution for any dt.
-    Pass ``conv`` to supply gamma_d explicitly (one row per row of ``u``), else
-    it is drawn from ``rng`` at (step_index, substream).
+    gamma_d lives on the s forced modes only (``spec.forced``); every other mode
+    is exactly u_d * decay.  Pass ``conv`` to supply gamma_d explicitly, shape
+    (..., s) with one row per row of ``u``, else it is drawn from ``rng`` at
+    (step_index, substream).
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -228,9 +244,10 @@ def ou_exact_step(
     if conv is None:
         if rng is None:
             raise ValueError("either an RngStream or an explicit conv draw is required")
-        conv = conv_sd * complex_normals((rng,), step_index, substream, u.coeffs.shape)
-    new = u.coeffs * decay
-    new += scale * conv
+        lead = u.coeffs.shape[: u.coeffs.ndim - u.grid.n]
+        conv = conv_sd * complex_normals((rng,), step_index, substream, (*lead, conv_sd.size))
+    new = u.coeffs * decay  # C-contiguous, like every field's coeffs: reshape(-1) is a view
+    new.reshape(-1)[_forced_flat(spec, new.size // spec.grid.n_modes)] += (scale * conv).reshape(-1)
     return SpectralField(u.grid, new)
 
 
@@ -269,7 +286,7 @@ def _strang(
     u: SpectralField, spec: NoiseSpec, nu: float, dt: float, nonlinear: bool,
     conv0: np.ndarray, conv1: np.ndarray,
 ) -> SpectralField:
-    """OU(dt/2) o phase(dt) o OU(dt/2) with the two half-step convolutions given, subnormals set to 0.0."""
+    """OU(dt/2) o phase(dt) o OU(dt/2) with the two forced-mode convolutions given, subnormals set to 0.0."""
     u = ou_exact_step(u, spec, nu, dt / 2.0, conv=conv0)
     if nonlinear:
         u = phase_rotation_step(u, dt)
@@ -288,14 +305,13 @@ def strang_step(state: State, spec: NoiseSpec, params: SimParams) -> State:
     """Symmetric composition OU(dt/2) o phase(dt) o OU(dt/2).
 
     Takes a TrajectoryState or an EnsembleState and returns the same kind.
-    Uses exactly two convolution draws per stream, addressed by (step_index, half).
+    Each stream draws once, at (step_index, SUB_OU): both half-step
+    convolutions over the forced modes.
     """
-    k = state.step_index
     _, conv_sd, _ = _ou_tables(spec, params.nu, params.dt / 2.0)
-    shape = state.u.coeffs.shape
-    conv0, conv1 = (complex_normals(state.rngs, k, sub, shape) for sub in (SUB_OU_HALF0, SUB_OU_HALF1))
-    conv0 *= conv_sd
-    conv1 *= conv_sd
+    conv0, conv1 = ou_convolutions(state.rngs, state.step_index, conv_sd)
+    if isinstance(state, TrajectoryState):
+        conv0, conv1 = conv0[0], conv1[0]
     u = _strang(state.u, spec, params.nu, params.dt, params.nonlinear, conv0, conv1)
     return _advanced(state, u, params.dt)
 
@@ -332,8 +348,8 @@ def em_step(
             stacklevel=2,
         )
     if increment is None:
-        g = complex_normals(state.rngs, state.step_index, SUB_INCREMENT, state.u.coeffs.shape)
-        increment = spec.amplitudes * (sqrt(params.dt) * g)
+        increment = forced_increments(spec, params.dt, state.rngs, state.step_index)
+        increment = increment.reshape(state.u.coeffs.shape)
     u = _euler_maruyama(state.u, params.nu, params.dt, params.nonlinear, increment)
     return _advanced(state, u, params.dt)
 
@@ -571,10 +587,10 @@ def sample_coupled_path(
     return CoupledPath(spec, nu, dt_fine, dbeta, conv)
 
 
-def _window_conv(path: CoupledPath, fine_decay: np.ndarray, i0: int, i1: int) -> np.ndarray:
-    acc = np.zeros_like(path.conv[0])
+def _window_conv(conv: np.ndarray, fine_decay: np.ndarray, i0: int, i1: int) -> np.ndarray:
+    acc = np.zeros_like(conv[0])
     for j in range(i0, i1):
-        acc = acc * fine_decay + path.conv[j]
+        acc = acc * fine_decay + conv[j]
     return acc
 
 
@@ -590,12 +606,14 @@ def run_strang_on_path(
             f"path length {path.n_fine} fine steps is not a whole number of dt = {dt} steps"
         )
     n_steps = path.n_fine // (2 * r)
+    forced = path.spec.forced  # the Strang kernel takes its convolutions on the forced modes
     lam = path.nu * mode_abs_sq(u0.grid)
-    fine_decay = np.exp(-lam * path.dt_fine)
+    fine_decay = np.exp(-lam * path.dt_fine).reshape(-1)[forced]
+    conv = path.conv.reshape(path.n_fine, -1)[:, forced]
     u = u0
     for k in range(n_steps):
-        g1 = _window_conv(path, fine_decay, 2 * k * r, (2 * k + 1) * r)
-        g2 = _window_conv(path, fine_decay, (2 * k + 1) * r, (2 * k + 2) * r)
+        g1 = _window_conv(conv, fine_decay, 2 * k * r, (2 * k + 1) * r)
+        g2 = _window_conv(conv, fine_decay, (2 * k + 1) * r, (2 * k + 2) * r)
         u = _strang(u, path.spec, path.nu, dt, nonlinear, g1, g2)
     return u
 

@@ -9,7 +9,10 @@ directory that contains them.
 
 from __future__ import annotations
 
-SCHEMA_VERSION = 2
+# 2: sine-matrix transforms; occupation reports say ``informative``.
+# 3: the noise is drawn on the forced modes only, at one address per stream per
+#    Strang step, so every stochastic output number changes.
+SCHEMA_VERSION = 3
 
 # Per-trajectory time-series CSV: t, tau, one column per configured Sobolev
 # order, then the lattice sup, then optional C^m and shell columns.

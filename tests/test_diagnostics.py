@@ -1,7 +1,10 @@
 """Diagnostics: constructed-instance checks and the spec'd report semantics."""
 
 import io
-from math import log, sqrt
+import struct
+from math import inf, log, sqrt
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from cascade_lab.diagnostics import (
     balance_check,
     exp_moment,
     occupation_check,
+    occupation_columns,
     read_stream_csv,
     stationary_check,
     stream_csv_text,
@@ -105,6 +109,15 @@ class TestOccupationCheck:
             occupation_check([stream], 1.0, 1.0, 0.0, 2.0, 3.0)
         with pytest.raises(ValueError, match="degenerate"):
             occupation_check([stream], 1.0, 1.0, 0.0, 1.0, 0.0)
+
+    def test_shared_columns_give_the_same_reports(self):
+        rng = np.random.default_rng(5)
+        streams = [synth_stream(UNIFORM_TAUS, rng.random(101), 4 * rng.random(101)) for _ in range(4)]
+        columns = occupation_columns(streams)
+        for chi in (0.1, 0.3, 0.6):
+            alone = occupation_check(streams, chi, 3.0, 0.0, 1.0, 3.0)
+            shared = occupation_check(streams, chi, 3.0, 0.0, 1.0, 3.0, columns)
+            assert alone == shared and alone.informative
 
     def test_report_notes_discretization(self):
         stream = synth_stream(UNIFORM_TAUS, np.zeros(101), np.zeros(101))
@@ -286,3 +299,31 @@ class TestStreamCsv:
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
             stream_csv_text([])
+
+    def test_read_back_equals_written_to_the_bit(self):
+        odd = [5e-324, -0.0, 0.0, 1.7976931348623157e308, inf, -inf, 0.1 + 0.2, 1 / 3, -2.5e-310, 1e22]
+        records = [
+            DiagnosticsRecord(
+                t=0.05 * i, tau=x, norms={0.0: x, 1.0: -x, 2.5: x / 7}, sup=abs(x), cm=x * 3, shells=(x, 2.0, -x)
+            )
+            for i, x in enumerate(odd)
+        ]
+        for recs in (records, [replace(r, cm=None, shells=None) for r in records]):
+            back = read_stream_csv(io.StringIO(stream_csv_text(recs)))
+
+            def bits(rs):
+                fields = [(r.t, r.tau, *r.norms, *r.norms.values(), r.sup, r.cm, r.shells) for r in rs]
+                return [
+                    [struct.pack("<d", x) if isinstance(x, float) else repr(x) for x in f[:-1]]
+                    + [None if f[-1] is None else [struct.pack("<d", x) for x in f[-1]]]
+                    for f in fields
+                ]
+
+            assert bits(back) == bits(recs)
+
+    def test_columns_out_of_the_frozen_order_are_rejected(self):
+        text = "t,tau,norm_0,sup\n0.0,0.0,1.0,2.0\n"
+        assert read_stream_csv(io.StringIO(text))[0].sup == 2.0
+        for bad in ("tau,t,norm_0,sup\n0.0,0.0,1.0,2.0\n", "t,tau,norm_0,sup\n0.0,0.0,1.0\n"):
+            with pytest.raises(ValueError):
+                read_stream_csv(io.StringIO(bad))

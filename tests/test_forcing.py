@@ -13,6 +13,7 @@ from cascade_lab.forcing import (
     RngStream,
     bk_sum,
     complex_normals,
+    forced_increments,
     m_star,
     sample_increments,
 )
@@ -176,6 +177,31 @@ class TestComplexNormals:
         got = complex_normals(rngs, 9, SUB_INCREMENT, shape)
         assert got.shape == shape and got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
+
+
+class TestForcedModes:
+    def test_forced_indices_are_cached_and_read_only(self):
+        grid = GridSpec(2, 16, 8)
+        spec = NoiseSpec.band(grid, [1.0, 0.0, 0.5])
+        assert spec.forced is spec.forced and not spec.forced.flags.writeable
+        assert np.array_equal(spec.forced, np.flatnonzero(spec.amplitudes))
+        assert NoiseSpec.band(grid, [0.0]).forced.size == 0 and NoiseSpec.band(grid, [0.0]).degenerate
+
+    @pytest.mark.parametrize("M", [1, 3])
+    def test_increments_draw_2s_normals_over_forced_modes(self, M):
+        grid = GridSpec(2, 16, 8)
+        spec = NoiseSpec.band(grid, [1.0, 0.5])
+        s = spec.forced.size
+        rngs = [RngStream(3, sid) for sid in range(M)]
+        got = forced_increments(spec, 0.25, rngs, 6)
+        assert got.shape == (M, *grid.coeff_shape)
+        for rng, row in zip(rngs, got):
+            z = Generator(Philox(counter=[0, 0, SUB_INCREMENT, 6], key=[3, rng.stream_id])).standard_normal(2 * s)
+            b = spec.amplitudes.reshape(-1)[spec.forced]
+            flat = row.reshape(-1)
+            assert flat[spec.forced].tobytes() == (b * (0.5 * (z[:s] + 1j * z[s:]))).tobytes()
+            assert not np.delete(flat, spec.forced).any()
+        assert sample_increments(spec, 0.25, rngs[0], 6).tobytes() == got[0].tobytes()
 
 
 class TestSampleIncrements:

@@ -7,16 +7,19 @@ from math import exp, log, pi, sqrt
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from cascade_lab.diagnostics import NormRecorder
 from cascade_lab.experiments import fit_exponent
-from cascade_lab.forcing import NoiseSpec, RngStream
+from cascade_lab.forcing import SUB_OU, NoiseSpec, RngStream, ou_convolutions
 from cascade_lab.integrators import (
     EnsembleState,
     SimParams,
     TrajectoryAbortError,
     TrajectoryState,
+    _ou_tables,
     _phase_factor,
+    _strang,
     checkpoint_from_bytes,
     checkpoint_to_bytes,
     constrained_profile,
@@ -30,6 +33,7 @@ from cascade_lab.integrators import (
     ou_exact_step,
     phase_rotation_step,
     run_em_on_path,
+    run_ensemble,
     run_strang_on_path,
     run_trajectory,
     sample_coupled_path,
@@ -207,16 +211,19 @@ class TestStrangStep:
         assert a.t == b.t and a.step_index == b.step_index
 
     def test_two_draws_per_step_addressing(self):
-        # The two OU half-draws are addressed by (step, half); interleaving other
-        # addressed draws between steps must not change the trajectory.
+        # Both OU half-step convolutions come from one draw addressed by (step, SUB_OU);
+        # interleaving other addressed draws between steps must not change the trajectory.
         params = SimParams(nu=0.5, dt=0.02, T=0.06, seed=4)
         u0 = random_field(GRID, 7, scale=0.3)
         direct = run_trajectory(u0, BAND, params)
         state = initial_state(u0, params)
-        for _ in range(params.n_steps):
+        _, sd, _ = _ou_tables(BAND, params.nu, params.dt / 2)
+        u = u0
+        for k in range(params.n_steps):
             state.rng.normals(1234, 17, 8)  # unrelated address
-            state = strang_step(state, BAND, params)
-        assert np.array_equal(direct.u.coeffs, state.u.coeffs)
+            conv0, conv1 = ou_convolutions((state.rng,), k, sd)
+            u = _strang(u, BAND, params.nu, params.dt, True, conv0[0], conv1[0])
+        assert np.array_equal(direct.u.coeffs, u.coeffs)
 
     def test_noise_free_linear_run_flushes_subnormals(self):
         # Mode 1's half-step factor exp(-nu dt / 2) = exp(-0.5) exceeds 1/2, so without
@@ -276,6 +283,67 @@ class TestStrangStep:
         assert np.all(rms[:-1] > rms[1:])
         fit = fit_exponent(list(zip(dts[:-1], rms)))
         assert -fit.alpha >= 1.0
+
+
+class TestForcedModeDraws:
+    @staticmethod
+    def fresh_convolutions(seed, sid, step, sd):
+        """A freshly built Philox at (step, SUB_OU) split re0|im0|re1|im1 over the forced modes."""
+        s = sd.size
+        z = Generator(Philox(counter=[0, 0, SUB_OU, step], key=[seed, sid])).standard_normal(4 * s)
+        conv = np.empty((2, s), dtype=complex)
+        conv.real, conv.imag = z.reshape(2, 2, s)[:, 0], z.reshape(2, 2, s)[:, 1]
+        conv *= sd
+        return conv[0], conv[1]
+
+    @pytest.mark.parametrize("grid", [GridSpec(1, 32, 16), GridSpec(2, 16, 8)], ids=["n1", "n2"])
+    @pytest.mark.parametrize("M", [1, 3])
+    def test_strang_draw_equals_fresh_philox_over_forced_modes(self, grid, M):
+        spec = NoiseSpec.band(grid, [1.0, 0.5, 1.0])
+        params = SimParams(nu=0.3, dt=0.02, T=1.0, seed=2**64 - 5)
+        step = 2**40 + 7
+        _, sd, _ = _ou_tables(spec, params.nu, params.dt / 2)
+        assert sd.size == spec.forced.size == np.count_nonzero(spec.amplitudes) < grid.n_modes
+        u = np.stack([random_field(grid, 40 + i, 0.5).coeffs for i in range(M)])
+        rngs = tuple(RngStream(params.seed, 2**63 + i) for i in range(M))
+        fresh = [self.fresh_convolutions(params.seed, 2**63 + i, step, sd) for i in range(M)]
+        conv0, conv1 = ou_convolutions(rngs, step, sd)
+        assert conv0.tobytes() == np.stack([f[0] for f in fresh]).tobytes()
+        assert conv1.tobytes() == np.stack([f[1] for f in fresh]).tobytes()
+        if M == 1:
+            state = TrajectoryState(0.0, SpectralField(grid, u[0]), rngs[0], step)
+            expected = _strang(state.u, spec, params.nu, params.dt, True, *fresh[0])
+        else:
+            state = EnsembleState(0.0, SpectralField(grid, u), rngs, step)
+            convs = [np.stack(c) for c in zip(*fresh)]
+            expected = _strang(state.u, spec, params.nu, params.dt, True, *convs)
+        assert strang_step(state, spec, params).u.coeffs.tobytes() == expected.coeffs.tobytes()
+
+    def test_unforced_mode_only_decays(self):
+        spec = NoiseSpec.from_profile(GRID, "single:d=1")
+        params = SimParams(nu=0.5, dt=0.02, T=0.02, seed=8, nonlinear=False)
+        u0 = random_field(GRID, 12, scale=0.4)
+        decay, _, _ = _ou_tables(spec, params.nu, params.dt / 2)
+        u1 = strang_step(initial_state(u0, params), spec, params).u.coeffs
+        assert u1[4] == u0.coeffs[4] * decay[4] * decay[4]
+        unforced = spec.amplitudes == 0
+        assert u1[unforced].tobytes() == (u0.coeffs * decay * decay)[unforced].tobytes()
+        assert u1[0] != u0.coeffs[0] * decay[0] * decay[0]  # the forced mode got its convolution
+
+    def test_degenerate_spec_draws_nothing(self, monkeypatch):
+        calls = []
+        normals = RngStream.normals
+        monkeypatch.setattr(RngStream, "normals", lambda self, *a, **k: calls.append(a) or normals(self, *a, **k))
+        for scheme in ("strang", "em"):
+            params = SimParams(nu=0.5, dt=1e-3, T=4e-3, scheme=scheme, seed=1)
+            run_trajectory(random_field(GRID, 3, 0.2), SILENT, params)
+            rows = np.stack([random_field(GRID, i, 0.2).coeffs for i in range(3)])
+            run_ensemble(SpectralField(GRID, rows), SILENT, params)
+        assert calls == []
+        # a forced spec draws once per stream per Strang step
+        params = SimParams(nu=0.5, dt=1e-3, T=4e-3, seed=1)
+        run_ensemble(SpectralField(GRID, np.zeros((3, *GRID.coeff_shape), complex)), BAND, params)
+        assert sorted(calls) == sorted((k, SUB_OU) for k in range(4) for _ in range(3))
 
 
 class TestEmStep:
@@ -377,10 +445,12 @@ class TestRunTrajectory:
         dtau = nu * dt
         state = initial_state(constrained_profile(GRID, nu), params)
         u = state.u
+        _, sd, _ = _ou_tables(BAND, 1.0, dtau / 2)
         for k in range(steps):
-            u = ou_exact_step(u, BAND, 1.0, dtau / 2, state.rng, k, 0)
+            conv0, conv1 = ou_convolutions((state.rng,), k, sd)
+            u = ou_exact_step(u, BAND, 1.0, dtau / 2, conv=conv0[0])
             u = phase_rotation_step(u, dtau / nu)
-            u = ou_exact_step(u, BAND, 1.0, dtau / 2, state.rng, k, 1)
+            u = ou_exact_step(u, BAND, 1.0, dtau / 2, conv=conv1[0])
         np.testing.assert_allclose(fast.u.coeffs, u.coeffs, rtol=1e-12, atol=1e-13)
 
 
