@@ -73,26 +73,26 @@ observables = sup_inf
 
 # sha256 of streams/traj_NNNN.csv written by ``simulate`` on CRITERION_10_CONFIG
 CRITERION_10_SHA256 = {
-    "traj_0000.csv": "1c650686e833ef82d8778d46af2ac56445c0101ef5def53d7269b3a09ba0ac86",
-    "traj_0001.csv": "c8a759f814211c70d1ea46713d5ca5d21e6ba2a8fa2166172641441a3c6cae9c",
-    "traj_0002.csv": "e39861e8cbaaa5d47c778456750d3d4c5239c94be10813dd8032b7471dfdc19d",
-    "traj_0003.csv": "0010065aeb6d0f64ef66684ab15cec66fdb365e40f3493fe19823bde76b02227",
-    "traj_0004.csv": "4efc91d22edc4d2e10b1006a742b1e6848910902949d61b474755f31b9936019",
-    "traj_0005.csv": "91429f97e36504aa93e5939df47c2c8eaee78167bda84f7e0c657402bf5aafd0",
-    "traj_0006.csv": "09104e9f4d5443c3b7f41111aaaa7364a0929c0457e3cd7cc62725f5962cec0c",
-    "traj_0007.csv": "8c42700c830537a2a46543157f4a3986db2da4d43064acf578e6b5247ab48ca7",
-    "traj_0008.csv": "e5ac5c27109e4cfa00cbb8d98187a1261acd3ded1e5690b7f85cf03563862b9b",
-    "traj_0009.csv": "3f3d276bb07b61481d76a1df9fcd7ee0ddb54412836186da6f9350b72977a7e3",
-    "traj_0010.csv": "61a3e49604eae483e54e3531bba91419325156be7cdbc71bd5a518938bbb345e",
-    "traj_0011.csv": "917d6b429dbccb023412cdb8f9ae1ab4d7105ec20e1bc5ab9ba4c819840a2e02",
-    "traj_0012.csv": "0e4b5f02f0e9a99bdaa0a614ad6b1606574a44c22fdafb4d251d4741729cfab6",
-    "traj_0013.csv": "f19d3c175febf234d7526dc5a28960070ab107cb7da25bb21cb8f5b8dd724e1a",
-    "traj_0014.csv": "f61766689cb740cdeb9416e6f82ea1312d4911046886f0a32c86d724bfc369a1",
-    "traj_0015.csv": "08ee9ae98d9d61982d8c9474cad1d3bb877c6f60816244285bf7715c628f7705",
+    "traj_0000.csv": "d7adc17d3fc2c295d56a4b42088da44da7c3e0489d7709d03288a5f6023fb651",
+    "traj_0001.csv": "56165ebd0d3f8dcc6f6d348655076f60faa451f50e28a67b0d24afb1539b0f77",
+    "traj_0002.csv": "1f989d8fdff607db5bbcc4e39dd6b53529d00b81f807e0ac50b187f8cbbd5035",
+    "traj_0003.csv": "4b47d9dfcee5faa3422c719a204a9b2e7f86f8b5c9639fe621a023211b2325fd",
+    "traj_0004.csv": "53c5e271d4baf7b85a5147eb2de9d1eb74b8f5ed8b5d2cc7546d57af4e679143",
+    "traj_0005.csv": "88c7c321f66c97f1386cbaaea765300e4fc9f12eac326422504db345edd1d3e7",
+    "traj_0006.csv": "db3814734e511727764de80b590a34b6bc01a23ebc55bbddf5c93e23f22e3f94",
+    "traj_0007.csv": "fe307e48148e162d020e804a51e21828f5aa1bccb7f76c44e9294d62983097be",
+    "traj_0008.csv": "9ede18198103b0f1d16b7ee371568dfb0867c0cb14f5dee56a836e275fb51ba3",
+    "traj_0009.csv": "de9a95bbb9df4dd12d00b746d0ca265529630ec5e3089f4d3f565db725d0565d",
+    "traj_0010.csv": "b1af10e965d7c4af239d396d910ac427fd2f3ba15e31cd9c0db9fbace009e8b8",
+    "traj_0011.csv": "a8399a035d365154b395a4a1dcc7caf1f581e64c6b1e222b9598e4c81e9fe965",
+    "traj_0012.csv": "fa4f4ff4019b3172839d270fb04111c28a73a85f8739bfd8f04bdcc7acaf21d2",
+    "traj_0013.csv": "eadcf825adb4332daa8378a9e2c98cf7fc337c548f13e858e6077b7e820a2cc0",
+    "traj_0014.csv": "2cb9acb8b039327889cf617735416ed0b6b562a8f33738936e75ba361cc90827",
+    "traj_0015.csv": "e7bf59fbc0c6291bf55e9472941b64518f80dbc5b90fa69a1d73bf0f62867718",
 }
 
 # sha256 over the CSV streams and the summary of ``n2_ensemble``
-N2_ENSEMBLE_SHA256 = "7db4892573cb3127b107fef43aebedab3dc61f519cd569619dda1694a27fc197"
+N2_ENSEMBLE_SHA256 = "5fbc013cd9395a4c7e4a932fffdf6dfceff38313ccbc4d17b382d47895939f7a"
 
 
 def env_stamp() -> dict:
@@ -168,58 +168,58 @@ GOLDEN_RUNS = {
 GOLDEN_RUNS_SHA256 = {
     "simulate-slow": {
         "config.ini": "a4800193562c07b5925aef81a2af9c44d78b94bba53a1f81e49c2d3bfc30e1d9",
-        "manifest.json": "09b26ea12b9920c411bf3264f37a2cc39c04e0545bde56b65349395a1f958654",
-        "occupation_report.jsonl": "f93500b0ff10f337856f062e7ec70f598289429d0e7f7d8c57f1738378edd401",
-        "report.jsonl": "63e4096196536f18ab0f9d9337c66085185cf8e9cb9f602e75ac33ec10cfe07a",
-        "streams/traj_0000.csv": "bf02edb062fb49a48b4c60d27624a38813f751bc376b0bf1806aff1fbb55a5de",
-        "streams/traj_0001.csv": "4e725bd484936a9ac3a3b0888d600126372e9b24dc21f49b8cce9039ae9502f5",
+        "manifest.json": "95ca99d92cd90c434273dbb677775853f039ac9f0fc4c43964f83dbbe79b99e8",
+        "occupation_report.jsonl": "3788866970fb511a4d4f1176f22ea381b5fa24a0cc3651d8fdd646aaecc8bfd4",
+        "report.jsonl": "f2ed069486d50c5d5ec3c605af60c51a293cb86ae7522c251afdfc184cd71533",
+        "streams/traj_0000.csv": "03d8d18d15eb369a798357c554443aa7e5bad017aaefc7d15254b4d27045ac4e",
+        "streams/traj_0001.csv": "1fbbef1a4b9f566bc8e74e413eebd709ae05d334f13640d3b4809728bc0ec9e3",
     },
     "simulate-fast": {
         "config.ini": "a7f1ba2cefa99d3c01dbd3db1f227bbd51994bc140d2db497e5edfbc1c640112",
-        "manifest.json": "0c4bb717523f24e287f9818dabab23c7702ec6f1b8d936dec3328e39b1a155b4",
-        "report.jsonl": "eca720b0285f2b298fcb7455be4a84cde6093ca00e2df0064efd9df8f7a0cbbf",
-        "streams/traj_0000.csv": "1759793fa7e43ede88e55033ffcdb1293090b5fd661fd7722d384e588f4d1c57",
-        "streams/traj_0001.csv": "5b26b9c36d7f21af07b1203bbbc38888fd16c9b8ac3b98d6b03f9ffdbb689720",
+        "manifest.json": "289c52104d6d500ad19c134f66e59485733921bb05b5a71b9a7fb47f95e910cc",
+        "report.jsonl": "5f5ef8554da7341a5141d458b91ce630f69ce4ed996259fba0d67f499e9d3a17",
+        "streams/traj_0000.csv": "6908e47443e7f9d19fab74d2016163aa9c87cfb095d278da802244413fda0f2b",
+        "streams/traj_0001.csv": "7164111ab78af810118d3c29a280293b68f99beb26612c6d9485c849b94d3a3c",
     },
     "spectrum": {
         "config.ini": "cce74964518b9418d7653a39ed7445742afb0099234a3a0dd795c23d3fcf35c0",
-        "manifest.json": "dce458be6a434dae0b7f968e6de5c1aecbd127827e0655ec9c717305b6fb54eb",
-        "report.jsonl": "762af1f9ed17cfd95a384e260fdcc638b3114f050da029a09ac6809bba982b94",
-        "streams/traj_0000.csv": "e38899387b47b92e1369ab84e77efa790531c96c1f57803340991fee6e484975",
-        "streams/traj_0001.csv": "7f3c42a616cd84b46b4133f8071eef6c44073a501a143e40c66cf21e9486b7be",
+        "manifest.json": "1d8a75723583f89986b352e70a32a6556991b7f46741b54f954be1f78c1861b8",
+        "report.jsonl": "f8b6f5fa56a65a4c8d92118217dd8a1d0d76d371f418dc576592eb2c4367dd94",
+        "streams/traj_0000.csv": "82570ed1be700968711923fdfc27d3bf49cc4294e51bb507ff61ae1e42bfbacc",
+        "streams/traj_0001.csv": "97973ed00f64dbd94b7426d9bec1574cd0f945633e9fe429a73a2337decd66f3",
     },
     "sweep-slow": {
         "config.ini": "c88e843ebf461471f57903e49538d6257692c5849a3a5fb9ee2475cba18e58c1",
-        "manifest.json": "908577db0cd3dfaa90ad00efa85b8a8de1536070e65ef70c727351c0a5b78a6a",
-        "report.jsonl": "44b6b54f5df43c7c9331482541a85eb7bd2a2b0faf0978a08b9e61bc6d993433",
-        "streams/nu_0.25/traj_0000.csv": "e7136426f74062d3f88d50636206a6dbe3735ab18bffb28547695e088220e675",
-        "streams/nu_0.25/traj_0001.csv": "d9fd6b66eade13548bace328737bd299631ea609c7fbed6c090cd1ed11cca9f1",
-        "streams/nu_0.4/traj_0000.csv": "33e0ee8bdacce0cf484d480f4f061e34150bbf59d3e185ae0740e2d9764163c0",
-        "streams/nu_0.4/traj_0001.csv": "6aeb1e6dd740df9949409bc45a42332f904c92f56cedd5a8ae37300766a06492",
-        "streams/nu_0.5/traj_0000.csv": "96b1a01a4a5f85fb963bbdeda020bd7ccabcfc461087b6634b57894ade0dfb7b",
-        "streams/nu_0.5/traj_0001.csv": "3f008b144906e68db31cbf53b3d6a41550395e426e852a63c37ae484ac279893",
+        "manifest.json": "7a29ddab0a40378cd8f9477bd519520c2b0cb663517fbf9ebe6e724c8380a168",
+        "report.jsonl": "45479ac15e41c5ea750bc09d273e7732b58299b935d465005e51bdd0efaca14e",
+        "streams/nu_0.25/traj_0000.csv": "05a5c75f345953c61879c0cebbdcb2192306865dca6d73b2aff4ccc6c6d151cd",
+        "streams/nu_0.25/traj_0001.csv": "73db37bbf527421a753396683837b8c378331c1c94380c9d59d293ab2554fcc4",
+        "streams/nu_0.4/traj_0000.csv": "83df4bf8c2f153e026c576b59fe1292fa091726ee0a89d0f6b1c7c35d4e3125a",
+        "streams/nu_0.4/traj_0001.csv": "356443e9005bc35205498f979fa975bb265dc3cafdf71d5b05c84f76e6a64be3",
+        "streams/nu_0.5/traj_0000.csv": "2a87c3d7d9dc192db5cde7ea91cf7c17c2a8311330a3a92812de737d11cd2ff2",
+        "streams/nu_0.5/traj_0001.csv": "9e2d8334a3a42b25e52a13b2e7185c2b11850b2c4db73a03e249040456e7904c",
     },
     "sweep-fast": {
         "config.ini": "ea929485771aa343f4520296c4716117284cff5cc870af66f91ccb11b1cb4746",
-        "manifest.json": "5b716ed7a54e8ffeb7bf775be7d1ded87443060be8b16d18dfcdd9d4cfd03671",
-        "report.jsonl": "44b6b54f5df43c7c9331482541a85eb7bd2a2b0faf0978a08b9e61bc6d993433",
-        "streams/nu_0.25/traj_0000.csv": "e7136426f74062d3f88d50636206a6dbe3735ab18bffb28547695e088220e675",
-        "streams/nu_0.25/traj_0001.csv": "d9fd6b66eade13548bace328737bd299631ea609c7fbed6c090cd1ed11cca9f1",
-        "streams/nu_0.4/traj_0000.csv": "33e0ee8bdacce0cf484d480f4f061e34150bbf59d3e185ae0740e2d9764163c0",
-        "streams/nu_0.4/traj_0001.csv": "6aeb1e6dd740df9949409bc45a42332f904c92f56cedd5a8ae37300766a06492",
-        "streams/nu_0.5/traj_0000.csv": "96b1a01a4a5f85fb963bbdeda020bd7ccabcfc461087b6634b57894ade0dfb7b",
-        "streams/nu_0.5/traj_0001.csv": "3f008b144906e68db31cbf53b3d6a41550395e426e852a63c37ae484ac279893",
+        "manifest.json": "ab163b4abd3936a6c309dab024a6fed36aad0378cf2619094447950b34a45d15",
+        "report.jsonl": "45479ac15e41c5ea750bc09d273e7732b58299b935d465005e51bdd0efaca14e",
+        "streams/nu_0.25/traj_0000.csv": "05a5c75f345953c61879c0cebbdcb2192306865dca6d73b2aff4ccc6c6d151cd",
+        "streams/nu_0.25/traj_0001.csv": "73db37bbf527421a753396683837b8c378331c1c94380c9d59d293ab2554fcc4",
+        "streams/nu_0.4/traj_0000.csv": "83df4bf8c2f153e026c576b59fe1292fa091726ee0a89d0f6b1c7c35d4e3125a",
+        "streams/nu_0.4/traj_0001.csv": "356443e9005bc35205498f979fa975bb265dc3cafdf71d5b05c84f76e6a64be3",
+        "streams/nu_0.5/traj_0000.csv": "2a87c3d7d9dc192db5cde7ea91cf7c17c2a8311330a3a92812de737d11cd2ff2",
+        "streams/nu_0.5/traj_0001.csv": "9e2d8334a3a42b25e52a13b2e7185c2b11850b2c4db73a03e249040456e7904c",
     },
     "stationary": {
         "config.ini": "ac2b2d30290eb5486c97b2dcbab0c4672cb6eda33075b1626c1a98e8147fbc71",
-        "manifest.json": "aac7bfbc66884f031d20f3ce91d46d75b1a9119cdc0676e009049d6b2b2adb9c",
-        "report.jsonl": "7b84706db9177ec3f730bba4f478f27ca2f22e67547ae81f996298ea67a6f601",
-        "streams/nu_0.25/traj_0000.csv": "a7246fa67de8bb781ffa0ef7811e50916218bfac114b7ff4c44d393edf82fd2f",
-        "streams/nu_0.25/traj_0001.csv": "0cfecd92fd8f754f64fb933444d2aaa45e3798ca5e0022281edcb175d3634526",
-        "streams/nu_0.4/traj_0000.csv": "0d3085a321ca2f2bcc7bb3e92f2eddd308f9080d4d6cc3a6d3d54413f22433cc",
-        "streams/nu_0.4/traj_0001.csv": "6790587720854e1602dcb9f8928876a2bfaa7950baf226b0020fe6a8c1f13e91",
-        "streams/nu_0.5/traj_0000.csv": "7a990a7910ee2f2ed978c58253e1eea3f4cbd20e9823e22906ddeb3980461bb9",
-        "streams/nu_0.5/traj_0001.csv": "44efded16f7b6da988fbfede24d04c7bf4e1032f8bf5fa2e04922f8c8726e4f6",
+        "manifest.json": "e9480dfd2d31bd47d1e5d9424c8378a1f8646610ec9a63aa3466e8737a6f6fcc",
+        "report.jsonl": "ac494900447b10bf08d95d622c81e1979b7911fff0566bfc3196b8b7dc54039d",
+        "streams/nu_0.25/traj_0000.csv": "02fa08aa5689f2454864e0a91266d7bb977f6f5b76074d65a34a1621aa6fa9b3",
+        "streams/nu_0.25/traj_0001.csv": "542f8a302a45b5700f165821e5aca59329b7282142dcdd5fbafee206406eacea",
+        "streams/nu_0.4/traj_0000.csv": "0811eaa080117443d5b16470952c3768c24622e8a0c134d3b5bf72436c77688e",
+        "streams/nu_0.4/traj_0001.csv": "f84fde0b8c56b0f1726024def6a4fe4248d6fbdd9ee25a31c2ad97806208a902",
+        "streams/nu_0.5/traj_0000.csv": "c385d48d98c3ba3a052327f9e488868c9c65f3801f37834c52c4733ce9042d37",
+        "streams/nu_0.5/traj_0001.csv": "5ddddb351ae9c5ac81599da46927bd01789aa02a579c2494f4633a58696211af",
     },
 }
 
