@@ -533,9 +533,7 @@ def _cmd_occupation(cfg: RunConfig, out: str | None) -> int:
         raise ConfigError(["occupation.run (an existing run directory) is required"])
     run_dir = Path(cfg.occupation_run)
     streams = read_run_streams(run_dir)
-    columns = occupation_columns(streams)
-    n0 = np.concatenate([c[1] for c in columns])
-    n2 = np.concatenate([c[2] for c in columns])
+    (_, n0, n2), columns = occupation_columns(streams)
     gamma = cfg.occupation_gamma_factor * float(np.median(n2))
     b0 = bk_sum(cfg.noise(), 0.0)
     lines = []

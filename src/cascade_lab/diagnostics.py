@@ -207,16 +207,19 @@ class OccupationReport:
         return schema.report("occupation", **vars(self))
 
 
-def occupation_columns(streams: list[list[DiagnosticsRecord]]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Each stream's (tau, ||u||_0, ||u||_2) columns, built once to serve several occupation checks."""
-    return [
-        (
-            np.array([r.tau for r in records]),
-            np.array([r.norms[0.0] for r in records]),
-            np.array([r.norms[2.0] for r in records]),
-        )
-        for records in streams
-    ]
+def occupation_columns(streams: list[list[DiagnosticsRecord]]) -> tuple[tuple, list[tuple]]:
+    """tau, ||u||_0 and ||u||_2 over all records in stream order, and each stream's three columns.
+
+    The per-stream columns are views into the arrays over all records, so both
+    are built once to serve medians and several occupation checks.
+    """
+    flat = (
+        np.array([r.tau for records in streams for r in records]),
+        np.array([r.norms[0.0] for records in streams for r in records]),
+        np.array([r.norms[2.0] for records in streams for r in records]),
+    )
+    cuts = np.cumsum([len(records) for records in streams])[:-1]
+    return flat, list(zip(*(np.split(a, cuts) for a in flat)))
 
 
 def occupation_check(
@@ -226,14 +229,15 @@ def occupation_check(
     tau0: float,
     tau: float,
     b0: float,
-    columns: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
+    columns: list[tuple] | None = None,
 ) -> OccupationReport:
     """Check E int_{tau0}^{tau ^ tau_Gamma} 1[||u||_0 <= chi] ds <= 2 (1+tau) chi Gamma / B0.
 
     Per trajectory, tau_Gamma is the first sample time >= tau0 with
     ||u||_2 >= Gamma, and the indicator integral uses the left-rectangle rule
     in slow time.  Pass/fail is judged at a two-standard-error margin.
-    ``columns`` (``occupation_columns(streams)``) saves rebuilding them per chi.
+    ``columns``, each stream's columns from ``occupation_columns(streams)``,
+    saves rebuilding them for every chi.
     """
     if not streams:
         raise ValueError("empty ensemble")
@@ -242,7 +246,7 @@ def occupation_check(
     if b0 <= 0:
         raise ValueError("occupation bound is vacuous for degenerate noise (B0 = 0)")
     integrals = []
-    for taus, n0, n2 in occupation_columns(streams) if columns is None else columns:
+    for taus, n0, n2 in occupation_columns(streams)[1] if columns is None else columns:
         hit = np.flatnonzero((taus >= tau0 - 1e-12) & (n2 >= gamma))
         tau_gamma = taus[hit[0]] if hit.size else np.inf
         end = min(tau, tau_gamma)

@@ -113,7 +113,7 @@ class TestOccupationCheck:
     def test_shared_columns_give_the_same_reports(self):
         rng = np.random.default_rng(5)
         streams = [synth_stream(UNIFORM_TAUS, rng.random(101), 4 * rng.random(101)) for _ in range(4)]
-        columns = occupation_columns(streams)
+        _, columns = occupation_columns(streams)
         for chi in (0.1, 0.3, 0.6):
             alone = occupation_check(streams, chi, 3.0, 0.0, 1.0, 3.0)
             shared = occupation_check(streams, chi, 3.0, 0.0, 1.0, 3.0, columns)
