@@ -29,7 +29,6 @@ from __future__ import annotations
 import io
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
 from math import exp, sqrt
 
 import numpy as np
@@ -135,27 +134,31 @@ def stream_csv_text(records: list[DiagnosticsRecord]) -> str:
 
 
 def read_stream_csv(fh) -> list[DiagnosticsRecord]:
-    """Records of a stream CSV in the frozen column order; every float reads back to its bits.
-
-    All fields are parsed in one pass and the records are assembled column by column.
-    """
-    header, *lines = fh.read().splitlines()
-    cols = header.split(",")
+    """Records of a stream CSV in the frozen column order; every float reads back to its bits."""
+    cols = fh.readline().rstrip("\r\n").split(",")
     ms = tuple(float(c[len("norm_") :]) for c in cols if c.startswith("norm_"))
     has_cm = "cm" in cols
     n_shells = sum(c.startswith("shell_") for c in cols)
     expected = schema.stream_columns(ms, with_sup=True, cm_order=0 if has_cm else None, n_shells=n_shells)
     if cols != expected:
         raise ValueError(f"stream columns {cols} are not in the frozen order {expected}")
-    if any(line.count(",") != len(cols) - 1 for line in lines):
-        raise ValueError(f"a stream row does not have {len(cols)} fields")
-    flat = list(map(float, ",".join(lines).split(","))) if lines else []
-    c = [flat[i :: len(cols)] for i in range(len(cols))]
     sup_i = 2 + len(ms)
-    norms = map(dict, map(zip, repeat(ms), zip(*c[2:sup_i]) if ms else repeat(())))
-    cms = c[sup_i + 1] if has_cm else repeat(None)
-    shells = zip(*c[sup_i + 1 + has_cm :]) if n_shells else repeat(None)
-    return list(map(DiagnosticsRecord, c[0], c[1], norms, c[sup_i], cms, shells))
+    records = []
+    for line in fh:  # row by row, so only one row's field strings are alive at a time
+        v = list(map(float, line.split(",")))
+        if len(v) != len(cols):
+            raise ValueError(f"a stream row does not have {len(cols)} fields")
+        records.append(
+            DiagnosticsRecord(
+                v[0],
+                v[1],
+                dict(zip(ms, v[2:sup_i])),
+                v[sup_i],
+                v[sup_i + 1] if has_cm else None,
+                tuple(v[sup_i + 1 + has_cm :]) if n_shells else None,
+            )
+        )
+    return records
 
 
 # --- integration helpers -------------------------------------------------------
