@@ -214,23 +214,18 @@ def bk_sum(spec: NoiseSpec, k: float) -> float:
     return float(np.sum(mode_abs_sq(spec.grid) ** k * b2))
 
 
-def _draw_rows(rngs, step_index: int, substream: int, count: int) -> np.ndarray:
-    """(len(rngs), count) standard normals, row i drawn by stream i at (step_index, substream).
+def _complex_draws(rngs, step_index: int, substream: int, k: int, blocks: int) -> np.ndarray:
+    """Complex standard normals of shape (len(rngs), blocks, k), row i drawn by stream i.
 
-    No stream is addressed when ``count`` is 0.
+    Each stream draws 2·blocks·k normals at (step_index, substream), laid out
+    re_0 | im_0 | re_1 | im_1 | ...; no stream is addressed when k is 0.
     """
-    z = np.empty((len(rngs), count))
-    if count:
-        for rng, row in zip(rngs, z):
+    z = np.empty((len(rngs), blocks, 2, k))
+    if k:
+        for rng, row in zip(rngs, z.reshape(len(rngs), -1)):
             rng.normals(step_index, substream, out=row)
-    return z
-
-
-def _complex_blocks(z: np.ndarray, blocks: int) -> np.ndarray:
-    """Rows laid out re_0 | im_0 | re_1 | im_1 | ... as complex blocks, shape (rows, blocks, k)."""
-    parts = z.reshape(len(z), blocks, 2, -1)
-    out = np.empty(parts[:, :, 0].shape, dtype=np.complex128)
-    out.real, out.imag = parts[:, :, 0], parts[:, :, 1]
+    out = np.empty((len(rngs), blocks, k), dtype=np.complex128)
+    out.real, out.imag = z[:, :, 0], z[:, :, 1]
     return out
 
 
@@ -241,7 +236,7 @@ def complex_normals(rngs, step_index: int, substream: int, shape: tuple[int, ...
     the real parts of its row first, then the imaginary parts, in C order.
     """
     k = prod(shape) // len(rngs)
-    return _complex_blocks(_draw_rows(rngs, step_index, substream, 2 * k), 1).reshape(shape)
+    return _complex_draws(rngs, step_index, substream, k, 1).reshape(shape)
 
 
 def ou_convolutions(rngs, step_index: int, sd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,7 +246,7 @@ def ou_convolutions(rngs, step_index: int, sd: np.ndarray) -> tuple[np.ndarray, 
     re_0 | im_0 | re_1 | im_1; both halves are scaled by ``sd``, the convolution
     standard deviation of the s forced modes.
     """
-    conv = _complex_blocks(_draw_rows(rngs, step_index, SUB_OU, 4 * sd.size), 2)
+    conv = _complex_draws(rngs, step_index, SUB_OU, sd.size, 2)
     conv *= sd
     return conv[:, 0], conv[:, 1]
 
