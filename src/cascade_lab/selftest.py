@@ -4,7 +4,8 @@ Covers the transform round trip and discrete Parseval identity, the transforms
 row by row and against direct sums of the basis, coefficient interpolation, norm
 homogeneity, the pure-decay and stationary limits of the exact linear step,
 phase-rotation isometry, addressed draws, the batched ensemble step against single
-steps, the Strang step's forced-mode draw, and the power-law fit oracle.  Runs in a few seconds; the CLI exposes it as ``selftest``.
+steps, the Strang step's forced-mode draw, and the power-law fit oracle.  Runs in a
+few seconds; the CLI exposes it as ``selftest``.
 """
 
 from __future__ import annotations
