@@ -18,13 +18,20 @@ the Philox4x64 counter generator; the choice is fixed because bit-exact
 replay is part of the output contract.
 
 Only the forced modes (b_d > 0, ``NoiseSpec.forced``) carry a Brownian motion,
-so only they are drawn.  A Strang step draws once per stream, 4s normals at
-(step_index, SUB_OU) for s forced modes, laid out re_0 | im_0 | re_1 | im_1 over
-the forced modes in C order: the two half-step convolutions.  An exact OU step
-with its own draw and an Euler-Maruyama increment draw 2s normals (re | im).  A
-degenerate spec draws nothing.  Random initial data (SUB_INIT) draws every mode.
-Before schema version 3 every retained mode was drawn, at two addresses per
-Strang step, and most of those draws were multiplied by b_d = 0.
+so only they are drawn.  A Strang step takes 4s normals for s forced modes, laid
+out re_0 | im_0 | re_1 | im_1 over the forced modes in C order: the two half-step
+convolutions.  Those draws are block-addressed: K consecutive steps share the
+address (step_index // K, SUB_OU), which holds 4s*K normals, and step k takes the
+slice [4s*(k mod K), 4s*(k mod K + 1)).  K = max(1, OU_BLOCK_NORMALS // 4s) fixes
+the normals per address rather than the steps, so a block stays small for every
+profile and K falls to 1 once 4s >= OU_BLOCK_NORMALS.  ``ou_convolutions`` keeps
+the last block drawn, so a step that hits it costs no Philox address.  An exact
+OU step with its own draw and an Euler-Maruyama increment draw 2s normals
+(re | im) at (step_index, substream).  A degenerate spec draws nothing.  Random
+initial data (SUB_INIT) draws every mode.  Before schema version 3 every retained
+mode was drawn, at two addresses per Strang step, and most of those draws were
+multiplied by b_d = 0; schema version 3 drew one address per Strang step, and
+schema version 4 starts the blocks.
 """
 
 from __future__ import annotations
@@ -43,6 +50,9 @@ SUB_OU = 0  # OU convolution draws: both halves of a Strang step, or one exact O
 SUB_INCREMENT = 2  # raw Brownian increments (Euler-Maruyama)
 SUB_PATH = 3  # fine-level joint path draws for coupled-integrator studies
 SUB_INIT = 5  # random initial data
+
+# Normals per Strang OU draw address: K = max(1, OU_BLOCK_NORMALS // 4s) steps share one.
+OU_BLOCK_NORMALS = 1024
 
 _U64 = 2**64
 
@@ -239,15 +249,49 @@ def complex_normals(rngs, step_index: int, substream: int, shape: tuple[int, ...
     return _complex_draws(rngs, step_index, substream, k, 1).reshape(shape)
 
 
+def ou_block_steps(s: int) -> int:
+    """K, the number of consecutive Strang steps whose OU draws share one address, for s forced modes."""
+    return max(1, OU_BLOCK_NORMALS // (4 * s)) if s else 1
+
+
+# The last block of raw Strang OU normals drawn: (rngs, their keys, block index, s, normals).
+_ou_block: tuple | None = None
+
+
+def _ou_block_normals(rngs, block: int, s: int) -> np.ndarray:
+    """Complex standard normals of OU block ``block``, shape (len(rngs), K, 2, s), read-only.
+
+    Each stream draws 4s*K normals at (block, SUB_OU), step slot j holding
+    re_0 | im_0 | re_1 | im_1 at [4s*j, 4s*(j + 1)).  One block is cached, keyed
+    by the (base_seed, stream_id) of every row, the block index and s; the rows'
+    keys are compared only when ``rngs`` is not the tuple the block was drawn
+    for, so a step inside an ensemble's block does no per-row work.
+    """
+    global _ou_block
+    cached = _ou_block
+    if cached is not None and cached[0] is rngs and cached[2] == block and cached[3] == s:
+        return cached[4]
+    keys = tuple((rng.base_seed, rng.stream_id) for rng in rngs)
+    if cached is not None and cached[1:4] == (keys, block, s):
+        z = cached[4]
+    else:
+        K = ou_block_steps(s)
+        z = _complex_draws(rngs, block, SUB_OU, s, 2 * K).reshape(len(rngs), K, 2, s)
+        z.flags.writeable = False
+    _ou_block = (rngs, keys, block, s, z)
+    return z
+
+
 def ou_convolutions(rngs, step_index: int, sd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two half-step OU convolutions of one Strang step, each (len(rngs), s), over the forced modes.
 
-    Each stream draws 4s normals at (step_index, SUB_OU), laid out
-    re_0 | im_0 | re_1 | im_1; both halves are scaled by ``sd``, the convolution
-    standard deviation of the s forced modes.
+    Step k is slot k mod K of the block drawn at (k // K, SUB_OU), K =
+    ``ou_block_steps(s)``: 4s normals laid out re_0 | im_0 | re_1 | im_1; both
+    halves are scaled by ``sd``, the convolution standard deviation of the s
+    forced modes.
     """
-    conv = _complex_draws(rngs, step_index, SUB_OU, sd.size, 2)
-    conv *= sd
+    block, slot = divmod(step_index, ou_block_steps(sd.size))
+    conv = _ou_block_normals(rngs, block, sd.size)[:, slot] * sd
     return conv[:, 0], conv[:, 1]
 
 

@@ -17,20 +17,25 @@ around a phase rotation (one sine-matrix pair), three validated fields, then a
 flush of subnormal components to 0.0.  Row i keeps its own stream and is bit for
 bit the single trajectory with stream id i (the same kernel, no row axis).
 
-Only the s forced modes (b_d > 0) are driven: each stream draws once per Strang
-step, 4s normals at (step_index, SUB_OU) that hold both half-step convolutions
-(``forcing.ou_convolutions``), and each OU half adds its convolution on those
-modes only; an unforced mode is exactly u_d * decay.  Output schema 3 starts
-here: earlier versions drew every retained mode at two addresses per step.
+Only the s forced modes (b_d > 0) are driven: a Strang step takes 4s normals
+that hold both half-step convolutions (``forcing.ou_convolutions``), and each OU
+half adds its convolution on those modes only; an unforced mode is exactly
+u_d * decay.  The draws are block-addressed: each stream draws the 4s*K normals
+of K consecutive steps at once, at (step_index // K, SUB_OU), with K =
+max(1, OU_BLOCK_NORMALS // 4s) (``forcing.ou_block_steps``), and step k takes
+slot k mod K.  Output schema 4 starts here: schema 3 drew one address per stream
+per Strang step, and earlier versions every retained mode at two addresses.
+An exact OU step with its own draw and the Euler-Maruyama increments keep one
+address per step.
 
 The slow-time description tau = nu * t needs no separate integrator: a fast
 chain with parameters (nu, dt) performs, number for number, the same updates
 as a unit-viscosity chain at step dtau = nu*dt with the phase angle rescaled
 by 1/nu.  ``tau`` conversions live on :class:`SimParams`.
 
-Noise draws are addressed by (step_index, substream), never consumed
-sequentially, so a trajectory is a pure function of (seed, stream_id) and can
-be resumed from a checkpoint bit-exactly.
+Noise draws are addressed by (step_index, substream), or by the block that holds
+step_index, never consumed sequentially, so a trajectory is a pure function of
+(seed, stream_id) and can be resumed from a checkpoint at any step bit-exactly.
 """
 
 from __future__ import annotations
@@ -305,8 +310,8 @@ def strang_step(state: State, spec: NoiseSpec, params: SimParams) -> State:
     """Symmetric composition OU(dt/2) o phase(dt) o OU(dt/2).
 
     Takes a TrajectoryState or an EnsembleState and returns the same kind.
-    Each stream draws once, at (step_index, SUB_OU): both half-step
-    convolutions over the forced modes.
+    Both half-step convolutions over the forced modes come from slot
+    step_index mod K of each stream's block at (step_index // K, SUB_OU).
     """
     _, conv_sd, _ = _ou_tables(spec, params.nu, params.dt / 2.0)
     conv0, conv1 = ou_convolutions(state.rngs, state.step_index, conv_sd)

@@ -12,7 +12,9 @@ from __future__ import annotations
 # 2: sine-matrix transforms; occupation reports say ``informative``.
 # 3: the noise is drawn on the forced modes only, at one address per stream per
 #    Strang step, so every stochastic output number changes.
-SCHEMA_VERSION = 3
+# 4: each stream draws the Strang noise of K consecutive steps at one address
+#    (forcing.ou_block_steps), so every Strang output number changes again.
+SCHEMA_VERSION = 4
 
 # Per-trajectory time-series CSV: t, tau, one column per configured Sobolev
 # order, then the lattice sup, then optional C^m and shell columns.

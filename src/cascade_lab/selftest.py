@@ -4,8 +4,8 @@ Covers the transform round trip and discrete Parseval identity, the transforms
 row by row and against direct sums of the basis, coefficient interpolation, norm
 homogeneity, the pure-decay and stationary limits of the exact linear step,
 phase-rotation isometry, addressed draws, the batched ensemble step against single
-steps, the Strang step's forced-mode draw, and the power-law fit oracle.  Runs in a
-few seconds; the CLI exposes it as ``selftest``.
+steps, the Strang step's block-addressed forced-mode draw, and the power-law fit
+oracle.  Runs in a few seconds; the CLI exposes it as ``selftest``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .experiments import fit_exponent
-from .forcing import SUB_OU, NoiseSpec, RngStream
+from .forcing import SUB_OU, NoiseSpec, RngStream, ou_block_steps
 from .integrators import (
     EnsembleState,
     SimParams,
@@ -134,15 +134,19 @@ def run_selftest(verbose: bool = True) -> bool:
     check("batched Strang step n=2 M=16 equals 16 single steps", batched.tobytes() == single.tobytes())
 
     _, sd, _ = _ou_tables(spec2, params.nu, params.dt / 2)  # sd over the s forced modes
-    s, step = sd.size, 2**40
-    z = Generator(Philox(counter=[0, 0, SUB_OU, step], key=[2**64 - 1, 2**63])).standard_normal(4 * s)
-    conv = np.empty((2, s), dtype=np.complex128)
-    conv.real, conv.imag = z.reshape(2, 2, s)[:, 0], z.reshape(2, 2, s)[:, 1]  # re0|im0|re1|im1
-    conv *= sd
+    s, K = sd.size, ou_block_steps(sd.size)
     u = _random_field(grid2, 40)
-    stepped = strang_step(TrajectoryState(0.0, u, stream, step), spec2, params).u.coeffs
-    expected = _strang(u, spec2, params.nu, params.dt, True, conv[0], conv[1]).coeffs
-    check("Strang draw equals a freshly built Philox over the forced modes", stepped.tobytes() == expected.tobytes())
+    same = True
+    for step in (2**40 - 1, 2**40):  # the last slot of one block and the first of the next
+        z = Generator(Philox(counter=[0, 0, SUB_OU, step // K], key=[2**64 - 1, 2**63])).standard_normal(4 * s * K)
+        z = z[4 * s * (step % K) : 4 * s * (step % K + 1)].reshape(2, 2, s)  # re0|im0|re1|im1
+        conv = np.empty((2, s), dtype=np.complex128)
+        conv.real, conv.imag = z[:, 0], z[:, 1]
+        conv *= sd
+        stepped = strang_step(TrajectoryState(0.0, u, stream, step), spec2, params).u.coeffs
+        expected = _strang(u, spec2, params.nu, params.dt, True, conv[0], conv[1]).coeffs
+        same = same and stepped.tobytes() == expected.tobytes()
+    check(f"Strang draw equals a freshly built Philox block over the forced modes (K = {K}, k = 2**40 - 1, 2**40)", same)
 
     fit = fit_exponent([(0.4, 0.4**-2), (0.2, 0.2**-2), (0.1, 0.1**-2)])
     check("exponent fit oracle (alpha = 2)", abs(fit.alpha - 2.0) <= 1e-12 and fit.r2 >= 1 - 1e-12)

@@ -11,7 +11,8 @@ from numpy.random import Generator, Philox
 
 from cascade_lab.diagnostics import NormRecorder
 from cascade_lab.experiments import fit_exponent
-from cascade_lab.forcing import SUB_OU, NoiseSpec, RngStream, ou_convolutions
+from cascade_lab import forcing
+from cascade_lab.forcing import SUB_OU, NoiseSpec, RngStream, ou_block_steps, ou_convolutions
 from cascade_lab.integrators import (
     EnsembleState,
     SimParams,
@@ -288,11 +289,12 @@ class TestStrangStep:
 class TestForcedModeDraws:
     @staticmethod
     def fresh_convolutions(seed, sid, step, sd):
-        """A freshly built Philox at (step, SUB_OU) split re0|im0|re1|im1 over the forced modes."""
-        s = sd.size
-        z = Generator(Philox(counter=[0, 0, SUB_OU, step], key=[seed, sid])).standard_normal(4 * s)
+        """Slot step mod K of a freshly built Philox at (step // K, SUB_OU), split re0|im0|re1|im1."""
+        s, K = sd.size, ou_block_steps(sd.size)
+        block = Generator(Philox(counter=[0, 0, SUB_OU, step // K], key=[seed, sid])).standard_normal(4 * s * K)
+        z = block[4 * s * (step % K) : 4 * s * (step % K + 1)].reshape(2, 2, s)
         conv = np.empty((2, s), dtype=complex)
-        conv.real, conv.imag = z.reshape(2, 2, s)[:, 0], z.reshape(2, 2, s)[:, 1]
+        conv.real, conv.imag = z[:, 0], z[:, 1]
         conv *= sd
         return conv[0], conv[1]
 
@@ -301,23 +303,26 @@ class TestForcedModeDraws:
     def test_strang_draw_equals_fresh_philox_over_forced_modes(self, grid, M):
         spec = NoiseSpec.band(grid, [1.0, 0.5, 1.0])
         params = SimParams(nu=0.3, dt=0.02, T=1.0, seed=2**64 - 5)
-        step = 2**40 + 7
         _, sd, _ = _ou_tables(spec, params.nu, params.dt / 2)
         assert sd.size == spec.forced.size == np.count_nonzero(spec.amplitudes) < grid.n_modes
+        K = ou_block_steps(sd.size)
+        assert K > 1
+        first = K * (2**40 // K + 1)  # the first slot of a block
         u = np.stack([random_field(grid, 40 + i, 0.5).coeffs for i in range(M)])
         rngs = tuple(RngStream(params.seed, 2**63 + i) for i in range(M))
-        fresh = [self.fresh_convolutions(params.seed, 2**63 + i, step, sd) for i in range(M)]
-        conv0, conv1 = ou_convolutions(rngs, step, sd)
-        assert conv0.tobytes() == np.stack([f[0] for f in fresh]).tobytes()
-        assert conv1.tobytes() == np.stack([f[1] for f in fresh]).tobytes()
-        if M == 1:
-            state = TrajectoryState(0.0, SpectralField(grid, u[0]), rngs[0], step)
-            expected = _strang(state.u, spec, params.nu, params.dt, True, *fresh[0])
-        else:
-            state = EnsembleState(0.0, SpectralField(grid, u), rngs, step)
-            convs = [np.stack(c) for c in zip(*fresh)]
-            expected = _strang(state.u, spec, params.nu, params.dt, True, *convs)
-        assert strang_step(state, spec, params).u.coeffs.tobytes() == expected.coeffs.tobytes()
+        for step in (2**40 + 7, first - 1, first, first - 1):  # the last slot of one block, the first of the next
+            fresh = [self.fresh_convolutions(params.seed, 2**63 + i, step, sd) for i in range(M)]
+            conv0, conv1 = ou_convolutions(rngs, step, sd)
+            assert conv0.tobytes() == np.stack([f[0] for f in fresh]).tobytes()
+            assert conv1.tobytes() == np.stack([f[1] for f in fresh]).tobytes()
+            if M == 1:
+                state = TrajectoryState(0.0, SpectralField(grid, u[0]), rngs[0], step)
+                expected = _strang(state.u, spec, params.nu, params.dt, True, *fresh[0])
+            else:
+                state = EnsembleState(0.0, SpectralField(grid, u), rngs, step)
+                convs = [np.stack(c) for c in zip(*fresh)]
+                expected = _strang(state.u, spec, params.nu, params.dt, True, *convs)
+            assert strang_step(state, spec, params).u.coeffs.tobytes() == expected.coeffs.tobytes()
 
     def test_unforced_mode_only_decays(self):
         spec = NoiseSpec.from_profile(GRID, "single:d=1")
@@ -330,20 +335,62 @@ class TestForcedModeDraws:
         assert u1[unforced].tobytes() == (u0.coeffs * decay * decay)[unforced].tobytes()
         assert u1[0] != u0.coeffs[0] * decay[0] * decay[0]  # the forced mode got its convolution
 
-    def test_degenerate_spec_draws_nothing(self, monkeypatch):
+    @staticmethod
+    def count_normals(monkeypatch) -> list:
+        """The (step_index, substream) of every RngStream.normals call from here on, with no block cached."""
         calls = []
         normals = RngStream.normals
         monkeypatch.setattr(RngStream, "normals", lambda self, *a, **k: calls.append(a) or normals(self, *a, **k))
+        monkeypatch.setattr(forcing, "_ou_block", None)
+        return calls
+
+    def test_degenerate_spec_draws_nothing(self, monkeypatch):
+        calls = self.count_normals(monkeypatch)
         for scheme in ("strang", "em"):
             params = SimParams(nu=0.5, dt=1e-3, T=4e-3, scheme=scheme, seed=1)
             run_trajectory(random_field(GRID, 3, 0.2), SILENT, params)
             rows = np.stack([random_field(GRID, i, 0.2).coeffs for i in range(3)])
             run_ensemble(SpectralField(GRID, rows), SILENT, params)
         assert calls == []
-        # a forced spec draws once per stream per Strang step
-        params = SimParams(nu=0.5, dt=1e-3, T=4e-3, seed=1)
+        # a forced spec addresses each stream once per block of K Strang steps
+        K = ou_block_steps(BAND.forced.size)
+        params = SimParams(nu=0.5, dt=1e-3, T=(K + 1) * 1e-3, seed=1)
         run_ensemble(SpectralField(GRID, np.zeros((3, *GRID.coeff_shape), complex)), BAND, params)
-        assert sorted(calls) == sorted((k, SUB_OU) for k in range(4) for _ in range(3))
+        assert sorted(calls) == sorted((b, SUB_OU) for b in range(2) for _ in range(3))
+
+    @pytest.mark.parametrize("M", [1, 4])
+    def test_forced_ensemble_draws_once_per_stream_per_block(self, monkeypatch, M):
+        K = ou_block_steps(BAND.forced.size)
+        assert K == 1024 // (4 * BAND.forced.size) == 85
+        for n_steps in (1, K - 1, K, K + 1, 2 * K + 3):
+            calls = self.count_normals(monkeypatch)
+            params = SimParams(nu=0.5, dt=1e-3, T=n_steps * 1e-3, seed=9)
+            assert params.n_steps == n_steps
+            rows = np.stack([random_field(GRID, 50 + i, 0.2).coeffs for i in range(M)])
+            run_ensemble(SpectralField(GRID, rows), BAND, params)
+            assert len(calls) == M * -(-n_steps // K)
+            assert sorted(calls) == sorted((b, SUB_OU) for b in range(-(-n_steps // K)) for _ in range(M))
+
+    def test_one_step_per_address_once_4s_reaches_the_budget(self, monkeypatch):
+        assert [ou_block_steps(s) for s in (1, 3, 8, 255, 256, 1000)] == [256, 85, 32, 1, 1, 1]
+        grid = GridSpec(2, 32, 16)
+        spec = NoiseSpec.power(grid, 1.0)  # every one of the 256 modes forced: 4s = 1024
+        assert spec.forced.size == 256 and ou_block_steps(spec.forced.size) == 1
+        params = SimParams(nu=0.3, dt=0.02, T=0.06, seed=6)
+        _, sd, _ = _ou_tables(spec, params.nu, params.dt / 2)
+        rngs = tuple(RngStream(params.seed, i) for i in range(2))
+        s = sd.size
+        for step in (0, 1, 2**40):  # each step is its own address, 4s normals re0|im0|re1|im1
+            z = np.stack(
+                [Generator(Philox(counter=[0, 0, SUB_OU, step], key=[params.seed, i])).standard_normal(4 * s) for i in range(2)]
+            ).reshape(2, 2, 2, s)
+            conv0, conv1 = ou_convolutions(rngs, step, sd)
+            assert conv0.tobytes() == ((z[:, 0, 0] + 1j * z[:, 0, 1]) * sd).tobytes()
+            assert conv1.tobytes() == ((z[:, 1, 0] + 1j * z[:, 1, 1]) * sd).tobytes()
+        calls = self.count_normals(monkeypatch)
+        rows = np.stack([random_field(grid, 60 + i, 0.1).coeffs for i in range(2)])
+        run_ensemble(SpectralField(grid, rows), spec, params)
+        assert sorted(calls) == sorted((k, SUB_OU) for k in range(3) for _ in range(2))
 
 
 class TestEmStep:
@@ -536,6 +583,24 @@ class TestCheckpoints:
         resumed = continue_trajectory(load_checkpoint(path), BAND, params)
         assert resumed.step_index == full.step_index
         assert np.array_equal(resumed.u.coeffs, full.u.coeffs)
+
+    def test_resume_across_a_block_boundary_is_bit_exact(self, monkeypatch):
+        # The OU draws of K steps share one address: a checkpoint inside one block
+        # resumes to a horizon in the next one bit-exactly, from a cold block cache.
+        K = ou_block_steps(BAND.forced.size)
+        u0 = random_field(GRID, 14, 0.2)
+        full = run_trajectory(u0, BAND, SimParams(nu=0.5, dt=0.01, T=(K + 5) * 0.01, seed=15))
+        for at in (K - 3, K - 1, K):
+            half = run_trajectory(u0, BAND, SimParams(nu=0.5, dt=0.01, T=at * 0.01, seed=15))
+            assert half.step_index == at
+            monkeypatch.setattr(forcing, "_ou_block", None)
+            resumed = continue_trajectory(
+                checkpoint_from_bytes(checkpoint_to_bytes(half)),
+                BAND,
+                SimParams(nu=0.5, dt=0.01, T=(K + 5) * 0.01, seed=15),
+            )
+            assert resumed.step_index == full.step_index == K + 5
+            assert resumed.u.coeffs.tobytes() == full.u.coeffs.tobytes()
 
     def test_counter_key_of_older_files_is_ignored(self):
         state = initial_state(random_field(GRID, 13, 0.2), SimParams(nu=0.5, dt=0.01, T=0.1, seed=3))
