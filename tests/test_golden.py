@@ -73,26 +73,26 @@ observables = sup_inf
 
 # sha256 of streams/traj_NNNN.csv written by ``simulate`` on CRITERION_10_CONFIG
 CRITERION_10_SHA256 = {
-    "traj_0000.csv": "d7adc17d3fc2c295d56a4b42088da44da7c3e0489d7709d03288a5f6023fb651",
-    "traj_0001.csv": "56165ebd0d3f8dcc6f6d348655076f60faa451f50e28a67b0d24afb1539b0f77",
-    "traj_0002.csv": "1f989d8fdff607db5bbcc4e39dd6b53529d00b81f807e0ac50b187f8cbbd5035",
-    "traj_0003.csv": "4b47d9dfcee5faa3422c719a204a9b2e7f86f8b5c9639fe621a023211b2325fd",
-    "traj_0004.csv": "53c5e271d4baf7b85a5147eb2de9d1eb74b8f5ed8b5d2cc7546d57af4e679143",
-    "traj_0005.csv": "88c7c321f66c97f1386cbaaea765300e4fc9f12eac326422504db345edd1d3e7",
-    "traj_0006.csv": "db3814734e511727764de80b590a34b6bc01a23ebc55bbddf5c93e23f22e3f94",
-    "traj_0007.csv": "fe307e48148e162d020e804a51e21828f5aa1bccb7f76c44e9294d62983097be",
-    "traj_0008.csv": "9ede18198103b0f1d16b7ee371568dfb0867c0cb14f5dee56a836e275fb51ba3",
-    "traj_0009.csv": "de9a95bbb9df4dd12d00b746d0ca265529630ec5e3089f4d3f565db725d0565d",
-    "traj_0010.csv": "b1af10e965d7c4af239d396d910ac427fd2f3ba15e31cd9c0db9fbace009e8b8",
-    "traj_0011.csv": "a8399a035d365154b395a4a1dcc7caf1f581e64c6b1e222b9598e4c81e9fe965",
-    "traj_0012.csv": "fa4f4ff4019b3172839d270fb04111c28a73a85f8739bfd8f04bdcc7acaf21d2",
-    "traj_0013.csv": "eadcf825adb4332daa8378a9e2c98cf7fc337c548f13e858e6077b7e820a2cc0",
-    "traj_0014.csv": "2cb9acb8b039327889cf617735416ed0b6b562a8f33738936e75ba361cc90827",
-    "traj_0015.csv": "e7bf59fbc0c6291bf55e9472941b64518f80dbc5b90fa69a1d73bf0f62867718",
+    "traj_0000.csv": "5019d534b4c0e3f95bfc64a8797b35af5c45d433464dcf36afa480fa52a2b1e2",
+    "traj_0001.csv": "73ae5b64c32bb3b59d15560d30078c2d439a81d88120c341d9f34874a709b9d4",
+    "traj_0002.csv": "60773e89682cc3c31ab643c2f800bb0263e596e63486b7ba17f53a7aaf8a37e7",
+    "traj_0003.csv": "a66053d5ba8226b9db2d5c0c900f7d4482e0741262ac4c0a81d2868efcfa63c6",
+    "traj_0004.csv": "274a7e3cfa445b0f19572e627c990a909e6170bde27c959df3690dd7b6278d5d",
+    "traj_0005.csv": "b86a19c2fa207d3f4063a585ac8d02a8b3af7fd20d370ef2c8b5c50020148460",
+    "traj_0006.csv": "28630af1d7db1b1b25b41d723902ef3fceea1bda7b978b01d685b8571b415d5c",
+    "traj_0007.csv": "2f24f2c822ced8565813626fed84ea612cb95eb0888e3ab99220400a740aabca",
+    "traj_0008.csv": "19b9edebaecfda18ea507492083d68e3fe362c3a35e26664710872b3d1b7defb",
+    "traj_0009.csv": "93e50ddefaa5117b78722b593fb24d478ff887fe24a8a8a478f1e1ad91a9bd6f",
+    "traj_0010.csv": "d23d83afc69a9c247c78d299ab9fb79a2bf3f0d53991ad22f7b596f7bdb6975f",
+    "traj_0011.csv": "e1aab63c24cb1deeb526b18e735a396576840b8c49689315ec1a33d107151406",
+    "traj_0012.csv": "c84354db84dc0cd717a9b2444ef7d6567ddc391212c56578401d68e70664b2a3",
+    "traj_0013.csv": "e503ce39b59c885486a862ceaab9eda798376ae41e85d8dc315b3e0122189479",
+    "traj_0014.csv": "b52f276d9a7ae73285be371769ce3d98a997665b8022afecf06bdd698edb18c6",
+    "traj_0015.csv": "2b6f56d7e6d3eb5f7ea93bbbe5eb5abaa2d12d5691a3d565f141ef22d07a8b22",
 }
 
 # sha256 over the CSV streams and the summary of ``n2_ensemble``
-N2_ENSEMBLE_SHA256 = "5fbc013cd9395a4c7e4a932fffdf6dfceff38313ccbc4d17b382d47895939f7a"
+N2_ENSEMBLE_SHA256 = "8cd5ec697ff97793bb1bb552a3a6f7439b0ca9799d071ac85f6942c0684d5cc0"
 
 
 def env_stamp() -> dict:
@@ -168,58 +168,58 @@ GOLDEN_RUNS = {
 GOLDEN_RUNS_SHA256 = {
     "simulate-slow": {
         "config.ini": "a4800193562c07b5925aef81a2af9c44d78b94bba53a1f81e49c2d3bfc30e1d9",
-        "manifest.json": "95ca99d92cd90c434273dbb677775853f039ac9f0fc4c43964f83dbbe79b99e8",
-        "occupation_report.jsonl": "3788866970fb511a4d4f1176f22ea381b5fa24a0cc3651d8fdd646aaecc8bfd4",
-        "report.jsonl": "f2ed069486d50c5d5ec3c605af60c51a293cb86ae7522c251afdfc184cd71533",
-        "streams/traj_0000.csv": "03d8d18d15eb369a798357c554443aa7e5bad017aaefc7d15254b4d27045ac4e",
-        "streams/traj_0001.csv": "1fbbef1a4b9f566bc8e74e413eebd709ae05d334f13640d3b4809728bc0ec9e3",
+        "manifest.json": "b673a174d69b5dd5ddba3f7a1d4a75d6be7f5383789e607a4923e639b122d927",
+        "occupation_report.jsonl": "21eb23b2a41c918369a3bb31ba1e8a64b3f5b6c3866dfaeb101181220c049aa0",
+        "report.jsonl": "c903023e81413b9493ac8e005af89f842dd10222c73d606c6c1b74aeac50396d",
+        "streams/traj_0000.csv": "46e19be4f4d6268b2f159e38dee88d104f59554166be6dd3af48b9191f8842ed",
+        "streams/traj_0001.csv": "be2730b2bc49518e94d0a56eb8f1b7036907bf31ee135273a7090029cd258b00",
     },
     "simulate-fast": {
         "config.ini": "a7f1ba2cefa99d3c01dbd3db1f227bbd51994bc140d2db497e5edfbc1c640112",
-        "manifest.json": "289c52104d6d500ad19c134f66e59485733921bb05b5a71b9a7fb47f95e910cc",
-        "report.jsonl": "5f5ef8554da7341a5141d458b91ce630f69ce4ed996259fba0d67f499e9d3a17",
-        "streams/traj_0000.csv": "6908e47443e7f9d19fab74d2016163aa9c87cfb095d278da802244413fda0f2b",
-        "streams/traj_0001.csv": "7164111ab78af810118d3c29a280293b68f99beb26612c6d9485c849b94d3a3c",
+        "manifest.json": "93f1f65d75db454b5dcf11083a6a5ae0691b3264c48f5dd2e1e23fe18c702fdb",
+        "report.jsonl": "efd1c8c22dff45aa9a843ed9dbb9c8e233fc06394adcfbe038076595e6838120",
+        "streams/traj_0000.csv": "fc0d51cb65020384960e0091335d2c3fd8530a75ae8bcc364803c21dc33f609f",
+        "streams/traj_0001.csv": "c6d15901c9deb4a0f2c2472e66377ca479a5f162e552b200ed90df93a54f08f3",
     },
     "spectrum": {
         "config.ini": "cce74964518b9418d7653a39ed7445742afb0099234a3a0dd795c23d3fcf35c0",
-        "manifest.json": "1d8a75723583f89986b352e70a32a6556991b7f46741b54f954be1f78c1861b8",
-        "report.jsonl": "f8b6f5fa56a65a4c8d92118217dd8a1d0d76d371f418dc576592eb2c4367dd94",
-        "streams/traj_0000.csv": "82570ed1be700968711923fdfc27d3bf49cc4294e51bb507ff61ae1e42bfbacc",
-        "streams/traj_0001.csv": "97973ed00f64dbd94b7426d9bec1574cd0f945633e9fe429a73a2337decd66f3",
+        "manifest.json": "3456065105b91d060402ba7f0d96a7946da4c88bb43f1a93f7c81edd2c80bc75",
+        "report.jsonl": "2b6a1393888f1ec06fb4f6787dc62133cd2f3f6b83332e60f7da67cc879d61e6",
+        "streams/traj_0000.csv": "a91783cfb10bd9d6a555373a5b3b2f3a924b99a6215e0cd0f562e6613f298db0",
+        "streams/traj_0001.csv": "f0578fe1b8b9b7e501c8330538ac6c8d23cc377fd8cc5424e95e15d080b34466",
     },
     "sweep-slow": {
         "config.ini": "c88e843ebf461471f57903e49538d6257692c5849a3a5fb9ee2475cba18e58c1",
-        "manifest.json": "7a29ddab0a40378cd8f9477bd519520c2b0cb663517fbf9ebe6e724c8380a168",
-        "report.jsonl": "45479ac15e41c5ea750bc09d273e7732b58299b935d465005e51bdd0efaca14e",
-        "streams/nu_0.25/traj_0000.csv": "05a5c75f345953c61879c0cebbdcb2192306865dca6d73b2aff4ccc6c6d151cd",
-        "streams/nu_0.25/traj_0001.csv": "73db37bbf527421a753396683837b8c378331c1c94380c9d59d293ab2554fcc4",
-        "streams/nu_0.4/traj_0000.csv": "83df4bf8c2f153e026c576b59fe1292fa091726ee0a89d0f6b1c7c35d4e3125a",
-        "streams/nu_0.4/traj_0001.csv": "356443e9005bc35205498f979fa975bb265dc3cafdf71d5b05c84f76e6a64be3",
-        "streams/nu_0.5/traj_0000.csv": "2a87c3d7d9dc192db5cde7ea91cf7c17c2a8311330a3a92812de737d11cd2ff2",
-        "streams/nu_0.5/traj_0001.csv": "9e2d8334a3a42b25e52a13b2e7185c2b11850b2c4db73a03e249040456e7904c",
+        "manifest.json": "4d2974c58bee4d59d028729af93f07e7fbad5376745ccd826dddcde7d6be531b",
+        "report.jsonl": "d76b7e2fc1968c6c8e9657b8c93f8833e838d47f9b7bcd24881f754450fc55f6",
+        "streams/nu_0.25/traj_0000.csv": "2d283950406b5e0c0949f0e7bf3929dbdf107cb49356ada005f50c88a31ebac8",
+        "streams/nu_0.25/traj_0001.csv": "58c11d160f27eb873671e38bbbcfba20f1a21fb3c3593ed57ae3ca05e06539c4",
+        "streams/nu_0.4/traj_0000.csv": "a16feae28959ba469af3d0a924f9305986b39bf53012dd0250c95d3b1eba2de6",
+        "streams/nu_0.4/traj_0001.csv": "dfe8fa14dcd740ff137160bef1ecb2f6ef86d015a60d4eb89324b8ff56cc5a01",
+        "streams/nu_0.5/traj_0000.csv": "2345cabcee2406c96f580ee078aae57c023f088a1b3576382b2d5b997a65e894",
+        "streams/nu_0.5/traj_0001.csv": "fece677e1acd0cf4ada41706ebcd55daa8a44ba2bbd995bc12f3855cb40be02d",
     },
     "sweep-fast": {
         "config.ini": "ea929485771aa343f4520296c4716117284cff5cc870af66f91ccb11b1cb4746",
-        "manifest.json": "ab163b4abd3936a6c309dab024a6fed36aad0378cf2619094447950b34a45d15",
-        "report.jsonl": "45479ac15e41c5ea750bc09d273e7732b58299b935d465005e51bdd0efaca14e",
-        "streams/nu_0.25/traj_0000.csv": "05a5c75f345953c61879c0cebbdcb2192306865dca6d73b2aff4ccc6c6d151cd",
-        "streams/nu_0.25/traj_0001.csv": "73db37bbf527421a753396683837b8c378331c1c94380c9d59d293ab2554fcc4",
-        "streams/nu_0.4/traj_0000.csv": "83df4bf8c2f153e026c576b59fe1292fa091726ee0a89d0f6b1c7c35d4e3125a",
-        "streams/nu_0.4/traj_0001.csv": "356443e9005bc35205498f979fa975bb265dc3cafdf71d5b05c84f76e6a64be3",
-        "streams/nu_0.5/traj_0000.csv": "2a87c3d7d9dc192db5cde7ea91cf7c17c2a8311330a3a92812de737d11cd2ff2",
-        "streams/nu_0.5/traj_0001.csv": "9e2d8334a3a42b25e52a13b2e7185c2b11850b2c4db73a03e249040456e7904c",
+        "manifest.json": "c0ab3d43cd7228c4d34df949833b76e4e70651e9fae1f2a1272014e1f41d78eb",
+        "report.jsonl": "d76b7e2fc1968c6c8e9657b8c93f8833e838d47f9b7bcd24881f754450fc55f6",
+        "streams/nu_0.25/traj_0000.csv": "2d283950406b5e0c0949f0e7bf3929dbdf107cb49356ada005f50c88a31ebac8",
+        "streams/nu_0.25/traj_0001.csv": "58c11d160f27eb873671e38bbbcfba20f1a21fb3c3593ed57ae3ca05e06539c4",
+        "streams/nu_0.4/traj_0000.csv": "a16feae28959ba469af3d0a924f9305986b39bf53012dd0250c95d3b1eba2de6",
+        "streams/nu_0.4/traj_0001.csv": "dfe8fa14dcd740ff137160bef1ecb2f6ef86d015a60d4eb89324b8ff56cc5a01",
+        "streams/nu_0.5/traj_0000.csv": "2345cabcee2406c96f580ee078aae57c023f088a1b3576382b2d5b997a65e894",
+        "streams/nu_0.5/traj_0001.csv": "fece677e1acd0cf4ada41706ebcd55daa8a44ba2bbd995bc12f3855cb40be02d",
     },
     "stationary": {
         "config.ini": "ac2b2d30290eb5486c97b2dcbab0c4672cb6eda33075b1626c1a98e8147fbc71",
-        "manifest.json": "e9480dfd2d31bd47d1e5d9424c8378a1f8646610ec9a63aa3466e8737a6f6fcc",
-        "report.jsonl": "ac494900447b10bf08d95d622c81e1979b7911fff0566bfc3196b8b7dc54039d",
-        "streams/nu_0.25/traj_0000.csv": "02fa08aa5689f2454864e0a91266d7bb977f6f5b76074d65a34a1621aa6fa9b3",
-        "streams/nu_0.25/traj_0001.csv": "542f8a302a45b5700f165821e5aca59329b7282142dcdd5fbafee206406eacea",
-        "streams/nu_0.4/traj_0000.csv": "0811eaa080117443d5b16470952c3768c24622e8a0c134d3b5bf72436c77688e",
-        "streams/nu_0.4/traj_0001.csv": "f84fde0b8c56b0f1726024def6a4fe4248d6fbdd9ee25a31c2ad97806208a902",
-        "streams/nu_0.5/traj_0000.csv": "c385d48d98c3ba3a052327f9e488868c9c65f3801f37834c52c4733ce9042d37",
-        "streams/nu_0.5/traj_0001.csv": "5ddddb351ae9c5ac81599da46927bd01789aa02a579c2494f4633a58696211af",
+        "manifest.json": "5b9a4ba0897e87111ecbccf447993ac19355059ae64e70b083a9a985f74e7788",
+        "report.jsonl": "1c636f00a6b9317eb189e7bd61bd8e950fa540be2fc89f6a124c6cdadf30fad1",
+        "streams/nu_0.25/traj_0000.csv": "54fd15468665a862990e1d26a98e052e0cdefd49c2c3c77fbaddd3f8d7e8a365",
+        "streams/nu_0.25/traj_0001.csv": "715543a5a2ae03b8f776e5c259daba4660f80b3e37ae09c41057d3b23fe502c3",
+        "streams/nu_0.4/traj_0000.csv": "25efcbc0446a3bb970dbaf6cb44c041cbf844e5dbd69aaa21efd05b55c8e4ccb",
+        "streams/nu_0.4/traj_0001.csv": "d1819ed9a6fc62137dca0910a40dbd1a37af1b06725765d69cd3dc865dcbe192",
+        "streams/nu_0.5/traj_0000.csv": "15d02337aa044f7cc662249df3570c528b9ddfedd9bc78392e442eea6e243015",
+        "streams/nu_0.5/traj_0001.csv": "2a946f217bf653a7dcb45ffea9264ecf77c76d83b6654b39953fa8057bcd0867",
     },
 }
 
