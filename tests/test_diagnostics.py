@@ -4,7 +4,7 @@ import io
 import struct
 from math import inf, log, sqrt
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -320,6 +320,18 @@ class TestStreamCsv:
                 ]
 
             assert bits(back) == bits(recs)
+
+    def test_record_is_immutable_and_equal_by_fields(self):
+        rec = DiagnosticsRecord(0.5, 0.25, {0.0: 1.0, 2.0: 3.0}, 4.0, cm=5.0)
+        same = DiagnosticsRecord(t=0.5, tau=0.25, norms={0.0: 1.0, 2.0: 3.0}, sup=4.0, cm=5.0, shells=None)
+        assert rec == same and rec != replace(rec, cm=None) and rec != (0.5, 0.25, rec.norms, 4.0, 5.0, None)
+        assert (rec.t, rec.tau, rec.norm(2), rec.sup, rec.cm, rec.shells) == (0.5, 0.25, 3.0, 4.0, 5.0, None)
+        for name in ("t", "tau", "norms", "sup", "cm", "shells"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(rec, name, 0.0)
+            with pytest.raises(FrozenInstanceError):
+                delattr(rec, name)
+        assert rec == same
 
     def test_columns_out_of_the_frozen_order_are_rejected(self):
         text = "t,tau,norm_0,sup\n0.0,0.0,1.0,2.0\n"

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
+from cascade_lab import forcing
 from cascade_lab.diagnostics import NormRecorder
 from cascade_lab.experiments import fit_exponent
-from cascade_lab import forcing
 from cascade_lab.forcing import SUB_OU, NoiseSpec, RngStream, ou_block_steps, ou_convolutions
 from cascade_lab.integrators import (
     EnsembleState,
@@ -381,9 +381,8 @@ class TestForcedModeDraws:
         rngs = tuple(RngStream(params.seed, i) for i in range(2))
         s = sd.size
         for step in (0, 1, 2**40):  # each step is its own address, 4s normals re0|im0|re1|im1
-            z = np.stack(
-                [Generator(Philox(counter=[0, 0, SUB_OU, step], key=[params.seed, i])).standard_normal(4 * s) for i in range(2)]
-            ).reshape(2, 2, 2, s)
+            fresh = [Generator(Philox(counter=[0, 0, SUB_OU, step], key=[params.seed, i])) for i in range(2)]
+            z = np.stack([g.standard_normal(4 * s) for g in fresh]).reshape(2, 2, 2, s)
             conv0, conv1 = ou_convolutions(rngs, step, sd)
             assert conv0.tobytes() == ((z[:, 0, 0] + 1j * z[:, 0, 1]) * sd).tobytes()
             assert conv1.tobytes() == ((z[:, 1, 0] + 1j * z[:, 1, 1]) * sd).tobytes()
