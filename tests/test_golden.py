@@ -31,12 +31,13 @@ from cascade_lab.experiments import Observable, ensemble_run
 from cascade_lab.forcing import NoiseSpec, RngStream
 from cascade_lab.integrators import (
     SimParams,
+    checkpoint_to_bytes,
     constrained_profile,
     default_dt,
     run_trajectory,
     smooth_random_field,
 )
-from cascade_lab.spectral import GridSpec
+from cascade_lab.spectral import GridSpec, SpectralField
 
 GOLDEN_ENV = {
     "numpy": "2.4.6",
@@ -93,6 +94,9 @@ CRITERION_10_SHA256 = {
 
 # sha256 over the CSV streams and the summary of ``n2_ensemble``
 N2_ENSEMBLE_SHA256 = "8cd5ec697ff97793bb1bb552a3a6f7439b0ca9799d071ac85f6942c0684d5cc0"
+
+# sha256 of ``checkpoint_bytes()``
+CHECKPOINT_SHA256 = "50217a9a8c3b5313568cbcffa28f5957bab6ed30c7a6420d8d1c0497db56323a"
 
 
 def env_stamp() -> dict:
@@ -313,6 +317,21 @@ def n2_ensemble_hash() -> str:
         h.update(stream_csv_text(records).encode())
     h.update(json.dumps(summary.to_json_dict()).encode())
     return h.hexdigest()
+
+
+def checkpoint_bytes() -> bytes:
+    """The checkpoint of a short n=1 run (seed 3, stream 2) from a fixed random field."""
+    grid = GridSpec(1, 32, 16)
+    gen = np.random.default_rng(11)
+    c = gen.normal(size=grid.coeff_shape) + 1j * gen.normal(size=grid.coeff_shape)
+    params = SimParams(nu=0.5, dt=0.01, T=0.1, seed=3, stream_id=2)
+    state = run_trajectory(SpectralField(grid, 0.2 * c), NoiseSpec.band(grid, [1.0, 1.0, 1.0]), params)
+    return checkpoint_to_bytes(state)
+
+
+def test_checkpoint_bytes_match_golden():
+    skip_unless_golden_build()
+    assert hashlib.sha256(checkpoint_bytes()).hexdigest() == CHECKPOINT_SHA256
 
 
 def test_criterion_10_csvs_match_golden(tmp_path):
