@@ -27,18 +27,16 @@ from .spectral import (
     field_to_bytes,
     field_from_bytes,
 )
-from .forcing import NoiseSpec, RngStream, ProfileError, bk_sum, m_star, sample_increments
+from .forcing import NoiseSpec, RngStream, ProfileError, bk_sum, m_star
 from .integrators import (
     SimParams,
-    TrajectoryState,
-    EnsembleState,
+    State,
     TrajectoryAbortError,
     ou_exact_step,
     phase_rotation_step,
     strang_step,
     em_step,
-    run_trajectory,
-    run_ensemble,
+    initial_state,
     continue_trajectory,
     zero_field,
     single_mode,

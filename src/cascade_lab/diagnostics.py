@@ -34,7 +34,7 @@ from math import exp, sqrt
 import numpy as np
 
 from . import schema
-from .integrators import EnsembleState, TrajectoryState
+from .integrators import State
 from .spectral import SpectralField, cm_norm, sobolev_norm, spectrum_shells, sup_norm
 
 DISCRETIZATION_NOTE = (
@@ -76,10 +76,9 @@ _set_t, _set_tau, _set_norms, _set_sup, _set_cm, _set_shells = (
 class NormRecorder:
     """Trajectory sink computing a DiagnosticsRecord at each recorded step.
 
-    It takes one trajectory's state or an ensemble state, and keeps each
-    trajectory's records under its stream id in ``streams``.  Sobolev norms,
-    the lattice sup and the C^m norm are computed for all rows at once, the
-    shells row by row.
+    It keeps each row's records under its stream id in ``streams``.  Sobolev
+    norms, the lattice sup and the C^m norm are computed for all rows at once,
+    the shells row by row.
     """
 
     def __init__(
@@ -95,20 +94,12 @@ class NormRecorder:
         self.shells = shells
         self.streams: dict[int, list[DiagnosticsRecord]] = {}
 
-    @property
-    def records(self) -> list[DiagnosticsRecord]:
-        """The records of a recorder that has observed a single trajectory."""
-        if len(self.streams) > 1:
-            raise ValueError(f"recorder holds {len(self.streams)} streams; read .streams")
-        return next(iter(self.streams.values()), [])
-
-    def __call__(self, state: TrajectoryState | EnsembleState) -> None:
+    def __call__(self, state: State) -> None:
         u, t, tau = state.u, state.t, self.nu * state.t
-        norms = zip(*(np.atleast_1d(sobolev_norm(u, m)).tolist() for m in self.ms))
-        sups = np.atleast_1d(sup_norm(u)).tolist()
-        cms = np.atleast_1d(cm_norm(u, self.cm_order)).tolist() if self.cm_order is not None else None
-        rows = u.coeffs.reshape(-1, *u.grid.coeff_shape)
-        for rng, c, row_norms, sup, cm in zip(state.rngs, rows, norms, sups, cms or [None] * len(sups)):
+        norms = zip(*(sobolev_norm(u, m).tolist() for m in self.ms))
+        sups = sup_norm(u).tolist()
+        cms = cm_norm(u, self.cm_order).tolist() if self.cm_order is not None else None
+        for rng, c, row_norms, sup, cm in zip(state.rngs, u.coeffs, norms, sups, cms or [None] * len(sups)):
             shells = tuple(e for _, e in spectrum_shells(SpectralField(u.grid, c))) if self.shells else None
             rec = DiagnosticsRecord(t, tau, dict(zip(self.ms, row_norms)), sup, cm, shells)
             self.streams.setdefault(rng.stream_id, []).append(rec)

@@ -27,7 +27,7 @@ from .diagnostics import (
     time_avg_sobolev,
 )
 from .forcing import NoiseSpec, bk_sum
-from .integrators import KAPPA, SimParams, constrained_profile, run_ensemble
+from .integrators import KAPPA, SimParams, constrained_profile, continue_trajectory, initial_state
 from .spectral import GridSpec, SpectralField
 
 QUANTILES = (5, 25, 50, 75, 95)
@@ -155,16 +155,16 @@ def ensemble_run(
     max_abort_fraction: float = 0.01,
     recorder_factory=None,
 ) -> tuple[EnsembleSummary, list[list[DiagnosticsRecord]]]:
-    """Run M trajectories (stream ids 0..M-1) as one batch and summarize observables.
+    """Run M trajectories as one batch and summarize observables.
 
-    ``u0_factory(stream_id)`` supplies initial data, and
-    ``recorder_factory(params)``, if given, the recorder that observes every
-    trajectory.  Observables are evaluated on the window
-    [window_t0, window_t0 + 1/nu] (default: the second half of a two-slow-unit
-    run, i.e. t0 = T - 1/nu).  A trajectory that turns non-finite is dropped at
-    that step and excluded from statistics; more than ``max_abort_fraction``
-    aborts raises.  Each stream is a pure function of (seed, stream_id), for
-    any M.
+    Row i runs on stream id ``params.stream_id + i`` (0..M-1 by default), from
+    ``u0_factory(stream_id)``; ``recorder_factory(params)``, if given, supplies
+    the recorder that observes every trajectory.  Observables are evaluated on
+    the window [window_t0, window_t0 + 1/nu] (default: the second half of a
+    two-slow-unit run, i.e. t0 = T - 1/nu).  A trajectory that turns non-finite
+    is dropped at that step and excluded from statistics; more than
+    ``max_abort_fraction`` aborts raises.  Each stream is a pure function of
+    (seed, stream_id), for any M.
     """
     if M < 1:
         raise ValueError("ensemble size must be >= 1")
@@ -175,10 +175,11 @@ def ensemble_run(
         if recorder_factory is not None
         else _needed_recorder(observables, params.nu)
     )
-    u0 = SpectralField(grid, np.stack([u0_factory(sid).coeffs for sid in range(M)]))
-    _, aborted = run_ensemble(u0, spec, params, rec)
-    lost = {exc.last_state.rng.stream_id for exc in aborted}
-    streams = [rec.streams[sid] for sid in range(M) if sid not in lost]
+    ids = range(params.stream_id, params.stream_id + M)
+    u0 = SpectralField(grid, np.stack([u0_factory(sid).coeffs for sid in ids]))
+    _, aborted = continue_trajectory(initial_state(u0, params), spec, params, rec)
+    lost = {exc.last_state.rngs[0].stream_id for exc in aborted}
+    streams = [rec.streams[sid] for sid in ids if sid not in lost]
     aborts = len(aborted)
     if aborts > max_abort_fraction * M:
         raise EnsembleAbortError(

@@ -254,7 +254,7 @@ def ou_block_steps(s: int) -> int:
     return max(1, OU_BLOCK_NORMALS // (4 * s)) if s else 1
 
 
-# The last block of raw Strang OU normals drawn: (rngs, their keys, block index, s, normals).
+# The last block of raw Strang OU normals drawn: (rngs, block index, s, normals).
 _ou_block: tuple | None = None
 
 
@@ -263,22 +263,18 @@ def _ou_block_normals(rngs, block: int, s: int) -> np.ndarray:
 
     Each stream draws 4s*K normals at (block, SUB_OU), step slot j holding
     re_0 | im_0 | re_1 | im_1 at [4s*j, 4s*(j + 1)).  One block is cached, keyed
-    by the (base_seed, stream_id) of every row, the block index and s; the rows'
-    keys are compared only when ``rngs`` is not the tuple the block was drawn
-    for, so a step inside an ensemble's block does no per-row work.
+    by the identity of the ``rngs`` tuple, the block index and s: a state keeps
+    its tuple from step to step, so a step inside its block does no per-row
+    work, and any other tuple (a new run, a dropped row, a one-row redo) draws.
     """
     global _ou_block
     cached = _ou_block
-    if cached is not None and cached[0] is rngs and cached[2] == block and cached[3] == s:
-        return cached[4]
-    keys = tuple((rng.base_seed, rng.stream_id) for rng in rngs)
-    if cached is not None and cached[1:4] == (keys, block, s):
-        z = cached[4]
-    else:
-        K = ou_block_steps(s)
-        z = _complex_draws(rngs, block, SUB_OU, s, 2 * K).reshape(len(rngs), K, 2, s)
-        z.flags.writeable = False
-    _ou_block = (rngs, keys, block, s, z)
+    if cached is not None and cached[0] is rngs and cached[1] == block and cached[2] == s:
+        return cached[3]
+    K = ou_block_steps(s)
+    z = _complex_draws(rngs, block, SUB_OU, s, 2 * K).reshape(len(rngs), K, 2, s)
+    z.flags.writeable = False
+    _ou_block = (rngs, block, s, z)
     return z
 
 
@@ -310,14 +306,3 @@ def forced_increments(
     out = np.zeros((len(rngs), spec.grid.n_modes), dtype=np.complex128)
     out[:, forced] = spec.amplitudes.reshape(-1)[forced] * (sqrt(dt) * g)
     return out.reshape(len(rngs), *spec.grid.coeff_shape)
-
-
-def sample_increments(
-    spec: NoiseSpec,
-    dt: float,
-    rng: RngStream,
-    step_index: int,
-    substream: int = SUB_INCREMENT,
-) -> np.ndarray:
-    """One stream's per-mode complex increments (``forced_increments`` without the row axis)."""
-    return forced_increments(spec, dt, (rng,), step_index, substream)[0]

@@ -11,11 +11,12 @@ integral of motion of that flow).  The production scheme is the Strang
 composition  OU(dt/2) o phase(dt) o OU(dt/2);  an explicit Euler-Maruyama
 step over the full drift serves as an independent oracle.
 
-Both step kernels act on a field with an optional leading row axis, so an
-ensemble advances as one (M, D, ..., D) array.  A Strang step is two OU halves
-around a phase rotation (one sine-matrix pair), three validated fields, then a
-flush of subnormal components to 0.0.  Row i keeps its own stream and is bit for
-bit the single trajectory with stream id i (the same kernel, no row axis).
+There is one state type, :class:`State`: a field with a leading row axis and
+one stream per row, so an ensemble advances as one (M, D, ..., D) array and a
+single trajectory is one row.  A Strang step is two OU halves around a phase
+rotation (one sine-matrix pair), three validated fields, then a flush of
+subnormal components to 0.0.  Row i keeps its own stream and is bit for bit the
+one-row run on that stream.
 
 Only the s forced modes (b_d > 0) are driven: a Strang step takes 4s normals
 that hold both half-step convolutions (``forcing.ou_convolutions``), and each OU
@@ -81,9 +82,9 @@ SCHEMES = ("strang", "em")
 
 
 class TrajectoryAbortError(RuntimeError):
-    """A trajectory produced non-finite values; carries the last good state."""
+    """A trajectory produced non-finite values; carries its last good state, one row."""
 
-    def __init__(self, message: str, last_state: "TrajectoryState"):
+    def __init__(self, message: str, last_state: "State"):
         super().__init__(message)
         self.last_state = last_state
 
@@ -138,43 +139,16 @@ class SimParams:
 
 
 @dataclass
-class TrajectoryState:
-    """Current time, field, stream, and step counter of one trajectory."""
+class State:
+    """M trajectories at a common step: a field with a leading row axis, one stream per row.
 
-    t: float
-    u: SpectralField
-    rng: RngStream
-    step_index: int
-
-    @property
-    def rngs(self) -> tuple[RngStream, ...]:
-        return (self.rng,)
-
-
-@dataclass
-class EnsembleState:
-    """M trajectories at a common step: a field with a leading row axis, one stream per row."""
+    A single trajectory is one row.
+    """
 
     t: float
     u: SpectralField
     rngs: tuple[RngStream, ...]
     step_index: int
-
-    def rows(self) -> list[TrajectoryState]:
-        grid = self.u.grid
-        return [
-            TrajectoryState(self.t, SpectralField(grid, c), rng, self.step_index)
-            for c, rng in zip(self.u.coeffs, self.rngs)
-        ]
-
-    @classmethod
-    def stack(cls, states: list[TrajectoryState]) -> "EnsembleState":
-        first = states[0]
-        u = SpectralField(first.u.grid, np.stack([s.u.coeffs for s in states]))
-        return cls(first.t, u, tuple(s.rng for s in states), first.step_index)
-
-
-State = TrajectoryState | EnsembleState
 
 
 def default_dt(scheme: str, nu: float, grid: GridSpec, safety: float = 0.5) -> float:
@@ -301,24 +275,17 @@ def _strang(
     return u
 
 
-def _advanced(state: State, u: SpectralField, dt: float) -> State:
-    k = state.step_index + 1
-    return type(state)(k * dt, u, state.rng if isinstance(state, TrajectoryState) else state.rngs, k)
-
-
 def strang_step(state: State, spec: NoiseSpec, params: SimParams) -> State:
     """Symmetric composition OU(dt/2) o phase(dt) o OU(dt/2).
 
-    Takes a TrajectoryState or an EnsembleState and returns the same kind.
     Both half-step convolutions over the forced modes come from slot
-    step_index mod K of each stream's block at (step_index // K, SUB_OU).
+    step_index mod K of each row's block at (step_index // K, SUB_OU).
     """
     _, conv_sd, _ = _ou_tables(spec, params.nu, params.dt / 2.0)
     conv0, conv1 = ou_convolutions(state.rngs, state.step_index, conv_sd)
-    if isinstance(state, TrajectoryState):
-        conv0, conv1 = conv0[0], conv1[0]
     u = _strang(state.u, spec, params.nu, params.dt, params.nonlinear, conv0, conv1)
-    return _advanced(state, u, params.dt)
+    k = state.step_index + 1
+    return State(k * params.dt, u, state.rngs, k)
 
 
 def _euler_maruyama(
@@ -338,11 +305,10 @@ def em_step(
 ) -> State:
     """Explicit Euler-Maruyama step over the full drift (oracle scheme).
 
-    u <- u + dt*(nu Lap u - i Pi(|u|^2 u)) + sqrt(nu) dxi.  Takes a
-    TrajectoryState or an EnsembleState and returns the same kind.  Warns when
-    the stiffness guard nu |d_max|^2 dt < 1 is violated.  Non-finite output
-    raises through the field constructor and is turned into a trajectory abort
-    by the run loop.
+    u <- u + dt*(nu Lap u - i Pi(|u|^2 u)) + sqrt(nu) dxi.  Warns when the
+    stiffness guard nu |d_max|^2 dt < 1 is violated.  Non-finite output raises
+    through the field constructor and is turned into a trajectory abort by the
+    driver.
     """
     grid = state.u.grid
     if params.nu * grid.n * grid.D**2 * params.dt >= 1.0:
@@ -354,9 +320,9 @@ def em_step(
         )
     if increment is None:
         increment = forced_increments(spec, params.dt, state.rngs, state.step_index)
-        increment = increment.reshape(state.u.coeffs.shape)
     u = _euler_maruyama(state.u, params.nu, params.dt, params.nonlinear, increment)
-    return _advanced(state, u, params.dt)
+    k = state.step_index + 1
+    return State(k * params.dt, u, state.rngs, k)
 
 
 # --- trajectory driver --------------------------------------------------------
@@ -364,8 +330,15 @@ def em_step(
 Sink = Callable[[State], None]
 
 
-def initial_state(u0: SpectralField, params: SimParams) -> TrajectoryState:
-    return TrajectoryState(t=0.0, u=u0, rng=RngStream(params.seed, params.stream_id), step_index=0)
+def initial_state(u0: SpectralField, params: SimParams) -> State:
+    """The rows of ``u0`` at t = 0, row i on stream ``params.stream_id + i``.
+
+    A field with no row axis is one row.
+    """
+    if u0.coeffs.ndim == u0.grid.n:
+        u0 = SpectralField(u0.grid, u0.coeffs[None])
+    rngs = tuple(RngStream(params.seed, params.stream_id + i) for i in range(len(u0.coeffs)))
+    return State(0.0, u0, rngs, 0)
 
 
 def _checked_step(step, state: State, spec: NoiseSpec, params: SimParams) -> State:
@@ -379,16 +352,16 @@ def _checked_step(step, state: State, spec: NoiseSpec, params: SimParams) -> Sta
         ) from exc
 
 
-def _advance(
-    state: State, spec: NoiseSpec, params: SimParams, sink: Sink | None
+def continue_trajectory(
+    state: State, spec: NoiseSpec, params: SimParams, sink: Sink | None = None
 ) -> tuple[State | None, list[TrajectoryAbortError]]:
-    """Step a trajectory or an ensemble to ``params.n_steps``; returns (final state, aborts).
+    """Step every row of ``state`` to ``params.n_steps``; returns (final state, aborts).
 
     The sink sees the state at step 0 (fresh starts only), after every
-    record_every-th step, and at the final step.  A single trajectory that
-    turns non-finite raises TrajectoryAbortError with the last good state.  An
-    ensemble redoes a non-finite step row by row: failing rows are dropped,
-    each with its abort, and the others go on (final state None if none is left).
+    record_every-th step, and at the final step.  A step that turns non-finite
+    is redone row by row: each failing row is dropped with its abort, which
+    carries its last good one-row state, and the others go on (final state None
+    if no row is left).
     """
     if spec.grid != state.u.grid:
         raise GridMismatchError("state and noise spec live on different grids")
@@ -401,61 +374,23 @@ def _advance(
         try:
             state = _checked_step(step, state, spec, params)
         except TrajectoryAbortError:
-            if isinstance(state, TrajectoryState):
-                raise
-            kept = []
-            for row in state.rows():
+            grid, kept = state.u.grid, []
+            for i in range(len(state.rngs)):
+                u = SpectralField(grid, state.u.coeffs[i : i + 1])
+                row = State(state.t, u, state.rngs[i : i + 1], state.step_index)
                 try:
                     kept.append(_checked_step(step, row, spec, params))
                 except TrajectoryAbortError as exc:
                     aborts.append(exc)
             if not kept:
                 return None, aborts
-            state = EnsembleState.stack(kept)
+            u = SpectralField(grid, np.concatenate([s.u.coeffs for s in kept]))
+            state = State(kept[0].t, u, tuple(s.rngs[0] for s in kept), kept[0].step_index)
         if sink is not None and (
             state.step_index % params.record_every == 0 or state.step_index == n_steps
         ):
             sink(state)
     return state, aborts
-
-
-def continue_trajectory(
-    state: TrajectoryState,
-    spec: NoiseSpec,
-    params: SimParams,
-    sink: Sink | None = None,
-) -> TrajectoryState:
-    """Advance a trajectory to ``params.n_steps``, invoking the sink at the record cadence.
-
-    Non-finite fields abort with the last good state attached.
-    """
-    return _advance(state, spec, params, sink)[0]
-
-
-def run_trajectory(
-    u0: SpectralField,
-    spec: NoiseSpec,
-    params: SimParams,
-    sink: Sink | None = None,
-) -> TrajectoryState:
-    """Run one trajectory from t = 0; deterministic given (seed, stream_id)."""
-    return continue_trajectory(initial_state(u0, params), spec, params, sink)
-
-
-def run_ensemble(
-    u0: SpectralField,
-    spec: NoiseSpec,
-    params: SimParams,
-    sink: Sink | None = None,
-) -> tuple[EnsembleState | None, list[TrajectoryAbortError]]:
-    """Run the M rows of ``u0`` together from t = 0 as stream ids 0..M-1.
-
-    Row i follows, bit for bit, ``run_trajectory`` of that row with stream id
-    i (``params.stream_id`` is not used).  Returns the final state of the rows
-    that stayed finite (None if none did) and one abort per dropped row.
-    """
-    rngs = tuple(RngStream(params.seed, sid) for sid in range(len(u0.coeffs)))
-    return _advance(EnsembleState(0.0, u0, rngs, 0), spec, params, sink)
 
 
 # --- initial data library -----------------------------------------------------
@@ -644,43 +579,48 @@ def run_em_on_path(
 
 # --- checkpoints ----------------------------------------------------------------
 #
-# Layout: 8-byte magic, uint32 length of a JSON metadata blob, the blob, then a
-# field snapshot.  The metadata carries the time, the step index, and the rng
-# key (base seed, stream id), which is all that is needed to resume bit-exactly;
-# the ``counter`` key of older checkpoints is ignored.
+# A checkpoint holds one row.  Layout: 8-byte magic, uint32 length of a JSON
+# metadata blob, the blob, then a field snapshot (a one-row field's bytes are
+# those of the field without its row axis).  The metadata carries the time, the
+# step index, and the rng key (base seed, stream id), which is all that is
+# needed to resume bit-exactly; the ``counter`` key of older checkpoints is
+# ignored.
 
 CHECKPOINT_MAGIC = b"CLABCKP1"
 
 
-def checkpoint_to_bytes(state: TrajectoryState) -> bytes:
+def checkpoint_to_bytes(state: State) -> bytes:
+    if len(state.rngs) != 1:
+        raise ValueError(f"a checkpoint holds one row, got {len(state.rngs)}")
+    (rng,) = state.rngs
     meta = json.dumps(
         {
             "t": state.t,
             "step_index": state.step_index,
-            "base_seed": state.rng.base_seed,
-            "stream_id": state.rng.stream_id,
+            "base_seed": rng.base_seed,
+            "stream_id": rng.stream_id,
         },
         sort_keys=True,
     ).encode()
     return CHECKPOINT_MAGIC + struct.pack("<I", len(meta)) + meta + field_to_bytes(state.u)
 
 
-def checkpoint_from_bytes(buf: bytes) -> TrajectoryState:
+def checkpoint_from_bytes(buf: bytes) -> State:
     if len(buf) < 12 or buf[:8] != CHECKPOINT_MAGIC:
         raise ValueError("not a checkpoint (bad magic)")
     (meta_len,) = struct.unpack("<I", buf[8:12])
     meta = json.loads(buf[12 : 12 + meta_len].decode())
     u = field_from_bytes(buf[12 + meta_len :])
     rng = RngStream(meta["base_seed"], meta["stream_id"])
-    return TrajectoryState(t=meta["t"], u=u, rng=rng, step_index=meta["step_index"])
+    return State(meta["t"], SpectralField(u.grid, u.coeffs[None]), (rng,), meta["step_index"])
 
 
-def save_checkpoint(state: TrajectoryState, path) -> None:
+def save_checkpoint(state: State, path) -> None:
     from .cli_io import atomic_write_bytes
 
     atomic_write_bytes(path, checkpoint_to_bytes(state))
 
 
-def load_checkpoint(path) -> TrajectoryState:
+def load_checkpoint(path) -> State:
     with open(path, "rb") as fh:
         return checkpoint_from_bytes(fh.read())

@@ -3,7 +3,7 @@
 Covers the transform round trip and discrete Parseval identity, the transforms
 row by row and against direct sums of the basis, coefficient interpolation, norm
 homogeneity, the pure-decay and stationary limits of the exact linear step,
-phase-rotation isometry, addressed draws, the batched ensemble step against single
+phase-rotation isometry, addressed draws, the batched ensemble step against one-row
 steps, the Strang step's block-addressed forced-mode draw, and the power-law fit
 oracle.  Runs in a few seconds; the CLI exposes it as ``selftest``.
 """
@@ -19,9 +19,8 @@ from numpy.random import Generator, Philox
 from .experiments import fit_exponent
 from .forcing import SUB_OU, NoiseSpec, RngStream, ou_block_steps
 from .integrators import (
-    EnsembleState,
     SimParams,
-    TrajectoryState,
+    State,
     _ou_tables,
     _strang,
     initial_state,
@@ -126,16 +125,16 @@ def run_selftest(verbose: bool = True) -> bool:
     grid2 = GridSpec(2, 32, 16)
     spec2 = NoiseSpec.band(grid2, [1.0, 1.0, 1.0])
     params = SimParams(nu=0.5, dt=0.01, T=0.01, seed=3)
-    rows = [
-        initial_state(_random_field(grid2, 20 + i), replace(params, stream_id=i)) for i in range(16)
-    ]
-    batched = strang_step(EnsembleState.stack(rows), spec2, params).u.coeffs
-    single = np.stack([strang_step(r, spec2, params).u.coeffs for r in rows])
-    check("batched Strang step n=2 M=16 equals 16 single steps", batched.tobytes() == single.tobytes())
+    rows = [_random_field(grid2, 20 + i) for i in range(16)]
+    u0 = SpectralField(grid2, np.stack([r.coeffs for r in rows]))
+    batched = strang_step(initial_state(u0, params), spec2, params).u.coeffs
+    single = [strang_step(initial_state(r, replace(params, stream_id=i)), spec2, params) for i, r in enumerate(rows)]
+    same = batched.tobytes() == b"".join(s.u.coeffs.tobytes() for s in single)
+    check("batched Strang step n=2 M=16 equals 16 one-row steps", same)
 
     _, sd, _ = _ou_tables(spec2, params.nu, params.dt / 2)  # sd over the s forced modes
     s, K = sd.size, ou_block_steps(sd.size)
-    u = _random_field(grid2, 40)
+    u = SpectralField(grid2, _random_field(grid2, 40).coeffs[None])
     same = True
     for step in (2**40 - 1, 2**40):  # the last slot of one block and the first of the next
         z = Generator(Philox(counter=[0, 0, SUB_OU, step // K], key=[2**64 - 1, 2**63])).standard_normal(4 * s * K)
@@ -143,8 +142,8 @@ def run_selftest(verbose: bool = True) -> bool:
         conv = np.empty((2, s), dtype=np.complex128)
         conv.real, conv.imag = z[:, 0], z[:, 1]
         conv *= sd
-        stepped = strang_step(TrajectoryState(0.0, u, stream, step), spec2, params).u.coeffs
-        expected = _strang(u, spec2, params.nu, params.dt, True, conv[0], conv[1]).coeffs
+        stepped = strang_step(State(0.0, u, (stream,), step), spec2, params).u.coeffs
+        expected = _strang(u, spec2, params.nu, params.dt, True, conv[:1], conv[1:]).coeffs
         same = same and stepped.tobytes() == expected.tobytes()
     check(f"Strang draw equals a freshly built Philox block over the forced modes (K = {K})", same)
 

@@ -21,10 +21,11 @@ from cascade_lab.experiments import Observable, SweepPlan, ensemble_run, fit_exp
 from cascade_lab.forcing import NoiseSpec, RngStream, bk_sum
 from cascade_lab.integrators import (
     SimParams,
+    continue_trajectory,
+    initial_state,
     linear_stationary_mode_energy,
     run_em_on_path,
     run_strang_on_path,
-    run_trajectory,
     sample_coupled_path,
     constrained_profile,
     zero_field,
@@ -106,9 +107,9 @@ def test_criterion_3_linear_stationary_spectrum():
 
         def __call__(self, state):
             if state.t >= 0.2 * T:
-                c = state.u.coeffs
-                self.local += np.abs(c[:3]) ** 2
-                self.h1 += sobolev_norm(state.u, 1.0) ** 2
+                c = state.u.coeffs  # one row
+                self.local += np.abs(c[0, :3]) ** 2
+                self.h1 += sobolev_norm(state.u, 1.0)[0] ** 2
                 self.n += 1
 
     for sid in range(M):
@@ -116,7 +117,7 @@ def test_criterion_3_linear_stationary_spectrum():
             nu=nu, dt=dt, T=T, record_every=1, seed=424242, stream_id=sid, nonlinear=False
         )
         sink = ModeSink()
-        run_trajectory(zero_field(grid), spec, params, sink)
+        continue_trajectory(initial_state(zero_field(grid), params), spec, params, sink)
         sums += sink.local
         h1_acc += sink.h1
         count += sink.n

@@ -22,7 +22,7 @@ from cascade_lab.diagnostics import (
     time_avg_sobolev,
 )
 from cascade_lab.forcing import NoiseSpec, bk_sum
-from cascade_lab.integrators import SimParams, run_trajectory, zero_field
+from cascade_lab.integrators import SimParams, continue_trajectory, initial_state, zero_field
 from cascade_lab.spectral import GridSpec
 
 
@@ -196,8 +196,8 @@ class TestBalanceCheck:
                     nonlinear=False,
                 )
                 rec = NormRecorder(nu=1.0)
-                run_trajectory(zero_field(grid), spec, params, rec)
-                streams.append(rec.records)
+                continue_trajectory(initial_state(zero_field(grid), params), spec, params, rec)
+                streams.append(rec.streams[sid])
             results.append(balance_check(streams, b0, nu=1.0))
         short, long = results
         assert abs(long.avg_h1_sq - b0) <= 3 * long.se + 1e-12
@@ -282,18 +282,18 @@ class TestStreamCsv:
         spec = NoiseSpec.band(grid, [1.0])
         params = SimParams(nu=0.5, dt=0.05, T=0.5, record_every=2, seed=7)
         rec = NormRecorder(nu=0.5, ms=(0.0, 1.0, 2.0, 2.5), cm_order=1, shells=True)
-        run_trajectory(zero_field(grid), spec, params, rec)
-        text = stream_csv_text(rec.records)
+        continue_trajectory(initial_state(zero_field(grid), params), spec, params, rec)
+        text = stream_csv_text(rec.streams[0])
         back = read_stream_csv(io.StringIO(text))
-        assert back == rec.records
+        assert back == rec.streams[0]
 
     def test_header_columns(self):
         grid = GridSpec(1, 16, 8)
         spec = NoiseSpec.band(grid, [1.0])
         params = SimParams(nu=0.5, dt=0.1, T=0.2, seed=1)
         rec = NormRecorder(nu=0.5)
-        run_trajectory(zero_field(grid), spec, params, rec)
-        header = stream_csv_text(rec.records).splitlines()[0]
+        continue_trajectory(initial_state(zero_field(grid), params), spec, params, rec)
+        header = stream_csv_text(rec.streams[0]).splitlines()[0]
         assert header == "t,tau,norm_0,norm_1,norm_2,sup"
 
     def test_empty_stream_rejected(self):

@@ -23,7 +23,8 @@ from cascade_lab.integrators import (
     SimParams,
     TrajectoryAbortError,
     constrained_profile,
-    run_trajectory,
+    continue_trajectory,
+    initial_state,
     zero_field,
 )
 from cascade_lab.spectral import GridSpec, SpectralField
@@ -174,14 +175,16 @@ class TestEnsembleRun:
         summary, streams = ensemble_run(
             GRID, BAND, params, 4, u0, max_abort_fraction=0.5, recorder_factory=recorder
         )
-        with pytest.raises(TrajectoryAbortError) as info:
-            run_trajectory(u0(2), BAND, replace(params, stream_id=2))
+        p = replace(params, stream_id=2)
+        final, (abort,) = continue_trajectory(initial_state(u0(2), p), BAND, p)
+        assert final is None and isinstance(abort, TrajectoryAbortError)
         assert summary.aborts == 1 and len(streams) == 3
-        assert info.value.last_state.step_index == 0 and info.value.last_good_time == 0.0
+        assert abort.last_state.step_index == 0 and abort.last_good_time == 0.0
         for sid, records in zip((0, 1, 3), streams):
             rec = recorder(params)
-            run_trajectory(u0(sid), BAND, replace(params, stream_id=sid), rec)
-            assert stream_csv_text(records) == stream_csv_text(rec.records)
+            p = replace(params, stream_id=sid)
+            continue_trajectory(initial_state(u0(sid), p), BAND, p, rec)
+            assert stream_csv_text(records) == stream_csv_text(rec.streams[sid])
 
     def test_overflowing_stream_is_recorded_and_dropped_without_warnings(self):
         # The recorder sees stream 1's step-0 state at 1e160 (||u||_m and the shell

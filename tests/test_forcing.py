@@ -15,7 +15,6 @@ from cascade_lab.forcing import (
     complex_normals,
     forced_increments,
     m_star,
-    sample_increments,
 )
 from cascade_lab.spectral import GridSpec
 
@@ -201,24 +200,23 @@ class TestForcedModes:
             flat = row.reshape(-1)
             assert flat[spec.forced].tobytes() == (b * (0.5 * (z[:s] + 1j * z[s:]))).tobytes()
             assert not np.delete(flat, spec.forced).any()
-        assert sample_increments(spec, 0.25, rngs[0], 6).tobytes() == got[0].tobytes()
 
 
 class TestSampleIncrements:
     def test_zero_spec_gives_zero_draws(self):
         spec = NoiseSpec.band(GRID, [0.0])
-        draws = sample_increments(spec, 0.1, RngStream(0, 0), step_index=0)
+        draws = forced_increments(spec, 0.1, (RngStream(0, 0),), step_index=0)[0]
         assert np.all(draws == 0)
 
     def test_rejects_nonpositive_dt(self):
         spec = NoiseSpec.band(GRID, [1.0])
         with pytest.raises(ValueError):
-            sample_increments(spec, 0.0, RngStream(0, 0), step_index=0)
+            forced_increments(spec, 0.0, (RngStream(0, 0),), step_index=0)
 
     def test_replay_contract(self):
         spec = NoiseSpec.band(GRID, [1.0, 1.0])
-        a = sample_increments(spec, 0.25, RngStream(42, 3), step_index=11)
-        b = sample_increments(spec, 0.25, RngStream(42, 3), step_index=11)
+        a = forced_increments(spec, 0.25, (RngStream(42, 3),), step_index=11)[0]
+        b = forced_increments(spec, 0.25, (RngStream(42, 3),), step_index=11)[0]
         assert np.array_equal(a, b)
 
     def test_variance_matches_gaussian_oracle(self):
@@ -227,7 +225,7 @@ class TestSampleIncrements:
         rng = RngStream(2024, 0)
         dt = 0.25
         n = 100_000
-        draws = np.array([sample_increments(spec, dt, rng, step_index=k)[0] for k in range(n)])
+        draws = np.array([forced_increments(spec, dt, (rng,), step_index=k)[0, 0] for k in range(n)])
         var = draws.real.var()
         se = dt * sqrt(2.0 / n)  # sd of a variance estimate for Gaussians
         assert abs(var - dt) <= 3 * se
@@ -238,7 +236,7 @@ class TestSampleIncrements:
         n = 100_000
         z = np.empty((n, 4), dtype=complex)
         for k in range(n):
-            z[k] = sample_increments(spec, 1.0, rng, step_index=k)
+            z[k] = forced_increments(spec, 1.0, (rng,), step_index=k)[0]
         corr = np.corrcoef(z.real.T)
         off = corr[~np.eye(4, dtype=bool)]
         assert np.abs(off).max() <= 4.0 / sqrt(n)
@@ -250,12 +248,12 @@ class TestSampleIncrements:
         n = 40_000
         dt = 0.2
         coarse = np.array(
-            [sample_increments(spec, dt, rng, step_index=k)[0] for k in range(n)]
+            [forced_increments(spec, dt, (rng,), step_index=k)[0, 0] for k in range(n)]
         )
         fine = np.array(
             [
                 sum(
-                    sample_increments(spec, dt / 4, rng, step_index=4 * k + j, substream=4)[0]
+                    forced_increments(spec, dt / 4, (rng,), step_index=4 * k + j, substream=4)[0, 0]
                     for j in range(4)
                 )
                 for k in range(n)
@@ -272,5 +270,5 @@ class TestSampleIncrements:
         spec = NoiseSpec(grid, np.ones(grid.coeff_shape))
         rng = RngStream(9, 1)
         z = rng.normals(4, SUB_INCREMENT, 2 * grid.n_modes)
-        draws = sample_increments(spec, 1.0, rng, step_index=4)
+        draws = forced_increments(spec, 1.0, (rng,), step_index=4)[0]
         assert draws[1, 2] == pytest.approx(complex(z[1 * 3 + 2], z[9 + 1 * 3 + 2]))

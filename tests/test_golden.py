@@ -33,8 +33,9 @@ from cascade_lab.integrators import (
     SimParams,
     checkpoint_to_bytes,
     constrained_profile,
+    continue_trajectory,
     default_dt,
-    run_trajectory,
+    initial_state,
     smooth_random_field,
 )
 from cascade_lab.spectral import GridSpec, SpectralField
@@ -325,7 +326,8 @@ def checkpoint_bytes() -> bytes:
     gen = np.random.default_rng(11)
     c = gen.normal(size=grid.coeff_shape) + 1j * gen.normal(size=grid.coeff_shape)
     params = SimParams(nu=0.5, dt=0.01, T=0.1, seed=3, stream_id=2)
-    state = run_trajectory(SpectralField(grid, 0.2 * c), NoiseSpec.band(grid, [1.0, 1.0, 1.0]), params)
+    spec = NoiseSpec.band(grid, [1.0, 1.0, 1.0])
+    state, _ = continue_trajectory(initial_state(SpectralField(grid, 0.2 * c), params), spec, params)
     return checkpoint_to_bytes(state)
 
 
@@ -375,8 +377,8 @@ def test_ensemble_equals_single_runs(grid, scheme, nonlinear):
     for sid, records in enumerate(streams):
         p = replace(params, stream_id=sid)
         rec = full_recorder(p)
-        run_trajectory(u0(sid), spec, p, rec)
-        assert stream_csv_text(records) == stream_csv_text(rec.records), f"stream {sid} differs"
+        continue_trajectory(initial_state(u0(sid), p), spec, p, rec)
+        assert stream_csv_text(records) == stream_csv_text(rec.streams[sid]), f"stream {sid} differs"
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -3,6 +3,7 @@
 import json
 import struct
 import warnings
+from dataclasses import replace
 from math import exp, log, pi, sqrt
 
 import numpy as np
@@ -14,10 +15,9 @@ from cascade_lab.diagnostics import NormRecorder
 from cascade_lab.experiments import fit_exponent
 from cascade_lab.forcing import SUB_OU, NoiseSpec, RngStream, ou_block_steps, ou_convolutions
 from cascade_lab.integrators import (
-    EnsembleState,
     SimParams,
+    State,
     TrajectoryAbortError,
-    TrajectoryState,
     _ou_tables,
     _phase_factor,
     _strang,
@@ -34,9 +34,7 @@ from cascade_lab.integrators import (
     ou_exact_step,
     phase_rotation_step,
     run_em_on_path,
-    run_ensemble,
     run_strang_on_path,
-    run_trajectory,
     sample_coupled_path,
     save_checkpoint,
     single_mode,
@@ -66,6 +64,13 @@ def random_field(grid, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
     c = rng.normal(size=grid.coeff_shape) + 1j * rng.normal(size=grid.coeff_shape)
     return SpectralField(grid, scale * c)
+
+
+def run(u0, spec, params, sink=None):
+    """The final state of the rows of ``u0`` run from t = 0, none of which may abort."""
+    state, aborts = continue_trajectory(initial_state(u0, params), spec, params, sink)
+    assert aborts == []
+    return state
 
 
 class TestOuExactStep:
@@ -201,13 +206,13 @@ class TestStrangStep:
         u0 = single_mode(GRID, 1, c=1e-8)
         state = strang_step(initial_state(u0, params), SILENT, params)
         expected = 1e-8 * exp(-params.dt)
-        assert abs(state.u.coeffs[0] - expected) <= 1e-12 * expected
+        assert abs(state.u.coeffs[0, 0] - expected) <= 1e-12 * expected
 
     def test_replay_bit_identical(self):
         params = SimParams(nu=0.5, dt=0.01, T=0.1, seed=11, stream_id=3)
         u0 = random_field(GRID, 6, scale=0.2)
-        a = run_trajectory(u0, BAND, params)
-        b = run_trajectory(u0, BAND, params)
+        a = run(u0, BAND, params)
+        b = run(u0, BAND, params)
         assert np.array_equal(a.u.coeffs, b.u.coeffs)
         assert a.t == b.t and a.step_index == b.step_index
 
@@ -216,14 +221,15 @@ class TestStrangStep:
         # interleaving other addressed draws between steps must not change the trajectory.
         params = SimParams(nu=0.5, dt=0.02, T=0.06, seed=4)
         u0 = random_field(GRID, 7, scale=0.3)
-        direct = run_trajectory(u0, BAND, params)
+        direct = run(u0, BAND, params)
         state = initial_state(u0, params)
+        (rng,) = state.rngs
         _, sd, _ = _ou_tables(BAND, params.nu, params.dt / 2)
-        u = u0
+        u = state.u
         for k in range(params.n_steps):
-            state.rng.normals(1234, 17, 8)  # unrelated address
-            conv0, conv1 = ou_convolutions((state.rng,), k, sd)
-            u = _strang(u, BAND, params.nu, params.dt, True, conv0[0], conv1[0])
+            rng.normals(1234, 17, 8)  # unrelated address
+            conv0, conv1 = ou_convolutions((rng,), k, sd)
+            u = _strang(u, BAND, params.nu, params.dt, True, conv0, conv1)
         assert np.array_equal(direct.u.coeffs, u.coeffs)
 
     def test_noise_free_linear_run_flushes_subnormals(self):
@@ -237,7 +243,7 @@ class TestStrangStep:
             parts = np.abs(state.u.coeffs.view(np.float64))
             assert np.all((parts == 0.0) | (parts >= tiny)), f"subnormal at step {state.step_index}"
 
-        final = run_trajectory(u0, SILENT, params, no_subnormals)
+        final = run(u0, SILENT, params, no_subnormals)
         assert final.step_index == 800 and not np.any(final.u.coeffs.view(np.float64))
         path = sample_coupled_path(SILENT, params.nu, 0.5, 1600, RngStream(1, 0))
         assert not np.any(run_strang_on_path(u0, path, params.dt, nonlinear=False).coeffs.view(np.float64))
@@ -248,23 +254,23 @@ class TestStrangStep:
         c = random_field(GRID, 4, scale=0.3).coeffs.copy()
         c[-1] = 1e-310 + 1e-310j
         rows = SpectralField(GRID, np.stack([c, 2 * c, 3 * c]))
-        for state in (
-            initial_state(SpectralField(GRID, c), params),
-            EnsembleState(0.0, rows, tuple(RngStream(3, sid) for sid in range(3)), 0),
-        ):
+        for state in (initial_state(SpectralField(GRID, c), params), initial_state(rows, params)):
             before = state.u.coeffs.tobytes()
             after = strang_step(state, BAND, params)
             assert state.u.coeffs.tobytes() == before != after.u.coeffs.tobytes()
-        # A step that fails at step_index > 0 leaves the last good state as it was.
-        bad = np.zeros(GRID.coeff_shape, dtype=complex)
-        bad[0], bad[-1] = 1e160, 1e-310
-        good = TrajectoryState(0.05, SpectralField(GRID, bad), RngStream(3, 0), 5)
+        # A one-row run that fails at step_index > 0 returns no state and one abort
+        # whose last good state is its input, which it leaves as it was.
+        bad = np.zeros((1, *GRID.coeff_shape), dtype=complex)
+        bad[0, 0], bad[0, -1] = 1e160, 1e-310
+        good = State(0.05, SpectralField(GRID, bad), (RngStream(3, 0),), 5)
         before = good.u.coeffs.tobytes()
         with pytest.raises(NonFiniteFieldError):
             strang_step(good, BAND, params)
-        with pytest.raises(TrajectoryAbortError) as info:
-            continue_trajectory(good, BAND, params)
-        assert info.value.last_state is good and good.u.coeffs.tobytes() == before
+        final, (abort,) = continue_trajectory(good, BAND, params)
+        assert final is None and isinstance(abort, TrajectoryAbortError)
+        last = abort.last_state
+        assert (last.t, last.step_index, last.rngs) == (good.t, good.step_index, good.rngs)
+        assert last.u.coeffs.tobytes() == good.u.coeffs.tobytes() == before
 
     def test_self_convergence_on_fixed_path(self):
         # RMS over four fixed paths of the successive-halving differences at
@@ -315,13 +321,9 @@ class TestForcedModeDraws:
             conv0, conv1 = ou_convolutions(rngs, step, sd)
             assert conv0.tobytes() == np.stack([f[0] for f in fresh]).tobytes()
             assert conv1.tobytes() == np.stack([f[1] for f in fresh]).tobytes()
-            if M == 1:
-                state = TrajectoryState(0.0, SpectralField(grid, u[0]), rngs[0], step)
-                expected = _strang(state.u, spec, params.nu, params.dt, True, *fresh[0])
-            else:
-                state = EnsembleState(0.0, SpectralField(grid, u), rngs, step)
-                convs = [np.stack(c) for c in zip(*fresh)]
-                expected = _strang(state.u, spec, params.nu, params.dt, True, *convs)
+            state = State(0.0, SpectralField(grid, u), rngs, step)
+            convs = [np.stack(c) for c in zip(*fresh)]
+            expected = _strang(state.u, spec, params.nu, params.dt, True, *convs)
             assert strang_step(state, spec, params).u.coeffs.tobytes() == expected.coeffs.tobytes()
 
     def test_unforced_mode_only_decays(self):
@@ -329,7 +331,7 @@ class TestForcedModeDraws:
         params = SimParams(nu=0.5, dt=0.02, T=0.02, seed=8, nonlinear=False)
         u0 = random_field(GRID, 12, scale=0.4)
         decay, _, _ = _ou_tables(spec, params.nu, params.dt / 2)
-        u1 = strang_step(initial_state(u0, params), spec, params).u.coeffs
+        (u1,) = strang_step(initial_state(u0, params), spec, params).u.coeffs
         assert u1[4] == u0.coeffs[4] * decay[4] * decay[4]
         unforced = spec.amplitudes == 0
         assert u1[unforced].tobytes() == (u0.coeffs * decay * decay)[unforced].tobytes()
@@ -337,25 +339,24 @@ class TestForcedModeDraws:
 
     @staticmethod
     def count_normals(monkeypatch) -> list:
-        """The (step_index, substream) of every RngStream.normals call from here on, with no block cached."""
+        """The (step_index, substream) of every RngStream.normals call from here on."""
         calls = []
         normals = RngStream.normals
         monkeypatch.setattr(RngStream, "normals", lambda self, *a, **k: calls.append(a) or normals(self, *a, **k))
-        monkeypatch.setattr(forcing, "_ou_block", None)
         return calls
 
     def test_degenerate_spec_draws_nothing(self, monkeypatch):
         calls = self.count_normals(monkeypatch)
         for scheme in ("strang", "em"):
             params = SimParams(nu=0.5, dt=1e-3, T=4e-3, scheme=scheme, seed=1)
-            run_trajectory(random_field(GRID, 3, 0.2), SILENT, params)
+            run(random_field(GRID, 3, 0.2), SILENT, params)
             rows = np.stack([random_field(GRID, i, 0.2).coeffs for i in range(3)])
-            run_ensemble(SpectralField(GRID, rows), SILENT, params)
+            run(SpectralField(GRID, rows), SILENT, params)
         assert calls == []
         # a forced spec addresses each stream once per block of K Strang steps
         K = ou_block_steps(BAND.forced.size)
         params = SimParams(nu=0.5, dt=1e-3, T=(K + 1) * 1e-3, seed=1)
-        run_ensemble(SpectralField(GRID, np.zeros((3, *GRID.coeff_shape), complex)), BAND, params)
+        run(SpectralField(GRID, np.zeros((3, *GRID.coeff_shape), complex)), BAND, params)
         assert sorted(calls) == sorted((b, SUB_OU) for b in range(2) for _ in range(3))
 
     @pytest.mark.parametrize("M", [1, 4])
@@ -367,7 +368,7 @@ class TestForcedModeDraws:
             params = SimParams(nu=0.5, dt=1e-3, T=n_steps * 1e-3, seed=9)
             assert params.n_steps == n_steps
             rows = np.stack([random_field(GRID, 50 + i, 0.2).coeffs for i in range(M)])
-            run_ensemble(SpectralField(GRID, rows), BAND, params)
+            run(SpectralField(GRID, rows), BAND, params)
             assert len(calls) == M * -(-n_steps // K)
             assert sorted(calls) == sorted((b, SUB_OU) for b in range(-(-n_steps // K)) for _ in range(M))
 
@@ -388,8 +389,22 @@ class TestForcedModeDraws:
             assert conv1.tobytes() == ((z[:, 1, 0] + 1j * z[:, 1, 1]) * sd).tobytes()
         calls = self.count_normals(monkeypatch)
         rows = np.stack([random_field(grid, 60 + i, 0.1).coeffs for i in range(2)])
-        run_ensemble(SpectralField(grid, rows), spec, params)
+        run(SpectralField(grid, rows), spec, params)
         assert sorted(calls) == sorted((k, SUB_OU) for k in range(3) for _ in range(2))
+
+    def test_back_to_back_runs_make_the_same_draws(self, monkeypatch):
+        # A fresh run draws its own blocks: the block 0 that an earlier run on the same
+        # seed and stream ids left cached is not reused, so both runs address the same draws.
+        params = SimParams(nu=0.5, dt=1e-3, T=3e-3, seed=9)
+        assert params.n_steps < ou_block_steps(BAND.forced.size)
+        rows = SpectralField(GRID, np.stack([random_field(GRID, 70 + i, 0.2).coeffs for i in range(2)]))
+        calls = self.count_normals(monkeypatch)
+        first = run(rows, BAND, params)
+        first_calls = list(calls)
+        calls.clear()
+        second = run(rows, BAND, params)
+        assert calls == first_calls == [(0, SUB_OU), (0, SUB_OU)]
+        assert second.u.coeffs.tobytes() == first.u.coeffs.tobytes()
 
 
 class TestEmStep:
@@ -447,56 +462,71 @@ class TestRunTrajectory:
     def test_horizon_of_one_step(self):
         params = SimParams(nu=0.5, dt=0.25, T=0.25, seed=0)
         seen = []
-        final = run_trajectory(zero_field(GRID), BAND, params, seen.append)
+        final = run(zero_field(GRID), BAND, params, seen.append)
         assert final.step_index == 1
         assert [s.step_index for s in seen] == [0, 1]
 
     def test_linear_decay_closed_form(self):
         params = SimParams(nu=0.5, dt=0.01, T=2.0, nonlinear=False, seed=0)
-        final = run_trajectory(single_mode(GRID, 1), SILENT, params)
-        assert sobolev_norm(final.u, 0) == pytest.approx(exp(-0.5 * 2.0), abs=1e-10)
+        final = run(single_mode(GRID, 1), SILENT, params)
+        assert sobolev_norm(final.u, 0)[0] == pytest.approx(exp(-0.5 * 2.0), abs=1e-10)
 
     def test_determinism_of_diagnostics_stream(self):
         params = SimParams(nu=0.5, dt=0.02, T=0.2, record_every=2, seed=21)
         streams = []
         for _ in range(2):
             rec = NormRecorder(nu=params.nu)
-            run_trajectory(random_field(GRID, 9, 0.2), BAND, params, rec)
-            streams.append(rec.records)
+            run(random_field(GRID, 9, 0.2), BAND, params, rec)
+            streams.append(rec.streams[0])
         assert streams[0] == streams[1]
 
     def test_record_cadence(self):
         params = SimParams(nu=0.5, dt=0.01, T=0.05, record_every=2, seed=0)
         seen = []
-        run_trajectory(zero_field(GRID), BAND, params, seen.append)
+        run(zero_field(GRID), BAND, params, seen.append)
         assert [s.step_index for s in seen] == [0, 2, 4, 5]  # cadence plus final step
+
+    def test_rows_run_on_consecutive_stream_ids(self):
+        # Row i of a run with stream_id 5 is stream 5 + i, byte for byte its one-row run.
+        params = SimParams(nu=0.5, dt=0.02, T=0.2, record_every=2, seed=21, stream_id=5)
+        fields = [random_field(GRID, 30 + i, 0.3) for i in range(3)]
+        rec = NormRecorder(nu=params.nu)
+        final = run(SpectralField(GRID, np.stack([f.coeffs for f in fields])), BAND, params, rec)
+        assert [rng.stream_id for rng in final.rngs] == [5, 6, 7] and sorted(rec.streams) == [5, 6, 7]
+        for i, field in enumerate(fields):
+            p = replace(params, stream_id=5 + i)
+            one = NormRecorder(nu=p.nu)
+            single = run(field, BAND, p, one)
+            assert [rng.stream_id for rng in single.rngs] == [5 + i]
+            assert single.u.coeffs.tobytes() == final.u.coeffs[i].tobytes()
+            assert one.streams[5 + i] == rec.streams[5 + i]
 
     def test_nan_abort_carries_last_good_time(self):
         # EM far beyond its stability limit blows up to inf/NaN quickly.
         params = SimParams(nu=1.0, dt=0.5, T=50.0, scheme="em", seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(TrajectoryAbortError) as info:
-                run_trajectory(random_field(GRID, 10), BAND, params)
-        assert info.value.last_good_time >= 0.0
-        assert np.isfinite(info.value.last_state.u.coeffs).all()
+            final, (abort,) = continue_trajectory(initial_state(random_field(GRID, 10), params), BAND, params)
+        assert final is None and isinstance(abort, TrajectoryAbortError)
+        assert abort.last_good_time >= 0.0
+        assert np.isfinite(abort.last_state.u.coeffs).all()
 
     def test_slow_time_equivalence(self):
         # A fast chain at (nu, dt) performs the same arithmetic as a unit-viscosity
         # slow chain at dtau = nu dt with the phase angle rescaled by 1/nu.
         nu, dt, steps = 0.25, 0.02, 40
         params = SimParams(nu=nu, dt=dt, T=steps * dt, seed=13)
-        fast = run_trajectory(constrained_profile(GRID, nu), BAND, params)
+        fast = run(constrained_profile(GRID, nu), BAND, params)
 
         dtau = nu * dt
         state = initial_state(constrained_profile(GRID, nu), params)
         u = state.u
         _, sd, _ = _ou_tables(BAND, 1.0, dtau / 2)
         for k in range(steps):
-            conv0, conv1 = ou_convolutions((state.rng,), k, sd)
-            u = ou_exact_step(u, BAND, 1.0, dtau / 2, conv=conv0[0])
+            conv0, conv1 = ou_convolutions(state.rngs, k, sd)
+            u = ou_exact_step(u, BAND, 1.0, dtau / 2, conv=conv0)
             u = phase_rotation_step(u, dtau / nu)
-            u = ou_exact_step(u, BAND, 1.0, dtau / 2, conv=conv1[0])
+            u = ou_exact_step(u, BAND, 1.0, dtau / 2, conv=conv1)
         np.testing.assert_allclose(fast.u.coeffs, u.coeffs, rtol=1e-12, atol=1e-13)
 
 
@@ -563,24 +593,31 @@ class TestInitialData:
 class TestCheckpoints:
     def test_round_trip(self):
         params = SimParams(nu=0.5, dt=0.01, T=0.1, seed=3, stream_id=2)
-        state = run_trajectory(random_field(GRID, 11, 0.2), BAND, params)
+        state = run(random_field(GRID, 11, 0.2), BAND, params)
         back = checkpoint_from_bytes(checkpoint_to_bytes(state))
         assert back.t == state.t
         assert back.step_index == state.step_index
-        assert back.rng.base_seed == 3 and back.rng.stream_id == 2
+        (rng,) = back.rngs
+        assert rng.base_seed == 3 and rng.stream_id == 2
+        assert back.u.coeffs.shape == (1, *GRID.coeff_shape)
         assert np.array_equal(back.u.coeffs, state.u.coeffs)
+
+    def test_rejects_a_state_of_several_rows(self):
+        rows = SpectralField(GRID, np.stack([random_field(GRID, 20 + i, 0.2).coeffs for i in range(3)]))
+        with pytest.raises(ValueError, match="one row"):
+            checkpoint_to_bytes(initial_state(rows, SimParams(nu=0.5, dt=0.01, T=0.1, seed=3)))
 
     def test_resume_is_bit_exact(self, tmp_path):
         params = SimParams(nu=0.5, dt=0.01, T=0.2, seed=5)
         u0 = random_field(GRID, 12, 0.2)
-        full = run_trajectory(u0, BAND, params)
+        full = run(u0, BAND, params)
 
         half_params = SimParams(nu=0.5, dt=0.01, T=0.1, seed=5)
-        half = run_trajectory(u0, BAND, half_params)
+        half = run(u0, BAND, half_params)
         path = tmp_path / "state.ckpt"
         save_checkpoint(half, path)
-        resumed = continue_trajectory(load_checkpoint(path), BAND, params)
-        assert resumed.step_index == full.step_index
+        resumed, aborts = continue_trajectory(load_checkpoint(path), BAND, params)
+        assert aborts == [] and resumed.step_index == full.step_index
         assert np.array_equal(resumed.u.coeffs, full.u.coeffs)
 
     def test_resume_across_a_block_boundary_is_bit_exact(self, monkeypatch):
@@ -588,12 +625,12 @@ class TestCheckpoints:
         # resumes to a horizon in the next one bit-exactly, from a cold block cache.
         K = ou_block_steps(BAND.forced.size)
         u0 = random_field(GRID, 14, 0.2)
-        full = run_trajectory(u0, BAND, SimParams(nu=0.5, dt=0.01, T=(K + 5) * 0.01, seed=15))
+        full = run(u0, BAND, SimParams(nu=0.5, dt=0.01, T=(K + 5) * 0.01, seed=15))
         for at in (K - 3, K - 1, K):
-            half = run_trajectory(u0, BAND, SimParams(nu=0.5, dt=0.01, T=at * 0.01, seed=15))
+            half = run(u0, BAND, SimParams(nu=0.5, dt=0.01, T=at * 0.01, seed=15))
             assert half.step_index == at
             monkeypatch.setattr(forcing, "_ou_block", None)
-            resumed = continue_trajectory(
+            resumed, _ = continue_trajectory(
                 checkpoint_from_bytes(checkpoint_to_bytes(half)),
                 BAND,
                 SimParams(nu=0.5, dt=0.01, T=(K + 5) * 0.01, seed=15),
@@ -609,7 +646,7 @@ class TestCheckpoints:
         assert "counter" not in meta
         blob = json.dumps({**meta, "counter": 7}, sort_keys=True).encode()
         back = checkpoint_from_bytes(buf[:8] + struct.pack("<I", len(blob)) + blob + buf[12 + n :])
-        assert (back.t, back.step_index, back.rng.stream_id) == (state.t, state.step_index, 0)
+        assert (back.t, back.step_index, back.rngs[0].stream_id) == (state.t, state.step_index, 0)
         assert np.array_equal(back.u.coeffs, state.u.coeffs)
 
     def test_rejects_garbage(self):
