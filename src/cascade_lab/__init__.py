@@ -27,7 +27,7 @@ from .spectral import (
     field_to_bytes,
     field_from_bytes,
 )
-from .forcing import NoiseSpec, RngStream, ProfileError, bk_sum, m_star
+from .forcing import NoiseSpec, RngStream, ProfileError, bk_sum
 from .integrators import (
     SimParams,
     State,

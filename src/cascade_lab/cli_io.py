@@ -53,6 +53,7 @@ from .diagnostics import (
 from .experiments import (  # ensemble_run stays importable here for perfbench's tracer
     Observable,
     SweepPlan,
+    cm_orders,
     ensemble_run,  # noqa: F401
     fit_exponent,
     nu_sweep,
@@ -290,11 +291,14 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
         if M is not None and M < 2:
             errors.append(f"experiment.kind = {kind} needs ensemble.M >= 2")
     if observables is not None:
+        parsed = []
         for obs in observables:
             try:
-                Observable.parse(obs)
+                parsed.append(Observable.parse(obs))
             except ValueError as exc:
                 errors.append(f"experiment.observables entry {obs!r}: {exc}")
+        if len(orders := cm_orders(parsed)) > 1:
+            errors.append(f"experiment.observables asks for sup_cm at orders {orders}; a run records one C^m order")
     if profile is not None and n is not None and D is not None and not errors:
         try:
             NoiseSpec.from_profile(GridSpec(n, N, D), profile)

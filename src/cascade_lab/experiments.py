@@ -18,7 +18,7 @@ from math import sqrt
 
 import numpy as np
 
-from . import schema
+from . import integrators, schema
 from .diagnostics import (
     BalanceReport,
     DiagnosticsRecord,
@@ -27,7 +27,7 @@ from .diagnostics import (
     time_avg_sobolev,
 )
 from .forcing import NoiseSpec, bk_sum
-from .integrators import KAPPA, SimParams, constrained_profile, continue_trajectory, initial_state
+from .integrators import KAPPA, SimParams, constrained_profile, initial_state
 from .spectral import GridSpec, SpectralField
 
 QUANTILES = (5, 25, 50, 75, 95)
@@ -133,15 +133,20 @@ def _stats(values: np.ndarray) -> ObservableStats:
     )
 
 
+def cm_orders(observables) -> list[int]:
+    """The distinct C^m orders that ``sup_cm`` observables ask for, ascending."""
+    return sorted({int(obs.m) for obs in observables if obs.kind == "sup_cm"})
+
+
 def _needed_recorder(observables: tuple[Observable, ...], nu: float) -> NormRecorder:
     ms = {0.0, 1.0, 2.0}
-    cm_order = None
     for obs in observables:
         if obs.kind in ("sup_sobolev", "time_avg_sobolev"):
             ms.add(float(obs.m))
-        elif obs.kind == "sup_cm":
-            cm_order = max(cm_order or 0, int(obs.m))
-    return NormRecorder(nu=nu, ms=tuple(sorted(ms)), cm_order=cm_order)
+    orders = cm_orders(observables)
+    if len(orders) > 1:  # a stream has one C^m column, which does not say its order
+        raise ValueError(f"sup_cm observables ask for orders {orders}; a run records one C^m order")
+    return NormRecorder(nu=nu, ms=tuple(sorted(ms)), cm_order=orders[0] if orders else None)
 
 
 def ensemble_run(
@@ -177,7 +182,8 @@ def ensemble_run(
     )
     ids = range(params.stream_id, params.stream_id + M)
     u0 = SpectralField(grid, np.stack([u0_factory(sid).coeffs for sid in ids]))
-    _, aborted = continue_trajectory(initial_state(u0, params), spec, params, rec)
+    # Resolved at call time, so a wrapper installed on the integrators module sees the call.
+    _, aborted = integrators.continue_trajectory(initial_state(u0, params), spec, params, rec)
     lost = {exc.last_state.rngs[0].stream_id for exc in aborted}
     streams = [rec.streams[sid] for sid in ids if sid not in lost]
     aborts = len(aborted)

@@ -25,7 +25,7 @@ address (step_index // K, SUB_OU), which holds 4s*K normals, and step k takes th
 slice [4s*(k mod K), 4s*(k mod K + 1)).  K = max(1, OU_BLOCK_NORMALS // 4s) fixes
 the normals per address rather than the steps, so a block stays small for every
 profile and K falls to 1 once 4s >= OU_BLOCK_NORMALS.  ``ou_convolutions`` keeps
-the last block drawn, so a step that hits it costs no Philox address.  An exact
+the last block drawn, scaled once, so a step that hits it only slices.  An exact
 OU step with its own draw and an Euler-Maruyama increment draw 2s normals
 (re | im) at (step_index, substream).  A degenerate spec draws nothing.  Random
 initial data (SUB_INIT) draws every mode.  Before schema version 3 every retained
@@ -137,11 +137,6 @@ class NoiseSpec:
     def degenerate(self) -> bool:
         return not self.forced.size
 
-    @property
-    def b_star(self) -> float:
-        """sum_d b_d (controls sup-norm moment bounds)."""
-        return float(np.sum(self.amplitudes))
-
     @classmethod
     def power(cls, grid: GridSpec, p: float) -> "NoiseSpec":
         b = np.sqrt(mode_abs_sq(grid)) ** (-p)
@@ -211,11 +206,6 @@ def _keyed_float(arg: str, key: str) -> float:
     return float(v)
 
 
-def m_star(n: int) -> int:
-    """Smallest integer m with m > n/2; the minimal smoothness order for the noise."""
-    return n // 2 + 1
-
-
 def bk_sum(spec: NoiseSpec, k: float) -> float:
     """B_k = sum_d |d|^(2k) b_d^2 over the retained modes (always finite)."""
     b2 = spec.amplitudes**2
@@ -254,41 +244,34 @@ def ou_block_steps(s: int) -> int:
     return max(1, OU_BLOCK_NORMALS // (4 * s)) if s else 1
 
 
-# The last block of raw Strang OU normals drawn: (rngs, block index, s, normals).
+# The last Strang OU block drawn, scaled: (rngs, block index, sd, scale, noise).
 _ou_block: tuple | None = None
 
 
-def _ou_block_normals(rngs, block: int, s: int) -> np.ndarray:
-    """Complex standard normals of OU block ``block``, shape (len(rngs), K, 2, s), read-only.
+def ou_convolutions(rngs, step_index: int, sd: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The noise sqrt(nu) b_d gamma_d of both OU half-steps of one Strang step, each (len(rngs), s).
 
-    Each stream draws 4s*K normals at (block, SUB_OU), step slot j holding
-    re_0 | im_0 | re_1 | im_1 at [4s*j, 4s*(j + 1)).  One block is cached, keyed
-    by the identity of the ``rngs`` tuple, the block index and s: a state keeps
-    its tuple from step to step, so a step inside its block does no per-row
-    work, and any other tuple (a new run, a dropped row, a one-row redo) draws.
+    Step k is slot k mod K of the block at (k // K, SUB_OU), K = ``ou_block_steps(s)``: each
+    stream draws 4s*K normals there, slot j holding re_0 | im_0 | re_1 | im_1 over the s forced
+    modes at [4s*j, 4s*(j + 1)).  The block is scaled once, in place, by ``sd`` (the convolution
+    standard deviation) and then by ``scale`` (sqrt(nu) b_d): per entry the same two products as
+    scaling each step's slice.  One block is cached, keyed by the identity of the ``rngs`` tuple,
+    of ``sd`` and of ``scale`` and by the block index: a state keeps its tuple from step to step,
+    so a step inside its block only slices, and any other tuple (a new run, a dropped row, a
+    one-row redo) draws.  Both results are read-only views into the block.
     """
     global _ou_block
+    s, K = sd.size, ou_block_steps(sd.size)
+    block, slot = divmod(step_index, K)
     cached = _ou_block
-    if cached is not None and cached[0] is rngs and cached[1] == block and cached[2] == s:
-        return cached[3]
-    K = ou_block_steps(s)
-    z = _complex_draws(rngs, block, SUB_OU, s, 2 * K).reshape(len(rngs), K, 2, s)
-    z.flags.writeable = False
-    _ou_block = (rngs, block, s, z)
-    return z
-
-
-def ou_convolutions(rngs, step_index: int, sd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two half-step OU convolutions of one Strang step, each (len(rngs), s), over the forced modes.
-
-    Step k is slot k mod K of the block drawn at (k // K, SUB_OU), K =
-    ``ou_block_steps(s)``: 4s normals laid out re_0 | im_0 | re_1 | im_1; both
-    halves are scaled by ``sd``, the convolution standard deviation of the s
-    forced modes.
-    """
-    block, slot = divmod(step_index, ou_block_steps(sd.size))
-    conv = _ou_block_normals(rngs, block, sd.size)[:, slot] * sd
-    return conv[:, 0], conv[:, 1]
+    if cached is None or cached[0] is not rngs or cached[1] != block or cached[2] is not sd or cached[3] is not scale:
+        z = _complex_draws(rngs, block, SUB_OU, s, 2 * K).reshape(len(rngs), K, 2, s)
+        z *= sd
+        z *= scale
+        z.flags.writeable = False
+        cached = _ou_block = (rngs, block, sd, scale, z)
+    noise = cached[4][:, slot]
+    return noise[:, 0], noise[:, 1]
 
 
 def forced_increments(

@@ -13,26 +13,28 @@ step over the full drift serves as an independent oracle.
 
 There is one state type, :class:`State`: a field with a leading row axis and
 one stream per row, so an ensemble advances as one (M, D, ..., D) array and a
-single trajectory is one row.  A Strang step is two OU halves around a phase
-rotation (one sine-matrix pair), three validated fields, then a flush of
-subnormal components to 0.0.  Row i keeps its own stream and is bit for bit the
-one-row run on that stream.
+single trajectory is one row.  A Strang step is one kernel on that coefficient
+array: two OU halves around a phase rotation (one sine-matrix pair), then a
+flush of subnormal components to 0.0, with no field built on the way.  The
+step's new field is its one finiteness check; inf and NaN survive every stage,
+so that check fails at the same step as a check after each stage would.  Row i
+keeps its own stream and is bit for bit the one-row run on that stream.
 
 Only the s forced modes (b_d > 0) are driven: a Strang step takes 4s normals
-that hold both half-step convolutions (``forcing.ou_convolutions``), and each OU
-half adds its convolution on those modes only; an unforced mode is exactly
-u_d * decay.  The draws are block-addressed: each stream draws the 4s*K normals
-of K consecutive steps at once, at (step_index // K, SUB_OU), with K =
-max(1, OU_BLOCK_NORMALS // 4s) (``forcing.ou_block_steps``), and step k takes
-slot k mod K.  Output schema 4 starts here: schema 3 drew one address per stream
-per Strang step, and earlier versions every retained mode at two addresses.
-An exact OU step with its own draw and the Euler-Maruyama increments keep one
-address per step.
+that hold both half-steps' noise (``forcing.ou_convolutions``), and each OU half
+adds it on those modes only, through a basic slice when they are contiguous; an
+unforced mode is exactly u_d * decay.  Each stream draws the 4s*K normals of K
+consecutive steps at once, at (step_index // K, SUB_OU), K = max(1,
+OU_BLOCK_NORMALS // 4s), and step k takes slot k mod K of that block, scaled
+once when drawn.  Output schema 4 starts here: schema 3 drew one address per
+stream per Strang step, and earlier versions every retained mode at two
+addresses.  An exact OU step with its own draw and the Euler-Maruyama
+increments keep one address per step.
 
 The slow-time description tau = nu * t needs no separate integrator: a fast
 chain with parameters (nu, dt) performs, number for number, the same updates
 as a unit-viscosity chain at step dtau = nu*dt with the phase angle rescaled
-by 1/nu.  ``tau`` conversions live on :class:`SimParams`.
+by 1/nu.  :meth:`SimParams.tau` converts t to tau.
 
 Noise draws are addressed by (step_index, substream), or by the block that holds
 step_index, never consumed sequentially, so a trajectory is a pure function of
@@ -88,10 +90,6 @@ class TrajectoryAbortError(RuntimeError):
         super().__init__(message)
         self.last_state = last_state
 
-    @property
-    def last_good_time(self) -> float:
-        return self.last_state.t
-
 
 @dataclass(frozen=True)
 class SimParams:
@@ -133,9 +131,6 @@ class SimParams:
     def tau(self, t: float) -> float:
         """Slow time tau = nu * t."""
         return self.nu * t
-
-    def t_of_tau(self, tau: float) -> float:
-        return tau / self.nu
 
 
 @dataclass
@@ -188,46 +183,48 @@ def _ou_tables(spec: NoiseSpec, nu: float, dt: float) -> tuple[np.ndarray, np.nd
 
 
 @lru_cache(maxsize=64)
-def _forced_flat(spec: NoiseSpec, rows: int) -> np.ndarray:
-    """Flat indices of the forced modes in a C-contiguous field of ``rows`` rows, row by row."""
-    idx = (spec.forced + spec.grid.n_modes * np.arange(rows)[:, None]).reshape(-1)
-    idx.flags.writeable = False
-    return idx
+def _forced_where(spec: NoiseSpec) -> slice | np.ndarray:
+    """The forced modes of one flattened row: a basic slice when they are contiguous, else their flat indices."""
+    f = spec.forced
+    if f.size and f[-1] - f[0] + 1 == f.size:
+        return slice(int(f[0]), int(f[-1]) + 1)
+    return f
 
 
 def ou_exact_step(
-    u: SpectralField,
+    c: np.ndarray,
     spec: NoiseSpec,
     nu: float,
     dt: float,
     rng: RngStream | None = None,
     step_index: int = 0,
     substream: int = SUB_OU,
-    conv: np.ndarray | None = None,
-) -> SpectralField:
-    """Exact one-step solve of du_d = -nu |d|^2 u_d dt + sqrt(nu) b_d dbeta_d.
+    noise: np.ndarray | None = None,
+) -> np.ndarray:
+    """Exact one-step solve of du_d = -nu |d|^2 u_d dt + sqrt(nu) b_d dbeta_d, on coefficients.
 
     u_d <- exp(-nu |d|^2 dt) u_d + sqrt(nu) b_d gamma_d, where gamma_d is the
     stochastic convolution with per-component variance
     (1 - exp(-2 nu |d|^2 dt)) / (2 nu |d|^2); exact in distribution for any dt.
-    gamma_d lives on the s forced modes only (``spec.forced``); every other mode
-    is exactly u_d * decay.  Pass ``conv`` to supply gamma_d explicitly, shape
-    (..., s) with one row per row of ``u``, else it is drawn from ``rng`` at
-    (step_index, substream).
+    ``c`` has shape (M, *coeff_shape), one trajectory per row; the result is a
+    new array of that shape, unchecked.  The noise lives on the s forced modes
+    only (``spec.forced``); every other mode is exactly u_d * decay.  Pass
+    ``noise`` = sqrt(nu) b_d gamma_d, shape (M, s), to supply it, else gamma_d
+    is drawn from ``rng`` at (step_index, substream), 2Ms normals.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if spec.grid != u.grid:
-        raise GridMismatchError("field and noise spec live on different grids")
     decay, conv_sd, scale = _ou_tables(spec, nu, dt)
-    if conv is None:
+    if c.shape[1:] != decay.shape:
+        raise GridMismatchError(f"coefficients {c.shape} are not rows of the noise grid {decay.shape}")
+    if noise is None:
         if rng is None:
-            raise ValueError("either an RngStream or an explicit conv draw is required")
-        lead = u.coeffs.shape[: u.coeffs.ndim - u.grid.n]
-        conv = conv_sd * complex_normals((rng,), step_index, substream, (*lead, conv_sd.size))
-    new = u.coeffs * decay  # C-contiguous, like every field's coeffs: reshape(-1) is a view
-    new.reshape(-1)[_forced_flat(spec, new.size // spec.grid.n_modes)] += (scale * conv).reshape(-1)
-    return SpectralField(u.grid, new)
+            raise ValueError("either an RngStream or an explicit noise draw is required")
+        noise = scale * (conv_sd * complex_normals((rng,), step_index, substream, (len(c), conv_sd.size)))
+    new = c * decay  # C-contiguous like its input: the reshape below is a view
+    flat = new if new.ndim == 2 else new.reshape(len(new), -1)
+    flat[:, _forced_where(spec)] += noise
+    return new
 
 
 def _phase_factor(phase: np.ndarray) -> np.ndarray:
@@ -238,54 +235,63 @@ def _phase_factor(phase: np.ndarray) -> np.ndarray:
     return e
 
 
-def phase_rotation_step(u: SpectralField, dt: float) -> SpectralField:
+def phase_rotation_step(grid: GridSpec, c: np.ndarray, dt: float) -> np.ndarray:
     """Exact flow of u_t = -i |u|^2 u: pointwise u <- u * exp(-i |u|^2 dt) on the lattice.
 
-    The pointwise modulus is preserved exactly before the closing Galerkin
-    truncation to the retained modes.  Only the returned field is validated:
-    a non-finite lattice value (or an overflowing |u|^2) turns into NaN, without
-    warnings, through the phase factor and the transform, so that check still
-    raises NonFiniteFieldError.
+    ``c`` holds rows of ``grid``'s mode coefficients; the result is a new array, unchecked
+    (``c`` itself when dt = 0).  The pointwise modulus is preserved exactly before the closing
+    Galerkin truncation.  A non-finite lattice value or an overflowing |u|^2 turns into NaN,
+    without warnings, through the phase factor and the transform.
     """
     if dt < 0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
     if dt == 0:
-        return u
+        return c
     with np.errstate(over="ignore", invalid="ignore"):
-        v = lattice_values(u.grid, u.coeffs)
+        v = lattice_values(grid, c)
         phase = np.square(v.real)
         phase += np.square(v.imag)
         phase *= dt
         # With FMA, v*e and e*v round differently: keep the operand order fixed.
         rotated = np.multiply(v, _phase_factor(phase), out=v)
-        return SpectralField(u.grid, mode_coeffs(u.grid, rotated, u.grid.D))
+        return mode_coeffs(grid, rotated, grid.D)
+
+
+_TINY = np.finfo(np.float64).tiny
 
 
 def _strang(
-    u: SpectralField, spec: NoiseSpec, nu: float, dt: float, nonlinear: bool,
-    conv0: np.ndarray, conv1: np.ndarray,
-) -> SpectralField:
-    """OU(dt/2) o phase(dt) o OU(dt/2) with the two forced-mode convolutions given, subnormals set to 0.0."""
-    u = ou_exact_step(u, spec, nu, dt / 2.0, conv=conv0)
+    c: np.ndarray, spec: NoiseSpec, nu: float, dt: float, nonlinear: bool,
+    noise0: np.ndarray, noise1: np.ndarray,
+) -> np.ndarray:
+    """OU(dt/2) o phase(dt) o OU(dt/2) on rows of coefficients with both halves' noise given, unchecked.
+
+    Ends by setting parts below the smallest normal float to 0.0 in its new array (a subnormal
+    x * decay can round back to x).  Inf and NaN survive every stage, so one check of the
+    result sees any non-finite value the step made.
+    """
+    c = ou_exact_step(c, spec, nu, dt / 2.0, noise=noise0)
     if nonlinear:
-        u = phase_rotation_step(u, dt)
-    u = ou_exact_step(u, spec, nu, dt / 2.0, conv=conv1)
-    parts = u.coeffs.view(np.float64)  # a new array: flushing it in place leaves the input intact
-    parts[np.abs(parts) < np.finfo(np.float64).tiny] = 0.0  # subnormal x * decay can round back to x
-    return u
+        c = phase_rotation_step(spec.grid, c, dt)
+    c = ou_exact_step(c, spec, nu, dt / 2.0, noise=noise1)
+    parts = c.view(np.float64)  # a new array: flushing it in place leaves the input intact
+    parts[np.abs(parts) < _TINY] = 0.0
+    return c
 
 
 def strang_step(state: State, spec: NoiseSpec, params: SimParams) -> State:
     """Symmetric composition OU(dt/2) o phase(dt) o OU(dt/2).
 
-    Both half-step convolutions over the forced modes come from slot
-    step_index mod K of each row's block at (step_index // K, SUB_OU).
+    Both half-steps' noise over the forced modes comes from slot step_index
+    mod K of each row's scaled block at (step_index // K, SUB_OU).  The new
+    state's field is the step's one finiteness check: NonFiniteFieldError if
+    any row turned non-finite.
     """
-    _, conv_sd, _ = _ou_tables(spec, params.nu, params.dt / 2.0)
-    conv0, conv1 = ou_convolutions(state.rngs, state.step_index, conv_sd)
-    u = _strang(state.u, spec, params.nu, params.dt, params.nonlinear, conv0, conv1)
+    _, conv_sd, scale = _ou_tables(spec, params.nu, params.dt / 2.0)
+    noise0, noise1 = ou_convolutions(state.rngs, state.step_index, conv_sd, scale)
+    c = _strang(state.u.coeffs, spec, params.nu, params.dt, params.nonlinear, noise0, noise1)
     k = state.step_index + 1
-    return State(k * params.dt, u, state.rngs, k)
+    return State(k * params.dt, SpectralField(state.u.grid, c), state.rngs, k)
 
 
 def _euler_maruyama(
@@ -546,16 +552,17 @@ def run_strang_on_path(
             f"path length {path.n_fine} fine steps is not a whole number of dt = {dt} steps"
         )
     n_steps = path.n_fine // (2 * r)
-    forced = path.spec.forced  # the Strang kernel takes its convolutions on the forced modes
+    forced = path.spec.forced  # the Strang kernel takes its noise on the forced modes
     lam = path.nu * mode_abs_sq(u0.grid)
     fine_decay = np.exp(-lam * path.dt_fine).reshape(-1)[forced]
     conv = path.conv.reshape(path.n_fine, -1)[:, forced]
-    u = u0
+    _, _, scale = _ou_tables(path.spec, path.nu, dt / 2.0)
+    c = u0.coeffs if u0.coeffs.ndim > u0.grid.n else u0.coeffs[None]
     for k in range(n_steps):
         g1 = _window_conv(conv, fine_decay, 2 * k * r, (2 * k + 1) * r)
         g2 = _window_conv(conv, fine_decay, (2 * k + 1) * r, (2 * k + 2) * r)
-        u = _strang(u, path.spec, path.nu, dt, nonlinear, g1, g2)
-    return u
+        c = _strang(c, path.spec, path.nu, dt, nonlinear, scale * g1, scale * g2)
+    return SpectralField(u0.grid, c.reshape(u0.coeffs.shape))
 
 
 def run_em_on_path(

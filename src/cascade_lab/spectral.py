@@ -42,8 +42,8 @@ class NonFiniteFieldError(ValueError):
 class GridSpec:
     """Cube discretization: dimension n, N interior points and D modes per axis.
 
-    The recommended anti-alias margin N >= 2D is reported by ``anti_aliased``
-    but not enforced; D = N is legal and makes the transforms square.
+    The recommended anti-alias margin N >= 2D is not enforced; D = N is legal
+    and makes the transforms square.
     """
 
     n: int
@@ -57,10 +57,6 @@ class GridSpec:
             raise ValueError(f"need at least 4 collocation points per axis, got N={self.N}")
         if not 1 <= self.D <= self.N:
             raise ValueError(f"mode truncation requires 1 <= D <= N, got D={self.D}, N={self.N}")
-
-    @property
-    def anti_aliased(self) -> bool:
-        return self.N >= 2 * self.D
 
     @property
     def points(self) -> np.ndarray:

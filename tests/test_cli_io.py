@@ -140,6 +140,13 @@ base_seed = -4
             parse_config(MINIMAL.replace("nu = 0.1", "nu = 0.1\nnu_grid = 0.4,0.2"))
         assert any("mutually exclusive" in v for v in info.value.violations)
 
+    def test_several_cm_orders_are_rejected(self):
+        text = MINIMAL + "\n[experiment]\nobservables = sup_cm:2,sup_cm:3\n"
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert "sup_cm at orders [2, 3]" in str(info.value)
+        parse_config(text.replace("sup_cm:3", "sup_cm:2"))  # one order, asked twice, is fine
+
     def test_sweep_requires_nu_grid_and_m2(self):
         text = MINIMAL + "\n[experiment]\nkind = sweep\n"
         with pytest.raises(ConfigError) as info:
@@ -332,6 +339,15 @@ class TestRunCommand:
             assert json.loads((run_dir / "manifest.json").read_text())["kind"] == kind
         assert len(list((run_dirs["simulate"] / "streams").glob("traj_*.csv"))) == 2
         assert not list((run_dirs["sweep"] / "streams").glob("traj_*.csv"))
+
+    def test_sweep_with_two_cm_orders_exits_2(self, tmp_path, capsys):
+        text = SMALL_RUN.replace("nu = 0.5\n", "nu_grid = 0.5,0.4\n").replace(
+            "kind = simulate", "kind = sweep"
+        ).replace("M = 3", "M = 2").replace("observables = sup_inf", "observables = sup_cm:2,sup_cm:3")
+        path = write_cfg(tmp_path, text)
+        assert run_command(["sweep", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "one C^m order" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_without_nu_grid_exits_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, SMALL_RUN.replace("M = 3", "M = 2"))

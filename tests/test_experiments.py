@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cascade_lab import integrators
 from cascade_lab.diagnostics import NormRecorder, stream_csv_text
 from cascade_lab.experiments import (
     EnsembleAbortError,
     Observable,
     SweepPlan,
+    _needed_recorder,
     ensemble_run,
     fit_exponent,
     nu_sweep,
@@ -104,6 +106,21 @@ def small_params(nu=0.5, T=2.0, **kw):
 
 
 class TestEnsembleRun:
+    def test_runs_through_the_integrators_driver_at_call_time(self, monkeypatch):
+        # A wrapper installed on integrators.continue_trajectory (as a tracer does) sees the run.
+        calls = []
+        driver = integrators.continue_trajectory
+        monkeypatch.setattr(integrators, "continue_trajectory", lambda *a: calls.append(a[0].step_index) or driver(*a))
+        summary, streams = ensemble_run(GRID, BAND, small_params(T=0.2), 2, lambda sid: zero_field(GRID))
+        assert calls == [0] and summary.aborts == 0 and len(streams) == 2
+
+    def test_several_cm_orders_are_rejected(self):
+        # A stream has one C^m column, so sup_cm:2 and sup_cm:3 would read the same numbers.
+        obs = (Observable("sup_cm", 2.0), Observable("sup_cm", 3.0))
+        with pytest.raises(ValueError, match="orders"):
+            ensemble_run(GRID, BAND, small_params(T=0.2), 2, lambda sid: zero_field(GRID), obs)
+        assert _needed_recorder(obs[:1] * 2, 0.5).cm_order == 2
+
     def test_deterministic_flow_has_zero_variance(self):
         # Noise off, nonlinearity off, common start: both trajectories identical.
         silent = NoiseSpec.band(GRID, [0.0])
@@ -179,7 +196,7 @@ class TestEnsembleRun:
         final, (abort,) = continue_trajectory(initial_state(u0(2), p), BAND, p)
         assert final is None and isinstance(abort, TrajectoryAbortError)
         assert summary.aborts == 1 and len(streams) == 3
-        assert abort.last_state.step_index == 0 and abort.last_good_time == 0.0
+        assert abort.last_state.step_index == 0 and abort.last_state.t == 0.0
         for sid, records in zip((0, 1, 3), streams):
             rec = recorder(params)
             p = replace(params, stream_id=sid)

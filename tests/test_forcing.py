@@ -14,7 +14,6 @@ from cascade_lab.forcing import (
     bk_sum,
     complex_normals,
     forced_increments,
-    m_star,
 )
 from cascade_lab.spectral import GridSpec
 
@@ -106,16 +105,6 @@ class TestBkSums:
         both = NoiseSpec.band(GRID, [1.0, 2.0, 3.0, 4.0])
         for k in (0.0, 1.0, 2.0):
             assert bk_sum(both, k) == pytest.approx(bk_sum(lo, k) + bk_sum(hi, k))
-
-    def test_b_star(self):
-        spec = NoiseSpec.band(GRID, [1.0, 0.5])
-        assert spec.b_star == pytest.approx(1.5)
-
-    def test_m_star(self):
-        assert m_star(1) == 1
-        assert m_star(2) == 2
-        assert m_star(3) == 2
-        assert m_star(4) == 3
 
 
 class TestRngStream:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from cascade_lab import forcing
+from cascade_lab import forcing, spectral
 from cascade_lab.diagnostics import NormRecorder
 from cascade_lab.experiments import fit_exponent
 from cascade_lab.forcing import SUB_OU, NoiseSpec, RngStream, ou_block_steps, ou_convolutions
@@ -18,6 +18,7 @@ from cascade_lab.integrators import (
     SimParams,
     State,
     TrajectoryAbortError,
+    _forced_where,
     _ou_tables,
     _phase_factor,
     _strang,
@@ -73,36 +74,42 @@ def run(u0, spec, params, sink=None):
     return state
 
 
+def rows(*fields):
+    """The coefficients of one-row fields stacked behind a row axis."""
+    return np.stack([f.coeffs for f in fields])
+
+
 class TestOuExactStep:
     def test_pure_decay(self):
-        u = single_mode(GRID, 1)
-        out = ou_exact_step(u, SILENT, nu=1.0, dt=log(2.0), rng=RngStream(0, 0))
-        assert out.coeffs[0] == pytest.approx(0.5, abs=1e-15)
+        out = ou_exact_step(rows(single_mode(GRID, 1)), SILENT, nu=1.0, dt=log(2.0), rng=RngStream(0, 0))
+        assert out[0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_tiny_dt_is_near_identity(self):
-        u = single_mode(GRID, 1)
-        out = ou_exact_step(u, SILENT, nu=1.0, dt=1e-12, rng=RngStream(0, 0))
-        assert np.abs(out.coeffs - u.coeffs).max() <= 1e-10
+        c = rows(single_mode(GRID, 1))
+        out = ou_exact_step(c, SILENT, nu=1.0, dt=1e-12, rng=RngStream(0, 0))
+        assert np.abs(out - c).max() <= 1e-10
 
     def test_rejects_zero_dt(self):
         with pytest.raises(ValueError):
-            ou_exact_step(zero_field(GRID), SILENT, 1.0, 0.0, RngStream(0, 0))
+            ou_exact_step(rows(zero_field(GRID)), SILENT, 1.0, 0.0, RngStream(0, 0))
 
     def test_rejects_grid_mismatch(self):
         other = NoiseSpec.band(GridSpec(1, 16, 8), [1.0])
         with pytest.raises(ValueError):
-            ou_exact_step(zero_field(GRID), other, 1.0, 0.1, RngStream(0, 0))
+            ou_exact_step(rows(zero_field(GRID)), other, 1.0, 0.1, RngStream(0, 0))
+        with pytest.raises(ValueError):  # no row axis
+            ou_exact_step(zero_field(GRID).coeffs, SILENT, 1.0, 0.1, RngStream(0, 0))
 
     def test_stationary_second_moment(self):
         # dt large: each step is an independent stationary sample; E|u_1|^2 -> b^2/|1|^2 = 1.
         spec = NoiseSpec.single(GRID, 1)
         rng = RngStream(31, 0)
-        u = zero_field(GRID)
+        u = rows(zero_field(GRID))
         n = 20_000
         acc = 0.0
         for k in range(n):
             u = ou_exact_step(u, spec, nu=1.0, dt=8.0, rng=rng, step_index=k)
-            acc += abs(u.coeffs[0]) ** 2
+            acc += abs(u[0, 0]) ** 2
         mean = acc / n
         se = 1.0 / sqrt(n)  # |u|^2 is Exp(1): sd = mean = 1
         assert abs(mean - 1.0) <= 3 * se
@@ -114,7 +121,7 @@ class TestOuExactStep:
         rng = RngStream(8, 0)
         samples = np.array(
             [
-                ou_exact_step(zero_field(GRID), spec, nu, dt, rng, step_index=k).coeffs[0].real
+                ou_exact_step(rows(zero_field(GRID)), spec, nu, dt, rng, step_index=k)[0, 0].real
                 for k in range(50_000)
             ]
         )
@@ -129,24 +136,24 @@ class TestPhaseRotation:
         # so set every lattice value to 1 and rotate by pi.
         grid = GridSpec(1, 16, 16)
         p = PhysicalField(grid, np.ones(16, dtype=complex))
-        u = to_spectral(p)
-        rotated = to_physical(phase_rotation_step(u, pi))
-        np.testing.assert_allclose(rotated.values, -np.ones(16), atol=1e-12)
+        c = rows(to_spectral(p))
+        rotated = lattice_values(grid, phase_rotation_step(grid, c, pi))
+        np.testing.assert_allclose(rotated, -np.ones((1, 16)), atol=1e-12)
 
     def test_zero_dt_identity(self):
-        u = random_field(GRID, 2)
-        out = phase_rotation_step(u, 0.0)
-        assert out is u
+        c = rows(random_field(GRID, 2))
+        out = phase_rotation_step(GRID, c, 0.0)
+        assert out is c
 
     def test_rejects_negative_dt(self):
         with pytest.raises(ValueError):
-            phase_rotation_step(random_field(GRID, 2), -0.1)
+            phase_rotation_step(GRID, rows(random_field(GRID, 2)), -0.1)
 
     def test_lattice_l2_preserved(self):
         grid = GridSpec(1, 64, 64)
         u = random_field(grid, 3)
         p0 = to_physical(u)
-        p1 = to_physical(phase_rotation_step(u, 0.613))
+        p1 = to_physical(SpectralField(grid, phase_rotation_step(grid, u.coeffs[None], 0.613)[0]))
         n0 = lattice_inner(p0, p0)
         n1 = lattice_inner(p1, p1)
         assert abs(n1 - n0) <= 1e-14 * n0
@@ -157,25 +164,30 @@ class TestPhaseRotation:
         grid = GridSpec(1, 32, 32)
         u = random_field(grid, 4)
         before = np.abs(to_physical(u).values)
-        after = np.abs(to_physical(phase_rotation_step(u, 1.7)).values)
+        after = np.abs(lattice_values(grid, phase_rotation_step(grid, u.coeffs[None], 1.7)[0]))
         np.testing.assert_allclose(after, before, rtol=1e-13)
 
     def test_overflowing_modulus_raises(self):
-        # Every coefficient is finite, but |u|^2 overflows on the lattice.
+        # Every coefficient is finite, but |u|^2 overflows on the lattice: the
+        # rotation returns NaN and the Strang step's one check raises.
         for grid in (GRID, GridSpec(2, 32, 16)):
             u = single_mode(grid, (1,) * grid.n, c=1e160)
+            assert not np.isfinite(phase_rotation_step(grid, rows(u), 0.01)).any()
+            params = SimParams(nu=0.5, dt=0.01, T=0.01, seed=1)
             with pytest.raises(NonFiniteFieldError):
-                phase_rotation_step(u, 0.01)
+                strang_step(initial_state(u, params), NoiseSpec.band(grid, [1.0, 1.0, 1.0]), params)
 
     def test_overflow_raises_without_warnings(self):
+        params = SimParams(nu=0.5, dt=0.01, T=0.01, seed=1)
         for grid in (GRID, GridSpec(2, 32, 16)):
-            for rows in ((), (3,)):
+            spec = NoiseSpec.band(grid, [1.0, 1.0, 1.0])
+            for m in (1, 3):
                 c = single_mode(grid, (1,) * grid.n, c=1e160).coeffs
-                u = SpectralField(grid, np.broadcast_to(c, rows + c.shape))
+                u = SpectralField(grid, np.broadcast_to(c, (m,) + c.shape))
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     with pytest.raises(NonFiniteFieldError):
-                        phase_rotation_step(u, 0.01)
+                        strang_step(initial_state(u, params), spec, params)
 
     @pytest.mark.parametrize("grid", [GridSpec(1, 64, 32), GridSpec(2, 32, 16)], ids=str)
     @pytest.mark.parametrize("M", [1, 3, 5])
@@ -189,14 +201,13 @@ class TestPhaseRotation:
                 phase = dt * (v.real**2 + v.imag**2)
                 reference = np.exp(-1j * dt * (v.real**2 + v.imag**2))
                 assert _phase_factor(phase).tobytes() == reference.tobytes()
-                u = SpectralField(grid, c)
                 expected = mode_coeffs(grid, np.multiply(v, np.exp(-1j * phase)), grid.D)
-                assert phase_rotation_step(u, dt).coeffs.tobytes() == expected.tobytes()
+                assert phase_rotation_step(grid, c, dt).tobytes() == expected.tobytes()
 
     def test_truncation_only_removes_energy(self):
         u = random_field(GRID, 5)  # D = N/2: rotation spills into discarded modes
         p0 = to_physical(u)
-        p1 = to_physical(phase_rotation_step(u, 0.9))
+        p1 = to_physical(SpectralField(GRID, phase_rotation_step(GRID, u.coeffs[None], 0.9)[0]))
         assert lattice_inner(p1, p1) <= lattice_inner(p0, p0) * (1 + 1e-12)
 
 
@@ -224,13 +235,13 @@ class TestStrangStep:
         direct = run(u0, BAND, params)
         state = initial_state(u0, params)
         (rng,) = state.rngs
-        _, sd, _ = _ou_tables(BAND, params.nu, params.dt / 2)
-        u = state.u
+        _, sd, scale = _ou_tables(BAND, params.nu, params.dt / 2)
+        c = state.u.coeffs
         for k in range(params.n_steps):
             rng.normals(1234, 17, 8)  # unrelated address
-            conv0, conv1 = ou_convolutions((rng,), k, sd)
-            u = _strang(u, BAND, params.nu, params.dt, True, conv0, conv1)
-        assert np.array_equal(direct.u.coeffs, u.coeffs)
+            noise0, noise1 = ou_convolutions((rng,), k, sd, scale)
+            c = _strang(c, BAND, params.nu, params.dt, True, noise0, noise1)
+        assert np.array_equal(direct.u.coeffs, c)
 
     def test_noise_free_linear_run_flushes_subnormals(self):
         # Mode 1's half-step factor exp(-nu dt / 2) = exp(-0.5) exceeds 1/2, so without
@@ -272,6 +283,37 @@ class TestStrangStep:
         assert (last.t, last.step_index, last.rngs) == (good.t, good.step_index, good.rngs)
         assert last.u.coeffs.tobytes() == good.u.coeffs.tobytes() == before
 
+    @pytest.mark.parametrize("grid", [GRID, GridSpec(2, 32, 16)], ids=["n1", "n2"])
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    def test_one_finiteness_check_per_step(self, monkeypatch, grid, nonlinear):
+        params = SimParams(nu=0.5, dt=0.01, T=1.0, seed=2, nonlinear=nonlinear)
+        state = initial_state(SpectralField(grid, rows(*(random_field(grid, i, 0.3) for i in range(3)))), params)
+        spec = NoiseSpec.band(grid, [1.0, 1.0, 1.0])
+        checks = []
+        check = spectral._check_finite
+        monkeypatch.setattr(spectral, "_check_finite", lambda *a: checks.append(a[1]) or check(*a))
+        for _ in range(2):  # the first step draws the block, the second only slices it
+            checks.clear()
+            state = strang_step(state, spec, params)
+            assert checks == ["spectral field"]
+
+    def test_row_turning_non_finite_inside_a_step_aborts_at_that_step(self):
+        # Row 1 is finite at step 5, but |u|^2 overflows in the step's phase rotation.
+        params = SimParams(nu=0.5, dt=0.01, T=0.1, seed=4)
+        c = rows(*(random_field(GRID, 80 + i, 0.3) for i in range(3)))
+        c[1, 0] = 1e160
+        rngs = tuple(RngStream(params.seed, 10 + i) for i in range(3))
+        start = State(0.05, SpectralField(GRID, c), rngs, 5)
+        final, (abort,) = continue_trajectory(start, BAND, params)
+        last = abort.last_state
+        assert (last.rngs[0].stream_id, last.step_index, last.t) == (11, 5, 0.05)
+        assert last.u.coeffs.tobytes() == c[1:2].tobytes()
+        assert "step 6" in str(abort)
+        assert final.step_index == 10 and [r.stream_id for r in final.rngs] == [10, 12]
+        for i, row in ((0, 0), (2, 1)):
+            one, none = continue_trajectory(State(0.05, SpectralField(GRID, c[i : i + 1]), rngs[i : i + 1], 5), BAND, params)
+            assert none == [] and one.u.coeffs.tobytes() == final.u.coeffs[row : row + 1].tobytes()
+
     def test_self_convergence_on_fixed_path(self):
         # RMS over four fixed paths of the successive-halving differences at
         # T = 1; fitted order of the splitting should be at least one.
@@ -294,22 +336,22 @@ class TestStrangStep:
 
 class TestForcedModeDraws:
     @staticmethod
-    def fresh_convolutions(seed, sid, step, sd):
-        """Slot step mod K of a freshly built Philox at (step // K, SUB_OU), split re0|im0|re1|im1."""
+    def fresh_convolutions(seed, sid, step, sd, scale):
+        """Slot step mod K of a freshly built Philox at (step // K, SUB_OU), split re0|im0|re1|im1, scaled."""
         s, K = sd.size, ou_block_steps(sd.size)
         block = Generator(Philox(counter=[0, 0, SUB_OU, step // K], key=[seed, sid])).standard_normal(4 * s * K)
         z = block[4 * s * (step % K) : 4 * s * (step % K + 1)].reshape(2, 2, s)
         conv = np.empty((2, s), dtype=complex)
         conv.real, conv.imag = z[:, 0], z[:, 1]
-        conv *= sd
-        return conv[0], conv[1]
+        noise = scale * (conv * sd)
+        return noise[0], noise[1]
 
     @pytest.mark.parametrize("grid", [GridSpec(1, 32, 16), GridSpec(2, 16, 8)], ids=["n1", "n2"])
     @pytest.mark.parametrize("M", [1, 3])
     def test_strang_draw_equals_fresh_philox_over_forced_modes(self, grid, M):
         spec = NoiseSpec.band(grid, [1.0, 0.5, 1.0])
         params = SimParams(nu=0.3, dt=0.02, T=1.0, seed=2**64 - 5)
-        _, sd, _ = _ou_tables(spec, params.nu, params.dt / 2)
+        _, sd, scale = _ou_tables(spec, params.nu, params.dt / 2)
         assert sd.size == spec.forced.size == np.count_nonzero(spec.amplitudes) < grid.n_modes
         K = ou_block_steps(sd.size)
         assert K > 1
@@ -317,14 +359,14 @@ class TestForcedModeDraws:
         u = np.stack([random_field(grid, 40 + i, 0.5).coeffs for i in range(M)])
         rngs = tuple(RngStream(params.seed, 2**63 + i) for i in range(M))
         for step in (2**40 + 7, first - 1, first, first - 1):  # the last slot of one block, the first of the next
-            fresh = [self.fresh_convolutions(params.seed, 2**63 + i, step, sd) for i in range(M)]
-            conv0, conv1 = ou_convolutions(rngs, step, sd)
-            assert conv0.tobytes() == np.stack([f[0] for f in fresh]).tobytes()
-            assert conv1.tobytes() == np.stack([f[1] for f in fresh]).tobytes()
+            fresh = [self.fresh_convolutions(params.seed, 2**63 + i, step, sd, scale) for i in range(M)]
+            noise0, noise1 = ou_convolutions(rngs, step, sd, scale)
+            assert noise0.tobytes() == np.stack([f[0] for f in fresh]).tobytes()
+            assert noise1.tobytes() == np.stack([f[1] for f in fresh]).tobytes()
             state = State(0.0, SpectralField(grid, u), rngs, step)
-            convs = [np.stack(c) for c in zip(*fresh)]
-            expected = _strang(state.u, spec, params.nu, params.dt, True, *convs)
-            assert strang_step(state, spec, params).u.coeffs.tobytes() == expected.coeffs.tobytes()
+            noises = [np.stack(c) for c in zip(*fresh)]
+            expected = _strang(u, spec, params.nu, params.dt, True, *noises)
+            assert strang_step(state, spec, params).u.coeffs.tobytes() == expected.tobytes()
 
     def test_unforced_mode_only_decays(self):
         spec = NoiseSpec.from_profile(GRID, "single:d=1")
@@ -378,15 +420,15 @@ class TestForcedModeDraws:
         spec = NoiseSpec.power(grid, 1.0)  # every one of the 256 modes forced: 4s = 1024
         assert spec.forced.size == 256 and ou_block_steps(spec.forced.size) == 1
         params = SimParams(nu=0.3, dt=0.02, T=0.06, seed=6)
-        _, sd, _ = _ou_tables(spec, params.nu, params.dt / 2)
+        _, sd, scale = _ou_tables(spec, params.nu, params.dt / 2)
         rngs = tuple(RngStream(params.seed, i) for i in range(2))
         s = sd.size
         for step in (0, 1, 2**40):  # each step is its own address, 4s normals re0|im0|re1|im1
             fresh = [Generator(Philox(counter=[0, 0, SUB_OU, step], key=[params.seed, i])) for i in range(2)]
             z = np.stack([g.standard_normal(4 * s) for g in fresh]).reshape(2, 2, 2, s)
-            conv0, conv1 = ou_convolutions(rngs, step, sd)
-            assert conv0.tobytes() == ((z[:, 0, 0] + 1j * z[:, 0, 1]) * sd).tobytes()
-            assert conv1.tobytes() == ((z[:, 1, 0] + 1j * z[:, 1, 1]) * sd).tobytes()
+            noise0, noise1 = ou_convolutions(rngs, step, sd, scale)
+            assert noise0.tobytes() == (scale * ((z[:, 0, 0] + 1j * z[:, 0, 1]) * sd)).tobytes()
+            assert noise1.tobytes() == (scale * ((z[:, 1, 0] + 1j * z[:, 1, 1]) * sd)).tobytes()
         calls = self.count_normals(monkeypatch)
         rows = np.stack([random_field(grid, 60 + i, 0.1).coeffs for i in range(2)])
         run(SpectralField(grid, rows), spec, params)
@@ -407,6 +449,47 @@ class TestForcedModeDraws:
         assert second.u.coeffs.tobytes() == first.u.coeffs.tobytes()
 
 
+class TestForcedModeAdd:
+    """The OU half adds its noise through a basic slice when the forced modes are contiguous, else an index."""
+
+    GAP = NoiseSpec(GRID, np.where(np.isin(np.arange(16), [0, 1, 4]), 1.0, 0.0), profile="custom")
+    SPECS = {
+        "n1-band": (BAND, slice),
+        "n1-single": (NoiseSpec.single(GRID, 5), slice),
+        "n1-gap": (GAP, np.ndarray),
+        "n2-band": (NoiseSpec.band(GridSpec(2, 32, 16), [1.0, 1.0, 1.0]), np.ndarray),
+        "n1-silent": (SILENT, np.ndarray),
+    }
+
+    @staticmethod
+    def reference_half(c, spec, nu, dt, noise):
+        decay = _ou_tables(spec, nu, dt)[0]
+        out = c * decay
+        out.reshape(len(c), -1)[:, spec.forced] += noise
+        return out
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_both_add_paths_equal_an_indexed_reference(self, name):
+        spec, kind = self.SPECS[name]
+        grid = spec.grid
+        assert isinstance(_forced_where(spec), kind)
+        params = SimParams(nu=0.3, dt=0.02, T=1.0, seed=17)
+        c = rows(*(random_field(grid, 90 + i, 0.4) for i in range(3)))
+        g = np.random.default_rng(5).normal(size=(2, 3, spec.forced.size, 2)) @ np.array([1.0, 1j])
+        assert ou_exact_step(c, spec, 0.3, 0.01, noise=g[0]).tobytes() == self.reference_half(c, spec, 0.3, 0.01, g[0]).tobytes()
+        # a whole Strang step on the block's noise against the indexed reference
+        state = State(0.0, SpectralField(grid, c), tuple(RngStream(17, i) for i in range(3)), 0)
+        _, sd, scale = _ou_tables(spec, params.nu, params.dt / 2)
+        noise0, noise1 = ou_convolutions(state.rngs, 0, sd, scale)
+        ref = self.reference_half(c, spec, params.nu, params.dt / 2, noise0)
+        ref = mode_coeffs(grid, lattice_values(grid, ref) * np.exp(-1j * params.dt * np.abs(lattice_values(grid, ref)) ** 2), grid.D)
+        ref = self.reference_half(ref, spec, params.nu, params.dt / 2, noise1)
+        got = strang_step(state, spec, params).u.coeffs
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-15)
+        expected = _strang(c, spec, params.nu, params.dt, True, noise0, noise1)
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestEmStep:
     def test_zero_is_fixed_point(self):
         params = SimParams(nu=0.5, dt=0.001, T=0.001, scheme="em", seed=0)
@@ -420,8 +503,8 @@ class TestEmStep:
         for dt in (1e-3, 5e-4):
             params = SimParams(nu=0.5, dt=dt, T=dt, scheme="em", nonlinear=False, seed=0)
             em = em_step(initial_state(u0, params), SILENT, params)
-            ou = ou_exact_step(u0, SILENT, 0.5, dt, RngStream(0, 0))
-            errs.append(np.abs(em.u.coeffs - ou.coeffs).max())
+            ou = ou_exact_step(rows(u0), SILENT, 0.5, dt, RngStream(0, 0))
+            errs.append(np.abs(em.u.coeffs - ou).max())
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
 
     def test_stability_guard_warns(self):
@@ -508,7 +591,7 @@ class TestRunTrajectory:
             warnings.simplefilter("ignore", RuntimeWarning)
             final, (abort,) = continue_trajectory(initial_state(random_field(GRID, 10), params), BAND, params)
         assert final is None and isinstance(abort, TrajectoryAbortError)
-        assert abort.last_good_time >= 0.0
+        assert abort.last_state.t >= 0.0
         assert np.isfinite(abort.last_state.u.coeffs).all()
 
     def test_slow_time_equivalence(self):
@@ -520,14 +603,14 @@ class TestRunTrajectory:
 
         dtau = nu * dt
         state = initial_state(constrained_profile(GRID, nu), params)
-        u = state.u
-        _, sd, _ = _ou_tables(BAND, 1.0, dtau / 2)
+        c = state.u.coeffs
+        _, sd, scale = _ou_tables(BAND, 1.0, dtau / 2)
         for k in range(steps):
-            conv0, conv1 = ou_convolutions(state.rngs, k, sd)
-            u = ou_exact_step(u, BAND, 1.0, dtau / 2, conv=conv0)
-            u = phase_rotation_step(u, dtau / nu)
-            u = ou_exact_step(u, BAND, 1.0, dtau / 2, conv=conv1)
-        np.testing.assert_allclose(fast.u.coeffs, u.coeffs, rtol=1e-12, atol=1e-13)
+            noise0, noise1 = ou_convolutions(state.rngs, k, sd, scale)
+            c = ou_exact_step(c, BAND, 1.0, dtau / 2, noise=noise0)
+            c = phase_rotation_step(GRID, c, dtau / nu)
+            c = ou_exact_step(c, BAND, 1.0, dtau / 2, noise=noise1)
+        np.testing.assert_allclose(fast.u.coeffs, c, rtol=1e-12, atol=1e-13)
 
 
 class TestLinearClosedForms:
@@ -670,7 +753,6 @@ class TestSimParams:
     def test_slow_time_conversions(self):
         p = SimParams(nu=0.25, dt=0.01, T=1.0)
         assert p.tau(8.0) == 2.0
-        assert p.t_of_tau(2.0) == 8.0
         assert p.n_steps == 100
 
     def test_n_steps_is_exact_for_whole_step_horizons(self):
