@@ -234,7 +234,9 @@ def fit_exponent(points) -> ScalingFit:
             raise ValueError(f"observable values must be positive for a log fit, got {q}")
     x = np.log([1.0 / nu for nu, _ in pts])
     y = np.log([q for _, q in pts])
-    slope, intercept = np.polyfit(x, y, 1)
+    dx = x - x.mean()  # least squares in closed form: no LAPACK call, so no BLAS-kernel dependence
+    slope = np.sum(dx * (y - y.mean())) / np.sum(dx * dx)
+    intercept = y.mean() - slope * x.mean()
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot

@@ -34,7 +34,7 @@ increments keep one address per step.
 The slow-time description tau = nu * t needs no separate integrator: a fast
 chain with parameters (nu, dt) performs, number for number, the same updates
 as a unit-viscosity chain at step dtau = nu*dt with the phase angle rescaled
-by 1/nu.  :meth:`SimParams.tau` converts t to tau.
+by 1/nu.
 
 Noise draws are addressed by (step_index, substream), or by the block that holds
 step_index, never consumed sequentially, so a trajectory is a pure function of
@@ -127,10 +127,6 @@ class SimParams:
         ratio = self.T / self.dt
         nearest = round(ratio)
         return nearest if abs(ratio - nearest) <= 1e-9 * ratio else ceil(ratio)
-
-    def tau(self, t: float) -> float:
-        """Slow time tau = nu * t."""
-        return self.nu * t
 
 
 @dataclass
@@ -275,7 +271,7 @@ def _strang(
         c = phase_rotation_step(spec.grid, c, dt)
     c = ou_exact_step(c, spec, nu, dt / 2.0, noise=noise1)
     parts = c.view(np.float64)  # a new array: flushing it in place leaves the input intact
-    parts[np.abs(parts) < _TINY] = 0.0
+    np.copyto(parts, 0.0, where=np.abs(parts) < _TINY)
     return c
 
 

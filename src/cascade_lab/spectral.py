@@ -10,7 +10,8 @@ which is orthonormal for the plain L2 inner product on the cube and satisfies
 x_j = j*pi/(N+1), j = 1..N per axis; a product with the per-axis sine matrix
 (a type-I discrete sine transform) maps between mode coefficients and lattice
 values, and the quadrature weight (pi/(N+1))^n makes the retained basis
-exactly orthonormal on the lattice.
+exactly orthonormal on the lattice.  The matrices are real, applied to the
+float64 views of complex arrays (see :func:`_along`).
 
 Fields are immutable value objects and all operations are pure functions, so
 concurrent use on distinct fields gives the same results as serial execution.
@@ -83,34 +84,29 @@ class GridSpec:
 @lru_cache(maxsize=None)
 def mode_abs_sq(grid: GridSpec) -> np.ndarray:
     """|d|^2 over the retained index set {1..D}^n, shaped like a coefficient array."""
-    axis = np.arange(1, grid.D + 1, dtype=float) ** 2
-    out = np.zeros(grid.coeff_shape)
-    for ax in range(grid.n):
-        shape = [1] * grid.n
-        shape[ax] = grid.D
-        out = out + axis.reshape(shape)
+    out = sum(np.ix_(*(np.arange(1, grid.D + 1, dtype=float) ** 2,) * grid.n))  # d_1^2 + ... + d_n^2
     out.flags.writeable = False
     return out
 
 
 @lru_cache(maxsize=None)
-def _sine_matrices(grid: GridSpec, D: int) -> tuple[np.ndarray, ...]:
-    """Read-only complex matrices of one axis, modes 1..D: the (N x D) sine matrix, its transpose,
-    the (D x N) projection (sine transposed times the quadrature weight pi/(N+1)), its transpose,
-    and the (N x D) cosine matrix; rows of sine and cosine are lattice points, (2/pi)^(1/2) folded in."""
+def _axis_table(grid: GridSpec, D: int, kind: str) -> tuple[np.ndarray | None, np.ndarray]:
+    """Read-only float64 (left, right) of one axis's real (J x K) matrix for modes 1..D: "sin"/"cos" is
+    the (N x D) sine/cosine matrix (rows at lattice points, (2/pi)^(1/2) folded in), "proj" the (D x N)
+    sine transpose times pi/(N+1).  At n >= 2 left is the matrix and right its (2K x 2J) interleaved
+    transpose W, W[0::2, 0::2] = W[1::2, 1::2] = matrix^T; at n = 1 left is None, right the transpose."""
     angle = grid.points[:, None] * np.arange(1, D + 1)[None, :]
-    sin_m, cos_m = sqrt(2.0 / pi) * np.sin(angle), sqrt(2.0 / pi) * np.cos(angle)
-    proj = (pi / (grid.N + 1)) * sin_m.T
-    out = tuple(np.array(a, dtype=np.complex128, order="C") for a in (sin_m, sin_m.T, proj, proj.T, cos_m))
-    for mat in out:
-        mat.flags.writeable = False
-    return out
-
-
-def _eval_matrices(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The per-axis (N x D) sine and cosine evaluation matrices of ``grid``."""
-    sin_m, *_, cos_m = _sine_matrices(grid, grid.D)
-    return sin_m, cos_m
+    mat = sqrt(2.0 / pi) * (np.cos(angle) if kind == "cos" else np.sin(angle))
+    if kind == "proj":
+        mat = (pi / (grid.N + 1)) * mat.T
+    if grid.n == 1:
+        left, right = None, np.ascontiguousarray(mat.T)
+    else:
+        left, right = np.ascontiguousarray(mat), np.zeros((2 * mat.shape[1], 2 * mat.shape[0]))
+        right[0::2, 0::2] = right[1::2, 1::2] = mat.T
+        left.flags.writeable = False
+    right.flags.writeable = False
+    return left, right
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
@@ -171,29 +167,40 @@ def basis_eval(d, x) -> float:
     return float((2.0 / pi) ** (n / 2.0) * np.prod(np.sin(d * x)))
 
 
-def _per_axis(grid: GridSpec, a: np.ndarray, mat: np.ndarray, mat_t: np.ndarray) -> np.ndarray:
-    """Apply ``mat`` along each of the last n axes of ``a``, one stacked product per row.
+def _along(a: np.ndarray, ax: int, n: int, table: tuple[np.ndarray | None, np.ndarray]) -> np.ndarray:
+    """Apply a table's real (J x K) matrix along grid axis ``ax`` (of the last n) of complex ``a``.
 
-    For n >= 3 each step multiplies the front grid axis and rotates it to the back.
-    One 2-D product across rows would make a row's bits depend on M."""
-    if grid.n == 1:
-        return (a[..., None, :] @ mat_t)[..., 0, :]
-    if grid.n == 2:
-        return mat @ a @ mat_t
-    lead = a.shape[: a.ndim - grid.n]
-    for _ in range(grid.n):
-        a = (mat @ a.reshape(*lead, mat.shape[1], -1)).swapaxes(-1, -2)
-    return a.reshape(lead + (mat.shape[0],) * grid.n)
+    Float64 products on ``a``'s float64 view, never across rows (that would make a row's bits depend
+    on M): from the left on every axis but the last, real and imaginary parts riding along as
+    interleaved columns; rows times W on the last axis at n >= 2; at n = 1, each row's (2 x K) parts
+    times the transpose, since AVX-512 and AVX2 dgemm round a (J x K) @ (K x 2) product differently."""
+    left, right = table
+    if ax < n - 1:
+        head = a.shape[: a.ndim - n + ax]
+        out = left @ a.reshape(*head, left.shape[1], -1).view(np.float64)
+        return out.view(np.complex128).reshape(*head, left.shape[0], *a.shape[len(head) + 1 :])
+    if n > 1:
+        return (a.view(np.float64) @ right).view(np.complex128)
+    parts = a.view(np.float64).reshape(*a.shape, 2).swapaxes(-1, -2) @ right
+    out = np.empty(a.shape[:-1] + right.shape[1:], dtype=np.complex128)
+    out.real, out.imag = parts[..., 0, :], parts[..., 1, :]
+    return out
 
 
 def lattice_values(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """Lattice values of mode coefficients over the last n axes (the math of :func:`to_physical`)."""
-    return _per_axis(grid, coeffs, *_sine_matrices(grid, grid.D)[:2])
+    table = _axis_table(grid, grid.D, "sin")
+    for ax in range(grid.n):
+        coeffs = _along(coeffs, ax, grid.n, table)
+    return coeffs
 
 
 def mode_coeffs(grid: GridSpec, values: np.ndarray, D: int) -> np.ndarray:
     """Modes {1..D}^n of lattice values over the last n axes (the math of :func:`to_spectral`)."""
-    return _per_axis(grid, values, *_sine_matrices(grid, D)[2:4])
+    table = _axis_table(grid, D, "proj")
+    for ax in range(grid.n):
+        values = _along(values, ax, grid.n, table)
+    return values
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing product raises below, unwarned
@@ -266,34 +273,27 @@ def sup_norm(u: SpectralField) -> float | np.ndarray:
 def cm_norm(u: SpectralField, m: int) -> float | np.ndarray:
     """Discrete C^m norm: max over |beta| <= m of the lattice sup of |d^beta u|.
 
-    Each partial derivative is computed spectrally; differentiating sin(d x)
-    k times gives d^k times sin or cos by the parity of k, with a sign that is
-    common to every mode and therefore drops out of the modulus.  Axes are
-    evaluated in order, depth first, so the stage after axes 0..k is shared by
-    every beta with the same beta_0..beta_k; each stage is one matrix product
-    per row on the operands ``tensordot`` would build.  A float for a single
-    field, one value per row for a field with a row axis.
+    Each partial derivative is computed spectrally; differentiating sin(d x) k times gives d^k
+    times sin or cos by the parity of k, with a sign that is common to every mode and therefore
+    drops out of the modulus.  Axes are evaluated in order, depth first, so the stage after axes
+    0..k (one :func:`_along` product) is shared by every beta with the same beta_0..beta_k.
+    A float for a single field, one value per row for a field with a row axis.
     """
     if m != int(m) or m < 0:
         raise ValueError(f"C^m order must be a nonnegative integer, got {m}")
     grid, n = u.grid, u.grid.n
-    sin_m, cos_m = _eval_matrices(grid)
+    tables = _axis_table(grid, grid.D, "sin"), _axis_table(grid, grid.D, "cos")
     d_axis = np.arange(1, grid.D + 1, dtype=float)
     lead = u.coeffs.shape[: u.coeffs.ndim - n]
-    k = len(lead)
 
     def sup_from(vals: np.ndarray, ax: int, budget: int) -> np.ndarray:
         # axes 0..ax-1 are done; max over beta_ax.. with sum <= budget
         if ax == n:
             return np.abs(vals).reshape(*lead, -1).max(axis=-1)
-        perm = (*range(k), k + ax, *(k + i for i in range(n) if i != ax))  # grid axis ax to the front
-        inv = tuple(perm.index(i) for i in range(k + n))
         best = np.zeros(lead)
         for b in range(budget + 1):
-            moved = (vals * (d_axis**b).reshape((-1,) + (1,) * (n - 1 - ax)) if b else vals).transpose(perm)
-            out = (sin_m if b % 2 == 0 else cos_m) @ moved.reshape(*lead, grid.D, -1)
-            out = out.reshape(lead + (grid.N,) + moved.shape[k + 1 :]).transpose(inv)
-            best = np.maximum(best, sup_from(out, ax + 1, budget - b))
+            scaled = vals * (d_axis**b).reshape((-1,) + (1,) * (n - 1 - ax)) if b else vals
+            best = np.maximum(best, sup_from(_along(scaled, ax, n, tables[b % 2]), ax + 1, budget - b))
         return best
 
     best = sup_from(u.coeffs, 0, int(m))

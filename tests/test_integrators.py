@@ -752,7 +752,6 @@ class TestSimParams:
 
     def test_slow_time_conversions(self):
         p = SimParams(nu=0.25, dt=0.01, T=1.0)
-        assert p.tau(8.0) == 2.0
         assert p.n_steps == 100
 
     def test_n_steps_is_exact_for_whole_step_horizons(self):

@@ -2,6 +2,7 @@
 
 import threading
 import warnings
+from functools import lru_cache
 from itertools import product
 from math import pi, sqrt
 
@@ -11,12 +12,17 @@ import scipy.fft as sfft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cascade_lab import spectral
+from cascade_lab.experiments import Observable, ensemble_run
+from cascade_lab.forcing import NoiseSpec
+from cascade_lab.integrators import SimParams, constrained_profile
 from cascade_lab.spectral import (
     GridSpec,
     NonFiniteFieldError,
     PhysicalField,
     SpectralField,
-    _eval_matrices,
+    _along,
+    _axis_table,
     basis_eval,
     cm_norm,
     field_from_bytes,
@@ -360,9 +366,8 @@ class TestCmNorm:
 
 
 def cm_norm_per_beta(u: SpectralField, m: int) -> float:
-    """Reference: every beta evaluated from the coefficients with tensordot and moveaxis."""
+    """Reference: every beta evaluated from the coefficients on its own, one real product per axis."""
     grid = u.grid
-    sin_m, cos_m = _eval_matrices(grid)
     d_axis = np.arange(1, grid.D + 1, dtype=float)
     best = 0.0
     for beta in product(range(m + 1), repeat=grid.n):
@@ -374,11 +379,112 @@ def cm_norm_per_beta(u: SpectralField, m: int) -> float:
                 shape = [1] * grid.n
                 shape[ax] = grid.D
                 vals = vals * (d_axis**b).reshape(shape)
-            mat = sin_m if b % 2 == 0 else cos_m
-            out = np.tensordot(mat, np.moveaxis(vals, ax, 0), axes=(1, 0))
-            vals = np.moveaxis(out, 0, ax)
+            vals = _along(vals, ax, grid.n, _axis_table(grid, grid.D, "cos" if b % 2 else "sin"))
         best = max(best, float(np.abs(vals).max()))
     return best
+
+
+# --- the complex formulation the real products replaced, kept as a reference ------------------
+
+
+def complex_matrices(grid: GridSpec, D: int) -> tuple[np.ndarray, ...]:
+    """Complex128 copies: (N x D) sine, its transpose, (D x N) projection, its transpose, (N x D) cosine."""
+    angle = grid.points[:, None] * np.arange(1, D + 1)[None, :]
+    sin_m, cos_m = sqrt(2.0 / pi) * np.sin(angle), sqrt(2.0 / pi) * np.cos(angle)
+    proj = (pi / (grid.N + 1)) * sin_m.T
+    return tuple(np.array(a, dtype=np.complex128, order="C") for a in (sin_m, sin_m.T, proj, proj.T, cos_m))
+
+
+def complex_per_axis(grid: GridSpec, a: np.ndarray, mat: np.ndarray, mat_t: np.ndarray) -> np.ndarray:
+    """``mat`` along each of the last n axes: a @ mat_t, mat @ a @ mat_t, or rotating axes at n >= 3."""
+    if grid.n == 1:
+        return (a[..., None, :] @ mat_t)[..., 0, :]
+    if grid.n == 2:
+        return mat @ a @ mat_t
+    lead = a.shape[: a.ndim - grid.n]
+    for _ in range(grid.n):
+        a = (mat @ a.reshape(*lead, mat.shape[1], -1)).swapaxes(-1, -2)
+    return a.reshape(lead + (mat.shape[0],) * grid.n)
+
+
+def complex_cm_norm(grid: GridSpec, coeffs: np.ndarray, m: int) -> np.ndarray:
+    """C^m with each stage's grid axis transposed to the front and multiplied by a complex matrix."""
+    sin_m, *_, cos_m = complex_matrices(grid, grid.D)
+    d_axis = np.arange(1, grid.D + 1, dtype=float)
+    n = grid.n
+    lead = coeffs.shape[: coeffs.ndim - n]
+    k = len(lead)
+
+    def sup_from(vals, ax, budget):
+        if ax == n:
+            return np.abs(vals).reshape(*lead, -1).max(axis=-1)
+        perm = (*range(k), k + ax, *(k + i for i in range(n) if i != ax))
+        inv = tuple(perm.index(i) for i in range(k + n))
+        best = np.zeros(lead)
+        for b in range(budget + 1):
+            moved = (vals * (d_axis**b).reshape((-1,) + (1,) * (n - 1 - ax)) if b else vals).transpose(perm)
+            out = (sin_m if b % 2 == 0 else cos_m) @ moved.reshape(*lead, grid.D, -1)
+            out = out.reshape(lead + (grid.N,) + moved.shape[k + 1 :]).transpose(inv)
+            best = np.maximum(best, sup_from(out, ax + 1, budget - b))
+        return best
+
+    return sup_from(coeffs, 0, m)
+
+
+def assert_within_1e15(got, ref) -> None:
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+class TestRealProducts:
+    """The real products on float64 views against the complex products they replaced."""
+
+    @pytest.mark.parametrize("grid", TRANSFORM_GRIDS, ids=str)
+    @pytest.mark.parametrize("rows", [(), (3,), (17,)])
+    def test_agree_with_complex_products(self, grid, rows):
+        rng = np.random.default_rng(grid.n * 1000 + grid.N * 10 + len(rows))
+        coeffs = random_block(rng, rows + grid.coeff_shape)
+        ref = complex_per_axis(grid, coeffs, *complex_matrices(grid, grid.D)[:2])
+        assert_within_1e15(lattice_values(grid, coeffs), ref)
+        values = random_block(rng, rows + grid.values_shape)
+        for D in sorted({grid.D, grid.N}):
+            ref = complex_per_axis(grid, values, *complex_matrices(grid, D)[2:4])
+            assert_within_1e15(mode_coeffs(grid, values, D), ref)
+        u = SpectralField(grid, coeffs)
+        for m in range(4):
+            assert_within_1e15(cm_norm(u, m), complex_cm_norm(grid, coeffs, m))
+
+    def test_tables_are_real_and_n1_builds_no_interleaved_table(self, monkeypatch):
+        """Every table a nonlinear run with C^2 builds is float64; at n = 1 none is interleaved."""
+        built = []
+
+        def record(grid, D, kind):
+            table = build(grid, D, kind)
+            built.append((grid.n, kind, table))
+            return table
+
+        build = spectral._axis_table.__wrapped__
+        monkeypatch.setattr(spectral, "_axis_table", lru_cache(maxsize=None)(record))
+        for grid in (GridSpec(1, 16, 8), GridSpec(2, 12, 6)):
+            params = SimParams(nu=0.5, dt=0.01, T=0.05)
+            u0 = constrained_profile(grid, params.nu)
+            observables = (Observable("sup_cm", 2.0), Observable("sup_inf"))
+            spec = NoiseSpec.from_profile(grid, "band:1,1,1")
+            ensemble_run(grid, spec, params, 2, lambda sid: u0, observables)
+        assert sorted((n, kind) for n, kind, _ in built) == [
+            (n, kind) for n in (1, 2) for kind in ("cos", "proj", "sin")
+        ]
+        for n, kind, (left, right) in built:
+            assert right.dtype == np.float64 and right.flags.c_contiguous and not right.flags.writeable
+            if n == 1:  # the transpose of the n = 2 matrix, and no interleaved table
+                assert left is None
+                assert np.array_equal(right, build(GridSpec(2, 16, 8), 8, kind)[0].T)
+            else:
+                assert left.dtype == np.float64 and left.flags.c_contiguous and not left.flags.writeable
+                assert right.shape == (2 * left.shape[1], 2 * left.shape[0])
+                assert np.array_equal(right[0::2, 0::2], left.T) and np.array_equal(right[1::2, 1::2], left.T)
+                assert not right[0::2, 1::2].any() and not right[1::2, 0::2].any()
 
 
 class TestSpectrumShells:
