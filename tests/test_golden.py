@@ -76,28 +76,28 @@ observables = sup_inf
 # sha256 of streams/traj_NNNN.csv written by ``simulate`` on CRITERION_10_CONFIG
 CRITERION_10_SHA256 = {
     "traj_0000.csv": "5019d534b4c0e3f95bfc64a8797b35af5c45d433464dcf36afa480fa52a2b1e2",
-    "traj_0001.csv": "73ae5b64c32bb3b59d15560d30078c2d439a81d88120c341d9f34874a709b9d4",
-    "traj_0002.csv": "60773e89682cc3c31ab643c2f800bb0263e596e63486b7ba17f53a7aaf8a37e7",
-    "traj_0003.csv": "a66053d5ba8226b9db2d5c0c900f7d4482e0741262ac4c0a81d2868efcfa63c6",
-    "traj_0004.csv": "274a7e3cfa445b0f19572e627c990a909e6170bde27c959df3690dd7b6278d5d",
-    "traj_0005.csv": "b86a19c2fa207d3f4063a585ac8d02a8b3af7fd20d370ef2c8b5c50020148460",
+    "traj_0001.csv": "ae26312e8b6da7b9a3b1a2e9f3d1d249bacd2e00fab04af36ad2bfa15c296021",
+    "traj_0002.csv": "472d2b7d2201284b439c02002ac89587c5bdc8c83ec7c6834f95ec46d6eca10a",
+    "traj_0003.csv": "f22e43738183da18c44d30277a8e69b4cfc838a886cca49718c19d69be03615b",
+    "traj_0004.csv": "0a38b4e41fe695992ddf4242e89781337fba39aed729a89fe29d31e9fd2915fb",
+    "traj_0005.csv": "86e7e95183659ae2fd1b3c9777035856119c0186b0af1298f331a2145deddacd",
     "traj_0006.csv": "28630af1d7db1b1b25b41d723902ef3fceea1bda7b978b01d685b8571b415d5c",
-    "traj_0007.csv": "2f24f2c822ced8565813626fed84ea612cb95eb0888e3ab99220400a740aabca",
-    "traj_0008.csv": "19b9edebaecfda18ea507492083d68e3fe362c3a35e26664710872b3d1b7defb",
-    "traj_0009.csv": "93e50ddefaa5117b78722b593fb24d478ff887fe24a8a8a478f1e1ad91a9bd6f",
-    "traj_0010.csv": "d23d83afc69a9c247c78d299ab9fb79a2bf3f0d53991ad22f7b596f7bdb6975f",
-    "traj_0011.csv": "e1aab63c24cb1deeb526b18e735a396576840b8c49689315ec1a33d107151406",
+    "traj_0007.csv": "8fa20f92fa3800de0351c6003b8db7dbc262e1d40c30e69879950fbd74cbb814",
+    "traj_0008.csv": "5363d893609445f78776a3cae8a836ecabaea6f82eece5777b8db9b6dcc1786a",
+    "traj_0009.csv": "e922ce2cacfb75955e9aa9db0f11c22fe5a9238a70342377926dc59afa83edc1",
+    "traj_0010.csv": "156ee5326c203dd8d7eb96c3726aecf51318b9ce63587b866952c73d17679a50",
+    "traj_0011.csv": "94e0ebf7a63cd19bcf6e49aa1dca635a6fb376cec64b21e2f66568613ebfd9a1",
     "traj_0012.csv": "c84354db84dc0cd717a9b2444ef7d6567ddc391212c56578401d68e70664b2a3",
-    "traj_0013.csv": "e503ce39b59c885486a862ceaab9eda798376ae41e85d8dc315b3e0122189479",
-    "traj_0014.csv": "b52f276d9a7ae73285be371769ce3d98a997665b8022afecf06bdd698edb18c6",
+    "traj_0013.csv": "63c4963eb19fa55c20f9fb218e848a726cd4a5d840c85426782a7c7abc296998",
+    "traj_0014.csv": "121197db12c70db3e45fd738f8d7076785ff9f55bdbbd08137568ea3a8e36918",
     "traj_0015.csv": "2b6f56d7e6d3eb5f7ea93bbbe5eb5abaa2d12d5691a3d565f141ef22d07a8b22",
 }
 
 # sha256 over the CSV streams and the summary of ``n2_ensemble``
-N2_ENSEMBLE_SHA256 = "8cd5ec697ff97793bb1bb552a3a6f7439b0ca9799d071ac85f6942c0684d5cc0"
+N2_ENSEMBLE_SHA256 = "b7894b1a8cfd1725386a837a937b4fbd5961653f99f70709d30e69c94c6bbd95"
 
 # sha256 of ``checkpoint_bytes()``
-CHECKPOINT_SHA256 = "50217a9a8c3b5313568cbcffa28f5957bab6ed30c7a6420d8d1c0497db56323a"
+CHECKPOINT_SHA256 = "174980891982a1fa4c9648a5ff23e5c953a01454629872ea4e508efb157d1360"
 
 
 def env_stamp() -> dict:
@@ -173,58 +173,58 @@ GOLDEN_RUNS = {
 GOLDEN_RUNS_SHA256 = {
     "simulate-slow": {
         "config.ini": "a4800193562c07b5925aef81a2af9c44d78b94bba53a1f81e49c2d3bfc30e1d9",
-        "manifest.json": "b673a174d69b5dd5ddba3f7a1d4a75d6be7f5383789e607a4923e639b122d927",
-        "occupation_report.jsonl": "21eb23b2a41c918369a3bb31ba1e8a64b3f5b6c3866dfaeb101181220c049aa0",
-        "report.jsonl": "c903023e81413b9493ac8e005af89f842dd10222c73d606c6c1b74aeac50396d",
-        "streams/traj_0000.csv": "46e19be4f4d6268b2f159e38dee88d104f59554166be6dd3af48b9191f8842ed",
-        "streams/traj_0001.csv": "be2730b2bc49518e94d0a56eb8f1b7036907bf31ee135273a7090029cd258b00",
+        "manifest.json": "92be084bd7bc0e4d4b5e35ba1972ad5a486426296ac65c9394e5bee712c787cb",
+        "occupation_report.jsonl": "0cde4e608d070c2ca15e8ee3ec02d1013f44e81cdc4cecd4ef9233ce95da3e17",
+        "report.jsonl": "b34fe1f1911dc985f49de4098f252a8328d60817fd0d5099ff56d87f8fca4031",
+        "streams/traj_0000.csv": "a24bd716132f7f440e5aecf34ce29b87f61c8943746665fea5fb298da1a4441c",
+        "streams/traj_0001.csv": "b35495685035d8df46d5852fd66a448bafd82b1af59e437439f61f3baec2aa03",
     },
     "simulate-fast": {
         "config.ini": "a7f1ba2cefa99d3c01dbd3db1f227bbd51994bc140d2db497e5edfbc1c640112",
-        "manifest.json": "93f1f65d75db454b5dcf11083a6a5ae0691b3264c48f5dd2e1e23fe18c702fdb",
-        "report.jsonl": "efd1c8c22dff45aa9a843ed9dbb9c8e233fc06394adcfbe038076595e6838120",
-        "streams/traj_0000.csv": "fc0d51cb65020384960e0091335d2c3fd8530a75ae8bcc364803c21dc33f609f",
-        "streams/traj_0001.csv": "c6d15901c9deb4a0f2c2472e66377ca479a5f162e552b200ed90df93a54f08f3",
+        "manifest.json": "daa9100f6020250d3b9c71db64769c80de4ba7c2f2514d47fadc38c1c12cc370",
+        "report.jsonl": "b374a19399c5b0ef1586ae54cb17718e15950353207bc9a490d5df3298db7073",
+        "streams/traj_0000.csv": "c6c588b21893f9200e75de34c5467b6f18eaf94645dcdcb964e8ba2afdfe71a3",
+        "streams/traj_0001.csv": "222a70d0b9612459c1fe25c811f1da05746c4f01c2172535b88b530b0f7d2a4d",
     },
     "spectrum": {
         "config.ini": "cce74964518b9418d7653a39ed7445742afb0099234a3a0dd795c23d3fcf35c0",
-        "manifest.json": "3456065105b91d060402ba7f0d96a7946da4c88bb43f1a93f7c81edd2c80bc75",
-        "report.jsonl": "2b6a1393888f1ec06fb4f6787dc62133cd2f3f6b83332e60f7da67cc879d61e6",
-        "streams/traj_0000.csv": "a91783cfb10bd9d6a555373a5b3b2f3a924b99a6215e0cd0f562e6613f298db0",
-        "streams/traj_0001.csv": "f0578fe1b8b9b7e501c8330538ac6c8d23cc377fd8cc5424e95e15d080b34466",
+        "manifest.json": "ac45b1fe7d4ce06f983e82e069e726a5706411eb2f5e17a8761d28de10918571",
+        "report.jsonl": "af0aae87123922e3e1c4a44e9131f334a0ef3fdb13b00463a113c191693279f4",
+        "streams/traj_0000.csv": "9c39ab776768e1dedc53ffb0e017f207eb8d1c92850177c83ccea9645d6728a4",
+        "streams/traj_0001.csv": "6f92e8cc10fa049c6f5a573eb5d2343fc0571dbf70d7501b9ada745bb36dd56c",
     },
     "sweep-slow": {
         "config.ini": "c88e843ebf461471f57903e49538d6257692c5849a3a5fb9ee2475cba18e58c1",
-        "manifest.json": "4d2974c58bee4d59d028729af93f07e7fbad5376745ccd826dddcde7d6be531b",
-        "report.jsonl": "d76b7e2fc1968c6c8e9657b8c93f8833e838d47f9b7bcd24881f754450fc55f6",
-        "streams/nu_0.25/traj_0000.csv": "2d283950406b5e0c0949f0e7bf3929dbdf107cb49356ada005f50c88a31ebac8",
-        "streams/nu_0.25/traj_0001.csv": "58c11d160f27eb873671e38bbbcfba20f1a21fb3c3593ed57ae3ca05e06539c4",
-        "streams/nu_0.4/traj_0000.csv": "a16feae28959ba469af3d0a924f9305986b39bf53012dd0250c95d3b1eba2de6",
-        "streams/nu_0.4/traj_0001.csv": "dfe8fa14dcd740ff137160bef1ecb2f6ef86d015a60d4eb89324b8ff56cc5a01",
-        "streams/nu_0.5/traj_0000.csv": "2345cabcee2406c96f580ee078aae57c023f088a1b3576382b2d5b997a65e894",
-        "streams/nu_0.5/traj_0001.csv": "fece677e1acd0cf4ada41706ebcd55daa8a44ba2bbd995bc12f3855cb40be02d",
+        "manifest.json": "67a631de862538c03316c27489447a4cf5f1d28ecaf970ed86a5f2e3d561e5a9",
+        "report.jsonl": "5ecf68e4106ee8587c90d86086d50a176141fc7c440d7aa55d0cd8fd8ac613ae",
+        "streams/nu_0.25/traj_0000.csv": "421f869055e4bc0a49a597fb796acfc4a47c9ef2ab2de810b18f00d40fbb2a48",
+        "streams/nu_0.25/traj_0001.csv": "632baa307ef5de52ad46ffe91635a27238d7eba53beea7adabe5066db380319b",
+        "streams/nu_0.4/traj_0000.csv": "81b6a56741149fd3a9982c1c06981a921fab07ca28358835add7f3f6981dbf36",
+        "streams/nu_0.4/traj_0001.csv": "4b28952b6eca64e88a7923098c84460ceb16afc285615945a2a029c2c04aad3d",
+        "streams/nu_0.5/traj_0000.csv": "b06b3b7ede5255c89e2b19b26df171954f6d3dd8f6308ca29f74b9c69ad21d8c",
+        "streams/nu_0.5/traj_0001.csv": "45f8d3044d3968e84c47716a0faa6de64dc503a8c25a336aab44b9b5f34df96a",
     },
     "sweep-fast": {
         "config.ini": "ea929485771aa343f4520296c4716117284cff5cc870af66f91ccb11b1cb4746",
-        "manifest.json": "c0ab3d43cd7228c4d34df949833b76e4e70651e9fae1f2a1272014e1f41d78eb",
-        "report.jsonl": "d76b7e2fc1968c6c8e9657b8c93f8833e838d47f9b7bcd24881f754450fc55f6",
-        "streams/nu_0.25/traj_0000.csv": "2d283950406b5e0c0949f0e7bf3929dbdf107cb49356ada005f50c88a31ebac8",
-        "streams/nu_0.25/traj_0001.csv": "58c11d160f27eb873671e38bbbcfba20f1a21fb3c3593ed57ae3ca05e06539c4",
-        "streams/nu_0.4/traj_0000.csv": "a16feae28959ba469af3d0a924f9305986b39bf53012dd0250c95d3b1eba2de6",
-        "streams/nu_0.4/traj_0001.csv": "dfe8fa14dcd740ff137160bef1ecb2f6ef86d015a60d4eb89324b8ff56cc5a01",
-        "streams/nu_0.5/traj_0000.csv": "2345cabcee2406c96f580ee078aae57c023f088a1b3576382b2d5b997a65e894",
-        "streams/nu_0.5/traj_0001.csv": "fece677e1acd0cf4ada41706ebcd55daa8a44ba2bbd995bc12f3855cb40be02d",
+        "manifest.json": "ef4175dcae331ce533e6dc0ada5458df72e1e131aa6e578958cdf2d0574bb8b3",
+        "report.jsonl": "5ecf68e4106ee8587c90d86086d50a176141fc7c440d7aa55d0cd8fd8ac613ae",
+        "streams/nu_0.25/traj_0000.csv": "421f869055e4bc0a49a597fb796acfc4a47c9ef2ab2de810b18f00d40fbb2a48",
+        "streams/nu_0.25/traj_0001.csv": "632baa307ef5de52ad46ffe91635a27238d7eba53beea7adabe5066db380319b",
+        "streams/nu_0.4/traj_0000.csv": "81b6a56741149fd3a9982c1c06981a921fab07ca28358835add7f3f6981dbf36",
+        "streams/nu_0.4/traj_0001.csv": "4b28952b6eca64e88a7923098c84460ceb16afc285615945a2a029c2c04aad3d",
+        "streams/nu_0.5/traj_0000.csv": "b06b3b7ede5255c89e2b19b26df171954f6d3dd8f6308ca29f74b9c69ad21d8c",
+        "streams/nu_0.5/traj_0001.csv": "45f8d3044d3968e84c47716a0faa6de64dc503a8c25a336aab44b9b5f34df96a",
     },
     "stationary": {
         "config.ini": "ac2b2d30290eb5486c97b2dcbab0c4672cb6eda33075b1626c1a98e8147fbc71",
-        "manifest.json": "5b9a4ba0897e87111ecbccf447993ac19355059ae64e70b083a9a985f74e7788",
-        "report.jsonl": "1c636f00a6b9317eb189e7bd61bd8e950fa540be2fc89f6a124c6cdadf30fad1",
-        "streams/nu_0.25/traj_0000.csv": "54fd15468665a862990e1d26a98e052e0cdefd49c2c3c77fbaddd3f8d7e8a365",
-        "streams/nu_0.25/traj_0001.csv": "715543a5a2ae03b8f776e5c259daba4660f80b3e37ae09c41057d3b23fe502c3",
-        "streams/nu_0.4/traj_0000.csv": "25efcbc0446a3bb970dbaf6cb44c041cbf844e5dbd69aaa21efd05b55c8e4ccb",
-        "streams/nu_0.4/traj_0001.csv": "d1819ed9a6fc62137dca0910a40dbd1a37af1b06725765d69cd3dc865dcbe192",
-        "streams/nu_0.5/traj_0000.csv": "15d02337aa044f7cc662249df3570c528b9ddfedd9bc78392e442eea6e243015",
-        "streams/nu_0.5/traj_0001.csv": "2a946f217bf653a7dcb45ffea9264ecf77c76d83b6654b39953fa8057bcd0867",
+        "manifest.json": "f5066309d5a5f680227fec06512e65fd9001873c6f285ff7d56ad6861aaa3aee",
+        "report.jsonl": "cd1a94a8ad3ca6e7772967d10a365d9a7840893e528ed38ed5fa1c93314837d9",
+        "streams/nu_0.25/traj_0000.csv": "87ac2b74970edad56ae96f2c747c2ec292a12449adef7792a7c56bd66463dd99",
+        "streams/nu_0.25/traj_0001.csv": "384f5ef7c55c175e44a777544978388745aee03de1cc2bf15abec1dbbb5539eb",
+        "streams/nu_0.4/traj_0000.csv": "38a512f4552c4b32cd916a3e49d1f48e7edb293f34a2ff4141d6bfd5bc6cc073",
+        "streams/nu_0.4/traj_0001.csv": "10ee1ee2eedbe833095dc74afb22671c35301cc7049124c69c7b8d7b7c32e448",
+        "streams/nu_0.5/traj_0000.csv": "f630ebfd47de69d1c9c03f7231f7e7a9a0e7ca1ab1bf520bb58732af546a1563",
+        "streams/nu_0.5/traj_0001.csv": "656d4dc7614d76d914abc5961be625852509cbb67a7fb928d65b64d15d3068e9",
     },
 }
 
