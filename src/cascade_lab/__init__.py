@@ -51,6 +51,7 @@ from .integrators import (
 from .diagnostics import (
     DiagnosticsRecord,
     NormRecorder,
+    Stream,
     OccupationReport,
     BalanceReport,
     occupation_check,

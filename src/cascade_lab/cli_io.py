@@ -53,7 +53,6 @@ from .diagnostics import (
 from .experiments import (  # ensemble_run stays importable here for perfbench's tracer
     Observable,
     SweepPlan,
-    cm_orders,
     ensemble_run,  # noqa: F401
     fit_exponent,
     nu_sweep,
@@ -290,15 +289,11 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
             errors.append(f"experiment.kind = {kind} needs sim.nu_grid")
         if M is not None and M < 2:
             errors.append(f"experiment.kind = {kind} needs ensemble.M >= 2")
-    if observables is not None:
-        parsed = []
-        for obs in observables:
-            try:
-                parsed.append(Observable.parse(obs))
-            except ValueError as exc:
-                errors.append(f"experiment.observables entry {obs!r}: {exc}")
-        if len(orders := cm_orders(parsed)) > 1:
-            errors.append(f"experiment.observables asks for sup_cm at orders {orders}; a run records one C^m order")
+    for obs in observables or ():
+        try:
+            Observable.parse(obs)
+        except ValueError as exc:
+            errors.append(f"experiment.observables entry {obs!r}: {exc}")
     if profile is not None and n is not None and D is not None and not errors:
         try:
             NoiseSpec.from_profile(GridSpec(n, N, D), profile)
@@ -432,8 +427,8 @@ def prepare_run_dir(cfg: RunConfig, out_override: str | None = None) -> Path:
 
 def write_streams(run_dir: Path, streams, label: str = "") -> None:
     sub = run_dir / "streams" / label if label else run_dir / "streams"
-    for i, records in enumerate(streams):
-        atomic_write_text(sub / f"traj_{i:04d}.csv", stream_csv_text(records))
+    for i, stream in enumerate(streams):
+        atomic_write_text(sub / f"traj_{i:04d}.csv", stream_csv_text(stream))
 
 
 def read_run_streams(run_dir: Path, label: str = "") -> list:
@@ -567,10 +562,8 @@ def _cmd_spectrum(cfg: RunConfig, out: str | None) -> int:
 
     _, streams = plan.ensemble(nu, recorder_factory)
     burn = 0.2 * plan.T
-    shells = np.array(
-        [r.shells for s in streams for r in s if r.t >= burn and r.shells is not None]
-    )
-    mean_shells = shells.mean(axis=0)
+    first = streams[0].columns.index("shell_1")
+    mean_shells = np.concatenate([s.data[s.column("t") >= burn, first:] for s in streams]).mean(axis=0)
     report = schema.report(
         "spectrum", nu=nu, M=cfg.M, shells=[[k + 1, float(e)] for k, e in enumerate(mean_shells)]
     )

@@ -1,8 +1,10 @@
 """Measurement functionals on trajectories.
 
-A trajectory is observed through a stream of records (norms, lattice sup,
-optional C^m norm and shell spectrum at the record cadence); every check here
-is a pure function of such streams, so recomputation gives identical values.
+A trajectory is observed through a :class:`Stream`: a read-only float64 array
+with one row per recorded step and one named column per quantity (t, tau, the
+Sobolev norms, the lattice sup, optional C^m norms and shell spectrum).  Every
+check here slices columns and is a pure function of streams, so recomputation
+gives identical values.
 
 The headline checks:
 
@@ -28,14 +30,15 @@ from __future__ import annotations
 
 import io
 import warnings
-from dataclasses import dataclass, fields
-from math import exp, sqrt
+from dataclasses import dataclass
+from itertools import chain
+from math import sqrt
 
 import numpy as np
 
 from . import schema
 from .integrators import State
-from .spectral import SpectralField, cm_norm, sobolev_norm, spectrum_shells, sup_norm
+from .spectral import cm_norm, shell_energies, sobolev_norm, sup_norm
 
 DISCRETIZATION_NOTE = (
     "tau_Gamma discretized to the first sample time; one-sample-interval bias, "
@@ -43,126 +46,156 @@ DISCRETIZATION_NOTE = (
 )
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class DiagnosticsRecord:
-    """Norms and optional extras at one sample time (fast time t, slow time tau)."""
+    """Norms and optional extras at one sample time (fast time t, slow time tau).
+
+    ``cm`` is the one C^m value, or order -> value when several orders were recorded.
+    """
 
     t: float
     tau: float
     norms: dict[float, float]
     sup: float
-    cm: float | None = None
+    cm: float | dict[int, float] | None = None
     shells: tuple[float, ...] | None = None
-
-    def __init__(self, t, tau, norms, sup, cm=None, shells=None):
-        # Sets each slot through its descriptor, past the frozen __setattr__ as the
-        # generated __init__ does, at about half the cost of its object.__setattr__ calls.
-        _set_t(self, t)
-        _set_tau(self, tau)
-        _set_norms(self, norms)
-        _set_sup(self, sup)
-        _set_cm(self, cm)
-        _set_shells(self, shells)
 
     def norm(self, m: float) -> float:
         return self.norms[float(m)]
 
 
-_set_t, _set_tau, _set_norms, _set_sup, _set_cm, _set_shells = (
-    vars(DiagnosticsRecord)[f.name].__set__ for f in fields(DiagnosticsRecord)
-)
+class Stream:
+    """One trajectory's records: a read-only float64 array of shape (records, columns).
+
+    ``columns`` are named and ordered by ``schema.stream_columns``; ``column(name)``
+    is a view of one column, and ``s[i]`` builds row i as a DiagnosticsRecord.
+    """
+
+    __slots__ = ("data", "columns", "_index")
+
+    def __init__(self, data, columns):
+        data = np.asarray(data, dtype=np.float64).view()
+        columns = tuple(columns)
+        if data.ndim != 2 or data.shape[1] != len(columns):
+            raise ValueError(f"stream data of shape {data.shape} does not have {len(columns)} columns")
+        data.flags.writeable = False
+        self.data, self.columns = data, columns
+        self._index = {name: j for j, name in enumerate(columns)}
+
+    def column(self, name: str) -> np.ndarray:
+        return self.data[:, self._index[name]]
+
+    def norm(self, m: float) -> np.ndarray:
+        return self.column(schema.norm_column(m))
+
+    def cm(self, order: int) -> np.ndarray:
+        """The C^order column: ``cm_<order>`` when several orders were recorded, else the one ``cm``."""
+        name = f"cm_{int(order)}"
+        return self.column(name if name in self._index else "cm")
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def __getitem__(self, i: int) -> DiagnosticsRecord:  # also iterates, until data[i] raises IndexError
+        row = dict(zip(self.columns, self.data[i].tolist()))
+        norms = {float(name[len("norm_") :]): v for name, v in row.items() if name.startswith("norm_")}
+        cms = {int(name[len("cm_") :]): v for name, v in row.items() if name.startswith("cm_")}
+        shells = tuple(v for name, v in row.items() if name.startswith("shell_"))
+        return DiagnosticsRecord(row["t"], row["tau"], norms, row["sup"], row.get("cm", cms or None), shells or None)
+
+    def __eq__(self, other) -> bool:  # bit for bit, so NaNs compare equal and -0.0 differs from 0.0
+        if not isinstance(other, Stream):
+            return NotImplemented
+        key = (self.columns, self.data.shape, self.data.tobytes())
+        return key == (other.columns, other.data.shape, other.data.tobytes())
 
 
 class NormRecorder:
-    """Trajectory sink computing a DiagnosticsRecord at each recorded step.
+    """Trajectory sink recording each row's norms at each recorded step.
 
-    It keeps each row's records under its stream id in ``streams``.  Sobolev
-    norms, the lattice sup and the C^m norm are computed for all rows at once,
-    the shells row by row.
+    A call appends one (rows, columns) block, computed for all rows at once,
+    and the stream ids of its rows; ``streams`` holds each stream id's rows as
+    a :class:`Stream`.
     """
 
     def __init__(
         self,
         nu: float,
         ms: tuple[float, ...] = (0.0, 1.0, 2.0),
-        cm_order: int | None = None,
+        cm_order: int | tuple[int, ...] | None = None,
         shells: bool = False,
     ):
         self.nu = nu
         self.ms = tuple(float(m) for m in ms)
-        self.cm_order = cm_order
+        orders = () if cm_order is None else (cm_order,) if isinstance(cm_order, int) else cm_order
+        self.cm_orders = tuple(sorted({int(k) for k in orders}))
         self.shells = shells
-        self.streams: dict[int, list[DiagnosticsRecord]] = {}
+        self.columns: tuple[str, ...] | None = None
+        self._blocks: list[np.ndarray] = []
+        self._ids: list[list[int]] = []
+        self._streams: dict[int, Stream] | None = None
 
     def __call__(self, state: State) -> None:
-        u, t, tau = state.u, state.t, self.nu * state.t
-        norms = zip(*(sobolev_norm(u, m).tolist() for m in self.ms))
-        sups = sup_norm(u).tolist()
-        cms = cm_norm(u, self.cm_order).tolist() if self.cm_order is not None else None
-        for rng, c, row_norms, sup, cm in zip(state.rngs, u.coeffs, norms, sups, cms or [None] * len(sups)):
-            shells = tuple(e for _, e in spectrum_shells(SpectralField(u.grid, c))) if self.shells else None
-            rec = DiagnosticsRecord(t, tau, dict(zip(self.ms, row_norms)), sup, cm, shells)
-            self.streams.setdefault(rng.stream_id, []).append(rec)
+        u, rows = state.u, len(state.rngs)
+        times = np.full(rows, state.t), np.full(rows, self.nu * state.t)
+        parts = [*times, sobolev_norm(u, self.ms).T, sup_norm(u)]
+        if self.cm_orders:
+            parts.append(cm_norm(u, self.cm_orders).T)
+        if self.shells:
+            parts.append(shell_energies(u.grid, u.coeffs))
+        block = np.column_stack(parts)
+        if self.columns is None:
+            n_shells = block.shape[1] - 3 - len(self.ms) - len(self.cm_orders)
+            self.columns = tuple(schema.stream_columns(self.ms, self.cm_orders, n_shells))
+        self._blocks.append(block)
+        self._ids.append([rng.stream_id for rng in state.rngs])
+        self._streams = None
+
+    @property
+    def streams(self) -> dict[int, Stream]:
+        """Each stream id's rows, in step order."""
+        if self._streams is None:
+            self._streams = {}
+            if self._blocks:
+                data, ids = np.concatenate(self._blocks), np.concatenate(self._ids)
+                self._streams = {sid: Stream(data[ids == sid], self.columns) for sid in dict.fromkeys(ids.tolist())}
+        return self._streams
 
 
 # --- stream serialization ----------------------------------------------------
 
 
-def write_stream_csv(records: list[DiagnosticsRecord], fh) -> None:
+def write_stream_csv(stream: Stream, fh) -> None:
     """RFC-4180 CSV with the frozen column order; floats as shortest round-trip repr."""
-    if not records:
+    if not len(stream):
         raise ValueError("cannot serialize an empty stream")
-    first = records[0]
-    cols = schema.stream_columns(
-        tuple(first.norms.keys()),
-        with_sup=True,
-        cm_order=0 if first.cm is not None else None,
-        n_shells=len(first.shells) if first.shells is not None else 0,
-    )
     # No column name or float repr holds a comma, quote or line break: csv.writer would write the same.
-    lines = [",".join(cols)]
-    for rec in records:
-        row = [rec.t, rec.tau, *rec.norms.values(), rec.sup]
-        if rec.cm is not None:
-            row.append(rec.cm)
-        if rec.shells is not None:
-            row += rec.shells
-        lines.append(",".join(map(repr, row)))
-    fh.write("\n".join(lines) + "\n")
+    cells = [map(repr, col) for col in stream.data.T.tolist()]
+    fh.write(",".join(stream.columns) + "\n" + "\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def stream_csv_text(records: list[DiagnosticsRecord]) -> str:
+def stream_csv_text(stream: Stream) -> str:
     buf = io.StringIO()
-    write_stream_csv(records, buf)
+    write_stream_csv(stream, buf)
     return buf.getvalue()
 
 
-def read_stream_csv(fh) -> list[DiagnosticsRecord]:
-    """Records of a stream CSV in the frozen column order; every float reads back to its bits."""
+def read_stream_csv(fh) -> Stream:
+    """The stream of a CSV in the frozen column order; every float reads back to its bits."""
     cols = fh.readline().rstrip("\r\n").split(",")
     ms = tuple(float(c[len("norm_") :]) for c in cols if c.startswith("norm_"))
-    has_cm = "cm" in cols
+    cm_orders = tuple(int(c[len("cm_") :]) for c in cols if c.startswith("cm_")) or (0,) * ("cm" in cols)
     n_shells = sum(c.startswith("shell_") for c in cols)
-    expected = schema.stream_columns(ms, with_sup=True, cm_order=0 if has_cm else None, n_shells=n_shells)
+    expected = schema.stream_columns(ms, cm_orders, n_shells)
     if cols != expected:
         raise ValueError(f"stream columns {cols} are not in the frozen order {expected}")
-    sup_i = 2 + len(ms)
-    records = []
-    for line in fh:  # row by row, so only one row's field strings are alive at a time
-        v = list(map(float, line.split(",")))
-        if len(v) != len(cols):
-            raise ValueError(f"a stream row does not have {len(cols)} fields")
-        records.append(
-            DiagnosticsRecord(
-                v[0],
-                v[1],
-                dict(zip(ms, v[2:sup_i])),
-                v[sup_i],
-                v[sup_i + 1] if has_cm else None,
-                tuple(v[sup_i + 1 + has_cm :]) if n_shells else None,
-            )
-        )
-    return records
+    first = fh.readline()
+    if not first:  # header only (np.loadtxt would warn on no data)
+        return Stream(np.empty((0, len(cols))), cols)
+    data = np.loadtxt(chain([first], fh), delimiter=",", comments=None, ndmin=2)
+    if data.shape[1] != len(cols):
+        raise ValueError(f"a stream row does not have {len(cols)} fields")
+    return Stream(data, cols)
 
 
 # --- integration helpers -------------------------------------------------------
@@ -181,14 +214,6 @@ def _left_rectangle(times: np.ndarray, values: np.ndarray, a: float, b: float) -
     ends = np.minimum(times[1:], b)
     overlap = np.clip(ends - starts, 0.0, None)
     return float(np.sum(values[:-1] * overlap))
-
-
-def _column(records: list[DiagnosticsRecord], m: float) -> np.ndarray:
-    return np.array([r.norm(m) for r in records])
-
-
-def _taus(records: list[DiagnosticsRecord]) -> np.ndarray:
-    return np.array([r.tau for r in records])
 
 
 # --- occupation time -------------------------------------------------------------
@@ -214,23 +239,18 @@ class OccupationReport:
         return schema.report("occupation", **vars(self))
 
 
-def occupation_columns(streams: list[list[DiagnosticsRecord]]) -> tuple[tuple, list[tuple]]:
+def occupation_columns(streams: list[Stream]) -> tuple[tuple, list[tuple]]:
     """tau, ||u||_0 and ||u||_2 over all records in stream order, and each stream's three columns.
 
-    The per-stream columns are views into the arrays over all records, so both
-    are built once to serve medians and several occupation checks.
+    The arrays over all records are built once to serve medians and several
+    occupation checks; the per-stream columns are views of the streams.
     """
-    flat = (
-        np.array([r.tau for records in streams for r in records]),
-        np.array([r.norms[0.0] for records in streams for r in records]),
-        np.array([r.norms[2.0] for records in streams for r in records]),
-    )
-    cuts = np.cumsum([len(records) for records in streams])[:-1]
-    return flat, list(zip(*(np.split(a, cuts) for a in flat)))
+    per_stream = [(s.column("tau"), s.norm(0.0), s.norm(2.0)) for s in streams]
+    return tuple(map(np.concatenate, zip(*per_stream))), per_stream
 
 
 def occupation_check(
-    streams: list[list[DiagnosticsRecord]],
+    streams: list[Stream],
     chi: float,
     gamma: float,
     tau0: float,
@@ -310,7 +330,7 @@ def _wilson(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
 
 
 def stationary_check(
-    streams: list[list[DiagnosticsRecord]],
+    streams: list[Stream],
     chi: float,
     b0: float,
     gamma: float | None = None,
@@ -324,16 +344,9 @@ def stationary_check(
     """
     if not streams:
         raise ValueError("empty sample")
-    n0, n2 = [], []
-    for records in streams:
-        t_end = records[-1].t
-        cut = burn_in_fraction * t_end
-        for r in records:
-            if r.t >= cut:
-                n0.append(r.norm(0.0))
-                n2.append(r.norm(2.0))
-    n0 = np.array(n0)
-    n2 = np.array(n2)
+    kept = [s.column("t") >= burn_in_fraction * s.column("t")[-1] for s in streams]
+    n0 = np.concatenate([s.norm(0.0)[k] for s, k in zip(streams, kept)])
+    n2 = np.concatenate([s.norm(2.0)[k] for s, k in zip(streams, kept)])
     if n0.size == 0:
         raise ValueError("empty sample after burn-in")
     if gamma is None:
@@ -388,7 +401,7 @@ class BalanceReport:
 
 
 def balance_check(
-    streams: list[list[DiagnosticsRecord]],
+    streams: list[Stream],
     b0: float,
     nu: float,
     burn_in_fraction: float = 0.2,
@@ -403,13 +416,12 @@ def balance_check(
     """
     if not streams:
         raise ValueError("empty ensemble")
-    t_end = streams[0][-1].t
+    t = streams[0].column("t")
+    t_end = float(t[-1])
     cut = burn_in_fraction * t_end
-    kept_idx = [i for i, r in enumerate(streams[0]) if r.t >= cut]
-    if len(kept_idx) < 2 * n_batches:
-        raise ValueError(
-            f"window too short: {len(kept_idx)} samples for {n_batches} batches (< 2 per batch)"
-        )
+    kept = t >= cut
+    if (n_kept := np.count_nonzero(kept)) < 2 * n_batches:
+        raise ValueError(f"window too short: {n_kept} samples for {n_batches} batches (< 2 per batch)")
     if nu * (t_end - cut) < min_t_slow:
         warnings.warn(
             f"balance window is only {nu * (t_end - cut):.3g} slow-time units "
@@ -418,7 +430,7 @@ def balance_check(
             stacklevel=2,
         )
     # per-time ensemble means of ||u||_1^2 over the kept samples
-    series = np.array([[s[i].norm(1.0) ** 2 for i in kept_idx] for s in streams])
+    series = np.array([s.norm(1.0)[kept] ** 2 for s in streams])
     ens_mean = series.mean(axis=0)
     avg = float(ens_mean.mean())
     batches = np.array_split(ens_mean, n_batches)
@@ -441,16 +453,14 @@ def balance_check(
 # --- time-averaged Sobolev energy ------------------------------------------------------
 
 
-def time_avg_sobolev(records: list[DiagnosticsRecord], m: float, t0: float, nu: float) -> float:
+def time_avg_sobolev(stream: Stream, m: float, t0: float, nu: float) -> float:
     """nu * int_{t0}^{t0 + 1/nu} ||u(s)||_m^2 ds by the left-rectangle rule.
 
     Equals the unit-window slow-time average of ||u||_m^2; errors if the
     stream does not cover the window.
     """
-    taus = _taus(records)
-    vals = _column(records, m) ** 2
     tau0 = nu * t0
-    return _left_rectangle(taus, vals, tau0, tau0 + 1.0)
+    return _left_rectangle(stream.column("tau"), stream.norm(m) ** 2, tau0, tau0 + 1.0)
 
 
 # --- exponential moments -----------------------------------------------------------------

@@ -21,8 +21,8 @@ import numpy as np
 from . import integrators, schema
 from .diagnostics import (
     BalanceReport,
-    DiagnosticsRecord,
     NormRecorder,
+    Stream,
     balance_check,
     time_avg_sobolev,
 )
@@ -70,18 +70,21 @@ class Observable:
             return self.kind
         return f"{self.kind}_{self.m:g}"
 
-    def evaluate(self, records: list[DiagnosticsRecord], t0: float, nu: float) -> float:
+    def evaluate(self, stream: Stream, t0: float, nu: float) -> float:
         if self.kind == "time_avg_sobolev":
-            return time_avg_sobolev(records, self.m, t0, nu)
+            return time_avg_sobolev(stream, self.m, t0, nu)
         t1 = t0 + 1.0 / nu
-        window = [r for r in records if t0 - 1e-12 <= r.t <= t1 + 1e-12]
-        if not window:
+        t = stream.column("t")
+        window = (t0 - 1e-12 <= t) & (t <= t1 + 1e-12)
+        if not window.any():
             raise ValueError(f"no samples in the window [{t0:.6g}, {t1:.6g}]")
         if self.kind == "sup_sobolev":
-            return max(r.norm(self.m) for r in window)
-        if self.kind == "sup_cm":
-            return max(r.cm for r in window)
-        return max(r.sup for r in window)
+            values = stream.norm(self.m)
+        elif self.kind == "sup_cm":
+            values = stream.cm(int(self.m))
+        else:
+            values = stream.column("sup")
+        return float(values[window].max())
 
 
 @dataclass(frozen=True)
@@ -143,10 +146,7 @@ def _needed_recorder(observables: tuple[Observable, ...], nu: float) -> NormReco
     for obs in observables:
         if obs.kind in ("sup_sobolev", "time_avg_sobolev"):
             ms.add(float(obs.m))
-    orders = cm_orders(observables)
-    if len(orders) > 1:  # a stream has one C^m column, which does not say its order
-        raise ValueError(f"sup_cm observables ask for orders {orders}; a run records one C^m order")
-    return NormRecorder(nu=nu, ms=tuple(sorted(ms)), cm_order=orders[0] if orders else None)
+    return NormRecorder(nu=nu, ms=tuple(sorted(ms)), cm_order=tuple(cm_orders(observables)))
 
 
 def ensemble_run(
@@ -159,8 +159,8 @@ def ensemble_run(
     window_t0: float | None = None,
     max_abort_fraction: float = 0.01,
     recorder_factory=None,
-) -> tuple[EnsembleSummary, list[list[DiagnosticsRecord]]]:
-    """Run M trajectories as one batch and summarize observables.
+) -> tuple[EnsembleSummary, list[Stream]]:
+    """Run M trajectories as one batch and summarize observables; also return each kept stream.
 
     Row i runs on stream id ``params.stream_id + i`` (0..M-1 by default), from
     ``u0_factory(stream_id)``; ``recorder_factory(params)``, if given, supplies
@@ -168,8 +168,9 @@ def ensemble_run(
     the window [window_t0, window_t0 + 1/nu] (default: the second half of a
     two-slow-unit run, i.e. t0 = T - 1/nu).  A trajectory that turns non-finite
     is dropped at that step and excluded from statistics; more than
-    ``max_abort_fraction`` aborts raises.  Each stream is a pure function of
-    (seed, stream_id), for any M.
+    ``max_abort_fraction`` aborts raises.  The streams, one :class:`Stream` per
+    kept trajectory in stream-id order, are the recorder's; each is a pure
+    function of (seed, stream_id), for any M.
     """
     if M < 1:
         raise ValueError("ensemble size must be >= 1")
@@ -193,7 +194,7 @@ def ensemble_run(
         )
     per_obs: dict[str, ObservableStats] = {}
     for obs in observables:
-        vals = np.array([obs.evaluate(records, window_t0, params.nu) for records in streams])
+        vals = np.array([obs.evaluate(stream, window_t0, params.nu) for stream in streams])
         per_obs[obs.name] = _stats(vals)
     summary = EnsembleSummary(nu=params.nu, M=M, aborts=aborts, observables=per_obs)
     return summary, streams
@@ -343,7 +344,7 @@ def _check_sweep(plan: SweepPlan) -> None:
 class SweepResult:
     plan: SweepPlan
     summaries: tuple[EnsembleSummary, ...]
-    streams: tuple[list, ...]  # per nu entry: the raw per-trajectory record streams
+    streams: tuple[list[Stream], ...]  # per nu entry: the per-trajectory streams
     fits: dict[str, ScalingFit | None]
     verdicts: dict[str, dict[str, bool | float]]
 
@@ -428,7 +429,7 @@ class MomentRow:
 class StationarySweepResult:
     plan: SweepPlan
     balance: tuple[BalanceReport, ...]
-    streams: tuple[list, ...]
+    streams: tuple[list[Stream], ...]
     moments: dict[float, tuple[MomentRow, ...]]  # m -> one row per nu
     exponent_window: dict[float, tuple[float, float]]
     moment_fits: dict[float, ScalingFit | None]
@@ -468,11 +469,10 @@ def stationary_sweep(
             balance_check(streams, b0, nu, burn_in_fraction=BURN_IN_FRACTION)
         )
         streams_per_nu.append(streams)
-        t_end = streams[0][-1].t
-        cut = BURN_IN_FRACTION * t_end
-        kept = [i for i, r in enumerate(streams[0]) if r.t >= cut]
+        t = streams[0].column("t")
+        kept = t >= BURN_IN_FRACTION * t[-1]
         for m in ms:
-            series = np.array([[s[i].norm(m) ** 2 for i in kept] for s in streams])
+            series = np.array([s.norm(m)[kept] ** 2 for s in streams])
             ens_mean = series.mean(axis=0)
             batches = np.array_split(ens_mean, 20)
             bm = np.array([b.mean() for b in batches])

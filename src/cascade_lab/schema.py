@@ -18,8 +18,9 @@ from __future__ import annotations
 #    products on some shapes (n=1 N=64 D=32: up to 4e-16 relative); fits are closed-form.
 SCHEMA_VERSION = 5
 
-# Per-trajectory time-series CSV: t, tau, one column per configured Sobolev
-# order, then the lattice sup, then optional C^m and shell columns.
+# Per-trajectory stream, in memory a (records x columns) float64 array and on disk a CSV:
+# t, tau, one column per configured Sobolev order, then the lattice sup, then the C^m
+# columns (``cm`` for one order, ``cm_2``, ``cm_3``, ... for several) and the shell columns.
 STREAM_FIXED_COLUMNS = ("t", "tau")
 
 
@@ -28,18 +29,9 @@ def norm_column(m: float) -> str:
     return f"norm_{int(mf)}" if mf == int(mf) else f"norm_{mf:g}"
 
 
-def stream_columns(
-    ms: tuple[float, ...],
-    with_sup: bool = True,
-    cm_order: int | None = None,
-    n_shells: int = 0,
-) -> list[str]:
-    cols = list(STREAM_FIXED_COLUMNS)
-    cols += [norm_column(m) for m in ms]
-    if with_sup:
-        cols.append("sup")
-    if cm_order is not None:
-        cols.append("cm")
+def stream_columns(ms: tuple[float, ...], cm_orders: tuple[int, ...] = (), n_shells: int = 0) -> list[str]:
+    cols = [*STREAM_FIXED_COLUMNS, *map(norm_column, ms), "sup"]
+    cols += ["cm"] if len(cm_orders) == 1 else [f"cm_{k}" for k in cm_orders]
     cols += [f"shell_{k}" for k in range(1, n_shells + 1)]
     return cols
 

@@ -243,76 +243,98 @@ def _sobolev_weights(grid: GridSpec, m: float) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing field has norm inf, unwarned
-def sobolev_norm(u: SpectralField, m: float) -> float | np.ndarray:
+def sobolev_norm(u: SpectralField, m: float | tuple[float, ...]) -> float | np.ndarray:
     """Homogeneous Sobolev norm: ||u||_m^2 = sum_d |d|^(2m) |u_d|^2 (m >= 0, fractional ok).
 
-    A float for a single field, one value per row for a field with a row axis.
+    A float for a single field, one value per row for a field with a row axis.  For a tuple of
+    orders, an array with one such value (or row of values) per order, all from one |u_d|^2.
     """
-    if m < 0:
+    ms = m if isinstance(m, tuple) else (m,)
+    if min(ms) < 0:
         raise ValueError(f"Sobolev order must be >= 0, got m={m}")
     c = u.coeffs
+    rows = len(c) if c.ndim > u.grid.n else 1
     energy = c.real**2 + c.imag**2
-    if m != 0:
-        energy = _sobolev_weights(u.grid, m) * energy
-    if c.ndim == u.grid.n:
-        return sqrt(float(np.sum(energy)))
-    return np.sqrt(energy.reshape(len(c), -1).sum(axis=1))
+    sums = [(_sobolev_weights(u.grid, k) * energy if k else energy).reshape(rows, -1).sum(axis=1) for k in ms]
+    if isinstance(m, tuple):
+        norms = np.sqrt(np.stack(sums))
+        return norms if c.ndim > u.grid.n else norms[:, 0]
+    return np.sqrt(sums[0]) if c.ndim > u.grid.n else sqrt(float(sums[0][0]))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sup_norm(u: SpectralField) -> float | np.ndarray:
     """Max of |u| over the collocation lattice (a lower approximation of the true sup).
 
     A float for a single field, one value per row for a field with a row axis.
     """
-    mod = np.abs(to_physical(u).values)
+    mod = np.abs(lattice_values(u.grid, u.coeffs))
     if u.coeffs.ndim == u.grid.n:
         return float(mod.max())
     return mod.reshape(len(mod), -1).max(axis=1)
 
 
-def cm_norm(u: SpectralField, m: int) -> float | np.ndarray:
+def cm_norm(u: SpectralField, m: int | tuple[int, ...]) -> float | np.ndarray:
     """Discrete C^m norm: max over |beta| <= m of the lattice sup of |d^beta u|.
 
     Each partial derivative is computed spectrally; differentiating sin(d x) k times gives d^k
     times sin or cos by the parity of k, with a sign that is common to every mode and therefore
     drops out of the modulus.  Axes are evaluated in order, depth first, so the stage after axes
     0..k (one :func:`_along` product) is shared by every beta with the same beta_0..beta_k.
-    A float for a single field, one value per row for a field with a row axis.
+    A float for a single field, one value per row for a field with a row axis.  For a tuple of
+    orders, one pass up to the highest gives an array with one such value (or row) per order.
     """
-    if m != int(m) or m < 0:
+    orders = m if isinstance(m, tuple) else (m,)
+    if not orders or any(k != int(k) or k < 0 for k in orders):
         raise ValueError(f"C^m order must be a nonnegative integer, got {m}")
     grid, n = u.grid, u.grid.n
     tables = _axis_table(grid, grid.D, "sin"), _axis_table(grid, grid.D, "cos")
     d_axis = np.arange(1, grid.D + 1, dtype=float)
     lead = u.coeffs.shape[: u.coeffs.ndim - n]
+    top = int(max(orders))
+    best = [np.zeros(lead) for _ in orders]
 
-    def sup_from(vals: np.ndarray, ax: int, budget: int) -> np.ndarray:
-        # axes 0..ax-1 are done; max over beta_ax.. with sum <= budget
+    def visit(vals: np.ndarray, ax: int, used: int) -> None:
+        # axes 0..ax-1 are done with |beta_0..beta_ax-1| = used; fold each leaf's sup into the orders >= |beta|
         if ax == n:
-            return np.abs(vals).reshape(*lead, -1).max(axis=-1)
-        best = np.zeros(lead)
-        for b in range(budget + 1):
+            sup = np.abs(vals).reshape(*lead, -1).max(axis=-1)
+            for j, k in enumerate(orders):
+                if used <= k:
+                    best[j] = np.maximum(best[j], sup)
+            return
+        for b in range(top - used + 1):
             scaled = vals * (d_axis**b).reshape((-1,) + (1,) * (n - 1 - ax)) if b else vals
-            best = np.maximum(best, sup_from(_along(scaled, ax, n, tables[b % 2]), ax + 1, budget - b))
-        return best
+            visit(_along(scaled, ax, n, tables[b % 2]), ax + 1, used + b)
 
-    best = sup_from(u.coeffs, 0, int(m))
-    return best if lead else float(best)
+    visit(u.coeffs, 0, 0)
+    if isinstance(m, tuple):
+        return np.stack(best)
+    return best[0] if lead else float(best[0])
 
 
 @np.errstate(over="ignore", invalid="ignore")
+def shell_energies(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Shell energies E_1..E_S (S = ceil(sqrt(n) D)) of coefficients over the last n axes.
+
+    One ``np.bincount`` over every row, each row's bins offset past the previous row's, so
+    each bin sums the same weights in the same order as a single field's count.
+    """
+    lead = coeffs.shape[: coeffs.ndim - grid.n]
+    rows, width = int(np.prod(lead)), ceil(sqrt(grid.n) * grid.D) + 1
+    energy = coeffs.real**2 + coeffs.imag**2
+    shell_of_mode = np.floor(np.sqrt(mode_abs_sq(grid))).astype(int).ravel()
+    bins = (shell_of_mode + width * np.arange(rows)[:, None]).ravel()
+    sums = np.bincount(bins, weights=energy.ravel(), minlength=rows * width)
+    return sums.reshape(*lead, width)[..., 1:]
+
+
 def spectrum_shells(u: SpectralField) -> list[tuple[int, float]]:
     """Shell energies E_k = sum over k <= |d| < k+1 of |u_d|^2, k = 1..ceil(sqrt(n) D).
 
     Every retained mode lands in exactly one shell, so the shell energies sum
     to ||u||_0^2.
     """
-    grid = u.grid
-    k_of_mode = np.floor(np.sqrt(mode_abs_sq(grid))).astype(int)
-    energy = (u.coeffs.real**2 + u.coeffs.imag**2).ravel()
-    n_shells = ceil(sqrt(grid.n) * grid.D)
-    sums = np.bincount(k_of_mode.ravel(), weights=energy, minlength=n_shells + 1)
-    return [(k, float(sums[k])) for k in range(1, n_shells + 1)]
+    return list(enumerate(shell_energies(u.grid, u.coeffs).tolist(), start=1))
 
 
 # --- snapshot serialization -------------------------------------------------

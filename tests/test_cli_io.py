@@ -140,13 +140,6 @@ base_seed = -4
             parse_config(MINIMAL.replace("nu = 0.1", "nu = 0.1\nnu_grid = 0.4,0.2"))
         assert any("mutually exclusive" in v for v in info.value.violations)
 
-    def test_several_cm_orders_are_rejected(self):
-        text = MINIMAL + "\n[experiment]\nobservables = sup_cm:2,sup_cm:3\n"
-        with pytest.raises(ConfigError) as info:
-            parse_config(text)
-        assert "sup_cm at orders [2, 3]" in str(info.value)
-        parse_config(text.replace("sup_cm:3", "sup_cm:2"))  # one order, asked twice, is fine
-
     def test_sweep_requires_nu_grid_and_m2(self):
         text = MINIMAL + "\n[experiment]\nkind = sweep\n"
         with pytest.raises(ConfigError) as info:
@@ -340,14 +333,26 @@ class TestRunCommand:
         assert len(list((run_dirs["simulate"] / "streams").glob("traj_*.csv"))) == 2
         assert not list((run_dirs["sweep"] / "streams").glob("traj_*.csv"))
 
-    def test_sweep_with_two_cm_orders_exits_2(self, tmp_path, capsys):
+    def test_sweep_with_two_cm_orders_reports_each_order(self, tmp_path):
+        # sup_cm_2 of a sweep that also asks for sup_cm:3 equals, value for value, that of sup_cm:2 alone.
         text = SMALL_RUN.replace("nu = 0.5\n", "nu_grid = 0.5,0.4\n").replace(
             "kind = simulate", "kind = sweep"
-        ).replace("M = 3", "M = 2").replace("observables = sup_inf", "observables = sup_cm:2,sup_cm:3")
-        path = write_cfg(tmp_path, text)
-        assert run_command(["sweep", "--config", path, "--out", str(tmp_path / "out")]) == 2
-        assert "one C^m order" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        ).replace("M = 3", "M = 2").replace("T_slow = 1.0", "T_slow = 2.0")
+        runs = {}
+        for observables in ("sup_cm:2", "sup_cm:2,sup_cm:3"):
+            path = write_cfg(tmp_path, text.replace("observables = sup_inf", f"observables = {observables}"))
+            out = tmp_path / observables.replace(":", "").replace(",", "_")
+            assert run_command(["sweep", "--config", path, "--out", str(out)]) in (0, 1)
+            run_dir = next(out.iterdir())
+            reports = [json.loads(l) for l in (run_dir / "report.jsonl").read_text().splitlines()]
+            runs[observables] = (
+                [r["observables"] for r in reports if r["type"] == "ensemble_summary"],
+                (run_dir / "streams" / "nu_0.5" / "traj_0000.csv").read_text().splitlines()[0],
+            )
+        (alone, alone_header), (both, both_header) = runs.values()
+        assert [s["sup_cm_2"] for s in both] == [s["sup_cm_2"] for s in alone]
+        assert all(s["sup_cm_3"]["mean"] > s["sup_cm_2"]["mean"] for s in both)
+        assert alone_header.endswith(",sup,cm") and both_header.endswith(",sup,cm_2,cm_3")
 
     def test_sweep_without_nu_grid_exits_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, SMALL_RUN.replace("M = 3", "M = 2"))

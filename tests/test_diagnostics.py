@@ -2,6 +2,7 @@
 
 import io
 import struct
+import warnings
 from math import inf, log, sqrt
 
 from dataclasses import FrozenInstanceError, replace
@@ -9,9 +10,11 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+from cascade_lab import schema
 from cascade_lab.diagnostics import (
     DiagnosticsRecord,
     NormRecorder,
+    Stream,
     balance_check,
     exp_moment,
     occupation_check,
@@ -22,22 +25,15 @@ from cascade_lab.diagnostics import (
     time_avg_sobolev,
 )
 from cascade_lab.forcing import NoiseSpec, bk_sum
-from cascade_lab.integrators import SimParams, continue_trajectory, initial_state, zero_field
+from cascade_lab.integrators import SimParams, constrained_profile, continue_trajectory, initial_state, zero_field
 from cascade_lab.spectral import GridSpec
 
 
 def synth_stream(taus, n0, n2, nu=1.0, n1=None):
-    """Build a record stream from given slow times and norm arrays."""
-    n1 = n1 if n1 is not None else np.zeros_like(np.asarray(taus, dtype=float))
-    return [
-        DiagnosticsRecord(
-            t=tau / nu,
-            tau=tau,
-            norms={0.0: a, 1.0: c, 2.0: b},
-            sup=a,
-        )
-        for tau, a, b, c in zip(taus, n0, n2, n1)
-    ]
+    """Build a stream from given slow times and norm arrays (the sup column repeats ||u||_0)."""
+    taus = np.asarray(taus, dtype=float)
+    n1 = n1 if n1 is not None else np.zeros_like(taus)
+    return Stream(np.column_stack([taus / nu, taus, n0, n1, n2, n0]), schema.stream_columns((0.0, 1.0, 2.0)))
 
 
 UNIFORM_TAUS = np.linspace(0.0, 1.0, 101)
@@ -302,24 +298,46 @@ class TestStreamCsv:
 
     def test_read_back_equals_written_to_the_bit(self):
         odd = [5e-324, -0.0, 0.0, 1.7976931348623157e308, inf, -inf, 0.1 + 0.2, 1 / 3, -2.5e-310, 1e22]
-        records = [
-            DiagnosticsRecord(
-                t=0.05 * i, tau=x, norms={0.0: x, 1.0: -x, 2.5: x / 7}, sup=abs(x), cm=x * 3, shells=(x, 2.0, -x)
-            )
-            for i, x in enumerate(odd)
-        ]
-        for recs in (records, [replace(r, cm=None, shells=None) for r in records]):
-            back = read_stream_csv(io.StringIO(stream_csv_text(recs)))
+        full = Stream(
+            [[0.05 * i, x, x, -x, x / 7, abs(x), x * 3, x, 2.0, -x] for i, x in enumerate(odd)],
+            schema.stream_columns((0.0, 1.0, 2.5), cm_orders=(1,), n_shells=3),
+        )
+        bare = Stream(full.data[:, :6], full.columns[:6])
+        for stream in (full, bare):
+            back = read_stream_csv(io.StringIO(stream_csv_text(stream)))
+            assert back.columns == stream.columns and back.data.tobytes() == stream.data.tobytes()
+            assert [struct.pack("<d", r.sup) for r in back] == [struct.pack("<d", abs(x)) for x in odd]
 
-            def bits(rs):
-                fields = [(r.t, r.tau, *r.norms, *r.norms.values(), r.sup, r.cm, r.shells) for r in rs]
-                return [
-                    [struct.pack("<d", x) if isinstance(x, float) else repr(x) for x in f[:-1]]
-                    + [None if f[-1] is None else [struct.pack("<d", x) for x in f[-1]]]
-                    for f in fields
-                ]
+    def test_one_row_and_header_only_streams_read_back_with_their_columns(self):
+        stream = synth_stream([0.5], [1.0], [2.0])
+        one = read_stream_csv(io.StringIO(stream_csv_text(stream)))
+        assert one.data.shape == (1, 6) and one == stream
+        header = stream_csv_text(stream).splitlines()[0] + "\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            empty = read_stream_csv(io.StringIO(header))
+        assert empty.data.shape == (0, 6) and empty.columns == stream.columns and len(empty) == 0
 
-            assert bits(back) == bits(recs)
+    def test_a_row_with_a_missing_field_is_rejected(self):
+        text = "t,tau,norm_0,sup\n0.0,0.0,1.0,2.0\n0.1,0.1,1.0\n0.2,0.2,1.0,2.0\n"
+        with pytest.raises(ValueError):
+            read_stream_csv(io.StringIO(text))
+
+    def test_several_cm_orders_have_named_columns_and_record_views(self):
+        grid = GridSpec(1, 16, 8)
+        params = SimParams(nu=0.5, dt=0.05, T=0.5, record_every=2, seed=7)
+        u0 = constrained_profile(grid, 0.5)
+        runs = {}
+        for orders in ((2,), (1, 2), (2, 3)):
+            rec = NormRecorder(nu=0.5, cm_order=orders)
+            continue_trajectory(initial_state(u0, params), NoiseSpec.band(grid, [1.0]), params, rec)
+            runs[orders] = rec.streams[0]
+        assert runs[(2,)].columns[-1] == "cm" and runs[(2, 3)].columns[-2:] == ("cm_2", "cm_3")
+        assert runs[(2, 3)].cm(2).tobytes() == runs[(2,)].cm(2).tobytes() == runs[(1, 2)].cm(2).tobytes()
+        assert np.all(runs[(1, 2)].cm(1) <= runs[(2,)].cm(2)) and np.all(runs[(2, 3)].cm(3) > runs[(2,)].cm(2))
+        record = runs[(2, 3)][-1]
+        assert record.cm == {2: runs[(2, 3)].cm(2)[-1], 3: runs[(2, 3)].cm(3)[-1]}
+        assert read_stream_csv(io.StringIO(stream_csv_text(runs[(2, 3)]))) == runs[(2, 3)]
 
     def test_record_is_immutable_and_equal_by_fields(self):
         rec = DiagnosticsRecord(0.5, 0.25, {0.0: 1.0, 2.0: 3.0}, 4.0, cm=5.0)

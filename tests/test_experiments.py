@@ -114,12 +114,18 @@ class TestEnsembleRun:
         summary, streams = ensemble_run(GRID, BAND, small_params(T=0.2), 2, lambda sid: zero_field(GRID))
         assert calls == [0] and summary.aborts == 0 and len(streams) == 2
 
-    def test_several_cm_orders_are_rejected(self):
-        # A stream has one C^m column, so sup_cm:2 and sup_cm:3 would read the same numbers.
-        obs = (Observable("sup_cm", 2.0), Observable("sup_cm", 3.0))
-        with pytest.raises(ValueError, match="orders"):
-            ensemble_run(GRID, BAND, small_params(T=0.2), 2, lambda sid: zero_field(GRID), obs)
-        assert _needed_recorder(obs[:1] * 2, 0.5).cm_order == 2
+    def test_several_cm_orders_match_one_order_value_for_value(self):
+        # Each sup_cm order reads its own column: asking for C^3 too leaves sup_cm_2 as it was.
+        c2, c3 = Observable("sup_cm", 2.0), Observable("sup_cm", 3.0)
+        u0 = lambda sid: constrained_profile(GRID, 0.5)
+        (alone, s_alone), (both, s_both) = (
+            ensemble_run(GRID, BAND, small_params(T=2.0), 3, u0, obs) for obs in ((c2,), (c3, c2, c2))
+        )
+        assert both.observables["sup_cm_2"] == alone.observables["sup_cm_2"]
+        assert [c2.evaluate(s, 0.0, 0.5) for s in s_both] == [c2.evaluate(s, 0.0, 0.5) for s in s_alone]
+        assert both.observables["sup_cm_3"].mean > both.observables["sup_cm_2"].mean
+        assert _needed_recorder((c3, c2, c2), 0.5).cm_orders == (2, 3)
+        assert s_both[0].columns[-2:] == ("cm_2", "cm_3") and s_alone[0].columns[-1] == "cm"
 
     def test_deterministic_flow_has_zero_variance(self):
         # Noise off, nonlinearity off, common start: both trajectories identical.

@@ -99,6 +99,11 @@ N2_ENSEMBLE_SHA256 = "b7894b1a8cfd1725386a837a937b4fbd5961653f99f70709d30e69c94c
 # sha256 of ``checkpoint_bytes()``
 CHECKPOINT_SHA256 = "174980891982a1fa4c9648a5ff23e5c953a01454629872ea4e508efb157d1360"
 
+# ``_records_digest`` of perfbench/worker.py over the streams of ``records_view_ensemble()``
+RECORDS_VIEW_SHA256 = "d9a8788e1bc7938b4229f37300cae4ae25ad54ffa16a44b0481dff3476f4f900"
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
 
 def env_stamp() -> dict:
     config = np.show_config(mode="dicts")
@@ -344,6 +349,29 @@ def test_criterion_10_csvs_match_golden(tmp_path):
 def test_n2_ensemble_matches_golden():
     skip_unless_golden_build()
     assert n2_ensemble_hash() == N2_ENSEMBLE_SHA256
+
+
+def records_view_ensemble():
+    """A short linear-noise n=1 ensemble at M=4 with C^2 and shells: 200 steps per stream."""
+    grid = GridSpec(1, 64, 32)
+    params = SimParams(nu=0.5, dt=0.01, T=2.0, record_every=10, seed=11)
+    u0 = SpectralField.zeros(grid)
+    _, streams = ensemble_run(
+        grid, NoiseSpec.from_profile(grid, "band:1,1,1"), params, 4, lambda sid: u0,
+        recorder_factory=lambda p: NormRecorder(nu=p.nu, cm_order=2, shells=True),
+    )
+    return params, streams
+
+
+def test_benchmark_record_view_matches_golden(monkeypatch):
+    # The benchmark digests and counts steps through s[i] record views of each stream.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from worker import _records_digest
+
+    params, streams = records_view_ensemble()
+    assert sum(round(s[-1].t / params.dt) for s in streams) == 4 * params.n_steps == 800
+    skip_unless_golden_build()
+    assert _records_digest(streams) == RECORDS_VIEW_SHA256
 
 
 def full_recorder(p):
