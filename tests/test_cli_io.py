@@ -140,6 +140,12 @@ base_seed = -4
             parse_config(MINIMAL.replace("nu = 0.1", "nu = 0.1\nnu_grid = 0.4,0.2"))
         assert any("mutually exclusive" in v for v in info.value.violations)
 
+    def test_several_cm_orders_are_accepted(self):
+        text = MINIMAL + "\n[experiment]\nobservables = sup_cm:2,sup_cm:3\n"
+        cfg = parse_config(text)
+        assert cfg.observables == ("sup_cm:2", "sup_cm:3")
+        assert parse_config(emit_config(cfg)) == cfg
+
     def test_sweep_requires_nu_grid_and_m2(self):
         text = MINIMAL + "\n[experiment]\nkind = sweep\n"
         with pytest.raises(ConfigError) as info:
