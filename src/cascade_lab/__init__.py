@@ -23,7 +23,6 @@ from .spectral import (
     sobolev_norm,
     sup_norm,
     cm_norm,
-    spectrum_shells,
     field_to_bytes,
     field_from_bytes,
 )

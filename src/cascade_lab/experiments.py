@@ -163,26 +163,25 @@ def ensemble_run(
     """Run M trajectories as one batch and summarize observables; also return each kept stream.
 
     Row i runs on stream id ``params.stream_id + i`` (0..M-1 by default), from
-    ``u0_factory(stream_id)``; ``recorder_factory(params)``, if given, supplies
-    the recorder that observes every trajectory.  Observables are evaluated on
-    the window [window_t0, window_t0 + 1/nu] (default: the second half of a
-    two-slow-unit run, i.e. t0 = T - 1/nu).  A trajectory that turns non-finite
-    is dropped at that step and excluded from statistics; more than
+    the one-row field ``u0_factory(stream_id)``.  ``recorder_factory(params)``,
+    if given, supplies the recorder that observes every trajectory; it need not
+    record what observables read, so it takes no observables.  Observables are
+    evaluated on the window [window_t0, window_t0 + 1/nu] (default: the second
+    half of a two-slow-unit run, i.e. t0 = T - 1/nu).  A trajectory that turns
+    non-finite is dropped at that step and excluded from statistics; more than
     ``max_abort_fraction`` aborts raises.  The streams, one :class:`Stream` per
     kept trajectory in stream-id order, are the recorder's; each is a pure
     function of (seed, stream_id), for any M.
     """
     if M < 1:
         raise ValueError("ensemble size must be >= 1")
+    if observables and recorder_factory is not None:
+        raise ValueError("a recorder_factory takes no observables: they read the default recorder's columns")
     if window_t0 is None:
         window_t0 = max(0.0, params.T - 1.0 / params.nu)
-    rec = (
-        recorder_factory(params)
-        if recorder_factory is not None
-        else _needed_recorder(observables, params.nu)
-    )
+    rec = _needed_recorder(observables, params.nu) if recorder_factory is None else recorder_factory(params)
     ids = range(params.stream_id, params.stream_id + M)
-    u0 = SpectralField(grid, np.stack([u0_factory(sid).coeffs for sid in ids]))
+    u0 = SpectralField(grid, np.concatenate([u0_factory(sid).coeffs for sid in ids]))
     # Resolved at call time, so a wrapper installed on the integrators module sees the call.
     _, aborted = integrators.continue_trajectory(initial_state(u0, params), spec, params, rec)
     lost = {exc.last_state.rngs[0].stream_id for exc in aborted}

@@ -333,12 +333,7 @@ Sink = Callable[[State], None]
 
 
 def initial_state(u0: SpectralField, params: SimParams) -> State:
-    """The rows of ``u0`` at t = 0, row i on stream ``params.stream_id + i``.
-
-    A field with no row axis is one row.
-    """
-    if u0.coeffs.ndim == u0.grid.n:
-        u0 = SpectralField(u0.grid, u0.coeffs[None])
+    """The rows of ``u0`` at t = 0, row i on stream ``params.stream_id + i``."""
     rngs = tuple(RngStream(params.seed, params.stream_id + i) for i in range(len(u0.coeffs)))
     return State(0.0, u0, rngs, 0)
 
@@ -396,18 +391,20 @@ def continue_trajectory(
 
 
 # --- initial data library -----------------------------------------------------
+#
+# Each builder returns a one-row field.
 
 
 def zero_field(grid: GridSpec) -> SpectralField:
-    return SpectralField.zeros(grid)
+    return SpectralField(grid, np.zeros((1, *grid.coeff_shape), dtype=np.complex128))
 
 
 def single_mode(grid: GridSpec, d, c: complex = 1.0) -> SpectralField:
     d = np.atleast_1d(np.asarray(d, dtype=int))
     if d.size != grid.n or np.any(d < 1) or np.any(d > grid.D):
         raise ValueError(f"mode index {tuple(d)} outside retained range of {grid}")
-    coeffs = np.zeros(grid.coeff_shape, dtype=np.complex128)
-    coeffs[tuple(d - 1)] = c
+    coeffs = np.zeros((1, *grid.coeff_shape), dtype=np.complex128)
+    coeffs[(0, *(d - 1))] = c
     return SpectralField(grid, coeffs)
 
 
@@ -415,7 +412,7 @@ def smooth_random_field(
     grid: GridSpec, q: float, rng: RngStream, amplitude: float = 1.0
 ) -> SpectralField:
     """Random field with coefficients ~ |d|^(-q) * complex Gaussian (substream-addressed)."""
-    g = complex_normals((rng,), 0, SUB_INIT, grid.coeff_shape)
+    g = complex_normals((rng,), 0, SUB_INIT, (1, *grid.coeff_shape))
     coeffs = amplitude * np.sqrt(mode_abs_sq(grid)) ** (-q) * g
     return SpectralField(grid, coeffs)
 
@@ -440,12 +437,12 @@ def constrained_profile(
     ||u||_m <= nu^(-kappa*m).  Deterministic in (grid, nu).
     """
     coeffs = np.sqrt(mode_abs_sq(grid)) ** (-decay)
-    u = SpectralField(grid, coeffs.astype(np.complex128))
-    s = sup_norm(u)
+    u = SpectralField(grid, coeffs.astype(np.complex128).reshape(1, *grid.coeff_shape))
+    (s,) = sup_norm(u)
     if s > 0:
         u = SpectralField(grid, u.coeffs * (sup_bound / s))
     cap = nu ** (-kappa * m)
-    norm_m = sobolev_norm(u, m)
+    (norm_m,) = sobolev_norm(u, m)
     if norm_m > cap:
         u = SpectralField(grid, u.coeffs * (cap / norm_m))
     return u
@@ -454,8 +451,8 @@ def constrained_profile(
 # --- closed forms for the linear system ---------------------------------------
 
 
-def linear_l2_mean(u0: SpectralField, spec: NoiseSpec, nu: float, t: float) -> float:
-    """E||u(t)||_0^2 for the linear system (nonlinearity off), any t >= 0.
+def linear_l2_mean(u0: SpectralField, spec: NoiseSpec, nu: float, t: float) -> np.ndarray:
+    """E||u(t)||_0^2 for the linear system (nonlinearity off) from each row of ``u0``, any t >= 0.
 
     Per mode: exp(-2 nu |d|^2 t) |u0_d|^2 + b_d^2 (1 - exp(-2 nu |d|^2 t)) / |d|^2.
     """
@@ -464,7 +461,7 @@ def linear_l2_mean(u0: SpectralField, spec: NoiseSpec, nu: float, t: float) -> f
     abs2 = mode_abs_sq(u0.grid)
     fade = np.exp(-2.0 * nu * abs2 * t)
     init = u0.coeffs.real**2 + u0.coeffs.imag**2
-    return float(np.sum(fade * init + spec.amplitudes**2 * (1.0 - fade) / abs2))
+    return (fade * init + spec.amplitudes**2 * (1.0 - fade) / abs2).reshape(len(init), -1).sum(axis=1)
 
 
 def linear_stationary_mode_energy(spec: NoiseSpec) -> np.ndarray:
@@ -553,12 +550,12 @@ def run_strang_on_path(
     fine_decay = np.exp(-lam * path.dt_fine).reshape(-1)[forced]
     conv = path.conv.reshape(path.n_fine, -1)[:, forced]
     _, _, scale = _ou_tables(path.spec, path.nu, dt / 2.0)
-    c = u0.coeffs if u0.coeffs.ndim > u0.grid.n else u0.coeffs[None]
+    c = u0.coeffs
     for k in range(n_steps):
         g1 = _window_conv(conv, fine_decay, 2 * k * r, (2 * k + 1) * r)
         g2 = _window_conv(conv, fine_decay, (2 * k + 1) * r, (2 * k + 2) * r)
         c = _strang(c, path.spec, path.nu, dt, nonlinear, scale * g1, scale * g2)
-    return SpectralField(u0.grid, c.reshape(u0.coeffs.shape))
+    return SpectralField(u0.grid, c)
 
 
 def run_em_on_path(
@@ -583,11 +580,10 @@ def run_em_on_path(
 # --- checkpoints ----------------------------------------------------------------
 #
 # A checkpoint holds one row.  Layout: 8-byte magic, uint32 length of a JSON
-# metadata blob, the blob, then a field snapshot (a one-row field's bytes are
-# those of the field without its row axis).  The metadata carries the time, the
-# step index, and the rng key (base seed, stream id), which is all that is
-# needed to resume bit-exactly; the ``counter`` key of older checkpoints is
-# ignored.
+# metadata blob, the blob, then the row's field snapshot.  The metadata carries
+# the time, the step index, and the rng key (base seed, stream id), which is all
+# that is needed to resume bit-exactly; the ``counter`` key of older checkpoints
+# is ignored.
 
 CHECKPOINT_MAGIC = b"CLABCKP1"
 
@@ -615,7 +611,7 @@ def checkpoint_from_bytes(buf: bytes) -> State:
     meta = json.loads(buf[12 : 12 + meta_len].decode())
     u = field_from_bytes(buf[12 + meta_len :])
     rng = RngStream(meta["base_seed"], meta["stream_id"])
-    return State(meta["t"], SpectralField(u.grid, u.coeffs[None]), (rng,), meta["step_index"])
+    return State(meta["t"], u, (rng,), meta["step_index"])
 
 
 def save_checkpoint(state: State, path) -> None:

@@ -43,9 +43,10 @@ from .spectral import (
 
 
 def _random_field(grid: GridSpec, seed: int) -> SpectralField:
+    """One row of standard complex Gaussian coefficients."""
     rng = np.random.default_rng(seed)
-    c = rng.normal(size=grid.coeff_shape) + 1j * rng.normal(size=grid.coeff_shape)
-    return SpectralField(grid, c)
+    shape = (1, *grid.coeff_shape)
+    return SpectralField(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 
 def run_selftest(verbose: bool = True) -> bool:
@@ -69,49 +70,49 @@ def run_selftest(verbose: bool = True) -> bool:
 
     same = True
     for grid in (GridSpec(1, 64, 32), GridSpec(2, 32, 16), GridSpec(3, 10, 5)):
-        rows = np.stack([_random_field(grid, 30 + i).coeffs for i in range(3)])
+        rows = np.concatenate([_random_field(grid, 30 + i).coeffs for i in range(3)])
         lattice = lattice_values(grid, rows)
         modes = mode_coeffs(grid, lattice, grid.D)
         for i in range(3):
-            same = same and lattice[i].tobytes() == lattice_values(grid, rows[i]).tobytes()
-            same = same and modes[i].tobytes() == mode_coeffs(grid, lattice[i], grid.D).tobytes()
-    check("sine-matrix transforms: 3 rows equal 3 single rows (n = 1, 2, 3)", same)
+            row = slice(i, i + 1)
+            same = same and lattice[row].tobytes() == lattice_values(grid, rows[row]).tobytes()
+            same = same and modes[row].tobytes() == mode_coeffs(grid, lattice[row], grid.D).tobytes()
+    check("sine-matrix transforms: 3 rows equal 3 one-row fields (n = 1, 2, 3)", same)
 
     grid = GridSpec(2, 12, 6)  # direct sums of u_d phi_d(x_j), and their quadrature inverse
     u = _random_field(grid, 17)
     d_all = list(product(range(1, grid.D + 1), repeat=grid.n))
     basis = np.array([[basis_eval(d, x) for d in d_all] for x in product(grid.points, repeat=grid.n)])
     lattice = lattice_values(grid, u.coeffs).ravel()
-    modes = mode_coeffs(grid, lattice.reshape(grid.values_shape), grid.D).ravel()
+    modes = mode_coeffs(grid, lattice.reshape(1, *grid.values_shape), grid.D).ravel()
     pairs = ((lattice, basis @ u.coeffs.ravel()), (modes, grid.quadrature_weight * (basis.T @ lattice)))
     err = max(float(np.abs(a - b).max() / np.abs(b).max()) for a, b in pairs)
     check(f"sine-matrix transforms equal direct sums of phi_d (n=2, rel err {err:.1e})", err <= 1e-13)
 
     grid = GridSpec(1, 64, 32)
+    u = SpectralField(grid, np.concatenate([_random_field(grid, seed).coeffs for seed in range(200)]))
+    sq = sobolev_norm(u, (0, 1, 2, 3)) ** 2  # one row per order, one column per field
     ok = True
-    for seed in range(200):
-        u = _random_field(grid, seed)
-        for l, m in ((1, 2), (1, 3), (2, 3)):
-            lhs = sobolev_norm(u, l) ** 2
-            rhs = (sobolev_norm(u, 0) ** 2) ** (1 - l / m) * (sobolev_norm(u, m) ** 2) ** (l / m)
-            ok = ok and (lhs - rhs) <= 1e-12 * rhs
+    for l, m in ((1, 2), (1, 3), (2, 3)):
+        rhs = sq[0] ** (1 - l / m) * sq[m] ** (l / m)
+        ok = ok and bool(np.all(sq[l] - rhs <= 1e-12 * rhs))
     check("coefficient interpolation (200 random fields)", ok)
 
     u = _random_field(grid, 11)
     c = 0.3 - 1.7j
-    scaled = SpectralField(grid, c * u.coeffs)
-    hom = abs(sobolev_norm(scaled, 1.5) - abs(c) * sobolev_norm(u, 1.5))
-    check("norm homogeneity", hom <= 1e-9 * sobolev_norm(u, 1.5))
-    check("Poincare ||u||_1 >= ||u||_0", sobolev_norm(u, 1) >= sobolev_norm(u, 0))
+    (norm,), (scaled,) = sobolev_norm(u, 1.5), sobolev_norm(SpectralField(grid, c * u.coeffs), 1.5)
+    check("norm homogeneity", abs(scaled - abs(c) * norm) <= 1e-9 * norm)
+    l2, h1 = sobolev_norm(u, (0, 1))[:, 0]
+    check("Poincare ||u||_1 >= ||u||_0", h1 >= l2)
 
     spec = NoiseSpec.band(grid, [0.0])
     u1 = single_mode(grid, 1)
-    stepped = ou_exact_step(u1.coeffs[None], spec, nu=1.0, dt=np.log(2.0), rng=RngStream(0, 0))
+    stepped = ou_exact_step(u1.coeffs, spec, nu=1.0, dt=np.log(2.0), rng=RngStream(0, 0))
     check("pure decay over dt = ln 2 halves the mode", abs(stepped[0, 0] - 0.5) <= 1e-12)
 
     sq = GridSpec(1, 64, 64)
     v = _random_field(sq, 13)
-    rotated = SpectralField(sq, phase_rotation_step(sq, v.coeffs[None], 0.37)[0])
+    rotated = SpectralField(sq, phase_rotation_step(sq, v.coeffs, 0.37))
     before = lattice_inner(to_physical(v), to_physical(v))
     after = lattice_inner(to_physical(rotated), to_physical(rotated))
     check("phase rotation preserves lattice L2", abs(after - before) <= 1e-12 * before)
@@ -126,7 +127,7 @@ def run_selftest(verbose: bool = True) -> bool:
     spec2 = NoiseSpec.band(grid2, [1.0, 1.0, 1.0])
     params = SimParams(nu=0.5, dt=0.01, T=0.01, seed=3)
     rows = [_random_field(grid2, 20 + i) for i in range(16)]
-    u0 = SpectralField(grid2, np.stack([r.coeffs for r in rows]))
+    u0 = SpectralField(grid2, np.concatenate([r.coeffs for r in rows]))
     batched = strang_step(initial_state(u0, params), spec2, params).u.coeffs
     single = [strang_step(initial_state(r, replace(params, stream_id=i)), spec2, params) for i, r in enumerate(rows)]
     same = batched.tobytes() == b"".join(s.u.coeffs.tobytes() for s in single)
@@ -134,7 +135,7 @@ def run_selftest(verbose: bool = True) -> bool:
 
     _, sd, scale = _ou_tables(spec2, params.nu, params.dt / 2)  # over the s forced modes
     s, K = sd.size, ou_block_steps(sd.size)
-    u = SpectralField(grid2, _random_field(grid2, 40).coeffs[None])
+    u = _random_field(grid2, 40)
     same = True
     for step in (2**40 - 1, 2**40):  # the last slot of one block and the first of the next
         z = Generator(Philox(counter=[0, 0, SUB_OU, step // K], key=[2**64 - 1, 2**63])).standard_normal(4 * s * K)

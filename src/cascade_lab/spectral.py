@@ -15,10 +15,11 @@ float64 views of complex arrays (see :func:`_along`).
 
 Fields are immutable value objects and all operations are pure functions, so
 concurrent use on distinct fields gives the same results as serial execution.
-A field may carry a leading row axis, one row per trajectory of an ensemble:
-the transforms act on the last n axes, and ``sobolev_norm``/``sup_norm``/
-``cm_norm`` return one value per row.  Every matrix product is taken per row,
-never across rows, so row results are bit-identical to single-field results.
+Every field has a leading row axis, one row per trajectory of an ensemble, so
+its arrays are (M, *grid shape) and a single field is M = 1: the transforms
+act on the last n axes, and ``sobolev_norm``/``sup_norm``/``cm_norm`` return
+one value per row.  Every matrix product is taken per row, never across rows,
+so row results are bit-identical to one-row results.
 """
 
 from __future__ import annotations
@@ -115,16 +116,16 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
 
 
 def _check_shape(shape: tuple[int, ...], grid_shape: tuple[int, ...], what: str) -> None:
-    """Accept the grid's shape, optionally behind one leading row axis."""
-    if shape[-len(grid_shape) :] != grid_shape or len(shape) - len(grid_shape) not in (0, 1):
-        raise ValueError(f"{what} shape {shape} does not match grid {grid_shape}")
+    """Accept the grid's shape behind one leading row axis."""
+    if shape[1:] != grid_shape:
+        raise ValueError(f"{what} shape {shape} is not rows of grid {grid_shape}")
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """Mode coefficients u_d over {1..D}^n; represents u(x) = sum_d u_d phi_d(x).
+    """Mode coefficients u_d over {1..D}^n, one row per field; row i is u_i(x) = sum_d u_id phi_d(x).
 
-    ``coeffs`` has the grid's coefficient shape, or (M, *coeff_shape) for M rows.
+    ``coeffs`` has shape (M, *coeff_shape); a single field is one row.
     """
 
     grid: GridSpec
@@ -136,14 +137,10 @@ class SpectralField:
         _check_finite(c, "spectral field")
         object.__setattr__(self, "coeffs", c)
 
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "SpectralField":
-        return cls(grid, np.zeros(grid.coeff_shape, dtype=np.complex128))
-
 
 @dataclass(frozen=True, eq=False)
 class PhysicalField:
-    """Complex lattice values over the N^n interior collocation points (optionally per row)."""
+    """Complex lattice values over the N^n interior collocation points, shape (M, *values_shape)."""
 
     grid: GridSpec
     values: np.ndarray
@@ -243,46 +240,35 @@ def _sobolev_weights(grid: GridSpec, m: float) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing field has norm inf, unwarned
-def sobolev_norm(u: SpectralField, m: float | tuple[float, ...]) -> float | np.ndarray:
+def sobolev_norm(u: SpectralField, m: float | tuple[float, ...]) -> np.ndarray:
     """Homogeneous Sobolev norm: ||u||_m^2 = sum_d |d|^(2m) |u_d|^2 (m >= 0, fractional ok).
 
-    A float for a single field, one value per row for a field with a row axis.  For a tuple of
-    orders, an array with one such value (or row of values) per order, all from one |u_d|^2.
+    One value per row, shape (M,).  For a tuple of orders, shape (orders, M), all from one |u_d|^2.
     """
     ms = m if isinstance(m, tuple) else (m,)
     if min(ms) < 0:
         raise ValueError(f"Sobolev order must be >= 0, got m={m}")
     c = u.coeffs
-    rows = len(c) if c.ndim > u.grid.n else 1
     energy = c.real**2 + c.imag**2
-    sums = [(_sobolev_weights(u.grid, k) * energy if k else energy).reshape(rows, -1).sum(axis=1) for k in ms]
-    if isinstance(m, tuple):
-        norms = np.sqrt(np.stack(sums))
-        return norms if c.ndim > u.grid.n else norms[:, 0]
-    return np.sqrt(sums[0]) if c.ndim > u.grid.n else sqrt(float(sums[0][0]))
+    sums = [(_sobolev_weights(u.grid, k) * energy if k else energy).reshape(len(c), -1).sum(axis=1) for k in ms]
+    return np.sqrt(np.stack(sums)) if isinstance(m, tuple) else np.sqrt(sums[0])
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def sup_norm(u: SpectralField) -> float | np.ndarray:
-    """Max of |u| over the collocation lattice (a lower approximation of the true sup).
-
-    A float for a single field, one value per row for a field with a row axis.
-    """
+def sup_norm(u: SpectralField) -> np.ndarray:
+    """Max of |u| over the collocation lattice (a lower approximation of the true sup), one value per row."""
     mod = np.abs(lattice_values(u.grid, u.coeffs))
-    if u.coeffs.ndim == u.grid.n:
-        return float(mod.max())
     return mod.reshape(len(mod), -1).max(axis=1)
 
 
-def cm_norm(u: SpectralField, m: int | tuple[int, ...]) -> float | np.ndarray:
-    """Discrete C^m norm: max over |beta| <= m of the lattice sup of |d^beta u|.
+def cm_norm(u: SpectralField, m: int | tuple[int, ...]) -> np.ndarray:
+    """Discrete C^m norm: max over |beta| <= m of the lattice sup of |d^beta u|, one value per row.
 
     Each partial derivative is computed spectrally; differentiating sin(d x) k times gives d^k
     times sin or cos by the parity of k, with a sign that is common to every mode and therefore
     drops out of the modulus.  Axes are evaluated in order, depth first, so the stage after axes
     0..k (one :func:`_along` product) is shared by every beta with the same beta_0..beta_k.
-    A float for a single field, one value per row for a field with a row axis.  For a tuple of
-    orders, one pass up to the highest gives an array with one such value (or row) per order.
+    Shape (M,); for a tuple of orders, one pass up to the highest gives shape (orders, M).
     """
     orders = m if isinstance(m, tuple) else (m,)
     if not orders or any(k != int(k) or k < 0 for k in orders):
@@ -290,14 +276,14 @@ def cm_norm(u: SpectralField, m: int | tuple[int, ...]) -> float | np.ndarray:
     grid, n = u.grid, u.grid.n
     tables = _axis_table(grid, grid.D, "sin"), _axis_table(grid, grid.D, "cos")
     d_axis = np.arange(1, grid.D + 1, dtype=float)
-    lead = u.coeffs.shape[: u.coeffs.ndim - n]
+    rows = len(u.coeffs)
     top = int(max(orders))
-    best = [np.zeros(lead) for _ in orders]
+    best = [np.zeros(rows) for _ in orders]
 
     def visit(vals: np.ndarray, ax: int, used: int) -> None:
         # axes 0..ax-1 are done with |beta_0..beta_ax-1| = used; fold each leaf's sup into the orders >= |beta|
         if ax == n:
-            sup = np.abs(vals).reshape(*lead, -1).max(axis=-1)
+            sup = np.abs(vals).reshape(rows, -1).max(axis=-1)
             for j, k in enumerate(orders):
                 if used <= k:
                     best[j] = np.maximum(best[j], sup)
@@ -307,17 +293,16 @@ def cm_norm(u: SpectralField, m: int | tuple[int, ...]) -> float | np.ndarray:
             visit(_along(scaled, ax, n, tables[b % 2]), ax + 1, used + b)
 
     visit(u.coeffs, 0, 0)
-    if isinstance(m, tuple):
-        return np.stack(best)
-    return best[0] if lead else float(best[0])
+    return np.stack(best) if isinstance(m, tuple) else best[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def shell_energies(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Shell energies E_1..E_S (S = ceil(sqrt(n) D)) of coefficients over the last n axes.
+    """Shell energies E_k = sum over k <= |d| < k+1 of |u_d|^2, k = 1..ceil(sqrt(n) D), over the last n axes.
 
+    Every retained mode lands in exactly one shell, so a row's shell energies sum to ||u||_0^2.
     One ``np.bincount`` over every row, each row's bins offset past the previous row's, so
-    each bin sums the same weights in the same order as a single field's count.
+    each bin sums the same weights in the same order as a one-row count.
     """
     lead = coeffs.shape[: coeffs.ndim - grid.n]
     rows, width = int(np.prod(lead)), ceil(sqrt(grid.n) * grid.D) + 1
@@ -328,20 +313,11 @@ def shell_energies(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     return sums.reshape(*lead, width)[..., 1:]
 
 
-def spectrum_shells(u: SpectralField) -> list[tuple[int, float]]:
-    """Shell energies E_k = sum over k <= |d| < k+1 of |u_d|^2, k = 1..ceil(sqrt(n) D).
-
-    Every retained mode lands in exactly one shell, so the shell energies sum
-    to ||u||_0^2.
-    """
-    return list(enumerate(shell_energies(u.grid, u.coeffs).tolist(), start=1))
-
-
 # --- snapshot serialization -------------------------------------------------
 #
 # 32-byte header: 8-byte magic, then little-endian uint32 n, N, D, dtype tag,
 # then 8 reserved zero bytes; the payload is the flat C-order coefficient
-# array in little-endian complex64 (tag 1) or complex128 (tag 2).
+# array of one row in little-endian complex64 (tag 1) or complex128 (tag 2).
 
 FIELD_MAGIC = b"CLABFLD1"
 _TAG_OF_DTYPE = {np.dtype(np.complex64): 1, np.dtype(np.complex128): 2}
@@ -349,6 +325,8 @@ _DTYPE_OF_TAG = {1: np.dtype("<c8"), 2: np.dtype("<c16")}
 
 
 def field_to_bytes(u: SpectralField, dtype=np.complex128) -> bytes:
+    if len(u.coeffs) != 1:
+        raise ValueError(f"a snapshot holds one row, got {len(u.coeffs)}")
     tag = _TAG_OF_DTYPE.get(np.dtype(dtype))
     if tag is None:
         raise ValueError(f"unsupported snapshot dtype {dtype!r}; use complex64 or complex128")
@@ -370,5 +348,5 @@ def field_from_bytes(buf: bytes) -> SpectralField:
     expected = 32 + count * dtype.itemsize
     if len(buf) != expected:
         raise ValueError(f"snapshot payload has {len(buf) - 32} bytes, expected {expected - 32}")
-    coeffs = np.frombuffer(buf, dtype=dtype, count=count, offset=32).reshape(grid.coeff_shape)
+    coeffs = np.frombuffer(buf, dtype=dtype, count=count, offset=32).reshape(1, *grid.coeff_shape)
     return SpectralField(grid, coeffs.astype(np.complex128))

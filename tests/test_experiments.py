@@ -127,6 +127,18 @@ class TestEnsembleRun:
         assert _needed_recorder((c3, c2, c2), 0.5).cm_orders == (2, 3)
         assert s_both[0].columns[-2:] == ("cm_2", "cm_3") and s_alone[0].columns[-1] == "cm"
 
+    def test_a_recorder_factory_takes_no_observables(self):
+        # A recorder of C^2 alone writes one unnamed cm column, which sup_cm:3 would read as C^3.
+        params, obs = small_params(T=4.0, seed=3), (Observable("sup_cm", 3.0),)
+        c2_only = lambda p: NormRecorder(nu=p.nu, cm_order=2)
+        with pytest.raises(ValueError, match="recorder_factory"):
+            ensemble_run(GRID, BAND, params, 2, lambda sid: zero_field(GRID), obs, recorder_factory=c2_only)
+        summary, _ = ensemble_run(GRID, BAND, params, 2, lambda sid: zero_field(GRID), obs)
+        _, c2_streams = ensemble_run(GRID, BAND, params, 2, lambda sid: zero_field(GRID), recorder_factory=c2_only)
+        c2 = Observable("sup_cm", 2.0)
+        c2_mean = np.mean([c2.evaluate(s, params.T - 1.0 / params.nu, params.nu) for s in c2_streams])
+        assert summary.observables["sup_cm_3"].mean > 2 * c2_mean
+
     def test_deterministic_flow_has_zero_variance(self):
         # Noise off, nonlinearity off, common start: both trajectories identical.
         silent = NoiseSpec.band(GRID, [0.0])
@@ -189,7 +201,7 @@ class TestEnsembleRun:
 
         def u0(sid):
             if sid == 2:
-                return SpectralField(GRID, np.full(GRID.coeff_shape, 1e160, dtype=complex))
+                return SpectralField(GRID, np.full((1, *GRID.coeff_shape), 1e160, dtype=complex))
             return zero_field(GRID)
 
         def recorder(p):
@@ -214,7 +226,7 @@ class TestEnsembleRun:
         # energies overflow to inf); its first phase rotation fails and it is dropped.
         def u0(sid):
             if sid == 1:
-                return SpectralField(GRID, np.full(GRID.coeff_shape, 1e160, dtype=complex))
+                return SpectralField(GRID, np.full((1, *GRID.coeff_shape), 1e160, dtype=complex))
             return zero_field(GRID)
 
         with warnings.catch_warnings():

@@ -37,6 +37,7 @@ from cascade_lab.integrators import (
     default_dt,
     initial_state,
     smooth_random_field,
+    zero_field,
 )
 from cascade_lab.spectral import GridSpec, SpectralField
 
@@ -329,7 +330,8 @@ def checkpoint_bytes() -> bytes:
     """The checkpoint of a short n=1 run (seed 3, stream 2) from a fixed random field."""
     grid = GridSpec(1, 32, 16)
     gen = np.random.default_rng(11)
-    c = gen.normal(size=grid.coeff_shape) + 1j * gen.normal(size=grid.coeff_shape)
+    shape = (1, *grid.coeff_shape)
+    c = gen.normal(size=shape) + 1j * gen.normal(size=shape)
     params = SimParams(nu=0.5, dt=0.01, T=0.1, seed=3, stream_id=2)
     spec = NoiseSpec.band(grid, [1.0, 1.0, 1.0])
     state, _ = continue_trajectory(initial_state(SpectralField(grid, 0.2 * c), params), spec, params)
@@ -355,7 +357,7 @@ def records_view_ensemble():
     """A short linear-noise n=1 ensemble at M=4 with C^2 and shells: 200 steps per stream."""
     grid = GridSpec(1, 64, 32)
     params = SimParams(nu=0.5, dt=0.01, T=2.0, record_every=10, seed=11)
-    u0 = SpectralField.zeros(grid)
+    u0 = zero_field(grid)
     _, streams = ensemble_run(
         grid, NoiseSpec.from_profile(grid, "band:1,1,1"), params, 4, lambda sid: u0,
         recorder_factory=lambda p: NormRecorder(nu=p.nu, cm_order=2, shells=True),

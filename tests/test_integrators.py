@@ -62,9 +62,10 @@ BAND = NoiseSpec.band(GRID, [1.0, 1.0, 1.0])
 
 
 def random_field(grid, seed=0, scale=1.0):
+    """One row of complex Gaussian coefficients."""
     rng = np.random.default_rng(seed)
-    c = rng.normal(size=grid.coeff_shape) + 1j * rng.normal(size=grid.coeff_shape)
-    return SpectralField(grid, scale * c)
+    shape = (1, *grid.coeff_shape)
+    return SpectralField(grid, scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape)))
 
 
 def run(u0, spec, params, sink=None):
@@ -75,8 +76,8 @@ def run(u0, spec, params, sink=None):
 
 
 def rows(*fields):
-    """The coefficients of one-row fields stacked behind a row axis."""
-    return np.stack([f.coeffs for f in fields])
+    """The coefficients of one-row fields joined along the row axis."""
+    return np.concatenate([f.coeffs for f in fields])
 
 
 class TestOuExactStep:
@@ -98,7 +99,7 @@ class TestOuExactStep:
         with pytest.raises(ValueError):
             ou_exact_step(rows(zero_field(GRID)), other, 1.0, 0.1, RngStream(0, 0))
         with pytest.raises(ValueError):  # no row axis
-            ou_exact_step(zero_field(GRID).coeffs, SILENT, 1.0, 0.1, RngStream(0, 0))
+            ou_exact_step(zero_field(GRID).coeffs[0], SILENT, 1.0, 0.1, RngStream(0, 0))
 
     def test_stationary_second_moment(self):
         # dt large: each step is an independent stationary sample; E|u_1|^2 -> b^2/|1|^2 = 1.
@@ -135,7 +136,7 @@ class TestPhaseRotation:
         # On a square grid (D = N) any lattice configuration is representable,
         # so set every lattice value to 1 and rotate by pi.
         grid = GridSpec(1, 16, 16)
-        p = PhysicalField(grid, np.ones(16, dtype=complex))
+        p = PhysicalField(grid, np.ones((1, 16), dtype=complex))
         c = rows(to_spectral(p))
         rotated = lattice_values(grid, phase_rotation_step(grid, c, pi))
         np.testing.assert_allclose(rotated, -np.ones((1, 16)), atol=1e-12)
@@ -153,7 +154,7 @@ class TestPhaseRotation:
         grid = GridSpec(1, 64, 64)
         u = random_field(grid, 3)
         p0 = to_physical(u)
-        p1 = to_physical(SpectralField(grid, phase_rotation_step(grid, u.coeffs[None], 0.613)[0]))
+        p1 = to_physical(SpectralField(grid, phase_rotation_step(grid, u.coeffs, 0.613)))
         n0 = lattice_inner(p0, p0)
         n1 = lattice_inner(p1, p1)
         assert abs(n1 - n0) <= 1e-14 * n0
@@ -164,7 +165,7 @@ class TestPhaseRotation:
         grid = GridSpec(1, 32, 32)
         u = random_field(grid, 4)
         before = np.abs(to_physical(u).values)
-        after = np.abs(lattice_values(grid, phase_rotation_step(grid, u.coeffs[None], 1.7)[0]))
+        after = np.abs(lattice_values(grid, phase_rotation_step(grid, u.coeffs, 1.7)))
         np.testing.assert_allclose(after, before, rtol=1e-13)
 
     def test_overflowing_modulus_raises(self):
@@ -183,7 +184,7 @@ class TestPhaseRotation:
             spec = NoiseSpec.band(grid, [1.0, 1.0, 1.0])
             for m in (1, 3):
                 c = single_mode(grid, (1,) * grid.n, c=1e160).coeffs
-                u = SpectralField(grid, np.broadcast_to(c, (m,) + c.shape))
+                u = SpectralField(grid, np.repeat(c, m, axis=0))
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     with pytest.raises(NonFiniteFieldError):
@@ -207,7 +208,7 @@ class TestPhaseRotation:
     def test_truncation_only_removes_energy(self):
         u = random_field(GRID, 5)  # D = N/2: rotation spills into discarded modes
         p0 = to_physical(u)
-        p1 = to_physical(SpectralField(GRID, phase_rotation_step(GRID, u.coeffs[None], 0.9)[0]))
+        p1 = to_physical(SpectralField(GRID, phase_rotation_step(GRID, u.coeffs, 0.9)))
         assert lattice_inner(p1, p1) <= lattice_inner(p0, p0) * (1 + 1e-12)
 
 
@@ -263,8 +264,8 @@ class TestStrangStep:
         # The step flushes subnormals in its own result, never in its input.
         params = SimParams(nu=0.5, dt=0.01, T=1.0, seed=3)
         c = random_field(GRID, 4, scale=0.3).coeffs.copy()
-        c[-1] = 1e-310 + 1e-310j
-        rows = SpectralField(GRID, np.stack([c, 2 * c, 3 * c]))
+        c[0, -1] = 1e-310 + 1e-310j
+        rows = SpectralField(GRID, np.concatenate([c, 2 * c, 3 * c]))
         for state in (initial_state(SpectralField(GRID, c), params), initial_state(rows, params)):
             before = state.u.coeffs.tobytes()
             after = strang_step(state, BAND, params)
@@ -356,7 +357,7 @@ class TestForcedModeDraws:
         K = ou_block_steps(sd.size)
         assert K > 1
         first = K * (2**40 // K + 1)  # the first slot of a block
-        u = np.stack([random_field(grid, 40 + i, 0.5).coeffs for i in range(M)])
+        u = rows(*(random_field(grid, 40 + i, 0.5) for i in range(M)))
         rngs = tuple(RngStream(params.seed, 2**63 + i) for i in range(M))
         for step in (2**40 + 7, first - 1, first, first - 1):  # the last slot of one block, the first of the next
             fresh = [self.fresh_convolutions(params.seed, 2**63 + i, step, sd, scale) for i in range(M)]
@@ -374,10 +375,11 @@ class TestForcedModeDraws:
         u0 = random_field(GRID, 12, scale=0.4)
         decay, _, _ = _ou_tables(spec, params.nu, params.dt / 2)
         (u1,) = strang_step(initial_state(u0, params), spec, params).u.coeffs
-        assert u1[4] == u0.coeffs[4] * decay[4] * decay[4]
+        (c0,) = u0.coeffs
+        assert u1[4] == c0[4] * decay[4] * decay[4]
         unforced = spec.amplitudes == 0
-        assert u1[unforced].tobytes() == (u0.coeffs * decay * decay)[unforced].tobytes()
-        assert u1[0] != u0.coeffs[0] * decay[0] * decay[0]  # the forced mode got its convolution
+        assert u1[unforced].tobytes() == (c0 * decay * decay)[unforced].tobytes()
+        assert u1[0] != c0[0] * decay[0] * decay[0]  # the forced mode got its convolution
 
     @staticmethod
     def count_normals(monkeypatch) -> list:
@@ -392,8 +394,7 @@ class TestForcedModeDraws:
         for scheme in ("strang", "em"):
             params = SimParams(nu=0.5, dt=1e-3, T=4e-3, scheme=scheme, seed=1)
             run(random_field(GRID, 3, 0.2), SILENT, params)
-            rows = np.stack([random_field(GRID, i, 0.2).coeffs for i in range(3)])
-            run(SpectralField(GRID, rows), SILENT, params)
+            run(SpectralField(GRID, rows(*(random_field(GRID, i, 0.2) for i in range(3)))), SILENT, params)
         assert calls == []
         # a forced spec addresses each stream once per block of K Strang steps
         K = ou_block_steps(BAND.forced.size)
@@ -409,8 +410,7 @@ class TestForcedModeDraws:
             calls = self.count_normals(monkeypatch)
             params = SimParams(nu=0.5, dt=1e-3, T=n_steps * 1e-3, seed=9)
             assert params.n_steps == n_steps
-            rows = np.stack([random_field(GRID, 50 + i, 0.2).coeffs for i in range(M)])
-            run(SpectralField(GRID, rows), BAND, params)
+            run(SpectralField(GRID, rows(*(random_field(GRID, 50 + i, 0.2) for i in range(M)))), BAND, params)
             assert len(calls) == M * -(-n_steps // K)
             assert sorted(calls) == sorted((b, SUB_OU) for b in range(-(-n_steps // K)) for _ in range(M))
 
@@ -430,8 +430,7 @@ class TestForcedModeDraws:
             assert noise0.tobytes() == (scale * ((z[:, 0, 0] + 1j * z[:, 0, 1]) * sd)).tobytes()
             assert noise1.tobytes() == (scale * ((z[:, 1, 0] + 1j * z[:, 1, 1]) * sd)).tobytes()
         calls = self.count_normals(monkeypatch)
-        rows = np.stack([random_field(grid, 60 + i, 0.1).coeffs for i in range(2)])
-        run(SpectralField(grid, rows), spec, params)
+        run(SpectralField(grid, rows(*(random_field(grid, 60 + i, 0.1) for i in range(2)))), spec, params)
         assert sorted(calls) == sorted((k, SUB_OU) for k in range(3) for _ in range(2))
 
     def test_back_to_back_runs_make_the_same_draws(self, monkeypatch):
@@ -439,12 +438,12 @@ class TestForcedModeDraws:
         # seed and stream ids left cached is not reused, so both runs address the same draws.
         params = SimParams(nu=0.5, dt=1e-3, T=3e-3, seed=9)
         assert params.n_steps < ou_block_steps(BAND.forced.size)
-        rows = SpectralField(GRID, np.stack([random_field(GRID, 70 + i, 0.2).coeffs for i in range(2)]))
+        u0 = SpectralField(GRID, rows(*(random_field(GRID, 70 + i, 0.2) for i in range(2))))
         calls = self.count_normals(monkeypatch)
-        first = run(rows, BAND, params)
+        first = run(u0, BAND, params)
         first_calls = list(calls)
         calls.clear()
-        second = run(rows, BAND, params)
+        second = run(u0, BAND, params)
         assert calls == first_calls == [(0, SUB_OU), (0, SUB_OU)]
         assert second.u.coeffs.tobytes() == first.u.coeffs.tobytes()
 
@@ -574,14 +573,14 @@ class TestRunTrajectory:
         params = SimParams(nu=0.5, dt=0.02, T=0.2, record_every=2, seed=21, stream_id=5)
         fields = [random_field(GRID, 30 + i, 0.3) for i in range(3)]
         rec = NormRecorder(nu=params.nu)
-        final = run(SpectralField(GRID, np.stack([f.coeffs for f in fields])), BAND, params, rec)
+        final = run(SpectralField(GRID, rows(*fields)), BAND, params, rec)
         assert [rng.stream_id for rng in final.rngs] == [5, 6, 7] and sorted(rec.streams) == [5, 6, 7]
         for i, field in enumerate(fields):
             p = replace(params, stream_id=5 + i)
             one = NormRecorder(nu=p.nu)
             single = run(field, BAND, p, one)
             assert [rng.stream_id for rng in single.rngs] == [5 + i]
-            assert single.u.coeffs.tobytes() == final.u.coeffs[i].tobytes()
+            assert single.u.coeffs.tobytes() == final.u.coeffs[i : i + 1].tobytes()
             assert one.streams[5 + i] == rec.streams[5 + i]
 
     def test_nan_abort_carries_last_good_time(self):
@@ -620,7 +619,7 @@ class TestLinearClosedForms:
         spec = NoiseSpec.band(GRID, [1.0, 0.5])
         u0 = single_mode(GRID, 1, c=0.7)
         nu, t = 0.4, 1.0
-        predicted = linear_l2_mean(u0, spec, nu, t)
+        (predicted,) = linear_l2_mean(u0, spec, nu, t)
 
         gen = np.random.default_rng(77)
         n_paths, n_sub = 4000, 64
@@ -686,9 +685,9 @@ class TestCheckpoints:
         assert np.array_equal(back.u.coeffs, state.u.coeffs)
 
     def test_rejects_a_state_of_several_rows(self):
-        rows = SpectralField(GRID, np.stack([random_field(GRID, 20 + i, 0.2).coeffs for i in range(3)]))
+        u0 = SpectralField(GRID, rows(*(random_field(GRID, 20 + i, 0.2) for i in range(3))))
         with pytest.raises(ValueError, match="one row"):
-            checkpoint_to_bytes(initial_state(rows, SimParams(nu=0.5, dt=0.01, T=0.1, seed=3)))
+            checkpoint_to_bytes(initial_state(u0, SimParams(nu=0.5, dt=0.01, T=0.1, seed=3)))
 
     def test_resume_is_bit_exact(self, tmp_path):
         params = SimParams(nu=0.5, dt=0.01, T=0.2, seed=5)

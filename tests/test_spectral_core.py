@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from cascade_lab import spectral
 from cascade_lab.experiments import Observable, ensemble_run
 from cascade_lab.forcing import NoiseSpec
-from cascade_lab.integrators import SimParams, constrained_profile
+from cascade_lab.integrators import SimParams, constrained_profile, zero_field
 from cascade_lab.spectral import (
     GridSpec,
     NonFiniteFieldError,
@@ -30,8 +30,8 @@ from cascade_lab.spectral import (
     lattice_inner,
     lattice_values,
     mode_coeffs,
+    shell_energies,
     sobolev_norm,
-    spectrum_shells,
     sup_norm,
     to_physical,
     to_spectral,
@@ -39,31 +39,32 @@ from cascade_lab.spectral import (
 
 
 def random_field(grid: GridSpec, seed: int = 0, scale: float = 1.0) -> SpectralField:
+    """One row of complex Gaussian coefficients."""
     rng = np.random.default_rng(seed)
-    c = rng.normal(size=grid.coeff_shape) + 1j * rng.normal(size=grid.coeff_shape)
-    return SpectralField(grid, scale * c)
+    shape = (1, *grid.coeff_shape)
+    return SpectralField(grid, scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape)))
 
 
 def eval_direct(u: SpectralField) -> np.ndarray:
-    """O(N^2)-per-axis oracle: evaluate sum_d u_d phi_d on the lattice by explicit matrices."""
+    """O(N^2)-per-axis oracle: evaluate sum_d u_d phi_d on the lattice by explicit matrices, per row."""
     grid = u.grid
     x = grid.points[:, None]
     d = np.arange(1, grid.D + 1)[None, :]
     mat = sqrt(2.0 / pi) * np.sin(d * x)  # (N, D) per axis
     vals = u.coeffs
-    for ax in range(grid.n):
+    for ax in range(1, grid.n + 1):
         vals = np.moveaxis(np.tensordot(mat, np.moveaxis(vals, ax, 0), axes=(1, 0)), 0, ax)
     return vals
 
 
 def project_direct(p: PhysicalField, D: int) -> np.ndarray:
-    """Quadrature oracle: u_d = (pi/(N+1))^n * sum_j values_j phi_d(x_j)."""
+    """Quadrature oracle: u_d = (pi/(N+1))^n * sum_j values_j phi_d(x_j), per row."""
     grid = p.grid
     x = grid.points[:, None]
     d = np.arange(1, D + 1)[None, :]
     mat = sqrt(2.0 / pi) * np.sin(x * d).T  # (D, N) per axis
     vals = p.values
-    for ax in range(grid.n):
+    for ax in range(1, grid.n + 1):
         vals = np.moveaxis(np.tensordot(mat, np.moveaxis(vals, ax, 0), axes=(1, 0)), 0, ax)
     return grid.quadrature_weight * vals
 
@@ -108,14 +109,14 @@ class TestBasisEval:
 class TestTransforms:
     def test_single_mode_is_sampled_basis(self):
         grid = GridSpec(1, 16, 8)
-        u = SpectralField(grid, np.eye(1, 8, 2).ravel().astype(complex))  # mode d=3
+        u = SpectralField(grid, np.eye(1, 8, 2, dtype=complex))  # mode d=3
         expected = np.array([basis_eval(3, x) for x in grid.points])
-        np.testing.assert_allclose(to_physical(u).values.real, expected, atol=1e-14)
+        np.testing.assert_allclose(to_physical(u).values[0].real, expected, atol=1e-14)
 
     def test_zero_maps_to_zero(self):
         grid = GridSpec(1, 16, 8)
-        assert np.all(to_physical(SpectralField.zeros(grid)).values == 0)
-        p = PhysicalField(grid, np.zeros(16, dtype=complex))
+        assert np.all(to_physical(zero_field(grid)).values == 0)
+        p = PhysicalField(grid, np.zeros((1, 16), dtype=complex))
         assert np.all(to_spectral(p).coeffs == 0)
 
     @pytest.mark.parametrize("grid", [GridSpec(1, 64, 32), GridSpec(2, 32, 16)])
@@ -137,9 +138,9 @@ class TestTransforms:
 
     def test_first_basis_function_projects_to_e1(self):
         grid = GridSpec(1, 64, 32)
-        p = PhysicalField(grid, np.array([basis_eval(1, x) for x in grid.points], dtype=complex))
-        coeffs = to_spectral(p).coeffs
-        oracle = project_direct(p, grid.D)
+        p = PhysicalField(grid, np.array([[basis_eval(1, x) for x in grid.points]], dtype=complex))
+        (coeffs,) = to_spectral(p).coeffs
+        (oracle,) = project_direct(p, grid.D)
         np.testing.assert_allclose(coeffs, oracle, atol=1e-12)
         assert abs(coeffs[0] - 1.0) <= 1e-12
         assert np.abs(coeffs[1:]).max() <= 1e-12
@@ -147,13 +148,13 @@ class TestTransforms:
     def test_energy_above_truncation_is_discarded(self):
         grid = GridSpec(1, 64, 32)
         high = GridSpec(1, 64, 64)
-        p = to_physical(SpectralField(high, np.eye(1, 64, 32).ravel().astype(complex)))  # mode 33
+        p = to_physical(SpectralField(high, np.eye(1, 64, 32, dtype=complex)))  # mode 33
         retained = to_spectral(PhysicalField(grid, p.values), 32)
         assert np.abs(retained.coeffs).max() <= 1e-12
 
     def test_to_spectral_rejects_bad_truncation(self):
         grid = GridSpec(1, 16, 8)
-        p = PhysicalField(grid, np.zeros(16, dtype=complex))
+        p = PhysicalField(grid, np.zeros((1, 16), dtype=complex))
         with pytest.raises(ValueError):
             to_spectral(p, 17)
 
@@ -248,41 +249,42 @@ class TestTransformHelpers:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteFieldError):  # finite coefficients, overflowing lattice sum
-                to_physical(SpectralField(grid, np.full(grid.coeff_shape, 1e308, dtype=complex)))
+                to_physical(SpectralField(grid, np.full((1, *grid.coeff_shape), 1e308, dtype=complex)))
             with pytest.raises(NonFiniteFieldError):
-                to_spectral(PhysicalField(grid, np.full(grid.values_shape, 1e308, dtype=complex)))
-            assert sobolev_norm(SpectralField(grid, np.full(grid.coeff_shape, 1e160, dtype=complex)), 1) == np.inf
+                to_spectral(PhysicalField(grid, np.full((1, *grid.values_shape), 1e308, dtype=complex)))
+            huge = SpectralField(grid, np.full((1, *grid.coeff_shape), 1e160, dtype=complex))
+            assert sobolev_norm(huge, 1).tolist() == [np.inf]
 
 
 class TestNorms:
     def test_single_mode_norm(self):
         grid = GridSpec(1, 16, 8)
         for d in (1, 3, 7):
-            u = SpectralField(grid, np.eye(1, 8, d - 1).ravel().astype(complex))
+            u = SpectralField(grid, np.eye(1, 8, d - 1, dtype=complex))
             for m in (0.0, 1.0, 2.5):
                 assert sobolev_norm(u, m) == pytest.approx(d**m, rel=1e-14)
 
     def test_zero_field(self):
-        u = SpectralField.zeros(GridSpec(1, 16, 8))
+        u = zero_field(GridSpec(1, 16, 8))
         assert sobolev_norm(u, 2) == 0.0
         assert sup_norm(u) == 0.0
         assert cm_norm(u, 3) == 0.0
 
     def test_two_mode_arithmetic(self):
         grid = GridSpec(1, 16, 8)
-        c = np.zeros(8, dtype=complex)
-        c[0] = 1.0
-        c[1] = 1.0
+        c = np.zeros((1, 8), dtype=complex)
+        c[0, 0] = 1.0
+        c[0, 1] = 1.0
         assert sobolev_norm(SpectralField(grid, c), 2) == pytest.approx(sqrt(17))
 
     def test_fractional_order(self):
         grid = GridSpec(1, 16, 8)
-        c = np.zeros(8, dtype=complex)
-        c[2] = 2.0  # d = 3
+        c = np.zeros((1, 8), dtype=complex)
+        c[0, 2] = 2.0  # d = 3
         assert sobolev_norm(SpectralField(grid, c), 0.5) == pytest.approx(2 * 3**0.5)
 
     def test_rejects_negative_order(self):
-        u = SpectralField.zeros(GridSpec(1, 16, 8))
+        u = zero_field(GridSpec(1, 16, 8))
         with pytest.raises(ValueError):
             sobolev_norm(u, -1)
 
@@ -290,7 +292,7 @@ class TestNorms:
 class TestSupNorm:
     def test_first_mode_close_to_continuum(self):
         grid = GridSpec(1, 64, 32)
-        u = SpectralField(grid, np.eye(1, 32, 0).ravel().astype(complex))
+        u = SpectralField(grid, np.eye(1, 32, 0, dtype=complex))
         expected = max(abs(basis_eval(1, x)) for x in grid.points)
         assert sup_norm(u) == pytest.approx(expected, rel=1e-13)
         # for N >= 63 the lattice max sits within grid resolution of the true sup
@@ -298,7 +300,7 @@ class TestSupNorm:
 
     def test_modulus_invariance(self):
         grid = GridSpec(1, 64, 32)
-        u = SpectralField(grid, np.eye(1, 32, 0).ravel().astype(complex))
+        u = SpectralField(grid, np.eye(1, 32, 0, dtype=complex))
         iu = SpectralField(grid, 1j * u.coeffs)
         assert sup_norm(iu) == pytest.approx(sup_norm(u), rel=1e-14)
 
@@ -311,7 +313,7 @@ class TestCmNorm:
 
     def test_first_mode_derivative(self):
         grid = GridSpec(1, 64, 32)
-        u = SpectralField(grid, np.eye(1, 32, 0).ravel().astype(complex))
+        u = SpectralField(grid, np.eye(1, 32, 0, dtype=complex))
         x = grid.points
         oracle = max(
             np.abs(sqrt(2 / pi) * np.sin(x)).max(),
@@ -333,12 +335,12 @@ class TestCmNorm:
                 per_y = (d**by)[:, None] * (
                     np.sin(np.outer(d, x)) if by % 2 == 0 else np.cos(np.outer(d, x))
                 )
-                vals = (2 / pi) * np.einsum("ab,ai,bj->ij", u.coeffs, per_x, per_y)
+                vals = (2 / pi) * np.einsum("ab,ai,bj->ij", u.coeffs[0], per_x, per_y)
                 best = max(best, np.abs(vals).max())
         assert cm_norm(u, 2) == pytest.approx(best, rel=1e-12)
 
     def test_rejects_fractional_order(self):
-        u = SpectralField.zeros(GridSpec(1, 16, 8))
+        u = zero_field(GridSpec(1, 16, 8))
         with pytest.raises(ValueError):
             cm_norm(u, 1.5)
 
@@ -351,9 +353,9 @@ class TestCmNorm:
         for scale in (1e-5, 1e-2, 1.0, 1e3, 1e5):
             batch = SpectralField(grid, scale * base)
             for i in range(3):  # rows of a batched field, as the recorder passes them
-                u = SpectralField(grid, batch.coeffs[i])
+                u = SpectralField(grid, batch.coeffs[i : i + 1])
                 for m in range(4):
-                    assert cm_norm(u, m) == cm_norm_per_beta(u, m)
+                    assert cm_norm(u, m).tolist() == [cm_norm_per_beta(u, m)]
 
     @pytest.mark.parametrize("grid", [GridSpec(1, 64, 32), GridSpec(2, 32, 16), GridSpec(3, 10, 5)], ids=str)
     def test_rows_equal_single_rows(self, grid):
@@ -362,11 +364,11 @@ class TestCmNorm:
         for m in range(4):
             got = cm_norm(batch, m)
             assert got.shape == (5,)
-            assert got.tolist() == [cm_norm(SpectralField(grid, c), m) for c in batch.coeffs]
+            assert got.tolist() == [cm_norm(SpectralField(grid, batch.coeffs[i : i + 1]), m)[0] for i in range(5)]
 
 
 def cm_norm_per_beta(u: SpectralField, m: int) -> float:
-    """Reference: every beta evaluated from the coefficients on its own, one real product per axis."""
+    """Reference for a one-row field: every beta evaluated from the coefficients on its own, one real product per axis."""
     grid = u.grid
     d_axis = np.arange(1, grid.D + 1, dtype=float)
     best = 0.0
@@ -451,9 +453,9 @@ class TestRealProducts:
         for D in sorted({grid.D, grid.N}):
             ref = complex_per_axis(grid, values, *complex_matrices(grid, D)[2:4])
             assert_within_1e15(mode_coeffs(grid, values, D), ref)
-        u = SpectralField(grid, coeffs)
+        u = SpectralField(grid, coeffs.reshape(-1, *grid.coeff_shape))  # no leading axis: one row
         for m in range(4):
-            assert_within_1e15(cm_norm(u, m), complex_cm_norm(grid, coeffs, m))
+            assert_within_1e15(cm_norm(u, m), complex_cm_norm(grid, u.coeffs, m))
 
     def test_tables_are_real_and_n1_builds_no_interleaved_table(self, monkeypatch):
         """Every table a nonlinear run with C^2 builds is float64; at n = 1 none is interleaved."""
@@ -488,35 +490,35 @@ class TestRealProducts:
 
 
 class TestSpectrumShells:
+    """The shell spectrum E_k of ``shell_energies``, one row of shells per field row."""
+
     def test_single_mode(self):
         grid = GridSpec(1, 16, 8)
-        u = SpectralField(grid, np.eye(1, 8, 2).ravel().astype(complex))  # d = 3
-        shells = dict(spectrum_shells(u))
-        assert shells[3] == pytest.approx(1.0)
-        assert sum(v for k, v in shells.items() if k != 3) == 0.0
+        u = SpectralField(grid, np.eye(1, 8, 2, dtype=complex))  # d = 3
+        (shells,) = shell_energies(grid, u.coeffs)
+        assert shells[3 - 1] == pytest.approx(1.0)
+        assert np.delete(shells, 3 - 1).sum() == 0.0
 
     def test_zero_field(self):
-        shells = spectrum_shells(SpectralField.zeros(GridSpec(1, 16, 8)))
-        assert all(v == 0.0 for _, v in shells)
+        grid = GridSpec(1, 16, 8)
+        assert np.all(shell_energies(grid, zero_field(grid).coeffs) == 0.0)
 
     def test_2d_diagonal_mode_in_first_shell(self):
         grid = GridSpec(2, 8, 4)
-        c = np.zeros((4, 4), dtype=complex)
-        c[0, 0] = 1.0  # |d| = sqrt(2) in [1, 2)
-        shells = dict(spectrum_shells(SpectralField(grid, c)))
-        assert shells[1] == pytest.approx(1.0)
+        c = np.zeros((1, 4, 4), dtype=complex)
+        c[0, 0, 0] = 1.0  # |d| = sqrt(2) in [1, 2)
+        assert shell_energies(grid, c)[0, 0] == pytest.approx(1.0)
 
     def test_shellsum_is_l2_squared(self):
         for grid in (GridSpec(1, 32, 16), GridSpec(2, 16, 8)):
             u = random_field(grid, seed=10)
-            total = sum(v for _, v in spectrum_shells(u))
+            total = shell_energies(grid, u.coeffs).sum(axis=1)
             assert total == pytest.approx(sobolev_norm(u, 0) ** 2, rel=1e-13)
 
     def test_shell_count(self):
         grid = GridSpec(2, 16, 8)
-        shells = spectrum_shells(random_field(grid, seed=11))
-        assert shells[0][0] == 1
-        assert shells[-1][0] == int(np.ceil(np.sqrt(2) * 8))
+        shells = shell_energies(grid, random_field(grid, seed=11).coeffs)
+        assert shells.shape == (1, int(np.ceil(np.sqrt(2) * 8)))  # shells 1..ceil(sqrt(n) D)
 
 
 # --- property tests -----------------------------------------------------------
@@ -584,6 +586,13 @@ class TestSnapshots:
         back = field_from_bytes(buf)
         assert np.array_equal(back.coeffs, u.coeffs.astype(np.complex64).astype(np.complex128))
 
+    def test_rejects_a_field_of_several_rows(self):
+        # Two rows would write a payload that the reader rejects as the wrong size.
+        grid = GridSpec(1, 16, 8)
+        u = SpectralField(grid, np.concatenate([random_field(grid, seed=s).coeffs for s in (16, 17)]))
+        with pytest.raises(ValueError, match="one row"):
+            field_to_bytes(u)
+
     def test_header_size(self):
         u = random_field(GridSpec(1, 16, 8), seed=14)
         buf = field_to_bytes(u)
@@ -601,11 +610,31 @@ class TestSnapshots:
 class TestFieldValidation:
     def test_rejects_nan(self):
         grid = GridSpec(1, 16, 8)
-        c = np.zeros(8, dtype=complex)
-        c[0] = np.nan
+        c = np.zeros((1, 8), dtype=complex)
+        c[0, 0] = np.nan
         with pytest.raises(ValueError):
             SpectralField(grid, c)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
-            SpectralField(GridSpec(1, 16, 8), np.zeros(9, dtype=complex))
+            SpectralField(GridSpec(1, 16, 8), np.zeros((1, 9), dtype=complex))
+
+    @pytest.mark.parametrize("grid", [GridSpec(1, 16, 8), GridSpec(2, 8, 4)], ids=str)
+    def test_every_field_has_a_row_axis(self, grid):
+        with pytest.raises(ValueError, match="not rows"):
+            SpectralField(grid, np.zeros(grid.coeff_shape, dtype=complex))
+        with pytest.raises(ValueError, match="not rows"):
+            PhysicalField(grid, np.zeros(grid.values_shape, dtype=complex))
+        with pytest.raises(ValueError, match="not rows"):  # two row axes
+            SpectralField(grid, np.zeros((1, 1, *grid.coeff_shape), dtype=complex))
+        u = random_field(grid, seed=18)
+        assert to_physical(u).values.shape == (1, *grid.values_shape)
+        assert to_spectral(to_physical(u)).coeffs.shape == (1, *grid.coeff_shape)
+
+    def test_norms_return_one_value_per_row_at_m_1(self):
+        grid = GridSpec(2, 8, 4)
+        u = random_field(grid, seed=19)
+        for norm in (sobolev_norm(u, 2.0), sup_norm(u), cm_norm(u, 2)):
+            assert isinstance(norm, np.ndarray) and norm.shape == (1,)
+        assert sobolev_norm(u, (0.0, 1.0, 2.0)).shape == (3, 1)  # (orders, M)
+        assert cm_norm(u, (1, 2)).shape == (2, 1)
