@@ -5,6 +5,14 @@ A sweep runs an ensemble of M independent trajectories per viscosity value
 across viscosities), evaluates windowed observables per trajectory, and fits
 the scaling exponent alpha of log(observable) against log(1/nu).
 
+Entries that share a fast dt step as one batch of rows (``run_ensembles``):
+each row steps with its own entry's viscosity, and an entry's rows leave the
+batch at its horizon.  A step's fixed cost is then paid once per step instead
+of once per entry per step.  The bytes do not change: every matrix product is
+taken per row, and every per-row table (OU decay, convolution scale, EM
+drift) multiplies elementwise, so each entry's streams and summary are those
+of its ensemble run alone.
+
 Desk-scale honesty: the asymptotic statements behind these experiments hold
 for nu below an unknown threshold, so sweep verdicts are reported as trends
 (monotonicity plus an exponent window), never as confirmations of sharp
@@ -14,7 +22,9 @@ constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, groupby
 from math import sqrt
+from typing import Callable
 
 import numpy as np
 
@@ -26,8 +36,8 @@ from .diagnostics import (
     balance_check,
     time_avg_sobolev,
 )
-from .forcing import NoiseSpec, bk_sum
-from .integrators import KAPPA, SimParams, constrained_profile, initial_state
+from .forcing import NoiseSpec, RngStream, bk_sum
+from .integrators import KAPPA, SimParams, State, constrained_profile
 from .spectral import GridSpec, SpectralField
 
 QUANTILES = (5, 25, 50, 75, 95)
@@ -149,6 +159,70 @@ def _needed_recorder(observables: tuple[Observable, ...], nu: float) -> NormReco
     return NormRecorder(nu=nu, ms=tuple(sorted(ms)), cm_order=tuple(cm_orders(observables)))
 
 
+@dataclass(frozen=True)
+class Ensemble:
+    """The settings of one ensemble: every argument of :func:`ensemble_run` after the grid and spec."""
+
+    params: SimParams
+    M: int
+    u0_factory: Callable[[int], SpectralField]
+    observables: tuple[Observable, ...] = ()
+    window_t0: float | None = None
+    max_abort_fraction: float = 0.01
+    recorder_factory: Callable[[SimParams], NormRecorder] | None = None
+
+    def __post_init__(self):
+        if self.M < 1:
+            raise ValueError("ensemble size must be >= 1")
+        if self.observables and self.recorder_factory is not None:
+            raise ValueError("a recorder_factory takes no observables: they read the default recorder's columns")
+
+    def summarize(self, rec: NormRecorder, lost: set[int]) -> tuple[EnsembleSummary, list[Stream]]:
+        """The summary and kept streams of a run that recorded into ``rec`` and lost stream ids ``lost``."""
+        p = self.params
+        streams = [rec.streams[sid] for sid in range(p.stream_id, p.stream_id + self.M) if sid not in lost]
+        if len(lost) > self.max_abort_fraction * self.M:
+            raise EnsembleAbortError(
+                f"{len(lost)}/{self.M} trajectories aborted (tolerated fraction {self.max_abort_fraction})"
+            )
+        t0 = max(0.0, p.T - 1.0 / p.nu) if self.window_t0 is None else self.window_t0
+        per_obs = {
+            obs.name: _stats(np.array([obs.evaluate(stream, t0, p.nu) for stream in streams]))
+            for obs in self.observables
+        }
+        return EnsembleSummary(nu=p.nu, M=self.M, aborts=len(lost), observables=per_obs), streams
+
+
+def run_ensembles(
+    grid: GridSpec, spec: NoiseSpec, ensembles
+) -> list[tuple[EnsembleSummary, list[Stream]]]:
+    """Run ensembles that share dt, scheme and nonlinearity as one batch of rows; each one's (summary, streams).
+
+    The batch holds each ensemble's M rows in turn, each row at its own ensemble's
+    viscosity, and an ensemble's rows leave at its horizon.  Each ensemble keeps its own
+    recorder, observable window, abort count and tolerated fraction, checked in order;
+    stream ids repeat across ensembles, so an abort goes to the ensemble whose stream
+    object its row carries.  Each result is bit for bit that of :func:`ensemble_run`.
+    """
+    recorders, rngs = [], []
+    for e in ensembles:
+        p = e.params
+        recorders.append(_needed_recorder(e.observables, p.nu) if e.recorder_factory is None else e.recorder_factory(p))
+        rngs.append(tuple(RngStream(p.seed, sid) for sid in range(p.stream_id, p.stream_id + e.M)))
+    u0 = np.concatenate([e.u0_factory(rng.stream_id).coeffs for e, rows in zip(ensembles, rngs) for rng in rows])
+    state = State(0.0, SpectralField(grid, u0), tuple(chain.from_iterable(rngs)), 0)
+    row_params = tuple(chain.from_iterable((e.params,) * e.M for e in ensembles))
+    row_sinks = tuple(chain.from_iterable((rec,) * e.M for e, rec in zip(ensembles, recorders)))
+    # Resolved at call time, so a wrapper installed on the integrators module sees the call.
+    _, aborted = integrators.continue_trajectory(state, spec, row_params, row_sinks)
+    owner = {id(rng): j for j, rows in enumerate(rngs) for rng in rows}
+    lost: list[set[int]] = [set() for _ in ensembles]
+    for exc in aborted:
+        (rng,) = exc.last_state.rngs
+        lost[owner[id(rng)]].add(rng.stream_id)
+    return [e.summarize(rec, gone) for e, rec, gone in zip(ensembles, recorders, lost)]
+
+
 def ensemble_run(
     grid: GridSpec,
     spec: NoiseSpec,
@@ -171,32 +245,12 @@ def ensemble_run(
     non-finite is dropped at that step and excluded from statistics; more than
     ``max_abort_fraction`` aborts raises.  The streams, one :class:`Stream` per
     kept trajectory in stream-id order, are the recorder's; each is a pure
-    function of (seed, stream_id), for any M.
+    function of (seed, stream_id), for any M.  This is :func:`run_ensembles` with
+    one ensemble.
     """
-    if M < 1:
-        raise ValueError("ensemble size must be >= 1")
-    if observables and recorder_factory is not None:
-        raise ValueError("a recorder_factory takes no observables: they read the default recorder's columns")
-    if window_t0 is None:
-        window_t0 = max(0.0, params.T - 1.0 / params.nu)
-    rec = _needed_recorder(observables, params.nu) if recorder_factory is None else recorder_factory(params)
-    ids = range(params.stream_id, params.stream_id + M)
-    u0 = SpectralField(grid, np.concatenate([u0_factory(sid).coeffs for sid in ids]))
-    # Resolved at call time, so a wrapper installed on the integrators module sees the call.
-    _, aborted = integrators.continue_trajectory(initial_state(u0, params), spec, params, rec)
-    lost = {exc.last_state.rngs[0].stream_id for exc in aborted}
-    streams = [rec.streams[sid] for sid in ids if sid not in lost]
-    aborts = len(aborted)
-    if aborts > max_abort_fraction * M:
-        raise EnsembleAbortError(
-            f"{aborts}/{M} trajectories aborted (tolerated fraction {max_abort_fraction})"
-        )
-    per_obs: dict[str, ObservableStats] = {}
-    for obs in observables:
-        vals = np.array([obs.evaluate(stream, window_t0, params.nu) for stream in streams])
-        per_obs[obs.name] = _stats(vals)
-    summary = EnsembleSummary(nu=params.nu, M=M, aborts=aborts, observables=per_obs)
-    return summary, streams
+    ensemble = Ensemble(params, M, u0_factory, observables, window_t0, max_abort_fraction, recorder_factory)
+    (result,) = run_ensembles(grid, spec, (ensemble,))
+    return result
 
 
 # --- power-law fits -----------------------------------------------------------
@@ -263,6 +317,13 @@ class SweepPlan:
     exactly; the entries differ only through the phase-rotation strength
     1/nu.  That common-random-number coupling makes trend comparisons across
     the grid far less noisy than independent runs at a fixed fast dt.
+
+    Entries that share a fast dt (every entry, unless ``dt_slow`` is set) run
+    as one batch of rows, each row at its own entry's viscosity, and each
+    entry's rows leave at its horizon; with ``dt_slow`` each entry is a batch
+    of its own.  Either way every entry's streams and summary are bit for bit
+    those of running it alone, since every product is taken per row and every
+    per-row table multiplies elementwise.
     """
 
     grid: GridSpec
@@ -312,15 +373,9 @@ class SweepPlan:
         u0 = constrained_profile(self.grid, nu)
         return lambda stream_id: u0
 
-    def ensemble(self, nu: float, recorder_factory=None):
-        """``ensemble_run`` at grid entry ``nu`` with the plan's observables.
-
-        With ``recorder_factory``, no observables are evaluated: the caller
-        reads the streams that recorder writes.
-        """
-        return ensemble_run(
-            self.grid,
-            self.spec(),
+    def _ensemble(self, nu: float, recorder_factory=None) -> Ensemble:
+        """Grid entry ``nu`` with the plan's observables, or with ``recorder_factory`` and none."""
+        return Ensemble(
             self.params_for(nu),
             self.M,
             self.u0_factory(nu),
@@ -328,6 +383,23 @@ class SweepPlan:
             window_t0=None if self.T is not None else self.window_t0_slow / nu,
             recorder_factory=recorder_factory,
         )
+
+    def ensemble(self, nu: float, recorder_factory=None):
+        """``ensemble_run`` at grid entry ``nu`` with the plan's observables.
+
+        With ``recorder_factory``, no observables are evaluated: the caller
+        reads the streams that recorder writes.
+        """
+        return ensemble_run(self.grid, self.spec(), **vars(self._ensemble(nu, recorder_factory)))
+
+    def ensembles(self, recorder_factory=None) -> list[tuple[EnsembleSummary, list[Stream]]]:
+        """``ensemble(nu, recorder_factory)`` for every grid entry, in grid order; entries
+        that share a fast dt run as one batch through :func:`run_ensembles`."""
+        spec, results = self.spec(), []
+        entries = [self._ensemble(nu, recorder_factory) for nu in self.nu_grid]
+        for _, batch in groupby(entries, key=lambda e: e.params.dt):
+            results += run_ensembles(self.grid, spec, tuple(batch))
+        return results
 
 
 def _check_sweep(plan: SweepPlan) -> None:
@@ -370,12 +442,7 @@ def nu_sweep(plan: SweepPlan) -> SweepResult:
     across the grid must stay below 3 (the sup-norm moments are nu-uniform).
     """
     _check_sweep(plan)
-    summaries = []
-    streams_per_nu = []
-    for nu in plan.nu_grid:
-        summary, streams = plan.ensemble(nu)
-        summaries.append(summary)
-        streams_per_nu.append(streams)
+    summaries, streams_per_nu = zip(*plan.ensembles())
 
     fits: dict[str, ScalingFit | None] = {}
     verdicts: dict[str, dict] = {}
@@ -407,8 +474,8 @@ def nu_sweep(plan: SweepPlan) -> SweepResult:
         verdicts[name] = v
     return SweepResult(
         plan=plan,
-        summaries=tuple(summaries),
-        streams=tuple(streams_per_nu),
+        summaries=summaries,
+        streams=streams_per_nu,
         fits=fits,
         verdicts=verdicts,
     )
@@ -462,8 +529,7 @@ def stationary_sweep(
     balance_reports = []
     streams_per_nu = []
     rows: dict[float, list[MomentRow]] = {m: [] for m in ms}
-    for nu in plan.nu_grid:
-        _, streams = plan.ensemble(nu, recorder_factory)
+    for nu, (_, streams) in zip(plan.nu_grid, plan.ensembles(recorder_factory)):
         balance_reports.append(
             balance_check(streams, b0, nu, burn_in_fraction=BURN_IN_FRACTION)
         )

@@ -255,19 +255,22 @@ def ou_convolutions(rngs, step_index: int, sd: np.ndarray, scale: np.ndarray) ->
     stream draws 4s*K normals there, slot j holding re_0 | im_0 | re_1 | im_1 over the s forced
     modes at [4s*j, 4s*(j + 1)).  The block is scaled once, in place, by ``sd`` (the convolution
     standard deviation) and then by ``scale`` (sqrt(nu) b_d): per entry the same two products as
-    scaling each step's slice.  One block is cached, keyed by the identity of the ``rngs`` tuple,
-    of ``sd`` and of ``scale`` and by the block index: a state keeps its tuple from step to step,
-    so a step inside its block only slices, and any other tuple (a new run, a dropped row, a
-    one-row redo) draws.  Both results are read-only views into the block.
+    scaling each step's slice.  ``sd`` and ``scale`` are (s,) tables shared by every stream, or
+    (len(rngs), s) tables whose row i scales stream i's block.  One block is cached, keyed by the
+    identity of the ``rngs`` tuple, of ``sd`` and of ``scale`` and by the block index: a state keeps
+    its tuple from step to step, so a step inside its block only slices, and any other tuple (a new
+    run, a dropped row, a one-row redo) draws.  Both results are read-only views into the block.
     """
     global _ou_block
-    s, K = sd.size, ou_block_steps(sd.size)
+    s = sd.shape[-1]
+    K = ou_block_steps(s)
     block, slot = divmod(step_index, K)
     cached = _ou_block
     if cached is None or cached[0] is not rngs or cached[1] != block or cached[2] is not sd or cached[3] is not scale:
         z = _complex_draws(rngs, block, SUB_OU, s, 2 * K).reshape(len(rngs), K, 2, s)
-        z *= sd
-        z *= scale
+        per_row = (slice(None), None, None) if sd.ndim == 2 else ()
+        z *= sd[per_row]
+        z *= scale[per_row]
         z.flags.writeable = False
         cached = _ou_block = (rngs, block, sd, scale, z)
     noise = cached[4][:, slot]

@@ -18,7 +18,10 @@ array: two OU halves around a phase rotation (one sine-matrix pair), then a
 flush of subnormal components to 0.0, with no field built on the way.  The
 step's new field is its one finiteness check; inf and NaN survive every stage,
 so that check fails at the same step as a check after each stage would.  Row i
-keeps its own stream and is bit for bit the one-row run on that stream.
+keeps its own stream and is bit for bit the one-row run on that stream.  Rows
+may also carry their own viscosities and horizons (the entries of a sweep that
+share a fast dt): the OU tables and the EM drift are then stacked per row and
+multiply elementwise, so each row is still bit for bit its own one-row run.
 
 Only the s forced modes (b_d > 0) are driven: a Strang step takes 4s normals
 that hold both half-steps' noise (``forcing.ou_convolutions``), and each OU half
@@ -46,8 +49,9 @@ from __future__ import annotations
 import json
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import groupby
 from math import ceil, sqrt
 from typing import Callable
 
@@ -93,9 +97,13 @@ class TrajectoryAbortError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimParams:
-    """One trajectory's contract: viscosity, step, horizon, scheme, and seed."""
+    """One trajectory's contract: viscosity, step, horizon, scheme, and seed.
 
-    nu: float
+    ``nu`` may also be a tuple of one viscosity per row: the step parameters of a
+    batch whose rows come from several entries (see :func:`continue_trajectory`).
+    """
+
+    nu: float | tuple[float, ...]
     dt: float
     T: float
     scheme: str = "strang"
@@ -105,7 +113,7 @@ class SimParams:
     nonlinear: bool = True
 
     def __post_init__(self):
-        if not 0 < self.nu <= 1:
+        if not all(0 < nu <= 1 for nu in (self.nu if isinstance(self.nu, tuple) else (self.nu,))):
             raise ValueError(f"viscosity must satisfy 0 < nu <= 1, got {self.nu}")
         if self.dt <= 0:
             raise ValueError(f"time step must be positive, got {self.dt}")
@@ -167,15 +175,24 @@ def _conv_variance(lam: np.ndarray, dt: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _ou_tables(spec: NoiseSpec, nu: float, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cached decay over all modes, and conv standard deviation and sqrt(nu) b_d over the forced modes."""
-    lam = nu * mode_abs_sq(spec.grid)
-    decay = np.exp(-lam * dt)
-    sd = np.sqrt(_conv_variance(lam, dt)).reshape(-1)[spec.forced]
-    scale = sqrt(nu) * spec.amplitudes.reshape(-1)[spec.forced]
-    for table in (decay, sd, scale):
+def _ou_tables(spec: NoiseSpec, nu, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cached decay over all modes, and conv standard deviation and sqrt(nu) b_d over the forced modes.
+
+    For a tuple of one viscosity per row, each table is the rows' own tables stacked in row order,
+    so a row's products are those of its own viscosity's tables, elementwise.
+    """
+    if isinstance(nu, tuple):
+        tables = tuple(np.stack(rows) for rows in zip(*(_ou_tables(spec, v, dt) for v in nu)))
+    else:
+        lam = nu * mode_abs_sq(spec.grid)
+        tables = (
+            np.exp(-lam * dt),
+            np.sqrt(_conv_variance(lam, dt)).reshape(-1)[spec.forced],
+            sqrt(nu) * spec.amplitudes.reshape(-1)[spec.forced],
+        )
+    for table in tables:
         table.flags.writeable = False
-    return decay, sd, scale
+    return tables
 
 
 @lru_cache(maxsize=64)
@@ -190,7 +207,7 @@ def _forced_where(spec: NoiseSpec) -> slice | np.ndarray:
 def ou_exact_step(
     c: np.ndarray,
     spec: NoiseSpec,
-    nu: float,
+    nu: float | tuple[float, ...],
     dt: float,
     rng: RngStream | None = None,
     step_index: int = 0,
@@ -202,8 +219,9 @@ def ou_exact_step(
     u_d <- exp(-nu |d|^2 dt) u_d + sqrt(nu) b_d gamma_d, where gamma_d is the
     stochastic convolution with per-component variance
     (1 - exp(-2 nu |d|^2 dt)) / (2 nu |d|^2); exact in distribution for any dt.
-    ``c`` has shape (M, *coeff_shape), one trajectory per row; the result is a
-    new array of that shape, unchecked.  The noise lives on the s forced modes
+    ``c`` has shape (M, *coeff_shape), one trajectory per row, and ``nu`` is one
+    viscosity or a tuple of one per row; the result is a new array of that shape,
+    unchecked.  The noise lives on the s forced modes
     only (``spec.forced``); every other mode is exactly u_d * decay.  Pass
     ``noise`` = sqrt(nu) b_d gamma_d, shape (M, s), to supply it, else gamma_d
     is drawn from ``rng`` at (step_index, substream), 2Ms normals.
@@ -211,8 +229,8 @@ def ou_exact_step(
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     decay, conv_sd, scale = _ou_tables(spec, nu, dt)
-    if c.shape[1:] != decay.shape:
-        raise GridMismatchError(f"coefficients {c.shape} are not rows of the noise grid {decay.shape}")
+    if c.shape[1:] != spec.grid.coeff_shape:
+        raise GridMismatchError(f"coefficients {c.shape} are not rows of the noise grid {spec.grid.coeff_shape}")
     if noise is None:
         if rng is None:
             raise ValueError("either an RngStream or an explicit noise draw is required")
@@ -257,7 +275,7 @@ _TINY = np.finfo(np.float64).tiny
 
 
 def _strang(
-    c: np.ndarray, spec: NoiseSpec, nu: float, dt: float, nonlinear: bool,
+    c: np.ndarray, spec: NoiseSpec, nu: float | tuple[float, ...], dt: float, nonlinear: bool,
     noise0: np.ndarray, noise1: np.ndarray,
 ) -> np.ndarray:
     """OU(dt/2) o phase(dt) o OU(dt/2) on rows of coefficients with both halves' noise given, unchecked.
@@ -291,15 +309,20 @@ def strang_step(state: State, spec: NoiseSpec, params: SimParams) -> State:
 
 
 def _euler_maruyama(
-    u: SpectralField, nu: float, dt: float, nonlinear: bool, increment: np.ndarray
+    u: SpectralField, nu: float | tuple[float, ...], dt: float, nonlinear: bool, increment: np.ndarray
 ) -> SpectralField:
-    """u + dt*(nu Lap u - i Pi(|u|^2 u)) + sqrt(nu)*increment (Pi = evaluate-then-truncate)."""
+    """u + dt*(nu Lap u - i Pi(|u|^2 u)) + sqrt(nu)*increment (Pi = evaluate-then-truncate).
+
+    A tuple ``nu`` holds one viscosity per row, applied as an (M, 1, ..., 1) column.
+    """
+    if isinstance(nu, tuple):
+        nu = np.array(nu).reshape(-1, *(1,) * u.grid.n)
     drift = -nu * mode_abs_sq(u.grid) * u.coeffs
     if nonlinear:
         p = to_physical(u)
         cubic = (p.values.real**2 + p.values.imag**2) * p.values
         drift = drift - 1j * to_spectral(PhysicalField(u.grid, cubic), u.grid.D).coeffs
-    return SpectralField(u.grid, u.coeffs + dt * drift + sqrt(nu) * increment)
+    return SpectralField(u.grid, u.coeffs + dt * drift + np.sqrt(nu) * increment)
 
 
 def em_step(
@@ -313,10 +336,11 @@ def em_step(
     driver.
     """
     grid = state.u.grid
-    if params.nu * grid.n * grid.D**2 * params.dt >= 1.0:
+    nu_max = max(params.nu) if isinstance(params.nu, tuple) else params.nu
+    stiffness = nu_max * grid.n * grid.D**2 * params.dt
+    if stiffness >= 1.0:
         warnings.warn(
-            f"em stability guard violated: nu*|d_max|^2*dt = "
-            f"{params.nu * grid.n * grid.D**2 * params.dt:.3g} >= 1",
+            f"em stability guard violated: nu*|d_max|^2*dt = {stiffness:.3g} >= 1",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -349,45 +373,90 @@ def _checked_step(step, state: State, spec: NoiseSpec, params: SimParams) -> Sta
         ) from exc
 
 
-def continue_trajectory(
-    state: State, spec: NoiseSpec, params: SimParams, sink: Sink | None = None
-) -> tuple[State | None, list[TrajectoryAbortError]]:
-    """Step every row of ``state`` to ``params.n_steps``; returns (final state, aborts).
+def _take(state: State, keep: list[int]) -> State:
+    """Rows ``keep`` of ``state``, in that order."""
+    u = SpectralField(state.u.grid, state.u.coeffs[keep])
+    return State(state.t, u, tuple(state.rngs[i] for i in keep), state.step_index)
 
-    The sink sees the state at step 0 (fresh starts only), after every
-    record_every-th step, and at the final step.  A step that turns non-finite
-    is redone row by row: each failing row is dropped with its abort, which
-    carries its last good one-row state, and the others go on (final state None
-    if no row is left).
+
+class _Batch:
+    """What one set of rows steps with: the step params, each entry's row range, the nearest horizon."""
+
+    def __init__(self, row_params: tuple[SimParams, ...], row_sinks: tuple[Sink | None, ...]):
+        self.row_params, self.row_sinks = row_params, row_sinks
+        nus = tuple(p.nu for p in row_params)
+        first = row_params[0]
+        self.params = first if len(set(nus)) == 1 else replace(first, nu=nus)
+        self.horizon = min(p.n_steps for p in row_params)
+        self.entries = []  # (start, stop, params, sink) of each run of consecutive rows that share both
+        start = 0
+        for (p, sink), run in groupby(zip(row_params, row_sinks)):
+            stop = start + len(tuple(run))
+            self.entries.append((start, stop, p, sink))
+            start = stop
+
+    def record(self, state: State, fresh: bool = False) -> None:
+        k, rows = state.step_index, len(self.row_params)
+        for start, stop, p, sink in self.entries:
+            if sink is not None and (fresh or k % p.record_every == 0 or k == p.n_steps):
+                sink(state if stop - start == rows else _take(state, list(range(start, stop))))
+
+    def keep(self, rows: list[int]) -> "_Batch":
+        return _Batch(tuple(self.row_params[i] for i in rows), tuple(self.row_sinks[i] for i in rows))
+
+
+def continue_trajectory(
+    state: State, spec: NoiseSpec, params: SimParams | tuple[SimParams, ...],
+    sink: Sink | None | tuple[Sink | None, ...] = None,
+) -> tuple[State | None, list[TrajectoryAbortError]]:
+    """Step every row of ``state`` to its horizon; returns (final state, aborts).
+
+    ``params`` and ``sink`` serve every row, or are tuples with one per row.  Consecutive
+    rows that share both are one entry; entries may differ in viscosity and horizon but
+    share dt, scheme and nonlinearity, and each row steps with its own viscosity.  A sink
+    sees its entry's rows as one state at step 0 (fresh starts only), after every
+    record_every-th step, and at the entry's final step.  The batch steps to the nearest
+    horizon, and the rows that reach it leave; the others go on from the same state.  A
+    step that turns non-finite is redone row by row, each row with its own params: each
+    failing row is dropped with its abort, which carries its last good one-row state (and
+    so its stream), and the others go on.  The final state holds the rows that finish last
+    (None if no row is left).
     """
     if spec.grid != state.u.grid:
         raise GridMismatchError("state and noise spec live on different grids")
-    step = strang_step if params.scheme == "strang" else em_step
-    n_steps = params.n_steps
+    rows = len(state.rngs)
+    row_params = params if isinstance(params, tuple) else (params,) * rows
+    row_sinks = sink if isinstance(sink, tuple) else (sink,) * rows
+    if len(row_params) != rows or len(row_sinks) != rows:
+        raise ValueError(f"{len(row_params)} params and {len(row_sinks)} sinks for {rows} rows")
+    if len({(p.dt, p.scheme, p.nonlinear) for p in row_params}) > 1:
+        raise ValueError("the rows of one batch must share dt, scheme and nonlinearity")
+    step = strang_step if row_params[0].scheme == "strang" else em_step
+    batch = _Batch(row_params, row_sinks)
     aborts: list[TrajectoryAbortError] = []
-    if sink is not None and state.step_index == 0:
-        sink(state)
-    while state.step_index < n_steps:
-        try:
-            state = _checked_step(step, state, spec, params)
-        except TrajectoryAbortError:
-            grid, kept = state.u.grid, []
-            for i in range(len(state.rngs)):
-                u = SpectralField(grid, state.u.coeffs[i : i + 1])
-                row = State(state.t, u, state.rngs[i : i + 1], state.step_index)
-                try:
-                    kept.append(_checked_step(step, row, spec, params))
-                except TrajectoryAbortError as exc:
-                    aborts.append(exc)
-            if not kept:
-                return None, aborts
-            u = SpectralField(grid, np.concatenate([s.u.coeffs for s in kept]))
-            state = State(kept[0].t, u, tuple(s.rngs[0] for s in kept), kept[0].step_index)
-        if sink is not None and (
-            state.step_index % params.record_every == 0 or state.step_index == n_steps
-        ):
-            sink(state)
-    return state, aborts
+    if state.step_index == 0:
+        batch.record(state, fresh=True)
+    while True:
+        while state.step_index < batch.horizon:
+            try:
+                state = _checked_step(step, state, spec, batch.params)
+            except TrajectoryAbortError:
+                kept = []
+                for i, p in enumerate(batch.row_params):
+                    try:
+                        kept.append((i, _checked_step(step, _take(state, [i]), spec, p)))
+                    except TrajectoryAbortError as exc:
+                        aborts.append(exc)
+                if not kept:
+                    return None, aborts
+                u = SpectralField(state.u.grid, np.concatenate([s.u.coeffs for _, s in kept]))
+                state = State(kept[0][1].t, u, tuple(s.rngs[0] for _, s in kept), kept[0][1].step_index)
+                batch = batch.keep([i for i, _ in kept])
+            batch.record(state)
+        going_on = [i for i, p in enumerate(batch.row_params) if p.n_steps > state.step_index]
+        if not going_on:
+            return state, aborts
+        state, batch = _take(state, going_on), batch.keep(going_on)
 
 
 # --- initial data library -----------------------------------------------------

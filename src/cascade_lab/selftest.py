@@ -63,7 +63,7 @@ def run_selftest(verbose: bool = True) -> bool:
         err = float(np.abs(back.coeffs - u.coeffs).max())
         check(f"round trip n={grid.n} (max err {err:.2e})", err <= 1e-12)
         p = to_physical(u)
-        quad = lattice_inner(p, p)
+        (quad,) = lattice_inner(p, p)
         coeff = float(np.sum(np.abs(u.coeffs) ** 2))
         rel = abs(quad - coeff) / coeff
         check(f"discrete Parseval n={grid.n} (rel err {rel:.2e})", rel <= 1e-12)
@@ -113,8 +113,8 @@ def run_selftest(verbose: bool = True) -> bool:
     sq = GridSpec(1, 64, 64)
     v = _random_field(sq, 13)
     rotated = SpectralField(sq, phase_rotation_step(sq, v.coeffs, 0.37))
-    before = lattice_inner(to_physical(v), to_physical(v))
-    after = lattice_inner(to_physical(rotated), to_physical(rotated))
+    (before,) = lattice_inner(to_physical(v), to_physical(v))
+    (after,) = lattice_inner(to_physical(rotated), to_physical(rotated))
     check("phase rotation preserves lattice L2", abs(after - before) <= 1e-12 * before)
 
     stream = RngStream(2**64 - 1, 2**63)  # an address at the uint64 extremes

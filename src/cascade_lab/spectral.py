@@ -221,15 +221,16 @@ def to_spectral(p: PhysicalField, D: int | None = None) -> SpectralField:
     return SpectralField(out_grid, mode_coeffs(grid, p.values, D))
 
 
-def lattice_inner(p: PhysicalField, q: PhysicalField) -> float:
-    """Discrete inner product (pi/(N+1))^n * sum_j Re(p_j * conj(q_j)).
+def lattice_inner(p: PhysicalField, q: PhysicalField) -> np.ndarray:
+    """Discrete inner product (pi/(N+1))^n * sum_j Re(p_j * conj(q_j)), one value per row, shape (M,).
 
     Makes the retained basis orthonormal on the lattice; for fields supported
     on retained modes it agrees with the coefficient sum (discrete Parseval).
     """
     if p.grid != q.grid:
         raise GridMismatchError("inner product requires matching grids")
-    return p.grid.quadrature_weight * float(np.sum((p.values * np.conj(q.values)).real))
+    products = (p.values * np.conj(q.values)).real
+    return p.grid.quadrature_weight * products.reshape(len(products), -1).sum(axis=1)
 
 
 @lru_cache(maxsize=None)

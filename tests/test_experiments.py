@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cascade_lab import integrators
 from cascade_lab.diagnostics import NormRecorder, stream_csv_text
 from cascade_lab.experiments import (
+    Ensemble,
     EnsembleAbortError,
     Observable,
     SweepPlan,
@@ -18,6 +19,7 @@ from cascade_lab.experiments import (
     ensemble_run,
     fit_exponent,
     nu_sweep,
+    run_ensembles,
     stationary_sweep,
 )
 from cascade_lab.forcing import NoiseSpec, bk_sum
@@ -27,6 +29,7 @@ from cascade_lab.integrators import (
     constrained_profile,
     continue_trajectory,
     initial_state,
+    single_mode,
     zero_field,
 )
 from cascade_lab.spectral import GridSpec, SpectralField
@@ -245,6 +248,81 @@ class TestEnsembleRun:
         q = summary.observables["sup_inf"].quantiles
         vals = [q[5], q[25], q[50], q[75], q[95]]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+def sweep_plan(n, **kw):
+    """Three viscosities at n = 1 or 2 (N=16, D=8), M=3, with every kind of observable."""
+    observables = (
+        Observable("time_avg_sobolev", 1.0), Observable("sup_sobolev", 2.0), Observable("sup_cm", 2.0), Observable("sup_inf")
+    )
+    return SweepPlan(
+        GridSpec(n, 16, 8), "band:1,1,1", (0.5, 0.4, 0.25), M=3, base_seed=17, dt=0.01, record_every=7,
+        observables=observables, **kw,
+    )
+
+
+def one_by_one(plan):
+    """Each grid entry of ``plan`` run on its own through ensemble_run: (summary, streams) per entry."""
+    return [
+        ensemble_run(
+            plan.grid, plan.spec(), plan.params_for(nu), plan.M, plan.u0_factory(nu), plan.observables,
+            plan.window_t0_slow / nu,
+        )
+        for nu in plan.nu_grid
+    ]
+
+
+def driver_rows(monkeypatch) -> list[int]:
+    """The row count of every call of the integrators driver from now on."""
+    rows = []
+    driver = integrators.continue_trajectory
+    monkeypatch.setattr(integrators, "continue_trajectory", lambda *a: rows.append(len(a[0].rngs)) or driver(*a))
+    return rows
+
+
+class TestBatchedSweep:
+    @pytest.mark.parametrize("nonlinear", [True, False], ids=["nonlinear", "linear"])
+    @pytest.mark.parametrize("scheme", ["strang", "em"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fixed_dt_sweep_equals_its_entries_one_by_one(self, n, scheme, nonlinear, monkeypatch):
+        # One batch of 3 x 3 rows whose entries leave at 400, 500 and 800 steps (400 and 500
+        # are off the record cadence of 7): every summary and stream as when run alone.
+        plan = sweep_plan(n, scheme=scheme, nonlinear=nonlinear)
+        assert [plan.params_for(nu).n_steps for nu in plan.nu_grid] == [400, 500, 800]
+        rows = driver_rows(monkeypatch)
+        result = nu_sweep(plan)
+        assert rows == [9]
+        for (summary, streams), batched, batched_streams in zip(one_by_one(plan), result.summaries, result.streams):
+            assert batched == summary and summary.aborts == 0
+            assert batched_streams == streams and len(streams) == plan.M
+
+    def test_dt_slow_sweep_runs_one_batch_per_entry(self, monkeypatch):
+        plan = sweep_plan(1, dt_slow=0.004)  # fast dt 0.008, 0.01, 0.016
+        rows = driver_rows(monkeypatch)
+        result = nu_sweep(plan)
+        assert rows == [3, 3, 3]
+        for (summary, streams), batched, batched_streams in zip(one_by_one(plan), result.summaries, result.streams):
+            assert batched == summary and batched_streams == streams
+
+    def test_an_abort_counts_only_in_its_own_entry(self):
+        # Row 1 of the middle entry starts at 1e160 in mode 1, so |u|^2 overflows in its first
+        # phase rotation.  Stream id 1 exists in every entry; only the middle one loses it.
+        obs = (Observable("sup_sobolev", 1.0), Observable("sup_inf"))
+
+        def entry(nu, blown=False, fraction=0.01):
+            u0 = constrained_profile(GRID, nu)
+            start = lambda sid: single_mode(GRID, 1, 1e160) if blown and sid == 1 else u0
+            return Ensemble(small_params(nu=nu, T=2.0 / nu, dt=0.01), 3, start, obs, max_abort_fraction=fraction)
+
+        entries = (entry(0.5), entry(0.4, blown=True, fraction=0.5), entry(0.25))
+        results = run_ensembles(GRID, BAND, entries)
+        assert [summary.aborts for summary, _ in results] == [0, 1, 0]
+        assert [len(streams) for _, streams in results] == [3, 2, 3]
+        for e, result in zip(entries, results):
+            assert result == ensemble_run(GRID, BAND, **vars(e))
+        strict = replace(entries[1], max_abort_fraction=0.1)
+        with pytest.raises(EnsembleAbortError, match="1/3"):
+            run_ensembles(GRID, BAND, (entries[0], strict, entries[2]))
 
 
 class TestSweepPlan:

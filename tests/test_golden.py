@@ -4,15 +4,19 @@ The golden runs cover every subcommand that writes files; their hashes pin
 every byte of each run directory (manifest, config, reports and streams).
 
 Output bytes depend on the numpy build, the BLAS build it links (the
-transforms are products with sine matrices) and the CPU's SIMD level (with
-FMA, a complex product rounds differently with its operands swapped).  The
-golden hashes below were taken on the build named in ``GOLDEN_ENV``; on any
-other build those tests skip and name the difference.  The ensemble
+transforms are products with sine matrices), the BLAS kernel it picks at run
+time and the CPU's SIMD level (with FMA, a complex product rounds differently
+with its operands swapped).  The golden hashes below were taken on the build
+named in ``GOLDEN_ENV`` and hold with either OpenBLAS kernel in
+``GOLDEN_KERNELS``; on any other build or kernel those tests skip and name the
+difference.  The ensemble
 cross-check holds on any build: M trajectories stepped together as one array
 give, bit for bit, the streams of M single-trajectory runs; so does the check
 that one and two BLAS threads write the same bytes.
 """
 
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -47,6 +51,10 @@ GOLDEN_ENV = {
     "simd_baseline": ["X86_V2"],
     "simd_found": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"],
 }
+
+# OpenBLAS kernels under which every golden hash holds (both have FMA; with
+# OPENBLAS_CORETYPE=Sandybridge, which has none, four golden tests differ).
+GOLDEN_KERNELS = ("SkylakeX", "Haswell")
 
 # The criterion-10 configuration of test_acceptance, pinned here with its hashes.
 CRITERION_10_CONFIG = """
@@ -106,6 +114,19 @@ RECORDS_VIEW_SHA256 = "d9a8788e1bc7938b4229f37300cae4ae25ad54ffa16a44b0481dff347
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
+def blas_kernel() -> str:
+    """The kernel numpy's bundled OpenBLAS picked at run time (e.g. SkylakeX), or "?" if it cannot say."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "libscipy_openblas*.so*")
+    for path in sorted(glob.glob(libs)):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "?"
+
+
 def env_stamp() -> dict:
     config = np.show_config(mode="dicts")
     simd = config.get("SIMD Extensions", {})
@@ -113,6 +134,7 @@ def env_stamp() -> dict:
     return {
         "numpy": np.__version__,
         "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
+        "blas_kernel": blas_kernel(),
         "simd_baseline": list(simd.get("baseline", [])),
         "simd_found": list(simd.get("found", [])),
     }
@@ -121,6 +143,8 @@ def env_stamp() -> dict:
 def skip_unless_golden_build():
     here = env_stamp()
     diff = [f"{k}: {here[k]} here, {v} golden" for k, v in GOLDEN_ENV.items() if here[k] != v]
+    if here["blas_kernel"] not in GOLDEN_KERNELS:
+        diff.append(f"blas_kernel: {here['blas_kernel']} here, one of {', '.join(GOLDEN_KERNELS)} golden")
     if diff:
         pytest.skip("byte identity holds per build; " + "; ".join(diff))
 

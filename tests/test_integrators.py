@@ -155,8 +155,8 @@ class TestPhaseRotation:
         u = random_field(grid, 3)
         p0 = to_physical(u)
         p1 = to_physical(SpectralField(grid, phase_rotation_step(grid, u.coeffs, 0.613)))
-        n0 = lattice_inner(p0, p0)
-        n1 = lattice_inner(p1, p1)
+        (n0,) = lattice_inner(p0, p0)
+        (n1,) = lattice_inner(p1, p1)
         assert abs(n1 - n0) <= 1e-14 * n0
 
     def test_pointwise_modulus_preserved(self):
@@ -209,7 +209,7 @@ class TestPhaseRotation:
         u = random_field(GRID, 5)  # D = N/2: rotation spills into discarded modes
         p0 = to_physical(u)
         p1 = to_physical(SpectralField(GRID, phase_rotation_step(GRID, u.coeffs, 0.9)))
-        assert lattice_inner(p1, p1) <= lattice_inner(p0, p0) * (1 + 1e-12)
+        assert lattice_inner(p1, p1)[0] <= lattice_inner(p0, p0)[0] * (1 + 1e-12)
 
 
 class TestStrangStep:
@@ -582,6 +582,33 @@ class TestRunTrajectory:
             assert [rng.stream_id for rng in single.rngs] == [5 + i]
             assert single.u.coeffs.tobytes() == final.u.coeffs[i : i + 1].tobytes()
             assert one.streams[5 + i] == rec.streams[5 + i]
+
+    def test_entries_step_as_one_batch_and_leave_at_their_horizons(self):
+        # Two rows at nu = 0.5 to step 5 and one at nu = 0.25 to step 8, each entry with its own
+        # sink: every row steps with its own viscosity, the first entry's rows leave after their
+        # final (off-cadence) record, and the final state holds the row that finishes last.
+        short = SimParams(nu=0.5, dt=0.02, T=0.1, record_every=3, seed=21)
+        long = SimParams(nu=0.25, dt=0.02, T=0.16, record_every=3, seed=21)
+        fields = [random_field(GRID, 30 + i, 0.3) for i in range(3)]
+        seen, recs = [], (NormRecorder(nu=short.nu), NormRecorder(nu=long.nu))
+        sinks = tuple(lambda s, rec=rec: seen.append((rec.nu, s.step_index, len(s.rngs))) or rec(s) for rec in recs)
+        start = State(0.0, SpectralField(GRID, rows(*fields)), (RngStream(21, 0), RngStream(21, 1), RngStream(21, 0)), 0)
+        final, aborts = continue_trajectory(start, BAND, (short, short, long), (sinks[0], sinks[0], sinks[1]))
+        assert aborts == [] and final.step_index == 8 and len(final.rngs) == 1
+        assert [(k, m) for nu, k, m in seen if nu == 0.5] == [(0, 2), (3, 2), (5, 2)]
+        assert [(k, m) for nu, k, m in seen if nu == 0.25] == [(0, 1), (3, 1), (6, 1), (8, 1)]
+        for rec, p, sid, field in ((recs[0], short, 0, fields[0]), (recs[0], short, 1, fields[1]), (recs[1], long, 0, fields[2])):
+            p = replace(p, stream_id=sid)
+            one = NormRecorder(nu=p.nu)
+            single = run(field, BAND, p, one)
+            assert one.streams[sid] == rec.streams[sid]
+        assert single.u.coeffs.tobytes() == final.u.coeffs.tobytes()
+
+    def test_a_batch_rejects_rows_with_different_dt(self):
+        a = SimParams(nu=0.5, dt=0.02, T=0.1)
+        start = initial_state(SpectralField(GRID, rows(zero_field(GRID), zero_field(GRID))), a)
+        with pytest.raises(ValueError, match="share dt"):
+            continue_trajectory(start, BAND, (a, replace(a, dt=0.01)))
 
     def test_nan_abort_carries_last_good_time(self):
         # EM far beyond its stability limit blows up to inf/NaN quickly.

@@ -162,9 +162,22 @@ class TestTransforms:
         for grid in (GridSpec(1, 64, 32), GridSpec(2, 32, 16)):
             u = random_field(grid, seed=6)
             p = to_physical(u)
-            quad = lattice_inner(p, p)
+            (quad,) = lattice_inner(p, p)
             coeff = float(np.sum(np.abs(u.coeffs) ** 2))
             assert abs(quad - coeff) <= 1e-12 * coeff
+
+    def test_lattice_inner_answers_per_row(self):
+        # Two rows give two inner products, each that of its own one-row fields.
+        for grid in (GridSpec(1, 64, 32), GridSpec(2, 32, 16)):
+            us = [random_field(grid, seed=s) for s in (7, 8)]
+            p = to_physical(SpectralField(grid, np.concatenate([u.coeffs for u in us])))
+            q = to_physical(SpectralField(grid, np.concatenate([u.coeffs[:, ::-1] for u in us])))
+            both = lattice_inner(p, q)
+            assert both.shape == (2,)
+            for i in range(2):
+                row = slice(i, i + 1)
+                one = lattice_inner(PhysicalField(grid, p.values[row]), PhysicalField(grid, q.values[row]))
+                assert both[i] == one[0]
 
     def test_concurrent_transforms_match_serial(self):
         grid = GridSpec(1, 64, 32)
