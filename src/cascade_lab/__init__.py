@@ -54,7 +54,6 @@ from .diagnostics import (
     OccupationReport,
     BalanceReport,
     occupation_check,
-    stationary_check,
     balance_check,
     time_avg_sobolev,
     exp_moment,

@@ -1,25 +1,10 @@
 """Command-line surface, configuration grammar, and run-directory persistence.
 
-Config files are INI-style ``[section]`` blocks of ``key = value`` lines:
-
-    [grid]                      [sim]
-    n = 1                       nu = 0.1          ; or nu_grid = 0.4,0.2,0.1
-    N = 64                      dt = 0.01         ; optional, scheme default
-    D = 32                      T_slow = 2.0      ; or T = <fast-time horizon>
-                                record_every = 10
-    [noise]                     scheme = strang   ; strang | em
-    profile = band:1,1,1        nonlinear = true
-
-    [ensemble]                  [experiment]
-    M = 16                      kind = simulate   ; simulate|sweep|stationary|spectrum
-    base_seed = 12345           observables = time_avg_sobolev:2,sup_inf
-                                out = runs
-                                window_t0_slow = 1.0
-
-    [occupation]                ; only read by the occupation subcommand
-    run = <existing run dir>    chi_fracs = 0.05,0.1,0.2
-    tau0 = 0.0                  gamma_factor = 2.0
-    tau = 1.0
+Config files are INI-style ``[section]`` blocks of ``key = value`` lines.  The
+grammar is one table, ``GRAMMAR``: one row per key, in file order, naming its
+section, its :class:`RunConfig` field, its parser and its default (or that it
+is required).  Parsing, the unknown-key check and :func:`emit_config` all read
+it; the README's reference config shows every key.
 
 Unknown sections or keys are errors, validation reports every violation at
 once, and ``base_seed`` has no entropy default: every run is replayable from
@@ -39,6 +24,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -73,14 +59,56 @@ class ConfigError(ValueError):
 
 KINDS = ("simulate", "sweep", "stationary", "spectrum")
 
-_SCHEMA = {
-    "grid": {"n", "N", "D"},
-    "noise": {"profile"},
-    "sim": {"nu", "nu_grid", "dt", "T", "T_slow", "record_every", "scheme", "nonlinear"},
-    "ensemble": {"M", "base_seed"},
-    "experiment": {"kind", "observables", "out", "window_t0_slow"},
-    "occupation": {"run", "chi_fracs", "gamma_factor", "tau0", "tau"},
-}
+
+def _bool(text: str) -> bool:
+    low = text.strip().lower()
+    if low in ("true", "yes", "1", "on"):
+        return True
+    if low in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _str_list(text: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in _str_list(text))
+
+
+REQUIRED = object()  # the default of a key that every config must set
+
+# The config grammar, in file order: (section, key, RunConfig field, parser, default).  A key
+# whose value is None is not emitted; an absent N is 2 D and an absent dt the scheme's default.
+GRAMMAR = (
+    ("grid", "n", "n", int, REQUIRED),
+    ("grid", "N", "N", int, None),
+    ("grid", "D", "D", int, REQUIRED),
+    ("noise", "profile", "profile", str, REQUIRED),
+    ("sim", "nu", "nu", float, None),
+    ("sim", "nu_grid", "nu_grid", _float_list, None),
+    ("sim", "dt", "dt", float, None),
+    ("sim", "T", "T", float, None),
+    ("sim", "T_slow", "T_slow", float, None),
+    ("sim", "record_every", "record_every", int, 10),
+    ("sim", "scheme", "scheme", str, "strang"),
+    ("sim", "nonlinear", "nonlinear", _bool, True),
+    ("ensemble", "M", "M", int, 2),
+    ("ensemble", "base_seed", "base_seed", int, REQUIRED),
+    ("experiment", "kind", "kind", str, "simulate"),
+    ("experiment", "observables", "observables", _str_list,
+     ("time_avg_sobolev:2", "sup_sobolev:2", "sup_cm:2", "sup_inf")),
+    ("experiment", "out", "out", str, "runs"),
+    ("experiment", "window_t0_slow", "window_t0_slow", float, 1.0),
+    ("occupation", "run", "occupation_run", str, None),
+    ("occupation", "chi_fracs", "occupation_chi_fracs", _float_list, (0.05, 0.1, 0.2)),
+    ("occupation", "gamma_factor", "occupation_gamma_factor", float, 2.0),
+    ("occupation", "tau0", "occupation_tau0", float, 0.0),
+    ("occupation", "tau", "occupation_tau", float, 1.0),
+)
+
+_SCHEMA = {section: {k for s, k, *_ in GRAMMAR if s == section} for section, *_ in GRAMMAR}
 
 
 @dataclass(frozen=True)
@@ -105,11 +133,11 @@ class RunConfig:
     observables: tuple[str, ...]
     out: str
     window_t0_slow: float
-    occupation_run: str | None = None
-    occupation_chi_fracs: tuple[float, ...] = (0.05, 0.1, 0.2)
-    occupation_gamma_factor: float = 2.0
-    occupation_tau0: float = 0.0
-    occupation_tau: float = 1.0
+    occupation_run: str | None
+    occupation_chi_fracs: tuple[float, ...]
+    occupation_gamma_factor: float
+    occupation_tau0: float
+    occupation_tau: float
 
     def grid(self) -> GridSpec:
         return GridSpec(self.n, self.N, self.D)
@@ -117,8 +145,8 @@ class RunConfig:
     def noise(self) -> NoiseSpec:
         return NoiseSpec.from_profile(self.grid(), self.profile)
 
-    def plan(self, kind: str | None = None) -> SweepPlan:
-        """The ensembles that subcommand ``kind`` (default: experiment.kind) runs.
+    def plan(self) -> SweepPlan:
+        """The ensembles that experiment.kind runs.
 
         ``simulate`` and ``spectrum`` run the first viscosity alone, to the
         fast horizon T (or T_slow / nu).  ``sweep`` and ``stationary`` run the
@@ -126,7 +154,7 @@ class RunConfig:
         """
         nus = self.nu_grid or (self.nu,)
         T = None
-        if (kind or self.kind) in ("simulate", "spectrum"):
+        if self.kind in ("simulate", "spectrum"):
             nus = nus[:1]
             T = self.T if self.T is not None else self.T_slow / nus[0]
         return SweepPlan(
@@ -168,210 +196,113 @@ def _parse_sections(text: str, errors: list[str]) -> dict[str, dict[str, str]]:
     return raw
 
 
-def _get(raw, section, key, default=None):
-    return raw.get(section, {}).get(key, default)
-
-
-def _typed(raw, section, key, cast, errors, default=None, required=False):
-    val = _get(raw, section, key)
-    if val is None:
-        if required:
-            errors.append(f"missing required key {key!r} in section [{section}]")
-        return default
-    try:
-        return cast(val)
-    except (ValueError, TypeError) as exc:
-        errors.append(f"[{section}] {key} = {val!r}: {exc}")
-        return default
-
-
-def _bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip() != "")
-
-
 def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfig:
     """Parse and validate; raises ConfigError carrying every violation found."""
     errors: list[str] = []
     raw = _parse_sections(text, errors)
     for dotted, value in (overrides or {}).items():
         section, _, key = dotted.partition(".")
-        if section not in _SCHEMA or key not in _SCHEMA[section]:
+        if key not in _SCHEMA.get(section, ()):
             errors.append(f"unknown override target {dotted!r}")
         else:
             raw.setdefault(section, {})[key] = value
 
-    n = _typed(raw, "grid", "n", int, errors, required=True)
-    D = _typed(raw, "grid", "D", int, errors, required=True)
-    N = _typed(raw, "grid", "N", int, errors, default=None)
-    if N is None and D is not None:
-        N = 2 * D  # documented default: anti-alias margin
-    profile = _typed(raw, "noise", "profile", str, errors, required=True)
-
-    nu = _typed(raw, "sim", "nu", float, errors)
-    nu_grid = _typed(raw, "sim", "nu_grid", _float_list, errors)
-    dt = _typed(raw, "sim", "dt", float, errors)
-    T = _typed(raw, "sim", "T", float, errors)
-    T_slow = _typed(raw, "sim", "T_slow", float, errors)
-    record_every = _typed(raw, "sim", "record_every", int, errors, default=10)
-    scheme = _typed(raw, "sim", "scheme", str, errors, default="strang")
-    nonlinear = _typed(raw, "sim", "nonlinear", _bool, errors, default=True)
-    M = _typed(raw, "ensemble", "M", int, errors, default=2)
-    base_seed = _typed(raw, "ensemble", "base_seed", int, errors, required=True)
-    kind = _typed(raw, "experiment", "kind", str, errors, default="simulate")
-    observables = _typed(
-        raw,
-        "experiment",
-        "observables",
-        lambda s: tuple(v.strip() for v in s.split(",") if v.strip()),
-        errors,
-        default=("time_avg_sobolev:2", "sup_sobolev:2", "sup_cm:2", "sup_inf"),
-    )
-    out = _typed(raw, "experiment", "out", str, errors, default="runs")
-    window_t0_slow = _typed(raw, "experiment", "window_t0_slow", float, errors, default=1.0)
-
-    occupation_run = _typed(raw, "occupation", "run", str, errors)
-    occ_chi = _typed(raw, "occupation", "chi_fracs", _float_list, errors, default=(0.05, 0.1, 0.2))
-    occ_gamma = _typed(raw, "occupation", "gamma_factor", float, errors, default=2.0)
-    occ_tau0 = _typed(raw, "occupation", "tau0", float, errors, default=0.0)
-    occ_tau = _typed(raw, "occupation", "tau", float, errors, default=1.0)
+    c = SimpleNamespace()
+    for section, key, field, parse, default in GRAMMAR:
+        value = raw.get(section, {}).get(key)
+        fallback = None if default is REQUIRED else default
+        if value is None and default is REQUIRED:
+            errors.append(f"missing required key {key!r} in section [{section}]")
+        try:
+            setattr(c, field, fallback if value is None else parse(value))
+        except (ValueError, TypeError) as exc:
+            errors.append(f"[{section}] {key} = {value!r}: {exc}")
+            setattr(c, field, fallback)
+    if c.N is None and c.D is not None:
+        c.N = 2 * c.D  # documented default: anti-alias margin
 
     # range validation (collect everything before failing)
-    if n is not None and n < 1:
-        errors.append(f"grid.n must be >= 1, got {n}")
-    if D is not None and D < 1:
-        errors.append(f"grid.D must be >= 1, got {D}")
-    if None not in (N, D) and D > N:
-        errors.append(f"grid.D = {D} exceeds grid.N = {N} (need D <= N)")
-    if N is not None and N < 4:
-        errors.append(f"grid.N must be >= 4, got {N}")
-    if nu is not None and not 0 < nu <= 1:
-        errors.append(f"sim.nu must lie in (0, 1], got {nu}")
-    if nu_grid is not None:
-        if any(not 0 < v <= 1 for v in nu_grid):
-            errors.append(f"sim.nu_grid entries must lie in (0, 1], got {nu_grid}")
-        if any(a <= b for a, b in zip(nu_grid, nu_grid[1:])):
+    if c.n is not None and c.n < 1:
+        errors.append(f"grid.n must be >= 1, got {c.n}")
+    if c.D is not None and c.D < 1:
+        errors.append(f"grid.D must be >= 1, got {c.D}")
+    if None not in (c.N, c.D) and c.D > c.N:
+        errors.append(f"grid.D = {c.D} exceeds grid.N = {c.N} (need D <= N)")
+    if c.N is not None and c.N < 4:
+        errors.append(f"grid.N must be >= 4, got {c.N}")
+    if c.nu is not None and not 0 < c.nu <= 1:
+        errors.append(f"sim.nu must lie in (0, 1], got {c.nu}")
+    if c.nu_grid is not None:
+        if any(not 0 < v <= 1 for v in c.nu_grid):
+            errors.append(f"sim.nu_grid entries must lie in (0, 1], got {c.nu_grid}")
+        if any(a <= b for a, b in zip(c.nu_grid, c.nu_grid[1:])):
             errors.append("sim.nu_grid must be strictly decreasing")
-    if nu is None and nu_grid is None:
+    if c.nu is None and c.nu_grid is None:
         errors.append("one of sim.nu or sim.nu_grid is required")
-    if nu is not None and nu_grid is not None:
+    if c.nu is not None and c.nu_grid is not None:
         errors.append("sim.nu and sim.nu_grid are mutually exclusive")
-    if T is None and T_slow is None:
+    if c.T is None and c.T_slow is None:
         errors.append("one of sim.T or sim.T_slow is required")
-    if T is not None and T_slow is not None:
+    if c.T is not None and c.T_slow is not None:
         errors.append("sim.T and sim.T_slow are mutually exclusive")
-    if T is not None and T <= 0:
-        errors.append(f"sim.T must be positive, got {T}")
-    if T_slow is not None and T_slow <= 0:
-        errors.append(f"sim.T_slow must be positive, got {T_slow}")
-    if dt is not None and dt <= 0:
-        errors.append(f"sim.dt must be positive, got {dt}")
-    if record_every is not None and record_every < 1:
-        errors.append(f"sim.record_every must be >= 1, got {record_every}")
-    if scheme not in ("strang", "em"):
-        errors.append(f"sim.scheme must be strang or em, got {scheme!r}")
-    if M is not None and M < 1:
-        errors.append(f"ensemble.M must be >= 1, got {M}")
-    if base_seed is not None and not 0 <= base_seed < 2**64:
-        errors.append(f"ensemble.base_seed must be a uint64, got {base_seed}")
-    if kind not in KINDS:
-        errors.append(f"experiment.kind must be one of {KINDS}, got {kind!r}")
-    if kind in ("sweep", "stationary"):
-        if nu_grid is None and nu is not None:
-            errors.append(f"experiment.kind = {kind} needs sim.nu_grid")
-        if M is not None and M < 2:
-            errors.append(f"experiment.kind = {kind} needs ensemble.M >= 2")
-    for obs in observables or ():
+    if c.T is not None and c.T <= 0:
+        errors.append(f"sim.T must be positive, got {c.T}")
+    if c.T_slow is not None and c.T_slow <= 0:
+        errors.append(f"sim.T_slow must be positive, got {c.T_slow}")
+    if c.dt is not None and c.dt <= 0:
+        errors.append(f"sim.dt must be positive, got {c.dt}")
+    if c.record_every < 1:
+        errors.append(f"sim.record_every must be >= 1, got {c.record_every}")
+    if c.scheme not in ("strang", "em"):
+        errors.append(f"sim.scheme must be strang or em, got {c.scheme!r}")
+    if c.M < 1:
+        errors.append(f"ensemble.M must be >= 1, got {c.M}")
+    if c.base_seed is not None and not 0 <= c.base_seed < 2**64:
+        errors.append(f"ensemble.base_seed must be a uint64, got {c.base_seed}")
+    if c.kind not in KINDS:
+        errors.append(f"experiment.kind must be one of {KINDS}, got {c.kind!r}")
+    if c.kind in ("sweep", "stationary"):
+        if c.nu_grid is None and c.nu is not None:
+            errors.append(f"experiment.kind = {c.kind} needs sim.nu_grid")
+        if c.M < 2:
+            errors.append(f"experiment.kind = {c.kind} needs ensemble.M >= 2")
+    for obs in c.observables:
         try:
             Observable.parse(obs)
         except ValueError as exc:
             errors.append(f"experiment.observables entry {obs!r}: {exc}")
-    if profile is not None and n is not None and D is not None and not errors:
+    if c.profile is not None and c.n is not None and c.D is not None and not errors:
         try:
-            NoiseSpec.from_profile(GridSpec(n, N, D), profile)
+            NoiseSpec.from_profile(GridSpec(c.n, c.N, c.D), c.profile)
         except (ProfileError, ValueError) as exc:
-            errors.append(f"noise.profile {profile!r}: {exc}")
+            errors.append(f"noise.profile {c.profile!r}: {exc}")
     if errors:
         raise ConfigError(errors)
 
-    if dt is None:
-        ref_nu = nu if nu is not None else min(nu_grid)
-        dt = default_dt(scheme, ref_nu, GridSpec(n, N, D))
-    return RunConfig(
-        n=n,
-        N=N,
-        D=D,
-        profile=profile,
-        nu=nu,
-        nu_grid=nu_grid,
-        dt=dt,
-        T_slow=T_slow,
-        T=T,
-        record_every=record_every,
-        scheme=scheme,
-        nonlinear=nonlinear,
-        M=M,
-        base_seed=base_seed,
-        kind=kind,
-        observables=tuple(observables),
-        out=out,
-        window_t0_slow=window_t0_slow,
-        occupation_run=occupation_run,
-        occupation_chi_fracs=occ_chi,
-        occupation_gamma_factor=occ_gamma,
-        occupation_tau0=occ_tau0,
-        occupation_tau=occ_tau,
-    )
+    if c.dt is None:
+        c.dt = default_dt(c.scheme, c.nu if c.nu is not None else min(c.nu_grid), GridSpec(c.n, c.N, c.D))
+    return RunConfig(**vars(c))
+
+
+def _format(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(map(_format, value))
+    return value if isinstance(value, str) else repr(value)
 
 
 def emit_config(cfg: RunConfig) -> str:
-    """Canonical config text; parse(emit(cfg)) == cfg."""
-    lines = ["[grid]", f"n = {cfg.n}", f"N = {cfg.N}", f"D = {cfg.D}", ""]
-    lines += ["[noise]", f"profile = {cfg.profile}", ""]
-    lines += ["[sim]"]
-    if cfg.nu is not None:
-        lines.append(f"nu = {cfg.nu!r}")
-    if cfg.nu_grid is not None:
-        lines.append("nu_grid = " + ",".join(repr(v) for v in cfg.nu_grid))
-    lines.append(f"dt = {cfg.dt!r}")
-    if cfg.T is not None:
-        lines.append(f"T = {cfg.T!r}")
-    if cfg.T_slow is not None:
-        lines.append(f"T_slow = {cfg.T_slow!r}")
-    lines += [
-        f"record_every = {cfg.record_every}",
-        f"scheme = {cfg.scheme}",
-        f"nonlinear = {'true' if cfg.nonlinear else 'false'}",
-        "",
-        "[ensemble]",
-        f"M = {cfg.M}",
-        f"base_seed = {cfg.base_seed}",
-        "",
-        "[experiment]",
-        f"kind = {cfg.kind}",
-        "observables = " + ",".join(cfg.observables),
-        f"out = {cfg.out}",
-        f"window_t0_slow = {cfg.window_t0_slow!r}",
-        "",
-    ]
-    occ = ["[occupation]"]
-    if cfg.occupation_run is not None:
-        occ.append(f"run = {cfg.occupation_run}")
-    occ += [
-        "chi_fracs = " + ",".join(repr(v) for v in cfg.occupation_chi_fracs),
-        f"gamma_factor = {cfg.occupation_gamma_factor!r}",
-        f"tau0 = {cfg.occupation_tau0!r}",
-        f"tau = {cfg.occupation_tau!r}",
-    ]
-    return "\n".join(lines + occ) + "\n"
+    """Canonical config text, every set key of ``GRAMMAR`` in its order; parse(emit(cfg)) == cfg."""
+    lines, section = [], None
+    for s, key, field, *_ in GRAMMAR:
+        if s != section:
+            lines += ["", f"[{s}]"]
+            section = s
+        value = getattr(cfg, field)
+        if value is not None:
+            lines.append(f"{key} = {_format(value)}")
+    return "\n".join(lines[1:]) + "\n"
 
 
 # --- atomic persistence ---------------------------------------------------------
@@ -479,16 +410,16 @@ def _per_nu(plan: SweepPlan, streams) -> dict[str, list]:
 
 
 def _cmd_simulate(cfg: RunConfig, out: str | None) -> int:
-    plan = cfg.plan("simulate")
+    plan = cfg.plan()
     (nu,) = plan.nu_grid
-    summary, streams = plan.ensemble(nu)
+    ((summary, streams),) = plan.ensembles()
     run_dir = _write_run(cfg, out, {"": streams}, [summary.to_json_dict()])
     print(f"simulate: {cfg.M} trajectories at nu={nu} -> {run_dir}")
     return 0
 
 
 def _cmd_sweep(cfg: RunConfig, out: str | None) -> int:
-    plan = cfg.plan("sweep")
+    plan = cfg.plan()
     result = nu_sweep(plan)
     reports = [summary.to_json_dict() for summary in result.summaries]
     reports += [fit.to_json_dict(observable=name) for name, fit in result.fits.items() if fit is not None]
@@ -504,7 +435,7 @@ def _cmd_sweep(cfg: RunConfig, out: str | None) -> int:
 
 
 def _cmd_stationary(cfg: RunConfig, out: str | None) -> int:
-    plan = cfg.plan("stationary")
+    plan = cfg.plan()
     result = stationary_sweep(plan)
     reports = [rep.to_json_dict() for rep in result.balance]
     reports += [
@@ -554,13 +485,13 @@ def _cmd_occupation(cfg: RunConfig, out: str | None) -> int:
 
 
 def _cmd_spectrum(cfg: RunConfig, out: str | None) -> int:
-    plan = cfg.plan("spectrum")
+    plan = cfg.plan()
     (nu,) = plan.nu_grid
 
     def recorder_factory(p):
         return NormRecorder(nu=p.nu, ms=(0.0, 1.0, 2.0), shells=True)
 
-    _, streams = plan.ensemble(nu, recorder_factory)
+    ((_, streams),) = plan.ensembles(recorder_factory)
     burn = 0.2 * plan.T
     first = streams[0].columns.index("shell_1")
     mean_shells = np.concatenate([s.data[s.column("t") >= burn, first:] for s in streams]).mean(axis=0)

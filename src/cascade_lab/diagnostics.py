@@ -13,8 +13,6 @@ The headline checks:
 * ``occupation_check`` -- the capped occupation-time inequality
   E int_{tau0}^{tau ^ tau_Gamma} 1[||u||_0 <= chi] ds <= 2(1+tau) chi Gamma / B_0,
   with tau_Gamma the first sample time at which ||u||_2 >= Gamma;
-* ``stationary_check`` -- the stationary small-norm bound
-  P(||u||_0 <= chi) <= 2 chi Gamma / B_0;
 * ``time_avg_sobolev`` -- the slow-time unit-window average
   nu * int_{t0}^{t0 + 1/nu} ||u||_m^2 ds;
 * ``exp_moment``      -- E exp(c x^2) over sup-norm maxima, with a half-sample
@@ -297,75 +295,6 @@ def occupation_check(
         rhs_bound=rhs,
         informative=bool(integrals.any()),
         passed=mean <= rhs + 2.0 * se,
-    )
-
-
-# --- stationary small-norm probability --------------------------------------------
-
-
-@dataclass(frozen=True)
-class StationaryCheckReport:
-    chi: float
-    gamma: float
-    n_samples: int
-    frequency: float
-    wilson_low: float
-    wilson_high: float
-    bound: float
-    applicable: bool
-    passed: bool
-
-    def to_json_dict(self) -> dict:
-        return schema.report("stationary_check", **vars(self))
-
-
-def _wilson(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    if n == 0:
-        raise ValueError("empty sample")
-    phat = successes / n
-    denom = 1.0 + z**2 / n
-    center = (phat + z**2 / (2 * n)) / denom
-    half = z * sqrt(phat * (1 - phat) / n + z**2 / (4 * n**2)) / denom
-    return center - half, center + half
-
-
-def stationary_check(
-    streams: list[Stream],
-    chi: float,
-    b0: float,
-    gamma: float | None = None,
-    burn_in_fraction: float = 0.2,
-) -> StationaryCheckReport:
-    """Empirical frequency of {||u||_0 <= chi} against the bound 2 chi Gamma / B0.
-
-    Samples are pooled across trajectories after the burn-in window (a
-    stationarity surrogate).  Gamma defaults to the empirical mean of
-    ||u||_2.  A bound >= 1 is flagged inapplicable (it constrains nothing).
-    """
-    if not streams:
-        raise ValueError("empty sample")
-    kept = [s.column("t") >= burn_in_fraction * s.column("t")[-1] for s in streams]
-    n0 = np.concatenate([s.norm(0.0)[k] for s, k in zip(streams, kept)])
-    n2 = np.concatenate([s.norm(2.0)[k] for s, k in zip(streams, kept)])
-    if n0.size == 0:
-        raise ValueError("empty sample after burn-in")
-    if gamma is None:
-        gamma = float(n2.mean())
-    successes = int(np.sum(n0 <= chi))
-    freq = successes / n0.size
-    low, high = _wilson(successes, n0.size)
-    bound = 2.0 * chi * gamma / b0 if b0 > 0 else float("inf")
-    applicable = bound < 1.0
-    return StationaryCheckReport(
-        chi=chi,
-        gamma=gamma,
-        n_samples=int(n0.size),
-        frequency=freq,
-        wilson_low=low,
-        wilson_high=high,
-        bound=bound,
-        applicable=applicable,
-        passed=low <= bound,
     )
 
 

@@ -373,30 +373,25 @@ class SweepPlan:
         u0 = constrained_profile(self.grid, nu)
         return lambda stream_id: u0
 
-    def _ensemble(self, nu: float, recorder_factory=None) -> Ensemble:
-        """Grid entry ``nu`` with the plan's observables, or with ``recorder_factory`` and none."""
-        return Ensemble(
-            self.params_for(nu),
-            self.M,
-            self.u0_factory(nu),
-            observables=self.observables if recorder_factory is None else (),
-            window_t0=None if self.T is not None else self.window_t0_slow / nu,
-            recorder_factory=recorder_factory,
-        )
-
-    def ensemble(self, nu: float, recorder_factory=None):
-        """``ensemble_run`` at grid entry ``nu`` with the plan's observables.
-
-        With ``recorder_factory``, no observables are evaluated: the caller
-        reads the streams that recorder writes.
-        """
-        return ensemble_run(self.grid, self.spec(), **vars(self._ensemble(nu, recorder_factory)))
-
     def ensembles(self, recorder_factory=None) -> list[tuple[EnsembleSummary, list[Stream]]]:
-        """``ensemble(nu, recorder_factory)`` for every grid entry, in grid order; entries
-        that share a fast dt run as one batch through :func:`run_ensembles`."""
+        """Every grid entry's (summary, streams), in grid order; entries that share a fast dt
+        run as one batch through :func:`run_ensembles`.
+
+        Each entry evaluates the plan's observables, or, with ``recorder_factory``, none:
+        the caller reads the streams that recorder writes.
+        """
         spec, results = self.spec(), []
-        entries = [self._ensemble(nu, recorder_factory) for nu in self.nu_grid]
+        entries = [
+            Ensemble(
+                self.params_for(nu),
+                self.M,
+                self.u0_factory(nu),
+                observables=self.observables if recorder_factory is None else (),
+                window_t0=None if self.T is not None else self.window_t0_slow / nu,
+                recorder_factory=recorder_factory,
+            )
+            for nu in self.nu_grid
+        ]
         for _, batch in groupby(entries, key=lambda e: e.params.dt):
             results += run_ensembles(self.grid, spec, tuple(batch))
         return results

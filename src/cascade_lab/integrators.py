@@ -373,10 +373,10 @@ def _checked_step(step, state: State, spec: NoiseSpec, params: SimParams) -> Sta
         ) from exc
 
 
-def _take(state: State, keep: list[int]) -> State:
-    """Rows ``keep`` of ``state``, in that order."""
-    u = SpectralField(state.u.grid, state.u.coeffs[keep])
-    return State(state.t, u, tuple(state.rngs[i] for i in keep), state.step_index)
+def _take(state: State, keep: list[int] | slice) -> State:
+    """Rows ``keep`` of ``state``, in that order; a slice keeps a view of the coefficients."""
+    rngs = state.rngs[keep] if isinstance(keep, slice) else tuple(state.rngs[i] for i in keep)
+    return State(state.t, SpectralField(state.u.grid, state.u.coeffs[keep]), rngs, state.step_index)
 
 
 class _Batch:
@@ -399,7 +399,7 @@ class _Batch:
         k, rows = state.step_index, len(self.row_params)
         for start, stop, p, sink in self.entries:
             if sink is not None and (fresh or k % p.record_every == 0 or k == p.n_steps):
-                sink(state if stop - start == rows else _take(state, list(range(start, stop))))
+                sink(state if stop - start == rows else _take(state, slice(start, stop)))
 
     def keep(self, rows: list[int]) -> "_Batch":
         return _Batch(tuple(self.row_params[i] for i in rows), tuple(self.row_sinks[i] for i in rows))

@@ -53,18 +53,6 @@ OCCUPATION_FIELDS = REPORT_COMMON + (
     "note",
 )
 
-STATIONARY_FIELDS = REPORT_COMMON + (
-    "chi",
-    "gamma",
-    "n_samples",
-    "frequency",
-    "wilson_low",
-    "wilson_high",
-    "bound",
-    "applicable",
-    "passed",
-)
-
 BALANCE_FIELDS = REPORT_COMMON + (
     "nu",
     "window_start",
@@ -98,7 +86,6 @@ MANIFEST_FIELDS = (
 # Field order of every JSON object by its ``type`` (the manifest has no type field).
 FIELDS = {
     "occupation": OCCUPATION_FIELDS,
-    "stationary_check": STATIONARY_FIELDS,
     "balance": BALANCE_FIELDS,
     "scaling_fit": FIT_FIELDS,
     "ensemble_summary": SUMMARY_FIELDS,

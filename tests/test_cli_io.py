@@ -56,21 +56,94 @@ kind = simulate
 observables = sup_inf
 """
 
+EVERY_KEY = """
+[grid]
+n = 2
+N = 20
+D = 10
+
+[noise]
+profile = power:p=1.5
+
+[sim]
+nu_grid = 0.4, 0.2,0.1
+dt = 5e-3
+T = 40
+record_every = 4
+scheme = strang
+nonlinear = no
+
+[ensemble]
+M = 3
+base_seed = 2024
+
+[experiment]
+kind = sweep
+observables = sup_sobolev:3, sup_cm:2,sup_cm:3 ,sup_inf
+out = results
+window_t0_slow = 0.5
+
+[occupation]
+run = runs/simulate-0123456789ab
+chi_fracs = 0.1,0.3
+gamma_factor = 1.5
+tau0 = 0.25
+tau = 2
+"""
+
+EVERY_KEY_EMITTED = """\
+[grid]
+n = 2
+N = 20
+D = 10
+
+[noise]
+profile = power:p=1.5
+
+[sim]
+nu_grid = 0.4,0.2,0.1
+dt = 0.005
+T = 40.0
+record_every = 4
+scheme = strang
+nonlinear = false
+
+[ensemble]
+M = 3
+base_seed = 2024
+
+[experiment]
+kind = sweep
+observables = sup_sobolev:3,sup_cm:2,sup_cm:3,sup_inf
+out = results
+window_t0_slow = 0.5
+
+[occupation]
+run = runs/simulate-0123456789ab
+chi_fracs = 0.1,0.3
+gamma_factor = 1.5
+tau0 = 0.25
+tau = 2.0
+"""
+
 
 class TestPlan:
     def test_fast_horizon_is_taken_as_given(self):
         # T * nu / nu = 3.0000000000000004 at nu = 0.1 would take one step more
-        cfg = parse_config(MINIMAL.replace("T_slow = 1.0", "T = 3.0"))
-        params = cfg.plan("simulate").params_for(0.1)
+        text = MINIMAL.replace("T_slow = 1.0", "T = 3.0")
+        params = parse_config(text, overrides={"experiment.kind": "simulate"}).plan().params_for(0.1)
         assert params.T == 3.0 and params.n_steps == 300
-        assert cfg.plan("sweep").t_slow_total == 3.0 * 0.1
+        sweep = parse_config(text.replace("nu = 0.1", "nu_grid = 0.1"), overrides={"experiment.kind": "sweep"})
+        assert sweep.plan().t_slow_total == 3.0 * 0.1
 
     def test_single_kinds_run_the_first_viscosity(self):
-        cfg = parse_config(MINIMAL.replace("nu = 0.1", "nu_grid = 0.4,0.2,0.1"))
-        spectrum, sweep = cfg.plan("spectrum"), cfg.plan("sweep")
+        text = MINIMAL.replace("nu = 0.1", "nu_grid = 0.4,0.2,0.1")
+        spectrum, sweep = (
+            parse_config(text, overrides={"experiment.kind": kind}).plan() for kind in ("spectrum", "sweep")
+        )
         assert spectrum.nu_grid == (0.4,) and spectrum.T == 1.0 / 0.4
         assert sweep.nu_grid == (0.4, 0.2, 0.1) and sweep.T is None
-        assert cfg.plan().nu_grid == spectrum.nu_grid  # experiment.kind defaults to simulate
+        assert parse_config(text).plan().nu_grid == spectrum.nu_grid  # experiment.kind defaults to simulate
 
 
 class TestParseConfig:
@@ -157,6 +230,13 @@ base_seed = -4
         again = parse_config(emit_config(cfg))
         assert again == cfg
         assert config_hash(again) == config_hash(cfg)
+
+    def test_emitted_text_of_every_key_is_pinned(self):
+        # the keys no golden config.ini sets (nu_grid, T, nonlinear = false, a non-default dt,
+        # occupation.run), each value in its canonical format
+        cfg = parse_config(EVERY_KEY)
+        assert emit_config(cfg) == EVERY_KEY_EMITTED
+        assert parse_config(emit_config(cfg)) == cfg
 
     def test_overrides(self):
         cfg = parse_config(MINIMAL, overrides={"sim.nu": "0.25", "ensemble.M": "7"})
