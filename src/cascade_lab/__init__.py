@@ -54,6 +54,7 @@ from .diagnostics import (
     OccupationReport,
     BalanceReport,
     occupation_check,
+    stationary_check,
     balance_check,
     time_avg_sobolev,
     exp_moment,

@@ -2,9 +2,10 @@
 
 Config files are INI-style ``[section]`` blocks of ``key = value`` lines.  The
 grammar is one table, ``GRAMMAR``: one row per key, in file order, naming its
-section, its :class:`RunConfig` field, its parser and its default (or that it
-is required).  Parsing, the unknown-key check and :func:`emit_config` all read
-it; the README's reference config shows every key.
+section, its parser and its default (or that it is required).  The
+:class:`RunConfig` field is the key, prefixed ``occupation_`` in the
+[occupation] section.  Parsing, the unknown-key check and :func:`emit_config`
+all read the table; the README's reference config shows every key.
 
 Unknown sections or keys are errors, validation reports every violation at
 once, and ``base_seed`` has no entropy default: every run is replayable from
@@ -79,36 +80,41 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 REQUIRED = object()  # the default of a key that every config must set
 
-# The config grammar, in file order: (section, key, RunConfig field, parser, default).  A key
-# whose value is None is not emitted; an absent N is 2 D and an absent dt the scheme's default.
+# The config grammar, in file order: (section, key, parser, default).  A key whose value is None
+# is not emitted; an absent N is 2 D and an absent dt the scheme's default.
 GRAMMAR = (
-    ("grid", "n", "n", int, REQUIRED),
-    ("grid", "N", "N", int, None),
-    ("grid", "D", "D", int, REQUIRED),
-    ("noise", "profile", "profile", str, REQUIRED),
-    ("sim", "nu", "nu", float, None),
-    ("sim", "nu_grid", "nu_grid", _float_list, None),
-    ("sim", "dt", "dt", float, None),
-    ("sim", "T", "T", float, None),
-    ("sim", "T_slow", "T_slow", float, None),
-    ("sim", "record_every", "record_every", int, 10),
-    ("sim", "scheme", "scheme", str, "strang"),
-    ("sim", "nonlinear", "nonlinear", _bool, True),
-    ("ensemble", "M", "M", int, 2),
-    ("ensemble", "base_seed", "base_seed", int, REQUIRED),
-    ("experiment", "kind", "kind", str, "simulate"),
-    ("experiment", "observables", "observables", _str_list,
+    ("grid", "n", int, REQUIRED),
+    ("grid", "N", int, None),
+    ("grid", "D", int, REQUIRED),
+    ("noise", "profile", str, REQUIRED),
+    ("sim", "nu", float, None),
+    ("sim", "nu_grid", _float_list, None),
+    ("sim", "dt", float, None),
+    ("sim", "T", float, None),
+    ("sim", "T_slow", float, None),
+    ("sim", "record_every", int, 10),
+    ("sim", "scheme", str, "strang"),
+    ("sim", "nonlinear", _bool, True),
+    ("ensemble", "M", int, 2),
+    ("ensemble", "base_seed", int, REQUIRED),
+    ("experiment", "kind", str, "simulate"),
+    ("experiment", "observables", _str_list,
      ("time_avg_sobolev:2", "sup_sobolev:2", "sup_cm:2", "sup_inf")),
-    ("experiment", "out", "out", str, "runs"),
-    ("experiment", "window_t0_slow", "window_t0_slow", float, 1.0),
-    ("occupation", "run", "occupation_run", str, None),
-    ("occupation", "chi_fracs", "occupation_chi_fracs", _float_list, (0.05, 0.1, 0.2)),
-    ("occupation", "gamma_factor", "occupation_gamma_factor", float, 2.0),
-    ("occupation", "tau0", "occupation_tau0", float, 0.0),
-    ("occupation", "tau", "occupation_tau", float, 1.0),
+    ("experiment", "out", str, "runs"),
+    ("experiment", "window_t0_slow", float, 1.0),
+    ("occupation", "run", str, None),
+    ("occupation", "chi_fracs", _float_list, (0.05, 0.1, 0.2)),
+    ("occupation", "gamma_factor", float, 2.0),
+    ("occupation", "tau0", float, 0.0),
+    ("occupation", "tau", float, 1.0),
 )
 
 _SCHEMA = {section: {k for s, k, *_ in GRAMMAR if s == section} for section, *_ in GRAMMAR}
+
+
+def _field(section: str, key: str) -> str:
+    """The RunConfig field of a grammar key: the key, prefixed ``occupation_`` in that section."""
+    return f"occupation_{key}" if section == "occupation" else key
 
 
 @dataclass(frozen=True)
@@ -208,8 +214,8 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
             raw.setdefault(section, {})[key] = value
 
     c = SimpleNamespace()
-    for section, key, field, parse, default in GRAMMAR:
-        value = raw.get(section, {}).get(key)
+    for section, key, parse, default in GRAMMAR:
+        field, value = _field(section, key), raw.get(section, {}).get(key)
         fallback = None if default is REQUIRED else default
         if value is None and default is REQUIRED:
             errors.append(f"missing required key {key!r} in section [{section}]")
@@ -295,11 +301,11 @@ def _format(value) -> str:
 def emit_config(cfg: RunConfig) -> str:
     """Canonical config text, every set key of ``GRAMMAR`` in its order; parse(emit(cfg)) == cfg."""
     lines, section = [], None
-    for s, key, field, *_ in GRAMMAR:
+    for s, key, *_ in GRAMMAR:
         if s != section:
             lines += ["", f"[{s}]"]
             section = s
-        value = getattr(cfg, field)
+        value = getattr(cfg, _field(s, key))
         if value is not None:
             lines.append(f"{key} = {_format(value)}")
     return "\n".join(lines[1:]) + "\n"

@@ -13,6 +13,8 @@ The headline checks:
 * ``occupation_check`` -- the capped occupation-time inequality
   E int_{tau0}^{tau ^ tau_Gamma} 1[||u||_0 <= chi] ds <= 2(1+tau) chi Gamma / B_0,
   with tau_Gamma the first sample time at which ||u||_2 >= Gamma;
+* ``stationary_check`` -- the stationary small-norm bound
+  P(||u||_0 <= chi) <= 2 chi Gamma / B_0;
 * ``time_avg_sobolev`` -- the slow-time unit-window average
   nu * int_{t0}^{t0 + 1/nu} ||u||_m^2 ds;
 * ``exp_moment``      -- E exp(c x^2) over sup-norm maxima, with a half-sample
@@ -298,14 +300,84 @@ def occupation_check(
     )
 
 
+# --- stationary small-norm probability --------------------------------------------
+
+
+@dataclass(frozen=True)
+class StationaryCheckReport:
+    chi: float
+    gamma: float
+    n_samples: int
+    frequency: float
+    wilson_low: float
+    wilson_high: float
+    bound: float
+    applicable: bool
+    passed: bool
+
+    def to_json_dict(self) -> dict:
+        return schema.report("stationary_check", **vars(self))
+
+
+def _wilson(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
+    if n == 0:
+        raise ValueError("empty sample")
+    phat = successes / n
+    denom = 1.0 + z**2 / n
+    center = (phat + z**2 / (2 * n)) / denom
+    half = z * sqrt(phat * (1 - phat) / n + z**2 / (4 * n**2)) / denom
+    return center - half, center + half
+
+
+def stationary_check(
+    streams: list[Stream],
+    chi: float,
+    b0: float,
+    gamma: float | None = None,
+    burn_in_fraction: float = 0.2,
+) -> StationaryCheckReport:
+    """Empirical frequency of {||u||_0 <= chi} against the bound 2 chi Gamma / B0.
+
+    Samples are pooled across trajectories after the burn-in window (a
+    stationarity surrogate).  Gamma defaults to the empirical mean of
+    ||u||_2.  A bound >= 1 is flagged inapplicable (it constrains nothing).
+    """
+    if not streams:
+        raise ValueError("empty sample")
+    kept = [s.column("t") >= burn_in_fraction * s.column("t")[-1] for s in streams]
+    n0 = np.concatenate([s.norm(0.0)[k] for s, k in zip(streams, kept)])
+    n2 = np.concatenate([s.norm(2.0)[k] for s, k in zip(streams, kept)])
+    if n0.size == 0:
+        raise ValueError("empty sample after burn-in")
+    if gamma is None:
+        gamma = float(n2.mean())
+    successes = int(np.sum(n0 <= chi))
+    freq = successes / n0.size
+    low, high = _wilson(successes, n0.size)
+    bound = 2.0 * chi * gamma / b0 if b0 > 0 else float("inf")
+    applicable = bound < 1.0
+    return StationaryCheckReport(
+        chi=chi,
+        gamma=gamma,
+        n_samples=int(n0.size),
+        frequency=freq,
+        wilson_low=low,
+        wilson_high=high,
+        bound=bound,
+        applicable=applicable,
+        passed=low <= bound,
+    )
+
+
 # --- balance relation ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class BalanceReport:
-    """Time-ensemble average of ||u||_1^2 against the injection rate B_0."""
+    """Time-ensemble average of ||u||_1^2 over [window_start, window_end] against the injection rate B_0."""
 
-    window: tuple[float, float]
+    window_start: float
+    window_end: float
     avg_h1_sq: float
     b0: float
     relative_residual: float
@@ -315,18 +387,19 @@ class BalanceReport:
     nu: float
 
     def to_json_dict(self) -> dict:
-        return schema.report(
-            "balance",
-            nu=self.nu,
-            window_start=self.window[0],
-            window_end=self.window[1],
-            avg_h1_sq=self.avg_h1_sq,
-            b0=self.b0,
-            relative_residual=self.relative_residual,
-            se=self.se,
-            n_batches=self.n_batches,
-            degenerate=self.degenerate,
-        )
+        return schema.report("balance", **vars(self))
+
+
+def batch_means(series: np.ndarray, n_batches: int) -> tuple[float, float]:
+    """Mean of an (ensemble, time) series and its batch-means standard error.
+
+    The series is averaged across the ensemble first, then split into
+    ``n_batches`` contiguous time batches, so the error bar respects temporal
+    autocorrelation.
+    """
+    ens_mean = series.mean(axis=0)
+    means = np.array([b.mean() for b in np.array_split(ens_mean, n_batches)])
+    return float(ens_mean.mean()), float(means.std(ddof=1) / sqrt(n_batches))
 
 
 def balance_check(
@@ -337,11 +410,9 @@ def balance_check(
     n_batches: int = 20,
     min_t_slow: float = 5.0,
 ) -> BalanceReport:
-    """Average ||u||_1^2 over the post-burn-in window; batch-means standard error.
+    """Average ||u||_1^2 over the post-burn-in window; batch-means standard error (:func:`batch_means`).
 
-    Batches are contiguous in time and averaged across the ensemble first, so
-    the error bar respects temporal autocorrelation.  Degenerate noise
-    (B_0 = 0) is flagged and the relative residual reported as nan.
+    Degenerate noise (B_0 = 0) is flagged and the relative residual reported as nan.
     """
     if not streams:
         raise ValueError("empty ensemble")
@@ -358,17 +429,12 @@ def balance_check(
             RuntimeWarning,
             stacklevel=2,
         )
-    # per-time ensemble means of ||u||_1^2 over the kept samples
-    series = np.array([s.norm(1.0)[kept] ** 2 for s in streams])
-    ens_mean = series.mean(axis=0)
-    avg = float(ens_mean.mean())
-    batches = np.array_split(ens_mean, n_batches)
-    batch_means = np.array([b.mean() for b in batches])
-    se = float(batch_means.std(ddof=1) / sqrt(n_batches))
+    avg, se = batch_means(np.array([s.norm(1.0)[kept] ** 2 for s in streams]), n_batches)
     degenerate = b0 <= 0
     residual = float("nan") if degenerate else abs(avg - b0) / b0
     return BalanceReport(
-        window=(cut, t_end),
+        window_start=cut,
+        window_end=t_end,
         avg_h1_sq=avg,
         b0=b0,
         relative_residual=residual,

@@ -34,6 +34,7 @@ from .diagnostics import (
     NormRecorder,
     Stream,
     balance_check,
+    batch_means,
     time_avg_sobolev,
 )
 from .forcing import NoiseSpec, RngStream, bk_sum
@@ -532,13 +533,8 @@ def stationary_sweep(
         t = streams[0].column("t")
         kept = t >= BURN_IN_FRACTION * t[-1]
         for m in ms:
-            series = np.array([s.norm(m)[kept] ** 2 for s in streams])
-            ens_mean = series.mean(axis=0)
-            batches = np.array_split(ens_mean, 20)
-            bm = np.array([b.mean() for b in batches])
-            rows[m].append(
-                MomentRow(m=m, mean_sq=float(ens_mean.mean()), se=float(bm.std(ddof=1) / sqrt(20)))
-            )
+            mean_sq, se = batch_means(np.array([s.norm(m)[kept] ** 2 for s in streams]), 20)
+            rows[m].append(MomentRow(m=m, mean_sq=mean_sq, se=se))
     window = {m: (2.0 * m * KAPPA - 1.0, float(m)) for m in ms}
     fits: dict[float, ScalingFit | None] = {}
     consistent: dict[float, bool] = {}

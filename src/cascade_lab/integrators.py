@@ -375,7 +375,7 @@ def _checked_step(step, state: State, spec: NoiseSpec, params: SimParams) -> Sta
 
 def _take(state: State, keep: list[int] | slice) -> State:
     """Rows ``keep`` of ``state``, in that order; a slice keeps a view of the coefficients."""
-    rngs = state.rngs[keep] if isinstance(keep, slice) else tuple(state.rngs[i] for i in keep)
+    rngs = tuple(state.rngs[i] for i in np.arange(len(state.rngs))[keep])
     return State(state.t, SpectralField(state.u.grid, state.u.coeffs[keep]), rngs, state.step_index)
 
 

@@ -53,6 +53,18 @@ OCCUPATION_FIELDS = REPORT_COMMON + (
     "note",
 )
 
+STATIONARY_FIELDS = REPORT_COMMON + (
+    "chi",
+    "gamma",
+    "n_samples",
+    "frequency",
+    "wilson_low",
+    "wilson_high",
+    "bound",
+    "applicable",
+    "passed",
+)
+
 BALANCE_FIELDS = REPORT_COMMON + (
     "nu",
     "window_start",
@@ -86,6 +98,7 @@ MANIFEST_FIELDS = (
 # Field order of every JSON object by its ``type`` (the manifest has no type field).
 FIELDS = {
     "occupation": OCCUPATION_FIELDS,
+    "stationary_check": STATIONARY_FIELDS,
     "balance": BALANCE_FIELDS,
     "scaling_fit": FIT_FIELDS,
     "ensemble_summary": SUMMARY_FIELDS,

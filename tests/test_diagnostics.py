@@ -20,6 +20,7 @@ from cascade_lab.diagnostics import (
     occupation_check,
     occupation_columns,
     read_stream_csv,
+    stationary_check,
     stream_csv_text,
     time_avg_sobolev,
 )
@@ -120,6 +121,37 @@ class TestOccupationCheck:
         assert "sample" in report.note
         d = report.to_json_dict()
         assert list(d)[:2] == ["schema_version", "type"]
+
+
+class TestStationaryCheck:
+    def test_chi_zero_frequency_zero(self):
+        rng = np.random.default_rng(1)
+        stream = synth_stream(UNIFORM_TAUS, rng.uniform(0.5, 2, 101), np.ones(101))
+        report = stationary_check([stream], chi=0.0, b0=3.0)
+        assert report.frequency == 0.0
+
+    def test_chi_above_max_saturates(self):
+        rng = np.random.default_rng(2)
+        n0 = rng.uniform(0.5, 2, 101)
+        stream = synth_stream(UNIFORM_TAUS, n0, np.ones(101))
+        report = stationary_check([stream], chi=float(n0.max()) + 1.0, b0=0.1)
+        assert report.frequency == 1.0
+        # bound = 2 chi Gamma / B0 is huge here, so it must exceed one and be
+        # flagged inapplicable rather than failing
+        assert report.bound > 1.0
+        assert not report.applicable
+
+    def test_chi_at_median_gives_half(self):
+        rng = np.random.default_rng(3)
+        n0 = rng.uniform(0.0, 2.0, 401)
+        stream = synth_stream(np.linspace(0, 1, 401), n0, np.ones(401))
+        chi = float(np.median(n0[[r.t >= 0.2 for r in stream]]))
+        report = stationary_check([stream], chi=chi, b0=3.0)
+        assert report.frequency == pytest.approx(0.5, abs=0.05)
+
+    def test_empty_sample_errors(self):
+        with pytest.raises(ValueError):
+            stationary_check([], chi=1.0, b0=3.0)
 
 
 class TestBalanceCheck:

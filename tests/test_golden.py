@@ -315,7 +315,7 @@ def test_reports_follow_schema(golden_runs):
                 obj = json.loads(line)
                 assert tuple(obj) == schema.FIELDS[obj["type"]], f"{path.name}: {obj['type']}"
                 types.add(obj["type"])
-    assert types == set(schema.FIELDS) - {"manifest"}
+    assert types == set(schema.FIELDS) - {"manifest", "stationary_check"}
 
 
 def test_report_rejects_missing_or_extra_fields():
