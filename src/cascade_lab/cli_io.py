@@ -31,9 +31,9 @@ import numpy as np
 
 from . import __version__, schema
 from .diagnostics import (
+    BURN_IN_FRACTION,
     NormRecorder,
     occupation_check,
-    occupation_columns,
     read_stream_csv,
     stream_csv_text,
 )
@@ -272,6 +272,12 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
             errors.append(f"experiment.kind = {c.kind} needs sim.nu_grid")
         if c.M < 2:
             errors.append(f"experiment.kind = {c.kind} needs ensemble.M >= 2")
+    if not c.occupation_chi_fracs or any(frac <= 0 for frac in c.occupation_chi_fracs):
+        errors.append(f"occupation.chi_fracs needs one or more positive entries, got {c.occupation_chi_fracs}")
+    if c.occupation_gamma_factor <= 0:
+        errors.append(f"occupation.gamma_factor must be positive, got {c.occupation_gamma_factor}")
+    if c.occupation_tau <= c.occupation_tau0:
+        errors.append(f"occupation.tau = {c.occupation_tau} must exceed occupation.tau0 = {c.occupation_tau0}")
     for obs in c.observables:
         try:
             Observable.parse(obs)
@@ -469,16 +475,14 @@ def _cmd_occupation(cfg: RunConfig, out: str | None) -> int:
         raise ConfigError(["occupation.run (an existing run directory) is required"])
     run_dir = Path(cfg.occupation_run)
     streams = read_run_streams(run_dir)
-    (_, n0, n2), columns = occupation_columns(streams)
+    n0, n2 = (np.concatenate([s.norm(m) for s in streams]) for m in (0.0, 2.0))
     gamma = cfg.occupation_gamma_factor * float(np.median(n2))
     b0 = bk_sum(cfg.noise(), 0.0)
     lines = []
     ok = True
     for frac in cfg.occupation_chi_fracs:
         chi = frac * float(np.median(n0))
-        report = occupation_check(
-            streams, chi, gamma, cfg.occupation_tau0, cfg.occupation_tau, b0, columns
-        )
+        report = occupation_check(streams, chi, gamma, cfg.occupation_tau0, cfg.occupation_tau, b0)
         lines.append(_json_line(report.to_json_dict()))
         ok = ok and report.passed
         print(
@@ -498,7 +502,7 @@ def _cmd_spectrum(cfg: RunConfig, out: str | None) -> int:
         return NormRecorder(nu=p.nu, ms=(0.0, 1.0, 2.0), shells=True)
 
     ((_, streams),) = plan.ensembles(recorder_factory)
-    burn = 0.2 * plan.T
+    burn = BURN_IN_FRACTION * plan.T
     first = streams[0].columns.index("shell_1")
     mean_shells = np.concatenate([s.data[s.column("t") >= burn, first:] for s in streams]).mean(axis=0)
     report = schema.report(

@@ -45,6 +45,10 @@ DISCRETIZATION_NOTE = (
     "bound check weakened, never invalidated"
 )
 
+BURN_IN_FRACTION = 0.2  # leading share of a stationary run left out of its averages
+N_BATCHES = 20  # contiguous time batches of a batch-means error bar
+MIN_T_SLOW = 5.0  # slow-time units below which a balance window draws a warning
+
 
 @dataclass(frozen=True, slots=True)
 class DiagnosticsRecord:
@@ -122,13 +126,12 @@ class NormRecorder:
         self,
         nu: float,
         ms: tuple[float, ...] = (0.0, 1.0, 2.0),
-        cm_order: int | tuple[int, ...] | None = None,
+        cm_orders: tuple[int, ...] = (),
         shells: bool = False,
     ):
         self.nu = nu
         self.ms = tuple(float(m) for m in ms)
-        orders = () if cm_order is None else (cm_order,) if isinstance(cm_order, int) else cm_order
-        self.cm_orders = tuple(sorted({int(k) for k in orders}))
+        self.cm_orders = tuple(sorted({int(k) for k in cm_orders}))
         self.shells = shells
         self.columns: tuple[str, ...] | None = None
         self._blocks: list[np.ndarray] = []
@@ -239,32 +242,14 @@ class OccupationReport:
         return schema.report("occupation", **vars(self))
 
 
-def occupation_columns(streams: list[Stream]) -> tuple[tuple, list[tuple]]:
-    """tau, ||u||_0 and ||u||_2 over all records in stream order, and each stream's three columns.
-
-    The arrays over all records are built once to serve medians and several
-    occupation checks; the per-stream columns are views of the streams.
-    """
-    per_stream = [(s.column("tau"), s.norm(0.0), s.norm(2.0)) for s in streams]
-    return tuple(map(np.concatenate, zip(*per_stream))), per_stream
-
-
 def occupation_check(
-    streams: list[Stream],
-    chi: float,
-    gamma: float,
-    tau0: float,
-    tau: float,
-    b0: float,
-    columns: list[tuple] | None = None,
+    streams: list[Stream], chi: float, gamma: float, tau0: float, tau: float, b0: float
 ) -> OccupationReport:
     """Check E int_{tau0}^{tau ^ tau_Gamma} 1[||u||_0 <= chi] ds <= 2 (1+tau) chi Gamma / B0.
 
     Per trajectory, tau_Gamma is the first sample time >= tau0 with
     ||u||_2 >= Gamma, and the indicator integral uses the left-rectangle rule
     in slow time.  Pass/fail is judged at a two-standard-error margin.
-    ``columns``, each stream's columns from ``occupation_columns(streams)``,
-    saves rebuilding them for every chi.
     """
     if not streams:
         raise ValueError("empty ensemble")
@@ -273,7 +258,8 @@ def occupation_check(
     if b0 <= 0:
         raise ValueError("occupation bound is vacuous for degenerate noise (B0 = 0)")
     integrals = []
-    for taus, n0, n2 in occupation_columns(streams)[1] if columns is None else columns:
+    for s in streams:
+        taus, n0, n2 = s.column("tau"), s.norm(0.0), s.norm(2.0)
         hit = np.flatnonzero((taus >= tau0 - 1e-12) & (n2 >= gamma))
         tau_gamma = taus[hit[0]] if hit.size else np.inf
         end = min(tau, tau_gamma)
@@ -334,7 +320,7 @@ def stationary_check(
     chi: float,
     b0: float,
     gamma: float | None = None,
-    burn_in_fraction: float = 0.2,
+    burn_in_fraction: float = BURN_IN_FRACTION,
 ) -> StationaryCheckReport:
     """Empirical frequency of {||u||_0 <= chi} against the bound 2 chi Gamma / B0.
 
@@ -390,27 +376,20 @@ class BalanceReport:
         return schema.report("balance", **vars(self))
 
 
-def batch_means(series: np.ndarray, n_batches: int) -> tuple[float, float]:
+def batch_means(series: np.ndarray) -> tuple[float, float]:
     """Mean of an (ensemble, time) series and its batch-means standard error.
 
     The series is averaged across the ensemble first, then split into
-    ``n_batches`` contiguous time batches, so the error bar respects temporal
+    ``N_BATCHES`` contiguous time batches, so the error bar respects temporal
     autocorrelation.
     """
     ens_mean = series.mean(axis=0)
-    means = np.array([b.mean() for b in np.array_split(ens_mean, n_batches)])
-    return float(ens_mean.mean()), float(means.std(ddof=1) / sqrt(n_batches))
+    means = np.array([b.mean() for b in np.array_split(ens_mean, N_BATCHES)])
+    return float(ens_mean.mean()), float(means.std(ddof=1) / sqrt(N_BATCHES))
 
 
-def balance_check(
-    streams: list[Stream],
-    b0: float,
-    nu: float,
-    burn_in_fraction: float = 0.2,
-    n_batches: int = 20,
-    min_t_slow: float = 5.0,
-) -> BalanceReport:
-    """Average ||u||_1^2 over the post-burn-in window; batch-means standard error (:func:`batch_means`).
+def balance_check(streams: list[Stream], b0: float, nu: float) -> BalanceReport:
+    """Average ||u||_1^2 after the burn-in ``BURN_IN_FRACTION``; batch-means standard error (:func:`batch_means`).
 
     Degenerate noise (B_0 = 0) is flagged and the relative residual reported as nan.
     """
@@ -418,18 +397,18 @@ def balance_check(
         raise ValueError("empty ensemble")
     t = streams[0].column("t")
     t_end = float(t[-1])
-    cut = burn_in_fraction * t_end
+    cut = BURN_IN_FRACTION * t_end
     kept = t >= cut
-    if (n_kept := np.count_nonzero(kept)) < 2 * n_batches:
-        raise ValueError(f"window too short: {n_kept} samples for {n_batches} batches (< 2 per batch)")
-    if nu * (t_end - cut) < min_t_slow:
+    if (n_kept := np.count_nonzero(kept)) < 2 * N_BATCHES:
+        raise ValueError(f"window too short: {n_kept} samples for {N_BATCHES} batches (< 2 per batch)")
+    if nu * (t_end - cut) < MIN_T_SLOW:
         warnings.warn(
             f"balance window is only {nu * (t_end - cut):.3g} slow-time units "
-            f"(heuristic minimum {min_t_slow})",
+            f"(heuristic minimum {MIN_T_SLOW})",
             RuntimeWarning,
             stacklevel=2,
         )
-    avg, se = batch_means(np.array([s.norm(1.0)[kept] ** 2 for s in streams]), n_batches)
+    avg, se = batch_means(np.array([s.norm(1.0)[kept] ** 2 for s in streams]))
     degenerate = b0 <= 0
     residual = float("nan") if degenerate else abs(avg - b0) / b0
     return BalanceReport(
@@ -439,7 +418,7 @@ def balance_check(
         b0=b0,
         relative_residual=residual,
         se=se,
-        n_batches=n_batches,
+        n_batches=N_BATCHES,
         degenerate=degenerate,
         nu=nu,
     )
@@ -469,12 +448,12 @@ class ExpMomentReport:
     stable: bool
 
 
-def exp_moment(samples, c: float, stability_rtol: float = 0.25) -> ExpMomentReport:
+def exp_moment(samples, c: float) -> ExpMomentReport:
     """Sample mean of exp(c x^2) with a half-sample heavy-tail stability flag.
 
     ``stable`` is False when the first-half estimate differs from the full
-    estimate by more than ``stability_rtol`` relatively; a heavy tail makes
-    the estimate jumpy under subsampling.
+    estimate by more than 25 % relatively; a heavy tail makes the estimate
+    jumpy under subsampling.
     """
     if c < 0:
         raise ValueError("exponential-moment coefficient must be >= 0")
@@ -484,5 +463,5 @@ def exp_moment(samples, c: float, stability_rtol: float = 0.25) -> ExpMomentRepo
     vals = np.exp(c * x**2)
     full = float(vals.mean())
     half = float(vals[: max(1, x.size // 2)].mean())
-    stable = abs(half - full) <= stability_rtol * full
+    stable = abs(half - full) <= 0.25 * full
     return ExpMomentReport(c=c, value=full, half_value=half, stable=stable)

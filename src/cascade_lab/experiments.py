@@ -30,6 +30,7 @@ import numpy as np
 
 from . import integrators, schema
 from .diagnostics import (
+    BURN_IN_FRACTION,
     BalanceReport,
     NormRecorder,
     Stream,
@@ -42,8 +43,6 @@ from .integrators import KAPPA, SimParams, State, constrained_profile
 from .spectral import GridSpec, SpectralField
 
 QUANTILES = (5, 25, 50, 75, 95)
-
-BURN_IN_FRACTION = 0.2  # leading share of a stationary run left out of its averages
 
 OBSERVABLE_KINDS = ("sup_sobolev", "time_avg_sobolev", "sup_cm", "sup_inf")
 
@@ -157,7 +156,7 @@ def _needed_recorder(observables: tuple[Observable, ...], nu: float) -> NormReco
     for obs in observables:
         if obs.kind in ("sup_sobolev", "time_avg_sobolev"):
             ms.add(float(obs.m))
-    return NormRecorder(nu=nu, ms=tuple(sorted(ms)), cm_order=tuple(cm_orders(observables)))
+    return NormRecorder(nu=nu, ms=tuple(sorted(ms)), cm_orders=tuple(cm_orders(observables)))
 
 
 @dataclass(frozen=True)
@@ -278,7 +277,7 @@ class ScalingFit:
 
 
 def fit_exponent(points) -> ScalingFit:
-    """Fit q ~ C * nu^(-alpha) over a (nu, q) table; needs >= 3 points with q > 0."""
+    """Fit q ~ C * nu^(-alpha) over a (nu, q) table; needs >= 3 points with q > 0 and >= 2 distinct nu."""
     pts = tuple((float(nu), float(q)) for nu, q in points)
     if len(pts) < 3:
         raise ValueError(f"exponent fit needs at least 3 points, got {len(pts)}")
@@ -287,6 +286,8 @@ def fit_exponent(points) -> ScalingFit:
             raise ValueError(f"viscosity must be positive, got {nu}")
         if q <= 0:
             raise ValueError(f"observable values must be positive for a log fit, got {q}")
+    if len({nu for nu, _ in pts}) < 2:
+        raise ValueError("exponent fit needs at least 2 distinct viscosities")
     x = np.log([1.0 / nu for nu, _ in pts])
     y = np.log([q for _, q in pts])
     dx = x - x.mean()  # least squares in closed form: no LAPACK call, so no BLAS-kernel dependence
@@ -526,14 +527,12 @@ def stationary_sweep(
     streams_per_nu = []
     rows: dict[float, list[MomentRow]] = {m: [] for m in ms}
     for nu, (_, streams) in zip(plan.nu_grid, plan.ensembles(recorder_factory)):
-        balance_reports.append(
-            balance_check(streams, b0, nu, burn_in_fraction=BURN_IN_FRACTION)
-        )
+        balance_reports.append(balance_check(streams, b0, nu))
         streams_per_nu.append(streams)
         t = streams[0].column("t")
         kept = t >= BURN_IN_FRACTION * t[-1]
         for m in ms:
-            mean_sq, se = batch_means(np.array([s.norm(m)[kept] ** 2 for s in streams]), 20)
+            mean_sq, se = batch_means(np.array([s.norm(m)[kept] ** 2 for s in streams]))
             rows[m].append(MomentRow(m=m, mean_sq=mean_sq, se=se))
     window = {m: (2.0 * m * KAPPA - 1.0, float(m)) for m in ms}
     fits: dict[float, ScalingFit | None] = {}

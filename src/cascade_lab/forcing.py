@@ -25,9 +25,9 @@ address (step_index // K, SUB_OU), which holds 4s*K normals, and step k takes th
 slice [4s*(k mod K), 4s*(k mod K + 1)).  K = max(1, OU_BLOCK_NORMALS // 4s) fixes
 the normals per address rather than the steps, so a block stays small for every
 profile and K falls to 1 once 4s >= OU_BLOCK_NORMALS.  ``ou_convolutions`` keeps
-the last block drawn, scaled once, so a step that hits it only slices.  An exact
-OU step with its own draw and an Euler-Maruyama increment draw 2s normals
-(re | im) at (step_index, substream).  A degenerate spec draws nothing.  Random
+the last block drawn, scaled once, so a step that hits it only slices.  An
+Euler-Maruyama increment draws 2s normals (re | im) at (step_index,
+SUB_INCREMENT).  A degenerate spec draws nothing.  Random
 initial data (SUB_INIT) draws every mode.  Before schema version 3 every retained
 mode was drawn, at two addresses per Strang step, and most of those draws were
 multiplied by b_d = 0; schema version 3 drew one address per Strang step, and
@@ -46,7 +46,7 @@ from .spectral import GridSpec, mode_abs_sq
 
 # Substream tags for counter addressing.  One 256-bit Philox counter block per
 # (substream, step_index) pair; numpy fills the low 128 bits while drawing.
-SUB_OU = 0  # OU convolution draws: both halves of a Strang step, or one exact OU step
+SUB_OU = 0  # OU convolution draws: both halves of a Strang step
 SUB_INCREMENT = 2  # raw Brownian increments (Euler-Maruyama)
 SUB_PATH = 3  # fine-level joint path draws for coupled-integrator studies
 SUB_INIT = 5  # random initial data

@@ -31,8 +31,7 @@ consecutive steps at once, at (step_index // K, SUB_OU), K = max(1,
 OU_BLOCK_NORMALS // 4s), and step k takes slot k mod K of that block, scaled
 once when drawn.  Output schema 4 starts here: schema 3 drew one address per
 stream per Strang step, and earlier versions every retained mode at two
-addresses.  An exact OU step with its own draw and the Euler-Maruyama
-increments keep one address per step.
+addresses.  The Euler-Maruyama increments keep one address per step.
 
 The slow-time description tau = nu * t needs no separate integrator: a fast
 chain with parameters (nu, dt) performs, number for number, the same updates
@@ -59,7 +58,6 @@ import numpy as np
 
 from .forcing import (
     SUB_INIT,
-    SUB_OU,
     SUB_PATH,
     NoiseSpec,
     RngStream,
@@ -150,12 +148,12 @@ class State:
     step_index: int
 
 
-def default_dt(scheme: str, nu: float, grid: GridSpec, safety: float = 0.5) -> float:
-    """Scheme defaults: accuracy-limited 0.01 for strang, stability-limited for em."""
+def default_dt(scheme: str, nu: float, grid: GridSpec) -> float:
+    """Scheme defaults: accuracy-limited 0.01 for strang, stability-limited (half the limit) for em."""
     if scheme == "strang":
         return 0.01
     if scheme == "em":
-        return safety * min(0.01, 0.5 / (nu * grid.n * grid.D**2))
+        return 0.5 * min(0.01, 0.5 / (nu * grid.n * grid.D**2))
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -209,10 +207,7 @@ def ou_exact_step(
     spec: NoiseSpec,
     nu: float | tuple[float, ...],
     dt: float,
-    rng: RngStream | None = None,
-    step_index: int = 0,
-    substream: int = SUB_OU,
-    noise: np.ndarray | None = None,
+    noise: np.ndarray,
 ) -> np.ndarray:
     """Exact one-step solve of du_d = -nu |d|^2 u_d dt + sqrt(nu) b_d dbeta_d, on coefficients.
 
@@ -222,19 +217,14 @@ def ou_exact_step(
     ``c`` has shape (M, *coeff_shape), one trajectory per row, and ``nu`` is one
     viscosity or a tuple of one per row; the result is a new array of that shape,
     unchecked.  The noise lives on the s forced modes
-    only (``spec.forced``); every other mode is exactly u_d * decay.  Pass
-    ``noise`` = sqrt(nu) b_d gamma_d, shape (M, s), to supply it, else gamma_d
-    is drawn from ``rng`` at (step_index, substream), 2Ms normals.
+    only (``spec.forced``); every other mode is exactly u_d * decay.  ``noise``
+    is sqrt(nu) b_d gamma_d, shape (M, s), drawn by the caller.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    decay, conv_sd, scale = _ou_tables(spec, nu, dt)
+    decay = _ou_tables(spec, nu, dt)[0]
     if c.shape[1:] != spec.grid.coeff_shape:
         raise GridMismatchError(f"coefficients {c.shape} are not rows of the noise grid {spec.grid.coeff_shape}")
-    if noise is None:
-        if rng is None:
-            raise ValueError("either an RngStream or an explicit noise draw is required")
-        noise = scale * (conv_sd * complex_normals((rng,), step_index, substream, (len(c), conv_sd.size)))
     new = c * decay  # C-contiguous like its input: the reshape below is a view
     flat = new if new.ndim == 2 else new.reshape(len(new), -1)
     flat[:, _forced_where(spec)] += noise
@@ -268,7 +258,7 @@ def phase_rotation_step(grid: GridSpec, c: np.ndarray, dt: float) -> np.ndarray:
         phase *= dt
         # With FMA, v*e and e*v round differently: keep the operand order fixed.
         rotated = np.multiply(v, _phase_factor(phase), out=v)
-        return mode_coeffs(grid, rotated, grid.D)
+        return mode_coeffs(grid, rotated)
 
 
 _TINY = np.finfo(np.float64).tiny
@@ -284,10 +274,10 @@ def _strang(
     x * decay can round back to x).  Inf and NaN survive every stage, so one check of the
     result sees any non-finite value the step made.
     """
-    c = ou_exact_step(c, spec, nu, dt / 2.0, noise=noise0)
+    c = ou_exact_step(c, spec, nu, dt / 2.0, noise0)
     if nonlinear:
         c = phase_rotation_step(spec.grid, c, dt)
-    c = ou_exact_step(c, spec, nu, dt / 2.0, noise=noise1)
+    c = ou_exact_step(c, spec, nu, dt / 2.0, noise1)
     parts = c.view(np.float64)  # a new array: flushing it in place leaves the input intact
     np.copyto(parts, 0.0, where=np.abs(parts) < _TINY)
     return c
@@ -321,13 +311,11 @@ def _euler_maruyama(
     if nonlinear:
         p = to_physical(u)
         cubic = (p.values.real**2 + p.values.imag**2) * p.values
-        drift = drift - 1j * to_spectral(PhysicalField(u.grid, cubic), u.grid.D).coeffs
+        drift = drift - 1j * to_spectral(PhysicalField(u.grid, cubic)).coeffs
     return SpectralField(u.grid, u.coeffs + dt * drift + np.sqrt(nu) * increment)
 
 
-def em_step(
-    state: State, spec: NoiseSpec, params: SimParams, increment: np.ndarray | None = None
-) -> State:
+def em_step(state: State, spec: NoiseSpec, params: SimParams) -> State:
     """Explicit Euler-Maruyama step over the full drift (oracle scheme).
 
     u <- u + dt*(nu Lap u - i Pi(|u|^2 u)) + sqrt(nu) dxi.  Warns when the
@@ -344,8 +332,7 @@ def em_step(
             RuntimeWarning,
             stacklevel=2,
         )
-    if increment is None:
-        increment = forced_increments(spec, params.dt, state.rngs, state.step_index)
+    increment = forced_increments(spec, params.dt, state.rngs, state.step_index)
     u = _euler_maruyama(state.u, params.nu, params.dt, params.nonlinear, increment)
     k = state.step_index + 1
     return State(k * params.dt, u, state.rngs, k)
@@ -486,34 +473,27 @@ def smooth_random_field(
     return SpectralField(grid, coeffs)
 
 
-# Growth exponent of the start-data cap ||u0||_m <= nu^(-KAPPA m); the
+# Growth exponent of the start-data cap ||u0||_3 <= nu^(-3 KAPPA); the
 # stationary sweep's exponent window [2 m KAPPA - 1, m] uses the same value.
 KAPPA = 0.02
 
 
-def constrained_profile(
-    grid: GridSpec,
-    nu: float,
-    sup_bound: float = 1.0,
-    kappa: float = KAPPA,
-    m: float = 3.0,
-    decay: float = 3.0,
-) -> SpectralField:
+def constrained_profile(grid: GridSpec, nu: float, sup_bound: float = 1.0) -> SpectralField:
     """Fixed smooth profile rescaled per nu to satisfy the sweep's start constraints.
 
-    Coefficients proportional to |d|^(-decay) are scaled so that the lattice
+    Coefficients proportional to |d|^(-3) are scaled so that the lattice
     sup equals ``sup_bound``, then scaled down further if needed so that
-    ||u||_m <= nu^(-kappa*m).  Deterministic in (grid, nu).
+    ||u||_3 <= nu^(-3 KAPPA).  Deterministic in (grid, nu).
     """
-    coeffs = np.sqrt(mode_abs_sq(grid)) ** (-decay)
+    coeffs = np.sqrt(mode_abs_sq(grid)) ** (-3.0)
     u = SpectralField(grid, coeffs.astype(np.complex128).reshape(1, *grid.coeff_shape))
     (s,) = sup_norm(u)
     if s > 0:
         u = SpectralField(grid, u.coeffs * (sup_bound / s))
-    cap = nu ** (-kappa * m)
-    (norm_m,) = sobolev_norm(u, m)
-    if norm_m > cap:
-        u = SpectralField(grid, u.coeffs * (cap / norm_m))
+    cap = nu ** (-KAPPA * 3.0)
+    (norm_3,) = sobolev_norm(u, 3.0)
+    if norm_3 > cap:
+        u = SpectralField(grid, u.coeffs * (cap / norm_3))
     return u
 
 

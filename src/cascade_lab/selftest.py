@@ -17,7 +17,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .experiments import fit_exponent
-from .forcing import SUB_OU, NoiseSpec, RngStream, ou_block_steps
+from .forcing import SUB_OU, NoiseSpec, RngStream, complex_normals, ou_block_steps
 from .integrators import (
     SimParams,
     State,
@@ -59,7 +59,7 @@ def run_selftest(verbose: bool = True) -> bool:
 
     for grid in (GridSpec(1, 64, 32), GridSpec(2, 32, 16)):
         u = _random_field(grid, 7)
-        back = to_spectral(to_physical(u), grid.D)
+        back = to_spectral(to_physical(u))
         err = float(np.abs(back.coeffs - u.coeffs).max())
         check(f"round trip n={grid.n} (max err {err:.2e})", err <= 1e-12)
         p = to_physical(u)
@@ -72,11 +72,11 @@ def run_selftest(verbose: bool = True) -> bool:
     for grid in (GridSpec(1, 64, 32), GridSpec(2, 32, 16), GridSpec(3, 10, 5)):
         rows = np.concatenate([_random_field(grid, 30 + i).coeffs for i in range(3)])
         lattice = lattice_values(grid, rows)
-        modes = mode_coeffs(grid, lattice, grid.D)
+        modes = mode_coeffs(grid, lattice)
         for i in range(3):
             row = slice(i, i + 1)
             same = same and lattice[row].tobytes() == lattice_values(grid, rows[row]).tobytes()
-            same = same and modes[row].tobytes() == mode_coeffs(grid, lattice[row], grid.D).tobytes()
+            same = same and modes[row].tobytes() == mode_coeffs(grid, lattice[row]).tobytes()
     check("sine-matrix transforms: 3 rows equal 3 one-row fields (n = 1, 2, 3)", same)
 
     grid = GridSpec(2, 12, 6)  # direct sums of u_d phi_d(x_j), and their quadrature inverse
@@ -84,7 +84,7 @@ def run_selftest(verbose: bool = True) -> bool:
     d_all = list(product(range(1, grid.D + 1), repeat=grid.n))
     basis = np.array([[basis_eval(d, x) for d in d_all] for x in product(grid.points, repeat=grid.n)])
     lattice = lattice_values(grid, u.coeffs).ravel()
-    modes = mode_coeffs(grid, lattice.reshape(1, *grid.values_shape), grid.D).ravel()
+    modes = mode_coeffs(grid, lattice.reshape(1, *grid.values_shape)).ravel()
     pairs = ((lattice, basis @ u.coeffs.ravel()), (modes, grid.quadrature_weight * (basis.T @ lattice)))
     err = max(float(np.abs(a - b).max() / np.abs(b).max()) for a, b in pairs)
     check(f"sine-matrix transforms equal direct sums of phi_d (n=2, rel err {err:.1e})", err <= 1e-13)
@@ -107,7 +107,8 @@ def run_selftest(verbose: bool = True) -> bool:
 
     spec = NoiseSpec.band(grid, [0.0])
     u1 = single_mode(grid, 1)
-    stepped = ou_exact_step(u1.coeffs, spec, nu=1.0, dt=np.log(2.0), rng=RngStream(0, 0))
+    noise = complex_normals((RngStream(0, 0),), 0, SUB_OU, (1, spec.forced.size))  # no forced mode: empty
+    stepped = ou_exact_step(u1.coeffs, spec, nu=1.0, dt=np.log(2.0), noise=noise)
     check("pure decay over dt = ln 2 halves the mode", abs(stepped[0, 0] - 0.5) <= 1e-12)
 
     sq = GridSpec(1, 64, 64)

@@ -91,12 +91,12 @@ def mode_abs_sq(grid: GridSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _axis_table(grid: GridSpec, D: int, kind: str) -> tuple[np.ndarray | None, np.ndarray]:
+def _axis_table(grid: GridSpec, kind: str) -> tuple[np.ndarray | None, np.ndarray]:
     """Read-only float64 (left, right) of one axis's real (J x K) matrix for modes 1..D: "sin"/"cos" is
     the (N x D) sine/cosine matrix (rows at lattice points, (2/pi)^(1/2) folded in), "proj" the (D x N)
     sine transpose times pi/(N+1).  At n >= 2 left is the matrix and right its (2K x 2J) interleaved
     transpose W, W[0::2, 0::2] = W[1::2, 1::2] = matrix^T; at n = 1 left is None, right the transpose."""
-    angle = grid.points[:, None] * np.arange(1, D + 1)[None, :]
+    angle = grid.points[:, None] * np.arange(1, grid.D + 1)[None, :]
     mat = sqrt(2.0 / pi) * (np.cos(angle) if kind == "cos" else np.sin(angle))
     if kind == "proj":
         mat = (pi / (grid.N + 1)) * mat.T
@@ -186,15 +186,15 @@ def _along(a: np.ndarray, ax: int, n: int, table: tuple[np.ndarray | None, np.nd
 
 def lattice_values(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """Lattice values of mode coefficients over the last n axes (the math of :func:`to_physical`)."""
-    table = _axis_table(grid, grid.D, "sin")
+    table = _axis_table(grid, "sin")
     for ax in range(grid.n):
         coeffs = _along(coeffs, ax, grid.n, table)
     return coeffs
 
 
-def mode_coeffs(grid: GridSpec, values: np.ndarray, D: int) -> np.ndarray:
+def mode_coeffs(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """Modes {1..D}^n of lattice values over the last n axes (the math of :func:`to_spectral`)."""
-    table = _axis_table(grid, D, "proj")
+    table = _axis_table(grid, "proj")
     for ax in range(grid.n):
         values = _along(values, ax, grid.n, table)
     return values
@@ -207,18 +207,13 @@ def to_physical(u: SpectralField) -> PhysicalField:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def to_spectral(p: PhysicalField, D: int | None = None) -> SpectralField:
+def to_spectral(p: PhysicalField) -> SpectralField:
     """Project lattice values onto the retained modes {1..D}^n.
 
     Exact inverse of :func:`to_physical` on the span of retained modes; lattice
     content in modes above D is discarded (Galerkin truncation).
     """
-    grid = p.grid
-    D = grid.D if D is None else D
-    if not 1 <= D <= grid.N:
-        raise GridMismatchError(f"requested truncation D={D} outside 1..N={grid.N}")
-    out_grid = grid if D == grid.D else GridSpec(grid.n, grid.N, D)
-    return SpectralField(out_grid, mode_coeffs(grid, p.values, D))
+    return SpectralField(p.grid, mode_coeffs(p.grid, p.values))
 
 
 def lattice_inner(p: PhysicalField, q: PhysicalField) -> np.ndarray:
@@ -275,7 +270,7 @@ def cm_norm(u: SpectralField, m: int | tuple[int, ...]) -> np.ndarray:
     if not orders or any(k != int(k) or k < 0 for k in orders):
         raise ValueError(f"C^m order must be a nonnegative integer, got {m}")
     grid, n = u.grid, u.grid.n
-    tables = _axis_table(grid, grid.D, "sin"), _axis_table(grid, grid.D, "cos")
+    tables = _axis_table(grid, "sin"), _axis_table(grid, "cos")
     d_axis = np.arange(1, grid.D + 1, dtype=float)
     rows = len(u.coeffs)
     top = int(max(orders))

@@ -62,7 +62,7 @@ def test_criterion_1_transform_exactness():
     for grid in (GridSpec(1, 64, 32), GridSpec(2, 32, 16)):
         for seed in range(20):
             u = random_field(grid, seed)
-            back = to_spectral(to_physical(u), grid.D)
+            back = to_spectral(to_physical(u))
             worst_rt = max(worst_rt, float(np.abs(back.coeffs - u.coeffs).max()))
             p = to_physical(u)
             coeff = float(np.sum(np.abs(u.coeffs) ** 2))

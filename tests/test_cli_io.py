@@ -14,6 +14,7 @@ from cascade_lab.cli_io import (
     read_run_streams,
     run_command,
 )
+from cascade_lab.integrators import SimParams
 
 MINIMAL = """
 [grid]
@@ -129,10 +130,11 @@ tau = 2.0
 
 class TestPlan:
     def test_fast_horizon_is_taken_as_given(self):
-        # T * nu / nu = 3.0000000000000004 at nu = 0.1 would take one step more
+        # T * nu / nu = 3.0000000000000004 at nu = 0.1; n_steps rounds it to the same 300 steps
         text = MINIMAL.replace("T_slow = 1.0", "T = 3.0")
         params = parse_config(text, overrides={"experiment.kind": "simulate"}).plan().params_for(0.1)
         assert params.T == 3.0 and params.n_steps == 300
+        assert SimParams(nu=0.1, dt=0.01, T=3.0 * 0.1 / 0.1).n_steps == 300
         sweep = parse_config(text.replace("nu = 0.1", "nu_grid = 0.1"), overrides={"experiment.kind": "sweep"})
         assert sweep.plan().t_slow_total == 3.0 * 0.1
 
@@ -202,6 +204,19 @@ base_seed = -4
         assert "base_seed" in text
         assert "T" in text  # missing horizon
         assert len(info.value.violations) >= 4
+
+    def test_occupation_keys_are_validated_with_the_rest(self):
+        bad = MINIMAL.replace("nu = 0.1", "nu = 3.0") + (
+            "\n[occupation]\nchi_fracs = 0,-0.1\ngamma_factor = -2\ntau0 = 1.0\ntau = 0.5\n"
+        )
+        with pytest.raises(ConfigError) as info:
+            parse_config(bad)
+        text = "\n".join(info.value.violations)
+        for key in ("sim.nu", "occupation.chi_fracs", "occupation.gamma_factor", "occupation.tau"):
+            assert key in text
+        assert len(info.value.violations) == 4
+        with pytest.raises(ConfigError, match="chi_fracs"):  # no chi would be checked, and the run would pass
+            parse_config(MINIMAL, overrides={"occupation.chi_fracs": ""})
 
     def test_missing_seed_is_error(self):
         with pytest.raises(ConfigError) as info:
@@ -296,6 +311,13 @@ class TestRunCommand:
         csv = tmp_path / "points.csv"
         csv.write_text("nu,q\n0.4,6.25\n0.2,-25.0\n0.1,100.0\n")
         assert run_command(["fit", str(csv)]) == 2
+
+    def test_fit_on_one_viscosity_exits_2(self, tmp_path, capsys):
+        csv = tmp_path / "points.csv"
+        csv.write_text("0.1,1\n0.1,2\n0.1,3\n")
+        assert run_command(["fit", str(csv)]) == 2
+        captured = capsys.readouterr()
+        assert "fit error" in captured.err and "alpha" not in captured.out
 
     def test_selftest_passes(self, capsys):
         assert run_command(["selftest"]) == 0

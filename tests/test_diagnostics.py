@@ -18,7 +18,6 @@ from cascade_lab.diagnostics import (
     balance_check,
     exp_moment,
     occupation_check,
-    occupation_columns,
     read_stream_csv,
     stationary_check,
     stream_csv_text,
@@ -105,15 +104,6 @@ class TestOccupationCheck:
             occupation_check([stream], 1.0, 1.0, 0.0, 2.0, 3.0)
         with pytest.raises(ValueError, match="degenerate"):
             occupation_check([stream], 1.0, 1.0, 0.0, 1.0, 0.0)
-
-    def test_shared_columns_give_the_same_reports(self):
-        rng = np.random.default_rng(5)
-        streams = [synth_stream(UNIFORM_TAUS, rng.random(101), 4 * rng.random(101)) for _ in range(4)]
-        _, columns = occupation_columns(streams)
-        for chi in (0.1, 0.3, 0.6):
-            alone = occupation_check(streams, chi, 3.0, 0.0, 1.0, 3.0)
-            shared = occupation_check(streams, chi, 3.0, 0.0, 1.0, 3.0, columns)
-            assert alone == shared and alone.informative
 
     def test_report_notes_discretization(self):
         stream = synth_stream(UNIFORM_TAUS, np.zeros(101), np.zeros(101))
@@ -277,7 +267,7 @@ class TestStreamCsv:
         grid = GridSpec(1, 16, 8)
         spec = NoiseSpec.band(grid, [1.0])
         params = SimParams(nu=0.5, dt=0.05, T=0.5, record_every=2, seed=7)
-        rec = NormRecorder(nu=0.5, ms=(0.0, 1.0, 2.0, 2.5), cm_order=1, shells=True)
+        rec = NormRecorder(nu=0.5, ms=(0.0, 1.0, 2.0, 2.5), cm_orders=(1,), shells=True)
         continue_trajectory(initial_state(zero_field(grid), params), spec, params, rec)
         text = stream_csv_text(rec.streams[0])
         back = read_stream_csv(io.StringIO(text))
@@ -329,7 +319,7 @@ class TestStreamCsv:
         u0 = constrained_profile(grid, 0.5)
         runs = {}
         for orders in ((2,), (1, 2), (2, 3)):
-            rec = NormRecorder(nu=0.5, cm_order=orders)
+            rec = NormRecorder(nu=0.5, cm_orders=orders)
             continue_trajectory(initial_state(u0, params), NoiseSpec.band(grid, [1.0]), params, rec)
             runs[orders] = rec.streams[0]
         assert runs[(2,)].columns[-1] == "cm" and runs[(2, 3)].columns[-2:] == ("cm_2", "cm_3")

@@ -83,6 +83,8 @@ class TestFitExponent:
             fit_exponent([(0.4, 1.0), (0.2, -2.0), (0.1, 3.0)])
         with pytest.raises(ValueError, match="positive"):
             fit_exponent([(0.4, 1.0), (-0.2, 2.0), (0.1, 3.0)])
+        with pytest.raises(ValueError, match="2 distinct viscosities"):  # the slope would be 0 / 0
+            fit_exponent([(0.1, 1.0), (0.1, 2.0), (0.1, 3.0)])
 
     @settings(max_examples=40, deadline=None)
     @given(c=st.floats(min_value=1e-6, max_value=1e6))
@@ -133,7 +135,7 @@ class TestEnsembleRun:
     def test_a_recorder_factory_takes_no_observables(self):
         # A recorder of C^2 alone writes one unnamed cm column, which sup_cm:3 would read as C^3.
         params, obs = small_params(T=4.0, seed=3), (Observable("sup_cm", 3.0),)
-        c2_only = lambda p: NormRecorder(nu=p.nu, cm_order=2)
+        c2_only = lambda p: NormRecorder(nu=p.nu, cm_orders=(2,))
         with pytest.raises(ValueError, match="recorder_factory"):
             ensemble_run(GRID, BAND, params, 2, lambda sid: zero_field(GRID), obs, recorder_factory=c2_only)
         summary, _ = ensemble_run(GRID, BAND, params, 2, lambda sid: zero_field(GRID), obs)
@@ -236,7 +238,7 @@ class TestEnsembleRun:
             warnings.simplefilter("error")
             summary, streams = ensemble_run(
                 GRID, BAND, small_params(), 2, u0, max_abort_fraction=0.5,
-                recorder_factory=lambda p: NormRecorder(nu=p.nu, cm_order=1, shells=True),
+                recorder_factory=lambda p: NormRecorder(nu=p.nu, cm_orders=(1,), shells=True),
             )
         assert summary.aborts == 1 and len(streams) == 1
 

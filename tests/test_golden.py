@@ -159,9 +159,9 @@ def criterion_10_hashes(tmp_path) -> dict:
 
 
 # Base config of the golden runs; each run adds its viscosity, horizon and kind
-# as overrides.  Every horizon is an exact integer number of steps, except that
-# ``simulate-fast`` takes T = 3.0 at nu = 0.1: there T * nu / nu is
-# 3.0000000000000004, one step more than T.
+# as overrides.  Every horizon is an exact integer number of steps.
+# ``simulate-fast`` takes T = 3.0 at nu = 0.1, where T * nu / nu is
+# 3.0000000000000004; ``SimParams.n_steps`` rounds both to the same 150 steps.
 GOLDEN_BASE = """
 [grid]
 n = 1
@@ -384,7 +384,7 @@ def records_view_ensemble():
     u0 = zero_field(grid)
     _, streams = ensemble_run(
         grid, NoiseSpec.from_profile(grid, "band:1,1,1"), params, 4, lambda sid: u0,
-        recorder_factory=lambda p: NormRecorder(nu=p.nu, cm_order=2, shells=True),
+        recorder_factory=lambda p: NormRecorder(nu=p.nu, cm_orders=(2,), shells=True),
     )
     return params, streams
 
@@ -401,7 +401,7 @@ def test_benchmark_record_view_matches_golden(monkeypatch):
 
 
 def full_recorder(p):
-    return NormRecorder(nu=p.nu, ms=(0.0, 1.0, 2.0, 3.0), cm_order=2, shells=True)
+    return NormRecorder(nu=p.nu, ms=(0.0, 1.0, 2.0, 3.0), cm_orders=(2,), shells=True)
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from numpy.random import Generator, Philox
 from cascade_lab import forcing, spectral
 from cascade_lab.diagnostics import NormRecorder
 from cascade_lab.experiments import fit_exponent
-from cascade_lab.forcing import SUB_OU, NoiseSpec, RngStream, ou_block_steps, ou_convolutions
+from cascade_lab.forcing import SUB_OU, NoiseSpec, RngStream, complex_normals, ou_block_steps, ou_convolutions
 from cascade_lab.integrators import (
     SimParams,
     State,
@@ -80,26 +80,33 @@ def rows(*fields):
     return np.concatenate([f.coeffs for f in fields])
 
 
+def ou_noise(spec, nu, dt, rng, step_index=0):
+    """One row's sqrt(nu) b_d gamma_d over the forced modes for an exact OU step, drawn at (step_index, SUB_OU)."""
+    _, sd, scale = _ou_tables(spec, nu, dt)
+    return scale * (sd * complex_normals((rng,), step_index, SUB_OU, (1, sd.size)))
+
+
 class TestOuExactStep:
     def test_pure_decay(self):
-        out = ou_exact_step(rows(single_mode(GRID, 1)), SILENT, nu=1.0, dt=log(2.0), rng=RngStream(0, 0))
+        noise = ou_noise(SILENT, 1.0, log(2.0), RngStream(0, 0))
+        out = ou_exact_step(rows(single_mode(GRID, 1)), SILENT, 1.0, log(2.0), noise)
         assert out[0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_tiny_dt_is_near_identity(self):
         c = rows(single_mode(GRID, 1))
-        out = ou_exact_step(c, SILENT, nu=1.0, dt=1e-12, rng=RngStream(0, 0))
+        out = ou_exact_step(c, SILENT, 1.0, 1e-12, ou_noise(SILENT, 1.0, 1e-12, RngStream(0, 0)))
         assert np.abs(out - c).max() <= 1e-10
 
     def test_rejects_zero_dt(self):
         with pytest.raises(ValueError):
-            ou_exact_step(rows(zero_field(GRID)), SILENT, 1.0, 0.0, RngStream(0, 0))
+            ou_exact_step(rows(zero_field(GRID)), SILENT, 1.0, 0.0, ou_noise(SILENT, 1.0, 0.0, RngStream(0, 0)))
 
     def test_rejects_grid_mismatch(self):
         other = NoiseSpec.band(GridSpec(1, 16, 8), [1.0])
         with pytest.raises(ValueError):
-            ou_exact_step(rows(zero_field(GRID)), other, 1.0, 0.1, RngStream(0, 0))
+            ou_exact_step(rows(zero_field(GRID)), other, 1.0, 0.1, ou_noise(other, 1.0, 0.1, RngStream(0, 0)))
         with pytest.raises(ValueError):  # no row axis
-            ou_exact_step(zero_field(GRID).coeffs[0], SILENT, 1.0, 0.1, RngStream(0, 0))
+            ou_exact_step(zero_field(GRID).coeffs[0], SILENT, 1.0, 0.1, ou_noise(SILENT, 1.0, 0.1, RngStream(0, 0)))
 
     def test_stationary_second_moment(self):
         # dt large: each step is an independent stationary sample; E|u_1|^2 -> b^2/|1|^2 = 1.
@@ -109,7 +116,7 @@ class TestOuExactStep:
         n = 20_000
         acc = 0.0
         for k in range(n):
-            u = ou_exact_step(u, spec, nu=1.0, dt=8.0, rng=rng, step_index=k)
+            u = ou_exact_step(u, spec, 1.0, 8.0, ou_noise(spec, 1.0, 8.0, rng, k))
             acc += abs(u[0, 0]) ** 2
         mean = acc / n
         se = 1.0 / sqrt(n)  # |u|^2 is Exp(1): sd = mean = 1
@@ -122,7 +129,7 @@ class TestOuExactStep:
         rng = RngStream(8, 0)
         samples = np.array(
             [
-                ou_exact_step(rows(zero_field(GRID)), spec, nu, dt, rng, step_index=k)[0, 0].real
+                ou_exact_step(rows(zero_field(GRID)), spec, nu, dt, ou_noise(spec, nu, dt, rng, k))[0, 0].real
                 for k in range(50_000)
             ]
         )
@@ -202,7 +209,7 @@ class TestPhaseRotation:
                 phase = dt * (v.real**2 + v.imag**2)
                 reference = np.exp(-1j * dt * (v.real**2 + v.imag**2))
                 assert _phase_factor(phase).tobytes() == reference.tobytes()
-                expected = mode_coeffs(grid, np.multiply(v, np.exp(-1j * phase)), grid.D)
+                expected = mode_coeffs(grid, np.multiply(v, np.exp(-1j * phase)))
                 assert phase_rotation_step(grid, c, dt).tobytes() == expected.tobytes()
 
     def test_truncation_only_removes_energy(self):
@@ -481,7 +488,7 @@ class TestForcedModeAdd:
         _, sd, scale = _ou_tables(spec, params.nu, params.dt / 2)
         noise0, noise1 = ou_convolutions(state.rngs, 0, sd, scale)
         ref = self.reference_half(c, spec, params.nu, params.dt / 2, noise0)
-        ref = mode_coeffs(grid, lattice_values(grid, ref) * np.exp(-1j * params.dt * np.abs(lattice_values(grid, ref)) ** 2), grid.D)
+        ref = mode_coeffs(grid, lattice_values(grid, ref) * np.exp(-1j * params.dt * np.abs(lattice_values(grid, ref)) ** 2))
         ref = self.reference_half(ref, spec, params.nu, params.dt / 2, noise1)
         got = strang_step(state, spec, params).u.coeffs
         np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-15)
@@ -502,7 +509,7 @@ class TestEmStep:
         for dt in (1e-3, 5e-4):
             params = SimParams(nu=0.5, dt=dt, T=dt, scheme="em", nonlinear=False, seed=0)
             em = em_step(initial_state(u0, params), SILENT, params)
-            ou = ou_exact_step(rows(u0), SILENT, 0.5, dt, RngStream(0, 0))
+            ou = ou_exact_step(rows(u0), SILENT, 0.5, dt, ou_noise(SILENT, 0.5, dt, RngStream(0, 0)))
             errs.append(np.abs(em.u.coeffs - ou).max())
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
 
@@ -689,7 +696,7 @@ class TestInitialData:
     def test_constrained_profile_satisfies_policy(self, nu):
         from cascade_lab.spectral import sup_norm
 
-        u = constrained_profile(GRID, nu, sup_bound=1.0, kappa=0.02, m=3.0)
+        u = constrained_profile(GRID, nu, sup_bound=1.0)
         assert sup_norm(u) <= 1.0 + 1e-12
         assert sobolev_norm(u, 3.0) <= nu ** (-0.06) + 1e-12
 

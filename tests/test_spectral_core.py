@@ -127,13 +127,13 @@ class TestTransforms:
     @pytest.mark.parametrize("grid", [GridSpec(1, 64, 32), GridSpec(2, 32, 16)])
     def test_round_trip(self, grid):
         u = random_field(grid, seed=4)
-        back = to_spectral(to_physical(u), grid.D)
+        back = to_spectral(to_physical(u))
         assert np.abs(back.coeffs - u.coeffs).max() <= 1e-12
 
     def test_round_trip_at_n256(self):
         grid = GridSpec(1, 256, 128)
         u = random_field(grid, seed=5)
-        back = to_spectral(to_physical(u), grid.D)
+        back = to_spectral(to_physical(u))
         assert np.abs(back.coeffs - u.coeffs).max() <= 1e-12
 
     def test_first_basis_function_projects_to_e1(self):
@@ -149,14 +149,8 @@ class TestTransforms:
         grid = GridSpec(1, 64, 32)
         high = GridSpec(1, 64, 64)
         p = to_physical(SpectralField(high, np.eye(1, 64, 32, dtype=complex)))  # mode 33
-        retained = to_spectral(PhysicalField(grid, p.values), 32)
+        retained = to_spectral(PhysicalField(grid, p.values))
         assert np.abs(retained.coeffs).max() <= 1e-12
-
-    def test_to_spectral_rejects_bad_truncation(self):
-        grid = GridSpec(1, 16, 8)
-        p = PhysicalField(grid, np.zeros((1, 16), dtype=complex))
-        with pytest.raises(ValueError):
-            to_spectral(p, 17)
 
     def test_parseval(self):
         for grid in (GridSpec(1, 64, 32), GridSpec(2, 32, 16)):
@@ -182,11 +176,11 @@ class TestTransforms:
     def test_concurrent_transforms_match_serial(self):
         grid = GridSpec(1, 64, 32)
         fields = [random_field(grid, seed=s) for s in range(8)]
-        serial = [to_spectral(to_physical(u), grid.D).coeffs for u in fields]
+        serial = [to_spectral(to_physical(u)).coeffs for u in fields]
         results = [None] * len(fields)
 
         def work(i):
-            results[i] = to_spectral(to_physical(fields[i]), grid.D).coeffs
+            results[i] = to_spectral(to_physical(fields[i])).coeffs
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(len(fields))]
         for t in threads:
@@ -204,11 +198,11 @@ def dstn_lattice_values(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     return sfft.dstn(buf, type=1, axes=tuple(range(-grid.n, 0))) * (2.0 * pi) ** (-grid.n / 2.0)
 
 
-def dstn_mode_coeffs(grid: GridSpec, values: np.ndarray, D: int) -> np.ndarray:
+def dstn_mode_coeffs(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """Reference: one dstn over the lattice block, then truncation to {1..D}^n."""
     scale = (2.0 * pi) ** (grid.n / 2.0) / (2.0 * (grid.N + 1)) ** grid.n
     full = sfft.dstn(values, type=1, axes=tuple(range(-grid.n, 0)))
-    return full[(..., *(slice(0, D),) * grid.n)] * scale
+    return full[(..., *(slice(0, grid.D),) * grid.n)] * scale
 
 
 TRANSFORM_GRIDS = [
@@ -239,8 +233,7 @@ class TestTransformHelpers:
         coeffs = random_block(rng, rows + grid.coeff_shape)
         assert_close_to(lattice_values(grid, coeffs), dstn_lattice_values(grid, coeffs))
         values = random_block(rng, rows + grid.values_shape)
-        for D in sorted({grid.D, grid.N}):
-            assert_close_to(mode_coeffs(grid, values, D), dstn_mode_coeffs(grid, values, D))
+        assert_close_to(mode_coeffs(grid, values), dstn_mode_coeffs(grid, values))
 
     @pytest.mark.parametrize("grid", TRANSFORM_GRIDS, ids=str)
     @pytest.mark.parametrize("M", [1, 3, 5, 17])
@@ -251,10 +244,9 @@ class TestTransformHelpers:
         lattice = lattice_values(grid, coeffs)
         for i in range(M):
             assert lattice[i].tobytes() == lattice_values(grid, coeffs[i]).tobytes()
-        for D in sorted({grid.D, grid.N}):
-            modes = mode_coeffs(grid, values, D)
-            for i in range(M):
-                assert modes[i].tobytes() == mode_coeffs(grid, values[i], D).tobytes()
+        modes = mode_coeffs(grid, values)
+        for i in range(M):
+            assert modes[i].tobytes() == mode_coeffs(grid, values[i]).tobytes()
 
     def test_wrappers_reject_non_finite_results(self):
         # Overflowing transforms raise and an overflowing norm reads inf, all without warnings.
@@ -394,7 +386,7 @@ def cm_norm_per_beta(u: SpectralField, m: int) -> float:
                 shape = [1] * grid.n
                 shape[ax] = grid.D
                 vals = vals * (d_axis**b).reshape(shape)
-            vals = _along(vals, ax, grid.n, _axis_table(grid, grid.D, "cos" if b % 2 else "sin"))
+            vals = _along(vals, ax, grid.n, _axis_table(grid, "cos" if b % 2 else "sin"))
         best = max(best, float(np.abs(vals).max()))
     return best
 
@@ -402,9 +394,9 @@ def cm_norm_per_beta(u: SpectralField, m: int) -> float:
 # --- the complex formulation the real products replaced, kept as a reference ------------------
 
 
-def complex_matrices(grid: GridSpec, D: int) -> tuple[np.ndarray, ...]:
+def complex_matrices(grid: GridSpec) -> tuple[np.ndarray, ...]:
     """Complex128 copies: (N x D) sine, its transpose, (D x N) projection, its transpose, (N x D) cosine."""
-    angle = grid.points[:, None] * np.arange(1, D + 1)[None, :]
+    angle = grid.points[:, None] * np.arange(1, grid.D + 1)[None, :]
     sin_m, cos_m = sqrt(2.0 / pi) * np.sin(angle), sqrt(2.0 / pi) * np.cos(angle)
     proj = (pi / (grid.N + 1)) * sin_m.T
     return tuple(np.array(a, dtype=np.complex128, order="C") for a in (sin_m, sin_m.T, proj, proj.T, cos_m))
@@ -424,7 +416,7 @@ def complex_per_axis(grid: GridSpec, a: np.ndarray, mat: np.ndarray, mat_t: np.n
 
 def complex_cm_norm(grid: GridSpec, coeffs: np.ndarray, m: int) -> np.ndarray:
     """C^m with each stage's grid axis transposed to the front and multiplied by a complex matrix."""
-    sin_m, *_, cos_m = complex_matrices(grid, grid.D)
+    sin_m, *_, cos_m = complex_matrices(grid)
     d_axis = np.arange(1, grid.D + 1, dtype=float)
     n = grid.n
     lead = coeffs.shape[: coeffs.ndim - n]
@@ -460,12 +452,11 @@ class TestRealProducts:
     def test_agree_with_complex_products(self, grid, rows):
         rng = np.random.default_rng(grid.n * 1000 + grid.N * 10 + len(rows))
         coeffs = random_block(rng, rows + grid.coeff_shape)
-        ref = complex_per_axis(grid, coeffs, *complex_matrices(grid, grid.D)[:2])
+        ref = complex_per_axis(grid, coeffs, *complex_matrices(grid)[:2])
         assert_within_1e15(lattice_values(grid, coeffs), ref)
         values = random_block(rng, rows + grid.values_shape)
-        for D in sorted({grid.D, grid.N}):
-            ref = complex_per_axis(grid, values, *complex_matrices(grid, D)[2:4])
-            assert_within_1e15(mode_coeffs(grid, values, D), ref)
+        ref = complex_per_axis(grid, values, *complex_matrices(grid)[2:4])
+        assert_within_1e15(mode_coeffs(grid, values), ref)
         u = SpectralField(grid, coeffs.reshape(-1, *grid.coeff_shape))  # no leading axis: one row
         for m in range(4):
             assert_within_1e15(cm_norm(u, m), complex_cm_norm(grid, u.coeffs, m))
@@ -474,8 +465,8 @@ class TestRealProducts:
         """Every table a nonlinear run with C^2 builds is float64; at n = 1 none is interleaved."""
         built = []
 
-        def record(grid, D, kind):
-            table = build(grid, D, kind)
+        def record(grid, kind):
+            table = build(grid, kind)
             built.append((grid.n, kind, table))
             return table
 
@@ -494,7 +485,7 @@ class TestRealProducts:
             assert right.dtype == np.float64 and right.flags.c_contiguous and not right.flags.writeable
             if n == 1:  # the transpose of the n = 2 matrix, and no interleaved table
                 assert left is None
-                assert np.array_equal(right, build(GridSpec(2, 16, 8), 8, kind)[0].T)
+                assert np.array_equal(right, build(GridSpec(2, 16, 8), kind)[0].T)
             else:
                 assert left.dtype == np.float64 and left.flags.c_contiguous and not left.flags.writeable
                 assert right.shape == (2 * left.shape[1], 2 * left.shape[0])
@@ -544,7 +535,7 @@ coeff_arrays = st.integers(min_value=0, max_value=2**32 - 1)
 def test_round_trip_property(seed, scale):
     grid = GridSpec(1, 32, 16)
     u = random_field(grid, seed=seed, scale=scale)
-    back = to_spectral(to_physical(u), grid.D)
+    back = to_spectral(to_physical(u))
     assert np.abs(back.coeffs - u.coeffs).max() <= 1e-12 * max(1.0, scale)
 
 
