@@ -218,12 +218,19 @@ def _complex_draws(rngs, step_index: int, substream: int, k: int, blocks: int) -
     """Complex standard normals of shape (len(rngs), blocks, k), row i drawn by stream i.
 
     Each stream draws 2·blocks·k normals at (step_index, substream), laid out
-    re_0 | im_0 | re_1 | im_1 | ...; no stream is addressed when k is 0.
+    re_0 | im_0 | re_1 | im_1 | ...; no stream is addressed when k is 0.  Streams with the same
+    (base_seed, stream_id), as in the entries of a sweep, draw the same normals: each such key
+    is drawn once, by its first row, and copied to the others.
     """
     z = np.empty((len(rngs), blocks, 2, k))
     if k:
-        for rng, row in zip(rngs, z.reshape(len(rngs), -1)):
-            rng.normals(step_index, substream, out=row)
+        flat, first = z.reshape(len(rngs), -1), {}
+        for i, rng in enumerate(rngs):
+            j = first.setdefault((rng.base_seed, rng.stream_id), i)
+            if j == i:
+                rng.normals(step_index, substream, out=flat[i])
+            else:
+                flat[i] = flat[j]
     out = np.empty((len(rngs), blocks, k), dtype=np.complex128)
     out.real, out.imag = z[:, :, 0], z[:, :, 1]
     return out

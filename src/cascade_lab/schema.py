@@ -16,7 +16,10 @@ from __future__ import annotations
 #    (forcing.ou_block_steps), so every Strang output number changes again.
 # 5: transforms, sup and C^m are real products on float64 views, rounding unlike the complex
 #    products on some shapes (n=1 N=64 D=32: up to 4e-16 relative); fits are closed-form.
-SCHEMA_VERSION = 5
+# 6: the phase factor is taken from one half-angle tangent instead of a cosine and a sine, so
+#    every nonlinear output number changes; the last-axis product at n >= 2 is padded to a
+#    multiple of 8 columns, which changes SkylakeX bits on grids such as n=2 N=12 D=6.
+SCHEMA_VERSION = 6
 
 # Per-trajectory stream, in memory a (records x columns) float64 array and on disk a CSV:
 # t, tau, one column per configured Sobolev order, then the lattice sup, then the C^m

@@ -3,7 +3,7 @@
 Covers the transform round trip and discrete Parseval identity, the transforms
 row by row and against direct sums of the basis, coefficient interpolation, norm
 homogeneity, the pure-decay and stationary limits of the exact linear step,
-phase-rotation isometry, addressed draws, the batched ensemble step against one-row
+phase-rotation isometry, the phase factor against exp(-i phi), addressed draws, the batched ensemble step against one-row
 steps, the Strang step's block-addressed forced-mode draw, and the power-law fit
 oracle.  Runs in a few seconds; the CLI exposes it as ``selftest``.
 """
@@ -22,6 +22,7 @@ from .integrators import (
     SimParams,
     State,
     _ou_tables,
+    _phase_factor,
     _strang,
     initial_state,
     ou_exact_step,
@@ -117,6 +118,15 @@ def run_selftest(verbose: bool = True) -> bool:
     (before,) = lattice_inner(to_physical(v), to_physical(v))
     (after,) = lattice_inner(to_physical(rotated), to_physical(rotated))
     check("phase rotation preserves lattice L2", abs(after - before) <= 1e-12 * before)
+
+    phase = np.logspace(-12, 12, 100_001)  # the tangent's bits follow this host's SIMD dispatch
+    e = _phase_factor(phase)
+    err, mod = float(np.abs(e - np.exp(-1j * phase)).max()), float(np.abs(np.abs(e) - 1.0).max())
+    check(
+        f"phase factor agrees with exp(-i phi) to 1e-15 and keeps |e| = 1 over 1e-12 <= phi <= 1e12"
+        f" (err {err:.1e}, ||e| - 1| {mod:.1e})",
+        err <= 1e-15 and mod <= 1e-15,
+    )
 
     stream = RngStream(2**64 - 1, 2**63)  # an address at the uint64 extremes
     stream.normals(3, 0, 7)  # leave the generator mid-block before re-addressing it

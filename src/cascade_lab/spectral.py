@@ -94,8 +94,10 @@ def mode_abs_sq(grid: GridSpec) -> np.ndarray:
 def _axis_table(grid: GridSpec, kind: str) -> tuple[np.ndarray | None, np.ndarray]:
     """Read-only float64 (left, right) of one axis's real (J x K) matrix for modes 1..D: "sin"/"cos" is
     the (N x D) sine/cosine matrix (rows at lattice points, (2/pi)^(1/2) folded in), "proj" the (D x N)
-    sine transpose times pi/(N+1).  At n >= 2 left is the matrix and right its (2K x 2J) interleaved
-    transpose W, W[0::2, 0::2] = W[1::2, 1::2] = matrix^T; at n = 1 left is None, right the transpose."""
+    sine transpose times pi/(N+1).  At n >= 2 left is the matrix and right its interleaved transpose W,
+    W[0::2, 0::2] = W[1::2, 1::2] = matrix^T, zero-padded to 2K x (2J rounded up to a multiple of 8): the
+    FMA dgemm kernels (SkylakeX, Haswell) round a product with such a column count alike, but not one
+    with 12 or 20 columns.  At n = 1 left is None, right the transpose."""
     angle = grid.points[:, None] * np.arange(1, grid.D + 1)[None, :]
     mat = sqrt(2.0 / pi) * (np.cos(angle) if kind == "cos" else np.sin(angle))
     if kind == "proj":
@@ -103,8 +105,9 @@ def _axis_table(grid: GridSpec, kind: str) -> tuple[np.ndarray | None, np.ndarra
     if grid.n == 1:
         left, right = None, np.ascontiguousarray(mat.T)
     else:
-        left, right = np.ascontiguousarray(mat), np.zeros((2 * mat.shape[1], 2 * mat.shape[0]))
-        right[0::2, 0::2] = right[1::2, 1::2] = mat.T
+        J, K = mat.shape
+        left, right = np.ascontiguousarray(mat), np.zeros((2 * K, -(-2 * J // 8) * 8))
+        right[0::2, 0 : 2 * J : 2] = right[1::2, 1 : 2 * J : 2] = mat.T
         left.flags.writeable = False
     right.flags.writeable = False
     return left, right
@@ -169,15 +172,16 @@ def _along(a: np.ndarray, ax: int, n: int, table: tuple[np.ndarray | None, np.nd
 
     Float64 products on ``a``'s float64 view, never across rows (that would make a row's bits depend
     on M): from the left on every axis but the last, real and imaginary parts riding along as
-    interleaved columns; rows times W on the last axis at n >= 2; at n = 1, each row's (2 x K) parts
-    times the transpose, since AVX-512 and AVX2 dgemm round a (J x K) @ (K x 2) product differently."""
+    interleaved columns; rows times W on the last axis at n >= 2, less W's zero padding; at n = 1, each
+    row's (2 x K) parts times the transpose, since AVX-512 and AVX2 dgemm round a (J x K) @ (K x 2) product
+    differently."""
     left, right = table
     if ax < n - 1:
         head = a.shape[: a.ndim - n + ax]
         out = left @ a.reshape(*head, left.shape[1], -1).view(np.float64)
         return out.view(np.complex128).reshape(*head, left.shape[0], *a.shape[len(head) + 1 :])
     if n > 1:
-        return (a.view(np.float64) @ right).view(np.complex128)
+        return (a.view(np.float64) @ right)[..., : 2 * left.shape[0]].view(np.complex128)
     parts = a.view(np.float64).reshape(*a.shape, 2).swapaxes(-1, -2) @ right
     out = np.empty(a.shape[:-1] + right.shape[1:], dtype=np.complex128)
     out.real, out.imag = parts[..., 0, :], parts[..., 1, :]

@@ -330,19 +330,17 @@ def test_report_rejects_missing_or_extra_fields():
 N2_GRID = GridSpec(2, 32, 16)
 
 
-def n2_ensemble():
-    """A short nonlinear n=2 ensemble at M=16: its lattice batch is 256 KiB."""
+def n2_ensemble(grid=N2_GRID):
+    """A short nonlinear n=2 ensemble at M=16: on ``N2_GRID`` its lattice batch is 256 KiB."""
     nu = 0.2
     params = SimParams(nu=nu, dt=0.01, T=0.4, record_every=5, seed=777)
     observables = (Observable("sup_sobolev", 2.0), Observable("sup_cm", 2.0), Observable("sup_inf"))
-    u0 = constrained_profile(N2_GRID, nu, sup_bound=2.0)
-    return ensemble_run(
-        N2_GRID, NoiseSpec.from_profile(N2_GRID, "band:1,1,1"), params, 16, lambda sid: u0, observables
-    )
+    u0 = constrained_profile(grid, nu, sup_bound=2.0)
+    return ensemble_run(grid, NoiseSpec.from_profile(grid, "band:1,1,1"), params, 16, lambda sid: u0, observables)
 
 
-def n2_ensemble_hash() -> str:
-    summary, streams = n2_ensemble()
+def n2_ensemble_hash(grid=N2_GRID) -> str:
+    summary, streams = n2_ensemble(grid)
     h = hashlib.sha256()
     for records in streams:
         h.update(stream_csv_text(records).encode())
@@ -454,6 +452,23 @@ def test_one_and_two_blas_threads_write_the_same_bytes():
         for threads in ("1", "2")
     }
     assert hashes["1"] == hashes["2"]
+
+
+def test_haswell_and_default_kernels_write_the_same_bytes():
+    # At n=2 N=12 D=6 the projection's last-axis product has 12 columns unpadded, where the
+    # SkylakeX and Haswell dgemm kernels round differently; padded to 16 they agree.
+    code = "import test_golden as g; print(g.blas_kernel(), g.n2_ensemble_hash(g.GridSpec(2, 12, 6)))"
+    tests_dir = str(Path(__file__).resolve().parent)
+    runs = {
+        coretype: run_python(code, OPENBLAS_CORETYPE=coretype, PYTHONPATH=f"{SRC}{os.pathsep}{tests_dir}").split()
+        for coretype in ("", "Haswell")
+    }
+    (default, default_hash), (haswell, haswell_hash) = runs[""], runs["Haswell"]
+    if haswell != "Haswell":
+        pytest.skip(f"the Haswell kernel cannot run here (OpenBLAS picked {haswell})")
+    if default == "Haswell":
+        pytest.skip("the default kernel is Haswell: no second FMA kernel to compare")
+    assert default_hash == haswell_hash, f"{default} and Haswell kernels write different bytes"
 
 
 def test_package_and_selftest_do_not_load_scipy():

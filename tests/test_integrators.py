@@ -200,6 +200,16 @@ class TestPhaseRotation:
     @pytest.mark.parametrize("grid", [GridSpec(1, 64, 32), GridSpec(2, 32, 16)], ids=str)
     @pytest.mark.parametrize("M", [1, 3, 5])
     def test_phase_factor_equals_complex_exp(self, grid, M):
+        # The tangent form is not the bits of exp(-1j * phase): it must agree to 1e-15 and keep
+        # |e| = 1 to 1e-15, give each row the bytes of a one-row factor, and turn a non-finite or
+        # overflowing phase into NaN; the step must apply exactly this factor.
+        def assert_close(phase):
+            e = _phase_factor(phase)
+            assert np.abs(e - np.exp(-1j * phase)).max() <= 1e-15
+            assert np.abs(np.abs(e) - 1.0).max() <= 1e-15
+            return e
+
+        assert_close(np.logspace(-12, 12, 100_001))
         rng = np.random.default_rng(M)
         for scale in (1e-6, 1e-2, 1.0, 1e2, 1e6):
             shape = (M,) + grid.coeff_shape
@@ -207,10 +217,14 @@ class TestPhaseRotation:
             v = lattice_values(grid, c)
             for dt in (0.01, 0.37):
                 phase = dt * (v.real**2 + v.imag**2)
-                reference = np.exp(-1j * dt * (v.real**2 + v.imag**2))
-                assert _phase_factor(phase).tobytes() == reference.tobytes()
-                expected = mode_coeffs(grid, np.multiply(v, np.exp(-1j * phase)))
+                e = assert_close(phase)
+                for i in range(M):
+                    assert e[i].tobytes() == _phase_factor(phase[i : i + 1]).tobytes()
+                expected = mode_coeffs(grid, np.multiply(v, _phase_factor(phase)))
                 assert phase_rotation_step(grid, c, dt).tobytes() == expected.tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = np.array([np.inf, -np.inf, np.nan, 0.37 * np.square(np.float64(1e160))])
+            assert np.isnan(_phase_factor(bad).view(np.float64)).all()
 
     def test_truncation_only_removes_energy(self):
         u = random_field(GRID, 5)  # D = N/2: rotation spills into discarded modes
