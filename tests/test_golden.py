@@ -103,13 +103,13 @@ CRITERION_10_SHA256 = {
 }
 
 # sha256 over the CSV streams and the summary of ``n2_ensemble``
-N2_ENSEMBLE_SHA256 = "b7894b1a8cfd1725386a837a937b4fbd5961653f99f70709d30e69c94c6bbd95"
+N2_ENSEMBLE_SHA256 = "b79ed35222cea72b40e687850ae4c8b4fce291a073e88ee1268e58c54110333d"
 
 # sha256 of ``checkpoint_bytes()``
-CHECKPOINT_SHA256 = "174980891982a1fa4c9648a5ff23e5c953a01454629872ea4e508efb157d1360"
+CHECKPOINT_SHA256 = "e106575cb5e04534521e7cbf480cc9c79337fa7bb136435f3a010dca2a9a165d"
 
 # ``_records_digest`` of perfbench/worker.py over the streams of ``records_view_ensemble()``
-RECORDS_VIEW_SHA256 = "d9a8788e1bc7938b4229f37300cae4ae25ad54ffa16a44b0481dff3476f4f900"
+RECORDS_VIEW_SHA256 = "be42061bf32d63c52ee365f1b9e2f6fdf6e4e404e0403a422b1e802a5ce651ca"
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -203,58 +203,58 @@ GOLDEN_RUNS = {
 GOLDEN_RUNS_SHA256 = {
     "simulate-slow": {
         "config.ini": "a4800193562c07b5925aef81a2af9c44d78b94bba53a1f81e49c2d3bfc30e1d9",
-        "manifest.json": "92be084bd7bc0e4d4b5e35ba1972ad5a486426296ac65c9394e5bee712c787cb",
-        "occupation_report.jsonl": "0cde4e608d070c2ca15e8ee3ec02d1013f44e81cdc4cecd4ef9233ce95da3e17",
-        "report.jsonl": "b34fe1f1911dc985f49de4098f252a8328d60817fd0d5099ff56d87f8fca4031",
-        "streams/traj_0000.csv": "a24bd716132f7f440e5aecf34ce29b87f61c8943746665fea5fb298da1a4441c",
-        "streams/traj_0001.csv": "b35495685035d8df46d5852fd66a448bafd82b1af59e437439f61f3baec2aa03",
+        "manifest.json": "0c57ea3ba31bcbba7b0cb61580ab9dc30373ffcec2a7b936e9bf78c7620f8631",
+        "occupation_report.jsonl": "862ff32a49d6dfa519833ec2c4eceb50280532ed334ecce3f7da7f5d9f70276e",
+        "report.jsonl": "89f3e7b17f862c0c44eb736b4b09fd92004d1eb52f648eefd15f7337fda8684f",
+        "streams/traj_0000.csv": "8126c75bc64a1dc8b16e14cc808940af8d3f157ceee7c86baa2868ef1ce22efa",
+        "streams/traj_0001.csv": "1da37696ee21bf386b99dba57382604e12658deb9537005559477b357913a020",
     },
     "simulate-fast": {
         "config.ini": "a7f1ba2cefa99d3c01dbd3db1f227bbd51994bc140d2db497e5edfbc1c640112",
-        "manifest.json": "daa9100f6020250d3b9c71db64769c80de4ba7c2f2514d47fadc38c1c12cc370",
-        "report.jsonl": "b374a19399c5b0ef1586ae54cb17718e15950353207bc9a490d5df3298db7073",
-        "streams/traj_0000.csv": "c6c588b21893f9200e75de34c5467b6f18eaf94645dcdcb964e8ba2afdfe71a3",
-        "streams/traj_0001.csv": "222a70d0b9612459c1fe25c811f1da05746c4f01c2172535b88b530b0f7d2a4d",
+        "manifest.json": "53ab2c306555439d071974a92cbe4136e0a814bb8ae9449e304ae695f6286b7b",
+        "report.jsonl": "2f39325443eb3ba34efcc0f29a9032010b779477eff483a9b72018091042afd4",
+        "streams/traj_0000.csv": "c0aa26fafe0e4e9380773d67999c6c7886fe9f4d86d1b2552b31a09b88b08f2a",
+        "streams/traj_0001.csv": "477f66339b31084c062f86f5fc95c739ac3630389a7151e846ad90a0cec01f86",
     },
     "spectrum": {
         "config.ini": "cce74964518b9418d7653a39ed7445742afb0099234a3a0dd795c23d3fcf35c0",
-        "manifest.json": "ac45b1fe7d4ce06f983e82e069e726a5706411eb2f5e17a8761d28de10918571",
-        "report.jsonl": "af0aae87123922e3e1c4a44e9131f334a0ef3fdb13b00463a113c191693279f4",
-        "streams/traj_0000.csv": "9c39ab776768e1dedc53ffb0e017f207eb8d1c92850177c83ccea9645d6728a4",
-        "streams/traj_0001.csv": "6f92e8cc10fa049c6f5a573eb5d2343fc0571dbf70d7501b9ada745bb36dd56c",
+        "manifest.json": "9944fbcb97a397f543534ef22007bf4473d9767277ca990d6bbe6c813658b987",
+        "report.jsonl": "dd45443cf1cc5899876d0fda47b5f0dcf8144be2fde929637b978f3e8a30918c",
+        "streams/traj_0000.csv": "e20f3bf1ffc9d44ebe72ad19c68e6c53be22c61ac088e430fe4e6a5114d2013a",
+        "streams/traj_0001.csv": "361dd1823c313c8efad4a629d2f3b61bd71eef386e59702d053dcfaabcf8459c",
     },
     "sweep-slow": {
         "config.ini": "c88e843ebf461471f57903e49538d6257692c5849a3a5fb9ee2475cba18e58c1",
-        "manifest.json": "67a631de862538c03316c27489447a4cf5f1d28ecaf970ed86a5f2e3d561e5a9",
-        "report.jsonl": "5ecf68e4106ee8587c90d86086d50a176141fc7c440d7aa55d0cd8fd8ac613ae",
-        "streams/nu_0.25/traj_0000.csv": "421f869055e4bc0a49a597fb796acfc4a47c9ef2ab2de810b18f00d40fbb2a48",
-        "streams/nu_0.25/traj_0001.csv": "632baa307ef5de52ad46ffe91635a27238d7eba53beea7adabe5066db380319b",
-        "streams/nu_0.4/traj_0000.csv": "81b6a56741149fd3a9982c1c06981a921fab07ca28358835add7f3f6981dbf36",
-        "streams/nu_0.4/traj_0001.csv": "4b28952b6eca64e88a7923098c84460ceb16afc285615945a2a029c2c04aad3d",
-        "streams/nu_0.5/traj_0000.csv": "b06b3b7ede5255c89e2b19b26df171954f6d3dd8f6308ca29f74b9c69ad21d8c",
-        "streams/nu_0.5/traj_0001.csv": "45f8d3044d3968e84c47716a0faa6de64dc503a8c25a336aab44b9b5f34df96a",
+        "manifest.json": "c3bc232de509db79bdcd7280ede226d79c076420fa92ba79a4185a34e23c2095",
+        "report.jsonl": "47096460c6c53d1e342e62a01e9b6b7906ca726e4a05cc6a1dea191f1938f4f7",
+        "streams/nu_0.25/traj_0000.csv": "20b25bdd35e24b24c6fd905bca8d20aa4dc9848c0d1c5dfbe541da8e13b49bd4",
+        "streams/nu_0.25/traj_0001.csv": "f08c6cb38d7be2b24f48f5d0394ab3f4a34aa9b434835197a1bbdf71e9142906",
+        "streams/nu_0.4/traj_0000.csv": "30a65023f7da75d4fa75dcc87e79fc74c10434fe3b3326c4d7ab671742e91fa3",
+        "streams/nu_0.4/traj_0001.csv": "5a82aa0451a229e9a503ed3b0b0648da870707f3651807967c7a850176ecef6e",
+        "streams/nu_0.5/traj_0000.csv": "b9b4e337f1034e706537bf01041c91aac7428008ffd40e682c79478c42b70411",
+        "streams/nu_0.5/traj_0001.csv": "f326ced5bff6324ce8cf8bde84d050672b74b18be73788d7c1686594b16e015b",
     },
     "sweep-fast": {
         "config.ini": "ea929485771aa343f4520296c4716117284cff5cc870af66f91ccb11b1cb4746",
-        "manifest.json": "ef4175dcae331ce533e6dc0ada5458df72e1e131aa6e578958cdf2d0574bb8b3",
-        "report.jsonl": "5ecf68e4106ee8587c90d86086d50a176141fc7c440d7aa55d0cd8fd8ac613ae",
-        "streams/nu_0.25/traj_0000.csv": "421f869055e4bc0a49a597fb796acfc4a47c9ef2ab2de810b18f00d40fbb2a48",
-        "streams/nu_0.25/traj_0001.csv": "632baa307ef5de52ad46ffe91635a27238d7eba53beea7adabe5066db380319b",
-        "streams/nu_0.4/traj_0000.csv": "81b6a56741149fd3a9982c1c06981a921fab07ca28358835add7f3f6981dbf36",
-        "streams/nu_0.4/traj_0001.csv": "4b28952b6eca64e88a7923098c84460ceb16afc285615945a2a029c2c04aad3d",
-        "streams/nu_0.5/traj_0000.csv": "b06b3b7ede5255c89e2b19b26df171954f6d3dd8f6308ca29f74b9c69ad21d8c",
-        "streams/nu_0.5/traj_0001.csv": "45f8d3044d3968e84c47716a0faa6de64dc503a8c25a336aab44b9b5f34df96a",
+        "manifest.json": "e2eea65560d8565df755b6397792fe2631118761853a4c699a326f55d9756aeb",
+        "report.jsonl": "47096460c6c53d1e342e62a01e9b6b7906ca726e4a05cc6a1dea191f1938f4f7",
+        "streams/nu_0.25/traj_0000.csv": "20b25bdd35e24b24c6fd905bca8d20aa4dc9848c0d1c5dfbe541da8e13b49bd4",
+        "streams/nu_0.25/traj_0001.csv": "f08c6cb38d7be2b24f48f5d0394ab3f4a34aa9b434835197a1bbdf71e9142906",
+        "streams/nu_0.4/traj_0000.csv": "30a65023f7da75d4fa75dcc87e79fc74c10434fe3b3326c4d7ab671742e91fa3",
+        "streams/nu_0.4/traj_0001.csv": "5a82aa0451a229e9a503ed3b0b0648da870707f3651807967c7a850176ecef6e",
+        "streams/nu_0.5/traj_0000.csv": "b9b4e337f1034e706537bf01041c91aac7428008ffd40e682c79478c42b70411",
+        "streams/nu_0.5/traj_0001.csv": "f326ced5bff6324ce8cf8bde84d050672b74b18be73788d7c1686594b16e015b",
     },
     "stationary": {
         "config.ini": "ac2b2d30290eb5486c97b2dcbab0c4672cb6eda33075b1626c1a98e8147fbc71",
-        "manifest.json": "f5066309d5a5f680227fec06512e65fd9001873c6f285ff7d56ad6861aaa3aee",
-        "report.jsonl": "cd1a94a8ad3ca6e7772967d10a365d9a7840893e528ed38ed5fa1c93314837d9",
-        "streams/nu_0.25/traj_0000.csv": "87ac2b74970edad56ae96f2c747c2ec292a12449adef7792a7c56bd66463dd99",
-        "streams/nu_0.25/traj_0001.csv": "384f5ef7c55c175e44a777544978388745aee03de1cc2bf15abec1dbbb5539eb",
-        "streams/nu_0.4/traj_0000.csv": "38a512f4552c4b32cd916a3e49d1f48e7edb293f34a2ff4141d6bfd5bc6cc073",
-        "streams/nu_0.4/traj_0001.csv": "10ee1ee2eedbe833095dc74afb22671c35301cc7049124c69c7b8d7b7c32e448",
-        "streams/nu_0.5/traj_0000.csv": "f630ebfd47de69d1c9c03f7231f7e7a9a0e7ca1ab1bf520bb58732af546a1563",
-        "streams/nu_0.5/traj_0001.csv": "656d4dc7614d76d914abc5961be625852509cbb67a7fb928d65b64d15d3068e9",
+        "manifest.json": "2ebaed196726fad0bbd2f508fe66698e643232e14e9fc7aac734187f37beb295",
+        "report.jsonl": "df17d563d019fd508e35a01f02ba51e22c868a6fcd2183b445349a8079de7f65",
+        "streams/nu_0.25/traj_0000.csv": "d2093076f40ef4804bea4de554ae58ef51b4b53290bbb4e7261a6e67b25b6da2",
+        "streams/nu_0.25/traj_0001.csv": "4e777382b695eba45aed35ea22d6e30578a89a88140d96426f8ad24e7d41f4d7",
+        "streams/nu_0.4/traj_0000.csv": "9d83f01d3f6b708aabaaf9dbbb9e6f54d7d1aaf1be70fe04c8b46500f61308c3",
+        "streams/nu_0.4/traj_0001.csv": "4fd50de20772e652c74558476571b56cdbf6361bcb90f603f85c005b7ab230a3",
+        "streams/nu_0.5/traj_0000.csv": "0762372a3857069f46a40336bf81aae79b29e9cda3a33f7973deb880415416fa",
+        "streams/nu_0.5/traj_0001.csv": "b87d2a6a1e07236cdd61f617fe6bc6eaa46c3568bc4396a86760f1d28850bec7",
     },
 }
 
