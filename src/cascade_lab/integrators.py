@@ -234,10 +234,10 @@ def ou_exact_step(
 def _phase_factor(phase: np.ndarray) -> np.ndarray:
     """exp(-i phase) from one half-angle tangent t = tan(phase / 2): ((1 - t^2) - 2it) / (1 + t^2).
 
-    One ``np.tan`` costs less than a cosine and a sine, and unlike them it does not slow down as
-    the phase grows; the result is within about 3e-16 of ``np.exp(-1j * phase)``.  Its bits
-    depend on numpy's SIMD dispatch of ``tan``, and only on each value, never on the array's
-    length or layout.  An infinite or NaN phase gives NaN (with an "invalid" warning).
+    One ``np.tan`` costs less than a cosine and a sine, which also slow down as the phase grows.
+    The result is within about 3e-16 of ``np.exp(-1j * phase)``; its bits follow numpy's SIMD
+    dispatch of ``tan`` and depend only on each value, not on the array's length or layout.  An
+    infinite or NaN phase gives NaN.
     """
     t = np.multiply(phase, 0.5)  # exact: a power-of-two scale
     np.tan(t, out=t)

@@ -3,9 +3,9 @@
 Covers the transform round trip and discrete Parseval identity, the transforms
 row by row and against direct sums of the basis, coefficient interpolation, norm
 homogeneity, the pure-decay and stationary limits of the exact linear step,
-phase-rotation isometry, the phase factor against exp(-i phi), addressed draws, the batched ensemble step against one-row
-steps, the Strang step's block-addressed forced-mode draw, and the power-law fit
-oracle.  Runs in a few seconds; the CLI exposes it as ``selftest``.
+phase-rotation isometry, the phase factor against exp(-i phi), addressed draws,
+the batched ensemble step against one-row steps, the Strang step's
+block-addressed forced-mode draw, and the power-law fit oracle.  Runs in a few seconds; the CLI exposes it as ``selftest``.
 """
 
 from __future__ import annotations
