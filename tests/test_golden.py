@@ -6,13 +6,15 @@ every byte of each run directory (manifest, config, reports and streams).
 Output bytes depend on the numpy build, the BLAS build it links (the
 transforms are products with sine matrices), the BLAS kernel it picks at run
 time and the CPU's SIMD level (with FMA, a complex product rounds differently
-with its operands swapped).  The golden hashes below were taken on the build
+with its operands swapped, and the bits of ``np.tan``, which gives the phase
+factor, follow numpy's SIMD dispatch).  The golden hashes below were taken on the build
 named in ``GOLDEN_ENV`` and hold with either OpenBLAS kernel in
 ``GOLDEN_KERNELS``; on any other build or kernel those tests skip and name the
 difference.  The ensemble
 cross-check holds on any build: M trajectories stepped together as one array
 give, bit for bit, the streams of M single-trajectory runs; so does the check
-that one and two BLAS threads write the same bytes.
+that one and two BLAS threads write the same bytes, and so does the check
+that the default and the Haswell OpenBLAS kernels do, wherever both run.
 """
 
 import ctypes
@@ -459,11 +461,10 @@ def test_haswell_and_default_kernels_write_the_same_bytes():
     # SkylakeX and Haswell dgemm kernels round differently; padded to 16 they agree.
     code = "import test_golden as g; print(g.blas_kernel(), g.n2_ensemble_hash(g.GridSpec(2, 12, 6)))"
     tests_dir = str(Path(__file__).resolve().parent)
-    runs = {
-        coretype: run_python(code, OPENBLAS_CORETYPE=coretype, PYTHONPATH=f"{SRC}{os.pathsep}{tests_dir}").split()
+    (default, default_hash), (haswell, haswell_hash) = (
+        run_python(code, OPENBLAS_CORETYPE=coretype, PYTHONPATH=f"{SRC}{os.pathsep}{tests_dir}").split()
         for coretype in ("", "Haswell")
-    }
-    (default, default_hash), (haswell, haswell_hash) = runs[""], runs["Haswell"]
+    )
     if haswell != "Haswell":
         pytest.skip(f"the Haswell kernel cannot run here (OpenBLAS picked {haswell})")
     if default == "Haswell":
