@@ -42,6 +42,9 @@ from cascade_lab.integrators import (
     continue_trajectory,
     default_dt,
     initial_state,
+    run_em_on_path,
+    run_strang_on_path,
+    sample_coupled_path,
     smooth_random_field,
     zero_field,
 )
@@ -109,6 +112,9 @@ N2_ENSEMBLE_SHA256 = "b79ed35222cea72b40e687850ae4c8b4fce291a073e88ee1268e58c541
 
 # sha256 of ``checkpoint_bytes()``
 CHECKPOINT_SHA256 = "e106575cb5e04534521e7cbf480cc9c79337fa7bb136435f3a010dca2a9a165d"
+
+# sha256 over the final coefficients of every chain in ``coupled_path_chains()``
+COUPLED_PATH_SHA256 = "51d1d1f9ee1f5496c6c2b198c2d38e96c7a9989e64cc8353e41c35160e93601f"
 
 # ``_records_digest`` of perfbench/worker.py over the streams of ``records_view_ensemble()``
 RECORDS_VIEW_SHA256 = "be42061bf32d63c52ee365f1b9e2f6fdf6e4e404e0403a422b1e802a5ce651ca"
@@ -375,6 +381,30 @@ def test_criterion_10_csvs_match_golden(tmp_path):
 def test_n2_ensemble_matches_golden():
     skip_unless_golden_build()
     assert n2_ensemble_hash() == N2_ENSEMBLE_SHA256
+
+
+def coupled_path_chains():
+    """Strang and EM chains on criterion 5's grid, linear and not, and an n=2 Strang ladder, on coupled paths."""
+    grid = GridSpec(1, 32, 16)
+    u0 = constrained_profile(grid, 0.2)
+    path = sample_coupled_path(NoiseSpec.band(grid, [1.0, 1.0, 1.0]), 0.2, 0.00125, 800, RngStream(1000, 0))
+    for dt in (0.01, 0.005, 0.0025):
+        for nonlinear in (True, False):
+            yield run_strang_on_path(u0, path, dt, nonlinear)
+            yield run_em_on_path(u0, path, dt, nonlinear)
+    grid = GridSpec(2, 16, 8)
+    u0 = constrained_profile(grid, 0.2)
+    path = sample_coupled_path(NoiseSpec.band(grid, [1.0, 1.0, 1.0]), 0.2, 0.0025, 400, RngStream(1000, 1))
+    for dt in (0.02, 0.01, 0.005):
+        yield run_strang_on_path(u0, path, dt)
+
+
+def test_coupled_path_chains_match_golden():
+    skip_unless_golden_build()
+    h = hashlib.sha256()
+    for u in coupled_path_chains():
+        h.update(u.coeffs.tobytes())
+    assert h.hexdigest() == COUPLED_PATH_SHA256
 
 
 def records_view_ensemble():
