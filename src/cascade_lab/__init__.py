@@ -42,8 +42,6 @@ from .integrators import (
     smooth_random_field,
     constrained_profile,
     default_dt,
-    linear_l2_mean,
-    linear_stationary_mode_energy,
     save_checkpoint,
     load_checkpoint,
 )

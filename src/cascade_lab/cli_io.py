@@ -346,36 +346,8 @@ def _json_line(d: dict) -> str:
     return json.dumps(d, separators=(", ", ": ")) + "\n"
 
 
-def write_manifest(run_dir: Path, cfg: RunConfig) -> None:
-    manifest = schema.report(
-        "manifest",
-        code_version=__version__,
-        kind=cfg.kind,
-        config_hash=config_hash(cfg),
-        base_seed=cfg.base_seed,
-        noise_profile=cfg.profile,
-        config=emit_config(cfg),
-    )
-    atomic_write_text(run_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
-
-
-def prepare_run_dir(cfg: RunConfig, out_override: str | None = None) -> Path:
-    out = Path(out_override or cfg.out)
-    run_dir = out / f"{cfg.kind}-{config_hash(cfg)}"
-    run_dir.mkdir(parents=True, exist_ok=True)
-    write_manifest(run_dir, cfg)
-    atomic_write_text(run_dir / "config.ini", emit_config(cfg))
-    return run_dir
-
-
-def write_streams(run_dir: Path, streams, label: str = "") -> None:
-    sub = run_dir / "streams" / label if label else run_dir / "streams"
-    for i, stream in enumerate(streams):
-        atomic_write_text(sub / f"traj_{i:04d}.csv", stream_csv_text(stream))
-
-
-def read_run_streams(run_dir: Path, label: str = "") -> list:
-    sub = Path(run_dir) / "streams" / label if label else Path(run_dir) / "streams"
+def read_run_streams(run_dir: Path) -> list:
+    sub = Path(run_dir) / "streams"
     streams = []
     for path in sorted(sub.glob("traj_*.csv")):
         with open(path, newline="") as fh:
@@ -409,10 +381,24 @@ def _load_config(args) -> RunConfig:
 def _write_run(
     cfg: RunConfig, out: str | None, streams: dict[str, list], reports: list[dict]
 ) -> Path:
-    """Write a run directory: manifest, config, report, and each ensemble under streams/<label>."""
-    run_dir = prepare_run_dir(cfg, out)
+    """Write <out>/<kind>-<config hash>: manifest, config, report, and each ensemble under streams/<label>."""
+    config, digest = emit_config(cfg), config_hash(cfg)
+    run_dir = Path(out or cfg.out) / f"{cfg.kind}-{digest}"
+    run_dir.mkdir(parents=True, exist_ok=True)
+    manifest = schema.report(
+        "manifest",
+        code_version=__version__,
+        kind=cfg.kind,
+        config_hash=digest,
+        base_seed=cfg.base_seed,
+        noise_profile=cfg.profile,
+        config=config,
+    )
+    atomic_write_text(run_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    atomic_write_text(run_dir / "config.ini", config)
     for label, ensemble in streams.items():
-        write_streams(run_dir, ensemble, label)
+        for i, stream in enumerate(ensemble):
+            atomic_write_text(run_dir / "streams" / label / f"traj_{i:04d}.csv", stream_csv_text(stream))
     atomic_write_text(run_dir / "report.jsonl", "".join(_json_line(r) for r in reports))
     return run_dir
 

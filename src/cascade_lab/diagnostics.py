@@ -28,7 +28,6 @@ invalidates) the occupation bound check; reports carry that note.
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass
 from itertools import chain
@@ -168,19 +167,13 @@ class NormRecorder:
 # --- stream serialization ----------------------------------------------------
 
 
-def write_stream_csv(stream: Stream, fh) -> None:
+def stream_csv_text(stream: Stream) -> str:
     """RFC-4180 CSV with the frozen column order; floats as shortest round-trip repr."""
     if not len(stream):
         raise ValueError("cannot serialize an empty stream")
     # No column name or float repr holds a comma, quote or line break: csv.writer would write the same.
     cells = [map(repr, col) for col in stream.data.T.tolist()]
-    fh.write(",".join(stream.columns) + "\n" + "\n".join(map(",".join, zip(*cells))) + "\n")
-
-
-def stream_csv_text(stream: Stream) -> str:
-    buf = io.StringIO()
-    write_stream_csv(stream, buf)
-    return buf.getvalue()
+    return ",".join(stream.columns) + "\n" + "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def read_stream_csv(fh) -> Stream:

@@ -58,7 +58,6 @@ import numpy as np
 
 from .forcing import (
     SUB_INIT,
-    SUB_PATH,
     NoiseSpec,
     RngStream,
     complex_normals,
@@ -160,18 +159,6 @@ def default_dt(scheme: str, nu: float, grid: GridSpec) -> float:
 # --- elementary flows --------------------------------------------------------
 
 
-def _conv_variance(lam: np.ndarray, dt: float) -> np.ndarray:
-    """Per-component variance of the OU stochastic convolution over one step.
-
-    (1 - exp(-2 lam dt)) / (2 lam), continued by its limit dt at lam = 0.
-    """
-    out = np.full_like(lam, dt, dtype=float)
-    mask = lam > 0
-    lm = lam[mask]
-    out[mask] = -np.expm1(-2.0 * lm * dt) / (2.0 * lm)
-    return out
-
-
 @lru_cache(maxsize=64)
 def _ou_tables(spec: NoiseSpec, nu, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cached decay over all modes, and conv standard deviation and sqrt(nu) b_d over the forced modes.
@@ -182,10 +169,10 @@ def _ou_tables(spec: NoiseSpec, nu, dt: float) -> tuple[np.ndarray, np.ndarray, 
     if isinstance(nu, tuple):
         tables = tuple(np.stack(rows) for rows in zip(*(_ou_tables(spec, v, dt) for v in nu)))
     else:
-        lam = nu * mode_abs_sq(spec.grid)
+        lam = nu * mode_abs_sq(spec.grid)  # > 0, since nu > 0 and |d|^2 >= 1
         tables = (
             np.exp(-lam * dt),
-            np.sqrt(_conv_variance(lam, dt)).reshape(-1)[spec.forced],
+            np.sqrt(-np.expm1(-2.0 * lam * dt) / (2.0 * lam)).reshape(-1)[spec.forced],
             sqrt(nu) * spec.amplitudes.reshape(-1)[spec.forced],
         )
     for table in tables:
@@ -500,141 +487,11 @@ def constrained_profile(grid: GridSpec, nu: float, sup_bound: float = 1.0) -> Sp
     coeffs = np.sqrt(mode_abs_sq(grid)) ** (-3.0)
     u = SpectralField(grid, coeffs.astype(np.complex128).reshape(1, *grid.coeff_shape))
     (s,) = sup_norm(u)
-    if s > 0:
-        u = SpectralField(grid, u.coeffs * (sup_bound / s))
+    u = SpectralField(grid, u.coeffs * (sup_bound / s))
     cap = nu ** (-KAPPA * 3.0)
     (norm_3,) = sobolev_norm(u, 3.0)
     if norm_3 > cap:
         u = SpectralField(grid, u.coeffs * (cap / norm_3))
-    return u
-
-
-# --- closed forms for the linear system ---------------------------------------
-
-
-def linear_l2_mean(u0: SpectralField, spec: NoiseSpec, nu: float, t: float) -> np.ndarray:
-    """E||u(t)||_0^2 for the linear system (nonlinearity off) from each row of ``u0``, any t >= 0.
-
-    Per mode: exp(-2 nu |d|^2 t) |u0_d|^2 + b_d^2 (1 - exp(-2 nu |d|^2 t)) / |d|^2.
-    """
-    if spec.grid != u0.grid:
-        raise GridMismatchError("field and noise spec live on different grids")
-    abs2 = mode_abs_sq(u0.grid)
-    fade = np.exp(-2.0 * nu * abs2 * t)
-    init = u0.coeffs.real**2 + u0.coeffs.imag**2
-    return (fade * init + spec.amplitudes**2 * (1.0 - fade) / abs2).reshape(len(init), -1).sum(axis=1)
-
-
-def linear_stationary_mode_energy(spec: NoiseSpec) -> np.ndarray:
-    """Stationary E|u_d|^2 = b_d^2 / |d|^2 of the linear system, per mode."""
-    return spec.amplitudes**2 / mode_abs_sq(spec.grid)
-
-
-# --- coupled-path harness ------------------------------------------------------
-#
-# For strong scheme comparisons both integrators must consume the same
-# underlying Brownian path.  Per fine step of length h and per mode, the
-# increment and the OU convolution are jointly Gaussian per component:
-#
-#   dbeta ~ N(0, h),   conv = int_0^h exp(-lam (h-s)) dbeta(s),
-#   Cov(dbeta, conv) = (1 - exp(-lam h)) / lam,
-#   Var(conv) = (1 - exp(-2 lam h)) / (2 lam),
-#
-# realized as conv = a*g1 + c*g2 with dbeta = sqrt(h)*g1.  Increments sum
-# exactly across fine steps and convolutions compound exactly under
-# conv([t0,t2]) = exp(-lam (t2-t1)) conv([t0,t1]) + conv([t1,t2]), so every
-# coarser level is an exact functional of the same fine path.
-
-
-@dataclass(frozen=True, eq=False)
-class CoupledPath:
-    """Fine-resolution joint draws (Brownian increments + OU convolutions)."""
-
-    spec: NoiseSpec
-    nu: float
-    dt_fine: float
-    dbeta: np.ndarray  # (n_fine, *coeff_shape) complex, per-component var dt_fine
-    conv: np.ndarray  # (n_fine, *coeff_shape) complex, unit-amplitude convolution
-
-    @property
-    def n_fine(self) -> int:
-        return self.dbeta.shape[0]
-
-
-def sample_coupled_path(
-    spec: NoiseSpec, nu: float, dt_fine: float, n_fine: int, rng: RngStream
-) -> CoupledPath:
-    if dt_fine <= 0:
-        raise ValueError("fine step must be positive")
-    grid = spec.grid
-    lam = nu * mode_abs_sq(grid)
-    h = dt_fine
-    var = _conv_variance(lam, h)
-    cov = np.full_like(lam, h)
-    mask = lam > 0
-    cov[mask] = -np.expm1(-lam[mask] * h) / lam[mask]
-    a = cov / sqrt(h)
-    c = np.sqrt(np.maximum(var - a**2, 0.0))
-    k = grid.n_modes
-    dbeta = np.empty((n_fine, *grid.coeff_shape), dtype=np.complex128)
-    conv = np.empty_like(dbeta)
-    for j in range(n_fine):
-        z = rng.normals(j, SUB_PATH, 4 * k)
-        g1 = (z[:k] + 1j * z[2 * k : 3 * k]).reshape(grid.coeff_shape)
-        g2 = (z[k : 2 * k] + 1j * z[3 * k :]).reshape(grid.coeff_shape)
-        dbeta[j] = sqrt(h) * g1
-        conv[j] = a * g1 + c * g2
-    return CoupledPath(spec, nu, dt_fine, dbeta, conv)
-
-
-def _window_conv(conv: np.ndarray, fine_decay: np.ndarray, i0: int, i1: int) -> np.ndarray:
-    acc = np.zeros_like(conv[0])
-    for j in range(i0, i1):
-        acc = acc * fine_decay + conv[j]
-    return acc
-
-
-def run_strang_on_path(
-    u0: SpectralField, path: CoupledPath, dt: float, nonlinear: bool = True
-) -> SpectralField:
-    """Strang chain at step dt driven by the coupled path (dt/2 a multiple of dt_fine)."""
-    r = round(dt / 2.0 / path.dt_fine)
-    if r < 1 or abs(r * path.dt_fine * 2.0 - dt) > 1e-12 * dt:
-        raise ValueError(f"dt/2 = {dt / 2} is not a multiple of the fine step {path.dt_fine}")
-    if path.n_fine % (2 * r) != 0:
-        raise ValueError(
-            f"path length {path.n_fine} fine steps is not a whole number of dt = {dt} steps"
-        )
-    n_steps = path.n_fine // (2 * r)
-    forced = path.spec.forced  # the Strang kernel takes its noise on the forced modes
-    lam = path.nu * mode_abs_sq(u0.grid)
-    fine_decay = np.exp(-lam * path.dt_fine).reshape(-1)[forced]
-    conv = path.conv.reshape(path.n_fine, -1)[:, forced]
-    _, _, scale = _ou_tables(path.spec, path.nu, dt / 2.0)
-    c = u0.coeffs
-    for k in range(n_steps):
-        g1 = _window_conv(conv, fine_decay, 2 * k * r, (2 * k + 1) * r)
-        g2 = _window_conv(conv, fine_decay, (2 * k + 1) * r, (2 * k + 2) * r)
-        c = _strang(c, path.spec, path.nu, dt, nonlinear, scale * g1, scale * g2)
-    return SpectralField(u0.grid, c)
-
-
-def run_em_on_path(
-    u0: SpectralField, path: CoupledPath, dt: float, nonlinear: bool = True
-) -> SpectralField:
-    """Euler-Maruyama chain at step dt driven by the same coupled path."""
-    r = round(dt / path.dt_fine)
-    if r < 1 or abs(r * path.dt_fine - dt) > 1e-12 * dt:
-        raise ValueError(f"dt = {dt} is not a multiple of the fine step {path.dt_fine}")
-    if path.n_fine % r != 0:
-        raise ValueError(
-            f"path length {path.n_fine} fine steps is not a whole number of dt = {dt} steps"
-        )
-    n_steps = path.n_fine // r
-    u = u0
-    for k in range(n_steps):
-        incr = path.spec.amplitudes * path.dbeta[k * r : (k + 1) * r].sum(axis=0)
-        u = _euler_maruyama(u, path.nu, dt, nonlinear, incr)
     return u
 
 

@@ -50,13 +50,12 @@ def _random_field(grid: GridSpec, seed: int) -> SpectralField:
     return SpectralField(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 
-def run_selftest(verbose: bool = True) -> bool:
+def run_selftest() -> bool:
     checks: list[tuple[str, bool]] = []
 
     def check(name: str, ok: bool) -> None:
         checks.append((name, ok))
-        if verbose:
-            print(f"{'PASS' if ok else 'FAIL'}  {name}")
+        print(f"{'PASS' if ok else 'FAIL'}  {name}")
 
     for grid in (GridSpec(1, 64, 32), GridSpec(2, 32, 16)):
         u = _random_field(grid, 7)
@@ -162,7 +161,5 @@ def run_selftest(verbose: bool = True) -> bool:
     fit = fit_exponent([(0.4, 0.4**-2), (0.2, 0.2**-2), (0.1, 0.1**-2)])
     check("exponent fit oracle (alpha = 2)", abs(fit.alpha - 2.0) <= 1e-12 and fit.r2 >= 1 - 1e-12)
 
-    good = all(ok for _, ok in checks)
-    if verbose:
-        print(f"selftest: {sum(ok for _, ok in checks)}/{len(checks)} checks passed")
-    return good
+    print(f"selftest: {sum(ok for _, ok in checks)}/{len(checks)} checks passed")
+    return all(ok for _, ok in checks)

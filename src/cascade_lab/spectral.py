@@ -317,36 +317,31 @@ def shell_energies(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
 #
 # 32-byte header: 8-byte magic, then little-endian uint32 n, N, D, dtype tag,
 # then 8 reserved zero bytes; the payload is the flat C-order coefficient
-# array of one row in little-endian complex64 (tag 1) or complex128 (tag 2).
+# array of one row in little-endian complex128, tag 2.
 
 FIELD_MAGIC = b"CLABFLD1"
-_TAG_OF_DTYPE = {np.dtype(np.complex64): 1, np.dtype(np.complex128): 2}
-_DTYPE_OF_TAG = {1: np.dtype("<c8"), 2: np.dtype("<c16")}
+_TAG = 2
+_DTYPE = np.dtype("<c16")
 
 
-def field_to_bytes(u: SpectralField, dtype=np.complex128) -> bytes:
+def field_to_bytes(u: SpectralField) -> bytes:
     if len(u.coeffs) != 1:
         raise ValueError(f"a snapshot holds one row, got {len(u.coeffs)}")
-    tag = _TAG_OF_DTYPE.get(np.dtype(dtype))
-    if tag is None:
-        raise ValueError(f"unsupported snapshot dtype {dtype!r}; use complex64 or complex128")
     grid = u.grid
-    header = FIELD_MAGIC + struct.pack("<IIII8x", grid.n, grid.N, grid.D, tag)
-    payload = np.ascontiguousarray(u.coeffs.astype(_DTYPE_OF_TAG[tag])).tobytes()
-    return header + payload
+    header = FIELD_MAGIC + struct.pack("<IIII8x", grid.n, grid.N, grid.D, _TAG)
+    return header + u.coeffs.astype(_DTYPE).tobytes()
 
 
 def field_from_bytes(buf: bytes) -> SpectralField:
     if len(buf) < 32 or buf[:8] != FIELD_MAGIC:
         raise ValueError("not a field snapshot (bad magic or truncated header)")
     n, N, D, tag = struct.unpack("<IIII8x", buf[8:32])
-    if tag not in _DTYPE_OF_TAG:
-        raise ValueError(f"unknown snapshot dtype tag {tag}")
+    if tag != _TAG:
+        raise ValueError(f"snapshot dtype tag {tag} is not {_TAG} (complex128)")
     grid = GridSpec(n, N, D)
     count = grid.n_modes
-    dtype = _DTYPE_OF_TAG[tag]
-    expected = 32 + count * dtype.itemsize
+    expected = 32 + count * _DTYPE.itemsize
     if len(buf) != expected:
         raise ValueError(f"snapshot payload has {len(buf) - 32} bytes, expected {expected - 32}")
-    coeffs = np.frombuffer(buf, dtype=dtype, count=count, offset=32).reshape(1, *grid.coeff_shape)
+    coeffs = np.frombuffer(buf, dtype=_DTYPE, count=count, offset=32).reshape(1, *grid.coeff_shape)
     return SpectralField(grid, coeffs.astype(np.complex128))

@@ -23,10 +23,6 @@ from cascade_lab.integrators import (
     SimParams,
     continue_trajectory,
     initial_state,
-    linear_stationary_mode_energy,
-    run_em_on_path,
-    run_strang_on_path,
-    sample_coupled_path,
     constrained_profile,
     zero_field,
 )
@@ -38,6 +34,7 @@ from cascade_lab.spectral import (
     to_physical,
     to_spectral,
 )
+from oracles import linear_stationary_mode_energy, run_em_on_path, run_strang_on_path, sample_coupled_path
 
 BAND = "band:1,1,1"
 

@@ -42,13 +42,11 @@ from cascade_lab.integrators import (
     continue_trajectory,
     default_dt,
     initial_state,
-    run_em_on_path,
-    run_strang_on_path,
-    sample_coupled_path,
     smooth_random_field,
     zero_field,
 )
 from cascade_lab.spectral import GridSpec, SpectralField
+from oracles import run_em_on_path, run_strang_on_path, sample_coupled_path
 
 GOLDEN_ENV = {
     "numpy": "2.4.6",

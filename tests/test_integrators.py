@@ -29,14 +29,9 @@ from cascade_lab.integrators import (
     default_dt,
     em_step,
     initial_state,
-    linear_l2_mean,
-    linear_stationary_mode_energy,
     load_checkpoint,
     ou_exact_step,
     phase_rotation_step,
-    run_em_on_path,
-    run_strang_on_path,
-    sample_coupled_path,
     save_checkpoint,
     single_mode,
     smooth_random_field,
@@ -55,6 +50,7 @@ from cascade_lab.spectral import (
     to_physical,
     to_spectral,
 )
+from oracles import linear_l2_mean, linear_stationary_mode_energy, run_em_on_path, run_strang_on_path, sample_coupled_path
 
 GRID = GridSpec(1, 32, 16)
 SILENT = NoiseSpec.band(GRID, [0.0])

@@ -586,12 +586,6 @@ class TestSnapshots:
         assert back.grid == u.grid
         assert np.array_equal(back.coeffs, u.coeffs)
 
-    def test_complex64_round_trip_is_exact_at_that_width(self):
-        u = random_field(GridSpec(1, 16, 8), seed=13)
-        buf = field_to_bytes(u, dtype=np.complex64)
-        back = field_from_bytes(buf)
-        assert np.array_equal(back.coeffs, u.coeffs.astype(np.complex64).astype(np.complex128))
-
     def test_rejects_a_field_of_several_rows(self):
         # Two rows would write a payload that the reader rejects as the wrong size.
         grid = GridSpec(1, 16, 8)
