@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .spectral import (
     GridSpec,
     SpectralField,
-    PhysicalField,
     GridMismatchError,
     NonFiniteFieldError,
     basis_eval,

@@ -68,13 +68,10 @@ from .spectral import (
     GridMismatchError,
     GridSpec,
     NonFiniteFieldError,
-    PhysicalField,
     SpectralField,
     field_from_bytes,
     field_to_bytes,
-    lattice_values,
     mode_abs_sq,
-    mode_coeffs,
     sobolev_norm,
     sup_norm,
     to_physical,
@@ -251,13 +248,13 @@ def phase_rotation_step(grid: GridSpec, c: np.ndarray, dt: float) -> np.ndarray:
     if dt == 0:
         return c
     with np.errstate(over="ignore", invalid="ignore"):
-        v = lattice_values(grid, c)
+        v = to_physical(grid, c)
         phase = np.square(v.real)
         phase += np.square(v.imag)
         phase *= dt
         # With FMA, v*e and e*v round differently: keep the operand order fixed.
         rotated = np.multiply(v, _phase_factor(phase), out=v)
-        return mode_coeffs(grid, rotated)
+        return to_spectral(grid, rotated)
 
 
 _TINY = np.finfo(np.float64).tiny
@@ -297,6 +294,7 @@ def strang_step(state: State, spec: NoiseSpec, params: SimParams) -> State:
     return State(k * params.dt, SpectralField(state.u.grid, c), state.rngs, k)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite step raises through the new field, unwarned
 def _euler_maruyama(
     u: SpectralField, nu: float | tuple[float, ...], dt: float, nonlinear: bool, increment: np.ndarray
 ) -> SpectralField:
@@ -308,9 +306,8 @@ def _euler_maruyama(
         nu = np.array(nu).reshape(-1, *(1,) * u.grid.n)
     drift = -nu * mode_abs_sq(u.grid) * u.coeffs
     if nonlinear:
-        p = to_physical(u)
-        cubic = (p.values.real**2 + p.values.imag**2) * p.values
-        drift = drift - 1j * to_spectral(PhysicalField(u.grid, cubic)).coeffs
+        v = to_physical(u.grid, u.coeffs)
+        drift = drift - 1j * to_spectral(u.grid, (v.real**2 + v.imag**2) * v)
     return SpectralField(u.grid, u.coeffs + dt * drift + np.sqrt(nu) * increment)
 
 

@@ -35,8 +35,6 @@ from .spectral import (
     SpectralField,
     basis_eval,
     lattice_inner,
-    lattice_values,
-    mode_coeffs,
     sobolev_norm,
     to_physical,
     to_spectral,
@@ -59,11 +57,10 @@ def run_selftest() -> bool:
 
     for grid in (GridSpec(1, 64, 32), GridSpec(2, 32, 16)):
         u = _random_field(grid, 7)
-        back = to_spectral(to_physical(u))
-        err = float(np.abs(back.coeffs - u.coeffs).max())
+        p = to_physical(grid, u.coeffs)
+        err = float(np.abs(to_spectral(grid, p) - u.coeffs).max())
         check(f"round trip n={grid.n} (max err {err:.2e})", err <= 1e-12)
-        p = to_physical(u)
-        (quad,) = lattice_inner(p, p)
+        (quad,) = lattice_inner(grid, p, p)
         coeff = float(np.sum(np.abs(u.coeffs) ** 2))
         rel = abs(quad - coeff) / coeff
         check(f"discrete Parseval n={grid.n} (rel err {rel:.2e})", rel <= 1e-12)
@@ -71,20 +68,20 @@ def run_selftest() -> bool:
     same = True
     for grid in (GridSpec(1, 64, 32), GridSpec(2, 32, 16), GridSpec(3, 10, 5)):
         rows = np.concatenate([_random_field(grid, 30 + i).coeffs for i in range(3)])
-        lattice = lattice_values(grid, rows)
-        modes = mode_coeffs(grid, lattice)
+        lattice = to_physical(grid, rows)
+        modes = to_spectral(grid, lattice)
         for i in range(3):
             row = slice(i, i + 1)
-            same = same and lattice[row].tobytes() == lattice_values(grid, rows[row]).tobytes()
-            same = same and modes[row].tobytes() == mode_coeffs(grid, lattice[row]).tobytes()
+            same = same and lattice[row].tobytes() == to_physical(grid, rows[row]).tobytes()
+            same = same and modes[row].tobytes() == to_spectral(grid, lattice[row]).tobytes()
     check("sine-matrix transforms: 3 rows equal 3 one-row fields (n = 1, 2, 3)", same)
 
     grid = GridSpec(2, 12, 6)  # direct sums of u_d phi_d(x_j), and their quadrature inverse
     u = _random_field(grid, 17)
     d_all = list(product(range(1, grid.D + 1), repeat=grid.n))
     basis = np.array([[basis_eval(d, x) for d in d_all] for x in product(grid.points, repeat=grid.n)])
-    lattice = lattice_values(grid, u.coeffs).ravel()
-    modes = mode_coeffs(grid, lattice.reshape(1, *grid.values_shape)).ravel()
+    lattice = to_physical(grid, u.coeffs).ravel()
+    modes = to_spectral(grid, lattice.reshape(1, *grid.values_shape)).ravel()
     pairs = ((lattice, basis @ u.coeffs.ravel()), (modes, grid.quadrature_weight * (basis.T @ lattice)))
     err = max(float(np.abs(a - b).max() / np.abs(b).max()) for a, b in pairs)
     check(f"sine-matrix transforms equal direct sums of phi_d (n=2, rel err {err:.1e})", err <= 1e-13)
@@ -113,9 +110,8 @@ def run_selftest() -> bool:
 
     sq = GridSpec(1, 64, 64)
     v = _random_field(sq, 13)
-    rotated = SpectralField(sq, phase_rotation_step(sq, v.coeffs, 0.37))
-    (before,) = lattice_inner(to_physical(v), to_physical(v))
-    (after,) = lattice_inner(to_physical(rotated), to_physical(rotated))
+    p0, p1 = to_physical(sq, v.coeffs), to_physical(sq, phase_rotation_step(sq, v.coeffs, 0.37))
+    (before,), (after,) = lattice_inner(sq, p0, p0), lattice_inner(sq, p1, p1)
     check("phase rotation preserves lattice L2", abs(after - before) <= 1e-12 * before)
 
     phase = np.logspace(-12, 12, 100_001)  # the tangent's bits follow this host's SIMD dispatch

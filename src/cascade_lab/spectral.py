@@ -13,13 +13,15 @@ values, and the quadrature weight (pi/(N+1))^n makes the retained basis
 exactly orthonormal on the lattice.  The matrices are real, applied to the
 float64 views of complex arrays (see :func:`_along`).
 
-Fields are immutable value objects and all operations are pure functions, so
-concurrent use on distinct fields gives the same results as serial execution.
-Every field has a leading row axis, one row per trajectory of an ensemble, so
-its arrays are (M, *grid shape) and a single field is M = 1: the transforms
-act on the last n axes, and ``sobolev_norm``/``sup_norm``/``cm_norm`` return
-one value per row.  Every matrix product is taken per row, never across rows,
-so row results are bit-identical to one-row results.
+There is one field type, :class:`SpectralField`: an immutable, checked block
+of mode coefficients with a leading row axis, one row per trajectory of an
+ensemble, so its coefficients are (M, *coeff_shape) and a single field is
+M = 1.  ``sobolev_norm``/``sup_norm``/``cm_norm`` take a field and return one
+value per row.  The transforms :func:`to_physical` and :func:`to_spectral` take
+and return plain arrays, unchecked, and act on the last n axes; lattice values
+never become a field.  All operations are pure functions, so concurrent use
+gives the same results as serial execution.  Every matrix product is taken per
+row, never across rows, so row results are bit-identical to one-row results.
 """
 
 from __future__ import annotations
@@ -118,12 +120,6 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise NonFiniteFieldError(f"{what} contains non-finite entries")
 
 
-def _check_shape(shape: tuple[int, ...], grid_shape: tuple[int, ...], what: str) -> None:
-    """Accept the grid's shape behind one leading row axis."""
-    if shape[1:] != grid_shape:
-        raise ValueError(f"{what} shape {shape} is not rows of grid {grid_shape}")
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralField:
     """Mode coefficients u_d over {1..D}^n, one row per field; row i is u_i(x) = sum_d u_id phi_d(x).
@@ -136,23 +132,10 @@ class SpectralField:
 
     def __post_init__(self):
         c = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
-        _check_shape(c.shape, self.grid.coeff_shape, "coefficient")
+        if c.shape[1:] != self.grid.coeff_shape:  # the grid's shape behind one leading row axis
+            raise ValueError(f"coefficient shape {c.shape} is not rows of grid {self.grid.coeff_shape}")
         _check_finite(c, "spectral field")
         object.__setattr__(self, "coeffs", c)
-
-
-@dataclass(frozen=True, eq=False)
-class PhysicalField:
-    """Complex lattice values over the N^n interior collocation points, shape (M, *values_shape)."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.complex128)
-        _check_shape(v.shape, self.grid.values_shape, "value")
-        _check_finite(v, "physical field")
-        object.__setattr__(self, "values", v)
 
 
 def basis_eval(d, x) -> float:
@@ -188,48 +171,34 @@ def _along(a: np.ndarray, ax: int, n: int, table: tuple[np.ndarray | None, np.nd
     return out
 
 
-def lattice_values(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Lattice values of mode coefficients over the last n axes (the math of :func:`to_physical`)."""
+def to_physical(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Lattice values of mode coefficients over the last n axes (the sine matrix per axis)."""
     table = _axis_table(grid, "sin")
     for ax in range(grid.n):
         coeffs = _along(coeffs, ax, grid.n, table)
     return coeffs
 
 
-def mode_coeffs(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Modes {1..D}^n of lattice values over the last n axes (the math of :func:`to_spectral`)."""
+def to_spectral(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Modes {1..D}^n of lattice values over the last n axes.
+
+    Exact inverse of :func:`to_physical` on the span of retained modes; lattice
+    content in modes above D is discarded (Galerkin truncation).
+    """
     table = _axis_table(grid, "proj")
     for ax in range(grid.n):
         values = _along(values, ax, grid.n, table)
     return values
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflowing product raises below, unwarned
-def to_physical(u: SpectralField) -> PhysicalField:
-    """Evaluate the field on the collocation lattice (the sine matrix per axis)."""
-    return PhysicalField(u.grid, lattice_values(u.grid, u.coeffs))
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def to_spectral(p: PhysicalField) -> SpectralField:
-    """Project lattice values onto the retained modes {1..D}^n.
-
-    Exact inverse of :func:`to_physical` on the span of retained modes; lattice
-    content in modes above D is discarded (Galerkin truncation).
-    """
-    return SpectralField(p.grid, mode_coeffs(p.grid, p.values))
-
-
-def lattice_inner(p: PhysicalField, q: PhysicalField) -> np.ndarray:
-    """Discrete inner product (pi/(N+1))^n * sum_j Re(p_j * conj(q_j)), one value per row, shape (M,).
+def lattice_inner(grid: GridSpec, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Discrete inner product (pi/(N+1))^n * sum_j Re(p_j * conj(q_j)) of lattice values, one value per row.
 
     Makes the retained basis orthonormal on the lattice; for fields supported
     on retained modes it agrees with the coefficient sum (discrete Parseval).
     """
-    if p.grid != q.grid:
-        raise GridMismatchError("inner product requires matching grids")
-    products = (p.values * np.conj(q.values)).real
-    return p.grid.quadrature_weight * products.reshape(len(products), -1).sum(axis=1)
+    products = (p * np.conj(q)).real
+    return grid.quadrature_weight * products.reshape(len(products), -1).sum(axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -257,7 +226,7 @@ def sobolev_norm(u: SpectralField, m: float | tuple[float, ...]) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def sup_norm(u: SpectralField) -> np.ndarray:
     """Max of |u| over the collocation lattice (a lower approximation of the true sup), one value per row."""
-    mod = np.abs(lattice_values(u.grid, u.coeffs))
+    mod = np.abs(to_physical(u.grid, u.coeffs))
     return mod.reshape(len(mod), -1).max(axis=1)
 
 

@@ -41,11 +41,8 @@ from cascade_lab.integrators import (
 from cascade_lab.spectral import (
     GridSpec,
     NonFiniteFieldError,
-    PhysicalField,
     SpectralField,
     lattice_inner,
-    lattice_values,
-    mode_coeffs,
     sobolev_norm,
     to_physical,
     to_spectral,
@@ -139,9 +136,8 @@ class TestPhaseRotation:
         # On a square grid (D = N) any lattice configuration is representable,
         # so set every lattice value to 1 and rotate by pi.
         grid = GridSpec(1, 16, 16)
-        p = PhysicalField(grid, np.ones((1, 16), dtype=complex))
-        c = rows(to_spectral(p))
-        rotated = lattice_values(grid, phase_rotation_step(grid, c, pi))
+        c = to_spectral(grid, np.ones((1, 16), dtype=complex))
+        rotated = to_physical(grid, phase_rotation_step(grid, c, pi))
         np.testing.assert_allclose(rotated, -np.ones((1, 16)), atol=1e-12)
 
     def test_zero_dt_identity(self):
@@ -156,10 +152,10 @@ class TestPhaseRotation:
     def test_lattice_l2_preserved(self):
         grid = GridSpec(1, 64, 64)
         u = random_field(grid, 3)
-        p0 = to_physical(u)
-        p1 = to_physical(SpectralField(grid, phase_rotation_step(grid, u.coeffs, 0.613)))
-        (n0,) = lattice_inner(p0, p0)
-        (n1,) = lattice_inner(p1, p1)
+        p0 = to_physical(grid, u.coeffs)
+        p1 = to_physical(grid, phase_rotation_step(grid, u.coeffs, 0.613))
+        (n0,) = lattice_inner(grid, p0, p0)
+        (n1,) = lattice_inner(grid, p1, p1)
         assert abs(n1 - n0) <= 1e-14 * n0
 
     def test_pointwise_modulus_preserved(self):
@@ -167,8 +163,8 @@ class TestPhaseRotation:
         # every |u(x_j)| fixed; visible exactly on a square grid.
         grid = GridSpec(1, 32, 32)
         u = random_field(grid, 4)
-        before = np.abs(to_physical(u).values)
-        after = np.abs(lattice_values(grid, phase_rotation_step(grid, u.coeffs, 1.7)))
+        before = np.abs(to_physical(grid, u.coeffs))
+        after = np.abs(to_physical(grid, phase_rotation_step(grid, u.coeffs, 1.7)))
         np.testing.assert_allclose(after, before, rtol=1e-13)
 
     def test_overflowing_modulus_raises(self):
@@ -210,13 +206,13 @@ class TestPhaseRotation:
         for scale in (1e-6, 1e-2, 1.0, 1e2, 1e6):
             shape = (M,) + grid.coeff_shape
             c = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-            v = lattice_values(grid, c)
+            v = to_physical(grid, c)
             for dt in (0.01, 0.37):
                 phase = dt * (v.real**2 + v.imag**2)
                 e = assert_close(phase)
                 for i in range(M):
                     assert e[i].tobytes() == _phase_factor(phase[i : i + 1]).tobytes()
-                expected = mode_coeffs(grid, np.multiply(v, _phase_factor(phase)))
+                expected = to_spectral(grid, np.multiply(v, _phase_factor(phase)))
                 assert phase_rotation_step(grid, c, dt).tobytes() == expected.tobytes()
         with np.errstate(over="ignore", invalid="ignore"):
             bad = np.array([np.inf, -np.inf, np.nan, 0.37 * np.square(np.float64(1e160))])
@@ -224,9 +220,9 @@ class TestPhaseRotation:
 
     def test_truncation_only_removes_energy(self):
         u = random_field(GRID, 5)  # D = N/2: rotation spills into discarded modes
-        p0 = to_physical(u)
-        p1 = to_physical(SpectralField(GRID, phase_rotation_step(GRID, u.coeffs, 0.9)))
-        assert lattice_inner(p1, p1)[0] <= lattice_inner(p0, p0)[0] * (1 + 1e-12)
+        p0 = to_physical(GRID, u.coeffs)
+        p1 = to_physical(GRID, phase_rotation_step(GRID, u.coeffs, 0.9))
+        assert lattice_inner(GRID, p1, p1)[0] <= lattice_inner(GRID, p0, p0)[0] * (1 + 1e-12)
 
 
 class TestStrangStep:
@@ -498,7 +494,7 @@ class TestForcedModeAdd:
         _, sd, scale = _ou_tables(spec, params.nu, params.dt / 2)
         noise0, noise1 = ou_convolutions(state.rngs, 0, sd, scale)
         ref = self.reference_half(c, spec, params.nu, params.dt / 2, noise0)
-        ref = mode_coeffs(grid, lattice_values(grid, ref) * np.exp(-1j * params.dt * np.abs(lattice_values(grid, ref)) ** 2))
+        ref = to_spectral(grid, to_physical(grid, ref) * np.exp(-1j * params.dt * np.abs(to_physical(grid, ref)) ** 2))
         ref = self.reference_half(ref, spec, params.nu, params.dt / 2, noise1)
         got = strang_step(state, spec, params).u.coeffs
         np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-15)

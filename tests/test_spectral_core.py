@@ -18,8 +18,6 @@ from cascade_lab.forcing import NoiseSpec
 from cascade_lab.integrators import SimParams, constrained_profile, zero_field
 from cascade_lab.spectral import (
     GridSpec,
-    NonFiniteFieldError,
-    PhysicalField,
     SpectralField,
     _along,
     _axis_table,
@@ -28,8 +26,6 @@ from cascade_lab.spectral import (
     field_from_bytes,
     field_to_bytes,
     lattice_inner,
-    lattice_values,
-    mode_coeffs,
     shell_energies,
     sobolev_norm,
     sup_norm,
@@ -57,13 +53,11 @@ def eval_direct(u: SpectralField) -> np.ndarray:
     return vals
 
 
-def project_direct(p: PhysicalField, D: int) -> np.ndarray:
+def project_direct(grid: GridSpec, vals: np.ndarray, D: int) -> np.ndarray:
     """Quadrature oracle: u_d = (pi/(N+1))^n * sum_j values_j phi_d(x_j), per row."""
-    grid = p.grid
     x = grid.points[:, None]
     d = np.arange(1, D + 1)[None, :]
     mat = sqrt(2.0 / pi) * np.sin(x * d).T  # (D, N) per axis
-    vals = p.values
     for ax in range(1, grid.n + 1):
         vals = np.moveaxis(np.tensordot(mat, np.moveaxis(vals, ax, 0), axes=(1, 0)), 0, ax)
     return grid.quadrature_weight * vals
@@ -111,36 +105,35 @@ class TestTransforms:
         grid = GridSpec(1, 16, 8)
         u = SpectralField(grid, np.eye(1, 8, 2, dtype=complex))  # mode d=3
         expected = np.array([basis_eval(3, x) for x in grid.points])
-        np.testing.assert_allclose(to_physical(u).values[0].real, expected, atol=1e-14)
+        np.testing.assert_allclose(to_physical(grid, u.coeffs)[0].real, expected, atol=1e-14)
 
     def test_zero_maps_to_zero(self):
         grid = GridSpec(1, 16, 8)
-        assert np.all(to_physical(zero_field(grid)).values == 0)
-        p = PhysicalField(grid, np.zeros((1, 16), dtype=complex))
-        assert np.all(to_spectral(p).coeffs == 0)
+        assert np.all(to_physical(grid, zero_field(grid).coeffs) == 0)
+        assert np.all(to_spectral(grid, np.zeros((1, 16), dtype=complex)) == 0)
 
     @pytest.mark.parametrize("grid", [GridSpec(1, 64, 32), GridSpec(2, 32, 16)])
     def test_to_physical_matches_direct_summation(self, grid):
         u = random_field(grid, seed=3)
-        np.testing.assert_allclose(to_physical(u).values, eval_direct(u), atol=1e-12)
+        np.testing.assert_allclose(to_physical(grid, u.coeffs), eval_direct(u), atol=1e-12)
 
     @pytest.mark.parametrize("grid", [GridSpec(1, 64, 32), GridSpec(2, 32, 16)])
     def test_round_trip(self, grid):
         u = random_field(grid, seed=4)
-        back = to_spectral(to_physical(u))
-        assert np.abs(back.coeffs - u.coeffs).max() <= 1e-12
+        back = to_spectral(grid, to_physical(grid, u.coeffs))
+        assert np.abs(back - u.coeffs).max() <= 1e-12
 
     def test_round_trip_at_n256(self):
         grid = GridSpec(1, 256, 128)
         u = random_field(grid, seed=5)
-        back = to_spectral(to_physical(u))
-        assert np.abs(back.coeffs - u.coeffs).max() <= 1e-12
+        back = to_spectral(grid, to_physical(grid, u.coeffs))
+        assert np.abs(back - u.coeffs).max() <= 1e-12
 
     def test_first_basis_function_projects_to_e1(self):
         grid = GridSpec(1, 64, 32)
-        p = PhysicalField(grid, np.array([[basis_eval(1, x) for x in grid.points]], dtype=complex))
-        (coeffs,) = to_spectral(p).coeffs
-        (oracle,) = project_direct(p, grid.D)
+        values = np.array([[basis_eval(1, x) for x in grid.points]], dtype=complex)
+        (coeffs,) = to_spectral(grid, values)
+        (oracle,) = project_direct(grid, values, grid.D)
         np.testing.assert_allclose(coeffs, oracle, atol=1e-12)
         assert abs(coeffs[0] - 1.0) <= 1e-12
         assert np.abs(coeffs[1:]).max() <= 1e-12
@@ -148,15 +141,14 @@ class TestTransforms:
     def test_energy_above_truncation_is_discarded(self):
         grid = GridSpec(1, 64, 32)
         high = GridSpec(1, 64, 64)
-        p = to_physical(SpectralField(high, np.eye(1, 64, 32, dtype=complex)))  # mode 33
-        retained = to_spectral(PhysicalField(grid, p.values))
-        assert np.abs(retained.coeffs).max() <= 1e-12
+        values = to_physical(high, np.eye(1, 64, 32, dtype=complex))  # mode 33
+        assert np.abs(to_spectral(grid, values)).max() <= 1e-12
 
     def test_parseval(self):
         for grid in (GridSpec(1, 64, 32), GridSpec(2, 32, 16)):
             u = random_field(grid, seed=6)
-            p = to_physical(u)
-            (quad,) = lattice_inner(p, p)
+            p = to_physical(grid, u.coeffs)
+            (quad,) = lattice_inner(grid, p, p)
             coeff = float(np.sum(np.abs(u.coeffs) ** 2))
             assert abs(quad - coeff) <= 1e-12 * coeff
 
@@ -164,23 +156,22 @@ class TestTransforms:
         # Two rows give two inner products, each that of its own one-row fields.
         for grid in (GridSpec(1, 64, 32), GridSpec(2, 32, 16)):
             us = [random_field(grid, seed=s) for s in (7, 8)]
-            p = to_physical(SpectralField(grid, np.concatenate([u.coeffs for u in us])))
-            q = to_physical(SpectralField(grid, np.concatenate([u.coeffs[:, ::-1] for u in us])))
-            both = lattice_inner(p, q)
+            p = to_physical(grid, np.concatenate([u.coeffs for u in us]))
+            q = to_physical(grid, np.concatenate([u.coeffs[:, ::-1] for u in us]))
+            both = lattice_inner(grid, p, q)
             assert both.shape == (2,)
             for i in range(2):
                 row = slice(i, i + 1)
-                one = lattice_inner(PhysicalField(grid, p.values[row]), PhysicalField(grid, q.values[row]))
-                assert both[i] == one[0]
+                assert both[i] == lattice_inner(grid, p[row], q[row])[0]
 
     def test_concurrent_transforms_match_serial(self):
         grid = GridSpec(1, 64, 32)
         fields = [random_field(grid, seed=s) for s in range(8)]
-        serial = [to_spectral(to_physical(u)).coeffs for u in fields]
+        serial = [to_spectral(grid, to_physical(grid, u.coeffs)) for u in fields]
         results = [None] * len(fields)
 
         def work(i):
-            results[i] = to_spectral(to_physical(fields[i])).coeffs
+            results[i] = to_spectral(grid, to_physical(grid, fields[i].coeffs))
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(len(fields))]
         for t in threads:
@@ -191,14 +182,14 @@ class TestTransforms:
             assert np.array_equal(a, b)
 
 
-def dstn_lattice_values(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+def dstn_to_physical(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """Reference: one dstn over the coefficient block zero-padded to the lattice."""
     buf = np.zeros(coeffs.shape[: coeffs.ndim - grid.n] + grid.values_shape, dtype=np.complex128)
     buf[(..., *(slice(0, grid.D),) * grid.n)] = coeffs
     return sfft.dstn(buf, type=1, axes=tuple(range(-grid.n, 0))) * (2.0 * pi) ** (-grid.n / 2.0)
 
 
-def dstn_mode_coeffs(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+def dstn_to_spectral(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """Reference: one dstn over the lattice block, then truncation to {1..D}^n."""
     scale = (2.0 * pi) ** (grid.n / 2.0) / (2.0 * (grid.N + 1)) ** grid.n
     full = sfft.dstn(values, type=1, axes=tuple(range(-grid.n, 0)))
@@ -223,7 +214,7 @@ def assert_close_to(got: np.ndarray, ref: np.ndarray) -> None:
 
 
 class TestTransformHelpers:
-    """The sine-matrix helpers against one dstn over the whole block, and row by row."""
+    """The sine-matrix transforms against one dstn over the whole block, and row by row."""
 
     @pytest.mark.parametrize("grid", TRANSFORM_GRIDS, ids=str)
     @pytest.mark.parametrize("rows", [(), (3,), (5,)])
@@ -231,9 +222,9 @@ class TestTransformHelpers:
         """Within 1e-13 of dstn: the sine-matrix products are not bit-identical to it."""
         rng = np.random.default_rng(grid.n * 100 + grid.N + len(rows))
         coeffs = random_block(rng, rows + grid.coeff_shape)
-        assert_close_to(lattice_values(grid, coeffs), dstn_lattice_values(grid, coeffs))
+        assert_close_to(to_physical(grid, coeffs), dstn_to_physical(grid, coeffs))
         values = random_block(rng, rows + grid.values_shape)
-        assert_close_to(mode_coeffs(grid, values), dstn_mode_coeffs(grid, values))
+        assert_close_to(to_spectral(grid, values), dstn_to_spectral(grid, values))
 
     @pytest.mark.parametrize("grid", TRANSFORM_GRIDS, ids=str)
     @pytest.mark.parametrize("M", [1, 3, 5, 17])
@@ -241,22 +232,21 @@ class TestTransformHelpers:
         rng = np.random.default_rng(grid.n * 100 + grid.N + M)
         coeffs = random_block(rng, (M,) + grid.coeff_shape)
         values = random_block(rng, (M,) + grid.values_shape)
-        lattice = lattice_values(grid, coeffs)
+        lattice = to_physical(grid, coeffs)
         for i in range(M):
-            assert lattice[i].tobytes() == lattice_values(grid, coeffs[i]).tobytes()
-        modes = mode_coeffs(grid, values)
+            assert lattice[i].tobytes() == to_physical(grid, coeffs[i]).tobytes()
+        modes = to_spectral(grid, values)
         for i in range(M):
-            assert modes[i].tobytes() == mode_coeffs(grid, values[i]).tobytes()
+            assert modes[i].tobytes() == to_spectral(grid, values[i]).tobytes()
 
     def test_wrappers_reject_non_finite_results(self):
-        # Overflowing transforms raise and an overflowing norm reads inf, all without warnings.
+        # An overflowing lattice sum makes the sup non-finite and an overflowing norm reads inf,
+        # both without warnings.
         grid = GridSpec(2, 8, 4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFiniteFieldError):  # finite coefficients, overflowing lattice sum
-                to_physical(SpectralField(grid, np.full((1, *grid.coeff_shape), 1e308, dtype=complex)))
-            with pytest.raises(NonFiniteFieldError):
-                to_spectral(PhysicalField(grid, np.full((1, *grid.values_shape), 1e308, dtype=complex)))
+            overflowing = SpectralField(grid, np.full((1, *grid.coeff_shape), 1e308, dtype=complex))
+            assert not np.isfinite(sup_norm(overflowing)).any()
             huge = SpectralField(grid, np.full((1, *grid.coeff_shape), 1e160, dtype=complex))
             assert sobolev_norm(huge, 1).tolist() == [np.inf]
 
@@ -453,10 +443,10 @@ class TestRealProducts:
         rng = np.random.default_rng(grid.n * 1000 + grid.N * 10 + len(rows))
         coeffs = random_block(rng, rows + grid.coeff_shape)
         ref = complex_per_axis(grid, coeffs, *complex_matrices(grid)[:2])
-        assert_within_1e15(lattice_values(grid, coeffs), ref)
+        assert_within_1e15(to_physical(grid, coeffs), ref)
         values = random_block(rng, rows + grid.values_shape)
         ref = complex_per_axis(grid, values, *complex_matrices(grid)[2:4])
-        assert_within_1e15(mode_coeffs(grid, values), ref)
+        assert_within_1e15(to_spectral(grid, values), ref)
         u = SpectralField(grid, coeffs.reshape(-1, *grid.coeff_shape))  # no leading axis: one row
         for m in range(4):
             assert_within_1e15(cm_norm(u, m), complex_cm_norm(grid, u.coeffs, m))
@@ -537,8 +527,8 @@ coeff_arrays = st.integers(min_value=0, max_value=2**32 - 1)
 def test_round_trip_property(seed, scale):
     grid = GridSpec(1, 32, 16)
     u = random_field(grid, seed=seed, scale=scale)
-    back = to_spectral(to_physical(u))
-    assert np.abs(back.coeffs - u.coeffs).max() <= 1e-12 * max(1.0, scale)
+    back = to_spectral(grid, to_physical(grid, u.coeffs))
+    assert np.abs(back - u.coeffs).max() <= 1e-12 * max(1.0, scale)
 
 
 @settings(max_examples=50, deadline=None)
@@ -623,13 +613,11 @@ class TestFieldValidation:
     def test_every_field_has_a_row_axis(self, grid):
         with pytest.raises(ValueError, match="not rows"):
             SpectralField(grid, np.zeros(grid.coeff_shape, dtype=complex))
-        with pytest.raises(ValueError, match="not rows"):
-            PhysicalField(grid, np.zeros(grid.values_shape, dtype=complex))
         with pytest.raises(ValueError, match="not rows"):  # two row axes
             SpectralField(grid, np.zeros((1, 1, *grid.coeff_shape), dtype=complex))
         u = random_field(grid, seed=18)
-        assert to_physical(u).values.shape == (1, *grid.values_shape)
-        assert to_spectral(to_physical(u)).coeffs.shape == (1, *grid.coeff_shape)
+        assert to_physical(grid, u.coeffs).shape == (1, *grid.values_shape)
+        assert to_spectral(grid, to_physical(grid, u.coeffs)).shape == (1, *grid.coeff_shape)
 
     def test_norms_return_one_value_per_row_at_m_1(self):
         grid = GridSpec(2, 8, 4)
