@@ -38,6 +38,7 @@ from .diagnostics import (
     stream_csv_text,
 )
 from .experiments import (  # ensemble_run stays importable here for perfbench's tracer
+    EnsembleAbortError,
     Observable,
     SweepPlan,
     ensemble_run,  # noqa: F401
@@ -563,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv: list[str]) -> int:
-    """Dispatch a CLI invocation; exit codes: 0 ok, 1 verdict failure, 2 usage/config error."""
+    """Dispatch a CLI invocation; exit codes: 0 ok, 1 verdict failure, 2 usage, config or run error."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -590,7 +591,7 @@ def run_command(argv: list[str]) -> int:
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError, EnsembleAbortError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -284,18 +284,16 @@ def ou_convolutions(rngs, step_index: int, sd: np.ndarray, scale: np.ndarray) ->
     return noise[:, 0], noise[:, 1]
 
 
-def forced_increments(
-    spec: NoiseSpec, dt: float, rngs, step_index: int, substream: int = SUB_INCREMENT
-) -> np.ndarray:
+def forced_increments(spec: NoiseSpec, dt: float, rngs, step_index: int) -> np.ndarray:
     """Per-mode complex increments b_d * (g^R + i g^I), g ~ N(0, dt), one row per stream.
 
-    Each stream draws 2s normals over the s forced modes (real parts, then
+    Each stream draws 2s normals at (step_index, SUB_INCREMENT) over the s forced modes (real parts, then
     imaginary parts, in C order); unforced modes get 0.  Shape (len(rngs), *coeff_shape).
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     forced = spec.forced
-    g = complex_normals(rngs, step_index, substream, (len(rngs), forced.size))
+    g = complex_normals(rngs, step_index, SUB_INCREMENT, (len(rngs), forced.size))
     out = np.zeros((len(rngs), spec.grid.n_modes), dtype=np.complex128)
     out[:, forced] = spec.amplitudes.reshape(-1)[forced] * (sqrt(dt) * g)
     return out.reshape(len(rngs), *spec.grid.coeff_shape)

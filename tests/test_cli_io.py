@@ -300,6 +300,15 @@ class TestRunCommand:
         assert run_command(["simulate", "--config", path]) == 2
         assert "exceeds" in capsys.readouterr().err
 
+    def test_aborted_ensemble_exits_2(self, tmp_path, capsys):
+        # EM far beyond its stability limit: every trajectory aborts, a run error rather than a verdict.
+        cfg = SMALL_RUN.replace("nu = 0.5\ndt = 0.02\nT_slow = 1.0", "nu = 1\ndt = 0.5\nT = 5\nscheme = em")
+        path = write_cfg(tmp_path, cfg.replace("M = 3", "M = 2"))
+        with pytest.warns(RuntimeWarning, match="stability guard"):
+            code = run_command(["simulate", "--config", path, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "error: 2/2 trajectories aborted" in capsys.readouterr().err
+
     def test_fit_exact_power_law(self, tmp_path, capsys):
         csv = tmp_path / "points.csv"
         csv.write_text("nu,q\n0.4,6.25\n0.2,25.0\n0.1,100.0\n")

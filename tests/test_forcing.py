@@ -231,9 +231,10 @@ class TestSampleIncrements:
         assert np.abs(off).max() <= 4.0 / sqrt(n)
 
     def test_increment_scaling_dt_quarters(self):
-        # Four dt/4 increments summed match one dt increment in variance.
+        # Four dt/4 increments summed match one dt increment in variance; the fine sums draw
+        # from their own stream, independent of the coarse draws.
         spec = NoiseSpec.single(GridSpec(1, 4, 2), 1)
-        rng = RngStream(5, 0)
+        rng, fine_rng = RngStream(5, 0), RngStream(5, 1)
         n = 40_000
         dt = 0.2
         coarse = np.array(
@@ -242,7 +243,7 @@ class TestSampleIncrements:
         fine = np.array(
             [
                 sum(
-                    forced_increments(spec, dt / 4, (rng,), step_index=4 * k + j, substream=4)[0, 0]
+                    forced_increments(spec, dt / 4, (fine_rng,), step_index=4 * k + j)[0, 0]
                     for j in range(4)
                 )
                 for k in range(n)
