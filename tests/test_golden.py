@@ -45,7 +45,7 @@ from cascade_lab.integrators import (
     smooth_random_field,
     zero_field,
 )
-from cascade_lab.spectral import GridSpec, SpectralField
+from cascade_lab.spectral import GridSpec, SpectralField, to_physical, to_spectral
 from oracles import run_em_on_path, run_strang_on_path, sample_coupled_path
 
 GOLDEN_ENV = {
@@ -484,12 +484,30 @@ def test_one_and_two_blas_threads_write_the_same_bytes():
     assert hashes["1"] == hashes["2"]
 
 
+CROSS_KERNEL_GRIDS = (GridSpec(1, 12, 6), GridSpec(1, 20, 10), GridSpec(2, 24, 12), GridSpec(2, 40, 20))
+
+
+def transform_pair_hashes() -> list[str]:
+    """Per cross-kernel grid, a hash of to_physical and then to_spectral on one fixed M = 3 random block."""
+    hashes = []
+    for grid in CROSS_KERNEL_GRIDS:
+        gen = np.random.default_rng(23)
+        shape = (3, *grid.coeff_shape)
+        values = to_physical(grid, gen.normal(size=shape) + 1j * gen.normal(size=shape))
+        hashes.append(hashlib.sha256(values.tobytes() + to_spectral(grid, values).tobytes()).hexdigest())
+    return hashes
+
+
 def test_haswell_and_default_kernels_write_the_same_bytes():
     # At n=2 N=12 D=6 the projection's last-axis product has 12 columns unpadded, where the
-    # SkylakeX and Haswell dgemm kernels round differently; padded to 16 they agree.
-    code = "import test_golden as g; print(g.blas_kernel(), g.n2_ensemble_hash(g.GridSpec(2, 12, 6)))"
+    # SkylakeX and Haswell dgemm kernels round differently; padded to 16 they agree.  The
+    # transform pair must also agree on the other grids the README names.
+    code = (
+        "import test_golden as g\n"
+        "print(g.blas_kernel(), g.n2_ensemble_hash(g.GridSpec(2, 12, 6)), *g.transform_pair_hashes())"
+    )
     tests_dir = str(Path(__file__).resolve().parent)
-    (default, default_hash), (haswell, haswell_hash) = (
+    (default, default_hash, *default_pairs), (haswell, haswell_hash, *haswell_pairs) = (
         run_python(code, OPENBLAS_CORETYPE=coretype, PYTHONPATH=f"{SRC}{os.pathsep}{tests_dir}").split()
         for coretype in ("", "Haswell")
     )
@@ -498,6 +516,9 @@ def test_haswell_and_default_kernels_write_the_same_bytes():
     if default == "Haswell":
         pytest.skip("the default kernel is Haswell: no second FMA kernel to compare")
     assert default_hash == haswell_hash, f"{default} and Haswell kernels write different bytes"
+    differ = [str(grid) for grid, a, b in zip(CROSS_KERNEL_GRIDS, default_pairs, haswell_pairs) if a != b]
+    assert len(default_pairs) == len(haswell_pairs) == len(CROSS_KERNEL_GRIDS)
+    assert differ == [], f"{default} and Haswell kernels transform differently on {differ}"
 
 
 def test_package_and_selftest_do_not_load_scipy():
