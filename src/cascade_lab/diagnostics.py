@@ -53,14 +53,14 @@ MIN_T_SLOW = 5.0  # slow-time units below which a balance window draws a warning
 class DiagnosticsRecord:
     """Norms and optional extras at one sample time (fast time t, slow time tau).
 
-    ``cm`` is the one C^m value, or order -> value when several orders were recorded.
+    ``cm`` maps each recorded C^m order to its value.
     """
 
     t: float
     tau: float
     norms: dict[float, float]
     sup: float
-    cm: float | dict[int, float] | None = None
+    cm: dict[int, float] | None = None
     shells: tuple[float, ...] | None = None
 
     def norm(self, m: float) -> float:
@@ -92,9 +92,8 @@ class Stream:
         return self.column(schema.norm_column(m))
 
     def cm(self, order: int) -> np.ndarray:
-        """The C^order column: ``cm_<order>`` when several orders were recorded, else the one ``cm``."""
-        name = f"cm_{int(order)}"
-        return self.column(name if name in self._index else "cm")
+        """The C^order column ``cm_<order>``; KeyError for an order that was not recorded."""
+        return self.column(f"cm_{int(order)}")
 
     def __len__(self) -> int:
         return len(self.data)
@@ -104,7 +103,7 @@ class Stream:
         norms = {float(name[len("norm_") :]): v for name, v in row.items() if name.startswith("norm_")}
         cms = {int(name[len("cm_") :]): v for name, v in row.items() if name.startswith("cm_")}
         shells = tuple(v for name, v in row.items() if name.startswith("shell_"))
-        return DiagnosticsRecord(row["t"], row["tau"], norms, row["sup"], row.get("cm", cms or None), shells or None)
+        return DiagnosticsRecord(row["t"], row["tau"], norms, row["sup"], cms or None, shells or None)
 
     def __eq__(self, other) -> bool:  # bit for bit, so NaNs compare equal and -0.0 differs from 0.0
         if not isinstance(other, Stream):
@@ -180,7 +179,7 @@ def read_stream_csv(fh) -> Stream:
     """The stream of a CSV in the frozen column order; every float reads back to its bits."""
     cols = fh.readline().rstrip("\r\n").split(",")
     ms = tuple(float(c[len("norm_") :]) for c in cols if c.startswith("norm_"))
-    cm_orders = tuple(int(c[len("cm_") :]) for c in cols if c.startswith("cm_")) or (0,) * ("cm" in cols)
+    cm_orders = tuple(int(c[len("cm_") :]) for c in cols if c.startswith("cm_"))
     n_shells = sum(c.startswith("shell_") for c in cols)
     expected = schema.stream_columns(ms, cm_orders, n_shells)
     if cols != expected:

@@ -19,11 +19,13 @@ from __future__ import annotations
 # 6: the phase factor is taken from one half-angle tangent instead of a cosine and a sine, so
 #    every nonlinear output number changes; the last-axis product at n >= 2 is padded to a
 #    multiple of 8 columns, which changes SkylakeX bits on grids such as n=2 N=12 D=6.
-SCHEMA_VERSION = 6
+# 7: a C^m column always names its order (``cm_2`` for one order too, not ``cm``), so a
+#    stream with one ``sup_cm`` order changes its header; every number is unchanged.
+SCHEMA_VERSION = 7
 
 # Per-trajectory stream, in memory a (records x columns) float64 array and on disk a CSV:
-# t, tau, one column per configured Sobolev order, then the lattice sup, then the C^m
-# columns (``cm`` for one order, ``cm_2``, ``cm_3``, ... for several) and the shell columns.
+# t, tau, one column per configured Sobolev order, then the lattice sup, then one C^m
+# column per order (``cm_2``, ``cm_3``, ...) and the shell columns.
 STREAM_FIXED_COLUMNS = ("t", "tau")
 
 
@@ -33,10 +35,8 @@ def norm_column(m: float) -> str:
 
 
 def stream_columns(ms: tuple[float, ...], cm_orders: tuple[int, ...] = (), n_shells: int = 0) -> list[str]:
-    cols = [*STREAM_FIXED_COLUMNS, *map(norm_column, ms), "sup"]
-    cols += ["cm"] if len(cm_orders) == 1 else [f"cm_{k}" for k in cm_orders]
-    cols += [f"shell_{k}" for k in range(1, n_shells + 1)]
-    return cols
+    cols = [*STREAM_FIXED_COLUMNS, *map(norm_column, ms), "sup", *(f"cm_{k}" for k in cm_orders)]
+    return cols + [f"shell_{k}" for k in range(1, n_shells + 1)]
 
 
 # JSON-lines report field orders (first two fields are always the same).

@@ -469,7 +469,7 @@ class TestRunCommand:
         (alone, alone_header), (both, both_header) = runs.values()
         assert [s["sup_cm_2"] for s in both] == [s["sup_cm_2"] for s in alone]
         assert all(s["sup_cm_3"]["mean"] > s["sup_cm_2"]["mean"] for s in both)
-        assert alone_header.endswith(",sup,cm") and both_header.endswith(",sup,cm_2,cm_3")
+        assert alone_header.endswith(",sup,cm_2") and both_header.endswith(",sup,cm_2,cm_3")
 
     def test_sweep_without_nu_grid_exits_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, SMALL_RUN.replace("M = 3", "M = 2"))

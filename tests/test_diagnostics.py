@@ -322,7 +322,9 @@ class TestStreamCsv:
             rec = NormRecorder(nu=0.5, cm_orders=orders)
             continue_trajectory(initial_state(u0, params), NoiseSpec.band(grid, [1.0]), params, rec)
             runs[orders] = rec.streams[0]
-        assert runs[(2,)].columns[-1] == "cm" and runs[(2, 3)].columns[-2:] == ("cm_2", "cm_3")
+        assert runs[(2,)].columns[-1] == "cm_2" and runs[(2, 3)].columns[-2:] == ("cm_2", "cm_3")
+        with pytest.raises(KeyError):  # an order that was not recorded
+            runs[(2,)].cm(3)
         assert runs[(2, 3)].cm(2).tobytes() == runs[(2,)].cm(2).tobytes() == runs[(1, 2)].cm(2).tobytes()
         assert np.all(runs[(1, 2)].cm(1) <= runs[(2,)].cm(2)) and np.all(runs[(2, 3)].cm(3) > runs[(2,)].cm(2))
         record = runs[(2, 3)][-1]
@@ -330,10 +332,10 @@ class TestStreamCsv:
         assert read_stream_csv(io.StringIO(stream_csv_text(runs[(2, 3)]))) == runs[(2, 3)]
 
     def test_record_is_immutable_and_equal_by_fields(self):
-        rec = DiagnosticsRecord(0.5, 0.25, {0.0: 1.0, 2.0: 3.0}, 4.0, cm=5.0)
-        same = DiagnosticsRecord(t=0.5, tau=0.25, norms={0.0: 1.0, 2.0: 3.0}, sup=4.0, cm=5.0, shells=None)
-        assert rec == same and rec != replace(rec, cm=None) and rec != (0.5, 0.25, rec.norms, 4.0, 5.0, None)
-        assert (rec.t, rec.tau, rec.norm(2), rec.sup, rec.cm, rec.shells) == (0.5, 0.25, 3.0, 4.0, 5.0, None)
+        rec = DiagnosticsRecord(0.5, 0.25, {0.0: 1.0, 2.0: 3.0}, 4.0, cm={2: 5.0})
+        same = DiagnosticsRecord(t=0.5, tau=0.25, norms={0.0: 1.0, 2.0: 3.0}, sup=4.0, cm={2: 5.0}, shells=None)
+        assert rec == same and rec != replace(rec, cm=None) and rec != (0.5, 0.25, rec.norms, 4.0, {2: 5.0}, None)
+        assert (rec.t, rec.tau, rec.norm(2), rec.sup, rec.cm, rec.shells) == (0.5, 0.25, 3.0, 4.0, {2: 5.0}, None)
         for name in ("t", "tau", "norms", "sup", "cm", "shells"):
             with pytest.raises(FrozenInstanceError):
                 setattr(rec, name, 0.0)

@@ -130,10 +130,10 @@ class TestEnsembleRun:
         assert [c2.evaluate(s, 0.0, 0.5) for s in s_both] == [c2.evaluate(s, 0.0, 0.5) for s in s_alone]
         assert both.observables["sup_cm_3"].mean > both.observables["sup_cm_2"].mean
         assert _needed_recorder((c3, c2, c2), 0.5).cm_orders == (2, 3)
-        assert s_both[0].columns[-2:] == ("cm_2", "cm_3") and s_alone[0].columns[-1] == "cm"
+        assert s_both[0].columns[-2:] == ("cm_2", "cm_3") and s_alone[0].columns[-1] == "cm_2"
 
     def test_a_recorder_factory_takes_no_observables(self):
-        # A recorder of C^2 alone writes one unnamed cm column, which sup_cm:3 would read as C^3.
+        # A recorder of C^2 alone has no cm_3 column for sup_cm:3 to read.
         params, obs = small_params(T=4.0, seed=3), (Observable("sup_cm", 3.0),)
         c2_only = lambda p: NormRecorder(nu=p.nu, cm_orders=(2,))
         with pytest.raises(ValueError, match="recorder_factory"):
