@@ -106,7 +106,7 @@ CRITERION_10_SHA256 = {
 }
 
 # sha256 over the CSV streams and the summary of ``n2_ensemble``
-N2_ENSEMBLE_SHA256 = "b79ed35222cea72b40e687850ae4c8b4fce291a073e88ee1268e58c54110333d"
+N2_ENSEMBLE_SHA256 = "0cac30b3a78ab68601d384f40160576ec8a0f238acf01fe3e08d0ac808e897bb"
 
 # sha256 of ``checkpoint_bytes()``
 CHECKPOINT_SHA256 = "e106575cb5e04534521e7cbf480cc9c79337fa7bb136435f3a010dca2a9a165d"
@@ -115,7 +115,7 @@ CHECKPOINT_SHA256 = "e106575cb5e04534521e7cbf480cc9c79337fa7bb136435f3a010dca2a9
 COUPLED_PATH_SHA256 = "51d1d1f9ee1f5496c6c2b198c2d38e96c7a9989e64cc8353e41c35160e93601f"
 
 # ``_records_digest`` of perfbench/worker.py over the streams of ``records_view_ensemble()``
-RECORDS_VIEW_SHA256 = "be42061bf32d63c52ee365f1b9e2f6fdf6e4e404e0403a422b1e802a5ce651ca"
+RECORDS_VIEW_SHA256 = "de910cf65adcd365e7b7efbd603e26de44c37589ad580f698538e3896bb8b6cf"
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -209,52 +209,52 @@ GOLDEN_RUNS = {
 GOLDEN_RUNS_SHA256 = {
     "simulate-slow": {
         "config.ini": "a4800193562c07b5925aef81a2af9c44d78b94bba53a1f81e49c2d3bfc30e1d9",
-        "manifest.json": "0c57ea3ba31bcbba7b0cb61580ab9dc30373ffcec2a7b936e9bf78c7620f8631",
-        "occupation_report.jsonl": "862ff32a49d6dfa519833ec2c4eceb50280532ed334ecce3f7da7f5d9f70276e",
-        "report.jsonl": "89f3e7b17f862c0c44eb736b4b09fd92004d1eb52f648eefd15f7337fda8684f",
-        "streams/traj_0000.csv": "8126c75bc64a1dc8b16e14cc808940af8d3f157ceee7c86baa2868ef1ce22efa",
-        "streams/traj_0001.csv": "1da37696ee21bf386b99dba57382604e12658deb9537005559477b357913a020",
+        "manifest.json": "a5a30ec70512c3cabac1edffc432f265bc291590115f80b18d1c5036b9e4738a",
+        "occupation_report.jsonl": "4b810b13429e80da6e1a9813115ca1869c8d1b6b597968b8ca4f2b85bfb382d4",
+        "report.jsonl": "8d267c282be91381f5dc8f46bc48883b25b18517b73a9960898020d113da1496",
+        "streams/traj_0000.csv": "115d9d8b27161673418df7e9e8de7d49aff194b4cf4c35629cd739396e8ca143",
+        "streams/traj_0001.csv": "f69548ebd4e8ca47fd3e04ee41ef0fe52e88c396a53e4958c827b887ee48afb7",
     },
     "simulate-fast": {
         "config.ini": "a7f1ba2cefa99d3c01dbd3db1f227bbd51994bc140d2db497e5edfbc1c640112",
-        "manifest.json": "53ab2c306555439d071974a92cbe4136e0a814bb8ae9449e304ae695f6286b7b",
-        "report.jsonl": "2f39325443eb3ba34efcc0f29a9032010b779477eff483a9b72018091042afd4",
+        "manifest.json": "baa18439cdf04a403f0d64eef5c9d88dc01d020257722fa5a526df57bccab413",
+        "report.jsonl": "a44573405bf7b9095b4fc2cfcf63b4c5233b240618eb2ada47f60c11ef83120d",
         "streams/traj_0000.csv": "c0aa26fafe0e4e9380773d67999c6c7886fe9f4d86d1b2552b31a09b88b08f2a",
         "streams/traj_0001.csv": "477f66339b31084c062f86f5fc95c739ac3630389a7151e846ad90a0cec01f86",
     },
     "spectrum": {
         "config.ini": "cce74964518b9418d7653a39ed7445742afb0099234a3a0dd795c23d3fcf35c0",
-        "manifest.json": "9944fbcb97a397f543534ef22007bf4473d9767277ca990d6bbe6c813658b987",
-        "report.jsonl": "dd45443cf1cc5899876d0fda47b5f0dcf8144be2fde929637b978f3e8a30918c",
+        "manifest.json": "3f455df51197b926b7c11154c9f6d9bd44ae2681010f0549c88aa7d854041fa0",
+        "report.jsonl": "d16a760ae3b03f3b2b6ce51ad284bbd935da4aefb8af8bb7af6adfacc93a9c38",
         "streams/traj_0000.csv": "e20f3bf1ffc9d44ebe72ad19c68e6c53be22c61ac088e430fe4e6a5114d2013a",
         "streams/traj_0001.csv": "361dd1823c313c8efad4a629d2f3b61bd71eef386e59702d053dcfaabcf8459c",
     },
     "sweep-slow": {
         "config.ini": "c88e843ebf461471f57903e49538d6257692c5849a3a5fb9ee2475cba18e58c1",
-        "manifest.json": "c3bc232de509db79bdcd7280ede226d79c076420fa92ba79a4185a34e23c2095",
-        "report.jsonl": "47096460c6c53d1e342e62a01e9b6b7906ca726e4a05cc6a1dea191f1938f4f7",
-        "streams/nu_0.25/traj_0000.csv": "20b25bdd35e24b24c6fd905bca8d20aa4dc9848c0d1c5dfbe541da8e13b49bd4",
-        "streams/nu_0.25/traj_0001.csv": "f08c6cb38d7be2b24f48f5d0394ab3f4a34aa9b434835197a1bbdf71e9142906",
-        "streams/nu_0.4/traj_0000.csv": "30a65023f7da75d4fa75dcc87e79fc74c10434fe3b3326c4d7ab671742e91fa3",
-        "streams/nu_0.4/traj_0001.csv": "5a82aa0451a229e9a503ed3b0b0648da870707f3651807967c7a850176ecef6e",
-        "streams/nu_0.5/traj_0000.csv": "b9b4e337f1034e706537bf01041c91aac7428008ffd40e682c79478c42b70411",
-        "streams/nu_0.5/traj_0001.csv": "f326ced5bff6324ce8cf8bde84d050672b74b18be73788d7c1686594b16e015b",
+        "manifest.json": "f8a13ec3602b41a2f4f28577a3964eba6f6abee391d61578921c1d47a0e3f2ef",
+        "report.jsonl": "e24647ee89dfc24e3b9989168cf6b9b7a3b08643b7f732b0ca32c332fc683a4a",
+        "streams/nu_0.25/traj_0000.csv": "e6a3301f2e2b21310dc8dcedd6c94555976f3b7928d98622594795ddf752d7ff",
+        "streams/nu_0.25/traj_0001.csv": "17bc4f7cbb7f77f80a9da1686ae1dae67f9cd600d5614fc41ac10527e02368b9",
+        "streams/nu_0.4/traj_0000.csv": "e6f77b73a46048444b3355a6880c16f09b76f3c9c7b4c61d49b6a72e8025494a",
+        "streams/nu_0.4/traj_0001.csv": "215f5a0fee9be7535968a53e090b0d39e9c8f57bebae5a51382a7ae691969377",
+        "streams/nu_0.5/traj_0000.csv": "b1d6bdde274fc25041833f6bae620519f29f9829b1305b215c6198cc98af6298",
+        "streams/nu_0.5/traj_0001.csv": "90f9ccfbf35a7b608723d60e4a1e63a9355218c05f7c95e97435aac7c4ee902c",
     },
     "sweep-fast": {
         "config.ini": "ea929485771aa343f4520296c4716117284cff5cc870af66f91ccb11b1cb4746",
-        "manifest.json": "e2eea65560d8565df755b6397792fe2631118761853a4c699a326f55d9756aeb",
-        "report.jsonl": "47096460c6c53d1e342e62a01e9b6b7906ca726e4a05cc6a1dea191f1938f4f7",
-        "streams/nu_0.25/traj_0000.csv": "20b25bdd35e24b24c6fd905bca8d20aa4dc9848c0d1c5dfbe541da8e13b49bd4",
-        "streams/nu_0.25/traj_0001.csv": "f08c6cb38d7be2b24f48f5d0394ab3f4a34aa9b434835197a1bbdf71e9142906",
-        "streams/nu_0.4/traj_0000.csv": "30a65023f7da75d4fa75dcc87e79fc74c10434fe3b3326c4d7ab671742e91fa3",
-        "streams/nu_0.4/traj_0001.csv": "5a82aa0451a229e9a503ed3b0b0648da870707f3651807967c7a850176ecef6e",
-        "streams/nu_0.5/traj_0000.csv": "b9b4e337f1034e706537bf01041c91aac7428008ffd40e682c79478c42b70411",
-        "streams/nu_0.5/traj_0001.csv": "f326ced5bff6324ce8cf8bde84d050672b74b18be73788d7c1686594b16e015b",
+        "manifest.json": "0f148c6da63980eba8a6ef7b924223795eb1514ca705a50da573785d34417a03",
+        "report.jsonl": "e24647ee89dfc24e3b9989168cf6b9b7a3b08643b7f732b0ca32c332fc683a4a",
+        "streams/nu_0.25/traj_0000.csv": "e6a3301f2e2b21310dc8dcedd6c94555976f3b7928d98622594795ddf752d7ff",
+        "streams/nu_0.25/traj_0001.csv": "17bc4f7cbb7f77f80a9da1686ae1dae67f9cd600d5614fc41ac10527e02368b9",
+        "streams/nu_0.4/traj_0000.csv": "e6f77b73a46048444b3355a6880c16f09b76f3c9c7b4c61d49b6a72e8025494a",
+        "streams/nu_0.4/traj_0001.csv": "215f5a0fee9be7535968a53e090b0d39e9c8f57bebae5a51382a7ae691969377",
+        "streams/nu_0.5/traj_0000.csv": "b1d6bdde274fc25041833f6bae620519f29f9829b1305b215c6198cc98af6298",
+        "streams/nu_0.5/traj_0001.csv": "90f9ccfbf35a7b608723d60e4a1e63a9355218c05f7c95e97435aac7c4ee902c",
     },
     "stationary": {
         "config.ini": "ac2b2d30290eb5486c97b2dcbab0c4672cb6eda33075b1626c1a98e8147fbc71",
-        "manifest.json": "2ebaed196726fad0bbd2f508fe66698e643232e14e9fc7aac734187f37beb295",
-        "report.jsonl": "df17d563d019fd508e35a01f02ba51e22c868a6fcd2183b445349a8079de7f65",
+        "manifest.json": "b0bcf9d7f6121dc142f615479d813c19a68819b0d2b8fd6d9d034b959f834150",
+        "report.jsonl": "e0e81d1d7ac3cd9e465019bbe1ab8663cc3e256e8459755eedd5cf72313885c2",
         "streams/nu_0.25/traj_0000.csv": "d2093076f40ef4804bea4de554ae58ef51b4b53290bbb4e7261a6e67b25b6da2",
         "streams/nu_0.25/traj_0001.csv": "4e777382b695eba45aed35ea22d6e30578a89a88140d96426f8ad24e7d41f4d7",
         "streams/nu_0.4/traj_0000.csv": "9d83f01d3f6b708aabaaf9dbbb9e6f54d7d1aaf1be70fe04c8b46500f61308c3",
