@@ -287,8 +287,9 @@ def ou_convolutions(rngs, step_index: int, sd: np.ndarray, scale: np.ndarray) ->
 def forced_increments(spec: NoiseSpec, dt: float, rngs, step_index: int) -> np.ndarray:
     """Per-mode complex increments b_d * (g^R + i g^I), g ~ N(0, dt), one row per stream.
 
-    Each stream draws 2s normals at (step_index, SUB_INCREMENT) over the s forced modes (real parts, then
-    imaginary parts, in C order); unforced modes get 0.  Shape (len(rngs), *coeff_shape).
+    Each stream draws 2s normals at (step_index, SUB_INCREMENT) over the s forced
+    modes (real parts, then imaginary parts, in C order); unforced modes get 0.
+    Shape (len(rngs), *coeff_shape).
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
