@@ -15,10 +15,8 @@ from .spectral import (
     SpectralField,
     GridMismatchError,
     NonFiniteFieldError,
-    basis_eval,
     to_physical,
     to_spectral,
-    lattice_inner,
     sobolev_norm,
     sup_norm,
     cm_norm,
@@ -54,7 +52,6 @@ from .diagnostics import (
     stationary_check,
     balance_check,
     time_avg_sobolev,
-    exp_moment,
 )
 from .experiments import (
     Observable,

@@ -16,9 +16,7 @@ The headline checks:
 * ``stationary_check`` -- the stationary small-norm bound
   P(||u||_0 <= chi) <= 2 chi Gamma / B_0;
 * ``time_avg_sobolev`` -- the slow-time unit-window average
-  nu * int_{t0}^{t0 + 1/nu} ||u||_m^2 ds;
-* ``exp_moment``      -- E exp(c x^2) over sup-norm maxima, with a half-sample
-  stability flag.
+  nu * int_{t0}^{t0 + 1/nu} ||u||_m^2 ds.
 
 Integrals use the left-rectangle rule at the recorded cadence; the cadence is
 part of the experiment record, so discretization error stays auditable.
@@ -139,9 +137,12 @@ class NormRecorder:
     def __call__(self, state: State) -> None:
         u, rows = state.u, len(state.rngs)
         times = np.full(rows, state.t), np.full(rows, self.nu * state.t)
-        parts = [*times, sobolev_norm(u, self.ms).T, sup_norm(u)]
-        if self.cm_orders:
-            parts.append(cm_norm(u, self.cm_orders).T)
+        parts = [*times, sobolev_norm(u, self.ms).T]
+        if self.cm_orders:  # the sup is C^0: one pass gives both, with the sup's own bits
+            sup, *cm = cm_norm(u, (0, *self.cm_orders))
+            parts += [sup, np.transpose(cm)]
+        else:
+            parts.append(sup_norm(u))
         if self.shells:
             parts.append(shell_energies(u.grid, u.coeffs))
         block = np.column_stack(parts)
@@ -427,33 +428,3 @@ def time_avg_sobolev(stream: Stream, m: float, t0: float, nu: float) -> float:
     """
     tau0 = nu * t0
     return _left_rectangle(stream.column("tau"), stream.norm(m) ** 2, tau0, tau0 + 1.0)
-
-
-# --- exponential moments -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExpMomentReport:
-    c: float
-    value: float
-    half_value: float
-    stable: bool
-
-
-def exp_moment(samples, c: float) -> ExpMomentReport:
-    """Sample mean of exp(c x^2) with a half-sample heavy-tail stability flag.
-
-    ``stable`` is False when the first-half estimate differs from the full
-    estimate by more than 25 % relatively; a heavy tail makes the estimate
-    jumpy under subsampling.
-    """
-    if c < 0:
-        raise ValueError("exponential-moment coefficient must be >= 0")
-    x = np.asarray(samples, dtype=float)
-    if x.size == 0:
-        raise ValueError("empty sample")
-    vals = np.exp(c * x**2)
-    full = float(vals.mean())
-    half = float(vals[: max(1, x.size // 2)].mean())
-    stable = abs(half - full) <= 0.25 * full
-    return ExpMomentReport(c=c, value=full, half_value=half, stable=stable)

@@ -5,13 +5,9 @@ A sweep runs an ensemble of M independent trajectories per viscosity value
 across viscosities), evaluates windowed observables per trajectory, and fits
 the scaling exponent alpha of log(observable) against log(1/nu).
 
-Entries that share a fast dt step as one batch of rows (``run_ensembles``):
-each row steps with its own entry's viscosity, and an entry's rows leave the
-batch at its horizon.  A step's fixed cost is then paid once per step instead
-of once per entry per step.  The bytes do not change: every matrix product is
-taken per row, and every per-row table (OU decay, convolution scale, EM
-drift) multiplies elementwise, so each entry's streams and summary are those
-of its ensemble run alone.
+Entries that share a fast dt step as one batch of rows (``run_ensembles``),
+each row at its own entry's viscosity, so a step's fixed cost is paid once per
+step; each entry's streams and summary are still those of its run alone.
 
 Desk-scale honesty: the asymptotic statements behind these experiments hold
 for nu below an unknown threshold, so sweep verdicts are reported as trends
@@ -210,7 +206,7 @@ def run_ensembles(
         recorders.append(_needed_recorder(e.observables, p.nu) if e.recorder_factory is None else e.recorder_factory(p))
         rngs.append(tuple(RngStream(p.seed, sid) for sid in range(p.stream_id, p.stream_id + e.M)))
     u0 = np.concatenate([e.u0_factory(rng.stream_id).coeffs for e, rows in zip(ensembles, rngs) for rng in rows])
-    state = State(0.0, SpectralField(grid, u0), tuple(chain.from_iterable(rngs)), 0)
+    state = State.of(SpectralField(grid, u0), tuple(chain.from_iterable(rngs)))
     row_params = tuple(chain.from_iterable((e.params,) * e.M for e in ensembles))
     row_sinks = tuple(chain.from_iterable((rec,) * e.M for e, rec in zip(ensembles, recorders)))
     # Resolved at call time, so a wrapper installed on the integrators module sees the call.
@@ -321,11 +317,8 @@ class SweepPlan:
     the grid far less noisy than independent runs at a fixed fast dt.
 
     Entries that share a fast dt (every entry, unless ``dt_slow`` is set) run
-    as one batch of rows, each row at its own entry's viscosity, and each
-    entry's rows leave at its horizon; with ``dt_slow`` each entry is a batch
-    of its own.  Either way every entry's streams and summary are bit for bit
-    those of running it alone, since every product is taken per row and every
-    per-row table multiplies elementwise.
+    as one batch of rows (:func:`run_ensembles`); with ``dt_slow`` each entry
+    is a batch of its own.
     """
 
     grid: GridSpec

@@ -10,28 +10,20 @@ control every moment bound downstream; B_0 is the energy injection rate that
 appears in the stationary balance identity E||u||_1^2 = B_0.
 
 Draws are counter-addressed: any (trajectory, step, substream) batch of
-Gaussians is reachable directly from (base_seed, stream_id, step_index,
-substream) without replaying the stream.  That is what makes trajectories
-bit-reproducible, checkpoints resumable, and coupled-path integrator
-comparisons possible.  Gaussians come from numpy's ziggurat sampler on top of
-the Philox4x64 counter generator; the choice is fixed because bit-exact
-replay is part of the output contract.
+Gaussians is reachable from (base_seed, stream_id, step_index, substream)
+without replay, so trajectories are bit-reproducible and checkpoints resume.
+Gaussians come from numpy's ziggurat sampler on the Philox4x64 counter
+generator, fixed because bit-exact replay is part of the output contract.
 
 Only the forced modes (b_d > 0, ``NoiseSpec.forced``) carry a Brownian motion,
-so only they are drawn.  A Strang step takes 4s normals for s forced modes, laid
-out re_0 | im_0 | re_1 | im_1 over the forced modes in C order: the two half-step
-convolutions.  Those draws are block-addressed: K consecutive steps share the
-address (step_index // K, SUB_OU), which holds 4s*K normals, and step k takes the
-slice [4s*(k mod K), 4s*(k mod K + 1)).  K = max(1, OU_BLOCK_NORMALS // 4s) fixes
-the normals per address rather than the steps, so a block stays small for every
-profile and K falls to 1 once 4s >= OU_BLOCK_NORMALS.  ``ou_convolutions`` keeps
-the last block drawn, scaled once, so a step that hits it only slices.  An
+so only they are drawn.  A Strang step takes 4s normals for s forced modes,
+re_0 | im_0 | re_1 | im_1 in C order: its two half-steps' convolutions, each a
+row's real and imaginary parts.  K = max(1, OU_BLOCK_NORMALS // 4s) consecutive
+steps share the address (step_index // K, SUB_OU), and step k takes slice
+k mod K; ``ou_convolutions`` keeps the last block drawn, scaled once.  An
 Euler-Maruyama increment draws 2s normals (re | im) at (step_index,
-SUB_INCREMENT).  A degenerate spec draws nothing.  Random
-initial data (SUB_INIT) draws every mode.  Before schema version 3 every retained
-mode was drawn, at two addresses per Strang step, and most of those draws were
-multiplied by b_d = 0; schema version 3 drew one address per Strang step, and
-schema version 4 starts the blocks.
+SUB_INCREMENT), and random initial data (SUB_INIT) every mode.  A degenerate
+spec draws nothing.
 """
 
 from __future__ import annotations
@@ -214,26 +206,23 @@ def bk_sum(spec: NoiseSpec, k: float) -> float:
     return float(np.sum(mode_abs_sq(spec.grid) ** k * b2))
 
 
-def _complex_draws(rngs, step_index: int, substream: int, k: int, blocks: int) -> np.ndarray:
-    """Complex standard normals of shape (len(rngs), blocks, k), row i drawn by stream i.
+def _draws(rngs, step_index: int, substream: int, count: int) -> np.ndarray:
+    """Standard normals of shape (len(rngs), count), row i drawn by stream i at (step_index, substream).
 
-    Each stream draws 2·blocks·k normals at (step_index, substream), laid out
-    re_0 | im_0 | re_1 | im_1 | ...; no stream is addressed when k is 0.  Streams with the same
-    (base_seed, stream_id), as in the entries of a sweep, draw the same normals: each such key
-    is drawn once, by its first row, and copied to the others.
+    No stream is addressed when count is 0.  Streams with the same (base_seed, stream_id), as in
+    the entries of a sweep, draw the same normals: each such key is drawn once, by its first row,
+    and copied to the others.
     """
-    z = np.empty((len(rngs), blocks, 2, k))
-    if k:
-        flat, first = z.reshape(len(rngs), -1), {}
+    z = np.empty((len(rngs), count))
+    if count:
+        first = {}
         for i, rng in enumerate(rngs):
             j = first.setdefault((rng.base_seed, rng.stream_id), i)
             if j == i:
-                rng.normals(step_index, substream, out=flat[i])
+                rng.normals(step_index, substream, out=z[i])
             else:
-                flat[i] = flat[j]
-    out = np.empty((len(rngs), blocks, k), dtype=np.complex128)
-    out.real, out.imag = z[:, :, 0], z[:, :, 1]
-    return out
+                z[i] = z[j]
+    return z
 
 
 def complex_normals(rngs, step_index: int, substream: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -243,7 +232,10 @@ def complex_normals(rngs, step_index: int, substream: int, shape: tuple[int, ...
     the real parts of its row first, then the imaginary parts, in C order.
     """
     k = prod(shape) // len(rngs)
-    return _complex_draws(rngs, step_index, substream, k, 1).reshape(shape)
+    z = _draws(rngs, step_index, substream, 2 * k).reshape(len(rngs), 2, k)
+    out = np.empty((len(rngs), k), dtype=np.complex128)
+    out.real, out.imag = z[:, 0], z[:, 1]
+    return out.reshape(shape)
 
 
 def ou_block_steps(s: int) -> int:
@@ -256,16 +248,15 @@ _ou_block: tuple | None = None
 
 
 def ou_convolutions(rngs, step_index: int, sd: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The noise sqrt(nu) b_d gamma_d of both OU half-steps of one Strang step, each (len(rngs), s).
+    """The noise sqrt(nu) b_d gamma_d of both OU half-steps of one Strang step, each (len(rngs), 2, s).
 
     Step k is slot k mod K of the block at (k // K, SUB_OU), K = ``ou_block_steps(s)``: each
     stream draws 4s*K normals there, slot j holding re_0 | im_0 | re_1 | im_1 over the s forced
-    modes at [4s*j, 4s*(j + 1)).  The block is scaled once, in place, by ``sd`` (the convolution
-    standard deviation) and then by ``scale`` (sqrt(nu) b_d): per entry the same two products as
-    scaling each step's slice.  ``sd`` and ``scale`` are (s,) tables shared by every stream, or
-    (len(rngs), s) tables whose row i scales stream i's block.  One block is cached, keyed by the
-    identity of the ``rngs`` tuple, of ``sd`` and of ``scale`` and by the block index: a state keeps
-    its tuple from step to step, so a step inside its block only slices, and any other tuple (a new
+    modes, so each half is a row's real, then imaginary parts.  The block is scaled once, in
+    place, by ``sd`` (the convolution standard deviation) and then by ``scale`` (sqrt(nu) b_d),
+    (s,) tables or (len(rngs), s) tables whose row i scales stream i.  One block is cached, keyed
+    by the identity of ``rngs``, ``sd`` and ``scale`` and by the block index: a state keeps its
+    tuple from step to step, so a step inside its block only slices, and any other tuple (a new
     run, a dropped row, a one-row redo) draws.  Both results are read-only views into the block.
     """
     global _ou_block
@@ -274,8 +265,8 @@ def ou_convolutions(rngs, step_index: int, sd: np.ndarray, scale: np.ndarray) ->
     block, slot = divmod(step_index, K)
     cached = _ou_block
     if cached is None or cached[0] is not rngs or cached[1] != block or cached[2] is not sd or cached[3] is not scale:
-        z = _complex_draws(rngs, block, SUB_OU, s, 2 * K).reshape(len(rngs), K, 2, s)
-        per_row = (slice(None), None, None) if sd.ndim == 2 else ()
+        z = _draws(rngs, block, SUB_OU, 4 * s * K).reshape(len(rngs), K, 2, 2, s)
+        per_row = (slice(None), None, None, None) if sd.ndim == 2 else ()
         z *= sd[per_row]
         z *= scale[per_row]
         z.flags.writeable = False

@@ -1,46 +1,31 @@
 """Time stepping for u_t - nu*Lap(u) + i|u|^2 u = sqrt(nu) * eta.
 
 In mode space the linear/stochastic part is a family of decoupled complex
-Ornstein-Uhlenbeck equations
+Ornstein-Uhlenbeck equations du_d = -nu |d|^2 u_d dt + sqrt(nu) b_d dbeta_d,
+solved exactly, while u_t = -i|u|^2 u is an exact pointwise phase rotation on
+the collocation lattice.  The production scheme is the Strang composition
+OU(dt/2) o phase(dt) o OU(dt/2); an explicit Euler-Maruyama step over the full
+drift serves as an independent oracle.
 
-    du_d = -nu |d|^2 u_d dt + sqrt(nu) b_d dbeta_d,
+There is one state type, :class:`State`: rows of coefficient planes
+(``spectral.to_planes``) with one stream per row; a single trajectory is one
+row.  A Strang step is one kernel on the planes: one OU update, the rotation
+(a sine-matrix pair around a cosine and a sine from one tangent), and a flush
+of subnormal parts.  Adjacent OU halves merge: the running state is open, its
+last closing OU(dt/2) pending, and the next step applies it with its own
+opening half as one OU(dt).  Only an observed state gets a closed copy, so a
+row's bits do not depend on when it is recorded.  The step's new array is its
+one finiteness check; inf and NaN survive every stage.  Row i is bit for bit
+the one-row run on its stream, also when rows carry their own viscosities and
+horizons (the entries of a sweep): the OU tables are then stacked per row.
 
-solved exactly per step, while the nonlinear part u_t = -i|u|^2 u is an exact
-pointwise phase rotation on the collocation lattice (the modulus is an
-integral of motion of that flow).  The production scheme is the Strang
-composition  OU(dt/2) o phase(dt) o OU(dt/2);  an explicit Euler-Maruyama
-step over the full drift serves as an independent oracle.
-
-There is one state type, :class:`State`: a field with a leading row axis and
-one stream per row, so an ensemble advances as one (M, D, ..., D) array and a
-single trajectory is one row.  A Strang step is one kernel on that coefficient
-array: two OU halves around a phase rotation (one sine-matrix pair), then a
-flush of subnormal components to 0.0, with no field built on the way.  The
-step's new field is its one finiteness check; inf and NaN survive every stage,
-so that check fails at the same step as a check after each stage would.  Row i
-keeps its own stream and is bit for bit the one-row run on that stream.  Rows
-may also carry their own viscosities and horizons (the entries of a sweep that
-share a fast dt): the OU tables and the EM drift are then stacked per row and
-multiply elementwise, so each row is still bit for bit its own one-row run.
-
-Only the s forced modes (b_d > 0) are driven: a Strang step takes 4s normals
-that hold both half-steps' noise (``forcing.ou_convolutions``), and each OU half
-adds it on those modes only, through a basic slice when they are contiguous; an
-unforced mode is exactly u_d * decay.  Each stream draws the 4s*K normals of K
-consecutive steps at once, at (step_index // K, SUB_OU), K = max(1,
-OU_BLOCK_NORMALS // 4s), and step k takes slot k mod K of that block, scaled
-once when drawn.  Output schema 4 starts here: schema 3 drew one address per
-stream per Strang step, and earlier versions every retained mode at two
-addresses.  The Euler-Maruyama increments keep one address per step.
-
-The slow-time description tau = nu * t needs no separate integrator: a fast
-chain with parameters (nu, dt) performs, number for number, the same updates
-as a unit-viscosity chain at step dtau = nu*dt with the phase angle rescaled
-by 1/nu.
-
-Noise draws are addressed by (step_index, substream), or by the block that holds
-step_index, never consumed sequentially, so a trajectory is a pure function of
-(seed, stream_id) and can be resumed from a checkpoint at any step bit-exactly.
+Only the s forced modes (b_d > 0) are driven, from draws addressed by
+(step_index // K, SUB_OU) (``forcing.ou_convolutions``), never consumed
+sequentially: a trajectory is a pure function of (seed, stream_id) and resumes
+from a checkpoint at any step bit-exactly.  Schema 8 marks the planes and the
+merged halves, which round differently from two halves and a complex product.
+A fast chain at (nu, dt) performs, number for number, the updates of a
+unit-viscosity chain at dtau = nu*dt with the phase angle rescaled by 1/nu.
 """
 
 from __future__ import annotations
@@ -64,6 +49,7 @@ from .forcing import (
     forced_increments,
     ou_convolutions,
 )
+from . import spectral
 from .spectral import (
     GridMismatchError,
     GridSpec,
@@ -71,9 +57,12 @@ from .spectral import (
     SpectralField,
     field_from_bytes,
     field_to_bytes,
+    from_planes,
     mode_abs_sq,
+    parts,
     sobolev_norm,
     sup_norm,
+    take_rows,
     to_physical,
     to_spectral,
 )
@@ -133,15 +122,24 @@ class SimParams:
 
 @dataclass
 class State:
-    """M trajectories at a common step: a field with a leading row axis, one stream per row.
+    """M trajectories at a common step, one stream per row; a single trajectory is one row.
 
-    A single trajectory is one row.
+    ``c`` holds the coefficient planes: the start data at step 0, later the open state, whose last
+    closing OU(dt/2) is pending.  ``u`` is the closed field, set at step 0 and where the driver
+    hands the state on (sinks, aborts, the final state).
     """
 
     t: float
-    u: SpectralField
+    grid: GridSpec
+    c: np.ndarray
     rngs: tuple[RngStream, ...]
     step_index: int
+    u: SpectralField | None = None
+
+    @classmethod
+    def of(cls, u: SpectralField, rngs: tuple[RngStream, ...], t: float = 0.0, step_index: int = 0) -> "State":
+        """The state with ``u``'s planes, taken as open at a step >= 1."""
+        return cls(t, u.grid, u.planes, rngs, step_index, None if step_index else u)
 
 
 def default_dt(scheme: str, nu: float, grid: GridSpec) -> float:
@@ -160,11 +158,13 @@ def default_dt(scheme: str, nu: float, grid: GridSpec) -> float:
 def _ou_tables(spec: NoiseSpec, nu, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cached decay over all modes, and conv standard deviation and sqrt(nu) b_d over the forced modes.
 
-    For a tuple of one viscosity per row, each table is the rows' own tables stacked in row order,
-    so a row's products are those of its own viscosity's tables, elementwise.
+    For a tuple of one viscosity per row, each is the rows' own tables stacked in row order (the
+    decay as (M, 1, D) at n = 1, for (M, 2, D) planes), so each row multiplies by its own tables.
     """
     if isinstance(nu, tuple):
         tables = tuple(np.stack(rows) for rows in zip(*(_ou_tables(spec, v, dt) for v in nu)))
+        if spec.grid.n == 1:
+            tables = (tables[0][:, None], *tables[1:])
     else:
         lam = nu * mode_abs_sq(spec.grid)  # > 0, since nu > 0 and |d|^2 >= 1
         tables = (
@@ -178,70 +178,65 @@ def _ou_tables(spec: NoiseSpec, nu, dt: float) -> tuple[np.ndarray, np.ndarray, 
 
 
 @lru_cache(maxsize=64)
-def _forced_where(spec: NoiseSpec) -> slice | np.ndarray:
-    """The forced modes of one flattened row: a basic slice when they are contiguous, else their flat indices."""
-    f = spec.forced
-    if f.size and f[-1] - f[0] + 1 == f.size:
-        return slice(int(f[0]), int(f[-1]) + 1)
-    return f
+def _forced_decay(spec: NoiseSpec, nu, dt: float) -> np.ndarray:
+    """The decay over the forced modes, shaped (1 or M, 1, s) to scale noise laid out (M, 2, s)."""
+    table = _ou_tables(spec, nu, dt)[0].reshape(-1, spec.grid.n_modes)[:, spec.forced][:, None]
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=64)
+def _forced_index(spec: NoiseSpec, rows: int) -> np.ndarray:
+    """Flat indices of the forced modes in ``rows`` rows of planes, in the order of noise laid out (rows, 2, s)."""
+    row, part, mode = np.ix_(np.arange(rows), np.arange(2), spec.forced)
+    plane = part * rows + row if spec.grid.n > 1 else 2 * row + part  # which (row, part) plane, in memory order
+    index = (plane * spec.grid.n_modes + mode).ravel()
+    index.flags.writeable = False
+    return index
 
 
 def ou_exact_step(
-    c: np.ndarray,
-    spec: NoiseSpec,
-    nu: float | tuple[float, ...],
-    dt: float,
-    noise: np.ndarray,
+    c: np.ndarray, spec: NoiseSpec, nu: float | tuple[float, ...], dt: float, noise: np.ndarray
 ) -> np.ndarray:
-    """Exact one-step solve of du_d = -nu |d|^2 u_d dt + sqrt(nu) b_d dbeta_d, on coefficients.
+    """Exact one-step solve of du_d = -nu |d|^2 u_d dt + sqrt(nu) b_d dbeta_d, on coefficient planes.
 
-    u_d <- exp(-nu |d|^2 dt) u_d + sqrt(nu) b_d gamma_d, where gamma_d is the
-    stochastic convolution with per-component variance
-    (1 - exp(-2 nu |d|^2 dt)) / (2 nu |d|^2); exact in distribution for any dt.
-    ``c`` has shape (M, *coeff_shape), one trajectory per row, and ``nu`` is one
-    viscosity or a tuple of one per row; the result is a new array of that shape,
-    unchecked.  The noise lives on the s forced modes
-    only (``spec.forced``); every other mode is exactly u_d * decay.  ``noise``
-    is sqrt(nu) b_d gamma_d, shape (M, s), drawn by the caller.
+    u_d <- exp(-nu |d|^2 dt) u_d + sqrt(nu) b_d gamma_d, gamma_d the stochastic convolution with
+    per-component variance (1 - exp(-2 nu |d|^2 dt)) / (2 nu |d|^2): exact in distribution for any
+    dt.  ``nu`` is one viscosity or one per row; the result is a new array, unchecked.  ``noise``
+    is (M, 2, s), each row's real, then imaginary parts over the s forced modes; every other mode
+    is exactly u_d * decay.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     decay = _ou_tables(spec, nu, dt)[0]
-    if c.shape[1:] != spec.grid.coeff_shape:
-        raise GridMismatchError(f"coefficients {c.shape} are not rows of the noise grid {spec.grid.coeff_shape}")
-    new = c * decay  # C-contiguous like its input: the reshape below is a view
-    flat = new if new.ndim == 2 else new.reshape(len(new), -1)
-    flat[:, _forced_where(spec)] += noise
+    if c.shape[2:] != spec.grid.coeff_shape:
+        raise GridMismatchError(f"planes {c.shape} are not rows of the noise grid {spec.grid.coeff_shape}")
+    new = np.ascontiguousarray(c * decay)  # so that its reshape is a view
+    new.reshape(-1)[_forced_index(spec, len(noise))] += noise.reshape(-1)
     return new
 
 
-def _phase_factor(phase: np.ndarray) -> np.ndarray:
-    """exp(-i phase) from one half-angle tangent t = tan(phase / 2): ((1 - t^2) - 2it) / (1 + t^2).
+def _cos_sin(half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos, sin) of 2 * ``half`` from t = tan(half): ((1 - t^2), 2t) / (1 + t^2), as (r - 1, t r), r = 2 / (1 + t^2).
 
-    One ``np.tan`` costs less than a cosine and a sine, which also slow down as the phase grows.
-    The result is within about 3e-16 of ``np.exp(-1j * phase)``; its bits follow numpy's SIMD
-    dispatch of ``tan`` and depend only on each value, not on the array's length or layout.  An
-    infinite or NaN phase gives NaN.
+    One ``np.tan`` costs less than a cosine and a sine.  Both are within about 4e-16 of ``np.cos``/
+    ``np.sin``, with bits that follow numpy's SIMD dispatch of ``tan``; a non-finite angle gives NaN.
     """
-    t = np.multiply(phase, 0.5)  # exact: a power-of-two scale
-    np.tan(t, out=t)
-    w = np.square(t)
-    e = np.empty(phase.shape, dtype=np.complex128)
-    np.subtract(1.0, w, out=e.real)
-    w += 1.0
-    np.divide(e.real, w, out=e.real)
-    t *= -2.0
-    np.divide(t, w, out=e.imag)
-    return e
+    t = np.tan(half, out=half)
+    r = np.square(t)
+    r += 1.0
+    np.divide(2.0, r, out=r)
+    t *= r
+    r -= 1.0
+    return r, t
 
 
 def phase_rotation_step(grid: GridSpec, c: np.ndarray, dt: float) -> np.ndarray:
     """Exact flow of u_t = -i |u|^2 u: pointwise u <- u * exp(-i |u|^2 dt) on the lattice.
 
-    ``c`` holds rows of ``grid``'s mode coefficients; the result is a new array, unchecked
-    (``c`` itself when dt = 0).  The pointwise modulus is preserved exactly before the closing
-    Galerkin truncation.  A non-finite lattice value or an overflowing |u|^2 turns into NaN,
-    without warnings, through the phase factor and the transform.
+    ``c`` holds rows of coefficient planes; the result is a new array, unchecked (``c`` itself when
+    dt = 0).  The pointwise modulus is preserved exactly before the closing Galerkin truncation.  A
+    non-finite lattice value or an overflowing |u|^2 turns into NaN, without warnings.
     """
     if dt < 0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
@@ -249,89 +244,117 @@ def phase_rotation_step(grid: GridSpec, c: np.ndarray, dt: float) -> np.ndarray:
         return c
     with np.errstate(over="ignore", invalid="ignore"):
         v = to_physical(grid, c)
-        phase = np.square(v.real)
-        phase += np.square(v.imag)
-        phase *= dt
-        # With FMA, v*e and e*v round differently: keep the operand order fixed.
-        rotated = np.multiply(v, _phase_factor(phase), out=v)
-        return to_spectral(grid, rotated)
+        half = np.add(*parts(grid, np.square(v)))
+        half *= 0.5 * dt
+        cos, sin = _cos_sin(half)
+        # (re + i im)(cos - i sin) = (re cos + im sin) + i (im cos - re sin), plane by plane
+        re, im = parts(grid, v)
+        re_sin = re * sin
+        re *= cos
+        sin *= im
+        re += sin
+        im *= cos
+        im -= re_sin
+        return to_spectral(grid, v)
 
 
 _TINY = np.finfo(np.float64).tiny
 
 
-def _strang(
-    c: np.ndarray, spec: NoiseSpec, nu: float | tuple[float, ...], dt: float, nonlinear: bool,
-    noise0: np.ndarray, noise1: np.ndarray,
-) -> np.ndarray:
-    """OU(dt/2) o phase(dt) o OU(dt/2) on rows of coefficients with both halves' noise given, unchecked.
-
-    Ends by setting parts below the smallest normal float to 0.0 in its new array (a subnormal
-    x * decay can round back to x).  Inf and NaN survive every stage, so one check of the
-    result sees any non-finite value the step made.
-    """
-    c = ou_exact_step(c, spec, nu, dt / 2.0, noise0)
-    if nonlinear:
-        c = phase_rotation_step(spec.grid, c, dt)
-    c = ou_exact_step(c, spec, nu, dt / 2.0, noise1)
-    parts = c.view(np.float64)  # a new array: flushing it in place leaves the input intact
-    np.copyto(parts, 0.0, where=np.abs(parts) < _TINY)
+def _flush(c: np.ndarray) -> np.ndarray:
+    """``c`` with parts below the smallest normal float set to 0.0, in place (x * decay can round a subnormal to x)."""
+    np.copyto(c, 0.0, where=np.abs(c) < _TINY)
     return c
 
 
-def strang_step(state: State, spec: NoiseSpec, params: SimParams) -> State:
-    """Symmetric composition OU(dt/2) o phase(dt) o OU(dt/2).
+def _merged_noise(spec: NoiseSpec, nu, dt: float, pending: np.ndarray, noise0: np.ndarray) -> np.ndarray:
+    """The noise of one OU(dt) for a closing OU(dt/2) with ``pending`` and an opening one with ``noise0``.
 
-    Both half-steps' noise over the forced modes comes from slot step_index
-    mod K of each row's scaled block at (step_index // K, SUB_OU).  The new
-    state's field is the step's one finiteness check: NonFiniteFieldError if
-    any row turned non-finite.
+    Two halves give x decay(dt/2)^2 + pending decay(dt/2) + noise0: x decay(dt) plus this noise.
     """
-    _, conv_sd, scale = _ou_tables(spec, params.nu, params.dt / 2.0)
-    noise0, noise1 = ou_convolutions(state.rngs, state.step_index, conv_sd, scale)
-    c = _strang(state.u.coeffs, spec, params.nu, params.dt, params.nonlinear, noise0, noise1)
-    k = state.step_index + 1
-    return State(k * params.dt, SpectralField(state.u.grid, c), state.rngs, k)
+    noise = pending * _forced_decay(spec, nu, dt / 2.0)
+    noise += noise0
+    return noise
+
+
+def _strang(c: np.ndarray, spec: NoiseSpec, nu, dt: float, nonlinear: bool, noise: np.ndarray, first=False):
+    """One Strang step's work on planes, noise given, unchecked: OU(dt) (OU(dt/2) if ``first``), rotation, flush."""
+    c = ou_exact_step(c, spec, nu, dt / 2.0 if first else dt, noise)
+    if nonlinear:
+        c = phase_rotation_step(spec.grid, c, dt)
+    return _flush(c)
+
+
+def strang_step(state: State, spec: NoiseSpec, params: SimParams) -> State:
+    """Symmetric composition OU(dt/2) o phase(dt) o OU(dt/2), with the closing half left open.
+
+    Step k's two halves' noise comes from slot k mod K of each row's scaled block at
+    (k // K, SUB_OU).  Its opening half merges with step k - 1's closing one (:func:`_merged_noise`);
+    step 0 opens a closed state with OU(dt/2).  The new array is the step's one finiteness check:
+    NonFiniteFieldError if any row turned non-finite.
+    """
+    k, nu, dt = state.step_index, params.nu, params.dt
+    _, sd, scale = _ou_tables(spec, nu, dt / 2.0)
+    pending = ou_convolutions(state.rngs, k - 1, sd, scale)[1] if k else None  # first: one block is cached
+    noise = ou_convolutions(state.rngs, k, sd, scale)[0]
+    noise = _merged_noise(spec, nu, dt, pending, noise) if k else noise
+    c = _strang(state.c, spec, nu, dt, params.nonlinear, noise, first=not k)
+    spectral._check_finite(c, "spectral field")
+    return State((k + 1) * dt, state.grid, c, state.rngs, k + 1)
+
+
+def _closed(state: State, spec: NoiseSpec, params: SimParams) -> State:
+    """``state`` with its closed field ``u``: an open Strang state's pending OU(dt/2) applied to a copy, flushed."""
+    if state.u is not None:
+        return state
+    c = state.c
+    if state.step_index and params.scheme == "strang":
+        _, sd, scale = _ou_tables(spec, params.nu, params.dt / 2.0)
+        pending = ou_convolutions(state.rngs, state.step_index - 1, sd, scale)[1]
+        c = _flush(ou_exact_step(c, spec, params.nu, params.dt / 2.0, pending))
+    u = SpectralField(state.grid, from_planes(state.grid, c), c)
+    return State(state.t, state.grid, state.c, state.rngs, state.step_index, u)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite step raises through the new field, unwarned
 def _euler_maruyama(
     u: SpectralField, nu: float | tuple[float, ...], dt: float, nonlinear: bool, increment: np.ndarray
 ) -> SpectralField:
-    """u + dt*(nu Lap u - i Pi(|u|^2 u)) + sqrt(nu)*increment (Pi = evaluate-then-truncate).
+    """u + dt*(nu Lap u - i Pi(|u|^2 u)) + sqrt(nu)*increment (Pi = evaluate-then-truncate, on planes).
 
     A tuple ``nu`` holds one viscosity per row, applied as an (M, 1, ..., 1) column.
     """
+    grid = u.grid
     if isinstance(nu, tuple):
-        nu = np.array(nu).reshape(-1, *(1,) * u.grid.n)
-    drift = -nu * mode_abs_sq(u.grid) * u.coeffs
+        nu = np.array(nu).reshape(-1, *(1,) * grid.n)
+    drift = -nu * mode_abs_sq(grid) * u.coeffs
     if nonlinear:
-        v = to_physical(u.grid, u.coeffs)
-        drift = drift - 1j * to_spectral(u.grid, (v.real**2 + v.imag**2) * v)
-    return SpectralField(u.grid, u.coeffs + dt * drift + np.sqrt(nu) * increment)
+        v = to_physical(grid, u.planes)
+        re, im = parts(grid, v)
+        v *= np.expand_dims(re**2 + im**2, 0 if grid.n > 1 else -2)
+        drift = drift - 1j * from_planes(grid, to_spectral(grid, v))
+    return SpectralField(grid, u.coeffs + dt * drift + np.sqrt(nu) * increment)
 
 
 def em_step(state: State, spec: NoiseSpec, params: SimParams) -> State:
-    """Explicit Euler-Maruyama step over the full drift (oracle scheme).
+    """Explicit Euler-Maruyama step over the full drift (oracle scheme); its states are never open.
 
     u <- u + dt*(nu Lap u - i Pi(|u|^2 u)) + sqrt(nu) dxi.  Warns when the
     stiffness guard nu |d_max|^2 dt < 1 is violated.  Non-finite output raises
     through the field constructor and is turned into a trajectory abort by the
     driver.
     """
-    grid = state.u.grid
+    grid = state.grid
     nu_max = max(params.nu) if isinstance(params.nu, tuple) else params.nu
     stiffness = nu_max * grid.n * grid.D**2 * params.dt
     if stiffness >= 1.0:
-        warnings.warn(
-            f"em stability guard violated: nu*|d_max|^2*dt = {stiffness:.3g} >= 1",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        message = f"em stability guard violated: nu*|d_max|^2*dt = {stiffness:.3g} >= 1"
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
+    u = state.u if state.u is not None else SpectralField(grid, from_planes(grid, state.c))
     increment = forced_increments(spec, params.dt, state.rngs, state.step_index)
-    u = _euler_maruyama(state.u, params.nu, params.dt, params.nonlinear, increment)
+    u = _euler_maruyama(u, params.nu, params.dt, params.nonlinear, increment)
     k = state.step_index + 1
-    return State(k * params.dt, u, state.rngs, k)
+    return State(k * params.dt, grid, u.planes, state.rngs, k, u)
 
 
 # --- trajectory driver --------------------------------------------------------
@@ -341,25 +364,16 @@ Sink = Callable[[State], None]
 
 def initial_state(u0: SpectralField, params: SimParams) -> State:
     """The rows of ``u0`` at t = 0, row i on stream ``params.stream_id + i``."""
-    rngs = tuple(RngStream(params.seed, params.stream_id + i) for i in range(len(u0.coeffs)))
-    return State(0.0, u0, rngs, 0)
-
-
-def _checked_step(step, state: State, spec: NoiseSpec, params: SimParams) -> State:
-    try:
-        return step(state, spec, params)
-    except NonFiniteFieldError as exc:
-        raise TrajectoryAbortError(
-            f"non-finite field at step {state.step_index + 1} "
-            f"(last good t = {state.t:.6g}): {exc}",
-            state,
-        ) from exc
+    return State.of(u0, tuple(RngStream(params.seed, params.stream_id + i) for i in range(len(u0.coeffs))))
 
 
 def _take(state: State, keep: list[int] | slice) -> State:
-    """Rows ``keep`` of ``state``, in that order; a slice keeps a view of the coefficients."""
-    rngs = tuple(state.rngs[i] for i in np.arange(len(state.rngs))[keep])
-    return State(state.t, SpectralField(state.u.grid, state.u.coeffs[keep]), rngs, state.step_index)
+    """Rows ``keep`` of ``state``, in that order; a slice keeps views of the planes and the field."""
+    rngs = state.rngs[keep] if isinstance(keep, slice) else tuple(state.rngs[i] for i in keep)
+    u = state.u
+    if u is not None:
+        u = SpectralField(state.grid, u.coeffs[keep], take_rows(state.grid, u.planes, keep))
+    return State(state.t, state.grid, take_rows(state.grid, state.c, keep), rngs, state.step_index, u)
 
 
 class _Batch:
@@ -378,11 +392,16 @@ class _Batch:
             self.entries.append((start, stop, p, sink))
             start = stop
 
-    def record(self, state: State, fresh: bool = False) -> None:
+    def record(self, state: State, spec: NoiseSpec, fresh: bool = False) -> State:
+        """Hand the closed state to each sink due at this step; returns it closed if any was due."""
         k, rows = state.step_index, len(self.row_params)
-        for start, stop, p, sink in self.entries:
-            if sink is not None and (fresh or k % p.record_every == 0 or k == p.n_steps):
-                sink(state if stop - start == rows else _take(state, slice(start, stop)))
+        due = [(start, stop, sink) for start, stop, p, sink in self.entries
+               if sink is not None and (fresh or k % p.record_every == 0 or k == p.n_steps)]
+        if due:
+            state = _closed(state, spec, self.params)
+        for start, stop, sink in due:
+            sink(state if stop - start == rows else _take(state, slice(start, stop)))
+        return state
 
     def keep(self, rows: list[int]) -> "_Batch":
         return _Batch(tuple(self.row_params[i] for i in rows), tuple(self.row_sinks[i] for i in rows))
@@ -397,15 +416,14 @@ def continue_trajectory(
     ``params`` and ``sink`` serve every row, or are tuples with one per row.  Consecutive
     rows that share both are one entry; entries may differ in viscosity and horizon but
     share dt, scheme and nonlinearity, and each row steps with its own viscosity.  A sink
-    sees its entry's rows as one state at step 0 (fresh starts only), after every
+    sees its entry's rows as one closed state at step 0 (fresh starts only), after every
     record_every-th step, and at the entry's final step.  The batch steps to the nearest
-    horizon, and the rows that reach it leave; the others go on from the same state.  A
-    step that turns non-finite is redone row by row, each row with its own params: each
-    failing row is dropped with its abort, which carries its last good one-row state (and
-    so its stream), and the others go on.  The final state holds the rows that finish last
-    (None if no row is left).
+    horizon, and the rows that reach it leave.  A step that turns non-finite is redone row
+    by row, each with its own params: a failing row is dropped with its abort, which carries
+    its last good one-row state, closed (and so its stream).  The final state holds the rows
+    that finish last, closed (None if no row is left).
     """
-    if spec.grid != state.u.grid:
+    if spec.grid != state.grid:
         raise GridMismatchError("state and noise spec live on different grids")
     rows = len(state.rngs)
     row_params = params if isinstance(params, tuple) else (params,) * rows
@@ -418,27 +436,33 @@ def continue_trajectory(
     batch = _Batch(row_params, row_sinks)
     aborts: list[TrajectoryAbortError] = []
     if state.step_index == 0:
-        batch.record(state, fresh=True)
+        state = batch.record(state, spec, fresh=True)
     while True:
         while state.step_index < batch.horizon:
             try:
-                state = _checked_step(step, state, spec, batch.params)
-            except TrajectoryAbortError:
+                state = step(state, spec, batch.params)
+            except NonFiniteFieldError:
                 kept = []
                 for i, p in enumerate(batch.row_params):
+                    one = _take(state, [i])
                     try:
-                        kept.append((i, _checked_step(step, _take(state, [i]), spec, p)))
-                    except TrajectoryAbortError as exc:
-                        aborts.append(exc)
+                        kept.append((i, step(one, spec, p)))
+                    except NonFiniteFieldError as exc:
+                        aborts.append(TrajectoryAbortError(
+                            f"non-finite field at step {one.step_index + 1} "
+                            f"(last good t = {one.t:.6g}): {exc}",
+                            _closed(one, spec, p),
+                        ))
                 if not kept:
                     return None, aborts
-                u = SpectralField(state.u.grid, np.concatenate([s.u.coeffs for _, s in kept]))
-                state = State(kept[0][1].t, u, tuple(s.rngs[0] for _, s in kept), kept[0][1].step_index)
+                c = np.concatenate([s.c for _, s in kept], axis=int(state.grid.n > 1))
+                _, first = kept[0]
+                state = State(first.t, state.grid, c, tuple(s.rngs[0] for _, s in kept), first.step_index)
                 batch = batch.keep([i for i, _ in kept])
-            batch.record(state)
+            state = batch.record(state, spec)
         going_on = [i for i, p in enumerate(batch.row_params) if p.n_steps > state.step_index]
         if not going_on:
-            return state, aborts
+            return _closed(state, spec, batch.params), aborts
         state, batch = _take(state, going_on), batch.keep(going_on)
 
 
@@ -495,10 +519,11 @@ def constrained_profile(grid: GridSpec, nu: float, sup_bound: float = 1.0) -> Sp
 # --- checkpoints ----------------------------------------------------------------
 #
 # A checkpoint holds one row.  Layout: 8-byte magic, uint32 length of a JSON
-# metadata blob, the blob, then the row's field snapshot.  The metadata carries
-# the time, the step index, and the rng key (base seed, stream id), which is all
-# that is needed to resume bit-exactly; the ``counter`` key of older checkpoints
-# is ignored.
+# metadata blob, the blob, then the row's field snapshot: the state's planes as
+# coefficients, so at a Strang step >= 1 the open state (see State).  The
+# metadata carries the time, the step index, and the rng key (base seed, stream
+# id), which is all that is needed to resume bit-exactly; the ``counter`` key of
+# older checkpoints is ignored.
 
 CHECKPOINT_MAGIC = b"CLABCKP1"
 
@@ -516,7 +541,8 @@ def checkpoint_to_bytes(state: State) -> bytes:
         },
         sort_keys=True,
     ).encode()
-    return CHECKPOINT_MAGIC + struct.pack("<I", len(meta)) + meta + field_to_bytes(state.u)
+    u = SpectralField(state.grid, from_planes(state.grid, state.c), state.c)
+    return CHECKPOINT_MAGIC + struct.pack("<I", len(meta)) + meta + field_to_bytes(u)
 
 
 def checkpoint_from_bytes(buf: bytes) -> State:
@@ -526,7 +552,7 @@ def checkpoint_from_bytes(buf: bytes) -> State:
     meta = json.loads(buf[12 : 12 + meta_len].decode())
     u = field_from_bytes(buf[12 + meta_len :])
     rng = RngStream(meta["base_seed"], meta["stream_id"])
-    return State(meta["t"], u, (rng,), meta["step_index"])
+    return State.of(u, (rng,), meta["t"], meta["step_index"])
 
 
 def save_checkpoint(state: State, path) -> None:

@@ -21,7 +21,8 @@ from __future__ import annotations
 #    multiple of 8 columns, which changes SkylakeX bits on grids such as n=2 N=12 D=6.
 # 7: a C^m column always names its order (``cm_2`` for one order too, not ``cm``), so a
 #    stream with one ``sup_cm`` order changes its header; every number is unchanged.
-SCHEMA_VERSION = 7
+# 8: real planes for every transform, merged OU halves, d^k in C^m tables: Strang numbers change.
+SCHEMA_VERSION = 8
 
 # Per-trajectory stream, in memory a (records x columns) float64 array and on disk a CSV:
 # t, tau, one column per configured Sobolev order, then the lattice sup, then one C^m

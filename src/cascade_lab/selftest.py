@@ -1,11 +1,10 @@
 """Fast invariant self-test: exact identities every healthy checkout must satisfy.
 
-Covers the transform round trip and discrete Parseval identity, the transforms
-row by row and against direct sums of the basis, coefficient interpolation, norm
-homogeneity, the pure-decay and stationary limits of the exact linear step,
-phase-rotation isometry, the phase factor against exp(-i phi), addressed draws,
-the batched ensemble step against one-row steps, the Strang step's
-block-addressed forced-mode draw, and the power-law fit oracle.  Runs in a few seconds; the CLI exposes it as ``selftest``.
+Covers the transforms (round trip, discrete Parseval, row by row, direct sums of
+the basis), norm identities, the exact linear step and the merged OU halves, the
+rotation's isometry and its cosine and sine, addressed draws, the batched
+Strang step against one-row runs and its block-addressed draws, and the fit
+oracle.  Runs in a few seconds; the CLI exposes it as ``selftest``.
 """
 
 from __future__ import annotations
@@ -17,12 +16,13 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .experiments import fit_exponent
-from .forcing import SUB_OU, NoiseSpec, RngStream, complex_normals, ou_block_steps
+from .forcing import SUB_OU, NoiseSpec, RngStream, ou_block_steps
 from .integrators import (
     SimParams,
     State,
+    _cos_sin,
+    _merged_noise,
     _ou_tables,
-    _phase_factor,
     _strang,
     initial_state,
     ou_exact_step,
@@ -33,10 +33,11 @@ from .integrators import (
 from .spectral import (
     GridSpec,
     SpectralField,
-    basis_eval,
-    lattice_inner,
+    from_planes,
     sobolev_norm,
+    take_rows,
     to_physical,
+    to_planes,
     to_spectral,
 )
 
@@ -57,31 +58,32 @@ def run_selftest() -> bool:
 
     for grid in (GridSpec(1, 64, 32), GridSpec(2, 32, 16)):
         u = _random_field(grid, 7)
-        p = to_physical(grid, u.coeffs)
-        err = float(np.abs(to_spectral(grid, p) - u.coeffs).max())
+        p = to_physical(grid, u.planes)
+        err = float(np.abs(to_spectral(grid, p) - u.planes).max())
         check(f"round trip n={grid.n} (max err {err:.2e})", err <= 1e-12)
-        (quad,) = lattice_inner(grid, p, p)
+        quad = grid.quadrature_weight * float(np.sum(np.square(p)))  # the lattice inner product <p, p>
         coeff = float(np.sum(np.abs(u.coeffs) ** 2))
         rel = abs(quad - coeff) / coeff
         check(f"discrete Parseval n={grid.n} (rel err {rel:.2e})", rel <= 1e-12)
 
     same = True
     for grid in (GridSpec(1, 64, 32), GridSpec(2, 32, 16), GridSpec(3, 10, 5)):
-        rows = np.concatenate([_random_field(grid, 30 + i).coeffs for i in range(3)])
+        rows = to_planes(grid, np.concatenate([_random_field(grid, 30 + i).coeffs for i in range(3)]))
         lattice = to_physical(grid, rows)
         modes = to_spectral(grid, lattice)
         for i in range(3):
             row = slice(i, i + 1)
-            same = same and lattice[row].tobytes() == to_physical(grid, rows[row]).tobytes()
-            same = same and modes[row].tobytes() == to_spectral(grid, lattice[row]).tobytes()
-    check("sine-matrix transforms: 3 rows equal 3 one-row fields (n = 1, 2, 3)", same)
+            for out, transform, arg in ((lattice, to_physical, rows), (modes, to_spectral, lattice)):
+                one = transform(grid, take_rows(grid, arg, row))
+                same = same and take_rows(grid, out, row).tobytes() == one.tobytes()
+    check("sine-matrix transforms: 3 rows of planes equal 3 one-row planes (n = 1, 2, 3)", same)
 
-    grid = GridSpec(2, 12, 6)  # direct sums of u_d phi_d(x_j), and their quadrature inverse
+    grid = GridSpec(2, 12, 6)  # direct sums of u_d phi_d(x_j), phi_d(x) = (2/pi)^(n/2) prod_j sin(d_j x_j)
     u = _random_field(grid, 17)
-    d_all = list(product(range(1, grid.D + 1), repeat=grid.n))
-    basis = np.array([[basis_eval(d, x) for d in d_all] for x in product(grid.points, repeat=grid.n)])
-    lattice = to_physical(grid, u.coeffs).ravel()
-    modes = to_spectral(grid, lattice.reshape(1, *grid.values_shape)).ravel()
+    d, x = (np.array(list(product(axis, repeat=grid.n))) for axis in (range(1, grid.D + 1), grid.points))
+    basis = (2.0 / np.pi) ** (grid.n / 2.0) * np.prod(np.sin(x[:, None] * d[None]), axis=-1)  # one row per point
+    lattice = from_planes(grid, to_physical(grid, u.planes)).ravel()
+    modes = from_planes(grid, to_spectral(grid, to_planes(grid, lattice.reshape(1, *grid.values_shape)))).ravel()
     pairs = ((lattice, basis @ u.coeffs.ravel()), (modes, grid.quadrature_weight * (basis.T @ lattice)))
     err = max(float(np.abs(a - b).max() / np.abs(b).max()) for a, b in pairs)
     check(f"sine-matrix transforms equal direct sums of phi_d (n=2, rel err {err:.1e})", err <= 1e-13)
@@ -103,25 +105,33 @@ def run_selftest() -> bool:
     check("Poincare ||u||_1 >= ||u||_0", h1 >= l2)
 
     spec = NoiseSpec.band(grid, [0.0])
-    u1 = single_mode(grid, 1)
-    noise = complex_normals((RngStream(0, 0),), 0, SUB_OU, (1, spec.forced.size))  # no forced mode: empty
-    stepped = ou_exact_step(u1.coeffs, spec, nu=1.0, dt=np.log(2.0), noise=noise)
-    check("pure decay over dt = ln 2 halves the mode", abs(stepped[0, 0] - 0.5) <= 1e-12)
+    u1 = single_mode(grid, 1).planes
+    noise = np.empty((1, 2, spec.forced.size))  # no forced mode: empty
+    stepped = ou_exact_step(u1, spec, nu=1.0, dt=np.log(2.0), noise=noise)
+    check("pure decay over dt = ln 2 halves the mode", abs(stepped[0, 0, 0] - 0.5) <= 1e-12)
 
     sq = GridSpec(1, 64, 64)
-    v = _random_field(sq, 13)
-    p0, p1 = to_physical(sq, v.coeffs), to_physical(sq, phase_rotation_step(sq, v.coeffs, 0.37))
-    (before,), (after,) = lattice_inner(sq, p0, p0), lattice_inner(sq, p1, p1)
+    v = _random_field(sq, 13).planes
+    before, after = (float(np.sum(np.square(to_physical(sq, c)))) for c in (v, phase_rotation_step(sq, v, 0.37)))
     check("phase rotation preserves lattice L2", abs(after - before) <= 1e-12 * before)
 
     phase = np.logspace(-12, 12, 100_001)  # the tangent's bits follow this host's SIMD dispatch
-    e = _phase_factor(phase)
-    err, mod = float(np.abs(e - np.exp(-1j * phase)).max()), float(np.abs(np.abs(e) - 1.0).max())
+    cos, sin = _cos_sin(0.5 * phase)
+    err = max(float(np.abs(cos - np.cos(phase)).max()), float(np.abs(sin - np.sin(phase)).max()))
+    mod = float(np.abs(np.hypot(cos, sin) - 1.0).max())
     check(
-        f"phase factor agrees with exp(-i phi) to 1e-15 and keeps |e| = 1 over 1e-12 <= phi <= 1e12"
-        f" (err {err:.1e}, ||e| - 1| {mod:.1e})",
+        f"rotation (cos, sin) agree with np.cos/np.sin to 1e-15 and keep the modulus over 1e-12 <= phi <= 1e12"
+        f" (err {err:.1e}, |hypot - 1| {mod:.1e})",
         err <= 1e-15 and mod <= 1e-15,
     )
+
+    band = NoiseSpec.band(grid, [1.0, 1.0, 1.0])
+    x = _random_field(grid, 14).planes
+    n1, n0 = np.random.default_rng(15).normal(size=(2, 1, 2, band.forced.size))
+    halves = ou_exact_step(ou_exact_step(x, band, 0.3, 0.005, n1), band, 0.3, 0.005, n0)
+    merged = ou_exact_step(x, band, 0.3, 0.01, _merged_noise(band, 0.3, 0.01, n1, n0))
+    rel = float(np.abs(merged - halves).max() / np.abs(halves).max())
+    check(f"one merged OU(dt) equals two OU(dt/2) halves (rel err {rel:.1e})", rel <= 1e-15)
 
     stream = RngStream(2**64 - 1, 2**63)  # an address at the uint64 extremes
     stream.normals(3, 0, 7)  # leave the generator mid-block before re-addressing it
@@ -134,25 +144,27 @@ def run_selftest() -> bool:
     params = SimParams(nu=0.5, dt=0.01, T=0.01, seed=3)
     rows = [_random_field(grid2, 20 + i) for i in range(16)]
     u0 = SpectralField(grid2, np.concatenate([r.coeffs for r in rows]))
-    batched = strang_step(initial_state(u0, params), spec2, params).u.coeffs
-    single = [strang_step(initial_state(r, replace(params, stream_id=i)), spec2, params) for i, r in enumerate(rows)]
-    same = batched.tobytes() == b"".join(s.u.coeffs.tobytes() for s in single)
-    check("batched Strang step n=2 M=16 equals 16 one-row steps", same)
+    batched = strang_step(strang_step(initial_state(u0, params), spec2, params), spec2, params).c
+    single = [initial_state(r, replace(params, stream_id=i)) for i, r in enumerate(rows)]
+    single = [strang_step(strang_step(s, spec2, params), spec2, params) for s in single]
+    same = all(batched[:, i].tobytes() == s.c.tobytes() for i, s in enumerate(single))
+    check("two batched Strang steps n=2 M=16 equal 16 one-row runs", same)
 
     _, sd, scale = _ou_tables(spec2, params.nu, params.dt / 2)  # over the s forced modes
     s, K = sd.size, ou_block_steps(sd.size)
     u = _random_field(grid2, 40)
-    same = True
-    for step in (2**40 - 1, 2**40):  # the last slot of one block and the first of the next
+
+    def fresh(step):  # step's two halves, re|im over the forced modes, from a freshly built Philox
         z = Generator(Philox(counter=[0, 0, SUB_OU, step // K], key=[2**64 - 1, 2**63])).standard_normal(4 * s * K)
-        z = z[4 * s * (step % K) : 4 * s * (step % K + 1)].reshape(2, 2, s)  # re0|im0|re1|im1
-        conv = np.empty((2, s), dtype=np.complex128)
-        conv.real, conv.imag = z[:, 0], z[:, 1]
-        noise = scale * (conv * sd)
-        stepped = strang_step(State(0.0, u, (stream,), step), spec2, params).u.coeffs
-        expected = _strang(u.coeffs, spec2, params.nu, params.dt, True, noise[:1], noise[1:])
+        return scale * (z[4 * s * (step % K) : 4 * s * (step % K + 1)].reshape(2, 1, 2, s) * sd)  # re0|im0|re1|im1
+
+    same = True
+    for step in (2**40, 2**40 + 1):  # the first slot of a block, merged with the last slot of the one before
+        stepped = strang_step(State.of(u, (stream,), 0.0, step), spec2, params).c
+        noise = _merged_noise(spec2, params.nu, params.dt, fresh(step - 1)[1], fresh(step)[0])
+        expected = _strang(u.planes, spec2, params.nu, params.dt, True, noise)
         same = same and stepped.tobytes() == expected.tobytes()
-    check(f"Strang draw equals a freshly built Philox block over the forced modes (K = {K})", same)
+    check(f"Strang draws equal freshly built Philox blocks over the forced modes (K = {K})", same)
 
     fit = fit_exponent([(0.4, 0.4**-2), (0.2, 0.2**-2), (0.1, 0.1**-2)])
     check("exponent fit oracle (alpha = 2)", abs(fit.alpha - 2.0) <= 1e-12 and fit.r2 >= 1 - 1e-12)

@@ -10,24 +10,25 @@ which is orthonormal for the plain L2 inner product on the cube and satisfies
 x_j = j*pi/(N+1), j = 1..N per axis; a product with the per-axis sine matrix
 (a type-I discrete sine transform) maps between mode coefficients and lattice
 values, and the quadrature weight (pi/(N+1))^n makes the retained basis
-exactly orthonormal on the lattice.  The matrices are real, applied to the
-float64 views of complex arrays (see :func:`_along`).
+exactly orthonormal on the lattice.
 
 There is one field type, :class:`SpectralField`: an immutable, checked block
-of mode coefficients with a leading row axis, one row per trajectory of an
-ensemble, so its coefficients are (M, *coeff_shape) and a single field is
+of complex mode coefficients with a leading row axis, one row per trajectory of
+an ensemble, so its coefficients are (M, *coeff_shape) and a single field is
 M = 1.  ``sobolev_norm``/``sup_norm``/``cm_norm`` take a field and return one
-value per row.  The transforms :func:`to_physical` and :func:`to_spectral` take
-and return plain arrays, unchecked, and act on the last n axes; lattice values
-never become a field.  All operations are pure functions, so concurrent use
-gives the same results as serial execution.  Every matrix product is taken per
-row, never across rows, so row results are bit-identical to one-row results.
+value per row.  Every product with a sine matrix runs on float64 planes (real,
+then imaginary part; :func:`to_planes`): (2, M, D, ..., D) at n >= 2, so each
+part is one contiguous plane, and (M, 2, D) at n = 1, so each product stays in
+its row.  The transforms :func:`to_physical` and :func:`to_spectral` act on the
+last n axes of such an array, unchecked, one product per grid axis and per
+(row, part), never across rows, so row results are bit-identical to one-row
+results.  All operations are pure functions.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import ceil, pi, sqrt
 
@@ -93,25 +94,22 @@ def mode_abs_sq(grid: GridSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _axis_table(grid: GridSpec, kind: str) -> tuple[np.ndarray | None, np.ndarray]:
-    """Read-only float64 (left, right) of one axis's real (J x K) matrix for modes 1..D: "sin"/"cos" is
-    the (N x D) sine/cosine matrix (rows at lattice points, (2/pi)^(1/2) folded in), "proj" the (D x N)
-    sine transpose times pi/(N+1).  At n >= 2 left is the matrix and right its interleaved transpose W,
-    W[0::2, 0::2] = W[1::2, 1::2] = matrix^T, zero-padded to 2K x (2J rounded up to a multiple of 8): the
-    FMA dgemm kernels (SkylakeX, Haswell) round a product with such a column count alike, but not one
-    with 12 or 20 columns.  At n = 1 left is None, right the transpose."""
+def _axis_table(grid: GridSpec, kind: str, power: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (left, right) of one axis's (J x K) matrix: "sin"/"cos" the (N x D) sine/cosine matrix
+    ((2/pi)^(1/2) folded in), column d times d^power, "proj" the sine transpose times pi/(N+1).  Left is the
+    matrix, for every axis but the last; right its transpose zero-padded to a multiple of 8 columns, for
+    the last axis, which a transform takes first, keeping the zero columns to the end: the FMA dgemm
+    kernels (SkylakeX, Haswell) round such products alike, but not ones with 12 or 20 columns."""
     angle = grid.points[:, None] * np.arange(1, grid.D + 1)[None, :]
     mat = sqrt(2.0 / pi) * (np.cos(angle) if kind == "cos" else np.sin(angle))
+    if power:
+        mat *= np.arange(1, grid.D + 1, dtype=float) ** power
     if kind == "proj":
         mat = (pi / (grid.N + 1)) * mat.T
-    if grid.n == 1:
-        left, right = None, np.ascontiguousarray(mat.T)
-    else:
-        J, K = mat.shape
-        left, right = np.ascontiguousarray(mat), np.zeros((2 * K, -(-2 * J // 8) * 8))
-        right[0::2, 0 : 2 * J : 2] = right[1::2, 1 : 2 * J : 2] = mat.T
-        left.flags.writeable = False
-    right.flags.writeable = False
+    J, K = mat.shape
+    left, right = np.ascontiguousarray(mat), np.zeros((K, -(-J // 8) * 8))
+    right[:, :J] = mat.T
+    left.flags.writeable = right.flags.writeable = False
     return left, right
 
 
@@ -124,11 +122,13 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
 class SpectralField:
     """Mode coefficients u_d over {1..D}^n, one row per field; row i is u_i(x) = sum_d u_id phi_d(x).
 
-    ``coeffs`` has shape (M, *coeff_shape); a single field is one row.
+    ``coeffs`` has shape (M, *coeff_shape); a single field is one row.  ``planes`` are the same
+    coefficients as planes (:func:`to_planes`), made here unless the caller passes them, unchecked.
     """
 
     grid: GridSpec
     coeffs: np.ndarray
+    planes: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         c = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
@@ -136,47 +136,60 @@ class SpectralField:
             raise ValueError(f"coefficient shape {c.shape} is not rows of grid {self.grid.coeff_shape}")
         _check_finite(c, "spectral field")
         object.__setattr__(self, "coeffs", c)
+        if self.planes is None:
+            planes = to_planes(self.grid, c)
+            planes.flags.writeable = False
+            object.__setattr__(self, "planes", planes)
 
 
-def basis_eval(d, x) -> float:
-    """Evaluate phi_d(x) = (2/pi)^(n/2) * prod_j sin(d_j x_j) at a single point."""
-    d = np.atleast_1d(np.asarray(d, dtype=int))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if d.shape != x.shape:
-        raise ValueError(f"mode index and point have different lengths: {d.shape} vs {x.shape}")
-    if np.any(d < 1):
-        raise ValueError("mode indices must satisfy d_j >= 1")
-    n = d.size
-    return float((2.0 / pi) ** (n / 2.0) * np.prod(np.sin(d * x)))
+def to_planes(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """The planes of complex ``coeffs`` (*rows, *grid axes): parts axis first at n >= 2, next to the grid at n = 1."""
+    return np.stack((coeffs.real, coeffs.imag), axis=0 if grid.n > 1 else -2)
 
 
-def _along(a: np.ndarray, ax: int, n: int, table: tuple[np.ndarray | None, np.ndarray]) -> np.ndarray:
-    """Apply a table's real (J x K) matrix along grid axis ``ax`` (of the last n) of complex ``a``.
+def parts(grid: GridSpec, planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the real and the imaginary part of ``planes``."""
+    return (planes[0], planes[1]) if grid.n > 1 else (planes[..., 0, :], planes[..., 1, :])
 
-    Float64 products on ``a``'s float64 view, never across rows (that would make a row's bits depend
-    on M): from the left on every axis but the last, real and imaginary parts riding along as
-    interleaved columns; rows times W on the last axis at n >= 2, less W's zero padding; at n = 1, each
-    row's (2 x K) parts times the transpose, since AVX-512 and AVX2 dgemm round a (J x K) @ (K x 2) product
-    differently."""
-    left, right = table
-    if ax < n - 1:
-        head = a.shape[: a.ndim - n + ax]
-        out = left @ a.reshape(*head, left.shape[1], -1).view(np.float64)
-        return out.view(np.complex128).reshape(*head, left.shape[0], *a.shape[len(head) + 1 :])
-    if n > 1:
-        return (a.view(np.float64) @ right)[..., : 2 * left.shape[0]].view(np.complex128)
-    parts = a.view(np.float64).reshape(*a.shape, 2).swapaxes(-1, -2) @ right
-    out = np.empty(a.shape[:-1] + right.shape[1:], dtype=np.complex128)
-    out.real, out.imag = parts[..., 0, :], parts[..., 1, :]
+
+def from_planes(grid: GridSpec, planes: np.ndarray) -> np.ndarray:
+    """The complex array of ``planes``: the inverse of :func:`to_planes`."""
+    re, im = parts(grid, planes)
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real, out.imag = re, im
     return out
+
+
+def take_rows(grid: GridSpec, planes: np.ndarray, keep) -> np.ndarray:
+    """Rows ``keep`` (a slice gives a view, a list a copy) of a plane array with one row axis."""
+    return planes[:, keep] if grid.n > 1 else planes[keep]
+
+
+def _along(a: np.ndarray, ax: int, n: int, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Apply a table's (J x K) matrix along grid axis ``ax`` (of the last n) of ``a``: one product.
+
+    The last axis is ``a @ right``, zero columns kept; any other axis ``left @ a`` over the axes
+    behind it.  Each (row, part) is its own product: one across rows would make its bits depend on M."""
+    left, right = table
+    if ax == n - 1:
+        return a @ right
+    head = a.shape[: a.ndim - n + ax]
+    out = left @ a.reshape(*head, left.shape[1], -1)
+    return out.reshape(*head, left.shape[0], *a.shape[len(head) + 1 :])
+
+
+def _transform(grid: GridSpec, a: np.ndarray, kind: str) -> np.ndarray:
+    table = _axis_table(grid, kind, 0)
+    a = a @ table[1]  # the last axis first: see _axis_table
+    for ax in range(grid.n - 1):
+        a = _along(a, ax, grid.n, table)
+    J = table[0].shape[0]
+    return a if a.shape[-1] == J else a[..., :J]
 
 
 def to_physical(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """Lattice values of mode coefficients over the last n axes (the sine matrix per axis)."""
-    table = _axis_table(grid, "sin")
-    for ax in range(grid.n):
-        coeffs = _along(coeffs, ax, grid.n, table)
-    return coeffs
+    return _transform(grid, coeffs, "sin")
 
 
 def to_spectral(grid: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -185,20 +198,7 @@ def to_spectral(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     Exact inverse of :func:`to_physical` on the span of retained modes; lattice
     content in modes above D is discarded (Galerkin truncation).
     """
-    table = _axis_table(grid, "proj")
-    for ax in range(grid.n):
-        values = _along(values, ax, grid.n, table)
-    return values
-
-
-def lattice_inner(grid: GridSpec, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Discrete inner product (pi/(N+1))^n * sum_j Re(p_j * conj(q_j)) of lattice values, one value per row.
-
-    Makes the retained basis orthonormal on the lattice; for fields supported
-    on retained modes it agrees with the coefficient sum (discrete Parseval).
-    """
-    products = (p * np.conj(q)).real
-    return grid.quadrature_weight * products.reshape(len(products), -1).sum(axis=1)
+    return _transform(grid, values, "proj")
 
 
 @lru_cache(maxsize=None)
@@ -223,46 +223,55 @@ def sobolev_norm(u: SpectralField, m: float | tuple[float, ...]) -> np.ndarray:
     return np.sqrt(np.stack(sums)) if isinstance(m, tuple) else np.sqrt(sums[0])
 
 
+def _max_modulus_sq(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Each row's max of |v|^2 over lattice planes ``values``; NaN for a row that holds a NaN."""
+    sq = np.add(*parts(grid, np.square(values)))
+    return sq.reshape(len(sq), -1).max(axis=1)
+
+
+def _sup(max_sq: np.ndarray) -> np.ndarray:
+    """Sups from squared maxima (sqrt is monotone), inf where a NaN shows an overflow (inf - inf)."""
+    return np.where(np.isnan(max_sq), np.inf, np.sqrt(max_sq))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def sup_norm(u: SpectralField) -> np.ndarray:
     """Max of |u| over the collocation lattice (a lower approximation of the true sup), one value per row."""
-    mod = np.abs(to_physical(u.grid, u.coeffs))
-    return mod.reshape(len(mod), -1).max(axis=1)
+    return _sup(_max_modulus_sq(u.grid, to_physical(u.grid, u.planes)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cm_norm(u: SpectralField, m: int | tuple[int, ...]) -> np.ndarray:
     """Discrete C^m norm: max over |beta| <= m of the lattice sup of |d^beta u|, one value per row.
 
-    Each partial derivative is computed spectrally; differentiating sin(d x) k times gives d^k
-    times sin or cos by the parity of k, with a sign that is common to every mode and therefore
-    drops out of the modulus.  Axes are evaluated in order, depth first, so the stage after axes
-    0..k (one :func:`_along` product) is shared by every beta with the same beta_0..beta_k.
+    Differentiating sin(d x) k times gives d^k times sin or cos by the parity of k, with a sign
+    common to every mode, which drops out of the modulus: each axis takes one product with d^k
+    folded into its table.  Axes go in the transforms' order, depth first, so each stage is shared
+    by every beta that agrees on the axes done so far.
     Shape (M,); for a tuple of orders, one pass up to the highest gives shape (orders, M).
     """
     orders = m if isinstance(m, tuple) else (m,)
     if not orders or any(k != int(k) or k < 0 for k in orders):
         raise ValueError(f"C^m order must be a nonnegative integer, got {m}")
     grid, n = u.grid, u.grid.n
-    tables = _axis_table(grid, "sin"), _axis_table(grid, "cos")
-    d_axis = np.arange(1, grid.D + 1, dtype=float)
-    rows = len(u.coeffs)
     top = int(max(orders))
-    best = [np.zeros(rows) for _ in orders]
+    tables = [_axis_table(grid, "cos" if b % 2 else "sin", b) for b in range(top + 1)]
+    axes = (n - 1, *range(n - 1))
+    best = [np.zeros(len(u.coeffs)) for _ in orders]  # squared
 
-    def visit(vals: np.ndarray, ax: int, used: int) -> None:
-        # axes 0..ax-1 are done with |beta_0..beta_ax-1| = used; fold each leaf's sup into the orders >= |beta|
-        if ax == n:
-            sup = np.abs(vals).reshape(rows, -1).max(axis=-1)
+    def visit(vals: np.ndarray, i: int, used: int) -> None:
+        # axes[:i] are done with |beta| = used over them; fold each leaf's max into the orders >= |beta|
+        if i == n:
+            max_sq = _max_modulus_sq(grid, vals[..., : grid.N])
             for j, k in enumerate(orders):
                 if used <= k:
-                    best[j] = np.maximum(best[j], sup)
+                    best[j] = np.maximum(best[j], max_sq)
             return
         for b in range(top - used + 1):
-            scaled = vals * (d_axis**b).reshape((-1,) + (1,) * (n - 1 - ax)) if b else vals
-            visit(_along(scaled, ax, n, tables[b % 2]), ax + 1, used + b)
+            visit(_along(vals, axes[i], n, tables[b]), i + 1, used + b)
 
-    visit(u.coeffs, 0, 0)
-    return np.stack(best) if isinstance(m, tuple) else best[0]
+    visit(u.planes, 0, 0)
+    return np.stack([_sup(b) for b in best]) if isinstance(m, tuple) else _sup(best[0])
 
 
 @np.errstate(over="ignore", invalid="ignore")

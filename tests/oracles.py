@@ -1,4 +1,4 @@
-"""Reference solutions the tests hold the integrators to.
+"""Reference solutions the tests hold the program to: the basis, the lattice inner product, and more.
 
 The closed forms of the linear system (nonlinearity off), and a coupled-path
 harness: a Strang chain and an Euler-Maruyama chain at any multiple of a fine
@@ -19,13 +19,35 @@ modes (b_d > 0) are stored, since neither chain reads any other.
 """
 
 from dataclasses import dataclass
-from math import sqrt
+from math import pi, sqrt
 
 import numpy as np
 
 from cascade_lab.forcing import SUB_PATH, NoiseSpec, RngStream
-from cascade_lab.integrators import _euler_maruyama, _ou_tables, _strang
-from cascade_lab.spectral import GridMismatchError, SpectralField, mode_abs_sq
+from cascade_lab.integrators import _euler_maruyama, _flush, _merged_noise, _ou_tables, _strang, ou_exact_step
+from cascade_lab.spectral import GridMismatchError, SpectralField, from_planes, mode_abs_sq, to_planes
+
+
+def basis_eval(d, x) -> float:
+    """Evaluate phi_d(x) = (2/pi)^(n/2) * prod_j sin(d_j x_j) at a single point."""
+    d = np.atleast_1d(np.asarray(d, dtype=int))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if d.shape != x.shape:
+        raise ValueError(f"mode index and point have different lengths: {d.shape} vs {x.shape}")
+    if np.any(d < 1):
+        raise ValueError("mode indices must satisfy d_j >= 1")
+    n = d.size
+    return float((2.0 / pi) ** (n / 2.0) * np.prod(np.sin(d * x)))
+
+
+def lattice_inner(grid, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Discrete inner product (pi/(N+1))^n * sum_j Re(p_j * conj(q_j)) of complex lattice values, one value per row.
+
+    Makes the retained basis orthonormal on the lattice; for fields supported
+    on retained modes it agrees with the coefficient sum (discrete Parseval).
+    """
+    products = (p * np.conj(q)).real
+    return grid.quadrature_weight * products.reshape(len(products), -1).sum(axis=1)
 
 
 def linear_l2_mean(u0: SpectralField, spec: NoiseSpec, nu: float, t: float) -> np.ndarray:
@@ -101,20 +123,32 @@ def _window_conv(conv: np.ndarray, fine_decay: np.ndarray, i0: int, i1: int) -> 
     return acc
 
 
+def _parts(g: np.ndarray) -> np.ndarray:
+    """One row's complex forced-mode noise as the kernel takes it: (1, 2, s), real then imaginary parts."""
+    return np.stack((g.real, g.imag))[None]
+
+
 def run_strang_on_path(
     u0: SpectralField, path: CoupledPath, dt: float, nonlinear: bool = True
 ) -> SpectralField:
-    """Strang chain at step dt driven by the coupled path (dt/2 a multiple of dt_fine)."""
+    """Strang chain at step dt driven by the coupled path (dt/2 a multiple of dt_fine).
+
+    As in the driver, each step's closing half merges with the next step's opening one, and
+    the last step's closing half closes the chain.
+    """
     r = _fine_steps(path, dt, 2)
     lam = path.nu * mode_abs_sq(u0.grid)
     fine_decay = np.exp(-lam * path.dt_fine).reshape(-1)[path.spec.forced]
     _, _, scale = _ou_tables(path.spec, path.nu, dt / 2.0)
-    c = u0.coeffs
+    c, pending = to_planes(u0.grid, u0.coeffs), None
     for i in range(0, path.n_fine, 2 * r):
-        g1 = _window_conv(path.conv, fine_decay, i, i + r)
-        g2 = _window_conv(path.conv, fine_decay, i + r, i + 2 * r)
-        c = _strang(c, path.spec, path.nu, dt, nonlinear, scale * g1, scale * g2)
-    return SpectralField(u0.grid, c)
+        noise = _parts(scale * _window_conv(path.conv, fine_decay, i, i + r))
+        if pending is not None:
+            noise = _merged_noise(path.spec, path.nu, dt, pending, noise)
+        c = _strang(c, path.spec, path.nu, dt, nonlinear, noise, first=pending is None)
+        pending = _parts(scale * _window_conv(path.conv, fine_decay, i + r, i + 2 * r))
+    c = _flush(ou_exact_step(c, path.spec, path.nu, dt / 2.0, pending))
+    return SpectralField(u0.grid, from_planes(u0.grid, c))
 
 
 def run_em_on_path(
@@ -130,3 +164,30 @@ def run_em_on_path(
         incr[forced] = b * path.dbeta[i : i + r].sum(axis=0)
         u = _euler_maruyama(u, path.nu, dt, nonlinear, incr.reshape(u0.grid.coeff_shape))
     return u
+
+
+@dataclass(frozen=True)
+class ExpMomentReport:
+    c: float
+    value: float
+    half_value: float
+    stable: bool
+
+
+def exp_moment(samples, c: float) -> ExpMomentReport:
+    """Sample mean of exp(c x^2) with a half-sample heavy-tail stability flag (criterion 9).
+
+    ``stable`` is False when the first-half estimate differs from the full
+    estimate by more than 25 % relatively; a heavy tail makes the estimate
+    jumpy under subsampling.
+    """
+    if c < 0:
+        raise ValueError("exponential-moment coefficient must be >= 0")
+    x = np.asarray(samples, dtype=float)
+    if x.size == 0:
+        raise ValueError("empty sample")
+    vals = np.exp(c * x**2)
+    full = float(vals.mean())
+    half = float(vals[: max(1, x.size // 2)].mean())
+    stable = abs(half - full) <= 0.25 * full
+    return ExpMomentReport(c=c, value=full, half_value=half, stable=stable)

@@ -14,7 +14,6 @@ import pytest
 from cascade_lab.cli_io import run_command
 from cascade_lab.diagnostics import (
     balance_check,
-    exp_moment,
     occupation_check,
 )
 from cascade_lab.experiments import Observable, SweepPlan, ensemble_run, fit_exponent, nu_sweep
@@ -29,12 +28,11 @@ from cascade_lab.integrators import (
 from cascade_lab.spectral import (
     GridSpec,
     SpectralField,
-    lattice_inner,
     sobolev_norm,
     to_physical,
     to_spectral,
 )
-from oracles import linear_stationary_mode_energy, run_em_on_path, run_strang_on_path, sample_coupled_path
+from oracles import exp_moment, lattice_inner, linear_stationary_mode_energy, run_em_on_path, run_strang_on_path, sample_coupled_path
 
 BAND = "band:1,1,1"
 

@@ -345,7 +345,7 @@ class TestRunCommand:
         streams = sorted((run_dir / "streams").glob("traj_*.csv"))
         assert len(streams) == 3
         manifest = json.loads((run_dir / "manifest.json").read_text())
-        assert manifest["schema_version"] == 7
+        assert manifest["schema_version"] == 8
         assert manifest["base_seed"] == 777
         assert manifest["config_hash"] in run_dir.name
 

@@ -16,7 +16,6 @@ from cascade_lab.diagnostics import (
     NormRecorder,
     Stream,
     balance_check,
-    exp_moment,
     occupation_check,
     read_stream_csv,
     stationary_check,
@@ -25,7 +24,8 @@ from cascade_lab.diagnostics import (
 )
 from cascade_lab.forcing import NoiseSpec, bk_sum
 from cascade_lab.integrators import SimParams, constrained_profile, continue_trajectory, initial_state, zero_field
-from cascade_lab.spectral import GridSpec
+from cascade_lab.spectral import GridSpec, SpectralField, sup_norm
+from oracles import exp_moment
 
 
 def synth_stream(taus, n0, n2, nu=1.0, n1=None):
@@ -330,6 +330,24 @@ class TestStreamCsv:
         record = runs[(2, 3)][-1]
         assert record.cm == {2: runs[(2, 3)].cm(2)[-1], 3: runs[(2, 3)].cm(3)[-1]}
         assert read_stream_csv(io.StringIO(stream_csv_text(runs[(2, 3)]))) == runs[(2, 3)]
+
+    @pytest.mark.parametrize("grid", [GridSpec(1, 16, 8), GridSpec(2, 12, 6)], ids=["n1", "n2"])
+    def test_sup_taken_with_the_cm_columns_is_sup_norm_to_the_bit(self, grid):
+        # With C^m columns the recorder takes the sup from the C^m pass as its order 0.
+        params = SimParams(nu=0.5, dt=0.05, T=0.5, record_every=2, seed=7)
+        seen, with_cm, without = [], NormRecorder(nu=0.5, cm_orders=(2,)), NormRecorder(nu=0.5)
+
+        def sink(state):
+            seen.append(sup_norm(state.u))
+            with_cm(state)
+            without(state)
+
+        u0 = SpectralField(grid, np.repeat(constrained_profile(grid, 0.5).coeffs, 2, axis=0))
+        continue_trajectory(initial_state(u0, params), NoiseSpec.band(grid, [1.0]), params, sink)
+        for sid in (0, 1):
+            expected = np.array([sup[sid] for sup in seen])
+            assert with_cm.streams[sid].column("sup").tobytes() == expected.tobytes()
+            assert without.streams[sid].column("sup").tobytes() == expected.tobytes()
 
     def test_record_is_immutable_and_equal_by_fields(self):
         rec = DiagnosticsRecord(0.5, 0.25, {0.0: 1.0, 2.0: 3.0}, 4.0, cm={2: 5.0})

@@ -37,15 +37,17 @@ from cascade_lab.experiments import Observable, ensemble_run
 from cascade_lab.forcing import NoiseSpec, RngStream
 from cascade_lab.integrators import (
     SimParams,
+    State,
     checkpoint_to_bytes,
     constrained_profile,
     continue_trajectory,
     default_dt,
     initial_state,
     smooth_random_field,
+    strang_step,
     zero_field,
 )
-from cascade_lab.spectral import GridSpec, SpectralField, to_physical, to_spectral
+from cascade_lab.spectral import GridSpec, SpectralField, to_physical, to_planes, to_spectral
 from oracles import run_em_on_path, run_strang_on_path, sample_coupled_path
 
 GOLDEN_ENV = {
@@ -484,30 +486,42 @@ def test_one_and_two_blas_threads_write_the_same_bytes():
     assert hashes["1"] == hashes["2"]
 
 
-CROSS_KERNEL_GRIDS = (GridSpec(1, 12, 6), GridSpec(1, 20, 10), GridSpec(2, 24, 12), GridSpec(2, 40, 20))
+# The README grids: the desk grids and the two off-golden grids at each of n = 1 and n = 2.
+CROSS_KERNEL_GRIDS = (
+    GridSpec(1, 64, 32), GridSpec(1, 12, 6), GridSpec(1, 20, 10),
+    GridSpec(2, 32, 16), GridSpec(2, 24, 12), GridSpec(2, 40, 20),
+)
 
 
-def transform_pair_hashes() -> list[str]:
-    """Per cross-kernel grid, a hash of to_physical and then to_spectral on one fixed M = 3 random block."""
+def strang_step_hashes() -> list[str]:
+    """Per cross-kernel grid, a hash of the transform pair and of one Strang step on a fixed M = 3 block.
+
+    The step starts open at step 1, so it takes the merged OU(dt) and then the plane rotation.
+    """
     hashes = []
     for grid in CROSS_KERNEL_GRIDS:
         gen = np.random.default_rng(23)
         shape = (3, *grid.coeff_shape)
-        values = to_physical(grid, gen.normal(size=shape) + 1j * gen.normal(size=shape))
-        hashes.append(hashlib.sha256(values.tobytes() + to_spectral(grid, values).tobytes()).hexdigest())
+        u = SpectralField(grid, gen.normal(size=shape) + 1j * gen.normal(size=shape))
+        values = to_physical(grid, to_planes(grid, u.coeffs))
+        params = SimParams(nu=0.5, dt=0.01, T=1.0, seed=29)
+        state = State.of(u, tuple(RngStream(29, i) for i in range(3)), params.dt, 1)
+        stepped = strang_step(state, NoiseSpec.band(grid, [1.0, 1.0, 1.0]), params)
+        data = values.tobytes() + to_spectral(grid, values).tobytes() + stepped.c.tobytes()
+        hashes.append(hashlib.sha256(data).hexdigest())
     return hashes
 
 
 def test_haswell_and_default_kernels_write_the_same_bytes():
-    # At n=2 N=12 D=6 the projection's last-axis product has 12 columns unpadded, where the
-    # SkylakeX and Haswell dgemm kernels round differently; padded to 16 they agree.  The
-    # transform pair must also agree on the other grids the README names.
+    # Every product of a transform has a multiple of 8 columns (see spectral._axis_table): the
+    # SkylakeX and Haswell dgemm kernels round 12 or 20 columns differently.  An n=2 N=12 D=6
+    # ensemble, and the transform pair and one merged Strang step on each README grid, must agree.
     code = (
         "import test_golden as g\n"
-        "print(g.blas_kernel(), g.n2_ensemble_hash(g.GridSpec(2, 12, 6)), *g.transform_pair_hashes())"
+        "print(g.blas_kernel(), g.n2_ensemble_hash(g.GridSpec(2, 12, 6)), *g.strang_step_hashes())"
     )
     tests_dir = str(Path(__file__).resolve().parent)
-    (default, default_hash, *default_pairs), (haswell, haswell_hash, *haswell_pairs) = (
+    (default, default_hash, *default_steps), (haswell, haswell_hash, *haswell_steps) = (
         run_python(code, OPENBLAS_CORETYPE=coretype, PYTHONPATH=f"{SRC}{os.pathsep}{tests_dir}").split()
         for coretype in ("", "Haswell")
     )
@@ -516,9 +530,9 @@ def test_haswell_and_default_kernels_write_the_same_bytes():
     if default == "Haswell":
         pytest.skip("the default kernel is Haswell: no second FMA kernel to compare")
     assert default_hash == haswell_hash, f"{default} and Haswell kernels write different bytes"
-    differ = [str(grid) for grid, a, b in zip(CROSS_KERNEL_GRIDS, default_pairs, haswell_pairs) if a != b]
-    assert len(default_pairs) == len(haswell_pairs) == len(CROSS_KERNEL_GRIDS)
-    assert differ == [], f"{default} and Haswell kernels transform differently on {differ}"
+    differ = [str(grid) for grid, a, b in zip(CROSS_KERNEL_GRIDS, default_steps, haswell_steps) if a != b]
+    assert len(default_steps) == len(haswell_steps) == len(CROSS_KERNEL_GRIDS)
+    assert differ == [], f"{default} and Haswell kernels step differently on {differ}"
 
 
 def test_package_and_selftest_do_not_load_scipy():

@@ -18,9 +18,11 @@ from cascade_lab.integrators import (
     SimParams,
     State,
     TrajectoryAbortError,
-    _forced_where,
+    _closed,
+    _cos_sin,
+    _forced_index,
+    _merged_noise,
     _ou_tables,
-    _phase_factor,
     _strang,
     checkpoint_from_bytes,
     checkpoint_to_bytes,
@@ -42,12 +44,14 @@ from cascade_lab.spectral import (
     GridSpec,
     NonFiniteFieldError,
     SpectralField,
-    lattice_inner,
+    from_planes,
+    parts,
     sobolev_norm,
     to_physical,
+    to_planes,
     to_spectral,
 )
-from oracles import linear_l2_mean, linear_stationary_mode_energy, run_em_on_path, run_strang_on_path, sample_coupled_path
+from oracles import lattice_inner, linear_l2_mean, linear_stationary_mode_energy, run_em_on_path, run_strang_on_path, sample_coupled_path
 
 GRID = GridSpec(1, 32, 16)
 SILENT = NoiseSpec.band(GRID, [0.0])
@@ -73,44 +77,63 @@ def rows(*fields):
     return np.concatenate([f.coeffs for f in fields])
 
 
+def planes(*fields):
+    """The planes of one-row fields joined along the row axis."""
+    return to_planes(fields[0].grid, rows(*fields))
+
+
+def lattice(grid, c):
+    """The complex lattice values of coefficient planes."""
+    return from_planes(grid, to_physical(grid, c))
+
+
+def capture(store):
+    """A sink that keeps each row's closed coefficient bytes under (stream id, step)."""
+    def sink(state):
+        for coeffs, rng in zip(state.u.coeffs, state.rngs):
+            store[rng.stream_id, state.step_index] = coeffs.tobytes()
+    return sink
+
+
 def ou_noise(spec, nu, dt, rng, step_index=0):
-    """One row's sqrt(nu) b_d gamma_d over the forced modes for an exact OU step, drawn at (step_index, SUB_OU)."""
+    """One row's sqrt(nu) b_d gamma_d over the forced modes for an exact OU step, drawn at (step_index, SUB_OU), as (1, 2, s) parts."""
     _, sd, scale = _ou_tables(spec, nu, dt)
-    return scale * (sd * complex_normals((rng,), step_index, SUB_OU, (1, sd.size)))
+    z = complex_normals((rng,), step_index, SUB_OU, (1, sd.size))
+    return np.stack((z.real, z.imag), axis=1) * sd * scale
 
 
 class TestOuExactStep:
     def test_pure_decay(self):
         noise = ou_noise(SILENT, 1.0, log(2.0), RngStream(0, 0))
-        out = ou_exact_step(rows(single_mode(GRID, 1)), SILENT, 1.0, log(2.0), noise)
-        assert out[0, 0] == pytest.approx(0.5, abs=1e-15)
+        out = ou_exact_step(planes(single_mode(GRID, 1)), SILENT, 1.0, log(2.0), noise)
+        assert out[0, 0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_tiny_dt_is_near_identity(self):
-        c = rows(single_mode(GRID, 1))
+        c = planes(single_mode(GRID, 1))
         out = ou_exact_step(c, SILENT, 1.0, 1e-12, ou_noise(SILENT, 1.0, 1e-12, RngStream(0, 0)))
         assert np.abs(out - c).max() <= 1e-10
 
     def test_rejects_zero_dt(self):
         with pytest.raises(ValueError):
-            ou_exact_step(rows(zero_field(GRID)), SILENT, 1.0, 0.0, ou_noise(SILENT, 1.0, 0.0, RngStream(0, 0)))
+            ou_exact_step(planes(zero_field(GRID)), SILENT, 1.0, 0.0, ou_noise(SILENT, 1.0, 0.0, RngStream(0, 0)))
 
     def test_rejects_grid_mismatch(self):
         other = NoiseSpec.band(GridSpec(1, 16, 8), [1.0])
         with pytest.raises(ValueError):
-            ou_exact_step(rows(zero_field(GRID)), other, 1.0, 0.1, ou_noise(other, 1.0, 0.1, RngStream(0, 0)))
+            ou_exact_step(planes(zero_field(GRID)), other, 1.0, 0.1, ou_noise(other, 1.0, 0.1, RngStream(0, 0)))
         with pytest.raises(ValueError):  # no row axis
-            ou_exact_step(zero_field(GRID).coeffs[0], SILENT, 1.0, 0.1, ou_noise(SILENT, 1.0, 0.1, RngStream(0, 0)))
+            ou_exact_step(planes(zero_field(GRID))[0], SILENT, 1.0, 0.1, ou_noise(SILENT, 1.0, 0.1, RngStream(0, 0)))
 
     def test_stationary_second_moment(self):
         # dt large: each step is an independent stationary sample; E|u_1|^2 -> b^2/|1|^2 = 1.
         spec = NoiseSpec.single(GRID, 1)
         rng = RngStream(31, 0)
-        u = rows(zero_field(GRID))
+        u = planes(zero_field(GRID))
         n = 20_000
         acc = 0.0
         for k in range(n):
             u = ou_exact_step(u, spec, 1.0, 8.0, ou_noise(spec, 1.0, 8.0, rng, k))
-            acc += abs(u[0, 0]) ** 2
+            acc += u[0, 0, 0] ** 2 + u[0, 1, 0] ** 2
         mean = acc / n
         se = 1.0 / sqrt(n)  # |u|^2 is Exp(1): sd = mean = 1
         assert abs(mean - 1.0) <= 3 * se
@@ -122,7 +145,7 @@ class TestOuExactStep:
         rng = RngStream(8, 0)
         samples = np.array(
             [
-                ou_exact_step(rows(zero_field(GRID)), spec, nu, dt, ou_noise(spec, nu, dt, rng, k))[0, 0].real
+                ou_exact_step(planes(zero_field(GRID)), spec, nu, dt, ou_noise(spec, nu, dt, rng, k))[0, 0, 0]
                 for k in range(50_000)
             ]
         )
@@ -136,24 +159,24 @@ class TestPhaseRotation:
         # On a square grid (D = N) any lattice configuration is representable,
         # so set every lattice value to 1 and rotate by pi.
         grid = GridSpec(1, 16, 16)
-        c = to_spectral(grid, np.ones((1, 16), dtype=complex))
-        rotated = to_physical(grid, phase_rotation_step(grid, c, pi))
+        c = to_spectral(grid, to_planes(grid, np.ones((1, 16), dtype=complex)))
+        rotated = lattice(grid, phase_rotation_step(grid, c, pi))
         np.testing.assert_allclose(rotated, -np.ones((1, 16)), atol=1e-12)
 
     def test_zero_dt_identity(self):
-        c = rows(random_field(GRID, 2))
+        c = planes(random_field(GRID, 2))
         out = phase_rotation_step(GRID, c, 0.0)
         assert out is c
 
     def test_rejects_negative_dt(self):
         with pytest.raises(ValueError):
-            phase_rotation_step(GRID, rows(random_field(GRID, 2)), -0.1)
+            phase_rotation_step(GRID, planes(random_field(GRID, 2)), -0.1)
 
     def test_lattice_l2_preserved(self):
         grid = GridSpec(1, 64, 64)
-        u = random_field(grid, 3)
-        p0 = to_physical(grid, u.coeffs)
-        p1 = to_physical(grid, phase_rotation_step(grid, u.coeffs, 0.613))
+        c = planes(random_field(grid, 3))
+        p0 = lattice(grid, c)
+        p1 = lattice(grid, phase_rotation_step(grid, c, 0.613))
         (n0,) = lattice_inner(grid, p0, p0)
         (n1,) = lattice_inner(grid, p1, p1)
         assert abs(n1 - n0) <= 1e-14 * n0
@@ -162,9 +185,9 @@ class TestPhaseRotation:
         # Hamiltonian limit: with damping and noise absent the phase flow keeps
         # every |u(x_j)| fixed; visible exactly on a square grid.
         grid = GridSpec(1, 32, 32)
-        u = random_field(grid, 4)
-        before = np.abs(to_physical(grid, u.coeffs))
-        after = np.abs(to_physical(grid, phase_rotation_step(grid, u.coeffs, 1.7)))
+        c = planes(random_field(grid, 4))
+        before = np.abs(lattice(grid, c))
+        after = np.abs(lattice(grid, phase_rotation_step(grid, c, 1.7)))
         np.testing.assert_allclose(after, before, rtol=1e-13)
 
     def test_overflowing_modulus_raises(self):
@@ -172,7 +195,7 @@ class TestPhaseRotation:
         # rotation returns NaN and the Strang step's one check raises.
         for grid in (GRID, GridSpec(2, 32, 16)):
             u = single_mode(grid, (1,) * grid.n, c=1e160)
-            assert not np.isfinite(phase_rotation_step(grid, rows(u), 0.01)).any()
+            assert not np.isfinite(phase_rotation_step(grid, planes(u), 0.01)).any()
             params = SimParams(nu=0.5, dt=0.01, T=0.01, seed=1)
             with pytest.raises(NonFiniteFieldError):
                 strang_step(initial_state(u, params), NoiseSpec.band(grid, [1.0, 1.0, 1.0]), params)
@@ -192,36 +215,39 @@ class TestPhaseRotation:
     @pytest.mark.parametrize("grid", [GridSpec(1, 64, 32), GridSpec(2, 32, 16)], ids=str)
     @pytest.mark.parametrize("M", [1, 3, 5])
     def test_phase_factor_equals_complex_exp(self, grid, M):
-        # The tangent form is not the bits of exp(-1j * phase): it must agree to 1e-15 and keep
-        # |e| = 1 to 1e-15, give each row the bytes of a one-row factor, and turn a non-finite or
-        # overflowing phase into NaN; the step must apply exactly this factor.
+        # The tangent form is not the bits of np.cos and np.sin: cos - i sin must agree with
+        # exp(-1j * phase) to 1e-15 and keep its modulus 1 to 1e-15, give each row the bytes of a
+        # one-row factor, and turn a non-finite or overflowing phase into NaN; the step must
+        # rotate each lattice plane by exactly this factor.
         def assert_close(phase):
-            e = _phase_factor(phase)
-            assert np.abs(e - np.exp(-1j * phase)).max() <= 1e-15
-            assert np.abs(np.abs(e) - 1.0).max() <= 1e-15
-            return e
+            cos, sin = _cos_sin(0.5 * phase)
+            assert np.abs((cos - 1j * sin) - np.exp(-1j * phase)).max() <= 1e-15
+            assert np.abs(np.hypot(cos, sin) - 1.0).max() <= 1e-15
+            return cos, sin
 
         assert_close(np.logspace(-12, 12, 100_001))
         rng = np.random.default_rng(M)
         for scale in (1e-6, 1e-2, 1.0, 1e2, 1e6):
             shape = (M,) + grid.coeff_shape
-            c = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            c = to_planes(grid, scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape)))
             v = to_physical(grid, c)
+            re, im = parts(grid, v)
             for dt in (0.01, 0.37):
-                phase = dt * (v.real**2 + v.imag**2)
-                e = assert_close(phase)
+                phase = (re**2 + im**2) * (0.5 * dt) * 2.0  # the step's half angle, doubled exactly
+                cos, sin = assert_close(phase)
                 for i in range(M):
-                    assert e[i].tobytes() == _phase_factor(phase[i : i + 1]).tobytes()
-                expected = to_spectral(grid, np.multiply(v, _phase_factor(phase)))
-                assert phase_rotation_step(grid, c, dt).tobytes() == expected.tobytes()
+                    one = _cos_sin(0.5 * phase[i : i + 1])
+                    assert cos[i].tobytes() == one[0].tobytes() and sin[i].tobytes() == one[1].tobytes()
+                rotated = np.stack((re * cos + im * sin, im * cos - re * sin), axis=0 if grid.n > 1 else -2)
+                assert phase_rotation_step(grid, c, dt).tobytes() == to_spectral(grid, rotated).tobytes()
         with np.errstate(over="ignore", invalid="ignore"):
             bad = np.array([np.inf, -np.inf, np.nan, 0.37 * np.square(np.float64(1e160))])
-            assert np.isnan(_phase_factor(bad).view(np.float64)).all()
+            assert np.isnan(np.stack(_cos_sin(0.5 * bad))).all()
 
     def test_truncation_only_removes_energy(self):
-        u = random_field(GRID, 5)  # D = N/2: rotation spills into discarded modes
-        p0 = to_physical(GRID, u.coeffs)
-        p1 = to_physical(GRID, phase_rotation_step(GRID, u.coeffs, 0.9))
+        c = planes(random_field(GRID, 5))  # D = N/2: rotation spills into discarded modes
+        p0 = lattice(GRID, c)
+        p1 = lattice(GRID, phase_rotation_step(GRID, c, 0.9))
         assert lattice_inner(GRID, p1, p1)[0] <= lattice_inner(GRID, p0, p0)[0] * (1 + 1e-12)
 
 
@@ -229,7 +255,7 @@ class TestStrangStep:
     def test_tiny_amplitude_matches_pure_decay(self):
         params = SimParams(nu=1.0, dt=0.1, T=0.1, seed=0)
         u0 = single_mode(GRID, 1, c=1e-8)
-        state = strang_step(initial_state(u0, params), SILENT, params)
+        state = run(u0, SILENT, params)  # one step, closed
         expected = 1e-8 * exp(-params.dt)
         assert abs(state.u.coeffs[0, 0] - expected) <= 1e-12 * expected
 
@@ -250,12 +276,14 @@ class TestStrangStep:
         state = initial_state(u0, params)
         (rng,) = state.rngs
         _, sd, scale = _ou_tables(BAND, params.nu, params.dt / 2)
-        c = state.u.coeffs
+        c, pending = state.c, None
         for k in range(params.n_steps):
             rng.normals(1234, 17, 8)  # unrelated address
             noise0, noise1 = ou_convolutions((rng,), k, sd, scale)
-            c = _strang(c, BAND, params.nu, params.dt, True, noise0, noise1)
-        assert np.array_equal(direct.u.coeffs, c)
+            noise = noise0 if pending is None else _merged_noise(BAND, params.nu, params.dt, pending, noise0)
+            c, pending = _strang(c, BAND, params.nu, params.dt, True, noise, first=pending is None), noise1
+        closed = ou_exact_step(c, BAND, params.nu, params.dt / 2, pending)
+        assert np.array_equal(direct.u.coeffs, from_planes(GRID, closed))
 
     def test_noise_free_linear_run_flushes_subnormals(self):
         # Mode 1's half-step factor exp(-nu dt / 2) = exp(-0.5) exceeds 1/2, so without
@@ -280,22 +308,23 @@ class TestStrangStep:
         c[0, -1] = 1e-310 + 1e-310j
         rows = SpectralField(GRID, np.concatenate([c, 2 * c, 3 * c]))
         for state in (initial_state(SpectralField(GRID, c), params), initial_state(rows, params)):
-            before = state.u.coeffs.tobytes()
+            before = state.c.tobytes()
             after = strang_step(state, BAND, params)
-            assert state.u.coeffs.tobytes() == before != after.u.coeffs.tobytes()
+            assert state.c.tobytes() == before != after.c.tobytes()
         # A one-row run that fails at step_index > 0 returns no state and one abort
-        # whose last good state is its input, which it leaves as it was.
+        # whose last good state is its input closed, and leaves its input as it was.
         bad = np.zeros((1, *GRID.coeff_shape), dtype=complex)
         bad[0, 0], bad[0, -1] = 1e160, 1e-310
-        good = State(0.05, SpectralField(GRID, bad), (RngStream(3, 0),), 5)
-        before = good.u.coeffs.tobytes()
+        good = State.of(SpectralField(GRID, bad), (RngStream(3, 0),), 0.05, 5)
+        before = good.c.tobytes()
         with pytest.raises(NonFiniteFieldError):
             strang_step(good, BAND, params)
         final, (abort,) = continue_trajectory(good, BAND, params)
         assert final is None and isinstance(abort, TrajectoryAbortError)
         last = abort.last_state
         assert (last.t, last.step_index, last.rngs) == (good.t, good.step_index, good.rngs)
-        assert last.u.coeffs.tobytes() == good.u.coeffs.tobytes() == before
+        assert last.c.tobytes() == good.c.tobytes() == before
+        assert last.u.coeffs.tobytes() == _closed(good, BAND, params).u.coeffs.tobytes()
 
     @pytest.mark.parametrize("grid", [GRID, GridSpec(2, 32, 16)], ids=["n1", "n2"])
     @pytest.mark.parametrize("nonlinear", [False, True])
@@ -317,15 +346,16 @@ class TestStrangStep:
         c = rows(*(random_field(GRID, 80 + i, 0.3) for i in range(3)))
         c[1, 0] = 1e160
         rngs = tuple(RngStream(params.seed, 10 + i) for i in range(3))
-        start = State(0.05, SpectralField(GRID, c), rngs, 5)
+        start = State.of(SpectralField(GRID, c), rngs, 0.05, 5)
         final, (abort,) = continue_trajectory(start, BAND, params)
         last = abort.last_state
         assert (last.rngs[0].stream_id, last.step_index, last.t) == (11, 5, 0.05)
-        assert last.u.coeffs.tobytes() == c[1:2].tobytes()
+        row_1 = State.of(SpectralField(GRID, c[1:2]), rngs[1:2], 0.05, 5)
+        assert last.u.coeffs.tobytes() == _closed(row_1, BAND, params).u.coeffs.tobytes()
         assert "step 6" in str(abort)
         assert final.step_index == 10 and [r.stream_id for r in final.rngs] == [10, 12]
         for i, row in ((0, 0), (2, 1)):
-            one, none = continue_trajectory(State(0.05, SpectralField(GRID, c[i : i + 1]), rngs[i : i + 1], 5), BAND, params)
+            one, none = continue_trajectory(State.of(SpectralField(GRID, c[i : i + 1]), rngs[i : i + 1], 0.05, 5), BAND, params)
             assert none == [] and one.u.coeffs.tobytes() == final.u.coeffs[row : row + 1].tobytes()
 
     def test_self_convergence_on_fixed_path(self):
@@ -351,13 +381,10 @@ class TestStrangStep:
 class TestForcedModeDraws:
     @staticmethod
     def fresh_convolutions(seed, sid, step, sd, scale):
-        """Slot step mod K of a freshly built Philox at (step // K, SUB_OU), split re0|im0|re1|im1, scaled."""
+        """Slot step mod K of a freshly built Philox at (step // K, SUB_OU), split re0|im0|re1|im1, scaled: two (2, s) halves."""
         s, K = sd.size, ou_block_steps(sd.size)
         block = Generator(Philox(counter=[0, 0, SUB_OU, step // K], key=[seed, sid])).standard_normal(4 * s * K)
-        z = block[4 * s * (step % K) : 4 * s * (step % K + 1)].reshape(2, 2, s)
-        conv = np.empty((2, s), dtype=complex)
-        conv.real, conv.imag = z[:, 0], z[:, 1]
-        noise = scale * (conv * sd)
+        noise = block[4 * s * (step % K) : 4 * s * (step % K + 1)].reshape(2, 2, s) * sd * scale
         return noise[0], noise[1]
 
     @pytest.mark.parametrize("grid", [GridSpec(1, 32, 16), GridSpec(2, 16, 8)], ids=["n1", "n2"])
@@ -377,17 +404,19 @@ class TestForcedModeDraws:
             noise0, noise1 = ou_convolutions(rngs, step, sd, scale)
             assert noise0.tobytes() == np.stack([f[0] for f in fresh]).tobytes()
             assert noise1.tobytes() == np.stack([f[1] for f in fresh]).tobytes()
-            state = State(0.0, SpectralField(grid, u), rngs, step)
-            noises = [np.stack(c) for c in zip(*fresh)]
-            expected = _strang(u, spec, params.nu, params.dt, True, *noises)
-            assert strang_step(state, spec, params).u.coeffs.tobytes() == expected.tobytes()
+            # the step merges step - 1's closing half with its own opening one
+            state = State.of(SpectralField(grid, u), rngs, 0.0, step)
+            before = [self.fresh_convolutions(params.seed, 2**63 + i, step - 1, sd, scale) for i in range(M)]
+            noise = _merged_noise(spec, params.nu, params.dt, np.stack([f[1] for f in before]), noise0)
+            expected = _strang(to_planes(grid, u), spec, params.nu, params.dt, True, noise)
+            assert strang_step(state, spec, params).c.tobytes() == expected.tobytes()
 
     def test_unforced_mode_only_decays(self):
         spec = NoiseSpec.from_profile(GRID, "single:d=1")
         params = SimParams(nu=0.5, dt=0.02, T=0.02, seed=8, nonlinear=False)
         u0 = random_field(GRID, 12, scale=0.4)
         decay, _, _ = _ou_tables(spec, params.nu, params.dt / 2)
-        (u1,) = strang_step(initial_state(u0, params), spec, params).u.coeffs
+        (u1,) = run(u0, spec, params).u.coeffs  # one step, closed
         (c0,) = u0.coeffs
         assert u1[4] == c0[4] * decay[4] * decay[4]
         unforced = spec.amplitudes == 0
@@ -440,8 +469,8 @@ class TestForcedModeDraws:
             fresh = [Generator(Philox(counter=[0, 0, SUB_OU, step], key=[params.seed, i])) for i in range(2)]
             z = np.stack([g.standard_normal(4 * s) for g in fresh]).reshape(2, 2, 2, s)
             noise0, noise1 = ou_convolutions(rngs, step, sd, scale)
-            assert noise0.tobytes() == (scale * ((z[:, 0, 0] + 1j * z[:, 0, 1]) * sd)).tobytes()
-            assert noise1.tobytes() == (scale * ((z[:, 1, 0] + 1j * z[:, 1, 1]) * sd)).tobytes()
+            assert noise0.tobytes() == (z[:, 0] * sd * scale).tobytes()
+            assert noise1.tobytes() == (z[:, 1] * sd * scale).tobytes()
         calls = self.count_normals(monkeypatch)
         run(SpectralField(grid, rows(*(random_field(grid, 60 + i, 0.1) for i in range(2)))), spec, params)
         assert sorted(calls) == sorted((k, SUB_OU) for k in range(3) for _ in range(2))
@@ -462,44 +491,51 @@ class TestForcedModeDraws:
 
 
 class TestForcedModeAdd:
-    """The OU half adds its noise through a basic slice when the forced modes are contiguous, else an index."""
+    """The OU update adds its noise through one flat index of the forced modes.
+
+    The two add paths are the two plane layouts: rows of parts at n = 1, parts of rows at n >= 2.
+    """
 
     GAP = NoiseSpec(GRID, np.where(np.isin(np.arange(16), [0, 1, 4]), 1.0, 0.0), profile="custom")
     SPECS = {
-        "n1-band": (BAND, slice),
-        "n1-single": (NoiseSpec.single(GRID, 5), slice),
-        "n1-gap": (GAP, np.ndarray),
-        "n2-band": (NoiseSpec.band(GridSpec(2, 32, 16), [1.0, 1.0, 1.0]), np.ndarray),
-        "n1-silent": (SILENT, np.ndarray),
+        "n1-band": BAND,
+        "n1-single": NoiseSpec.single(GRID, 5),
+        "n1-gap": GAP,
+        "n2-band": NoiseSpec.band(GridSpec(2, 32, 16), [1.0, 1.0, 1.0]),
+        "n1-silent": SILENT,
     }
 
     @staticmethod
     def reference_half(c, spec, nu, dt, noise):
-        decay = _ou_tables(spec, nu, dt)[0]
-        out = c * decay
-        out.reshape(len(c), -1)[:, spec.forced] += noise
+        """OU on planes, adding each part's noise through the forced modes' flat indices."""
+        out = c * _ou_tables(spec, nu, dt)[0]
+        for part, add in zip(parts(spec.grid, out), (noise[:, 0], noise[:, 1])):
+            part.reshape(len(part), -1)[:, spec.forced] += add
         return out
 
     @pytest.mark.parametrize("name", SPECS)
     def test_both_add_paths_equal_an_indexed_reference(self, name):
-        spec, kind = self.SPECS[name]
+        spec = self.SPECS[name]
         grid = spec.grid
-        assert isinstance(_forced_where(spec), kind)
+        index = _forced_index(spec, 3)  # every (row, part) plane's forced modes, each index once
+        assert index.size == len(set(index.tolist())) == 6 * spec.forced.size
+        assert np.array_equal(np.unique(index % grid.n_modes), spec.forced)
         params = SimParams(nu=0.3, dt=0.02, T=1.0, seed=17)
-        c = rows(*(random_field(grid, 90 + i, 0.4) for i in range(3)))
-        g = np.random.default_rng(5).normal(size=(2, 3, spec.forced.size, 2)) @ np.array([1.0, 1j])
+        c = planes(*(random_field(grid, 90 + i, 0.4) for i in range(3)))
+        g = np.random.default_rng(5).normal(size=(2, 3, 2, spec.forced.size))
         assert ou_exact_step(c, spec, 0.3, 0.01, noise=g[0]).tobytes() == self.reference_half(c, spec, 0.3, 0.01, g[0]).tobytes()
-        # a whole Strang step on the block's noise against the indexed reference
-        state = State(0.0, SpectralField(grid, c), tuple(RngStream(17, i) for i in range(3)), 0)
+        # a whole Strang step on the block's noise against the indexed reference, closed
+        state = State(0.0, grid, c, tuple(RngStream(17, i) for i in range(3)), 0)
         _, sd, scale = _ou_tables(spec, params.nu, params.dt / 2)
         noise0, noise1 = ou_convolutions(state.rngs, 0, sd, scale)
-        ref = self.reference_half(c, spec, params.nu, params.dt / 2, noise0)
+        ref = from_planes(grid, self.reference_half(c, spec, params.nu, params.dt / 2, noise0))
         ref = to_spectral(grid, to_physical(grid, ref) * np.exp(-1j * params.dt * np.abs(to_physical(grid, ref)) ** 2))
-        ref = self.reference_half(ref, spec, params.nu, params.dt / 2, noise1)
-        got = strang_step(state, spec, params).u.coeffs
-        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-15)
-        expected = _strang(c, spec, params.nu, params.dt, True, noise0, noise1)
-        assert got.tobytes() == expected.tobytes()
+        ref = self.reference_half(to_planes(grid, ref), spec, params.nu, params.dt / 2, noise1)
+        opened = strang_step(state, spec, params)
+        got = _closed(opened, spec, params).u.coeffs
+        np.testing.assert_allclose(got, from_planes(grid, ref), rtol=1e-13, atol=1e-15)
+        expected = _strang(c, spec, params.nu, params.dt, True, noise0, first=True)
+        assert opened.c.tobytes() == expected.tobytes()
 
 
 class TestEmStep:
@@ -515,8 +551,8 @@ class TestEmStep:
         for dt in (1e-3, 5e-4):
             params = SimParams(nu=0.5, dt=dt, T=dt, scheme="em", nonlinear=False, seed=0)
             em = em_step(initial_state(u0, params), SILENT, params)
-            ou = ou_exact_step(rows(u0), SILENT, 0.5, dt, ou_noise(SILENT, 0.5, dt, RngStream(0, 0)))
-            errs.append(np.abs(em.u.coeffs - ou).max())
+            ou = ou_exact_step(planes(u0), SILENT, 0.5, dt, ou_noise(SILENT, 0.5, dt, RngStream(0, 0)))
+            errs.append(np.abs(em.u.coeffs - from_planes(GRID, ou)).max())
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
 
     def test_stability_guard_warns(self):
@@ -605,7 +641,7 @@ class TestRunTrajectory:
         fields = [random_field(GRID, 30 + i, 0.3) for i in range(3)]
         seen, recs = [], (NormRecorder(nu=short.nu), NormRecorder(nu=long.nu))
         sinks = tuple(lambda s, rec=rec: seen.append((rec.nu, s.step_index, len(s.rngs))) or rec(s) for rec in recs)
-        start = State(0.0, SpectralField(GRID, rows(*fields)), (RngStream(21, 0), RngStream(21, 1), RngStream(21, 0)), 0)
+        start = State.of(SpectralField(GRID, rows(*fields)), (RngStream(21, 0), RngStream(21, 1), RngStream(21, 0)))
         final, aborts = continue_trajectory(start, BAND, (short, short, long), (sinks[0], sinks[0], sinks[1]))
         assert aborts == [] and final.step_index == 8 and len(final.rngs) == 1
         assert [(k, m) for nu, k, m in seen if nu == 0.5] == [(0, 2), (3, 2), (5, 2)]
@@ -616,6 +652,42 @@ class TestRunTrajectory:
             single = run(field, BAND, p, one)
             assert one.streams[sid] == rec.streams[sid]
         assert single.u.coeffs.tobytes() == final.u.coeffs.tobytes()
+
+    def test_record_cadence_leaves_the_bits_alone(self):
+        # The running state never closes, so runs that record every 1, 7 and 10 steps end on
+        # the same bits, and their records agree wherever their steps coincide.
+        seen, finals = {}, {}
+        for every in (1, 7, 10):
+            params = SimParams(nu=0.5, dt=0.02, T=0.6, record_every=every, seed=21)
+            assert params.n_steps == 30
+            seen[every] = {}
+            finals[every] = run(random_field(GRID, 9, 0.3), BAND, params, capture(seen[every]))
+        assert sorted(k for _, k in seen[7]) == [0, 7, 14, 21, 28, 30]
+        assert sorted(k for _, k in seen[10]) == [0, 10, 20, 30]
+        for every in (7, 10):
+            assert finals[every].c.tobytes() == finals[1].c.tobytes()
+            assert finals[every].u.coeffs.tobytes() == finals[1].u.coeffs.tobytes()
+            assert seen[every] == {key: seen[1][key] for key in seen[every]}
+
+    def test_rows_with_other_horizons_equal_their_one_row_runs(self):
+        # Horizons 10 and 23 at record_every = 7: the row that leaves at step 10 closes a copy,
+        # and every row's records and final state are bit for bit its one-row run's.
+        short = SimParams(nu=0.5, dt=0.02, T=10 * 0.02, record_every=7, seed=21)
+        long = SimParams(nu=0.25, dt=0.02, T=23 * 0.02, record_every=7, seed=21)
+        assert (short.n_steps, long.n_steps) == (10, 23)
+        fields = [random_field(GRID, 40 + i, 0.3) for i in range(3)]
+        batch = {}
+        start = State.of(SpectralField(GRID, rows(*fields)), tuple(RngStream(21, i) for i in range(3)))
+        final, aborts = continue_trajectory(start, BAND, (short, long, long), capture(batch))
+        assert aborts == [] and final.step_index == 23 and [r.stream_id for r in final.rngs] == [1, 2]
+        assert sorted(k for sid, k in batch if sid == 0) == [0, 7, 10]
+        for sid, p in ((0, short), (1, long), (2, long)):
+            one = {}
+            single = run(fields[sid], BAND, replace(p, stream_id=sid), capture(one))
+            assert one == {key: batch[key] for key in batch if key[0] == sid}
+            if p is long:
+                assert single.c.tobytes() == final.c[sid - 1 : sid].tobytes()
+                assert single.u.coeffs.tobytes() == final.u.coeffs[sid - 1 : sid].tobytes()
 
     def test_a_batch_rejects_rows_with_different_dt(self):
         a = SimParams(nu=0.5, dt=0.02, T=0.1)
@@ -642,14 +714,14 @@ class TestRunTrajectory:
 
         dtau = nu * dt
         state = initial_state(constrained_profile(GRID, nu), params)
-        c = state.u.coeffs
+        c = state.c
         _, sd, scale = _ou_tables(BAND, 1.0, dtau / 2)
         for k in range(steps):
             noise0, noise1 = ou_convolutions(state.rngs, k, sd, scale)
             c = ou_exact_step(c, BAND, 1.0, dtau / 2, noise=noise0)
             c = phase_rotation_step(GRID, c, dtau / nu)
             c = ou_exact_step(c, BAND, 1.0, dtau / 2, noise=noise1)
-        np.testing.assert_allclose(fast.u.coeffs, c, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(fast.u.coeffs, from_planes(GRID, c), rtol=1e-12, atol=1e-13)
 
 
 class TestLinearClosedForms:
@@ -721,8 +793,8 @@ class TestCheckpoints:
         assert back.step_index == state.step_index
         (rng,) = back.rngs
         assert rng.base_seed == 3 and rng.stream_id == 2
-        assert back.u.coeffs.shape == (1, *GRID.coeff_shape)
-        assert np.array_equal(back.u.coeffs, state.u.coeffs)
+        assert back.c.shape == (1, 2, *GRID.coeff_shape) and back.u is None  # the open state at step 10
+        assert np.array_equal(back.c, state.c)
 
     def test_rejects_a_state_of_several_rows(self):
         u0 = SpectralField(GRID, rows(*(random_field(GRID, 20 + i, 0.2) for i in range(3))))
@@ -741,6 +813,23 @@ class TestCheckpoints:
         resumed, aborts = continue_trajectory(load_checkpoint(path), BAND, params)
         assert aborts == [] and resumed.step_index == full.step_index
         assert np.array_equal(resumed.u.coeffs, full.u.coeffs)
+
+    def test_resume_off_the_record_cadence_is_bit_exact(self):
+        # A checkpoint at step 13 of a run that records every 10 steps holds the open state:
+        # the resumed run ends on the full run's bits and makes its records from step 20 on.
+        u0 = random_field(GRID, 16, 0.2)
+        params = SimParams(nu=0.5, dt=0.01, T=0.3, record_every=10, seed=5)
+        whole, resumed_records = {}, {}
+        full = run(u0, BAND, params, capture(whole))
+        half = run(u0, BAND, replace(params, T=0.13))
+        assert half.step_index == 13
+        resumed, aborts = continue_trajectory(
+            checkpoint_from_bytes(checkpoint_to_bytes(half)), BAND, params, capture(resumed_records)
+        )
+        assert aborts == [] and resumed.c.tobytes() == full.c.tobytes()
+        assert resumed.u.coeffs.tobytes() == full.u.coeffs.tobytes()
+        assert resumed_records == {key: v for key, v in whole.items() if key[1] > 13}
+        assert sorted(k for _, k in resumed_records) == [20, 30]
 
     def test_resume_across_a_block_boundary_is_bit_exact(self, monkeypatch):
         # The OU draws of K steps share one address: a checkpoint inside one block

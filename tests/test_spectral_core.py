@@ -21,17 +21,20 @@ from cascade_lab.spectral import (
     SpectralField,
     _along,
     _axis_table,
-    basis_eval,
     cm_norm,
     field_from_bytes,
     field_to_bytes,
-    lattice_inner,
+    from_planes,
+    parts,
     shell_energies,
     sobolev_norm,
     sup_norm,
+    take_rows,
     to_physical,
+    to_planes,
     to_spectral,
 )
+from oracles import basis_eval, lattice_inner
 
 
 def random_field(grid: GridSpec, seed: int = 0, scale: float = 1.0) -> SpectralField:
@@ -229,15 +232,15 @@ class TestTransformHelpers:
     @pytest.mark.parametrize("grid", TRANSFORM_GRIDS, ids=str)
     @pytest.mark.parametrize("M", [1, 3, 5, 17])
     def test_rows_equal_single_rows(self, grid, M):
+        # On planes, the program's layout: row i of a block is the transform of row i alone.
         rng = np.random.default_rng(grid.n * 100 + grid.N + M)
-        coeffs = random_block(rng, (M,) + grid.coeff_shape)
-        values = random_block(rng, (M,) + grid.values_shape)
-        lattice = to_physical(grid, coeffs)
-        for i in range(M):
-            assert lattice[i].tobytes() == to_physical(grid, coeffs[i]).tobytes()
-        modes = to_spectral(grid, values)
-        for i in range(M):
-            assert modes[i].tobytes() == to_spectral(grid, values[i]).tobytes()
+        coeffs = to_planes(grid, random_block(rng, (M,) + grid.coeff_shape))
+        values = to_planes(grid, random_block(rng, (M,) + grid.values_shape))
+        for transform, block in ((to_physical, coeffs), (to_spectral, values)):
+            out = transform(grid, block)
+            for i in range(M):
+                row = slice(i, i + 1)
+                assert take_rows(grid, out, row).tobytes() == transform(grid, take_rows(grid, block, row)).tobytes()
 
     def test_wrappers_reject_non_finite_results(self):
         # An overflowing lattice sum makes the sup non-finite and an overflowing norm reads inf,
@@ -249,6 +252,19 @@ class TestTransformHelpers:
             assert not np.isfinite(sup_norm(overflowing)).any()
             huge = SpectralField(grid, np.full((1, *grid.coeff_shape), 1e160, dtype=complex))
             assert sobolev_norm(huge, 1).tolist() == [np.inf]
+
+    @pytest.mark.parametrize("grid", [GridSpec(2, 8, 4), GridSpec(1, 16, 8)], ids=str)
+    def test_sup_of_an_overflowing_row_is_inf(self, grid):
+        # At n = 2 the first axis's products leave +inf and -inf, which the second adds to NaN:
+        # the sup still reads inf, so a max over records stays inf.  The other row is untouched.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            overflowing = SpectralField(grid, np.full((1, *grid.coeff_shape), 1e308, dtype=complex))
+            assert sup_norm(overflowing).tolist() == [np.inf]
+            assert cm_norm(overflowing, 0).tolist() == [np.inf]
+            both = SpectralField(grid, np.concatenate([overflowing.coeffs, np.full_like(overflowing.coeffs, 1e-3)]))
+            sup = sup_norm(both)
+            assert sup[0] == np.inf and np.isfinite(sup[1])
 
 
 class TestNorms:
@@ -363,21 +379,18 @@ class TestCmNorm:
 
 
 def cm_norm_per_beta(u: SpectralField, m: int) -> float:
-    """Reference for a one-row field: every beta evaluated from the coefficients on its own, one real product per axis."""
+    """Reference for a one-row field: every beta evaluated from the planes on its own, one real product per axis."""
     grid = u.grid
-    d_axis = np.arange(1, grid.D + 1, dtype=float)
     best = 0.0
     for beta in product(range(m + 1), repeat=grid.n):
         if sum(beta) > m:
             continue
-        vals = u.coeffs
-        for ax, b in enumerate(beta):
-            if b > 0:
-                shape = [1] * grid.n
-                shape[ax] = grid.D
-                vals = vals * (d_axis**b).reshape(shape)
-            vals = _along(vals, ax, grid.n, _axis_table(grid, "cos" if b % 2 else "sin"))
-        best = max(best, float(np.abs(vals).max()))
+        vals = to_planes(grid, u.coeffs)
+        for ax in (grid.n - 1, *range(grid.n - 1)):  # the transforms' axis order
+            b = beta[ax]
+            vals = _along(vals, ax, grid.n, _axis_table(grid, "cos" if b % 2 else "sin", b))  # d^b folded in
+        re, im = parts(grid, vals[..., : grid.N])
+        best = max(best, float(np.sqrt((re**2 + im**2).max())))
     return best
 
 
@@ -435,7 +448,7 @@ def assert_within_1e15(got, ref) -> None:
 
 
 class TestRealProducts:
-    """The real products on float64 views against the complex products they replaced."""
+    """The real products on planes against the complex products they replaced."""
 
     @pytest.mark.parametrize("grid", TRANSFORM_GRIDS, ids=str)
     @pytest.mark.parametrize("rows", [(), (3,), (17,)])
@@ -443,21 +456,24 @@ class TestRealProducts:
         rng = np.random.default_rng(grid.n * 1000 + grid.N * 10 + len(rows))
         coeffs = random_block(rng, rows + grid.coeff_shape)
         ref = complex_per_axis(grid, coeffs, *complex_matrices(grid)[:2])
-        assert_within_1e15(to_physical(grid, coeffs), ref)
+        assert_within_1e15(from_planes(grid, to_physical(grid, to_planes(grid, coeffs))), ref)
         values = random_block(rng, rows + grid.values_shape)
         ref = complex_per_axis(grid, values, *complex_matrices(grid)[2:4])
-        assert_within_1e15(to_spectral(grid, values), ref)
+        assert_within_1e15(from_planes(grid, to_spectral(grid, to_planes(grid, values))), ref)
         u = SpectralField(grid, coeffs.reshape(-1, *grid.coeff_shape))  # no leading axis: one row
         for m in range(4):
             assert_within_1e15(cm_norm(u, m), complex_cm_norm(grid, u.coeffs, m))
 
     def test_tables_are_real_and_n1_builds_no_interleaved_table(self, monkeypatch):
-        """Every table a nonlinear run with C^2 builds is float64; at n = 1 none is interleaved."""
+        """Every table a nonlinear run with C^2 builds is float64: the matrix, and its zero-padded transpose.
+
+        No table interleaves real and imaginary columns, at n = 1 or any n: the parts are planes.
+        """
         built = []
 
-        def record(grid, kind):
-            table = build(grid, kind)
-            built.append((grid.n, kind, table))
+        def record(grid, kind, power):
+            table = build(grid, kind, power)
+            built.append((grid.n, kind, power, table))
             return table
 
         build = spectral._axis_table.__wrapped__
@@ -468,21 +484,21 @@ class TestRealProducts:
             observables = (Observable("sup_cm", 2.0), Observable("sup_inf"))
             spec = NoiseSpec.from_profile(grid, "band:1,1,1")
             ensemble_run(grid, spec, params, 2, lambda sid: u0, observables)
-        assert sorted((n, kind) for n, kind, _ in built) == [
-            (n, kind) for n in (1, 2) for kind in ("cos", "proj", "sin")
+        assert sorted((n, kind, power) for n, kind, power, _ in built) == [  # C^2: d^0 sin, d^1 cos, d^2 sin
+            (n, kind, power) for n in (1, 2) for kind, power in (("cos", 1), ("proj", 0), ("sin", 0), ("sin", 2))
         ]
-        for n, kind, (left, right) in built:
-            assert right.dtype == np.float64 and right.flags.c_contiguous and not right.flags.writeable
-            if n == 1:  # the transpose of the n = 2 matrix, and no interleaved table
-                assert left is None
-                assert np.array_equal(right, build(GridSpec(2, 16, 8), kind)[0].T)
-            else:
-                assert left.dtype == np.float64 and left.flags.c_contiguous and not left.flags.writeable
-                cols = 2 * left.shape[0]  # W, then zero columns up to a multiple of 8 ("proj" here: 12 -> 16)
-                assert right.shape == (2 * left.shape[1], -(-cols // 8) * 8) and not right[:, cols:].any()
-                w = right[:, :cols]
-                assert np.array_equal(w[0::2, 0::2], left.T) and np.array_equal(w[1::2, 1::2], left.T)
-                assert not w[0::2, 1::2].any() and not w[1::2, 0::2].any()
+        for n, kind, power, (left, right) in built:
+            for table in (left, right):
+                assert table.dtype == np.float64 and table.flags.c_contiguous and not table.flags.writeable
+            J, K = left.shape  # the matrix, then its transpose and zero columns up to a multiple of 8
+            N, D = (16, 8) if n == 1 else (12, 6)
+            assert (J, K) == ((D, N) if kind == "proj" else (N, D))
+            assert right.shape == (K, -(-J // 8) * 8) and not right[:, J:].any()
+            assert np.array_equal(right[:, :J], left.T)
+            if power:  # column d of the matrix times d^power
+                assert np.array_equal(left, build(GridSpec(n, N, D), kind, 0)[0] * np.arange(1, D + 1.0) ** power)
+        n1 = {kind: left for n, kind, power, (left, _) in built if n == 1 and not power}
+        assert np.array_equal(n1["sin"], build(GridSpec(2, 16, 8), "sin", 0)[0])
 
 
 class TestSpectrumShells:
