@@ -89,35 +89,35 @@ observables = sup_inf
 
 # sha256 of streams/traj_NNNN.csv written by ``simulate`` on CRITERION_10_CONFIG
 CRITERION_10_SHA256 = {
-    "traj_0000.csv": "5019d534b4c0e3f95bfc64a8797b35af5c45d433464dcf36afa480fa52a2b1e2",
-    "traj_0001.csv": "ae26312e8b6da7b9a3b1a2e9f3d1d249bacd2e00fab04af36ad2bfa15c296021",
-    "traj_0002.csv": "472d2b7d2201284b439c02002ac89587c5bdc8c83ec7c6834f95ec46d6eca10a",
-    "traj_0003.csv": "f22e43738183da18c44d30277a8e69b4cfc838a886cca49718c19d69be03615b",
-    "traj_0004.csv": "0a38b4e41fe695992ddf4242e89781337fba39aed729a89fe29d31e9fd2915fb",
-    "traj_0005.csv": "86e7e95183659ae2fd1b3c9777035856119c0186b0af1298f331a2145deddacd",
-    "traj_0006.csv": "28630af1d7db1b1b25b41d723902ef3fceea1bda7b978b01d685b8571b415d5c",
-    "traj_0007.csv": "8fa20f92fa3800de0351c6003b8db7dbc262e1d40c30e69879950fbd74cbb814",
-    "traj_0008.csv": "5363d893609445f78776a3cae8a836ecabaea6f82eece5777b8db9b6dcc1786a",
-    "traj_0009.csv": "e922ce2cacfb75955e9aa9db0f11c22fe5a9238a70342377926dc59afa83edc1",
-    "traj_0010.csv": "156ee5326c203dd8d7eb96c3726aecf51318b9ce63587b866952c73d17679a50",
-    "traj_0011.csv": "94e0ebf7a63cd19bcf6e49aa1dca635a6fb376cec64b21e2f66568613ebfd9a1",
-    "traj_0012.csv": "c84354db84dc0cd717a9b2444ef7d6567ddc391212c56578401d68e70664b2a3",
-    "traj_0013.csv": "63c4963eb19fa55c20f9fb218e848a726cd4a5d840c85426782a7c7abc296998",
-    "traj_0014.csv": "121197db12c70db3e45fd738f8d7076785ff9f55bdbbd08137568ea3a8e36918",
-    "traj_0015.csv": "2b6f56d7e6d3eb5f7ea93bbbe5eb5abaa2d12d5691a3d565f141ef22d07a8b22",
+    "traj_0000.csv": "b4c5a0ac5f1aec8c204823ba8fb99439323fa1dc7295de95e7d80e7c74b05348",
+    "traj_0001.csv": "317189787848c7243f002dc50cb47b678defa6d6f3ffe4ada4fb9bc6d295d45f",
+    "traj_0002.csv": "eb66a65d3c6741ea3737de1d75c36c81f5567a0aeb7b456c21268e6f1d5123c7",
+    "traj_0003.csv": "4d7db05973c38962ba06f703b6d27d69ba363272dcfe4227c87222031555b18c",
+    "traj_0004.csv": "a38e78c7a9d4cb4dbc311b94b5631544186849f06f1738ab5770bd6aece4aa0b",
+    "traj_0005.csv": "0507aa67f12c42d93fa59f78693dd5034262281df46a94def6c2191c3fc82bcf",
+    "traj_0006.csv": "43e9277d78f47d5d683bcd9ba5aa480ea16e8e3c415093dcb3fb9793d9943d67",
+    "traj_0007.csv": "b32497d56f373f8597af117dbbfefced308e160c2320cf0203e628c10bb9dbf9",
+    "traj_0008.csv": "65daa3f9e3ce7ab75e21b1b7823f45d4a046a41445c3d58f25786302acc5ffc7",
+    "traj_0009.csv": "9a7405b0384abd3d319657fbbbf1a5615051138e7de596f26099fa683cb03e57",
+    "traj_0010.csv": "1c592559c91e5188e0ba12ce34bbc28b70951f8242a199a6787e3a8c9410824a",
+    "traj_0011.csv": "c60dccac14848e3c6caf1e3a67e293a8181360040328fce049e0a90ed16f9711",
+    "traj_0012.csv": "49d9f52fd329e13726e186558ff364cf7667eabb8a077077665edfaa3c767c95",
+    "traj_0013.csv": "88051e1b89f62660b7320f9c948ae20e761dd8ec5b91c4032647196b358c344c",
+    "traj_0014.csv": "6280f6d7920893f6df2f17380dfabe211764eb580314cb6a9cbfc67cccbf7fb7",
+    "traj_0015.csv": "aa013e138200d959e6f27d9f6b59b2599bf7bfb0955f9dc134dcd73e5fe15bcb",
 }
 
 # sha256 over the CSV streams and the summary of ``n2_ensemble``
-N2_ENSEMBLE_SHA256 = "0cac30b3a78ab68601d384f40160576ec8a0f238acf01fe3e08d0ac808e897bb"
+N2_ENSEMBLE_SHA256 = "5b219cad330a974fd740a7c82b1062e63399457e8d3f44849326ca728c22e8d8"
 
 # sha256 of ``checkpoint_bytes()``
-CHECKPOINT_SHA256 = "e106575cb5e04534521e7cbf480cc9c79337fa7bb136435f3a010dca2a9a165d"
+CHECKPOINT_SHA256 = "05a251b5d6fbab2c30d663bea57d4dfa5561b12d58737c71e9a8d85815dc6fff"
 
 # sha256 over the final coefficients of every chain in ``coupled_path_chains()``
-COUPLED_PATH_SHA256 = "51d1d1f9ee1f5496c6c2b198c2d38e96c7a9989e64cc8353e41c35160e93601f"
+COUPLED_PATH_SHA256 = "f45c918107b426d4b5048c50a316c88567418bcc16c83fd20147cbbb1cba0a85"
 
 # ``_records_digest`` of perfbench/worker.py over the streams of ``records_view_ensemble()``
-RECORDS_VIEW_SHA256 = "de910cf65adcd365e7b7efbd603e26de44c37589ad580f698538e3896bb8b6cf"
+RECORDS_VIEW_SHA256 = "06201861bfdf78652d6656945a808e58dad1ebcad55ae524d3d46ac046351dca"
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -211,58 +211,58 @@ GOLDEN_RUNS = {
 GOLDEN_RUNS_SHA256 = {
     "simulate-slow": {
         "config.ini": "a4800193562c07b5925aef81a2af9c44d78b94bba53a1f81e49c2d3bfc30e1d9",
-        "manifest.json": "a5a30ec70512c3cabac1edffc432f265bc291590115f80b18d1c5036b9e4738a",
-        "occupation_report.jsonl": "4b810b13429e80da6e1a9813115ca1869c8d1b6b597968b8ca4f2b85bfb382d4",
-        "report.jsonl": "8d267c282be91381f5dc8f46bc48883b25b18517b73a9960898020d113da1496",
-        "streams/traj_0000.csv": "115d9d8b27161673418df7e9e8de7d49aff194b4cf4c35629cd739396e8ca143",
-        "streams/traj_0001.csv": "f69548ebd4e8ca47fd3e04ee41ef0fe52e88c396a53e4958c827b887ee48afb7",
+        "manifest.json": "420aab5a07400f1888c1a35528635abcb33c818c2da6967b20fff101b3ebac32",
+        "occupation_report.jsonl": "610a68666f4946ba0e08a0956a3410de35b6eb88a4176b6a496ce31270ca2e06",
+        "report.jsonl": "d49da37466cad383c6cd7d4c8a73b2fc17cef70003fbf92ad28c5c985c5f6b97",
+        "streams/traj_0000.csv": "93e304460655031031442b5414fbee66401bc742c6ef5a893a49742cf71710c6",
+        "streams/traj_0001.csv": "2f4b11db07d4bd6ddc96c81e7332201f2692c832bdf91c283e51351f9a9b0bc1",
     },
     "simulate-fast": {
         "config.ini": "a7f1ba2cefa99d3c01dbd3db1f227bbd51994bc140d2db497e5edfbc1c640112",
-        "manifest.json": "baa18439cdf04a403f0d64eef5c9d88dc01d020257722fa5a526df57bccab413",
-        "report.jsonl": "a44573405bf7b9095b4fc2cfcf63b4c5233b240618eb2ada47f60c11ef83120d",
-        "streams/traj_0000.csv": "c0aa26fafe0e4e9380773d67999c6c7886fe9f4d86d1b2552b31a09b88b08f2a",
-        "streams/traj_0001.csv": "477f66339b31084c062f86f5fc95c739ac3630389a7151e846ad90a0cec01f86",
+        "manifest.json": "d2523c38b3b075ac8593bb6c8d10fdc3dfac75e330f49dd5cdb4c2cfec62b890",
+        "report.jsonl": "90476154fb023a3210f7b2a5e10a3dbd1bf53f98b9ab9caa5035eb96e6d101c7",
+        "streams/traj_0000.csv": "f0795b8216dc10082d4378372b5ab769e7acdea9838ccde033b995cb696543f8",
+        "streams/traj_0001.csv": "722af744426c37be5a65d1b3afed90690d45696643afa6219bb7f3f050199355",
     },
     "spectrum": {
         "config.ini": "cce74964518b9418d7653a39ed7445742afb0099234a3a0dd795c23d3fcf35c0",
-        "manifest.json": "3f455df51197b926b7c11154c9f6d9bd44ae2681010f0549c88aa7d854041fa0",
-        "report.jsonl": "d16a760ae3b03f3b2b6ce51ad284bbd935da4aefb8af8bb7af6adfacc93a9c38",
-        "streams/traj_0000.csv": "e20f3bf1ffc9d44ebe72ad19c68e6c53be22c61ac088e430fe4e6a5114d2013a",
-        "streams/traj_0001.csv": "361dd1823c313c8efad4a629d2f3b61bd71eef386e59702d053dcfaabcf8459c",
+        "manifest.json": "6f66afe8290efe1636e6694b4c937bbfb61f356ce547d2924b822dd3245c1525",
+        "report.jsonl": "184ddfd1ea08ce0bff85b554e6efce8aea88284e0be05942d4b6a0384e40b4ce",
+        "streams/traj_0000.csv": "74b8e509c83aa3980b293da887d6f50675d7fbffc2eb9a3dffc3dc69695c8a89",
+        "streams/traj_0001.csv": "2f4508200addf3eefbfb6cc98e3c4e3740c77b85f61f80ca37a5f8c83d430992",
     },
     "sweep-slow": {
         "config.ini": "c88e843ebf461471f57903e49538d6257692c5849a3a5fb9ee2475cba18e58c1",
-        "manifest.json": "f8a13ec3602b41a2f4f28577a3964eba6f6abee391d61578921c1d47a0e3f2ef",
-        "report.jsonl": "e24647ee89dfc24e3b9989168cf6b9b7a3b08643b7f732b0ca32c332fc683a4a",
-        "streams/nu_0.25/traj_0000.csv": "e6a3301f2e2b21310dc8dcedd6c94555976f3b7928d98622594795ddf752d7ff",
-        "streams/nu_0.25/traj_0001.csv": "17bc4f7cbb7f77f80a9da1686ae1dae67f9cd600d5614fc41ac10527e02368b9",
-        "streams/nu_0.4/traj_0000.csv": "e6f77b73a46048444b3355a6880c16f09b76f3c9c7b4c61d49b6a72e8025494a",
-        "streams/nu_0.4/traj_0001.csv": "215f5a0fee9be7535968a53e090b0d39e9c8f57bebae5a51382a7ae691969377",
-        "streams/nu_0.5/traj_0000.csv": "b1d6bdde274fc25041833f6bae620519f29f9829b1305b215c6198cc98af6298",
-        "streams/nu_0.5/traj_0001.csv": "90f9ccfbf35a7b608723d60e4a1e63a9355218c05f7c95e97435aac7c4ee902c",
+        "manifest.json": "6e4351a0e66ecc072eaeae089e7babc0b028a0a241f30b1afb41cc1625cfbbce",
+        "report.jsonl": "ee91e7f606a896cb5024d3cc7a535094ba5e2745fbee5e553a91a6b1657907a7",
+        "streams/nu_0.25/traj_0000.csv": "3feddfccb77ffd66d7ff5e0ab0af0d17303187754ab30eeea69bfa02bfc49c2d",
+        "streams/nu_0.25/traj_0001.csv": "1728fcc6b69cc7a205cfe0cc9bfe7cf794b765b7bf00f54355a9b05e70d06cb2",
+        "streams/nu_0.4/traj_0000.csv": "dc6f990386a260abc626cc87a5c9a2e1794374efe94d30500f90f1880cf375a4",
+        "streams/nu_0.4/traj_0001.csv": "492eba4904edb6009682eaf9f5cebfacba54814e944c9f826fb901a42ea3ba11",
+        "streams/nu_0.5/traj_0000.csv": "2f56acbfcb9661236c6ea5f00572ce23ae7a4e7024c66938f92da782d8c80b59",
+        "streams/nu_0.5/traj_0001.csv": "631692ad2c5473d31e443415d2f2d994eb23af3131344ad74dbabff7796a6bd4",
     },
     "sweep-fast": {
         "config.ini": "ea929485771aa343f4520296c4716117284cff5cc870af66f91ccb11b1cb4746",
-        "manifest.json": "0f148c6da63980eba8a6ef7b924223795eb1514ca705a50da573785d34417a03",
-        "report.jsonl": "e24647ee89dfc24e3b9989168cf6b9b7a3b08643b7f732b0ca32c332fc683a4a",
-        "streams/nu_0.25/traj_0000.csv": "e6a3301f2e2b21310dc8dcedd6c94555976f3b7928d98622594795ddf752d7ff",
-        "streams/nu_0.25/traj_0001.csv": "17bc4f7cbb7f77f80a9da1686ae1dae67f9cd600d5614fc41ac10527e02368b9",
-        "streams/nu_0.4/traj_0000.csv": "e6f77b73a46048444b3355a6880c16f09b76f3c9c7b4c61d49b6a72e8025494a",
-        "streams/nu_0.4/traj_0001.csv": "215f5a0fee9be7535968a53e090b0d39e9c8f57bebae5a51382a7ae691969377",
-        "streams/nu_0.5/traj_0000.csv": "b1d6bdde274fc25041833f6bae620519f29f9829b1305b215c6198cc98af6298",
-        "streams/nu_0.5/traj_0001.csv": "90f9ccfbf35a7b608723d60e4a1e63a9355218c05f7c95e97435aac7c4ee902c",
+        "manifest.json": "5d75287e28417f3b08a6f8aba13adafc62cb819187194e9dcb72afd823e81f22",
+        "report.jsonl": "ee91e7f606a896cb5024d3cc7a535094ba5e2745fbee5e553a91a6b1657907a7",
+        "streams/nu_0.25/traj_0000.csv": "3feddfccb77ffd66d7ff5e0ab0af0d17303187754ab30eeea69bfa02bfc49c2d",
+        "streams/nu_0.25/traj_0001.csv": "1728fcc6b69cc7a205cfe0cc9bfe7cf794b765b7bf00f54355a9b05e70d06cb2",
+        "streams/nu_0.4/traj_0000.csv": "dc6f990386a260abc626cc87a5c9a2e1794374efe94d30500f90f1880cf375a4",
+        "streams/nu_0.4/traj_0001.csv": "492eba4904edb6009682eaf9f5cebfacba54814e944c9f826fb901a42ea3ba11",
+        "streams/nu_0.5/traj_0000.csv": "2f56acbfcb9661236c6ea5f00572ce23ae7a4e7024c66938f92da782d8c80b59",
+        "streams/nu_0.5/traj_0001.csv": "631692ad2c5473d31e443415d2f2d994eb23af3131344ad74dbabff7796a6bd4",
     },
     "stationary": {
         "config.ini": "ac2b2d30290eb5486c97b2dcbab0c4672cb6eda33075b1626c1a98e8147fbc71",
-        "manifest.json": "b0bcf9d7f6121dc142f615479d813c19a68819b0d2b8fd6d9d034b959f834150",
-        "report.jsonl": "e0e81d1d7ac3cd9e465019bbe1ab8663cc3e256e8459755eedd5cf72313885c2",
-        "streams/nu_0.25/traj_0000.csv": "d2093076f40ef4804bea4de554ae58ef51b4b53290bbb4e7261a6e67b25b6da2",
-        "streams/nu_0.25/traj_0001.csv": "4e777382b695eba45aed35ea22d6e30578a89a88140d96426f8ad24e7d41f4d7",
-        "streams/nu_0.4/traj_0000.csv": "9d83f01d3f6b708aabaaf9dbbb9e6f54d7d1aaf1be70fe04c8b46500f61308c3",
-        "streams/nu_0.4/traj_0001.csv": "4fd50de20772e652c74558476571b56cdbf6361bcb90f603f85c005b7ab230a3",
-        "streams/nu_0.5/traj_0000.csv": "0762372a3857069f46a40336bf81aae79b29e9cda3a33f7973deb880415416fa",
-        "streams/nu_0.5/traj_0001.csv": "b87d2a6a1e07236cdd61f617fe6bc6eaa46c3568bc4396a86760f1d28850bec7",
+        "manifest.json": "9b10461574060d658f0e1236f3959335437f72ae5265046322e201934b029173",
+        "report.jsonl": "40651e61653b907675b14c39309b4f0cbfd89813934a40dbafc17234bc749780",
+        "streams/nu_0.25/traj_0000.csv": "44c914d99474cd68ea9cbc19fde370113f85c82d5ec52138425a4460457de93b",
+        "streams/nu_0.25/traj_0001.csv": "d75120a303b27981b69405ae27fa396cfeeddddcba9ea5b18f2241d615b209fe",
+        "streams/nu_0.4/traj_0000.csv": "51cd2ec443ac52f70426105379059c25a5f6ae4a96f5f806dd1aca9b99dde55b",
+        "streams/nu_0.4/traj_0001.csv": "e277de83217862bef6be212ecd4104718f69d7f7da2c275d88a86533ec548687",
+        "streams/nu_0.5/traj_0000.csv": "17c54cc46eed6ad7d774b8e9506a3bf5f113441fb362c2b619da293f3da98466",
+        "streams/nu_0.5/traj_0001.csv": "1accc59684a51c81f31a7ce366d5867a12612c99bc895ffc013b4ea1e0f35320",
     },
 }
 
