@@ -250,14 +250,12 @@ _ou_block: tuple | None = None
 def ou_convolutions(rngs, step_index: int, sd: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The noise sqrt(nu) b_d gamma_d of both OU half-steps of one Strang step, each (len(rngs), 2, s).
 
-    Step k is slot k mod K of the block at (k // K, SUB_OU), K = ``ou_block_steps(s)``: each
-    stream draws 4s*K normals there, slot j holding re_0 | im_0 | re_1 | im_1 over the s forced
-    modes, so each half is a row's real, then imaginary parts.  The block is scaled once, in
-    place, by ``sd`` (the convolution standard deviation) and then by ``scale`` (sqrt(nu) b_d),
-    (s,) tables or (len(rngs), s) tables whose row i scales stream i.  One block is cached, keyed
-    by the identity of ``rngs``, ``sd`` and ``scale`` and by the block index: a state keeps its
-    tuple from step to step, so a step inside its block only slices, and any other tuple (a new
-    run, a dropped row, a one-row redo) draws.  Both results are read-only views into the block.
+    Step k is slot k mod K of the block at (k // K, SUB_OU), K = ``ou_block_steps(s)``, slot j
+    holding re_0 | im_0 | re_1 | im_1 over the s forced modes.  The block is scaled once, in place,
+    by ``sd`` and then ``scale``, (s,) tables or (len(rngs), s) tables with one row per stream.  One
+    block is cached, keyed by the identity of ``rngs``, ``sd`` and ``scale`` and by the block index:
+    a state keeps its tuple from step to step, so a step inside its block only slices, and any other
+    tuple draws.  Both results are read-only views into the block.
     """
     global _ou_block
     s = sd.shape[-1]

@@ -8,16 +8,15 @@ OU(dt/2) o phase(dt) o OU(dt/2); an explicit Euler-Maruyama step over the full
 drift serves as an independent oracle.
 
 There is one state type, :class:`State`: rows of coefficient planes
-(``spectral.to_planes``) with one stream per row; a single trajectory is one
-row.  A Strang step is one kernel on the planes: one OU update, the rotation
-(a sine-matrix pair around a cosine and a sine from one tangent), and a flush
-of subnormal parts.  Adjacent OU halves merge: the running state is open, its
-last closing OU(dt/2) pending, and the next step applies it with its own
-opening half as one OU(dt).  Only an observed state gets a closed copy, so a
-row's bits do not depend on when it is recorded.  The step's new array is its
-one finiteness check; inf and NaN survive every stage.  Row i is bit for bit
-the one-row run on its stream, also when rows carry their own viscosities and
-horizons (the entries of a sweep): the OU tables are then stacked per row.
+(``spectral.to_planes``) with one stream per row.  A Strang step is one kernel
+on the planes: one OU update, the rotation (a sine-matrix pair around a cosine
+and a sine from one tangent), and a flush of subnormal parts.  Adjacent OU
+halves merge: the running state is open, its last closing OU(dt/2) pending,
+and the next step applies it with its own opening half as one OU(dt) (without
+the rotation, a step's own halves are one OU(dt)).  Only an observed state gets
+a closed copy, so a row's bits do not depend on when it is recorded.  The
+step's new array is its one finiteness check.  Row i is bit for bit the one-row
+run on its stream, also when rows carry their own viscosities and horizons.
 
 Only the s forced modes (b_d > 0) are driven, from draws addressed by
 (step_index // K, SUB_OU) (``forcing.ou_convolutions``), never consumed
@@ -124,9 +123,9 @@ class SimParams:
 class State:
     """M trajectories at a common step, one stream per row; a single trajectory is one row.
 
-    ``c`` holds the coefficient planes: the start data at step 0, later the open state, whose last
-    closing OU(dt/2) is pending.  ``u`` is the closed field, set at step 0 and where the driver
-    hands the state on (sinks, aborts, the final state).
+    ``c`` holds the coefficient planes: the start data at step 0, later, in a nonlinear Strang run,
+    the open state, whose last closing OU(dt/2) is pending.  ``u`` is the closed field, set at step
+    0 and where the driver hands the state on (sinks, aborts, the final state).
     """
 
     t: float
@@ -158,8 +157,7 @@ def default_dt(scheme: str, nu: float, grid: GridSpec) -> float:
 def _ou_tables(spec: NoiseSpec, nu, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cached decay over all modes, and conv standard deviation and sqrt(nu) b_d over the forced modes.
 
-    For a tuple of one viscosity per row, each is the rows' own tables stacked in row order (the
-    decay as (M, 1, D) at n = 1, for (M, 2, D) planes), so each row multiplies by its own tables.
+    For one viscosity per row, the rows' own tables stacked in row order (the decay as (M, 1, D) at n = 1).
     """
     if isinstance(nu, tuple):
         tables = tuple(np.stack(rows) for rows in zip(*(_ou_tables(spec, v, dt) for v in nu)))
@@ -186,9 +184,12 @@ def _forced_decay(spec: NoiseSpec, nu, dt: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _forced_index(spec: NoiseSpec, rows: int) -> np.ndarray:
-    """Flat indices of the forced modes in ``rows`` rows of planes, in the order of noise laid out (rows, 2, s)."""
-    row, part, mode = np.ix_(np.arange(rows), np.arange(2), spec.forced)
+def _forced_where(spec: NoiseSpec, rows: int) -> slice | np.ndarray:
+    """Where noise (rows, 2, s) goes: a slice of each flat plane for contiguous forced modes, else flat indices."""
+    f = spec.forced
+    if f.size and f[-1] - f[0] + 1 == f.size:
+        return slice(int(f[0]), int(f[-1]) + 1)
+    row, part, mode = np.ix_(np.arange(rows), np.arange(2), f)
     plane = part * rows + row if spec.grid.n > 1 else 2 * row + part  # which (row, part) plane, in memory order
     index = (plane * spec.grid.n_modes + mode).ravel()
     index.flags.writeable = False
@@ -202,17 +203,20 @@ def ou_exact_step(
 
     u_d <- exp(-nu |d|^2 dt) u_d + sqrt(nu) b_d gamma_d, gamma_d the stochastic convolution with
     per-component variance (1 - exp(-2 nu |d|^2 dt)) / (2 nu |d|^2): exact in distribution for any
-    dt.  ``nu`` is one viscosity or one per row; the result is a new array, unchecked.  ``noise``
-    is (M, 2, s), each row's real, then imaginary parts over the s forced modes; every other mode
-    is exactly u_d * decay.
+    dt.  The result is a new array, unchecked.  ``noise`` is (M, 2, s), each row's real, then
+    imaginary parts over the s forced modes; every other mode is exactly u_d * decay.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     decay = _ou_tables(spec, nu, dt)[0]
     if c.shape[2:] != spec.grid.coeff_shape:
         raise GridMismatchError(f"planes {c.shape} are not rows of the noise grid {spec.grid.coeff_shape}")
-    new = np.ascontiguousarray(c * decay)  # so that its reshape is a view
-    new.reshape(-1)[_forced_index(spec, len(noise))] += noise.reshape(-1)
+    new = np.ascontiguousarray(c * decay)  # so that its reshapes are views
+    where = _forced_where(spec, len(noise))
+    if isinstance(where, slice):
+        new.reshape(*new.shape[:2], -1)[..., where] += noise if spec.grid.n == 1 else noise.swapaxes(0, 1)
+    else:
+        new.reshape(-1)[where] += noise.reshape(-1)
     return new
 
 
@@ -268,10 +272,7 @@ def _flush(c: np.ndarray) -> np.ndarray:
 
 
 def _merged_noise(spec: NoiseSpec, nu, dt: float, pending: np.ndarray, noise0: np.ndarray) -> np.ndarray:
-    """The noise of one OU(dt) for a closing OU(dt/2) with ``pending`` and an opening one with ``noise0``.
-
-    Two halves give x decay(dt/2)^2 + pending decay(dt/2) + noise0: x decay(dt) plus this noise.
-    """
+    """Noise of one OU(dt) for OU(dt/2) with ``pending`` then OU(dt/2) with ``noise0``: pending decay(dt/2) + noise0."""
     noise = pending * _forced_decay(spec, nu, dt / 2.0)
     noise += noise0
     return noise
@@ -288,17 +289,20 @@ def _strang(c: np.ndarray, spec: NoiseSpec, nu, dt: float, nonlinear: bool, nois
 def strang_step(state: State, spec: NoiseSpec, params: SimParams) -> State:
     """Symmetric composition OU(dt/2) o phase(dt) o OU(dt/2), with the closing half left open.
 
-    Step k's two halves' noise comes from slot k mod K of each row's scaled block at
-    (k // K, SUB_OU).  Its opening half merges with step k - 1's closing one (:func:`_merged_noise`);
-    step 0 opens a closed state with OU(dt/2).  The new array is the step's one finiteness check:
-    NonFiniteFieldError if any row turned non-finite.
+    Step k's halves take slot k mod K of each row's block at (k // K, SUB_OU); its opening half
+    merges with step k - 1's closing one, and step 0 opens with OU(dt/2).  Without the rotation the
+    step's own halves are one OU(dt).  The new array is the step's one finiteness check.
     """
     k, nu, dt = state.step_index, params.nu, params.dt
     _, sd, scale = _ou_tables(spec, nu, dt / 2.0)
-    pending = ou_convolutions(state.rngs, k - 1, sd, scale)[1] if k else None  # first: one block is cached
-    noise = ou_convolutions(state.rngs, k, sd, scale)[0]
-    noise = _merged_noise(spec, nu, dt, pending, noise) if k else noise
-    c = _strang(state.c, spec, nu, dt, params.nonlinear, noise, first=not k)
+    if not params.nonlinear:
+        noise = _merged_noise(spec, nu, dt, *ou_convolutions(state.rngs, k, sd, scale))
+    elif k:  # step k - 1's closing half first: one block is cached
+        pending = ou_convolutions(state.rngs, k - 1, sd, scale)[1]
+        noise = _merged_noise(spec, nu, dt, pending, ou_convolutions(state.rngs, k, sd, scale)[0])
+    else:
+        noise = ou_convolutions(state.rngs, k, sd, scale)[0]
+    c = _strang(state.c, spec, nu, dt, params.nonlinear, noise, first=params.nonlinear and not k)
     spectral._check_finite(c, "spectral field")
     return State((k + 1) * dt, state.grid, c, state.rngs, k + 1)
 
@@ -308,7 +312,7 @@ def _closed(state: State, spec: NoiseSpec, params: SimParams) -> State:
     if state.u is not None:
         return state
     c = state.c
-    if state.step_index and params.scheme == "strang":
+    if state.step_index and params.scheme == "strang" and params.nonlinear:
         _, sd, scale = _ou_tables(spec, params.nu, params.dt / 2.0)
         pending = ou_convolutions(state.rngs, state.step_index - 1, sd, scale)[1]
         c = _flush(ou_exact_step(c, spec, params.nu, params.dt / 2.0, pending))
@@ -418,10 +422,9 @@ def continue_trajectory(
     share dt, scheme and nonlinearity, and each row steps with its own viscosity.  A sink
     sees its entry's rows as one closed state at step 0 (fresh starts only), after every
     record_every-th step, and at the entry's final step.  The batch steps to the nearest
-    horizon, and the rows that reach it leave.  A step that turns non-finite is redone row
-    by row, each with its own params: a failing row is dropped with its abort, which carries
-    its last good one-row state, closed (and so its stream).  The final state holds the rows
-    that finish last, closed (None if no row is left).
+    horizon, and the rows that reach it leave.  A step that turns non-finite is redone row by
+    row: a failing row is dropped with its abort, which carries its last good one-row state,
+    closed.  The final state holds the rows that finish last, closed (None if none is left).
     """
     if spec.grid != state.grid:
         raise GridMismatchError("state and noise spec live on different grids")

@@ -16,13 +16,12 @@ There is one field type, :class:`SpectralField`: an immutable, checked block
 of complex mode coefficients with a leading row axis, one row per trajectory of
 an ensemble, so its coefficients are (M, *coeff_shape) and a single field is
 M = 1.  ``sobolev_norm``/``sup_norm``/``cm_norm`` take a field and return one
-value per row.  Every product with a sine matrix runs on float64 planes (real,
-then imaginary part; :func:`to_planes`): (2, M, D, ..., D) at n >= 2, so each
-part is one contiguous plane, and (M, 2, D) at n = 1, so each product stays in
-its row.  The transforms :func:`to_physical` and :func:`to_spectral` act on the
-last n axes of such an array, unchecked, one product per grid axis and per
-(row, part), never across rows, so row results are bit-identical to one-row
-results.  All operations are pure functions.
+value per row.  Products with a sine matrix run on float64 planes (real, then
+imaginary part; :func:`to_planes`): (2, M, D, ..., D) at n >= 2, so each part
+is one contiguous plane, and (M, 2, D) at n = 1.  The transforms
+:func:`to_physical` and :func:`to_spectral` act on the last n axes, unchecked,
+one product per grid axis and per (row, part), never across rows, so row
+results are bit-identical to one-row results.
 """
 
 from __future__ import annotations
@@ -97,9 +96,8 @@ def mode_abs_sq(grid: GridSpec) -> np.ndarray:
 def _axis_table(grid: GridSpec, kind: str, power: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (left, right) of one axis's (J x K) matrix: "sin"/"cos" the (N x D) sine/cosine matrix
     ((2/pi)^(1/2) folded in), column d times d^power, "proj" the sine transpose times pi/(N+1).  Left is the
-    matrix, for every axis but the last; right its transpose zero-padded to a multiple of 8 columns, for
-    the last axis, which a transform takes first, keeping the zero columns to the end: the FMA dgemm
-    kernels (SkylakeX, Haswell) round such products alike, but not ones with 12 or 20 columns."""
+    matrix; right its transpose zero-padded to a multiple of 8 columns, for the last axis, which a transform
+    takes first and whose zero columns it keeps: SkylakeX and Haswell dgemm round 12 or 20 columns apart."""
     angle = grid.points[:, None] * np.arange(1, grid.D + 1)[None, :]
     mat = sqrt(2.0 / pi) * (np.cos(angle) if kind == "cos" else np.sin(angle))
     if power:
@@ -122,8 +120,8 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
 class SpectralField:
     """Mode coefficients u_d over {1..D}^n, one row per field; row i is u_i(x) = sum_d u_id phi_d(x).
 
-    ``coeffs`` has shape (M, *coeff_shape); a single field is one row.  ``planes`` are the same
-    coefficients as planes (:func:`to_planes`), made here unless the caller passes them, unchecked.
+    ``coeffs`` has shape (M, *coeff_shape).  ``planes`` are the same coefficients as planes
+    (:func:`to_planes`), made here unless the caller passes them, unchecked.
     """
 
     grid: GridSpec
@@ -244,10 +242,9 @@ def sup_norm(u: SpectralField) -> np.ndarray:
 def cm_norm(u: SpectralField, m: int | tuple[int, ...]) -> np.ndarray:
     """Discrete C^m norm: max over |beta| <= m of the lattice sup of |d^beta u|, one value per row.
 
-    Differentiating sin(d x) k times gives d^k times sin or cos by the parity of k, with a sign
-    common to every mode, which drops out of the modulus: each axis takes one product with d^k
-    folded into its table.  Axes go in the transforms' order, depth first, so each stage is shared
-    by every beta that agrees on the axes done so far.
+    Differentiating sin(d x) k times gives d^k times sin or cos by the parity of k (the sign drops
+    out of the modulus): each axis takes one product with d^k folded into its table, in the
+    transforms' axis order, depth first, so each stage serves every beta that agrees so far.
     Shape (M,); for a tuple of orders, one pass up to the highest gives shape (orders, M).
     """
     orders = m if isinstance(m, tuple) else (m,)

@@ -134,7 +134,7 @@ def run_strang_on_path(
     """Strang chain at step dt driven by the coupled path (dt/2 a multiple of dt_fine).
 
     As in the driver, each step's closing half merges with the next step's opening one, and
-    the last step's closing half closes the chain.
+    the last step's closing half closes the chain; without the rotation a step's halves merge.
     """
     r = _fine_steps(path, dt, 2)
     lam = path.nu * mode_abs_sq(u0.grid)
@@ -143,11 +143,15 @@ def run_strang_on_path(
     c, pending = to_planes(u0.grid, u0.coeffs), None
     for i in range(0, path.n_fine, 2 * r):
         noise = _parts(scale * _window_conv(path.conv, fine_decay, i, i + r))
+        closing = _parts(scale * _window_conv(path.conv, fine_decay, i + r, i + 2 * r))
+        if not nonlinear:  # the step's own halves are one OU(dt)
+            c = _strang(c, path.spec, path.nu, dt, False, _merged_noise(path.spec, path.nu, dt, noise, closing))
+            continue
         if pending is not None:
             noise = _merged_noise(path.spec, path.nu, dt, pending, noise)
-        c = _strang(c, path.spec, path.nu, dt, nonlinear, noise, first=pending is None)
-        pending = _parts(scale * _window_conv(path.conv, fine_decay, i + r, i + 2 * r))
-    c = _flush(ou_exact_step(c, path.spec, path.nu, dt / 2.0, pending))
+        c, pending = _strang(c, path.spec, path.nu, dt, True, noise, first=pending is None), closing
+    if pending is not None:
+        c = _flush(ou_exact_step(c, path.spec, path.nu, dt / 2.0, pending))
     return SpectralField(u0.grid, from_planes(u0.grid, c))
 
 
