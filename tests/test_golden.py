@@ -89,22 +89,22 @@ observables = sup_inf
 
 # sha256 of streams/traj_NNNN.csv written by ``simulate`` on CRITERION_10_CONFIG
 CRITERION_10_SHA256 = {
-    "traj_0000.csv": "b4c5a0ac5f1aec8c204823ba8fb99439323fa1dc7295de95e7d80e7c74b05348",
-    "traj_0001.csv": "317189787848c7243f002dc50cb47b678defa6d6f3ffe4ada4fb9bc6d295d45f",
-    "traj_0002.csv": "eb66a65d3c6741ea3737de1d75c36c81f5567a0aeb7b456c21268e6f1d5123c7",
-    "traj_0003.csv": "4d7db05973c38962ba06f703b6d27d69ba363272dcfe4227c87222031555b18c",
-    "traj_0004.csv": "a38e78c7a9d4cb4dbc311b94b5631544186849f06f1738ab5770bd6aece4aa0b",
-    "traj_0005.csv": "0507aa67f12c42d93fa59f78693dd5034262281df46a94def6c2191c3fc82bcf",
-    "traj_0006.csv": "43e9277d78f47d5d683bcd9ba5aa480ea16e8e3c415093dcb3fb9793d9943d67",
-    "traj_0007.csv": "b32497d56f373f8597af117dbbfefced308e160c2320cf0203e628c10bb9dbf9",
-    "traj_0008.csv": "65daa3f9e3ce7ab75e21b1b7823f45d4a046a41445c3d58f25786302acc5ffc7",
-    "traj_0009.csv": "9a7405b0384abd3d319657fbbbf1a5615051138e7de596f26099fa683cb03e57",
-    "traj_0010.csv": "1c592559c91e5188e0ba12ce34bbc28b70951f8242a199a6787e3a8c9410824a",
-    "traj_0011.csv": "c60dccac14848e3c6caf1e3a67e293a8181360040328fce049e0a90ed16f9711",
-    "traj_0012.csv": "49d9f52fd329e13726e186558ff364cf7667eabb8a077077665edfaa3c767c95",
-    "traj_0013.csv": "88051e1b89f62660b7320f9c948ae20e761dd8ec5b91c4032647196b358c344c",
-    "traj_0014.csv": "6280f6d7920893f6df2f17380dfabe211764eb580314cb6a9cbfc67cccbf7fb7",
-    "traj_0015.csv": "aa013e138200d959e6f27d9f6b59b2599bf7bfb0955f9dc134dcd73e5fe15bcb",
+    "traj_0000.csv": "b0fae864726ad29696ddef6e932396ca049f5946a0e2fb5e61aa36ee6fd366a6",
+    "traj_0001.csv": "1bc6a34cc332ae87189f78e1c28658a617f9d3a6e5ae8da96707774a73e7955a",
+    "traj_0002.csv": "60dc5bfdec495384c5c74f2a324ce753431cb8dcb293288cf07d826389235186",
+    "traj_0003.csv": "76526049a514fbddd246d5f15875765160a7bd2f4edcf3484db9e6fd00d0ac7e",
+    "traj_0004.csv": "6c020b8377df07f159952d8c8935dbd37323215f2e25237cf14c93b52d4839bb",
+    "traj_0005.csv": "f3511399a709244f96c9709c63638a799944daadce954213f8092c45eb4c241a",
+    "traj_0006.csv": "f10aa9f9fbee10147d12c1c1baef9a58a05a2cdaef9d88775b99c1ede29dd90e",
+    "traj_0007.csv": "d372da82aaa78aa319aca8447a0c8478742a174abd4c8377840afeabcae85096",
+    "traj_0008.csv": "abf1794a46172cb306470a8c9f66c29263ee1cfe29113a4f70560b0088330762",
+    "traj_0009.csv": "56a981350ed1c4a587f31f0f468c1a72b16eb648fe85904ed6c705cb4186d876",
+    "traj_0010.csv": "bf7540760948d49df702116b2203a7950281cb41018306136aafe85ed3fd5cc7",
+    "traj_0011.csv": "a34cdb2dbf5b8de242de6cee8f824b113ca808f06ccccecec4fffb5626c50e95",
+    "traj_0012.csv": "b9b299e09168eb671c6e276cf9dba3f50dec05cdd4c47cb7c9d477218439e5f5",
+    "traj_0013.csv": "d925931d899b8e9fcb4327ad3cf01a535f623a4e10cad832e00a1907ea21bc24",
+    "traj_0014.csv": "3c80b317b767ef31f1e0d943d49320acd864a19da65203c93a94d65ba89c6323",
+    "traj_0015.csv": "c961a57c14ccfc7d3544c248872317e7bb2a20c9e92825d63d16a475adcdb653",
 }
 
 # sha256 over the CSV streams and the summary of ``n2_ensemble``
@@ -114,7 +114,7 @@ N2_ENSEMBLE_SHA256 = "5b219cad330a974fd740a7c82b1062e63399457e8d3f44849326ca728c
 CHECKPOINT_SHA256 = "05a251b5d6fbab2c30d663bea57d4dfa5561b12d58737c71e9a8d85815dc6fff"
 
 # sha256 over the final coefficients of every chain in ``coupled_path_chains()``
-COUPLED_PATH_SHA256 = "f45c918107b426d4b5048c50a316c88567418bcc16c83fd20147cbbb1cba0a85"
+COUPLED_PATH_SHA256 = "9e026bbc0dc33060a1b2464fa599cd085a7629e1d5142588e92500a2c9b75455"
 
 # ``_records_digest`` of perfbench/worker.py over the streams of ``records_view_ensemble()``
 RECORDS_VIEW_SHA256 = "06201861bfdf78652d6656945a808e58dad1ebcad55ae524d3d46ac046351dca"
