@@ -139,8 +139,8 @@ class NormRecorder:
         times = np.full(rows, state.t), np.full(rows, self.nu * state.t)
         parts = [*times, sobolev_norm(u, self.ms).T]
         if self.cm_orders:  # the sup is C^0: one pass gives both, with the sup's own bits
-            sup, *cm = cm_norm(u, (0, *self.cm_orders))
-            parts += [sup, np.transpose(cm)]
+            both = cm_norm(u, (0, *self.cm_orders))
+            parts += [both[0], both[1:].T]
         else:
             parts.append(sup_norm(u))
         if self.shells:
