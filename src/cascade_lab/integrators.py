@@ -184,12 +184,9 @@ def _forced_decay(spec: NoiseSpec, nu, dt: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _forced_where(spec: NoiseSpec, rows: int) -> slice | np.ndarray:
-    """Where noise (rows, 2, s) goes: a slice of each flat plane for contiguous forced modes, else flat indices."""
-    f = spec.forced
-    if f.size and f[-1] - f[0] + 1 == f.size:
-        return slice(int(f[0]), int(f[-1]) + 1)
-    row, part, mode = np.ix_(np.arange(rows), np.arange(2), f)
+def _forced_index(spec: NoiseSpec, rows: int) -> np.ndarray:
+    """Flat indices of the forced modes in ``rows`` rows of planes, in the order of noise laid out (rows, 2, s)."""
+    row, part, mode = np.ix_(np.arange(rows), np.arange(2), spec.forced)
     plane = part * rows + row if spec.grid.n > 1 else 2 * row + part  # which (row, part) plane, in memory order
     index = (plane * spec.grid.n_modes + mode).ravel()
     index.flags.writeable = False
@@ -211,12 +208,8 @@ def ou_exact_step(
     decay = _ou_tables(spec, nu, dt)[0]
     if c.shape[2:] != spec.grid.coeff_shape:
         raise GridMismatchError(f"planes {c.shape} are not rows of the noise grid {spec.grid.coeff_shape}")
-    new = np.ascontiguousarray(c * decay)  # so that its reshapes are views
-    where = _forced_where(spec, len(noise))
-    if isinstance(where, slice):
-        new.reshape(*new.shape[:2], -1)[..., where] += noise if spec.grid.n == 1 else noise.swapaxes(0, 1)
-    else:
-        new.reshape(-1)[where] += noise.reshape(-1)
+    new = np.ascontiguousarray(c * decay)  # so that its reshape is a view
+    new.reshape(-1)[_forced_index(spec, len(noise))] += noise.reshape(-1)  # one 1-D index: cheaper than slices
     return new
 
 

@@ -20,7 +20,7 @@ from cascade_lab.integrators import (
     TrajectoryAbortError,
     _closed,
     _cos_sin,
-    _forced_where,
+    _forced_index,
     _merged_noise,
     _ou_tables,
     _strang,
@@ -491,16 +491,19 @@ class TestForcedModeDraws:
 
 
 class TestForcedModeAdd:
-    """The OU update adds its noise through a basic slice when the forced modes are contiguous, else a flat index."""
+    """The OU update adds its noise through one flat index of the forced modes.
+
+    The two add paths are the two plane layouts: rows of parts at n = 1, parts of rows at n >= 2.
+    """
 
     GAP = NoiseSpec(GRID, np.where(np.isin(np.arange(16), [0, 1, 4]), 1.0, 0.0), profile="custom")
     SPECS = {
-        "n1-band": (BAND, slice),
-        "n1-single": (NoiseSpec.single(GRID, 5), slice),
-        "n1-gap": (GAP, np.ndarray),
-        "n2-band": (NoiseSpec.band(GridSpec(2, 32, 16), [1.0, 1.0, 1.0]), np.ndarray),
-        "n1-silent": (SILENT, np.ndarray),
-        "n2-power": (NoiseSpec.power(GridSpec(2, 12, 6), 1.0), slice),
+        "n1-band": BAND,
+        "n1-single": NoiseSpec.single(GRID, 5),
+        "n1-gap": GAP,
+        "n2-band": NoiseSpec.band(GridSpec(2, 32, 16), [1.0, 1.0, 1.0]),
+        "n1-silent": SILENT,
+        "n2-power": NoiseSpec.power(GridSpec(2, 12, 6), 1.0),
     }
 
     @staticmethod
@@ -513,13 +516,11 @@ class TestForcedModeAdd:
 
     @pytest.mark.parametrize("name", SPECS)
     def test_both_add_paths_equal_an_indexed_reference(self, name):
-        spec, kind = self.SPECS[name]
+        spec = self.SPECS[name]
         grid = spec.grid
-        where = _forced_where(spec, 3)
-        assert isinstance(where, kind)
-        if kind is np.ndarray:  # every (row, part) plane's forced modes, each index once
-            assert where.size == len(set(where.tolist())) == 6 * spec.forced.size
-            assert np.array_equal(np.unique(where % grid.n_modes), spec.forced)
+        index = _forced_index(spec, 3)  # every (row, part) plane's forced modes, each index once
+        assert index.size == len(set(index.tolist())) == 6 * spec.forced.size
+        assert np.array_equal(np.unique(index % grid.n_modes), spec.forced)
         params = SimParams(nu=0.3, dt=0.02, T=1.0, seed=17)
         c = planes(*(random_field(grid, 90 + i, 0.4) for i in range(3)))
         g = np.random.default_rng(5).normal(size=(2, 3, 2, spec.forced.size))
