@@ -2,10 +2,11 @@
 
 Config files are INI-style ``[section]`` blocks of ``key = value`` lines.  The
 grammar is one table, ``GRAMMAR``: one row per key, in file order, naming its
-section, its parser and its default (or that it is required).  The
-:class:`RunConfig` field is the key, prefixed ``occupation_`` in the
-[occupation] section.  Parsing, the unknown-key check and :func:`emit_config`
-all read the table; the README's reference config shows every key.
+section, its parser and its default (or that it is required).  ``RunConfig``
+is built from the table: one field per key, the key itself, prefixed
+``occupation_`` in the [occupation] section.  Parsing, the unknown-key check
+and :func:`emit_config` read the table too; the README's reference config
+shows every key.
 
 Unknown sections or keys are errors, validation reports every violation at
 once, and ``base_seed`` has no entropy default: every run is replayable from
@@ -23,7 +24,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import make_dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -81,8 +82,9 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 REQUIRED = object()  # the default of a key that every config must set
 
-# The config grammar, in file order: (section, key, parser, default).  A key whose value is None
-# is not emitted; an absent N is 2 D and an absent dt the scheme's default.
+# The config grammar, in file order: (section, key, parser, default).  RunConfig is built from it,
+# one field per key (named by _field).  A key whose value is None is not emitted; an absent N is
+# 2 D and an absent dt the scheme's default.
 GRAMMAR = (
     ("grid", "n", int, REQUIRED),
     ("grid", "N", int, None),
@@ -118,33 +120,8 @@ def _field(section: str, key: str) -> str:
     return f"occupation_{key}" if section == "occupation" else key
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully resolved, validated run description; emit/parse round-trips to equality."""
-
-    n: int
-    N: int
-    D: int
-    profile: str
-    nu: float | None
-    nu_grid: tuple[float, ...] | None
-    dt: float
-    T_slow: float | None
-    T: float | None
-    record_every: int
-    scheme: str
-    nonlinear: bool
-    M: int
-    base_seed: int
-    kind: str
-    observables: tuple[str, ...]
-    out: str
-    window_t0_slow: float
-    occupation_run: str | None
-    occupation_chi_fracs: tuple[float, ...]
-    occupation_gamma_factor: float
-    occupation_tau0: float
-    occupation_tau: float
+class _Derived:
+    """What a :data:`RunConfig` derives from its fields: the grid, the noise spec and the plan."""
 
     def grid(self) -> GridSpec:
         return GridSpec(self.n, self.N, self.D)
@@ -179,6 +156,19 @@ class RunConfig:
             nonlinear=self.nonlinear,
             observables=tuple(Observable.parse(o) for o in self.observables),
         )
+
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [_field(section, key) for section, key, *_ in GRAMMAR],
+    bases=(_Derived,),
+    frozen=True,
+    namespace={
+        "__module__": __name__,
+        "__doc__": "A fully resolved, validated run description, one field per GRAMMAR key in its order "
+        "(named by _field); emit/parse round-trips to equality.",
+    },
+)
 
 
 def _parse_sections(text: str, errors: list[str]) -> dict[str, dict[str, str]]:
@@ -343,8 +333,9 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(emit_config(cfg).encode()).hexdigest()[:12]
 
 
-def _json_line(d: dict) -> str:
-    return json.dumps(d, separators=(", ", ": ")) + "\n"
+def _json_line(rec) -> str:
+    """One JSON line of a report record (``schema.report``)."""
+    return json.dumps(schema.report(rec), separators=(", ", ": ")) + "\n"
 
 
 def read_run_streams(run_dir: Path) -> list:
@@ -359,6 +350,10 @@ def read_run_streams(run_dir: Path) -> list:
 
 
 # --- subcommand implementations ----------------------------------------------------
+
+Manifest = schema.record("Manifest", "manifest")
+SweepVerdict = schema.record("SweepVerdict", "sweep_verdict")
+Spectrum = schema.record("Spectrum", "spectrum")
 
 
 def _load_config(args) -> RunConfig:
@@ -380,20 +375,21 @@ def _load_config(args) -> RunConfig:
 
 
 def _write_run(
-    cfg: RunConfig, out: str | None, streams: dict[str, list], reports: list[dict]
+    cfg: RunConfig, out: str | None, streams: dict[str, list], reports: list
 ) -> Path:
-    """Write <out>/<kind>-<config hash>: manifest, config, report, and each ensemble under streams/<label>."""
+    """Write <out>/<kind>-<config hash>: manifest, config, report records, and each ensemble under streams/<label>."""
     config, digest = emit_config(cfg), config_hash(cfg)
     run_dir = Path(out or cfg.out) / f"{cfg.kind}-{digest}"
     run_dir.mkdir(parents=True, exist_ok=True)
     manifest = schema.report(
-        "manifest",
-        code_version=__version__,
-        kind=cfg.kind,
-        config_hash=digest,
-        base_seed=cfg.base_seed,
-        noise_profile=cfg.profile,
-        config=config,
+        Manifest(
+            code_version=__version__,
+            kind=cfg.kind,
+            config_hash=digest,
+            base_seed=cfg.base_seed,
+            noise_profile=cfg.profile,
+            config=config,
+        )
     )
     atomic_write_text(run_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     atomic_write_text(run_dir / "config.ini", config)
@@ -412,7 +408,7 @@ def _cmd_simulate(cfg: RunConfig, out: str | None) -> int:
     plan = cfg.plan()
     (nu,) = plan.nu_grid
     ((summary, streams),) = plan.ensembles()
-    run_dir = _write_run(cfg, out, {"": streams}, [summary.to_json_dict()])
+    run_dir = _write_run(cfg, out, {"": streams}, [summary])
     print(f"simulate: {cfg.M} trajectories at nu={nu} -> {run_dir}")
     return 0
 
@@ -420,12 +416,9 @@ def _cmd_simulate(cfg: RunConfig, out: str | None) -> int:
 def _cmd_sweep(cfg: RunConfig, out: str | None) -> int:
     plan = cfg.plan()
     result = nu_sweep(plan)
-    reports = [summary.to_json_dict() for summary in result.summaries]
-    reports += [fit.to_json_dict(observable=name) for name, fit in result.fits.items() if fit is not None]
-    reports += [
-        schema.report("sweep_verdict", observable=name, verdicts=verdicts)
-        for name, verdicts in result.verdicts.items()
-    ]
+    reports = [*result.summaries]
+    reports += [replace(fit, observable=name) for name, fit in result.fits.items() if fit is not None]
+    reports += [SweepVerdict(observable=name, verdicts=verdicts) for name, verdicts in result.verdicts.items()]
     run_dir = _write_run(cfg, out, _per_nu(plan, result.streams), reports)
     for name, verdicts in result.verdicts.items():
         print(f"sweep {name}: " + ", ".join(f"{k}={v}" for k, v in verdicts.items()))
@@ -436,11 +429,9 @@ def _cmd_sweep(cfg: RunConfig, out: str | None) -> int:
 def _cmd_stationary(cfg: RunConfig, out: str | None) -> int:
     plan = cfg.plan()
     result = stationary_sweep(plan)
-    reports = [rep.to_json_dict() for rep in result.balance]
+    reports = [*result.balance]
     reports += [
-        fit.to_json_dict(observable=f"stationary_sobolev_{m:g}")
-        for m, fit in result.moment_fits.items()
-        if fit is not None
+        replace(fit, observable=f"stationary_sobolev_{m:g}") for m, fit in result.moment_fits.items() if fit is not None
     ]
     run_dir = _write_run(cfg, out, _per_nu(plan, result.streams), reports)
     ok = True
@@ -470,7 +461,7 @@ def _cmd_occupation(cfg: RunConfig, out: str | None) -> int:
     for frac in cfg.occupation_chi_fracs:
         chi = frac * float(np.median(n0))
         report = occupation_check(streams, chi, gamma, cfg.occupation_tau0, cfg.occupation_tau, b0)
-        lines.append(_json_line(report.to_json_dict()))
+        lines.append(_json_line(report))
         ok = ok and report.passed
         print(
             f"occupation chi={chi:.4g}: lhs = {report.lhs_mean:.4g} (se {report.lhs_se:.2g}) "
@@ -492,9 +483,7 @@ def _cmd_spectrum(cfg: RunConfig, out: str | None) -> int:
     burn = BURN_IN_FRACTION * plan.T
     first = streams[0].columns.index("shell_1")
     mean_shells = np.concatenate([s.data[s.column("t") >= burn, first:] for s in streams]).mean(axis=0)
-    report = schema.report(
-        "spectrum", nu=nu, M=cfg.M, shells=[[k + 1, float(e)] for k, e in enumerate(mean_shells)]
-    )
+    report = Spectrum(nu=nu, M=cfg.M, shells=[[k + 1, float(e)] for k, e in enumerate(mean_shells)])
     run_dir = _write_run(cfg, out, {"": streams}, [report])
     head = ", ".join(f"E_{k + 1}={e:.4g}" for k, e in enumerate(mean_shells[:6]))
     print(f"spectrum nu={nu}: {head} ... -> {run_dir}")

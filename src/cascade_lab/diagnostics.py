@@ -215,24 +215,8 @@ def _left_rectangle(times: np.ndarray, values: np.ndarray, a: float, b: float) -
 # --- occupation time -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OccupationReport:
-    """Monte Carlo estimate of the capped small-norm occupation time vs its bound."""
-
-    chi: float
-    gamma: float
-    tau0: float
-    tau: float
-    n_traj: int
-    lhs_mean: float
-    lhs_se: float
-    rhs_bound: float
-    informative: bool  # false if no stream spent sampled time at ||u||_0 <= chi: lhs 0, se 0, vacuous pass
-    passed: bool
-    note: str = DISCRETIZATION_NOTE
-
-    def to_json_dict(self) -> dict:
-        return schema.report("occupation", **vars(self))
+# ``informative`` is false if no stream spent sampled time at ||u||_0 <= chi: lhs 0, se 0, vacuous pass.
+OccupationReport = schema.record("OccupationReport", "occupation", note=DISCRETIZATION_NOTE)
 
 
 def occupation_check(
@@ -282,20 +266,7 @@ def occupation_check(
 # --- stationary small-norm probability --------------------------------------------
 
 
-@dataclass(frozen=True)
-class StationaryCheckReport:
-    chi: float
-    gamma: float
-    n_samples: int
-    frequency: float
-    wilson_low: float
-    wilson_high: float
-    bound: float
-    applicable: bool
-    passed: bool
-
-    def to_json_dict(self) -> dict:
-        return schema.report("stationary_check", **vars(self))
+StationaryCheckReport = schema.record("StationaryCheckReport", "stationary_check")
 
 
 def _wilson(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -351,22 +322,8 @@ def stationary_check(
 # --- balance relation ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BalanceReport:
-    """Time-ensemble average of ||u||_1^2 over [window_start, window_end] against the injection rate B_0."""
-
-    window_start: float
-    window_end: float
-    avg_h1_sq: float
-    b0: float
-    relative_residual: float
-    se: float
-    n_batches: int
-    degenerate: bool
-    nu: float
-
-    def to_json_dict(self) -> dict:
-        return schema.report("balance", **vars(self))
+# Time-ensemble average of ||u||_1^2 over [window_start, window_end] against the injection rate B_0.
+BalanceReport = schema.record("BalanceReport", "balance")
 
 
 def batch_means(series: np.ndarray) -> tuple[float, float]:

@@ -105,31 +105,8 @@ class ObservableStats:
         return self.quantiles[50]
 
 
-@dataclass(frozen=True)
-class EnsembleSummary:
-    """Per-observable statistics of one ensemble, plus abort bookkeeping."""
-
-    nu: float
-    M: int
-    aborts: int
-    observables: dict[str, ObservableStats]
-
-    def to_json_dict(self) -> dict:
-        return schema.report(
-            "ensemble_summary",
-            nu=self.nu,
-            M=self.M,
-            aborts=self.aborts,
-            observables={
-                name: {
-                    "mean": st.mean,
-                    "variance": st.variance,
-                    "se": st.se,
-                    "quantiles": {str(q): v for q, v in st.quantiles.items()},
-                }
-                for name, st in self.observables.items()
-            },
-        )
+# Per-observable statistics of one ensemble (name -> ObservableStats), plus abort bookkeeping.
+EnsembleSummary = schema.record("EnsembleSummary", "ensemble_summary")
 
 
 def _stats(values: np.ndarray) -> ObservableStats:
@@ -252,24 +229,9 @@ def ensemble_run(
 # --- power-law fits -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScalingFit:
-    """Least-squares slope of log q against log(1/nu); alpha > 0 means growth as nu -> 0."""
-
-    points: tuple[tuple[float, float], ...]
-    alpha: float
-    intercept: float
-    r2: float
-
-    def to_json_dict(self, observable: str = "") -> dict:
-        return schema.report(
-            "scaling_fit",
-            observable=observable,
-            alpha=self.alpha,
-            intercept=self.intercept,
-            r2=self.r2,
-            points=[[nu, q] for nu, q in self.points],
-        )
+# Least-squares slope alpha of log q against log(1/nu) over ``points`` (nu, q); alpha > 0 means
+# growth as nu -> 0.  ``observable`` names the fitted quantity and is set where a report is written.
+ScalingFit = schema.record("ScalingFit", "scaling_fit", observable="")
 
 
 def fit_exponent(points) -> ScalingFit:

@@ -5,9 +5,15 @@ order, a field order, or a number format is a schema bump.  JSON lines and
 manifests carry ``SCHEMA_VERSION`` inline; trajectory CSVs stay plain
 RFC-4180 (header row only) and are versioned through the manifest of the run
 directory that contains them.
+
+``FIELDS`` is the one place a report's fields are named: :func:`record` builds
+each report's record type from its tuple, and :func:`report` writes a record
+back in that order.
 """
 
 from __future__ import annotations
+
+from dataclasses import MISSING, asdict, field, make_dataclass
 
 # 2: sine-matrix transforms; occupation reports say ``informative``.
 # 3: the noise is drawn on the forced modes only, at one address per stream per
@@ -112,16 +118,21 @@ FIELDS = {
 }
 
 
-def report(kind: str, /, **values) -> dict:
-    """The JSON object of ``kind`` with ``values`` in its frozen field order.
+def record(name: str, kind: str, **defaults) -> type:
+    """The frozen, keyword-only record type of ``kind``: the fields of ``FIELDS[kind]`` after ``REPORT_COMMON``.
 
-    ``schema_version`` and ``type`` are filled in; any other field missing from
-    ``values``, or not in the schema, raises ValueError.
+    ``defaults`` gives some of those fields a default value; the class attribute ``type`` is ``kind``.
     """
-    fields = FIELDS[kind]
-    values["schema_version"] = SCHEMA_VERSION
-    if "type" in fields:
-        values["type"] = kind
-    if values.keys() != set(fields):
-        raise ValueError(f"{kind} fields {sorted(values)} differ from the schema {list(fields)}")
-    return {name: values[name] for name in fields}
+    fields = [(f, object, field(default=defaults.get(f, MISSING))) for f in FIELDS[kind] if f not in REPORT_COMMON]
+    namespace = {"type": kind, "__module__": __name__}
+    return make_dataclass(name, fields, namespace=namespace, frozen=True, kw_only=True)
+
+
+def report(rec) -> dict:
+    """The JSON object of a :func:`record` instance, in the frozen field order of its ``type``.
+
+    ``schema_version`` and ``type`` are filled in, and nested dataclasses become
+    dicts in their own field order (``dataclasses.asdict``).
+    """
+    values = {"schema_version": SCHEMA_VERSION, "type": rec.type, **asdict(rec)}
+    return {name: values[name] for name in FIELDS[rec.type]}

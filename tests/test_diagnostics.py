@@ -70,7 +70,7 @@ class TestOccupationCheck:
             report = occupation_check(streams, chi=1.0, gamma=7.0, tau0=0.0, tau=1.0, b0=3.0)
             assert report.informative is informative
             assert (report.lhs_mean == 0.0 and report.lhs_se == 0.0) is not informative
-            assert report.to_json_dict()["informative"] is informative
+            assert schema.report(report)["informative"] is informative
 
     def test_stopping_truncates_window(self):
         # ||u||_2 crosses Gamma at tau = 0.5; the indicator is on throughout.
@@ -109,7 +109,7 @@ class TestOccupationCheck:
         stream = synth_stream(UNIFORM_TAUS, np.zeros(101), np.zeros(101))
         report = occupation_check([stream], 1.0, 1.0, 0.0, 1.0, 3.0)
         assert "sample" in report.note
-        d = report.to_json_dict()
+        d = schema.report(report)
         assert list(d)[:2] == ["schema_version", "type"]
 
 

@@ -24,16 +24,22 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cascade_lab import schema
+from cascade_lab import cli_io, schema
 from cascade_lab.cli_io import run_command
-from cascade_lab.diagnostics import NormRecorder, stream_csv_text
-from cascade_lab.experiments import Observable, ensemble_run
+from cascade_lab.diagnostics import (
+    BalanceReport,
+    NormRecorder,
+    OccupationReport,
+    StationaryCheckReport,
+    stream_csv_text,
+)
+from cascade_lab.experiments import EnsembleSummary, Observable, ObservableStats, ScalingFit, ensemble_run
 from cascade_lab.forcing import NoiseSpec, RngStream
 from cascade_lab.integrators import (
     SimParams,
@@ -326,13 +332,49 @@ def test_reports_follow_schema(golden_runs):
     assert types == set(schema.FIELDS) - {"manifest", "stationary_check"}
 
 
-def test_report_rejects_missing_or_extra_fields():
-    fit = dict(observable="x", alpha=1.0, intercept=0.0, r2=1.0, points=[])
-    assert tuple(schema.report("scaling_fit", **fit)) == schema.FIT_FIELDS
-    with pytest.raises(ValueError, match="differ"):
-        schema.report("scaling_fit", **{**fit, "extra": 1})
-    with pytest.raises(ValueError, match="differ"):
-        schema.report("scaling_fit", alpha=1.0)
+RECORDS = {
+    rec.type: rec
+    for rec in (
+        OccupationReport,
+        StationaryCheckReport,
+        BalanceReport,
+        ScalingFit,
+        EnsembleSummary,
+        cli_io.SweepVerdict,
+        cli_io.Spectrum,
+        cli_io.Manifest,
+    )
+}
+
+
+@pytest.mark.parametrize("kind", schema.FIELDS)
+def test_record_takes_exactly_the_fields_of_its_kind(kind):
+    rec = RECORDS[kind]
+    values = dict.fromkeys((f for f in schema.FIELDS[kind] if f not in schema.REPORT_COMMON), 0)
+    assert tuple(schema.report(rec(**values))) == schema.FIELDS[kind]
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        rec(**values, extra=1)
+    for f in fields(rec):
+        if f.default is MISSING:
+            with pytest.raises(TypeError, match="missing"):
+                rec(**{k: v for k, v in values.items() if k != f.name})
+
+
+def test_summary_and_fit_lines_keep_their_layout():
+    # the two reports whose JSON is not a flat copy of the record's fields
+    stats = ObservableStats(mean=2.0, variance=0.5, se=0.25, quantiles={5: 1.0, 50: 2.0, 95: 3.5})
+    summary = EnsembleSummary(nu=0.1, M=2, aborts=1, observables={"sup_inf": stats})
+    assert cli_io._json_line(summary) == (
+        f'{{"schema_version": {schema.SCHEMA_VERSION}, "type": "ensemble_summary", "nu": 0.1, "M": 2, '
+        '"aborts": 1, "observables": {"sup_inf": {"mean": 2.0, "variance": 0.5, "se": 0.25, '
+        '"quantiles": {"5": 1.0, "50": 2.0, "95": 3.5}}}}\n'
+    )
+    fit = ScalingFit(points=((0.4, 1.0), (0.2, 2.0)), alpha=1.0, intercept=0.5, r2=0.75)
+    assert schema.report(fit)["observable"] == ""
+    assert cli_io._json_line(replace(fit, observable="sup_inf")) == (
+        f'{{"schema_version": {schema.SCHEMA_VERSION}, "type": "scaling_fit", "observable": "sup_inf", '
+        '"alpha": 1.0, "intercept": 0.5, "r2": 0.75, "points": [[0.4, 1.0], [0.2, 2.0]]}\n'
+    )
 
 
 N2_GRID = GridSpec(2, 32, 16)
@@ -352,7 +394,7 @@ def n2_ensemble_hash(grid=N2_GRID) -> str:
     h = hashlib.sha256()
     for records in streams:
         h.update(stream_csv_text(records).encode())
-    h.update(json.dumps(summary.to_json_dict()).encode())
+    h.update(json.dumps(schema.report(summary)).encode())
     return h.hexdigest()
 
 
