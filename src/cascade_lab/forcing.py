@@ -20,10 +20,11 @@ so only they are drawn.  A Strang step takes 4s normals for s forced modes,
 re_0 | im_0 | re_1 | im_1 in C order: its two half-steps' convolutions, each a
 row's real and imaginary parts.  K = max(1, OU_BLOCK_NORMALS // 4s) consecutive
 steps share the address (step_index // K, SUB_OU), and step k takes slice
-k mod K; ``ou_convolutions`` keeps the last block drawn, scaled once.  An
-Euler-Maruyama increment draws 2s normals (re | im) at (step_index,
-SUB_INCREMENT), and random initial data (SUB_INIT) every mode.  A degenerate
-spec draws nothing.
+k mod K.  One block is cached, keyed by its rows' streams, with its scaled
+halves (``ou_convolutions``) and the merged noise of each of its steps' one
+OU update (``ou_step_noise``), each made once.  An Euler-Maruyama increment
+draws 2s normals (re | im) at (step_index, SUB_INCREMENT), and random initial
+data (SUB_INIT) every mode.  A degenerate spec draws nothing.
 """
 
 from __future__ import annotations
@@ -243,34 +244,110 @@ def ou_block_steps(s: int) -> int:
     return max(1, OU_BLOCK_NORMALS // (4 * s)) if s else 1
 
 
-# The last Strang OU block drawn, scaled: (rngs, block index, sd, scale, noise).
-_ou_block: tuple | None = None
+class _Block:
+    """One drawn Strang OU block and what the last request derived from it.
+
+    ``normals`` holds the rows' standard normals, (rows, K + 1, 2, 2, s): slot j + 1 is step
+    bK + j's, and slot 0 the last step of the block before (NaN before block 0), since a nonlinear
+    step at the block's first slot merges that step's closing half.  ``rngs`` are the streams the
+    rows were drawn for.
+    """
+
+    def __init__(self, index: int, rngs, normals: np.ndarray):
+        self.index, self.rngs, self.normals = index, rngs, normals
+        self.scaled = self.steps = None  # (sd, scale, block) and (decay, block, nonlinear, noise)
+
+
+# The last Strang OU block drawn.
+_ou_block: _Block | None = None
+
+
+def _block(rngs, index: int, s: int) -> _Block:
+    """Block ``index`` of the rows ``rngs``: the cached block if drawn for these rows, its rows if every
+    row is one of its streams (as when rows leave a batch), drawn otherwise, with slot 0 taken from
+    the cached block when that is the one before, else drawn from it."""
+    global _ou_block
+    cached = _ou_block
+    if cached is not None and cached.index == index and cached.rngs is rngs:
+        return cached
+    rows = None  # each row's row in the cached block, if every row has one
+    if cached is not None:
+        where = {id(rng): i for i, rng in enumerate(cached.rngs)}
+        rows = [where.get(id(rng)) for rng in rngs]
+        if None in rows:
+            rows = None
+    if rows is not None and cached.index == index:
+        _ou_block = _Block(index, rngs, cached.normals[rows])
+        return _ou_block
+    K = ou_block_steps(s)
+    normals = np.full((len(rngs), K + 1, 2, 2, s), np.nan)
+    normals[:, 1:] = _draws(rngs, index, SUB_OU, 4 * s * K).reshape(len(rngs), K, 2, 2, s)
+    if rows is not None and cached.index == index - 1:
+        normals[:, 0] = cached.normals[rows, K]
+    elif index:
+        normals[:, 0] = _draws(rngs, index - 1, SUB_OU, 4 * s * K).reshape(len(rngs), K, 2, 2, s)[:, -1]
+    _ou_block = _Block(index, rngs, normals)
+    return _ou_block
+
+
+def _scaled(block: _Block, sd: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """``block``'s normals scaled by ``sd`` and then ``scale``, (s,) tables or (rows, s) ones; made once per tables."""
+    got = block.scaled
+    if got is None or got[0] is not sd or got[1] is not scale:
+        per_row = (slice(None), None, None, None) if sd.ndim == 2 else ()
+        z = block.normals * sd[per_row]
+        z *= scale[per_row]
+        z.flags.writeable = False
+        got = block.scaled = (sd, scale, z)
+    return got[2]
 
 
 def ou_convolutions(rngs, step_index: int, sd: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The noise sqrt(nu) b_d gamma_d of both OU half-steps of one Strang step, each (len(rngs), 2, s).
 
     Step k is slot k mod K of the block at (k // K, SUB_OU), K = ``ou_block_steps(s)``, slot j
-    holding re_0 | im_0 | re_1 | im_1 over the s forced modes.  The block is scaled once, in place,
-    by ``sd`` and then ``scale``, (s,) tables or (len(rngs), s) tables with one row per stream.  One
-    block is cached, keyed by the identity of ``rngs``, ``sd`` and ``scale`` and by the block index:
-    a state keeps its tuple from step to step, so a step inside its block only slices, and any other
-    tuple draws.  Both results are read-only views into the block.
+    holding re_0 | im_0 | re_1 | im_1 over the s forced modes, scaled by ``sd`` and then ``scale``,
+    (s,) tables or (len(rngs), s) tables with one row per stream.  One block is cached, keyed by
+    its rows' streams: rows that stay in a batch when others leave take their rows of it, and a
+    new run's streams draw their own.  Both results are read-only views into the block.
     """
-    global _ou_block
+    s = sd.shape[-1]
+    index, slot = divmod(step_index, ou_block_steps(s))
+    noise = _scaled(_block(rngs, index, s), sd, scale)[:, slot + 1]
+    return noise[:, 0], noise[:, 1]
+
+
+def ou_step_noise(
+    rngs, step_index: int, sd: np.ndarray, scale: np.ndarray, decay: np.ndarray, nonlinear: bool
+) -> np.ndarray:
+    """The noise of the one OU update of every step in ``step_index``'s block, (K, len(rngs), 2, s).
+
+    Slot k mod K is step k's, read-only and contiguous.  A nonlinear step merges the previous
+    step's closing half into its opening one, n_1 of step k - 1 times ``decay`` plus n_0 of step k
+    (step 0 opens with n_0 alone); a linear step's update is its own halves, n_0 ``decay`` + n_1.
+    ``decay`` is the forced modes' OU(dt/2) decay, (1 or len(rngs), 1, s).  Built once per block
+    and tables in the cache of :func:`ou_convolutions`, with the multiply-then-add of one merge.
+    """
     s = sd.shape[-1]
     K = ou_block_steps(s)
-    block, slot = divmod(step_index, K)
-    cached = _ou_block
-    if cached is None or cached[0] is not rngs or cached[1] != block or cached[2] is not sd or cached[3] is not scale:
-        z = _draws(rngs, block, SUB_OU, 4 * s * K).reshape(len(rngs), K, 2, 2, s)
-        per_row = (slice(None), None, None, None) if sd.ndim == 2 else ()
-        z *= sd[per_row]
-        z *= scale[per_row]
-        z.flags.writeable = False
-        cached = _ou_block = (rngs, block, sd, scale, z)
-    noise = cached[4][:, slot]
-    return noise[:, 0], noise[:, 1]
+    index = step_index // K
+    block = _block(rngs, index, s)
+    z = _scaled(block, sd, scale)
+    got = block.steps
+    if got is None or got[0] is not decay or got[1] is not z or got[2] != nonlinear:
+        n0, n1 = z[:, :, 0].swapaxes(0, 1), z[:, :, 1].swapaxes(0, 1)  # (K + 1, rows, 2, s)
+        steps = np.empty((K, len(rngs), 2, s))  # slot by slot, so that each slot is contiguous
+        if nonlinear:
+            np.multiply(n1[:-1], decay, out=steps)
+            steps += n0[1:]
+            if not index:
+                steps[0] = n0[1]
+        else:
+            np.multiply(n0[1:], decay, out=steps)
+            steps += n1[1:]
+        steps.flags.writeable = False
+        got = block.steps = (decay, z, nonlinear, steps)
+    return got[3]
 
 
 def forced_increments(spec: NoiseSpec, dt: float, rngs, step_index: int) -> np.ndarray:

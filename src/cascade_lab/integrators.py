@@ -8,15 +8,19 @@ OU(dt/2) o phase(dt) o OU(dt/2); an explicit Euler-Maruyama step over the full
 drift serves as an independent oracle.
 
 There is one state type, :class:`State`: rows of coefficient planes
-(``spectral.to_planes``) with one stream per row.  A Strang step is one kernel
-on the planes: one OU update, the rotation (a sine-matrix pair around a cosine
-and a sine from one tangent), and a flush of subnormal parts.  Adjacent OU
-halves merge: the running state is open, its last closing OU(dt/2) pending,
-and the next step applies it with its own opening half as one OU(dt) (without
-the rotation, a step's own halves are one OU(dt)).  Only an observed state gets
-a closed copy, so a row's bits do not depend on when it is recorded.  The
-step's new array is its one finiteness check.  Row i is bit for bit the one-row
-run on its stream, also when rows carry their own viscosities and horizons.
+(``spectral.to_planes``, (2, M, *grid) for every n) with one stream per row.  A
+Strang step is one kernel on the planes: one OU update, the rotation (a
+sine-matrix pair around a cosine and a sine from one tangent), and a flush of
+subnormal parts.  Adjacent OU halves merge: the running state is open, its last
+closing OU(dt/2) pending, and the next step applies it with its own opening half
+as one OU(dt) (without the rotation, a step's own halves are one OU(dt)); the
+merged noise of a block's steps is built once per draw block
+(``forcing.ou_step_noise``).  The driver runs the kernel in one loop from one
+record step to the next, the step's new array its one finiteness check, and
+:func:`strang_step` is that loop run for one step.  Only an observed state gets
+a closed copy, so a row's bits do not depend on when it is recorded.  Row i is
+bit for bit the one-row run on its stream, also when rows carry their own
+viscosities and horizons.
 
 Only the s forced modes (b_d > 0) are driven, from draws addressed by
 (step_index // K, SUB_OU) (``forcing.ou_convolutions``), never consumed
@@ -46,7 +50,9 @@ from .forcing import (
     RngStream,
     complex_normals,
     forced_increments,
+    ou_block_steps,
     ou_convolutions,
+    ou_step_noise,
 )
 from . import spectral
 from .spectral import (
@@ -157,12 +163,10 @@ def default_dt(scheme: str, nu: float, grid: GridSpec) -> float:
 def _ou_tables(spec: NoiseSpec, nu, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cached decay over all modes, and conv standard deviation and sqrt(nu) b_d over the forced modes.
 
-    For one viscosity per row, the rows' own tables stacked in row order (the decay as (M, 1, D) at n = 1).
+    For one viscosity per row, the rows' own tables stacked in row order.
     """
     if isinstance(nu, tuple):
         tables = tuple(np.stack(rows) for rows in zip(*(_ou_tables(spec, v, dt) for v in nu)))
-        if spec.grid.n == 1:
-            tables = (tables[0][:, None], *tables[1:])
     else:
         lam = nu * mode_abs_sq(spec.grid)  # > 0, since nu > 0 and |d|^2 >= 1
         tables = (
@@ -187,8 +191,7 @@ def _forced_decay(spec: NoiseSpec, nu, dt: float) -> np.ndarray:
 def _forced_index(spec: NoiseSpec, rows: int) -> np.ndarray:
     """Flat indices of the forced modes in ``rows`` rows of planes, in the order of noise laid out (rows, 2, s)."""
     row, part, mode = np.ix_(np.arange(rows), np.arange(2), spec.forced)
-    plane = part * rows + row if spec.grid.n > 1 else 2 * row + part  # which (row, part) plane, in memory order
-    index = (plane * spec.grid.n_modes + mode).ravel()
+    index = ((part * rows + row) * spec.grid.n_modes + mode).ravel()  # (part, row) plane, then mode
     index.flags.writeable = False
     return index
 
@@ -279,25 +282,53 @@ def _strang(c: np.ndarray, spec: NoiseSpec, nu, dt: float, nonlinear: bool, nois
     return _flush(c)
 
 
+def _advance(state: State, spec: NoiseSpec, params: SimParams, stop: int) -> tuple[State, NonFiniteFieldError | None]:
+    """Strang steps from ``state`` up to step ``stop``: (the state reached, None), or, when a step
+    turns non-finite, (the last good state, its error).
+
+    The OU tables are resolved once per call and each block's step noise (``forcing.ou_step_noise``)
+    once per block; a step is :func:`_strang` on its slot and the one finiteness check.
+    """
+    k, nu, dt, nonlinear = state.step_index, params.nu, params.dt, params.nonlinear
+    _, sd, scale = _ou_tables(spec, nu, dt / 2.0)
+    decay = _forced_decay(spec, nu, dt / 2.0)
+    K = ou_block_steps(sd.shape[-1])
+    c, noise = state.c, None
+    while k < stop:
+        slot = k % K
+        if noise is None or not slot:
+            noise = ou_step_noise(state.rngs, k, sd, scale, decay, nonlinear)
+        new = _strang(c, spec, nu, dt, nonlinear, noise[slot], first=nonlinear and not k)
+        try:
+            spectral._check_finite(new, "spectral field")
+        except NonFiniteFieldError as exc:
+            return (state if k == state.step_index else State(k * dt, state.grid, c, state.rngs, k)), exc
+        c, k = new, k + 1
+    return State(k * dt, state.grid, c, state.rngs, k), None
+
+
 def strang_step(state: State, spec: NoiseSpec, params: SimParams) -> State:
     """Symmetric composition OU(dt/2) o phase(dt) o OU(dt/2), with the closing half left open.
 
     Step k's halves take slot k mod K of each row's block at (k // K, SUB_OU); its opening half
     merges with step k - 1's closing one, and step 0 opens with OU(dt/2).  Without the rotation the
-    step's own halves are one OU(dt).  The new array is the step's one finiteness check.
+    step's own halves are one OU(dt).  The new array is the step's one finiteness check.  This is
+    the driver's loop (:func:`_advance`) run for one step.
     """
-    k, nu, dt = state.step_index, params.nu, params.dt
-    _, sd, scale = _ou_tables(spec, nu, dt / 2.0)
-    if not params.nonlinear:
-        noise = _merged_noise(spec, nu, dt, *ou_convolutions(state.rngs, k, sd, scale))
-    elif k:  # step k - 1's closing half first: one block is cached
-        pending = ou_convolutions(state.rngs, k - 1, sd, scale)[1]
-        noise = _merged_noise(spec, nu, dt, pending, ou_convolutions(state.rngs, k, sd, scale)[0])
-    else:
-        noise = ou_convolutions(state.rngs, k, sd, scale)[0]
-    c = _strang(state.c, spec, nu, dt, params.nonlinear, noise, first=params.nonlinear and not k)
-    spectral._check_finite(c, "spectral field")
-    return State((k + 1) * dt, state.grid, c, state.rngs, k + 1)
+    state, error = _advance(state, spec, params, state.step_index + 1)
+    if error is not None:
+        raise error
+    return state
+
+
+def _em_advance(state: State, spec: NoiseSpec, params: SimParams, stop: int):
+    """:func:`em_step` from ``state`` up to step ``stop``, returning as :func:`_advance` does."""
+    while state.step_index < stop:
+        try:
+            state = em_step(state, spec, params)
+        except NonFiniteFieldError as exc:
+            return state, exc
+    return state, None
 
 
 def _closed(state: State, spec: NoiseSpec, params: SimParams) -> State:
@@ -328,7 +359,7 @@ def _euler_maruyama(
     if nonlinear:
         v = to_physical(grid, u.planes)
         re, im = parts(grid, v)
-        v *= np.expand_dims(re**2 + im**2, 0 if grid.n > 1 else -2)
+        v *= re**2 + im**2
         drift = drift - 1j * from_planes(grid, to_spectral(grid, v))
     return SpectralField(grid, u.coeffs + dt * drift + np.sqrt(nu) * increment)
 
@@ -388,6 +419,14 @@ class _Batch:
             stop = start + len(tuple(run))
             self.entries.append((start, stop, p, sink))
             start = stop
+        self.cadences = {p.record_every for _, _, p, sink in self.entries if sink is not None}
+
+    def next_stop(self, k: int) -> int:
+        """The first step after ``k`` at which a sink may be due, or the horizon if that comes first.
+
+        An entry's final step is at or past the horizon, where the batch stops anyway.
+        """
+        return min((self.horizon, *((k // every + 1) * every for every in self.cadences)))
 
     def record(self, state: State, spec: NoiseSpec, fresh: bool = False) -> State:
         """Hand the closed state to each sink due at this step; returns it closed if any was due."""
@@ -414,10 +453,12 @@ def continue_trajectory(
     rows that share both are one entry; entries may differ in viscosity and horizon but
     share dt, scheme and nonlinearity, and each row steps with its own viscosity.  A sink
     sees its entry's rows as one closed state at step 0 (fresh starts only), after every
-    record_every-th step, and at the entry's final step.  The batch steps to the nearest
-    horizon, and the rows that reach it leave.  A step that turns non-finite is redone row by
-    row: a failing row is dropped with its abort, which carries its last good one-row state,
-    closed.  The final state holds the rows that finish last, closed (None if none is left).
+    record_every-th step, and at the entry's final step.  The batch steps from one such
+    record step to the next in one loop (:func:`_advance`) up to the nearest horizon, and the
+    rows that reach it leave.  A step that turns non-finite ends the loop at the last good state
+    and is redone row by row: a failing row is dropped with its abort, which carries its last
+    good one-row state, closed.  The final state holds the rows that finish last, closed (None
+    if none is left).
     """
     if spec.grid != state.grid:
         raise GridMismatchError("state and noise spec live on different grids")
@@ -428,16 +469,15 @@ def continue_trajectory(
         raise ValueError(f"{len(row_params)} params and {len(row_sinks)} sinks for {rows} rows")
     if len({(p.dt, p.scheme, p.nonlinear) for p in row_params}) > 1:
         raise ValueError("the rows of one batch must share dt, scheme and nonlinearity")
-    step = strang_step if row_params[0].scheme == "strang" else em_step
+    advance, step = (_advance, strang_step) if row_params[0].scheme == "strang" else (_em_advance, em_step)
     batch = _Batch(row_params, row_sinks)
     aborts: list[TrajectoryAbortError] = []
     if state.step_index == 0:
         state = batch.record(state, spec, fresh=True)
     while True:
         while state.step_index < batch.horizon:
-            try:
-                state = step(state, spec, batch.params)
-            except NonFiniteFieldError:
+            state, error = advance(state, spec, batch.params, batch.next_stop(state.step_index))
+            if error is not None:
                 kept = []
                 for i, p in enumerate(batch.row_params):
                     one = _take(state, [i])
@@ -451,7 +491,7 @@ def continue_trajectory(
                         ))
                 if not kept:
                     return None, aborts
-                c = np.concatenate([s.c for _, s in kept], axis=int(state.grid.n > 1))
+                c = np.concatenate([s.c for _, s in kept], axis=1)
                 _, first = kept[0]
                 state = State(first.t, state.grid, c, tuple(s.rngs[0] for _, s in kept), first.step_index)
                 batch = batch.keep([i for i, _ in kept])

@@ -17,11 +17,12 @@ of complex mode coefficients with a leading row axis, one row per trajectory of
 an ensemble, so its coefficients are (M, *coeff_shape) and a single field is
 M = 1.  ``sobolev_norm``/``sup_norm``/``cm_norm`` take a field and return one
 value per row.  Products with a sine matrix run on float64 planes (real, then
-imaginary part; :func:`to_planes`): (2, M, D, ..., D) at n >= 2, so each part
-is one contiguous plane, and (M, 2, D) at n = 1.  The transforms
-:func:`to_physical` and :func:`to_spectral` act on the last n axes, unchecked,
-one product per grid axis and per (row, part), never across rows, so row
-results are bit-identical to one-row results.
+imaginary part; :func:`to_planes`), laid out (2, M, D, ..., D) for every n, so
+each part is one contiguous plane.  The transforms :func:`to_physical` and
+:func:`to_spectral` act on the last n axes, unchecked, one product per grid
+axis: the last axis folds every leading axis into the rows of one matrix
+product, whose row results are bit-identical to one-row results (see
+:func:`_along`).
 """
 
 from __future__ import annotations
@@ -141,13 +142,13 @@ class SpectralField:
 
 
 def to_planes(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """The planes of complex ``coeffs`` (*rows, *grid axes): parts axis first at n >= 2, next to the grid at n = 1."""
-    return np.stack((coeffs.real, coeffs.imag), axis=0 if grid.n > 1 else -2)
+    """The planes of complex ``coeffs`` (*rows, *grid axes), the parts axis first."""
+    return np.stack((coeffs.real, coeffs.imag))
 
 
 def parts(grid: GridSpec, planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Views of the real and the imaginary part of ``planes``."""
-    return (planes[0], planes[1]) if grid.n > 1 else (planes[..., 0, :], planes[..., 1, :])
+    """Views of the real and the imaginary part of ``planes``, contiguous for contiguous planes."""
+    return planes[0], planes[1]
 
 
 def from_planes(grid: GridSpec, planes: np.ndarray) -> np.ndarray:
@@ -160,17 +161,20 @@ def from_planes(grid: GridSpec, planes: np.ndarray) -> np.ndarray:
 
 def take_rows(grid: GridSpec, planes: np.ndarray, keep) -> np.ndarray:
     """Rows ``keep`` (a slice gives a view, a list a copy) of a plane array with one row axis."""
-    return planes[:, keep] if grid.n > 1 else planes[keep]
+    return planes[:, keep]
 
 
 def _along(a: np.ndarray, ax: int, n: int, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Apply a table's (J x K) matrix along grid axis ``ax`` (of the last n) of ``a``: one product.
 
-    The last axis is ``a @ right``, zero columns kept; any other axis ``left @ a`` over the axes
-    behind it.  Each (row, part) is its own product: one across rows would make its bits depend on M."""
+    The last axis is ``a.reshape(-1, K) @ right``, zero columns kept: every leading axis (parts,
+    rows, other grid axes) folds into the rows of one matrix product, whose rows have the bits of
+    a one-row product.  Stacked products would not: numpy hands a one-row (1 x K) matrix to a
+    matrix-vector routine that rounds differently.  Any other axis is ``left @ a`` over the axes
+    behind it, one product per (part, row)."""
     left, right = table
     if ax == n - 1:
-        return a @ right
+        return (a.reshape(-1, a.shape[-1]) @ right).reshape(*a.shape[:-1], right.shape[1])
     head = a.shape[: a.ndim - n + ax]
     out = left @ a.reshape(*head, left.shape[1], -1)
     return out.reshape(*head, left.shape[0], *a.shape[len(head) + 1 :])
@@ -178,7 +182,7 @@ def _along(a: np.ndarray, ax: int, n: int, table: tuple[np.ndarray, np.ndarray])
 
 def _transform(grid: GridSpec, a: np.ndarray, kind: str) -> np.ndarray:
     table = _axis_table(grid, kind, 0)
-    a = a @ table[1]  # the last axis first: see _axis_table
+    a = _along(a, grid.n - 1, grid.n, table)  # the last axis first: see _axis_table
     for ax in range(grid.n - 1):
         a = _along(a, ax, grid.n, table)
     J = table[0].shape[0]

@@ -47,6 +47,7 @@ from cascade_lab.spectral import (
     from_planes,
     parts,
     sobolev_norm,
+    take_rows,
     to_physical,
     to_planes,
     to_spectral,
@@ -133,7 +134,7 @@ class TestOuExactStep:
         acc = 0.0
         for k in range(n):
             u = ou_exact_step(u, spec, 1.0, 8.0, ou_noise(spec, 1.0, 8.0, rng, k))
-            acc += u[0, 0, 0] ** 2 + u[0, 1, 0] ** 2
+            acc += u[0, 0, 0] ** 2 + u[1, 0, 0] ** 2
         mean = acc / n
         se = 1.0 / sqrt(n)  # |u|^2 is Exp(1): sd = mean = 1
         assert abs(mean - 1.0) <= 3 * se
@@ -238,7 +239,7 @@ class TestPhaseRotation:
                 for i in range(M):
                     one = _cos_sin(0.5 * phase[i : i + 1])
                     assert cos[i].tobytes() == one[0].tobytes() and sin[i].tobytes() == one[1].tobytes()
-                rotated = np.stack((re * cos + im * sin, im * cos - re * sin), axis=0 if grid.n > 1 else -2)
+                rotated = np.stack((re * cos + im * sin, im * cos - re * sin))
                 assert phase_rotation_step(grid, c, dt).tobytes() == to_spectral(grid, rotated).tobytes()
         with np.errstate(over="ignore", invalid="ignore"):
             bad = np.array([np.inf, -np.inf, np.nan, 0.37 * np.square(np.float64(1e160))])
@@ -490,6 +491,21 @@ class TestForcedModeDraws:
         assert second.u.coeffs.tobytes() == first.u.coeffs.tobytes()
 
 
+    def test_rows_that_stay_when_others_leave_draw_no_block_again(self, monkeypatch):
+        # Two entries on the same two streams, the first leaving inside block 1: the staying row
+        # takes its row of that block, so each stream draws each block it reaches once.
+        K = ou_block_steps(BAND.forced.size)
+        short = SimParams(nu=0.5, dt=1e-3, T=(K + 3) * 1e-3, seed=9)
+        long = replace(short, nu=0.25, T=(2 * K + 5) * 1e-3)
+        assert (short.n_steps, long.n_steps) == (K + 3, 2 * K + 5)
+        u0 = SpectralField(GRID, rows(*(random_field(GRID, 100 + i, 0.2) for i in range(3))))
+        start = State.of(u0, (RngStream(9, 0), RngStream(9, 1), RngStream(9, 0)))
+        calls = self.count_normals(monkeypatch)
+        final, aborts = continue_trajectory(start, BAND, (short, short, long))
+        assert aborts == [] and final.step_index == 2 * K + 5
+        assert sorted(calls) == sorted([(0, SUB_OU)] * 2 + [(1, SUB_OU)] * 2 + [(2, SUB_OU)])
+
+
 class TestForcedModeAdd:
     """The OU update adds its noise through one flat index of the forced modes.
 
@@ -687,8 +703,73 @@ class TestRunTrajectory:
             single = run(fields[sid], BAND, replace(p, stream_id=sid), capture(one))
             assert one == {key: batch[key] for key in batch if key[0] == sid}
             if p is long:
-                assert single.c.tobytes() == final.c[sid - 1 : sid].tobytes()
+                assert single.c.tobytes() == take_rows(GRID, final.c, slice(sid - 1, sid)).tobytes()
                 assert single.u.coeffs.tobytes() == final.u.coeffs[sid - 1 : sid].tobytes()
+
+    @pytest.mark.parametrize("nonlinear", [False, True], ids=["linear", "nonlinear"])
+    def test_record_cadence_across_draw_blocks_leaves_the_bits_alone(self, nonlinear):
+        # Runs of 2K + 5 steps cross two draw blocks inside the driver's loop: with record cadences
+        # around K, each ends on the bits of strang_step called one step at a time.
+        K = ou_block_steps(BAND.forced.size)
+        n = 2 * K + 5
+        base = SimParams(nu=0.5, dt=0.02, T=n * 0.02, seed=23, nonlinear=nonlinear)
+        assert base.n_steps == n
+        u0 = SpectralField(GRID, rows(*(random_field(GRID, 110 + i, 0.3) for i in range(2))))
+        state = initial_state(u0, base)
+        for _ in range(n):
+            state = strang_step(state, BAND, base)
+        expected = _closed(state, BAND, base)
+        for every in (1, 7, K - 1, K, K + 1):
+            seen = {}
+            final = run(u0, BAND, replace(base, record_every=every), capture(seen))
+            assert sorted({k for _, k in seen}) == sorted({0, n, *range(every, n, every)})
+            assert final.c.tobytes() == expected.c.tobytes()
+            assert final.u.coeffs.tobytes() == expected.u.coeffs.tobytes()
+
+    def test_entries_across_draw_blocks_equal_their_one_row_runs(self):
+        # Rows with their own viscosities step on per-row tables across block boundaries; the
+        # entry that leaves inside block 1 and the one that goes on are bit for bit one-row runs.
+        K = ou_block_steps(BAND.forced.size)
+        short = SimParams(nu=0.5, dt=0.02, T=(K + 3) * 0.02, record_every=K - 1, seed=21)
+        long = SimParams(nu=0.25, dt=0.02, T=(2 * K + 5) * 0.02, record_every=K - 1, seed=21)
+        fields = [random_field(GRID, 120 + i, 0.3) for i in range(3)]
+        batch = {}
+        start = State.of(SpectralField(GRID, rows(*fields)), tuple(RngStream(21, i) for i in range(3)))
+        final, aborts = continue_trajectory(start, BAND, (short, short, long), capture(batch))
+        assert aborts == [] and final.step_index == 2 * K + 5 and [r.stream_id for r in final.rngs] == [2]
+        for sid, p in ((0, short), (1, short), (2, long)):
+            one = {}
+            single = run(fields[sid], BAND, replace(p, stream_id=sid), capture(one))
+            assert one == {key: batch[key] for key in batch if key[0] == sid}
+        assert single.c.tobytes() == final.c.tobytes()
+        assert single.u.coeffs.tobytes() == final.u.coeffs.tobytes()
+
+    @pytest.mark.parametrize("cache", ["cold", "warm"])
+    def test_abort_at_the_first_slot_of_a_block(self, monkeypatch, cache):
+        # Row 1 overflows in step K, the first slot of block 1, whose noise merges block 0's last
+        # closing half (drawn again from a cold cache, taken from a warm one): the abort carries
+        # stream 11, step K and t = K dt, and the other rows end on their one-row runs' bits.
+        K = ou_block_steps(BAND.forced.size)
+        params = SimParams(nu=0.5, dt=0.01, T=(K + 4) * 0.01, seed=4)
+        c = rows(*(random_field(GRID, 80 + i, 0.3) for i in range(3)))
+        c[1, 0] = 1e160
+        rngs = tuple(RngStream(params.seed, 10 + i) for i in range(3))
+        if cache == "cold":
+            monkeypatch.setattr(forcing, "_ou_block", None)
+        else:
+            _, sd, scale = _ou_tables(BAND, params.nu, params.dt / 2)
+            ou_convolutions(rngs, K - 1, sd, scale)  # block 0 of these streams
+        final, (abort,) = continue_trajectory(State.of(SpectralField(GRID, c), rngs, K * 0.01, K), BAND, params)
+        last = abort.last_state
+        assert (last.rngs[0].stream_id, last.step_index, last.t) == (11, K, K * 0.01)
+        row_1 = State.of(SpectralField(GRID, c[1:2]), rngs[1:2], K * 0.01, K)
+        assert last.u.coeffs.tobytes() == _closed(row_1, BAND, params).u.coeffs.tobytes()
+        assert f"step {K + 1}" in str(abort)
+        assert final.step_index == K + 4 and [r.stream_id for r in final.rngs] == [10, 12]
+        for i, row in ((0, 0), (2, 1)):
+            monkeypatch.setattr(forcing, "_ou_block", None)
+            one, none = continue_trajectory(State.of(SpectralField(GRID, c[i : i + 1]), rngs[i : i + 1], K * 0.01, K), BAND, params)
+            assert none == [] and one.u.coeffs.tobytes() == final.u.coeffs[row : row + 1].tobytes()
 
     def test_a_batch_rejects_rows_with_different_dt(self):
         a = SimParams(nu=0.5, dt=0.02, T=0.1)
@@ -794,7 +875,7 @@ class TestCheckpoints:
         assert back.step_index == state.step_index
         (rng,) = back.rngs
         assert rng.base_seed == 3 and rng.stream_id == 2
-        assert back.c.shape == (1, 2, *GRID.coeff_shape) and back.u is None  # the open state at step 10
+        assert back.c.shape == (2, 1, *GRID.coeff_shape) and back.u is None  # the open state at step 10
         assert np.array_equal(back.c, state.c)
 
     def test_rejects_a_state_of_several_rows(self):

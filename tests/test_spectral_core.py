@@ -230,7 +230,7 @@ class TestTransformHelpers:
         assert_close_to(to_spectral(grid, values), dstn_to_spectral(grid, values))
 
     @pytest.mark.parametrize("grid", TRANSFORM_GRIDS, ids=str)
-    @pytest.mark.parametrize("M", [1, 3, 5, 17])
+    @pytest.mark.parametrize("M", [1, 2, 3, 5, 16, 17])
     def test_rows_equal_single_rows(self, grid, M):
         # On planes, the program's layout: row i of a block is the transform of row i alone.
         rng = np.random.default_rng(grid.n * 100 + grid.N + M)
