@@ -263,11 +263,11 @@ _ou_block: _Block | None = None
 
 
 def _block(rngs, index: int, s: int) -> _Block:
-    """Block ``index`` of the rows ``rngs``: the cached block if drawn for these rows, its rows if every
-    row is one of its streams (as when rows leave a batch), drawn otherwise, with slot 0 taken from
-    the cached block when that is the one before, else drawn from it."""
+    """Block ``index`` of the rows ``rngs`` for s forced modes: the cached block if drawn for these
+    rows, its rows if every row is one of its streams (as when rows leave a batch), drawn otherwise,
+    with slot 0 taken from the cached block when that is the one before, else drawn from it."""
     global _ou_block
-    cached = _ou_block
+    cached = _ou_block if _ou_block is not None and _ou_block.normals.shape[-1] == s else None
     if cached is not None and cached.index == index and cached.rngs is rngs:
         return cached
     rows = None  # each row's row in the cached block, if every row has one

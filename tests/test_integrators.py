@@ -505,6 +505,20 @@ class TestForcedModeDraws:
         assert aborts == [] and final.step_index == 2 * K + 5
         assert sorted(calls) == sorted([(0, SUB_OU)] * 2 + [(1, SUB_OU)] * 2 + [(2, SUB_OU)])
 
+    def test_the_same_streams_under_another_spec_draw_its_blocks(self, monkeypatch):
+        # A cached block holds 4s normals a step: the same streams forced on another number of
+        # modes draw blocks of their own, and step as they do from a cold cache.
+        wide = NoiseSpec.band(GRID, [1.0, 1.0, 1.0, 1.0, 1.0])
+        assert wide.forced.size != BAND.forced.size
+        params = SimParams(nu=0.5, dt=1e-3, T=3e-3, seed=9)
+        start = State.of(SpectralField(GRID, rows(*(random_field(GRID, 90 + i, 0.2) for i in range(2)))),
+                         (RngStream(9, 0), RngStream(9, 1)))
+        continue_trajectory(start, BAND, params)  # leaves block 0 of these streams cached, 4s normals a step
+        warm, _ = continue_trajectory(start, wide, params)
+        monkeypatch.setattr(forcing, "_ou_block", None)
+        cold, _ = continue_trajectory(start, wide, params)
+        assert warm.u.coeffs.tobytes() == cold.u.coeffs.tobytes()
+
 
 class TestForcedModeAdd:
     """The OU update adds its noise through one flat index of the forced modes.
