@@ -20,7 +20,7 @@ so only they are drawn.  A Strang step takes 4s normals for s forced modes,
 re_0 | im_0 | re_1 | im_1 in C order: its two half-steps' convolutions, each a
 row's real and imaginary parts.  K = max(1, OU_BLOCK_NORMALS // 4s) consecutive
 steps share the address (step_index // K, SUB_OU), and step k takes slice
-k mod K.  One block is cached, keyed by its rows' streams, with its scaled
+k mod K.  One block is cached, keyed by its rows' streams and s, with its scaled
 halves (``ou_convolutions``) and the merged noise of each of its steps' one
 OU update (``ou_step_noise``), each made once.  An Euler-Maruyama increment
 draws 2s normals (re | im) at (step_index, SUB_INCREMENT), and random initial
