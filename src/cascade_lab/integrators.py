@@ -8,27 +8,30 @@ OU(dt/2) o phase(dt) o OU(dt/2); an explicit Euler-Maruyama step over the full
 drift serves as an independent oracle.
 
 There is one state type, :class:`State`: rows of coefficient planes
-(``spectral.to_planes``, (2, M, *grid) for every n) with one stream per row.  A
-Strang step is one kernel on the planes: one OU update, the rotation (a
-sine-matrix pair around a cosine and a sine from one tangent), and a flush of
-subnormal parts.  Adjacent OU halves merge: the running state is open, its last
-closing OU(dt/2) pending, and the next step applies it with its own opening half
-as one OU(dt) (without the rotation, a step's own halves are one OU(dt)); the
-merged noise of a block's steps is built once per draw block
-(``forcing.ou_step_noise``).  The driver runs the kernel in one loop from one
-record step to the next, the step's new array its one finiteness check, and
-:func:`strang_step` is that loop run for one step.  Only an observed state gets
+(``spectral.to_planes``, (2, M, *grid) for every n) with one stream per row, and
+the draws of the block its last step came from.  A Strang step is one kernel on
+the planes: one OU update, the rotation (a sine-matrix pair around a cosine and
+a sine from one tangent), and a flush of subnormal parts.  Adjacent OU halves
+merge: the running state is open, its last closing OU(dt/2) pending, and the
+next step applies it with its own opening half as one OU(dt) (without the
+rotation, a step's own halves are one OU(dt)).  :func:`_merged_noise` builds the
+noise of each step's one OU update for a stack of steps: once per draw block in
+the driver, once per path in the coupled-path harness.  The step loop
+(:func:`_steps`) takes that noise as input, the step's new array its one
+finiteness check; the driver feeds it from one record step to the next, and
+:func:`strang_step` is the driver run for one step.  Only an observed state gets
 a closed copy, so a row's bits do not depend on when it is recorded.  Row i is
 bit for bit the one-row run on its stream, also when rows carry their own
 viscosities and horizons.
 
 Only the s forced modes (b_d > 0) are driven, from draws addressed by
-(step_index // K, SUB_OU) (``forcing.ou_convolutions``), never consumed
+(step_index // K, SUB_OU) (``forcing.ou_normals``), never consumed
 sequentially: a trajectory is a pure function of (seed, stream_id) and resumes
-from a checkpoint at any step bit-exactly.  Schema 8 marks the planes and the
-merged halves, which round differently from two halves and a complex product.
-A fast chain at (nu, dt) performs, number for number, the updates of a
-unit-viscosity chain at dtau = nu*dt with the phase angle rescaled by 1/nu.
+from a checkpoint at any step bit-exactly.  A state without draws (a fresh
+start, a checkpoint) draws only the blocks it reads.  Schema 8 marks the planes
+and the merged halves, which round differently from two halves and a complex
+product.  A fast chain at (nu, dt) performs, number for number, the updates of
+a unit-viscosity chain at dtau = nu*dt with the phase angle rescaled by 1/nu.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import groupby
 from math import ceil, sqrt
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,7 +55,7 @@ from .forcing import (
     forced_increments,
     ou_block_steps,
     ou_convolutions,
-    ou_step_noise,
+    ou_normals,
 )
 from . import spectral
 from .spectral import (
@@ -125,13 +128,23 @@ class SimParams:
         return nearest if abs(ratio - nearest) <= 1e-9 * ratio else ceil(ratio)
 
 
+class Draws(NamedTuple):
+    """Draw block ``index`` of a state's rows: each step's OU-update noise and scaled closing half, (K, M, 2, s)."""
+
+    index: int
+    steps: np.ndarray
+    closing: np.ndarray
+
+
 @dataclass
 class State:
     """M trajectories at a common step, one stream per row; a single trajectory is one row.
 
     ``c`` holds the coefficient planes: the start data at step 0, later, in a nonlinear Strang run,
     the open state, whose last closing OU(dt/2) is pending.  ``u`` is the closed field, set at step
-    0 and where the driver hands the state on (sinks, aborts, the final state).
+    0 and where the driver hands the state on (sinks, aborts, the final state).  ``draws`` are those
+    of the block the last Strang step came from, made with the params it stepped with, as its open
+    planes are; None for a fresh start, a checkpoint and an Euler-Maruyama state.
     """
 
     t: float
@@ -140,6 +153,7 @@ class State:
     rngs: tuple[RngStream, ...]
     step_index: int
     u: SpectralField | None = None
+    draws: Draws | None = None
 
     @classmethod
     def of(cls, u: SpectralField, rngs: tuple[RngStream, ...], t: float = 0.0, step_index: int = 0) -> "State":
@@ -203,14 +217,16 @@ def ou_exact_step(
 
     u_d <- exp(-nu |d|^2 dt) u_d + sqrt(nu) b_d gamma_d, gamma_d the stochastic convolution with
     per-component variance (1 - exp(-2 nu |d|^2 dt)) / (2 nu |d|^2): exact in distribution for any
-    dt.  The result is a new array, unchecked.  ``noise`` is (M, 2, s), each row's real, then
-    imaginary parts over the s forced modes; every other mode is exactly u_d * decay.
+    dt.  The result is a new array, unchecked.  ``noise`` is (M, 2, s), each of the M plane rows'
+    real, then imaginary parts over the s forced modes; every other mode is exactly u_d * decay.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     decay = _ou_tables(spec, nu, dt)[0]
     if c.shape[2:] != spec.grid.coeff_shape:
         raise GridMismatchError(f"planes {c.shape} are not rows of the noise grid {spec.grid.coeff_shape}")
+    if noise.shape != (c.shape[1], 2, spec.forced.size):
+        raise ValueError(f"noise {noise.shape} is not (rows, 2, s) = {(c.shape[1], 2, spec.forced.size)}")
     new = np.ascontiguousarray(c * decay)  # so that its reshape is a view
     new.reshape(-1)[_forced_index(spec, len(noise))] += noise.reshape(-1)  # one 1-D index: cheaper than slices
     return new
@@ -244,11 +260,11 @@ def phase_rotation_step(grid: GridSpec, c: np.ndarray, dt: float) -> np.ndarray:
         return c
     with np.errstate(over="ignore", invalid="ignore"):
         v = to_physical(grid, c)
-        half = np.add(*parts(grid, np.square(v)))
+        half = np.add(*parts(np.square(v)))
         half *= 0.5 * dt
         cos, sin = _cos_sin(half)
         # (re + i im)(cos - i sin) = (re cos + im sin) + i (im cos - re sin), plane by plane
-        re, im = parts(grid, v)
+        re, im = parts(v)
         re_sin = re * sin
         re *= cos
         sin *= im
@@ -267,10 +283,23 @@ def _flush(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def _merged_noise(spec: NoiseSpec, nu, dt: float, pending: np.ndarray, noise0: np.ndarray) -> np.ndarray:
-    """Noise of one OU(dt) for OU(dt/2) with ``pending`` then OU(dt/2) with ``noise0``: pending decay(dt/2) + noise0."""
-    noise = pending * _forced_decay(spec, nu, dt / 2.0)
-    noise += noise0
+def _merged_noise(spec: NoiseSpec, nu, dt: float, nonlinear: bool, n0, n1, pending=None) -> np.ndarray:
+    """The noise of each step's one OU update, (steps, M, 2, s), from the steps' scaled halves n0, n1 (alike).
+
+    A nonlinear step merges the closing half before it into its opening one: step j's update is
+    n1[j - 1] decay + n0[j], step 0's ``pending`` decay + n0[0], or n0[0] alone, an OU(dt/2), when
+    nothing is pending.  A linear step's own halves are one OU(dt): n0 decay + n1.  ``decay`` is
+    the forced modes' OU(dt/2) decay; each step's noise is contiguous.
+    """
+    decay = _forced_decay(spec, nu, dt / 2.0)
+    noise = np.empty(n0.shape)
+    if nonlinear:
+        np.multiply(n1[:-1], decay, out=noise[1:])
+        noise[0] = -0.0 if pending is None else pending * decay  # -0.0 + x is x for every x
+        noise += n0
+    else:
+        np.multiply(n0, decay, out=noise)
+        noise += n1
     return noise
 
 
@@ -282,29 +311,60 @@ def _strang(c: np.ndarray, spec: NoiseSpec, nu, dt: float, nonlinear: bool, nois
     return _flush(c)
 
 
+def _steps(c: np.ndarray, spec: NoiseSpec, nu, dt: float, nonlinear: bool, noise: np.ndarray, first=False):
+    """Strang steps on planes ``c``, one per step of ``noise`` (:func:`_merged_noise`): (the planes
+    reached, the steps taken, None), or, when a step turns non-finite, (the last good planes, the
+    steps taken before it, its error).  ``first`` makes the first step a run's step 0, OU(dt/2)."""
+    for j, step_noise in enumerate(noise):
+        new = _strang(c, spec, nu, dt, nonlinear, step_noise, first=first and not j)
+        try:
+            spectral._check_finite(new, "spectral field")
+        except NonFiniteFieldError as exc:
+            return c, j, exc
+        c = new
+    return c, len(noise), None
+
+
+def _pending(rngs, draws: Draws | None, spec: NoiseSpec, params: SimParams, k: int) -> np.ndarray:
+    """Step k - 1's scaled closing half, (M, 2, s): from ``draws`` if they are its block's, else drawn."""
+    index, slot = divmod(k - 1, ou_block_steps(spec.forced.size))
+    if draws is not None and draws.index == index:
+        return draws.closing[slot]
+    _, sd, scale = _ou_tables(spec, params.nu, params.dt / 2.0)
+    return ou_convolutions(rngs, k - 1, sd, scale)[1]
+
+
+def _block_draws(rngs, spec: NoiseSpec, params: SimParams, index: int, pending) -> Draws:
+    """Draw block ``index`` of the rows ``rngs``: its normals scaled once, and each step's merged noise."""
+    _, sd, scale = _ou_tables(spec, params.nu, params.dt / 2.0)
+    z = np.moveaxis(ou_normals(rngs, index, sd.shape[-1]), 0, 2) * sd[..., None, :]  # (K, 2, M, 2, s)
+    z *= scale[..., None, :]
+    return Draws(index, _merged_noise(spec, params.nu, params.dt, params.nonlinear, z[:, 0], z[:, 1], pending), z[:, 1])
+
+
 def _advance(state: State, spec: NoiseSpec, params: SimParams, stop: int) -> tuple[State, NonFiniteFieldError | None]:
     """Strang steps from ``state`` up to step ``stop``: (the state reached, None), or, when a step
     turns non-finite, (the last good state, its error).
 
-    The OU tables are resolved once per call and each block's step noise (``forcing.ou_step_noise``)
-    once per block; a step is :func:`_strang` on its slot and the one finiteness check.
+    Each block's draws come from the state when it holds them, else are made once
+    (:func:`_block_draws`), its first step merging the closing half of the block before when it steps
+    from there; the step loop (:func:`_steps`) runs on the block's noise.
     """
     k, nu, dt, nonlinear = state.step_index, params.nu, params.dt, params.nonlinear
-    _, sd, scale = _ou_tables(spec, nu, dt / 2.0)
-    decay = _forced_decay(spec, nu, dt / 2.0)
-    K = ou_block_steps(sd.shape[-1])
-    c, noise = state.c, None
+    K = ou_block_steps(spec.forced.size)
+    c, draws = state.c, state.draws
     while k < stop:
-        slot = k % K
-        if noise is None or not slot:
-            noise = ou_step_noise(state.rngs, k, sd, scale, decay, nonlinear)
-        new = _strang(c, spec, nu, dt, nonlinear, noise[slot], first=nonlinear and not k)
-        try:
-            spectral._check_finite(new, "spectral field")
-        except NonFiniteFieldError as exc:
-            return (state if k == state.step_index else State(k * dt, state.grid, c, state.rngs, k)), exc
-        c, k = new, k + 1
-    return State(k * dt, state.grid, c, state.rngs, k), None
+        index, slot = divmod(k, K)
+        block = draws
+        if block is None or block.index != index:
+            pending = _pending(state.rngs, draws, spec, params, k) if nonlinear and k and not slot else None
+            block = _block_draws(state.rngs, spec, params, index, pending)
+        c, taken, error = _steps(c, spec, nu, dt, nonlinear, block.steps[slot : slot + stop - k], nonlinear and not k)
+        if taken:
+            k, draws = k + taken, block
+        if error is not None:
+            return (state if k == state.step_index else State(k * dt, state.grid, c, state.rngs, k, None, draws)), error
+    return State(k * dt, state.grid, c, state.rngs, k, None, draws), None
 
 
 def strang_step(state: State, spec: NoiseSpec, params: SimParams) -> State:
@@ -313,7 +373,8 @@ def strang_step(state: State, spec: NoiseSpec, params: SimParams) -> State:
     Step k's halves take slot k mod K of each row's block at (k // K, SUB_OU); its opening half
     merges with step k - 1's closing one, and step 0 opens with OU(dt/2).  Without the rotation the
     step's own halves are one OU(dt).  The new array is the step's one finiteness check.  This is
-    the driver's loop (:func:`_advance`) run for one step.
+    the driver's loop (:func:`_advance`) run for one step; the new state holds its block's draws,
+    so a loop of calls draws each block once.
     """
     state, error = _advance(state, spec, params, state.step_index + 1)
     if error is not None:
@@ -337,11 +398,10 @@ def _closed(state: State, spec: NoiseSpec, params: SimParams) -> State:
         return state
     c = state.c
     if state.step_index and params.scheme == "strang" and params.nonlinear:
-        _, sd, scale = _ou_tables(spec, params.nu, params.dt / 2.0)
-        pending = ou_convolutions(state.rngs, state.step_index - 1, sd, scale)[1]
+        pending = _pending(state.rngs, state.draws, spec, params, state.step_index)
         c = _flush(ou_exact_step(c, spec, params.nu, params.dt / 2.0, pending))
-    u = SpectralField(state.grid, from_planes(state.grid, c), c)
-    return State(state.t, state.grid, state.c, state.rngs, state.step_index, u)
+    u = SpectralField(state.grid, from_planes(c), c)
+    return State(state.t, state.grid, state.c, state.rngs, state.step_index, u, state.draws)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite step raises through the new field, unwarned
@@ -358,9 +418,9 @@ def _euler_maruyama(
     drift = -nu * mode_abs_sq(grid) * u.coeffs
     if nonlinear:
         v = to_physical(grid, u.planes)
-        re, im = parts(grid, v)
+        re, im = parts(v)
         v *= re**2 + im**2
-        drift = drift - 1j * from_planes(grid, to_spectral(grid, v))
+        drift = drift - 1j * from_planes(to_spectral(grid, v))
     return SpectralField(grid, u.coeffs + dt * drift + np.sqrt(nu) * increment)
 
 
@@ -378,7 +438,7 @@ def em_step(state: State, spec: NoiseSpec, params: SimParams) -> State:
     if stiffness >= 1.0:
         message = f"em stability guard violated: nu*|d_max|^2*dt = {stiffness:.3g} >= 1"
         warnings.warn(message, RuntimeWarning, stacklevel=2)
-    u = state.u if state.u is not None else SpectralField(grid, from_planes(grid, state.c))
+    u = state.u if state.u is not None else SpectralField(grid, from_planes(state.c))
     increment = forced_increments(spec, params.dt, state.rngs, state.step_index)
     u = _euler_maruyama(u, params.nu, params.dt, params.nonlinear, increment)
     k = state.step_index + 1
@@ -396,12 +456,14 @@ def initial_state(u0: SpectralField, params: SimParams) -> State:
 
 
 def _take(state: State, keep: list[int] | slice) -> State:
-    """Rows ``keep`` of ``state``, in that order; a slice keeps views of the planes and the field."""
+    """Rows ``keep`` of ``state``, in that order, with their draws; a slice keeps views."""
     rngs = state.rngs[keep] if isinstance(keep, slice) else tuple(state.rngs[i] for i in keep)
-    u = state.u
+    u, draws = state.u, state.draws
     if u is not None:
-        u = SpectralField(state.grid, u.coeffs[keep], take_rows(state.grid, u.planes, keep))
-    return State(state.t, state.grid, take_rows(state.grid, state.c, keep), rngs, state.step_index, u)
+        u = SpectralField(state.grid, u.coeffs[keep], take_rows(u.planes, keep))
+    if draws is not None:
+        draws = Draws(draws.index, take_rows(draws.steps, keep), take_rows(draws.closing, keep))
+    return State(state.t, state.grid, take_rows(state.c, keep), rngs, state.step_index, u, draws)
 
 
 class _Batch:
@@ -577,7 +639,7 @@ def checkpoint_to_bytes(state: State) -> bytes:
         },
         sort_keys=True,
     ).encode()
-    u = SpectralField(state.grid, from_planes(state.grid, state.c), state.c)
+    u = SpectralField(state.grid, from_planes(state.c), state.c)
     return CHECKPOINT_MAGIC + struct.pack("<I", len(meta)) + meta + field_to_bytes(u)
 
 

@@ -20,7 +20,9 @@ from .forcing import SUB_OU, NoiseSpec, RngStream, ou_block_steps
 from .integrators import (
     SimParams,
     State,
+    _closed,
     _cos_sin,
+    _flush,
     _merged_noise,
     _ou_tables,
     _strang,
@@ -68,22 +70,22 @@ def run_selftest() -> bool:
 
     same = True
     for grid in (GridSpec(1, 64, 32), GridSpec(2, 32, 16), GridSpec(3, 10, 5)):
-        rows = to_planes(grid, np.concatenate([_random_field(grid, 30 + i).coeffs for i in range(3)]))
+        rows = to_planes(np.concatenate([_random_field(grid, 30 + i).coeffs for i in range(3)]))
         lattice = to_physical(grid, rows)
         modes = to_spectral(grid, lattice)
         for i in range(3):
             row = slice(i, i + 1)
             for out, transform, arg in ((lattice, to_physical, rows), (modes, to_spectral, lattice)):
-                one = transform(grid, take_rows(grid, arg, row))
-                same = same and take_rows(grid, out, row).tobytes() == one.tobytes()
+                one = transform(grid, take_rows(arg, row))
+                same = same and take_rows(out, row).tobytes() == one.tobytes()
     check("sine-matrix transforms: 3 rows of planes equal 3 one-row planes (n = 1, 2, 3)", same)
 
     grid = GridSpec(2, 12, 6)  # direct sums of u_d phi_d(x_j), phi_d(x) = (2/pi)^(n/2) prod_j sin(d_j x_j)
     u = _random_field(grid, 17)
     d, x = (np.array(list(product(axis, repeat=grid.n))) for axis in (range(1, grid.D + 1), grid.points))
     basis = (2.0 / np.pi) ** (grid.n / 2.0) * np.prod(np.sin(x[:, None] * d[None]), axis=-1)  # one row per point
-    lattice = from_planes(grid, to_physical(grid, u.planes)).ravel()
-    modes = from_planes(grid, to_spectral(grid, to_planes(grid, lattice.reshape(1, *grid.values_shape)))).ravel()
+    lattice = from_planes(to_physical(grid, u.planes)).ravel()
+    modes = from_planes(to_spectral(grid, to_planes(lattice.reshape(1, *grid.values_shape)))).ravel()
     pairs = ((lattice, basis @ u.coeffs.ravel()), (modes, grid.quadrature_weight * (basis.T @ lattice)))
     err = max(float(np.abs(a - b).max() / np.abs(b).max()) for a, b in pairs)
     check(f"sine-matrix transforms equal direct sums of phi_d (n=2, rel err {err:.1e})", err <= 1e-13)
@@ -127,9 +129,9 @@ def run_selftest() -> bool:
 
     band = NoiseSpec.band(grid, [1.0, 1.0, 1.0])
     x = _random_field(grid, 14).planes
-    n1, n0 = np.random.default_rng(15).normal(size=(2, 1, 2, band.forced.size))
-    halves = ou_exact_step(ou_exact_step(x, band, 0.3, 0.005, n1), band, 0.3, 0.005, n0)
-    merged = ou_exact_step(x, band, 0.3, 0.01, _merged_noise(band, 0.3, 0.01, n1, n0))
+    n0, n1 = np.random.default_rng(15).normal(size=(2, 1, 1, 2, band.forced.size))  # one step's halves
+    halves = ou_exact_step(ou_exact_step(x, band, 0.3, 0.005, n0[0]), band, 0.3, 0.005, n1[0])
+    merged = ou_exact_step(x, band, 0.3, 0.01, _merged_noise(band, 0.3, 0.01, False, n0, n1)[0])
     rel = float(np.abs(merged - halves).max() / np.abs(halves).max())
     check(f"one merged OU(dt) equals two OU(dt/2) halves (rel err {rel:.1e})", rel <= 1e-15)
 
@@ -158,13 +160,26 @@ def run_selftest() -> bool:
         z = Generator(Philox(counter=[0, 0, SUB_OU, step // K], key=[2**64 - 1, 2**63])).standard_normal(4 * s * K)
         return scale * (z[4 * s * (step % K) : 4 * s * (step % K + 1)].reshape(2, 1, 2, s) * sd)  # re0|im0|re1|im1
 
+    def expected(first, last):  # steps first..last from u on fresh halves, closing half of step last pending
+        halves = np.stack([fresh(k) for k in range(first - 1, last + 1)])  # (steps + 1, 2, 1, 2, s)
+        noise = _merged_noise(spec2, params.nu, params.dt, True, halves[1:, 0], halves[1:, 1], halves[0, 1])
+        c = u.planes
+        for step_noise in noise:
+            c = _strang(c, spec2, params.nu, params.dt, True, step_noise)
+        return c, halves[-1, 1]
+
     same = True
     for step in (2**40, 2**40 + 1):  # the first slot of a block, merged with the last slot of the one before
         stepped = strang_step(State.of(u, (stream,), 0.0, step), spec2, params).c
-        noise = _merged_noise(spec2, params.nu, params.dt, fresh(step - 1)[1], fresh(step)[0])
-        expected = _strang(u.planes, spec2, params.nu, params.dt, True, noise)
-        same = same and stepped.tobytes() == expected.tobytes()
-    check(f"Strang draws equal freshly built Philox blocks over the forced modes (K = {K})", same)
+        same = same and stepped.tobytes() == expected(step, step)[0].tobytes()
+    state = State.of(u, (stream,), 0.0, 2**40 - 1)  # step 2**40 takes its slot-0 closing half from the held block
+    for _ in range(2):
+        state = strang_step(state, spec2, params)
+    c, pending = expected(2**40 - 1, 2**40)
+    closed = _flush(ou_exact_step(c, spec2, params.nu, params.dt / 2, pending))
+    same = same and state.c.tobytes() == c.tobytes()
+    same = same and _closed(state, spec2, params).u.planes.tobytes() == closed.tobytes()
+    check(f"Strang draws equal freshly built Philox blocks over the forced modes, cold and held (K = {K})", same)
 
     fit = fit_exponent([(0.4, 0.4**-2), (0.2, 0.2**-2), (0.1, 0.1**-2)])
     check("exponent fit oracle (alpha = 2)", abs(fit.alpha - 2.0) <= 1e-12 and fit.r2 >= 1 - 1e-12)

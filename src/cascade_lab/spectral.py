@@ -136,31 +136,31 @@ class SpectralField:
         _check_finite(c, "spectral field")
         object.__setattr__(self, "coeffs", c)
         if self.planes is None:
-            planes = to_planes(self.grid, c)
+            planes = to_planes(c)
             planes.flags.writeable = False
             object.__setattr__(self, "planes", planes)
 
 
-def to_planes(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+def to_planes(coeffs: np.ndarray) -> np.ndarray:
     """The planes of complex ``coeffs`` (*rows, *grid axes), the parts axis first."""
     return np.stack((coeffs.real, coeffs.imag))
 
 
-def parts(grid: GridSpec, planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def parts(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Views of the real and the imaginary part of ``planes``, contiguous for contiguous planes."""
     return planes[0], planes[1]
 
 
-def from_planes(grid: GridSpec, planes: np.ndarray) -> np.ndarray:
+def from_planes(planes: np.ndarray) -> np.ndarray:
     """The complex array of ``planes``: the inverse of :func:`to_planes`."""
-    re, im = parts(grid, planes)
+    re, im = parts(planes)
     out = np.empty(re.shape, dtype=np.complex128)
     out.real, out.imag = re, im
     return out
 
 
-def take_rows(grid: GridSpec, planes: np.ndarray, keep) -> np.ndarray:
-    """Rows ``keep`` (a slice gives a view, a list a copy) of a plane array with one row axis."""
+def take_rows(planes: np.ndarray, keep) -> np.ndarray:
+    """Rows ``keep`` (a slice gives a view, a list a copy) of an array whose second axis is its rows, as planes."""
     return planes[:, keep]
 
 
@@ -225,9 +225,9 @@ def sobolev_norm(u: SpectralField, m: float | tuple[float, ...]) -> np.ndarray:
     return np.sqrt(np.stack(sums)) if isinstance(m, tuple) else np.sqrt(sums[0])
 
 
-def _max_modulus_sq(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+def _max_modulus_sq(values: np.ndarray) -> np.ndarray:
     """Each row's max of |v|^2 over lattice planes ``values``; NaN for a row that holds a NaN."""
-    sq = np.add(*parts(grid, np.square(values)))
+    sq = np.add(*parts(np.square(values)))
     return sq.reshape(len(sq), -1).max(axis=1)
 
 
@@ -239,7 +239,7 @@ def _sup(max_sq: np.ndarray) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def sup_norm(u: SpectralField) -> np.ndarray:
     """Max of |u| over the collocation lattice (a lower approximation of the true sup), one value per row."""
-    return _sup(_max_modulus_sq(u.grid, to_physical(u.grid, u.planes)))
+    return _sup(_max_modulus_sq(to_physical(u.grid, u.planes)))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -263,7 +263,7 @@ def cm_norm(u: SpectralField, m: int | tuple[int, ...]) -> np.ndarray:
     def visit(vals: np.ndarray, i: int, used: int) -> None:
         # axes[:i] are done with |beta| = used over them; fold each leaf's max into the orders >= |beta|
         if i == n:
-            max_sq = _max_modulus_sq(grid, vals[..., : grid.N])
+            max_sq = _max_modulus_sq(vals[..., : grid.N])
             for j, k in enumerate(orders):
                 if used <= k:
                     best[j] = np.maximum(best[j], max_sq)

@@ -24,8 +24,8 @@ from math import pi, sqrt
 import numpy as np
 
 from cascade_lab.forcing import SUB_PATH, NoiseSpec, RngStream
-from cascade_lab.integrators import _euler_maruyama, _flush, _merged_noise, _ou_tables, _strang, ou_exact_step
-from cascade_lab.spectral import GridMismatchError, SpectralField, from_planes, mode_abs_sq, to_planes
+from cascade_lab.integrators import _euler_maruyama, _flush, _merged_noise, _ou_tables, _steps, ou_exact_step
+from cascade_lab.spectral import GridMismatchError, SpectralField, from_planes, mode_abs_sq
 
 
 def basis_eval(d, x) -> float:
@@ -133,26 +133,23 @@ def run_strang_on_path(
 ) -> SpectralField:
     """Strang chain at step dt driven by the coupled path (dt/2 a multiple of dt_fine).
 
-    As in the driver, each step's closing half merges with the next step's opening one, and
-    the last step's closing half closes the chain; without the rotation a step's halves merge.
+    The driver's step loop on the path's halves, merged as the driver merges a draw block's: each
+    step's closing half merges with the next step's opening one, and the last step's closing half
+    closes the chain; without the rotation a step's halves merge.
     """
     r = _fine_steps(path, dt, 2)
     lam = path.nu * mode_abs_sq(u0.grid)
     fine_decay = np.exp(-lam * path.dt_fine).reshape(-1)[path.spec.forced]
     _, _, scale = _ou_tables(path.spec, path.nu, dt / 2.0)
-    c, pending = to_planes(u0.grid, u0.coeffs), None
-    for i in range(0, path.n_fine, 2 * r):
-        noise = _parts(scale * _window_conv(path.conv, fine_decay, i, i + r))
-        closing = _parts(scale * _window_conv(path.conv, fine_decay, i + r, i + 2 * r))
-        if not nonlinear:  # the step's own halves are one OU(dt)
-            c = _strang(c, path.spec, path.nu, dt, False, _merged_noise(path.spec, path.nu, dt, noise, closing))
-            continue
-        if pending is not None:
-            noise = _merged_noise(path.spec, path.nu, dt, pending, noise)
-        c, pending = _strang(c, path.spec, path.nu, dt, True, noise, first=pending is None), closing
-    if pending is not None:
-        c = _flush(ou_exact_step(c, path.spec, path.nu, dt / 2.0, pending))
-    return SpectralField(u0.grid, from_planes(u0.grid, c))
+    halves = np.stack([_parts(scale * _window_conv(path.conv, fine_decay, i, i + r)) for i in range(0, path.n_fine, r)])
+    n0, n1 = halves[0::2], halves[1::2]  # each step's opening and closing half, (steps, 1, 2, s)
+    noise = _merged_noise(path.spec, path.nu, dt, nonlinear, n0, n1)
+    c, _, error = _steps(u0.planes, path.spec, path.nu, dt, nonlinear, noise, first=nonlinear)
+    if error is not None:
+        raise error
+    if nonlinear:
+        c = _flush(ou_exact_step(c, path.spec, path.nu, dt / 2.0, n1[-1]))
+    return SpectralField(u0.grid, from_planes(c))
 
 
 def run_em_on_path(

@@ -545,7 +545,7 @@ def strang_step_hashes() -> list[str]:
         gen = np.random.default_rng(23)
         shape = (3, *grid.coeff_shape)
         u = SpectralField(grid, gen.normal(size=shape) + 1j * gen.normal(size=shape))
-        values = to_physical(grid, to_planes(grid, u.coeffs))
+        values = to_physical(grid, to_planes(u.coeffs))
         params = SimParams(nu=0.5, dt=0.01, T=1.0, seed=29)
         state = State.of(u, tuple(RngStream(29, i) for i in range(3)), params.dt, 1)
         stepped = strang_step(state, NoiseSpec.band(grid, [1.0, 1.0, 1.0]), params)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from cascade_lab import forcing, spectral
+from cascade_lab import spectral
 from cascade_lab.diagnostics import NormRecorder
 from cascade_lab.experiments import fit_exponent
 from cascade_lab.forcing import SUB_OU, NoiseSpec, RngStream, complex_normals, ou_block_steps, ou_convolutions
@@ -80,12 +80,12 @@ def rows(*fields):
 
 def planes(*fields):
     """The planes of one-row fields joined along the row axis."""
-    return to_planes(fields[0].grid, rows(*fields))
+    return to_planes(rows(*fields))
 
 
 def lattice(grid, c):
     """The complex lattice values of coefficient planes."""
-    return from_planes(grid, to_physical(grid, c))
+    return from_planes(to_physical(grid, c))
 
 
 def capture(store):
@@ -117,6 +117,16 @@ class TestOuExactStep:
     def test_rejects_zero_dt(self):
         with pytest.raises(ValueError):
             ou_exact_step(planes(zero_field(GRID)), SILENT, 1.0, 0.0, ou_noise(SILENT, 1.0, 0.0, RngStream(0, 0)))
+
+    @pytest.mark.parametrize("noise_rows", [1, 3])
+    def test_rejects_noise_of_another_row_count(self, noise_rows):
+        # One noise row on two plane rows would add row 0's imaginary parts into row 1's real ones.
+        grid = GridSpec(1, 16, 8)
+        spec = NoiseSpec.band(grid, [1.0, 1.0, 1.0])
+        c = planes(random_field(grid, 1), random_field(grid, 2))
+        with pytest.raises(ValueError, match="noise"):
+            ou_exact_step(c, spec, 0.5, 0.01, np.zeros((noise_rows, 2, spec.forced.size)))
+        assert ou_exact_step(c, spec, 0.5, 0.01, np.zeros((2, 2, spec.forced.size))).shape == c.shape
 
     def test_rejects_grid_mismatch(self):
         other = NoiseSpec.band(GridSpec(1, 16, 8), [1.0])
@@ -160,7 +170,7 @@ class TestPhaseRotation:
         # On a square grid (D = N) any lattice configuration is representable,
         # so set every lattice value to 1 and rotate by pi.
         grid = GridSpec(1, 16, 16)
-        c = to_spectral(grid, to_planes(grid, np.ones((1, 16), dtype=complex)))
+        c = to_spectral(grid, to_planes(np.ones((1, 16), dtype=complex)))
         rotated = lattice(grid, phase_rotation_step(grid, c, pi))
         np.testing.assert_allclose(rotated, -np.ones((1, 16)), atol=1e-12)
 
@@ -230,9 +240,9 @@ class TestPhaseRotation:
         rng = np.random.default_rng(M)
         for scale in (1e-6, 1e-2, 1.0, 1e2, 1e6):
             shape = (M,) + grid.coeff_shape
-            c = to_planes(grid, scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape)))
+            c = to_planes(scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape)))
             v = to_physical(grid, c)
-            re, im = parts(grid, v)
+            re, im = parts(v)
             for dt in (0.01, 0.37):
                 phase = (re**2 + im**2) * (0.5 * dt) * 2.0  # the step's half angle, doubled exactly
                 cos, sin = assert_close(phase)
@@ -281,10 +291,10 @@ class TestStrangStep:
         for k in range(params.n_steps):
             rng.normals(1234, 17, 8)  # unrelated address
             noise0, noise1 = ou_convolutions((rng,), k, sd, scale)
-            noise = noise0 if pending is None else _merged_noise(BAND, params.nu, params.dt, pending, noise0)
+            noise = _merged_noise(BAND, params.nu, params.dt, True, noise0[None], noise1[None], pending)[0]
             c, pending = _strang(c, BAND, params.nu, params.dt, True, noise, first=pending is None), noise1
         closed = ou_exact_step(c, BAND, params.nu, params.dt / 2, pending)
-        assert np.array_equal(direct.u.coeffs, from_planes(GRID, closed))
+        assert np.array_equal(direct.u.coeffs, from_planes(closed))
 
     def test_noise_free_linear_run_flushes_subnormals(self):
         # Mode 1's half-step factor exp(-nu dt / 2) = exp(-0.5) exceeds 1/2, so without
@@ -408,8 +418,9 @@ class TestForcedModeDraws:
             # the step merges step - 1's closing half with its own opening one
             state = State.of(SpectralField(grid, u), rngs, 0.0, step)
             before = [self.fresh_convolutions(params.seed, 2**63 + i, step - 1, sd, scale) for i in range(M)]
-            noise = _merged_noise(spec, params.nu, params.dt, np.stack([f[1] for f in before]), noise0)
-            expected = _strang(to_planes(grid, u), spec, params.nu, params.dt, True, noise)
+            pending = np.stack([f[1] for f in before])
+            noise = _merged_noise(spec, params.nu, params.dt, True, noise0[None], noise1[None], pending)[0]
+            expected = _strang(to_planes(u), spec, params.nu, params.dt, True, noise)
             assert strang_step(state, spec, params).c.tobytes() == expected.tobytes()
 
     def test_unforced_mode_only_decays(self):
@@ -449,13 +460,36 @@ class TestForcedModeDraws:
     def test_forced_ensemble_draws_once_per_stream_per_block(self, monkeypatch, M):
         K = ou_block_steps(BAND.forced.size)
         assert K == 1024 // (4 * BAND.forced.size) == 85
-        for n_steps in (1, K - 1, K, K + 1, 2 * K + 3):
-            calls = self.count_normals(monkeypatch)
-            params = SimParams(nu=0.5, dt=1e-3, T=n_steps * 1e-3, seed=9)
-            assert params.n_steps == n_steps
-            run(SpectralField(GRID, rows(*(random_field(GRID, 50 + i, 0.2) for i in range(M)))), BAND, params)
-            assert len(calls) == M * -(-n_steps // K)
-            assert sorted(calls) == sorted((b, SUB_OU) for b in range(-(-n_steps // K)) for _ in range(M))
+
+        def strang_loop(u0, params):  # each state carries its block's draws to the next call
+            state = initial_state(u0, params)
+            for _ in range(params.n_steps):
+                state = strang_step(state, BAND, params)
+
+        for drive in (lambda u0, params: run(u0, BAND, params), strang_loop):
+            for n_steps in (1, K - 1, K, K + 1, 2 * K + 3):
+                calls = self.count_normals(monkeypatch)
+                params = SimParams(nu=0.5, dt=1e-3, T=n_steps * 1e-3, seed=9)
+                assert params.n_steps == n_steps
+                drive(SpectralField(GRID, rows(*(random_field(GRID, 50 + i, 0.2) for i in range(M)))), params)
+                assert len(calls) == M * -(-n_steps // K)
+                assert sorted(calls) == sorted((b, SUB_OU) for b in range(-(-n_steps // K)) for _ in range(M))
+
+    def test_states_stepped_in_turn_draw_each_block_once_each(self, monkeypatch):
+        # Each state carries the draws of its own block, so two states stepped in turn with
+        # strang_step draw every block they reach once each, and end on their one-row runs' bits.
+        K = ou_block_steps(BAND.forced.size)
+        n = 2 * K + 3
+        params = SimParams(nu=0.5, dt=1e-3, T=n * 1e-3, seed=9)
+        fields = [random_field(GRID, 130 + i, 0.2) for i in range(2)]
+        states = [initial_state(f, replace(params, stream_id=i)) for i, f in enumerate(fields)]
+        calls = self.count_normals(monkeypatch)
+        for _ in range(n):
+            states = [strang_step(state, BAND, params) for state in states]
+        assert sorted(calls) == sorted((b, SUB_OU) for b in range(3) for _ in range(2))
+        for i, (field, state) in enumerate(zip(fields, states)):
+            one = run(field, BAND, replace(params, stream_id=i))
+            assert _closed(state, BAND, params).u.coeffs.tobytes() == one.u.coeffs.tobytes()
 
     def test_one_step_per_address_once_4s_reaches_the_budget(self, monkeypatch):
         assert [ou_block_steps(s) for s in (1, 3, 8, 255, 256, 1000)] == [256, 85, 32, 1, 1, 1]
@@ -506,18 +540,20 @@ class TestForcedModeDraws:
         assert sorted(calls) == sorted([(0, SUB_OU)] * 2 + [(1, SUB_OU)] * 2 + [(2, SUB_OU)])
 
     def test_the_same_streams_under_another_spec_draw_its_blocks(self, monkeypatch):
-        # A cached block holds 4s normals a step: the same streams forced on another number of
-        # modes draw blocks of their own, and step as they do from a cold cache.
+        # Draws hold 4s normals a step and belong to the state they were drawn for: after a run under
+        # BAND, the same streams forced on another number of modes draw blocks of their own.
         wide = NoiseSpec.band(GRID, [1.0, 1.0, 1.0, 1.0, 1.0])
         assert wide.forced.size != BAND.forced.size
         params = SimParams(nu=0.5, dt=1e-3, T=3e-3, seed=9)
         start = State.of(SpectralField(GRID, rows(*(random_field(GRID, 90 + i, 0.2) for i in range(2)))),
                          (RngStream(9, 0), RngStream(9, 1)))
-        continue_trajectory(start, BAND, params)  # leaves block 0 of these streams cached, 4s normals a step
-        warm, _ = continue_trajectory(start, wide, params)
-        monkeypatch.setattr(forcing, "_ou_block", None)
-        cold, _ = continue_trajectory(start, wide, params)
-        assert warm.u.coeffs.tobytes() == cold.u.coeffs.tobytes()
+        banded, _ = continue_trajectory(start, BAND, params)
+        assert start.draws is None and banded.draws.steps.shape[-1] == BAND.forced.size
+        calls = self.count_normals(monkeypatch)
+        first, _ = continue_trajectory(start, wide, params)
+        assert calls == [(0, SUB_OU)] * 2 and first.draws.steps.shape[-1] == wide.forced.size
+        again, _ = continue_trajectory(start, wide, params)
+        assert first.u.coeffs.tobytes() == again.u.coeffs.tobytes()
 
 
 class TestForcedModeAdd:
@@ -540,7 +576,7 @@ class TestForcedModeAdd:
     def reference_half(c, spec, nu, dt, noise):
         """OU on planes, adding each part's noise through the forced modes' flat indices."""
         out = c * _ou_tables(spec, nu, dt)[0]
-        for part, add in zip(parts(spec.grid, out), (noise[:, 0], noise[:, 1])):
+        for part, add in zip(parts(out), (noise[:, 0], noise[:, 1])):
             part.reshape(len(part), -1)[:, spec.forced] += add
         return out
 
@@ -559,12 +595,12 @@ class TestForcedModeAdd:
         state = State(0.0, grid, c, tuple(RngStream(17, i) for i in range(3)), 0)
         _, sd, scale = _ou_tables(spec, params.nu, params.dt / 2)
         noise0, noise1 = ou_convolutions(state.rngs, 0, sd, scale)
-        ref = from_planes(grid, self.reference_half(c, spec, params.nu, params.dt / 2, noise0))
+        ref = from_planes(self.reference_half(c, spec, params.nu, params.dt / 2, noise0))
         ref = to_spectral(grid, to_physical(grid, ref) * np.exp(-1j * params.dt * np.abs(to_physical(grid, ref)) ** 2))
-        ref = self.reference_half(to_planes(grid, ref), spec, params.nu, params.dt / 2, noise1)
+        ref = self.reference_half(to_planes(ref), spec, params.nu, params.dt / 2, noise1)
         opened = strang_step(state, spec, params)
         got = _closed(opened, spec, params).u.coeffs
-        np.testing.assert_allclose(got, from_planes(grid, ref), rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(got, from_planes(ref), rtol=1e-13, atol=1e-15)
         expected = _strang(c, spec, params.nu, params.dt, True, noise0, first=True)
         assert opened.c.tobytes() == expected.tobytes()
 
@@ -583,7 +619,7 @@ class TestEmStep:
             params = SimParams(nu=0.5, dt=dt, T=dt, scheme="em", nonlinear=False, seed=0)
             em = em_step(initial_state(u0, params), SILENT, params)
             ou = ou_exact_step(planes(u0), SILENT, 0.5, dt, ou_noise(SILENT, 0.5, dt, RngStream(0, 0)))
-            errs.append(np.abs(em.u.coeffs - from_planes(GRID, ou)).max())
+            errs.append(np.abs(em.u.coeffs - from_planes(ou)).max())
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
 
     def test_stability_guard_warns(self):
@@ -717,7 +753,7 @@ class TestRunTrajectory:
             single = run(fields[sid], BAND, replace(p, stream_id=sid), capture(one))
             assert one == {key: batch[key] for key in batch if key[0] == sid}
             if p is long:
-                assert single.c.tobytes() == take_rows(GRID, final.c, slice(sid - 1, sid)).tobytes()
+                assert single.c.tobytes() == take_rows(final.c, slice(sid - 1, sid)).tobytes()
                 assert single.u.coeffs.tobytes() == final.u.coeffs[sid - 1 : sid].tobytes()
 
     @pytest.mark.parametrize("nonlinear", [False, True], ids=["linear", "nonlinear"])
@@ -761,19 +797,22 @@ class TestRunTrajectory:
     @pytest.mark.parametrize("cache", ["cold", "warm"])
     def test_abort_at_the_first_slot_of_a_block(self, monkeypatch, cache):
         # Row 1 overflows in step K, the first slot of block 1, whose noise merges block 0's last
-        # closing half (drawn again from a cold cache, taken from a warm one): the abort carries
-        # stream 11, step K and t = K dt, and the other rows end on their one-row runs' bits.
+        # closing half (drawn again by a cold start, a state without draws, and taken from the
+        # draws of a warm one): the abort carries stream 11, step K and t = K dt, and the other
+        # rows end on their one-row runs' bits.
         K = ou_block_steps(BAND.forced.size)
         params = SimParams(nu=0.5, dt=0.01, T=(K + 4) * 0.01, seed=4)
         c = rows(*(random_field(GRID, 80 + i, 0.3) for i in range(3)))
         c[1, 0] = 1e160
         rngs = tuple(RngStream(params.seed, 10 + i) for i in range(3))
-        if cache == "cold":
-            monkeypatch.setattr(forcing, "_ou_block", None)
-        else:
-            _, sd, scale = _ou_tables(BAND, params.nu, params.dt / 2)
-            ou_convolutions(rngs, K - 1, sd, scale)  # block 0 of these streams
-        final, (abort,) = continue_trajectory(State.of(SpectralField(GRID, c), rngs, K * 0.01, K), BAND, params)
+        start = State.of(SpectralField(GRID, c), rngs, K * 0.01, K)
+        if cache == "warm":  # the draws of block 0, from a step K - 1 on the same streams
+            held = strang_step(State.of(SpectralField(GRID, np.zeros_like(c)), rngs, (K - 1) * 0.01, K - 1), BAND, params)
+            assert held.step_index == K and held.draws.index == 0
+            start = replace(start, draws=held.draws)
+        calls = TestForcedModeDraws.count_normals(monkeypatch)
+        final, (abort,) = continue_trajectory(start, BAND, params)
+        assert ((0, SUB_OU) in calls) == (cache == "cold")
         last = abort.last_state
         assert (last.rngs[0].stream_id, last.step_index, last.t) == (11, K, K * 0.01)
         row_1 = State.of(SpectralField(GRID, c[1:2]), rngs[1:2], K * 0.01, K)
@@ -781,7 +820,6 @@ class TestRunTrajectory:
         assert f"step {K + 1}" in str(abort)
         assert final.step_index == K + 4 and [r.stream_id for r in final.rngs] == [10, 12]
         for i, row in ((0, 0), (2, 1)):
-            monkeypatch.setattr(forcing, "_ou_block", None)
             one, none = continue_trajectory(State.of(SpectralField(GRID, c[i : i + 1]), rngs[i : i + 1], K * 0.01, K), BAND, params)
             assert none == [] and one.u.coeffs.tobytes() == final.u.coeffs[row : row + 1].tobytes()
 
@@ -817,7 +855,7 @@ class TestRunTrajectory:
             c = ou_exact_step(c, BAND, 1.0, dtau / 2, noise=noise0)
             c = phase_rotation_step(GRID, c, dtau / nu)
             c = ou_exact_step(c, BAND, 1.0, dtau / 2, noise=noise1)
-        np.testing.assert_allclose(fast.u.coeffs, from_planes(GRID, c), rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(fast.u.coeffs, from_planes(c), rtol=1e-12, atol=1e-13)
 
 
 class TestLinearClosedForms:
@@ -927,23 +965,40 @@ class TestCheckpoints:
         assert resumed_records == {key: v for key, v in whole.items() if key[1] > 13}
         assert sorted(k for _, k in resumed_records) == [20, 30]
 
-    def test_resume_across_a_block_boundary_is_bit_exact(self, monkeypatch):
+    def test_resume_across_a_block_boundary_is_bit_exact(self):
         # The OU draws of K steps share one address: a checkpoint inside one block
-        # resumes to a horizon in the next one bit-exactly, from a cold block cache.
+        # resumes to a horizon in the next one bit-exactly, cold (a checkpoint holds no draws).
         K = ou_block_steps(BAND.forced.size)
         u0 = random_field(GRID, 14, 0.2)
         full = run(u0, BAND, SimParams(nu=0.5, dt=0.01, T=(K + 5) * 0.01, seed=15))
         for at in (K - 3, K - 1, K):
             half = run(u0, BAND, SimParams(nu=0.5, dt=0.01, T=at * 0.01, seed=15))
-            assert half.step_index == at
-            monkeypatch.setattr(forcing, "_ou_block", None)
+            assert half.step_index == at and half.draws is not None
+            cold = checkpoint_from_bytes(checkpoint_to_bytes(half))
+            assert cold.draws is None
             resumed, _ = continue_trajectory(
-                checkpoint_from_bytes(checkpoint_to_bytes(half)),
+                cold,
                 BAND,
                 SimParams(nu=0.5, dt=0.01, T=(K + 5) * 0.01, seed=15),
             )
             assert resumed.step_index == full.step_index == K + 5
             assert resumed.u.coeffs.tobytes() == full.u.coeffs.tobytes()
+
+    @pytest.mark.parametrize("nonlinear", [False, True], ids=["linear", "nonlinear"])
+    def test_a_resumed_row_draws_only_the_blocks_it_reads(self, monkeypatch, nonlinear):
+        # Resumed inside block 1, a row draws block 1 alone; resumed at step K, the block's first
+        # slot, a nonlinear row also draws block 0 once, for the closing half its step K merges,
+        # and a linear row, which merges none, does not.  Records and the close read the draws.
+        K = ou_block_steps(BAND.forced.size)
+        params = SimParams(nu=0.5, dt=0.01, T=(K + 10) * 0.01, seed=15, nonlinear=nonlinear)
+        u0 = random_field(GRID, 14, 0.2)
+        for at, blocks in ((K + 5, [1]), (K, [0, 1] if nonlinear else [1])):
+            half = run(u0, BAND, replace(params, T=at * 0.01))
+            assert half.step_index == at
+            calls = TestForcedModeDraws.count_normals(monkeypatch)
+            final, aborts = continue_trajectory(checkpoint_from_bytes(checkpoint_to_bytes(half)), BAND, params, capture({}))
+            assert aborts == [] and final.step_index == K + 10
+            assert sorted(calls) == [(b, SUB_OU) for b in blocks]
 
     def test_counter_key_of_older_files_is_ignored(self):
         state = initial_state(random_field(GRID, 13, 0.2), SimParams(nu=0.5, dt=0.01, T=0.1, seed=3))

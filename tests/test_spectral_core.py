@@ -234,13 +234,13 @@ class TestTransformHelpers:
     def test_rows_equal_single_rows(self, grid, M):
         # On planes, the program's layout: row i of a block is the transform of row i alone.
         rng = np.random.default_rng(grid.n * 100 + grid.N + M)
-        coeffs = to_planes(grid, random_block(rng, (M,) + grid.coeff_shape))
-        values = to_planes(grid, random_block(rng, (M,) + grid.values_shape))
+        coeffs = to_planes(random_block(rng, (M,) + grid.coeff_shape))
+        values = to_planes(random_block(rng, (M,) + grid.values_shape))
         for transform, block in ((to_physical, coeffs), (to_spectral, values)):
             out = transform(grid, block)
             for i in range(M):
                 row = slice(i, i + 1)
-                assert take_rows(grid, out, row).tobytes() == transform(grid, take_rows(grid, block, row)).tobytes()
+                assert take_rows(out, row).tobytes() == transform(grid, take_rows(block, row)).tobytes()
 
     def test_wrappers_reject_non_finite_results(self):
         # An overflowing lattice sum makes the sup non-finite and an overflowing norm reads inf,
@@ -385,11 +385,11 @@ def cm_norm_per_beta(u: SpectralField, m: int) -> float:
     for beta in product(range(m + 1), repeat=grid.n):
         if sum(beta) > m:
             continue
-        vals = to_planes(grid, u.coeffs)
+        vals = to_planes(u.coeffs)
         for ax in (grid.n - 1, *range(grid.n - 1)):  # the transforms' axis order
             b = beta[ax]
             vals = _along(vals, ax, grid.n, _axis_table(grid, "cos" if b % 2 else "sin", b))  # d^b folded in
-        re, im = parts(grid, vals[..., : grid.N])
+        re, im = parts(vals[..., : grid.N])
         best = max(best, float(np.sqrt((re**2 + im**2).max())))
     return best
 
@@ -456,10 +456,10 @@ class TestRealProducts:
         rng = np.random.default_rng(grid.n * 1000 + grid.N * 10 + len(rows))
         coeffs = random_block(rng, rows + grid.coeff_shape)
         ref = complex_per_axis(grid, coeffs, *complex_matrices(grid)[:2])
-        assert_within_1e15(from_planes(grid, to_physical(grid, to_planes(grid, coeffs))), ref)
+        assert_within_1e15(from_planes(to_physical(grid, to_planes(coeffs))), ref)
         values = random_block(rng, rows + grid.values_shape)
         ref = complex_per_axis(grid, values, *complex_matrices(grid)[2:4])
-        assert_within_1e15(from_planes(grid, to_spectral(grid, to_planes(grid, values))), ref)
+        assert_within_1e15(from_planes(to_spectral(grid, to_planes(values))), ref)
         u = SpectralField(grid, coeffs.reshape(-1, *grid.coeff_shape))  # no leading axis: one row
         for m in range(4):
             assert_within_1e15(cm_norm(u, m), complex_cm_norm(grid, u.coeffs, m))
