@@ -67,10 +67,8 @@ from .spectral import (
     field_to_bytes,
     from_planes,
     mode_abs_sq,
-    parts,
     sobolev_norm,
     sup_norm,
-    take_rows,
     to_physical,
     to_spectral,
 )
@@ -129,9 +127,12 @@ class SimParams:
 
 
 class Draws(NamedTuple):
-    """Draw block ``index`` of a state's rows: each step's OU-update noise and scaled closing half, (K, M, 2, s)."""
+    """Draw block ``index`` of a state's rows under (spec, dt, nonlinear) ``key`` and each row's viscosity
+    ``nu``, (1, M): each step's OU-update noise and scaled closing half, (K, M, 2, s)."""
 
+    key: tuple
     index: int
+    nu: np.ndarray
     steps: np.ndarray
     closing: np.ndarray
 
@@ -143,8 +144,8 @@ class State:
     ``c`` holds the coefficient planes: the start data at step 0, later, in a nonlinear Strang run,
     the open state, whose last closing OU(dt/2) is pending.  ``u`` is the closed field, set at step
     0 and where the driver hands the state on (sinks, aborts, the final state).  ``draws`` are those
-    of the block the last Strang step came from, made with the params it stepped with, as its open
-    planes are; None for a fresh start, a checkpoint and an Euler-Maruyama state.
+    of the block the last Strang step came from, used only under the params they were made with
+    (:func:`_held`); None for a fresh start, a checkpoint and an Euler-Maruyama state.
     """
 
     t: float
@@ -260,11 +261,11 @@ def phase_rotation_step(grid: GridSpec, c: np.ndarray, dt: float) -> np.ndarray:
         return c
     with np.errstate(over="ignore", invalid="ignore"):
         v = to_physical(grid, c)
-        half = np.add(*parts(np.square(v)))
+        half = np.add(*np.square(v))
         half *= 0.5 * dt
         cos, sin = _cos_sin(half)
         # (re + i im)(cos - i sin) = (re cos + im sin) + i (im cos - re sin), plane by plane
-        re, im = parts(v)
+        re, im = v  # views of the two parts
         re_sin = re * sin
         re *= cos
         sin *= im
@@ -325,8 +326,15 @@ def _steps(c: np.ndarray, spec: NoiseSpec, nu, dt: float, nonlinear: bool, noise
     return c, len(noise), None
 
 
+def _held(state: State, spec: NoiseSpec, params: SimParams) -> Draws | None:
+    """The state's draws if they were made under ``spec`` and ``params``, else None."""
+    draws = state.draws
+    same = draws is not None and draws.key == (spec, params.dt, params.nonlinear) and np.all(draws.nu == params.nu)
+    return draws if same else None
+
+
 def _pending(rngs, draws: Draws | None, spec: NoiseSpec, params: SimParams, k: int) -> np.ndarray:
-    """Step k - 1's scaled closing half, (M, 2, s): from ``draws`` if they are its block's, else drawn."""
+    """Step k - 1's scaled closing half, (M, 2, s): from held ``draws`` if they are its block's, else drawn."""
     index, slot = divmod(k - 1, ou_block_steps(spec.forced.size))
     if draws is not None and draws.index == index:
         return draws.closing[slot]
@@ -339,20 +347,22 @@ def _block_draws(rngs, spec: NoiseSpec, params: SimParams, index: int, pending) 
     _, sd, scale = _ou_tables(spec, params.nu, params.dt / 2.0)
     z = np.moveaxis(ou_normals(rngs, index, sd.shape[-1]), 0, 2) * sd[..., None, :]  # (K, 2, M, 2, s)
     z *= scale[..., None, :]
-    return Draws(index, _merged_noise(spec, params.nu, params.dt, params.nonlinear, z[:, 0], z[:, 1], pending), z[:, 1])
+    steps = _merged_noise(spec, params.nu, params.dt, params.nonlinear, z[:, 0], z[:, 1], pending)
+    return Draws((spec, params.dt, params.nonlinear), index, np.full((1, len(rngs)), params.nu), steps, z[:, 1])
 
 
 def _advance(state: State, spec: NoiseSpec, params: SimParams, stop: int) -> tuple[State, NonFiniteFieldError | None]:
     """Strang steps from ``state`` up to step ``stop``: (the state reached, None), or, when a step
     turns non-finite, (the last good state, its error).
 
-    Each block's draws come from the state when it holds them, else are made once
+    Each block's draws come from the state when it holds them (:func:`_held`), else are made once
     (:func:`_block_draws`), its first step merging the closing half of the block before when it steps
-    from there; the step loop (:func:`_steps`) runs on the block's noise.
+    from there; the step loop (:func:`_steps`) runs on the block's noise.  The state reached holds
+    the block of its last step, also when that step was taken before this call.
     """
     k, nu, dt, nonlinear = state.step_index, params.nu, params.dt, params.nonlinear
     K = ou_block_steps(spec.forced.size)
-    c, draws = state.c, state.draws
+    c, draws = state.c, _held(state, spec, params)
     while k < stop:
         index, slot = divmod(k, K)
         block = draws
@@ -360,10 +370,11 @@ def _advance(state: State, spec: NoiseSpec, params: SimParams, stop: int) -> tup
             pending = _pending(state.rngs, draws, spec, params, k) if nonlinear and k and not slot else None
             block = _block_draws(state.rngs, spec, params, index, pending)
         c, taken, error = _steps(c, spec, nu, dt, nonlinear, block.steps[slot : slot + stop - k], nonlinear and not k)
-        if taken:
+        if taken or slot:  # the block holds step k - 1's draws
             k, draws = k + taken, block
         if error is not None:
-            return (state if k == state.step_index else State(k * dt, state.grid, c, state.rngs, k, None, draws)), error
+            last = state if k == state.step_index else State(k * dt, state.grid, c, state.rngs, k)
+            return replace(last, draws=draws), error
     return State(k * dt, state.grid, c, state.rngs, k, None, draws), None
 
 
@@ -398,7 +409,7 @@ def _closed(state: State, spec: NoiseSpec, params: SimParams) -> State:
         return state
     c = state.c
     if state.step_index and params.scheme == "strang" and params.nonlinear:
-        pending = _pending(state.rngs, state.draws, spec, params, state.step_index)
+        pending = _pending(state.rngs, _held(state, spec, params), spec, params, state.step_index)
         c = _flush(ou_exact_step(c, spec, params.nu, params.dt / 2.0, pending))
     u = SpectralField(state.grid, from_planes(c), c)
     return State(state.t, state.grid, state.c, state.rngs, state.step_index, u, state.draws)
@@ -418,7 +429,7 @@ def _euler_maruyama(
     drift = -nu * mode_abs_sq(grid) * u.coeffs
     if nonlinear:
         v = to_physical(grid, u.planes)
-        re, im = parts(v)
+        re, im = v
         v *= re**2 + im**2
         drift = drift - 1j * from_planes(to_spectral(grid, v))
     return SpectralField(grid, u.coeffs + dt * drift + np.sqrt(nu) * increment)
@@ -460,10 +471,19 @@ def _take(state: State, keep: list[int] | slice) -> State:
     rngs = state.rngs[keep] if isinstance(keep, slice) else tuple(state.rngs[i] for i in keep)
     u, draws = state.u, state.draws
     if u is not None:
-        u = SpectralField(state.grid, u.coeffs[keep], take_rows(u.planes, keep))
-    if draws is not None:
-        draws = Draws(draws.index, take_rows(draws.steps, keep), take_rows(draws.closing, keep))
-    return State(state.t, state.grid, take_rows(state.c, keep), rngs, state.step_index, u, draws)
+        u = SpectralField(state.grid, u.coeffs[keep], u.planes[:, keep])
+    if draws is not None:  # a list's rows copied C-contiguous, so that each step's noise is
+        copy = (lambda a: a) if isinstance(keep, slice) else np.ascontiguousarray
+        draws = Draws(draws.key, draws.index, *(copy(a[:, keep]) for a in draws[2:]))
+    return State(state.t, state.grid, state.c[:, keep], rngs, state.step_index, u, draws)
+
+
+def _join(states: list[State]) -> State:
+    """The rows of ``states``, all at one step, in that order, with their draws if they hold one block's."""
+    first, c = states[0], np.concatenate([s.c for s in states], axis=1)
+    draws = None if first.draws is None else first.draws._replace(**{
+        name: np.concatenate([getattr(s.draws, name) for s in states], axis=1) for name in ("nu", "steps", "closing")})
+    return State(first.t, first.grid, c, sum((s.rngs for s in states), ()), first.step_index, None, draws)
 
 
 class _Batch:
@@ -531,7 +551,7 @@ def continue_trajectory(
         raise ValueError(f"{len(row_params)} params and {len(row_sinks)} sinks for {rows} rows")
     if len({(p.dt, p.scheme, p.nonlinear) for p in row_params}) > 1:
         raise ValueError("the rows of one batch must share dt, scheme and nonlinearity")
-    advance, step = (_advance, strang_step) if row_params[0].scheme == "strang" else (_em_advance, em_step)
+    advance = _advance if row_params[0].scheme == "strang" else _em_advance
     batch = _Batch(row_params, row_sinks)
     aborts: list[TrajectoryAbortError] = []
     if state.step_index == 0:
@@ -542,21 +562,17 @@ def continue_trajectory(
             if error is not None:
                 kept = []
                 for i, p in enumerate(batch.row_params):
-                    one = _take(state, [i])
-                    try:
-                        kept.append((i, step(one, spec, p)))
-                    except NonFiniteFieldError as exc:
+                    one, error = advance(_take(state, [i]), spec, p, state.step_index + 1)
+                    if error is None:
+                        kept.append((i, one))
+                    else:
                         aborts.append(TrajectoryAbortError(
-                            f"non-finite field at step {one.step_index + 1} "
-                            f"(last good t = {one.t:.6g}): {exc}",
+                            f"non-finite field at step {one.step_index + 1} (last good t = {one.t:.6g}): {error}",
                             _closed(one, spec, p),
                         ))
                 if not kept:
                     return None, aborts
-                c = np.concatenate([s.c for _, s in kept], axis=1)
-                _, first = kept[0]
-                state = State(first.t, state.grid, c, tuple(s.rngs[0] for _, s in kept), first.step_index)
-                batch = batch.keep([i for i, _ in kept])
+                state, batch = _join([s for _, s in kept]), batch.keep([i for i, _ in kept])
             state = batch.record(state, spec)
         going_on = [i for i, p in enumerate(batch.row_params) if p.n_steps > state.step_index]
         if not going_on:

@@ -146,22 +146,12 @@ def to_planes(coeffs: np.ndarray) -> np.ndarray:
     return np.stack((coeffs.real, coeffs.imag))
 
 
-def parts(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Views of the real and the imaginary part of ``planes``, contiguous for contiguous planes."""
-    return planes[0], planes[1]
-
-
 def from_planes(planes: np.ndarray) -> np.ndarray:
     """The complex array of ``planes``: the inverse of :func:`to_planes`."""
-    re, im = parts(planes)
+    re, im = planes
     out = np.empty(re.shape, dtype=np.complex128)
     out.real, out.imag = re, im
     return out
-
-
-def take_rows(planes: np.ndarray, keep) -> np.ndarray:
-    """Rows ``keep`` (a slice gives a view, a list a copy) of an array whose second axis is its rows, as planes."""
-    return planes[:, keep]
 
 
 def _along(a: np.ndarray, ax: int, n: int, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -227,7 +217,7 @@ def sobolev_norm(u: SpectralField, m: float | tuple[float, ...]) -> np.ndarray:
 
 def _max_modulus_sq(values: np.ndarray) -> np.ndarray:
     """Each row's max of |v|^2 over lattice planes ``values``; NaN for a row that holds a NaN."""
-    sq = np.add(*parts(np.square(values)))
+    sq = np.add(*np.square(values))
     return sq.reshape(len(sq), -1).max(axis=1)
 
 

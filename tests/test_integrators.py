@@ -24,6 +24,7 @@ from cascade_lab.integrators import (
     _merged_noise,
     _ou_tables,
     _strang,
+    _take,
     checkpoint_from_bytes,
     checkpoint_to_bytes,
     constrained_profile,
@@ -45,9 +46,7 @@ from cascade_lab.spectral import (
     NonFiniteFieldError,
     SpectralField,
     from_planes,
-    parts,
     sobolev_norm,
-    take_rows,
     to_physical,
     to_planes,
     to_spectral,
@@ -242,7 +241,7 @@ class TestPhaseRotation:
             shape = (M,) + grid.coeff_shape
             c = to_planes(scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape)))
             v = to_physical(grid, c)
-            re, im = parts(v)
+            re, im = v
             for dt in (0.01, 0.37):
                 phase = (re**2 + im**2) * (0.5 * dt) * 2.0  # the step's half angle, doubled exactly
                 cos, sin = assert_close(phase)
@@ -538,22 +537,33 @@ class TestForcedModeDraws:
         final, aborts = continue_trajectory(start, BAND, (short, short, long))
         assert aborts == [] and final.step_index == 2 * K + 5
         assert sorted(calls) == sorted([(0, SUB_OU)] * 2 + [(1, SUB_OU)] * 2 + [(2, SUB_OU)])
+        held = strang_step(start, BAND, short)
+        kept = _take(held, [0, 2])  # the rows' noise a contiguous copy, each step's noise contiguous
+        assert kept.draws.steps.flags.c_contiguous and kept.draws.nu.tolist() == [[0.5, 0.5]]
+        assert kept.draws.steps.tobytes() == held.draws.steps[:, [0, 2]].tobytes()
 
     def test_the_same_streams_under_another_spec_draw_its_blocks(self, monkeypatch):
-        # Draws hold 4s normals a step and belong to the state they were drawn for: after a run under
-        # BAND, the same streams forced on another number of modes draw blocks of their own.
+        # Draws hold 4s normals a step and are used only under the spec and params they were made
+        # with: a state that holds BAND's block 0, continued under a spec forcing another number of
+        # modes, other amplitudes on the same modes or another viscosity, draws block 0 of its own
+        # and steps as a copy without draws does; under its own spec and params it draws nothing.
         wide = NoiseSpec.band(GRID, [1.0, 1.0, 1.0, 1.0, 1.0])
-        assert wide.forced.size != BAND.forced.size
+        tilted = NoiseSpec.band(GRID, [1.0, 0.5, 2.0])
+        assert wide.forced.size != BAND.forced.size == tilted.forced.size
         params = SimParams(nu=0.5, dt=1e-3, T=3e-3, seed=9)
         start = State.of(SpectralField(GRID, rows(*(random_field(GRID, 90 + i, 0.2) for i in range(2)))),
                          (RngStream(9, 0), RngStream(9, 1)))
         banded, _ = continue_trajectory(start, BAND, params)
-        assert start.draws is None and banded.draws.steps.shape[-1] == BAND.forced.size
-        calls = self.count_normals(monkeypatch)
-        first, _ = continue_trajectory(start, wide, params)
-        assert calls == [(0, SUB_OU)] * 2 and first.draws.steps.shape[-1] == wide.forced.size
-        again, _ = continue_trajectory(start, wide, params)
-        assert first.u.coeffs.tobytes() == again.u.coeffs.tobytes()
+        assert banded.step_index == 3 and banded.draws.index == 0 and banded.draws.steps.shape[-1] == BAND.forced.size
+        longer = replace(params, T=8e-3)
+        for spec, p, draws in ((wide, longer, 2), (tilted, longer, 2), (BAND, replace(longer, nu=0.25), 2), (BAND, longer, 0)):
+            calls = self.count_normals(monkeypatch)
+            warm, _ = continue_trajectory(banded, spec, p)
+            assert calls == [(0, SUB_OU)] * draws and warm.draws.steps.shape[-1] == spec.forced.size
+            cold, _ = continue_trajectory(replace(banded, draws=None), spec, p)
+            assert warm.u.coeffs.tobytes() == cold.u.coeffs.tobytes()
+            assert _closed(replace(banded, u=None), spec, p).u.coeffs.tobytes() == _closed(
+                replace(banded, u=None, draws=None), spec, p).u.coeffs.tobytes()
 
 
 class TestForcedModeAdd:
@@ -576,7 +586,7 @@ class TestForcedModeAdd:
     def reference_half(c, spec, nu, dt, noise):
         """OU on planes, adding each part's noise through the forced modes' flat indices."""
         out = c * _ou_tables(spec, nu, dt)[0]
-        for part, add in zip(parts(out), (noise[:, 0], noise[:, 1])):
+        for part, add in zip(out, (noise[:, 0], noise[:, 1])):
             part.reshape(len(part), -1)[:, spec.forced] += add
         return out
 
@@ -753,7 +763,7 @@ class TestRunTrajectory:
             single = run(fields[sid], BAND, replace(p, stream_id=sid), capture(one))
             assert one == {key: batch[key] for key in batch if key[0] == sid}
             if p is long:
-                assert single.c.tobytes() == take_rows(final.c, slice(sid - 1, sid)).tobytes()
+                assert single.c.tobytes() == final.c[:, sid - 1 : sid].tobytes()
                 assert single.u.coeffs.tobytes() == final.u.coeffs[sid - 1 : sid].tobytes()
 
     @pytest.mark.parametrize("nonlinear", [False, True], ids=["linear", "nonlinear"])
@@ -822,6 +832,24 @@ class TestRunTrajectory:
         for i, row in ((0, 0), (2, 1)):
             one, none = continue_trajectory(State.of(SpectralField(GRID, c[i : i + 1]), rngs[i : i + 1], K * 0.01, K), BAND, params)
             assert none == [] and one.u.coeffs.tobytes() == final.u.coeffs[row : row + 1].tobytes()
+
+    def test_an_abort_inside_a_block_draws_it_once_per_stream(self, monkeypatch):
+        # The block built for the failing step stays with the last good state: the row-by-row redo,
+        # the aborted row's closing half and the rows that go on take it from there.
+        params = SimParams(nu=0.5, dt=0.01, T=0.1, seed=4)
+        assert params.n_steps < ou_block_steps(BAND.forced.size)
+        c = rows(*(random_field(GRID, 80 + i, 0.3) for i in range(3)))
+        c[1, 0] = 1e160
+        rngs = tuple(RngStream(params.seed, 10 + i) for i in range(3))
+        calls = TestForcedModeDraws.count_normals(monkeypatch)
+        final, (abort,) = continue_trajectory(State.of(SpectralField(GRID, c), rngs, 0.05, 5), BAND, params)
+        assert calls == [(0, SUB_OU)] * 3
+        assert abort.last_state.step_index == 5 and [r.stream_id for r in final.rngs] == [10, 12]
+        for i, row in ((0, 0), (2, 1)):
+            one, _ = continue_trajectory(State.of(SpectralField(GRID, c[i : i + 1]), rngs[i : i + 1], 0.05, 5), BAND, params)
+            assert one.u.coeffs.tobytes() == final.u.coeffs[row : row + 1].tobytes()
+        row_1 = State.of(SpectralField(GRID, c[1:2]), rngs[1:2], 0.05, 5)
+        assert abort.last_state.u.coeffs.tobytes() == _closed(row_1, BAND, params).u.coeffs.tobytes()
 
     def test_a_batch_rejects_rows_with_different_dt(self):
         a = SimParams(nu=0.5, dt=0.02, T=0.1)
