@@ -127,12 +127,11 @@ class SimParams:
 
 
 class Draws(NamedTuple):
-    """Draw block ``index`` of a state's rows under (spec, dt, nonlinear) ``key`` and each row's viscosity
-    ``nu``, (1, M): each step's OU-update noise and scaled closing half, (K, M, 2, s)."""
+    """Draw block ``index`` of a state's rows: each step's OU-update noise and scaled closing half, (K, M, 2, s),
+    made under ``key``, (spec, dt, nonlinear, each row's viscosity)."""
 
     key: tuple
     index: int
-    nu: np.ndarray
     steps: np.ndarray
     closing: np.ndarray
 
@@ -195,14 +194,6 @@ def _ou_tables(spec: NoiseSpec, nu, dt: float) -> tuple[np.ndarray, np.ndarray, 
 
 
 @lru_cache(maxsize=64)
-def _forced_decay(spec: NoiseSpec, nu, dt: float) -> np.ndarray:
-    """The decay over the forced modes, shaped (1 or M, 1, s) to scale noise laid out (M, 2, s)."""
-    table = _ou_tables(spec, nu, dt)[0].reshape(-1, spec.grid.n_modes)[:, spec.forced][:, None]
-    table.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=64)
 def _forced_index(spec: NoiseSpec, rows: int) -> np.ndarray:
     """Flat indices of the forced modes in ``rows`` rows of planes, in the order of noise laid out (rows, 2, s)."""
     row, part, mode = np.ix_(np.arange(rows), np.arange(2), spec.forced)
@@ -261,11 +252,12 @@ def phase_rotation_step(grid: GridSpec, c: np.ndarray, dt: float) -> np.ndarray:
         return c
     with np.errstate(over="ignore", invalid="ignore"):
         v = to_physical(grid, c)
-        half = np.add(*np.square(v))
+        sq = np.square(v)
+        half = np.add(sq[0], sq[1])  # indexed: unpacking an array costs more
         half *= 0.5 * dt
         cos, sin = _cos_sin(half)
         # (re + i im)(cos - i sin) = (re cos + im sin) + i (im cos - re sin), plane by plane
-        re, im = v  # views of the two parts
+        re, im = v[0], v[1]
         re_sin = re * sin
         re *= cos
         sin *= im
@@ -292,7 +284,7 @@ def _merged_noise(spec: NoiseSpec, nu, dt: float, nonlinear: bool, n0, n1, pendi
     nothing is pending.  A linear step's own halves are one OU(dt): n0 decay + n1.  ``decay`` is
     the forced modes' OU(dt/2) decay; each step's noise is contiguous.
     """
-    decay = _forced_decay(spec, nu, dt / 2.0)
+    decay = _ou_tables(spec, nu, dt / 2.0)[0].reshape(-1, spec.grid.n_modes)[:, spec.forced][:, None]  # (1 or M, 1, s)
     noise = np.empty(n0.shape)
     if nonlinear:
         np.multiply(n1[:-1], decay, out=noise[1:])
@@ -326,11 +318,15 @@ def _steps(c: np.ndarray, spec: NoiseSpec, nu, dt: float, nonlinear: bool, noise
     return c, len(noise), None
 
 
+def _key(spec: NoiseSpec, params: SimParams, rows: int) -> tuple:
+    """What the draws of ``rows`` rows under ``spec`` and ``params`` are made under (:class:`Draws`)."""
+    return spec, params.dt, params.nonlinear, params.nu if isinstance(params.nu, tuple) else (params.nu,) * rows
+
+
 def _held(state: State, spec: NoiseSpec, params: SimParams) -> Draws | None:
     """The state's draws if they were made under ``spec`` and ``params``, else None."""
     draws = state.draws
-    same = draws is not None and draws.key == (spec, params.dt, params.nonlinear) and np.all(draws.nu == params.nu)
-    return draws if same else None
+    return draws if draws is not None and draws.key == _key(spec, params, len(state.rngs)) else None
 
 
 def _pending(rngs, draws: Draws | None, spec: NoiseSpec, params: SimParams, k: int) -> np.ndarray:
@@ -348,7 +344,7 @@ def _block_draws(rngs, spec: NoiseSpec, params: SimParams, index: int, pending) 
     z = np.moveaxis(ou_normals(rngs, index, sd.shape[-1]), 0, 2) * sd[..., None, :]  # (K, 2, M, 2, s)
     z *= scale[..., None, :]
     steps = _merged_noise(spec, params.nu, params.dt, params.nonlinear, z[:, 0], z[:, 1], pending)
-    return Draws((spec, params.dt, params.nonlinear), index, np.full((1, len(rngs)), params.nu), steps, z[:, 1])
+    return Draws(_key(spec, params, len(rngs)), index, steps, z[:, 1])
 
 
 def _advance(state: State, spec: NoiseSpec, params: SimParams, stop: int) -> tuple[State, NonFiniteFieldError | None]:
@@ -429,7 +425,7 @@ def _euler_maruyama(
     drift = -nu * mode_abs_sq(grid) * u.coeffs
     if nonlinear:
         v = to_physical(grid, u.planes)
-        re, im = v
+        re, im = v[0], v[1]
         v *= re**2 + im**2
         drift = drift - 1j * from_planes(to_spectral(grid, v))
     return SpectralField(grid, u.coeffs + dt * drift + np.sqrt(nu) * increment)
@@ -468,21 +464,23 @@ def initial_state(u0: SpectralField, params: SimParams) -> State:
 
 def _take(state: State, keep: list[int] | slice) -> State:
     """Rows ``keep`` of ``state``, in that order, with their draws; a slice keeps views."""
-    rngs = state.rngs[keep] if isinstance(keep, slice) else tuple(state.rngs[i] for i in keep)
+    pick = (lambda seq: seq[keep]) if isinstance(keep, slice) else (lambda seq: tuple(seq[i] for i in keep))
     u, draws = state.u, state.draws
     if u is not None:
         u = SpectralField(state.grid, u.coeffs[keep], u.planes[:, keep])
     if draws is not None:  # a list's rows copied C-contiguous, so that each step's noise is
-        copy = (lambda a: a) if isinstance(keep, slice) else np.ascontiguousarray
-        draws = Draws(draws.key, draws.index, *(copy(a[:, keep]) for a in draws[2:]))
-    return State(state.t, state.grid, state.c[:, keep], rngs, state.step_index, u, draws)
+        steps = draws.steps[:, keep] if isinstance(keep, slice) else np.ascontiguousarray(draws.steps[:, keep])
+        draws = Draws((*draws.key[:3], pick(draws.key[3])), draws.index, steps, draws.closing[:, keep])
+    return State(state.t, state.grid, state.c[:, keep], pick(state.rngs), state.step_index, u, draws)
 
 
 def _join(states: list[State]) -> State:
     """The rows of ``states``, all at one step, in that order, with their draws if they hold one block's."""
     first, c = states[0], np.concatenate([s.c for s in states], axis=1)
-    draws = None if first.draws is None else first.draws._replace(**{
-        name: np.concatenate([getattr(s.draws, name) for s in states], axis=1) for name in ("nu", "steps", "closing")})
+    draws = first.draws
+    if draws is not None:
+        key = (*draws.key[:3], sum((s.draws.key[3] for s in states), ()))
+        draws = Draws(key, draws.index, *(np.concatenate([s.draws[j] for s in states], axis=1) for j in (2, 3)))
     return State(first.t, first.grid, c, sum((s.rngs for s in states), ()), first.step_index, None, draws)
 
 

@@ -148,7 +148,7 @@ def to_planes(coeffs: np.ndarray) -> np.ndarray:
 
 def from_planes(planes: np.ndarray) -> np.ndarray:
     """The complex array of ``planes``: the inverse of :func:`to_planes`."""
-    re, im = planes
+    re, im = planes[0], planes[1]
     out = np.empty(re.shape, dtype=np.complex128)
     out.real, out.imag = re, im
     return out
@@ -217,7 +217,8 @@ def sobolev_norm(u: SpectralField, m: float | tuple[float, ...]) -> np.ndarray:
 
 def _max_modulus_sq(values: np.ndarray) -> np.ndarray:
     """Each row's max of |v|^2 over lattice planes ``values``; NaN for a row that holds a NaN."""
-    sq = np.add(*np.square(values))
+    sq = np.square(values)
+    sq = np.add(sq[0], sq[1])
     return sq.reshape(len(sq), -1).max(axis=1)
 
 
