@@ -22,7 +22,8 @@ finiteness check; the driver feeds it from one record step to the next, and
 :func:`strang_step` is the driver run for one step.  Only an observed state gets
 a closed copy, so a row's bits do not depend on when it is recorded.  Row i is
 bit for bit the one-row run on its stream, also when rows carry their own
-viscosities and horizons.
+viscosities and horizons; so when a step turns non-finite, its array already
+holds the next state of every finite row, and only the non-finite rows leave.
 
 Only the s forced modes (b_d > 0) are driven, from draws addressed by
 (step_index // K, SUB_OU) (``forcing.ou_normals``), never consumed
@@ -70,6 +71,7 @@ from .spectral import (
     sobolev_norm,
     sup_norm,
     to_physical,
+    to_planes,
     to_spectral,
 )
 
@@ -307,13 +309,14 @@ def _strang(c: np.ndarray, spec: NoiseSpec, nu, dt: float, nonlinear: bool, nois
 def _steps(c: np.ndarray, spec: NoiseSpec, nu, dt: float, nonlinear: bool, noise: np.ndarray, first=False):
     """Strang steps on planes ``c``, one per step of ``noise`` (:func:`_merged_noise`): (the planes
     reached, the steps taken, None), or, when a step turns non-finite, (the last good planes, the
-    steps taken before it, its error).  ``first`` makes the first step a run's step 0, OU(dt/2)."""
+    steps taken before it, that step's planes, unchecked).  ``first`` makes the first step a run's
+    step 0, OU(dt/2)."""
     for j, step_noise in enumerate(noise):
         new = _strang(c, spec, nu, dt, nonlinear, step_noise, first=first and not j)
         try:
             spectral._check_finite(new, "spectral field")
-        except NonFiniteFieldError as exc:
-            return c, j, exc
+        except NonFiniteFieldError:
+            return c, j, new
         c = new
     return c, len(noise), None
 
@@ -347,30 +350,31 @@ def _block_draws(rngs, spec: NoiseSpec, params: SimParams, index: int, pending) 
     return Draws(_key(spec, params, len(rngs)), index, steps, z[:, 1])
 
 
-def _advance(state: State, spec: NoiseSpec, params: SimParams, stop: int) -> tuple[State, NonFiniteFieldError | None]:
-    """Strang steps from ``state`` up to step ``stop``: (the state reached, None), or, when a step
-    turns non-finite, (the last good state, its error).
+def _advance(state: State, spec: NoiseSpec, params: SimParams, stop: int) -> tuple[State, State | None]:
+    """Strang steps from ``state`` up to step ``stop``: (the state reached, None), or, when step k
+    turns non-finite, (the last good state, closed, at step k; the unchecked state at step k + 1).
 
     Each block's draws come from the state when it holds them (:func:`_held`), else are made once
     (:func:`_block_draws`), its first step merging the closing half of the block before when it steps
-    from there; the step loop (:func:`_steps`) runs on the block's noise.  The state reached holds
-    the block of its last step, also when that step was taken before this call.
+    from there; the step loop (:func:`_steps`) runs on the block's noise.  The state reached, and the
+    state at step k + 1, hold the block of their last step, also when that step was taken before this
+    call.  The last good state closes with step k - 1's closing half from that block, or from the
+    merge when step k is a block's first, so a failing step draws nothing again.
     """
     k, nu, dt, nonlinear = state.step_index, params.nu, params.dt, params.nonlinear
     K = ou_block_steps(spec.forced.size)
-    c, draws = state.c, _held(state, spec, params)
+    c, draws, pending = state.c, _held(state, spec, params), None
     while k < stop:
         index, slot = divmod(k, K)
-        block = draws
-        if block is None or block.index != index:
+        if draws is None or draws.index != index:
             pending = _pending(state.rngs, draws, spec, params, k) if nonlinear and k and not slot else None
-            block = _block_draws(state.rngs, spec, params, index, pending)
-        c, taken, error = _steps(c, spec, nu, dt, nonlinear, block.steps[slot : slot + stop - k], nonlinear and not k)
-        if taken or slot:  # the block holds step k - 1's draws
-            k, draws = k + taken, block
-        if error is not None:
+            draws = _block_draws(state.rngs, spec, params, index, pending)
+        c, taken, failed = _steps(c, spec, nu, dt, nonlinear, draws.steps[slot : slot + stop - k], nonlinear and not k)
+        k += taken
+        if failed is not None:
             last = state if k == state.step_index else State(k * dt, state.grid, c, state.rngs, k)
-            return replace(last, draws=draws), error
+            pending = draws.closing[slot + taken - 1] if slot + taken else pending
+            return _closed(last, spec, params, pending), State((k + 1) * dt, state.grid, failed, state.rngs, k + 1, None, draws)
     return State(k * dt, state.grid, c, state.rngs, k, None, draws), None
 
 
@@ -380,42 +384,55 @@ def strang_step(state: State, spec: NoiseSpec, params: SimParams) -> State:
     Step k's halves take slot k mod K of each row's block at (k // K, SUB_OU); its opening half
     merges with step k - 1's closing one, and step 0 opens with OU(dt/2).  Without the rotation the
     step's own halves are one OU(dt).  The new array is the step's one finiteness check.  This is
-    the driver's loop (:func:`_advance`) run for one step; the new state holds its block's draws,
-    so a loop of calls draws each block once.
+    the driver's loop (:func:`_advance`) run for one step, raising on a non-finite array; the new
+    state holds its block's draws, so a loop of calls draws each block once.
     """
-    state, error = _advance(state, spec, params, state.step_index + 1)
-    if error is not None:
-        raise error
+    state, failed = _advance(state, spec, params, state.step_index + 1)
+    if failed is not None:
+        raise NonFiniteFieldError(f"spectral field turned non-finite at step {failed.step_index}")
     return state
 
 
-def _em_advance(state: State, spec: NoiseSpec, params: SimParams, stop: int):
-    """:func:`em_step` from ``state`` up to step ``stop``, returning as :func:`_advance` does."""
-    while state.step_index < stop:
+def _em_advance(state: State, spec: NoiseSpec, params: SimParams, stop: int) -> tuple[State, State | None]:
+    """Euler-Maruyama steps (:func:`em_step`) from ``state`` up to step ``stop``, returning as
+    :func:`_advance` does; each step's new coefficients are its one finiteness check.  Warns when the
+    stiffness guard nu |d_max|^2 dt < 1 is violated."""
+    grid, nu, dt = state.grid, params.nu, params.dt
+    stiffness = max(nu if isinstance(nu, tuple) else (nu,)) * grid.n * grid.D**2 * dt
+    if stiffness >= 1.0:
+        message = f"em stability guard violated: nu*|d_max|^2*dt = {stiffness:.3g} >= 1"
+        warnings.warn(message, RuntimeWarning, stacklevel=3)
+    u = state.u if state.u is not None else SpectralField(grid, from_planes(state.c))
+    for k in range(state.step_index, stop):
+        coeffs = _euler_maruyama(u, nu, dt, params.nonlinear, forced_increments(spec, dt, state.rngs, k))
         try:
-            state = em_step(state, spec, params)
-        except NonFiniteFieldError as exc:
-            return state, exc
+            u = SpectralField(grid, coeffs)
+        except NonFiniteFieldError:
+            return _closed(state, spec, params), State((k + 1) * dt, grid, to_planes(coeffs), state.rngs, k + 1)
+        state = State((k + 1) * dt, grid, u.planes, state.rngs, k + 1, u)
     return state, None
 
 
-def _closed(state: State, spec: NoiseSpec, params: SimParams) -> State:
-    """``state`` with its closed field ``u``: an open Strang state's pending OU(dt/2) applied to a copy, flushed."""
+def _closed(state: State, spec: NoiseSpec, params: SimParams, pending=None) -> State:
+    """``state`` with its closed field ``u``: an open Strang state's pending OU(dt/2) applied to a copy,
+    flushed, from step k - 1's closing half ``pending`` when the caller holds it (else :func:`_pending`)."""
     if state.u is not None:
         return state
     c = state.c
     if state.step_index and params.scheme == "strang" and params.nonlinear:
-        pending = _pending(state.rngs, _held(state, spec, params), spec, params, state.step_index)
+        if pending is None:
+            pending = _pending(state.rngs, _held(state, spec, params), spec, params, state.step_index)
         c = _flush(ou_exact_step(c, spec, params.nu, params.dt / 2.0, pending))
     u = SpectralField(state.grid, from_planes(c), c)
     return State(state.t, state.grid, state.c, state.rngs, state.step_index, u, state.draws)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite step raises through the new field, unwarned
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite result is left to the caller's check, unwarned
 def _euler_maruyama(
     u: SpectralField, nu: float | tuple[float, ...], dt: float, nonlinear: bool, increment: np.ndarray
-) -> SpectralField:
-    """u + dt*(nu Lap u - i Pi(|u|^2 u)) + sqrt(nu)*increment (Pi = evaluate-then-truncate, on planes).
+) -> np.ndarray:
+    """u + dt*(nu Lap u - i Pi(|u|^2 u)) + sqrt(nu)*increment (Pi = evaluate-then-truncate, on planes), as
+    coefficients, unchecked.
 
     A tuple ``nu`` holds one viscosity per row, applied as an (M, 1, ..., 1) column.
     """
@@ -428,28 +445,20 @@ def _euler_maruyama(
         re, im = v[0], v[1]
         v *= re**2 + im**2
         drift = drift - 1j * from_planes(to_spectral(grid, v))
-    return SpectralField(grid, u.coeffs + dt * drift + np.sqrt(nu) * increment)
+    return u.coeffs + dt * drift + np.sqrt(nu) * increment
 
 
 def em_step(state: State, spec: NoiseSpec, params: SimParams) -> State:
     """Explicit Euler-Maruyama step over the full drift (oracle scheme); its states are never open.
 
-    u <- u + dt*(nu Lap u - i Pi(|u|^2 u)) + sqrt(nu) dxi.  Warns when the
-    stiffness guard nu |d_max|^2 dt < 1 is violated.  Non-finite output raises
-    through the field constructor and is turned into a trajectory abort by the
-    driver.
+    u <- u + dt*(nu Lap u - i Pi(|u|^2 u)) + sqrt(nu) dxi.  This is the driver's loop
+    (:func:`_em_advance`) run for one step: it warns when the stiffness guard nu |d_max|^2 dt < 1 is
+    violated, and raises on a non-finite result.
     """
-    grid = state.grid
-    nu_max = max(params.nu) if isinstance(params.nu, tuple) else params.nu
-    stiffness = nu_max * grid.n * grid.D**2 * params.dt
-    if stiffness >= 1.0:
-        message = f"em stability guard violated: nu*|d_max|^2*dt = {stiffness:.3g} >= 1"
-        warnings.warn(message, RuntimeWarning, stacklevel=2)
-    u = state.u if state.u is not None else SpectralField(grid, from_planes(state.c))
-    increment = forced_increments(spec, params.dt, state.rngs, state.step_index)
-    u = _euler_maruyama(u, params.nu, params.dt, params.nonlinear, increment)
-    k = state.step_index + 1
-    return State(k * params.dt, grid, u.planes, state.rngs, k, u)
+    state, failed = _em_advance(state, spec, params, state.step_index + 1)
+    if failed is not None:
+        raise NonFiniteFieldError(f"spectral field turned non-finite at step {failed.step_index}")
+    return state
 
 
 # --- trajectory driver --------------------------------------------------------
@@ -472,16 +481,6 @@ def _take(state: State, keep: list[int] | slice) -> State:
         steps = draws.steps[:, keep] if isinstance(keep, slice) else np.ascontiguousarray(draws.steps[:, keep])
         draws = Draws((*draws.key[:3], pick(draws.key[3])), draws.index, steps, draws.closing[:, keep])
     return State(state.t, state.grid, state.c[:, keep], pick(state.rngs), state.step_index, u, draws)
-
-
-def _join(states: list[State]) -> State:
-    """The rows of ``states``, all at one step, in that order, with their draws if they hold one block's."""
-    first, c = states[0], np.concatenate([s.c for s in states], axis=1)
-    draws = first.draws
-    if draws is not None:
-        key = (*draws.key[:3], sum((s.draws.key[3] for s in states), ()))
-        draws = Draws(key, draws.index, *(np.concatenate([s.draws[j] for s in states], axis=1) for j in (2, 3)))
-    return State(first.t, first.grid, c, sum((s.rngs for s in states), ()), first.step_index, None, draws)
 
 
 class _Batch:
@@ -535,9 +534,10 @@ def continue_trajectory(
     sees its entry's rows as one closed state at step 0 (fresh starts only), after every
     record_every-th step, and at the entry's final step.  The batch steps from one such
     record step to the next in one loop (:func:`_advance`) up to the nearest horizon, and the
-    rows that reach it leave.  A step that turns non-finite ends the loop at the last good state
-    and is redone row by row: a failing row is dropped with its abort, which carries its last
-    good one-row state, closed.  The final state holds the rows that finish last, closed (None
+    rows that reach it leave.  A step that turns non-finite ends the loop.  Rows are independent,
+    so that step's array already holds each finite row's next state: those rows go on from it,
+    and each non-finite row is dropped with its abort, in row order, which carries its row of
+    the last good state, closed.  The final state holds the rows that finish last, closed (None
     if none is left).
     """
     if spec.grid != state.grid:
@@ -556,21 +556,15 @@ def continue_trajectory(
         state = batch.record(state, spec, fresh=True)
     while True:
         while state.step_index < batch.horizon:
-            state, error = advance(state, spec, batch.params, batch.next_stop(state.step_index))
-            if error is not None:
-                kept = []
-                for i, p in enumerate(batch.row_params):
-                    one, error = advance(_take(state, [i]), spec, p, state.step_index + 1)
-                    if error is None:
-                        kept.append((i, one))
-                    else:
-                        aborts.append(TrajectoryAbortError(
-                            f"non-finite field at step {one.step_index + 1} (last good t = {one.t:.6g}): {error}",
-                            _closed(one, spec, p),
-                        ))
-                if not kept:
+            state, failed = advance(state, spec, batch.params, batch.next_stop(state.step_index))
+            if failed is not None:
+                finite = np.isfinite(failed.c).all(axis=(0, *range(2, failed.c.ndim)))
+                message = f"non-finite field at step {failed.step_index} (last good t = {state.t:.6g})"
+                aborts += [TrajectoryAbortError(message, _take(state, [i])) for i in np.flatnonzero(~finite)]
+                going = np.flatnonzero(finite).tolist()
+                if not going:
                     return None, aborts
-                state, batch = _join([s for _, s in kept]), batch.keep([i for i, _ in kept])
+                state, batch = _take(failed, going), batch.keep(going)
             state = batch.record(state, spec)
         going_on = [i for i, p in enumerate(batch.row_params) if p.n_steps > state.step_index]
         if not going_on:

@@ -25,7 +25,7 @@ import numpy as np
 
 from cascade_lab.forcing import SUB_PATH, NoiseSpec, RngStream
 from cascade_lab.integrators import _euler_maruyama, _flush, _merged_noise, _ou_tables, _steps, ou_exact_step
-from cascade_lab.spectral import GridMismatchError, SpectralField, from_planes, mode_abs_sq
+from cascade_lab.spectral import GridMismatchError, NonFiniteFieldError, SpectralField, from_planes, mode_abs_sq
 
 
 def basis_eval(d, x) -> float:
@@ -144,9 +144,9 @@ def run_strang_on_path(
     halves = np.stack([_parts(scale * _window_conv(path.conv, fine_decay, i, i + r)) for i in range(0, path.n_fine, r)])
     n0, n1 = halves[0::2], halves[1::2]  # each step's opening and closing half, (steps, 1, 2, s)
     noise = _merged_noise(path.spec, path.nu, dt, nonlinear, n0, n1)
-    c, _, error = _steps(u0.planes, path.spec, path.nu, dt, nonlinear, noise, first=nonlinear)
-    if error is not None:
-        raise error
+    c, taken, failed = _steps(u0.planes, path.spec, path.nu, dt, nonlinear, noise, first=nonlinear)
+    if failed is not None:
+        raise NonFiniteFieldError(f"spectral field turned non-finite at step {taken + 1}")
     if nonlinear:
         c = _flush(ou_exact_step(c, path.spec, path.nu, dt / 2.0, n1[-1]))
     return SpectralField(u0.grid, from_planes(c))
@@ -163,7 +163,7 @@ def run_em_on_path(
     for i in range(0, path.n_fine, r):
         incr = np.zeros(u0.grid.n_modes, dtype=np.complex128)
         incr[forced] = b * path.dbeta[i : i + r].sum(axis=0)
-        u = _euler_maruyama(u, path.nu, dt, nonlinear, incr.reshape(u0.grid.coeff_shape))
+        u = SpectralField(u0.grid, _euler_maruyama(u, path.nu, dt, nonlinear, incr.reshape(u0.grid.coeff_shape)))
     return u
 
 

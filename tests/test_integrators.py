@@ -95,6 +95,16 @@ def capture(store):
     return sink
 
 
+def em_until_it_raises(state, spec, params):
+    """The last state of an em_step loop from ``state`` to the horizon, and the step that raised (None if none)."""
+    while state.step_index < params.n_steps:
+        try:
+            state = em_step(state, spec, params)
+        except NonFiniteFieldError:
+            return state, state.step_index + 1
+    return state, None
+
+
 def ou_noise(spec, nu, dt, rng, step_index=0):
     """One row's sqrt(nu) b_d gamma_d over the forced modes for an exact OU step, drawn at (step_index, SUB_OU), as (1, 2, s) parts."""
     _, sd, scale = _ou_tables(spec, nu, dt)
@@ -351,22 +361,29 @@ class TestStrangStep:
             assert checks == ["spectral field"]
 
     def test_row_turning_non_finite_inside_a_step_aborts_at_that_step(self):
-        # Row 1 is finite at step 5, but |u|^2 overflows in the step's phase rotation.
+        # The rows ``bad`` are finite at step 5, but |u|^2 overflows in the step's phase rotation:
+        # each aborts, in row order, with its one-row state at step 5, closed, and the other rows
+        # end on their one-row runs' bits; with every row bad no state is left.
         params = SimParams(nu=0.5, dt=0.01, T=0.1, seed=4)
-        c = rows(*(random_field(GRID, 80 + i, 0.3) for i in range(3)))
-        c[1, 0] = 1e160
         rngs = tuple(RngStream(params.seed, 10 + i) for i in range(3))
-        start = State.of(SpectralField(GRID, c), rngs, 0.05, 5)
-        final, (abort,) = continue_trajectory(start, BAND, params)
-        last = abort.last_state
-        assert (last.rngs[0].stream_id, last.step_index, last.t) == (11, 5, 0.05)
-        row_1 = State.of(SpectralField(GRID, c[1:2]), rngs[1:2], 0.05, 5)
-        assert last.u.coeffs.tobytes() == _closed(row_1, BAND, params).u.coeffs.tobytes()
-        assert "step 6" in str(abort)
-        assert final.step_index == 10 and [r.stream_id for r in final.rngs] == [10, 12]
-        for i, row in ((0, 0), (2, 1)):
-            one, none = continue_trajectory(State.of(SpectralField(GRID, c[i : i + 1]), rngs[i : i + 1], 0.05, 5), BAND, params)
-            assert none == [] and one.u.coeffs.tobytes() == final.u.coeffs[row : row + 1].tobytes()
+        for bad in ([1], [0, 2], [0, 1, 2]):
+            c = rows(*(random_field(GRID, 80 + i, 0.3) for i in range(3)))
+            c[bad, 0] = 1e160
+            one_row = [State.of(SpectralField(GRID, c[i : i + 1]), rngs[i : i + 1], 0.05, 5) for i in range(3)]
+            final, aborts = continue_trajectory(State.of(SpectralField(GRID, c), rngs, 0.05, 5), BAND, params)
+            assert [abort.last_state.rngs[0].stream_id for abort in aborts] == [10 + i for i in bad]
+            for i, abort in zip(bad, aborts):
+                last = abort.last_state
+                assert (last.step_index, last.t) == (5, 0.05) and "step 6" in str(abort)
+                assert last.u.coeffs.tobytes() == _closed(one_row[i], BAND, params).u.coeffs.tobytes()
+            going = [i for i in range(3) if i not in bad]
+            if not going:
+                assert final is None
+                continue
+            assert final.step_index == 10 and [r.stream_id for r in final.rngs] == [10 + i for i in going]
+            for row, i in enumerate(going):
+                one, none = continue_trajectory(one_row[i], BAND, params)
+                assert none == [] and one.u.coeffs.tobytes() == final.u.coeffs[row : row + 1].tobytes()
 
     def test_self_convergence_on_fixed_path(self):
         # RMS over four fixed paths of the successive-halving differences at
@@ -435,11 +452,17 @@ class TestForcedModeDraws:
         assert u1[0] != c0[0] * decay[0]  # the forced mode got its convolution
 
     @staticmethod
-    def count_normals(monkeypatch) -> list:
-        """The (step_index, substream) of every RngStream.normals call from here on."""
+    def count_normals(monkeypatch, by_stream=False) -> list:
+        """The (step_index, substream) of every RngStream.normals call from here on, led by the
+        stream id if ``by_stream``."""
         calls = []
         normals = RngStream.normals
-        monkeypatch.setattr(RngStream, "normals", lambda self, *a, **k: calls.append(a) or normals(self, *a, **k))
+
+        def counted(self, *a, **k):
+            calls.append((self.stream_id, *a) if by_stream else a)
+            return normals(self, *a, **k)
+
+        monkeypatch.setattr(RngStream, "normals", counted)
         return calls
 
     def test_degenerate_spec_draws_nothing(self, monkeypatch):
@@ -807,9 +830,10 @@ class TestRunTrajectory:
     @pytest.mark.parametrize("cache", ["cold", "warm"])
     def test_abort_at_the_first_slot_of_a_block(self, monkeypatch, cache):
         # Row 1 overflows in step K, the first slot of block 1, whose noise merges block 0's last
-        # closing half (drawn again by a cold start, a state without draws, and taken from the
-        # draws of a warm one): the abort carries stream 11, step K and t = K dt, and the other
-        # rows end on their one-row runs' bits.
+        # closing half (drawn by a cold start, a state without draws, and taken from the draws of
+        # a warm one): the abort carries stream 11, step K and t = K dt, closed with that half, and
+        # the other rows end on their one-row runs' bits.  Each stream, the aborted one included,
+        # draws each block it reads once.
         K = ou_block_steps(BAND.forced.size)
         params = SimParams(nu=0.5, dt=0.01, T=(K + 4) * 0.01, seed=4)
         c = rows(*(random_field(GRID, 80 + i, 0.3) for i in range(3)))
@@ -820,9 +844,10 @@ class TestRunTrajectory:
             held = strang_step(State.of(SpectralField(GRID, np.zeros_like(c)), rngs, (K - 1) * 0.01, K - 1), BAND, params)
             assert held.step_index == K and held.draws.index == 0
             start = replace(start, draws=held.draws)
-        calls = TestForcedModeDraws.count_normals(monkeypatch)
+        calls = TestForcedModeDraws.count_normals(monkeypatch, by_stream=True)
         final, (abort,) = continue_trajectory(start, BAND, params)
-        assert ((0, SUB_OU) in calls) == (cache == "cold")
+        blocks = (0, 1) if cache == "cold" else (1,)
+        assert sorted(calls) == [(sid, index, SUB_OU) for sid in (10, 11, 12) for index in blocks]
         last = abort.last_state
         assert (last.rngs[0].stream_id, last.step_index, last.t) == (11, K, K * 0.01)
         row_1 = State.of(SpectralField(GRID, c[1:2]), rngs[1:2], K * 0.01, K)
@@ -834,8 +859,8 @@ class TestRunTrajectory:
             assert none == [] and one.u.coeffs.tobytes() == final.u.coeffs[row : row + 1].tobytes()
 
     def test_an_abort_inside_a_block_draws_it_once_per_stream(self, monkeypatch):
-        # The block built for the failing step stays with the last good state: the row-by-row redo,
-        # the aborted row's closing half and the rows that go on take it from there.
+        # The block built for the failing step serves the aborted row's closing half, and the rows
+        # that go on from that step's array keep it.
         params = SimParams(nu=0.5, dt=0.01, T=0.1, seed=4)
         assert params.n_steps < ou_block_steps(BAND.forced.size)
         c = rows(*(random_field(GRID, 80 + i, 0.3) for i in range(3)))
@@ -858,14 +883,41 @@ class TestRunTrajectory:
             continue_trajectory(start, BAND, (a, replace(a, dt=0.01)))
 
     def test_nan_abort_carries_last_good_time(self):
-        # EM far beyond its stability limit blows up to inf/NaN quickly.
+        # EM far beyond its stability limit blows up to inf/NaN after a few steps: the abort carries
+        # the last good state of a one-row em_step loop, its step, t and bytes.
         params = SimParams(nu=1.0, dt=0.5, T=50.0, scheme="em", seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             final, (abort,) = continue_trajectory(initial_state(random_field(GRID, 10), params), BAND, params)
+            good, failing = em_until_it_raises(initial_state(random_field(GRID, 10), params), BAND, params)
         assert final is None and isinstance(abort, TrajectoryAbortError)
-        assert abort.last_state.t >= 0.0
-        assert np.isfinite(abort.last_state.u.coeffs).all()
+        assert failing is not None and failing > 1
+        last = abort.last_state
+        assert (last.step_index, last.t) == (failing - 1, (failing - 1) * params.dt) == (good.step_index, good.t)
+        assert last.u.coeffs.tobytes() == good.u.coeffs.tobytes() and last.c.tobytes() == good.c.tobytes()
+        assert f"step {failing}" in str(abort)
+
+    def test_an_em_row_that_overflows_leaves_alone(self):
+        # Only row 1 overflows (|u|^2 u at 1e160), with dt under the stability guard: its abort
+        # carries its last good one-row em_step state, and the other rows end on their one-row
+        # em_step loops' bits.
+        params = SimParams(nu=0.5, dt=0.002, T=0.02, scheme="em", seed=4)
+        assert params.nu * GRID.n * GRID.D**2 * params.dt < 1.0
+        c = rows(*(random_field(GRID, 80 + i, 0.3) for i in range(3)))
+        c[1, 0] = 1e160
+        rngs = tuple(RngStream(params.seed, 10 + i) for i in range(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            final, (abort,) = continue_trajectory(State.of(SpectralField(GRID, c), rngs), BAND, params)
+            ends = [em_until_it_raises(State.of(SpectralField(GRID, c[i : i + 1]), rngs[i : i + 1]), BAND, params) for i in range(3)]
+        assert [failing for _, failing in ends] == [None, 1, None]
+        good = ends[1][0]
+        last = abort.last_state
+        assert (last.rngs, last.step_index, last.t) == (good.rngs, good.step_index, good.t) == (rngs[1:2], 0, 0.0)
+        assert last.u.coeffs.tobytes() == good.u.coeffs.tobytes() and "step 1" in str(abort)
+        assert final.step_index == params.n_steps and final.rngs == (rngs[0], rngs[2])
+        for row, i in enumerate((0, 2)):
+            assert final.u.coeffs[row : row + 1].tobytes() == ends[i][0].u.coeffs.tobytes()
 
     def test_slow_time_equivalence(self):
         # A fast chain at (nu, dt) performs the same arithmetic as a unit-viscosity
