@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
 from math import sqrt
 
 import numpy as np
@@ -113,9 +113,13 @@ class Stream:
 class NormRecorder:
     """Trajectory sink recording each row's norms at each recorded step.
 
-    A call appends one (rows, columns) block, computed for all rows at once,
-    and the stream ids of its rows; ``streams`` holds each stream id's rows as
-    a :class:`Stream`.
+    A call computes the columns of all its rows in one pass and appends them as one
+    (rows, columns) block, with the stream ids of its rows; ``streams`` holds each stream
+    id's rows as a :class:`Stream`.  A :meth:`joint` sink serves the rows of several
+    recorders: its call computes, in one pass over every row, the union of the columns
+    that the recorders of those rows ask for, and appends each recorder's rows and
+    columns of it.  Rows are independent in every product, and the sup and C^m are exact
+    maxima, so a row's columns have the same bits in any pass.
     """
 
     def __init__(
@@ -133,24 +137,62 @@ class NormRecorder:
         self._blocks: list[np.ndarray] = []
         self._ids: list[list[int]] = []
         self._streams: dict[int, Stream] | None = None
+        self._owners: dict[int, NormRecorder] | None = None  # a joint sink's: id(RngStream) -> recorder
+
+    @classmethod
+    def joint(cls, recorders, rngs) -> "NormRecorder":
+        """One sink for the rows of several recorders, which records nothing itself.
+
+        ``rngs[j]`` holds the RngStream objects of ``recorders[j]``'s rows.  Stream ids
+        repeat across recorders, so a row's recorder is that of its stream object.
+        """
+        sink = cls(nu=0.0, ms=())
+        sink._owners = {id(rng): rec for rec, rows in zip(recorders, rngs) for rng in rows}
+        return sink
 
     def __call__(self, state: State) -> None:
-        u, rows = state.u, len(state.rngs)
-        times = np.full(rows, state.t), np.full(rows, self.nu * state.t)
-        parts = [*times, sobolev_norm(u, self.ms).T]
-        if self.cm_orders:  # the sup is C^0: one pass gives both, with the sup's own bits
-            both = cm_norm(u, (0, *self.cm_orders))
-            parts += [both[0], both[1:].T]
+        u, t, rngs = state.u, state.t, state.rngs
+        if self._owners is None:
+            runs, ms, orders, with_shells = [(self, slice(None))], self.ms, self.cm_orders, self.shells
         else:
-            parts.append(sup_norm(u))
-        if self.shells:
-            parts.append(shell_energies(u.grid, u.coeffs))
-        block = np.column_stack(parts)
+            runs, ms, orders, with_shells = self._union(rngs)
+        norms = sobolev_norm(u, ms).T
+        if orders:  # the sup is C^0: one pass gives both, with the sup's own bits
+            both = cm_norm(u, (0, *orders))
+            sup, cms = both[0], both[1:].T
+        else:
+            sup = sup_norm(u)
+        shells = shell_energies(u.grid, u.coeffs) if with_shells else None
+        for rec, rows in runs:
+            parts = [_pick(norms[rows], ms, rec.ms), sup[rows]]
+            if rec.cm_orders:
+                parts.append(_pick(cms[rows], orders, rec.cm_orders))
+            if rec.shells:
+                parts.append(shells[rows])
+            rec._append(t, rngs[rows], parts)
+
+    def _union(self, rngs) -> tuple[list, tuple[float, ...], tuple[int, ...], bool]:
+        """A joint sink's (recorder, rows) for each run of consecutive rows that share a recorder, and
+        the union of those recorders' Sobolev orders, C^m orders and shells."""
+        runs, start = [], 0
+        for rec, rows in groupby(self._owners[id(rng)] for rng in rngs):
+            stop = start + len(tuple(rows))
+            runs.append((rec, slice(start, stop)))
+            start = stop
+        recs = [rec for rec, _ in runs]
+        ms = tuple(dict.fromkeys(m for rec in recs for m in rec.ms))
+        orders = tuple(sorted({k for rec in recs for k in rec.cm_orders}))
+        return runs, ms, orders, any(rec.shells for rec in recs)
+
+    def _append(self, t: float, rngs, parts: list[np.ndarray]) -> None:
+        """Append the block of ``rngs``' rows at time ``t``: t, tau and ``parts``, this recorder's columns of a pass."""
+        rows = len(rngs)
+        block = np.column_stack([np.full(rows, t), np.full(rows, self.nu * t), *parts])
         if self.columns is None:
             n_shells = block.shape[1] - 3 - len(self.ms) - len(self.cm_orders)
             self.columns = tuple(schema.stream_columns(self.ms, self.cm_orders, n_shells))
         self._blocks.append(block)
-        self._ids.append([rng.stream_id for rng in state.rngs])
+        self._ids.append([rng.stream_id for rng in rngs])
         self._streams = None
 
     @property
@@ -162,6 +204,11 @@ class NormRecorder:
                 data, ids = np.concatenate(self._blocks), np.concatenate(self._ids)
                 self._streams = {sid: Stream(data[ids == sid], self.columns) for sid in dict.fromkeys(ids.tolist())}
         return self._streams
+
+
+def _pick(values: np.ndarray, have: tuple, want: tuple) -> np.ndarray:
+    """The columns of ``values`` (one per entry of ``have``) for the entries ``want``, in that order."""
+    return values if want == have else values[:, [have.index(x) for x in want]]
 
 
 # --- stream serialization ----------------------------------------------------

@@ -173,9 +173,11 @@ def run_ensembles(
 
     The batch holds each ensemble's M rows in turn, each row at its own ensemble's
     viscosity, and an ensemble's rows leave at its horizon.  Each ensemble keeps its own
-    recorder, observable window, abort count and tolerated fraction, checked in order;
-    stream ids repeat across ensembles, so an abort goes to the ensemble whose stream
-    object its row carries.  Each result is bit for bit that of :func:`ensemble_run`.
+    recorder, observable window, abort count and tolerated fraction, checked in order.
+    The recorders share one sink (:meth:`NormRecorder.joint`), so a record step takes one
+    pass over the rows of every ensemble due there.  Stream ids repeat across ensembles,
+    so a row's record and its abort go to the ensemble whose stream object it carries.
+    Each result is bit for bit that of :func:`ensemble_run`.
     """
     recorders, rngs = [], []
     for e in ensembles:
@@ -185,9 +187,9 @@ def run_ensembles(
     u0 = np.concatenate([e.u0_factory(rng.stream_id).coeffs for e, rows in zip(ensembles, rngs) for rng in rows])
     state = State.of(SpectralField(grid, u0), tuple(chain.from_iterable(rngs)))
     row_params = tuple(chain.from_iterable((e.params,) * e.M for e in ensembles))
-    row_sinks = tuple(chain.from_iterable((rec,) * e.M for e, rec in zip(ensembles, recorders)))
+    sink = recorders[0] if len(recorders) == 1 else NormRecorder.joint(recorders, rngs)
     # Resolved at call time, so a wrapper installed on the integrators module sees the call.
-    _, aborted = integrators.continue_trajectory(state, spec, row_params, row_sinks)
+    _, aborted = integrators.continue_trajectory(state, spec, row_params, sink)
     owner = {id(rng): j for j, rows in enumerate(rngs) for rng in rows}
     lost: list[set[int]] = [set() for _ in ensembles]
     for exc in aborted:

@@ -41,8 +41,7 @@ from .spectral import GridSpec, mode_abs_sq
 # (substream, step_index) pair; numpy fills the low 128 bits while drawing.
 SUB_OU = 0  # OU convolution draws: both halves of a Strang step
 SUB_INCREMENT = 2  # raw Brownian increments (Euler-Maruyama)
-SUB_PATH = 3  # fine-level joint path draws for coupled-integrator studies
-SUB_INIT = 5  # random initial data
+SUB_INIT = 5  # random initial data (3 is the coupled-path draws of tests/oracles.py)
 
 # Normals per Strang OU draw address: K = max(1, OU_BLOCK_NORMALS // 4s) steps share one.
 OU_BLOCK_NORMALS = 1024

@@ -463,6 +463,7 @@ def em_step(state: State, spec: NoiseSpec, params: SimParams) -> State:
 
 # --- trajectory driver --------------------------------------------------------
 
+# A sink is called at each record step, once, with the closed rows of every entry it serves that is due there.
 Sink = Callable[[State], None]
 
 
@@ -472,11 +473,12 @@ def initial_state(u0: SpectralField, params: SimParams) -> State:
 
 
 def _take(state: State, keep: list[int] | slice) -> State:
-    """Rows ``keep`` of ``state``, in that order, with their draws; a slice keeps views."""
+    """Rows ``keep`` of ``state``, in that order, with their draws, its closed field's rows not checked
+    again; a slice keeps views."""
     pick = (lambda seq: seq[keep]) if isinstance(keep, slice) else (lambda seq: tuple(seq[i] for i in keep))
     u, draws = state.u, state.draws
     if u is not None:
-        u = SpectralField(state.grid, u.coeffs[keep], u.planes[:, keep])
+        u = u.rows(keep)
     if draws is not None:  # a list's rows copied C-contiguous, so that each step's noise is
         steps = draws.steps[:, keep] if isinstance(keep, slice) else np.ascontiguousarray(draws.steps[:, keep])
         draws = Draws((*draws.key[:3], pick(draws.key[3])), draws.index, steps, draws.closing[:, keep])
@@ -508,14 +510,20 @@ class _Batch:
         return min((self.horizon, *((k // every + 1) * every for every in self.cadences)))
 
     def record(self, state: State, spec: NoiseSpec, fresh: bool = False) -> State:
-        """Hand the closed state to each sink due at this step; returns it closed if any was due."""
+        """Call each sink due at this step once, with the closed rows of all its due entries (a slice
+        of the state when they are adjacent); returns the state closed if any sink was due."""
         k, rows = state.step_index, len(self.row_params)
-        due = [(start, stop, sink) for start, stop, p, sink in self.entries
-               if sink is not None and (fresh or k % p.record_every == 0 or k == p.n_steps)]
+        due: dict[int, tuple[Sink, list[int]]] = {}
+        for start, stop, p, sink in self.entries:
+            if sink is not None and (fresh or k % p.record_every == 0 or k == p.n_steps):
+                due.setdefault(id(sink), (sink, []))[1].extend(range(start, stop))
         if due:
             state = _closed(state, spec, self.params)
-        for start, stop, sink in due:
-            sink(state if stop - start == rows else _take(state, slice(start, stop)))
+        for sink, keep in due.values():
+            if len(keep) == rows:
+                sink(state)
+            else:
+                sink(_take(state, slice(keep[0], keep[-1] + 1) if keep[-1] - keep[0] < len(keep) else keep))
         return state
 
     def keep(self, rows: list[int]) -> "_Batch":
@@ -530,9 +538,10 @@ def continue_trajectory(
 
     ``params`` and ``sink`` serve every row, or are tuples with one per row.  Consecutive
     rows that share both are one entry; entries may differ in viscosity and horizon but
-    share dt, scheme and nonlinearity, and each row steps with its own viscosity.  A sink
-    sees its entry's rows as one closed state at step 0 (fresh starts only), after every
-    record_every-th step, and at the entry's final step.  The batch steps from one such
+    share dt, scheme and nonlinearity, and each row steps with its own viscosity.  An entry
+    is due at step 0 (fresh starts only), after every record_every-th step, and at its final
+    step; at each step where any is due, each sink is called once, with the rows of all its
+    due entries as one closed state.  The batch steps from one such
     record step to the next in one loop (:func:`_advance`) up to the nearest horizon, and the
     rows that reach it leave.  A step that turns non-finite ends the loop.  Rows are independent,
     so that step's array already holds each finite row's next state: those rows go on from it,

@@ -140,6 +140,13 @@ class SpectralField:
             planes.flags.writeable = False
             object.__setattr__(self, "planes", planes)
 
+    def rows(self, keep: list[int] | slice) -> "SpectralField":
+        """Rows ``keep`` of this field, in that order, with their planes; not checked again, since
+        this field's rows are finite.  A slice keeps views."""
+        out = object.__new__(SpectralField)
+        vars(out).update(grid=self.grid, coeffs=self.coeffs[keep], planes=self.planes[:, keep])
+        return out
+
 
 def to_planes(coeffs: np.ndarray) -> np.ndarray:
     """The planes of complex ``coeffs`` (*rows, *grid axes), the parts axis first."""

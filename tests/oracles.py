@@ -23,9 +23,11 @@ from math import pi, sqrt
 
 import numpy as np
 
-from cascade_lab.forcing import SUB_PATH, NoiseSpec, RngStream
+from cascade_lab.forcing import NoiseSpec, RngStream
 from cascade_lab.integrators import _euler_maruyama, _flush, _merged_noise, _ou_tables, _steps, ou_exact_step
 from cascade_lab.spectral import GridMismatchError, NonFiniteFieldError, SpectralField, from_planes, mode_abs_sq
+
+SUB_PATH = 3  # the substream of the fine-level joint path draws; no draw of the package uses it
 
 
 def basis_eval(d, x) -> float:

@@ -326,6 +326,36 @@ class TestBatchedSweep:
         with pytest.raises(EnsembleAbortError, match="1/3"):
             run_ensembles(GRID, BAND, (entries[0], strict, entries[2]))
 
+    def test_ensembles_that_record_other_columns_each_get_their_own(self, monkeypatch):
+        # Recorders that differ in Sobolev orders, C^m orders and shells, at cadences 7, 5 and 7 and
+        # horizons 150, 240 and 300: one pass per record step covers the due rows (the first and last
+        # entries' rows apart from the middle one's at step 7) with the union of their columns.  Each
+        # ensemble gets exactly its own columns, bit for bit those of its run alone.
+        grid = GridSpec(2, 12, 6)
+        spec = NoiseSpec.band(grid, [1.0, 1.0, 1.0])
+        settings = (
+            (0.5, 1.5, 7, lambda p: NormRecorder(nu=p.nu, ms=(2.0, 0.0, 0.5))),
+            (0.4, 2.4, 5, lambda p: NormRecorder(nu=p.nu, cm_orders=(3, 1), shells=True)),
+            (0.25, 3.0, 7, lambda p: NormRecorder(nu=p.nu, ms=(1.0, 3.0), cm_orders=(2,))),
+        )
+        entries = tuple(
+            Ensemble(SimParams(nu=nu, dt=0.01, T=T, record_every=every, seed=9), 2,
+                     lambda sid, nu=nu: constrained_profile(grid, nu), recorder_factory=factory)
+            for nu, T, every, factory in settings
+        )
+        assert [e.params.n_steps for e in entries] == [150, 240, 300]
+        rows = driver_rows(monkeypatch)
+        results = run_ensembles(grid, spec, entries)
+        assert rows == [6]
+        columns = [
+            ("t", "tau", "norm_2", "norm_0", "norm_0.5", "sup"),
+            ("t", "tau", "norm_0", "norm_1", "norm_2", "sup", "cm_1", "cm_3", *(f"shell_{k}" for k in range(1, 10))),
+            ("t", "tau", "norm_1", "norm_3", "sup", "cm_2"),
+        ]
+        for e, (summary, streams), names in zip(entries, results, columns):
+            assert [s.columns for s in streams] == [names, names]
+            assert (summary, streams) == ensemble_run(grid, spec, **vars(e))
+
 
 class TestSweepPlan:
     def test_validation(self):

@@ -39,7 +39,14 @@ from cascade_lab.diagnostics import (
     StationaryCheckReport,
     stream_csv_text,
 )
-from cascade_lab.experiments import EnsembleSummary, Observable, ObservableStats, ScalingFit, ensemble_run
+from cascade_lab.experiments import (
+    EnsembleSummary,
+    Observable,
+    ObservableStats,
+    ScalingFit,
+    SweepPlan,
+    ensemble_run,
+)
 from cascade_lab.forcing import NoiseSpec, RngStream
 from cascade_lab.integrators import (
     SimParams,
@@ -115,6 +122,9 @@ CRITERION_10_SHA256 = {
 
 # sha256 over the CSV streams and the summary of ``n2_ensemble``
 N2_ENSEMBLE_SHA256 = "5b219cad330a974fd740a7c82b1062e63399457e8d3f44849326ca728c22e8d8"
+
+# sha256 over the CSV streams and the summaries of ``n2_sweep``
+N2_SWEEP_SHA256 = "1a3b9b90fe09242a35eeff808204083a71120c6dbf8ebb2144436a42ce912e3d"
 
 # sha256 of ``checkpoint_bytes()``
 CHECKPOINT_SHA256 = "05a251b5d6fbab2c30d663bea57d4dfa5561b12d58737c71e9a8d85815dc6fff"
@@ -396,6 +406,26 @@ def n2_ensemble_hash(grid=N2_GRID) -> str:
         h.update(stream_csv_text(records).encode())
     h.update(json.dumps(schema.report(summary)).encode())
     return h.hexdigest()
+
+
+def n2_sweep_hash() -> str:
+    """A fixed-dt n=2 sweep of three entries of M=2 with C^2 columns, on a grid where both golden
+    kernels agree: its entries step as one batch of rows that leave at three horizons."""
+    plan = SweepPlan(
+        GridSpec(2, 12, 6), "band:1,1,1", (0.4, 0.2, 0.1), M=2, base_seed=31,
+        observables=(Observable("sup_cm", 2.0), Observable("sup_inf")),
+    )
+    h = hashlib.sha256()
+    for summary, streams in plan.ensembles():
+        for records in streams:
+            h.update(stream_csv_text(records).encode())
+        h.update(json.dumps(schema.report(summary)).encode())
+    return h.hexdigest()
+
+
+def test_n2_sweep_matches_golden():
+    skip_unless_golden_build()
+    assert n2_sweep_hash() == N2_SWEEP_SHA256
 
 
 def checkpoint_bytes() -> bytes:

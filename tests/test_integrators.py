@@ -753,6 +753,22 @@ class TestRunTrajectory:
             assert one.streams[sid] == rec.streams[sid]
         assert single.u.coeffs.tobytes() == final.u.coeffs.tobytes()
 
+    def test_a_sink_of_several_entries_sees_their_due_rows_in_one_call(self):
+        # Rows 0 and 2 record every 2 steps and row 1 every 3, to step 6, all into one plain sink: at
+        # each record step it is called once, with the closed rows of the entries due there.
+        every2 = SimParams(nu=0.5, dt=0.02, T=0.12, record_every=2, seed=21)
+        every3 = replace(every2, nu=0.25, record_every=3)
+        fields = [random_field(GRID, 50 + i, 0.3) for i in range(3)]
+        calls = []
+
+        def sink(state):
+            assert state.u is not None
+            calls.append((state.step_index, [rng.stream_id for rng in state.rngs]))
+
+        start = State.of(SpectralField(GRID, rows(*fields)), tuple(RngStream(21, i) for i in range(3)))
+        continue_trajectory(start, BAND, (every2, every3, every2), sink)
+        assert calls == [(0, [0, 1, 2]), (2, [0, 2]), (3, [1]), (4, [0, 2]), (6, [0, 1, 2])]
+
     def test_record_cadence_leaves_the_bits_alone(self):
         # The running state never closes, so runs that record every 1, 7 and 10 steps end on
         # the same bits, and their records agree wherever their steps coincide.
