@@ -2,10 +2,11 @@
 
 The model is u_t - nu*Lap(u) + i|u|^2 u = sqrt(nu)*eta on the cube [0, pi]^n
 with Dirichlet walls and white-in-time, smooth-in-space forcing on the sine
-basis.  The lab simulates trajectories with an exact-OU Strang splitting (or
-an Euler-Maruyama oracle), measures norm statistics, and runs viscosity
-sweeps against the balance identity, occupation-time bounds, and power-law
-growth trends of higher Sobolev and C^m norms.
+basis.  The lab simulates trajectories with an exact-OU Strang splitting,
+measures norm statistics, and runs viscosity sweeps against the balance
+identity, occupation-time bounds, and power-law growth trends of higher
+Sobolev and C^m norms.  An explicit Euler-Maruyama step (``em_step``) is kept
+only as the tests' independent oracle.
 """
 
 __version__ = "0.1.0"
@@ -38,7 +39,6 @@ from .integrators import (
     single_mode,
     smooth_random_field,
     constrained_profile,
-    default_dt,
     save_checkpoint,
     load_checkpoint,
 )

@@ -25,6 +25,7 @@ import os
 import sys
 import tempfile
 from dataclasses import make_dataclass, replace
+from math import isfinite
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -48,7 +49,6 @@ from .experiments import (  # ensemble_run stays importable here for perfbench's
     stationary_sweep,
 )
 from .forcing import NoiseSpec, ProfileError, bk_sum
-from .integrators import default_dt
 from .spectral import GridSpec
 
 
@@ -76,27 +76,33 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
+def _float(text: str) -> float:
+    value = float(text)
+    if not isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in _str_list(text))
+    return tuple(_float(v) for v in _str_list(text))
 
 
 REQUIRED = object()  # the default of a key that every config must set
 
 # The config grammar, in file order: (section, key, parser, default).  RunConfig is built from it,
 # one field per key (named by _field).  A key whose value is None is not emitted; an absent N is
-# 2 D and an absent dt the scheme's default.
+# 2 D.
 GRAMMAR = (
     ("grid", "n", int, REQUIRED),
     ("grid", "N", int, None),
     ("grid", "D", int, REQUIRED),
     ("noise", "profile", str, REQUIRED),
-    ("sim", "nu", float, None),
+    ("sim", "nu", _float, None),
     ("sim", "nu_grid", _float_list, None),
-    ("sim", "dt", float, None),
-    ("sim", "T", float, None),
-    ("sim", "T_slow", float, None),
+    ("sim", "dt", _float, 0.01),
+    ("sim", "T", _float, None),
+    ("sim", "T_slow", _float, None),
     ("sim", "record_every", int, 10),
-    ("sim", "scheme", str, "strang"),
     ("sim", "nonlinear", _bool, True),
     ("ensemble", "M", int, 2),
     ("ensemble", "base_seed", int, REQUIRED),
@@ -104,12 +110,12 @@ GRAMMAR = (
     ("experiment", "observables", _str_list,
      ("time_avg_sobolev:2", "sup_sobolev:2", "sup_cm:2", "sup_inf")),
     ("experiment", "out", str, "runs"),
-    ("experiment", "window_t0_slow", float, 1.0),
+    ("experiment", "window_t0_slow", _float, 1.0),
     ("occupation", "run", str, None),
     ("occupation", "chi_fracs", _float_list, (0.05, 0.1, 0.2)),
-    ("occupation", "gamma_factor", float, 2.0),
-    ("occupation", "tau0", float, 0.0),
-    ("occupation", "tau", float, 1.0),
+    ("occupation", "gamma_factor", _float, 2.0),
+    ("occupation", "tau0", _float, 0.0),
+    ("occupation", "tau", _float, 1.0),
 )
 
 _SCHEMA = {section: {k for s, k, *_ in GRAMMAR if s == section} for section, *_ in GRAMMAR}
@@ -152,7 +158,6 @@ class _Derived:
             T=T,
             window_t0_slow=self.window_t0_slow,
             record_every=self.record_every,
-            scheme=self.scheme,
             nonlinear=self.nonlinear,
             observables=tuple(Observable.parse(o) for o in self.observables),
         )
@@ -246,12 +251,10 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
         errors.append(f"sim.T must be positive, got {c.T}")
     if c.T_slow is not None and c.T_slow <= 0:
         errors.append(f"sim.T_slow must be positive, got {c.T_slow}")
-    if c.dt is not None and c.dt <= 0:
+    if c.dt <= 0:
         errors.append(f"sim.dt must be positive, got {c.dt}")
     if c.record_every < 1:
         errors.append(f"sim.record_every must be >= 1, got {c.record_every}")
-    if c.scheme not in ("strang", "em"):
-        errors.append(f"sim.scheme must be strang or em, got {c.scheme!r}")
     if c.M < 1:
         errors.append(f"ensemble.M must be >= 1, got {c.M}")
     if c.base_seed is not None and not 0 <= c.base_seed < 2**64:
@@ -281,9 +284,6 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
             errors.append(f"noise.profile {c.profile!r}: {exc}")
     if errors:
         raise ConfigError(errors)
-
-    if c.dt is None:
-        c.dt = default_dt(c.scheme, c.nu if c.nu is not None else min(c.nu_grid), GridSpec(c.n, c.N, c.D))
     return RunConfig(**vars(c))
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, groupby
-from math import sqrt
+from math import inf, sqrt
 from typing import Callable
 
 import numpy as np
@@ -60,8 +60,8 @@ class Observable:
         if self.kind == "sup_inf":
             if self.m is not None:
                 raise ValueError("sup_inf takes no order")
-        elif self.m is None or self.m < 0:
-            raise ValueError(f"observable {self.kind} needs an order m >= 0")
+        elif self.m is None or not 0 <= self.m < inf:
+            raise ValueError(f"observable {self.kind} needs a finite order m >= 0")
         if self.kind == "sup_cm" and self.m != int(self.m):
             raise ValueError("sup_cm needs an integer order")
 
@@ -169,7 +169,7 @@ class Ensemble:
 def run_ensembles(
     grid: GridSpec, spec: NoiseSpec, ensembles
 ) -> list[tuple[EnsembleSummary, list[Stream]]]:
-    """Run ensembles that share dt, scheme and nonlinearity as one batch of rows; each one's (summary, streams).
+    """Run ensembles that share dt and nonlinearity as one batch of rows; each one's (summary, streams).
 
     The batch holds each ensemble's M rows in turn, each row at its own ensemble's
     viscosity, and an ensemble's rows leave at its horizon.  Each ensemble keeps its own
@@ -296,7 +296,6 @@ class SweepPlan:
     T: float | None = None
     window_t0_slow: float = 1.0
     record_every: int = 10
-    scheme: str = "strang"
     nonlinear: bool = True
     observables: tuple[Observable, ...] = (
         Observable("time_avg_sobolev", 2.0),
@@ -322,7 +321,6 @@ class SweepPlan:
             nu=nu,
             dt=self.dt if self.dt_slow is None else self.dt_slow / nu,
             T=self.T if self.T is not None else self.t_slow_total / nu,
-            scheme=self.scheme,
             record_every=self.record_every,
             seed=self.base_seed,
             nonlinear=self.nonlinear,

@@ -22,9 +22,9 @@ row's real and imaginary parts.  K = max(1, OU_BLOCK_NORMALS // 4s) consecutive
 steps share the address (step_index // K, SUB_OU), and step k takes slice
 k mod K (``ou_normals``).  Every function here is pure and nothing is cached: a
 Strang run keeps its current block's draws with its state (``integrators.State``).
-An Euler-Maruyama increment draws 2s normals (re | im) at (step_index,
-SUB_INCREMENT), and random initial data (SUB_INIT) every mode.  A degenerate
-spec draws nothing.
+An increment of the Euler-Maruyama oracle (``integrators.em_step``) draws 2s
+normals (re | im) at (step_index, SUB_INCREMENT), and random initial data
+(SUB_INIT) every mode.  A degenerate spec draws nothing.
 """
 
 from __future__ import annotations

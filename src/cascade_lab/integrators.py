@@ -3,9 +3,10 @@
 In mode space the linear/stochastic part is a family of decoupled complex
 Ornstein-Uhlenbeck equations du_d = -nu |d|^2 u_d dt + sqrt(nu) b_d dbeta_d,
 solved exactly, while u_t = -i|u|^2 u is an exact pointwise phase rotation on
-the collocation lattice.  The production scheme is the Strang composition
-OU(dt/2) o phase(dt) o OU(dt/2); an explicit Euler-Maruyama step over the full
-drift serves as an independent oracle.
+the collocation lattice.  The driver steps only with the Strang composition
+OU(dt/2) o phase(dt) o OU(dt/2).  An explicit Euler-Maruyama step over the full
+drift (:func:`em_step`) stays outside the driver, as the tests' independent
+oracle.
 
 There is one state type, :class:`State`: rows of coefficient planes
 (``spectral.to_planes``, (2, M, *grid) for every n) with one stream per row, and
@@ -43,7 +44,7 @@ import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import groupby
-from math import ceil, sqrt
+from math import ceil, isfinite, sqrt
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -71,11 +72,8 @@ from .spectral import (
     sobolev_norm,
     sup_norm,
     to_physical,
-    to_planes,
     to_spectral,
 )
-
-SCHEMES = ("strang", "em")
 
 
 class TrajectoryAbortError(RuntimeError):
@@ -88,7 +86,7 @@ class TrajectoryAbortError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimParams:
-    """One trajectory's contract: viscosity, step, horizon, scheme, and seed.
+    """One trajectory's contract: viscosity, step, horizon, record cadence, and seed.
 
     ``nu`` may also be a tuple of one viscosity per row: the step parameters of a
     batch whose rows come from several entries (see :func:`continue_trajectory`).
@@ -97,7 +95,6 @@ class SimParams:
     nu: float | tuple[float, ...]
     dt: float
     T: float
-    scheme: str = "strang"
     record_every: int = 1
     seed: int = 0
     stream_id: int = 0
@@ -110,8 +107,6 @@ class SimParams:
             raise ValueError(f"time step must be positive, got {self.dt}")
         if self.T < self.dt:
             raise ValueError(f"horizon T={self.T} is shorter than one step dt={self.dt}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
@@ -146,7 +141,7 @@ class State:
     the open state, whose last closing OU(dt/2) is pending.  ``u`` is the closed field, set at step
     0 and where the driver hands the state on (sinks, aborts, the final state).  ``draws`` are those
     of the block the last Strang step came from, used only under the params they were made with
-    (:func:`_held`); None for a fresh start, a checkpoint and an Euler-Maruyama state.
+    (:func:`_held`); None for a fresh start and a checkpoint.
     """
 
     t: float
@@ -161,15 +156,6 @@ class State:
     def of(cls, u: SpectralField, rngs: tuple[RngStream, ...], t: float = 0.0, step_index: int = 0) -> "State":
         """The state with ``u``'s planes, taken as open at a step >= 1."""
         return cls(t, u.grid, u.planes, rngs, step_index, None if step_index else u)
-
-
-def default_dt(scheme: str, nu: float, grid: GridSpec) -> float:
-    """Scheme defaults: accuracy-limited 0.01 for strang, stability-limited (half the limit) for em."""
-    if scheme == "strang":
-        return 0.01
-    if scheme == "em":
-        return 0.5 * min(0.01, 0.5 / (nu * grid.n * grid.D**2))
-    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 # --- elementary flows --------------------------------------------------------
@@ -393,33 +379,13 @@ def strang_step(state: State, spec: NoiseSpec, params: SimParams) -> State:
     return state
 
 
-def _em_advance(state: State, spec: NoiseSpec, params: SimParams, stop: int) -> tuple[State, State | None]:
-    """Euler-Maruyama steps (:func:`em_step`) from ``state`` up to step ``stop``, returning as
-    :func:`_advance` does; each step's new coefficients are its one finiteness check.  Warns when the
-    stiffness guard nu |d_max|^2 dt < 1 is violated."""
-    grid, nu, dt = state.grid, params.nu, params.dt
-    stiffness = max(nu if isinstance(nu, tuple) else (nu,)) * grid.n * grid.D**2 * dt
-    if stiffness >= 1.0:
-        message = f"em stability guard violated: nu*|d_max|^2*dt = {stiffness:.3g} >= 1"
-        warnings.warn(message, RuntimeWarning, stacklevel=3)
-    u = state.u if state.u is not None else SpectralField(grid, from_planes(state.c))
-    for k in range(state.step_index, stop):
-        coeffs = _euler_maruyama(u, nu, dt, params.nonlinear, forced_increments(spec, dt, state.rngs, k))
-        try:
-            u = SpectralField(grid, coeffs)
-        except NonFiniteFieldError:
-            return _closed(state, spec, params), State((k + 1) * dt, grid, to_planes(coeffs), state.rngs, k + 1)
-        state = State((k + 1) * dt, grid, u.planes, state.rngs, k + 1, u)
-    return state, None
-
-
 def _closed(state: State, spec: NoiseSpec, params: SimParams, pending=None) -> State:
-    """``state`` with its closed field ``u``: an open Strang state's pending OU(dt/2) applied to a copy,
+    """``state`` with its closed field ``u``: an open state's pending OU(dt/2) applied to a copy,
     flushed, from step k - 1's closing half ``pending`` when the caller holds it (else :func:`_pending`)."""
     if state.u is not None:
         return state
     c = state.c
-    if state.step_index and params.scheme == "strang" and params.nonlinear:
+    if state.step_index and params.nonlinear:
         if pending is None:
             pending = _pending(state.rngs, _held(state, spec, params), spec, params, state.step_index)
         c = _flush(ou_exact_step(c, spec, params.nu, params.dt / 2.0, pending))
@@ -428,17 +394,10 @@ def _closed(state: State, spec: NoiseSpec, params: SimParams, pending=None) -> S
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result is left to the caller's check, unwarned
-def _euler_maruyama(
-    u: SpectralField, nu: float | tuple[float, ...], dt: float, nonlinear: bool, increment: np.ndarray
-) -> np.ndarray:
+def _euler_maruyama(u: SpectralField, nu: float, dt: float, nonlinear: bool, increment: np.ndarray) -> np.ndarray:
     """u + dt*(nu Lap u - i Pi(|u|^2 u)) + sqrt(nu)*increment (Pi = evaluate-then-truncate, on planes), as
-    coefficients, unchecked.
-
-    A tuple ``nu`` holds one viscosity per row, applied as an (M, 1, ..., 1) column.
-    """
+    coefficients, unchecked."""
     grid = u.grid
-    if isinstance(nu, tuple):
-        nu = np.array(nu).reshape(-1, *(1,) * grid.n)
     drift = -nu * mode_abs_sq(grid) * u.coeffs
     if nonlinear:
         v = to_physical(grid, u.planes)
@@ -449,16 +408,20 @@ def _euler_maruyama(
 
 
 def em_step(state: State, spec: NoiseSpec, params: SimParams) -> State:
-    """Explicit Euler-Maruyama step over the full drift (oracle scheme); its states are never open.
+    """Explicit Euler-Maruyama step over the full drift: the tests' oracle, which the driver never runs.
 
-    u <- u + dt*(nu Lap u - i Pi(|u|^2 u)) + sqrt(nu) dxi.  This is the driver's loop
-    (:func:`_em_advance`) run for one step: it warns when the stiffness guard nu |d_max|^2 dt < 1 is
-    violated, and raises on a non-finite result.
+    u <- u + dt*(nu Lap u - i Pi(|u|^2 u)) + sqrt(nu) dxi, with the increments of step k drawn at
+    (k, SUB_INCREMENT) (``forcing.forced_increments``); its states are never open.  Warns when the
+    stiffness guard nu |d_max|^2 dt < 1 is violated, and raises on a non-finite result.
     """
-    state, failed = _em_advance(state, spec, params, state.step_index + 1)
-    if failed is not None:
-        raise NonFiniteFieldError(f"spectral field turned non-finite at step {failed.step_index}")
-    return state
+    grid, nu, dt, k = state.grid, params.nu, params.dt, state.step_index
+    stiffness = nu * grid.n * grid.D**2 * dt
+    if stiffness >= 1.0:
+        message = f"em stability guard violated: nu*|d_max|^2*dt = {stiffness:.3g} >= 1"
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
+    u = state.u if state.u is not None else SpectralField(grid, from_planes(state.c))
+    u = SpectralField(grid, _euler_maruyama(u, nu, dt, params.nonlinear, forced_increments(spec, dt, state.rngs, k)))
+    return State((k + 1) * dt, grid, u.planes, state.rngs, k + 1, u)
 
 
 # --- trajectory driver --------------------------------------------------------
@@ -538,7 +501,7 @@ def continue_trajectory(
 
     ``params`` and ``sink`` serve every row, or are tuples with one per row.  Consecutive
     rows that share both are one entry; entries may differ in viscosity and horizon but
-    share dt, scheme and nonlinearity, and each row steps with its own viscosity.  An entry
+    share dt and nonlinearity, and each row steps with its own viscosity.  An entry
     is due at step 0 (fresh starts only), after every record_every-th step, and at its final
     step; at each step where any is due, each sink is called once, with the rows of all its
     due entries as one closed state.  The batch steps from one such
@@ -556,16 +519,15 @@ def continue_trajectory(
     row_sinks = sink if isinstance(sink, tuple) else (sink,) * rows
     if len(row_params) != rows or len(row_sinks) != rows:
         raise ValueError(f"{len(row_params)} params and {len(row_sinks)} sinks for {rows} rows")
-    if len({(p.dt, p.scheme, p.nonlinear) for p in row_params}) > 1:
-        raise ValueError("the rows of one batch must share dt, scheme and nonlinearity")
-    advance = _advance if row_params[0].scheme == "strang" else _em_advance
+    if len({(p.dt, p.nonlinear) for p in row_params}) > 1:
+        raise ValueError("the rows of one batch must share dt and nonlinearity")
     batch = _Batch(row_params, row_sinks)
     aborts: list[TrajectoryAbortError] = []
     if state.step_index == 0:
         state = batch.record(state, spec, fresh=True)
     while True:
         while state.step_index < batch.horizon:
-            state, failed = advance(state, spec, batch.params, batch.next_stop(state.step_index))
+            state, failed = _advance(state, spec, batch.params, batch.next_stop(state.step_index))
             if failed is not None:
                 finite = np.isfinite(failed.c).all(axis=(0, *range(2, failed.c.ndim)))
                 message = f"non-finite field at step {failed.step_index} (last good t = {state.t:.6g})"
@@ -665,9 +627,18 @@ def checkpoint_from_bytes(buf: bytes) -> State:
         raise ValueError("not a checkpoint (bad magic)")
     (meta_len,) = struct.unpack("<I", buf[8:12])
     meta = json.loads(buf[12 : 12 + meta_len].decode())
+    keys = ("t", "step_index", "base_seed", "stream_id")
+    if not isinstance(meta, dict) or not all(key in meta for key in keys):
+        raise ValueError(f"checkpoint metadata lacks one of {keys}")
+    t, step_index, base_seed, stream_id = (meta[key] for key in keys)
+    if type(t) not in (int, float) or not isfinite(t):
+        raise ValueError(f"checkpoint t must be a finite number, got {t!r}")
+    if type(step_index) is not int or step_index < 0:
+        raise ValueError(f"checkpoint step_index must be an integer >= 0, got {step_index!r}")
+    if type(base_seed) is not int or type(stream_id) is not int:
+        raise ValueError(f"checkpoint rng key must be integers, got {(base_seed, stream_id)!r}")
     u = field_from_bytes(buf[12 + meta_len :])
-    rng = RngStream(meta["base_seed"], meta["stream_id"])
-    return State.of(u, (rng,), meta["t"], meta["step_index"])
+    return State.of(u, (RngStream(base_seed, stream_id),), t, step_index)
 
 
 def save_checkpoint(state: State, path) -> None:

@@ -28,7 +28,9 @@ from dataclasses import MISSING, asdict, field, make_dataclass
 # 7: a C^m column always names its order (``cm_2`` for one order too, not ``cm``), so a
 #    stream with one ``sup_cm`` order changes its header; every number is unchanged.
 # 8: real planes for every transform, merged OU halves, d^k in C^m tables: Strang numbers change.
-SCHEMA_VERSION = 8
+# 9: the config names no integrator (the driver steps only with Strang), so ``config.ini`` and
+#    the manifest's config lose a line and config hashes move; every number is unchanged.
+SCHEMA_VERSION = 9
 
 # Per-trajectory stream, in memory a (records x columns) float64 array and on disk a CSV:
 # t, tau, one column per configured Sobolev order, then the lattice sup, then one C^m

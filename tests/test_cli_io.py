@@ -14,7 +14,8 @@ from cascade_lab.cli_io import (
     read_run_streams,
     run_command,
 )
-from cascade_lab.integrators import SimParams
+from cascade_lab.experiments import SweepPlan
+from cascade_lab.integrators import SimParams, single_mode
 
 MINIMAL = """
 [grid]
@@ -71,7 +72,6 @@ nu_grid = 0.4, 0.2,0.1
 dt = 5e-3
 T = 40
 record_every = 4
-scheme = strang
 nonlinear = no
 
 [ensemble]
@@ -106,7 +106,6 @@ nu_grid = 0.4,0.2,0.1
 dt = 0.005
 T = 40.0
 record_every = 4
-scheme = strang
 nonlinear = false
 
 [ensemble]
@@ -154,8 +153,7 @@ class TestParseConfig:
         assert (cfg.n, cfg.N, cfg.D) == (1, 64, 32)
         assert cfg.profile == "band:1,1,1"
         assert cfg.nu == 0.1
-        assert cfg.dt == 0.01  # strang default
-        assert cfg.scheme == "strang"
+        assert "dt" not in MINIMAL and cfg.dt == 0.01  # the grammar's default
         assert cfg.record_every == 10
         assert cfg.M == 2
         assert cfg.kind == "simulate"
@@ -175,6 +173,37 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as info:
             parse_config(MINIMAL.replace("nu = 0.1", "nu = 0.1\nwibble = 3"))
         assert any("unknown key 'wibble'" in v for v in info.value.violations)
+
+    def test_scheme_is_an_unknown_key(self, tmp_path, capsys):
+        # Strang is the only integrator, so a config that still names one fails like any stray key
+        text = MINIMAL.replace("nu = 0.1", "nu = 0.1\nscheme = strang")
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.violations == ["unknown key 'scheme' in section [sim]"]
+        assert run_command(["simulate", "--config", write_cfg(tmp_path, text)]) == 2
+        assert "config error: unknown key 'scheme' in section [sim]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("T_slow = 1.0", "T = inf", "[sim] T = 'inf'"),
+            ("T_slow = 1.0", "T_slow = nan", "[sim] T_slow = 'nan'"),
+            ("nu = 0.1", "nu = 0.1\ndt = -inf", "[sim] dt = '-inf'"),
+            ("[ensemble]", "[experiment]\nobservables = sup_cm:inf\n\n[ensemble]", "experiment.observables entry 'sup_cm:inf'"),
+            ("[ensemble]", "[experiment]\nobservables = sup_sobolev:nan\n\n[ensemble]", "experiment.observables entry 'sup_sobolev:nan'"),
+            ("[ensemble]", "[experiment]\nwindow_t0_slow = nan\n\n[ensemble]", "[experiment] window_t0_slow = 'nan'"),
+            ("[ensemble]", "[occupation]\nchi_fracs = 0.1,inf\n\n[ensemble]", "[occupation] chi_fracs = '0.1,inf'"),
+            ("[ensemble]", "[occupation]\ngamma_factor = inf\n\n[ensemble]", "[occupation] gamma_factor = 'inf'"),
+        ],
+        ids=["T", "T_slow", "dt", "sup_cm", "sup_sobolev", "window_t0_slow", "chi_fracs", "gamma_factor"],
+    )
+    def test_non_finite_values_are_config_errors(self, old, new, named, tmp_path, capsys):
+        text = MINIMAL.replace(old, new)
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert any(named in v for v in info.value.violations)
+        assert run_command(["simulate", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {named}" in capsys.readouterr().err
 
     def test_unknown_section_is_error(self):
         with pytest.raises(ConfigError):
@@ -300,12 +329,12 @@ class TestRunCommand:
         assert run_command(["simulate", "--config", path]) == 2
         assert "exceeds" in capsys.readouterr().err
 
-    def test_aborted_ensemble_exits_2(self, tmp_path, capsys):
-        # EM far beyond its stability limit: every trajectory aborts, a run error rather than a verdict.
-        cfg = SMALL_RUN.replace("nu = 0.5\ndt = 0.02\nT_slow = 1.0", "nu = 1\ndt = 0.5\nT = 5\nscheme = em")
-        path = write_cfg(tmp_path, cfg.replace("M = 3", "M = 2"))
-        with pytest.warns(RuntimeWarning, match="stability guard"):
-            code = run_command(["simulate", "--config", path, "--out", str(tmp_path / "out")])
+    def test_aborted_ensemble_exits_2(self, tmp_path, capsys, monkeypatch):
+        # Every trajectory starts at 1e160 in mode 1 and overflows in its first phase rotation: a run
+        # error rather than a verdict.
+        monkeypatch.setattr(SweepPlan, "u0_factory", lambda plan, nu: lambda sid: single_mode(plan.grid, 1, 1e160))
+        path = write_cfg(tmp_path, SMALL_RUN.replace("M = 3", "M = 2"))
+        code = run_command(["simulate", "--config", path, "--out", str(tmp_path / "out")])
         assert code == 2
         assert "error: 2/2 trajectories aborted" in capsys.readouterr().err
 
@@ -345,7 +374,7 @@ class TestRunCommand:
         streams = sorted((run_dir / "streams").glob("traj_*.csv"))
         assert len(streams) == 3
         manifest = json.loads((run_dir / "manifest.json").read_text())
-        assert manifest["schema_version"] == 8
+        assert manifest["schema_version"] == 9
         assert manifest["base_seed"] == 777
         assert manifest["config_hash"] in run_dir.name
 

@@ -54,7 +54,6 @@ from cascade_lab.integrators import (
     checkpoint_to_bytes,
     constrained_profile,
     continue_trajectory,
-    default_dt,
     initial_state,
     smooth_random_field,
     strang_step,
@@ -121,10 +120,10 @@ CRITERION_10_SHA256 = {
 }
 
 # sha256 over the CSV streams and the summary of ``n2_ensemble``
-N2_ENSEMBLE_SHA256 = "5b219cad330a974fd740a7c82b1062e63399457e8d3f44849326ca728c22e8d8"
+N2_ENSEMBLE_SHA256 = "6432072332511a7f3dcf945db431abc298b559d18e1a4661bb186f7572cd7a39"
 
 # sha256 over the CSV streams and the summaries of ``n2_sweep``
-N2_SWEEP_SHA256 = "1a3b9b90fe09242a35eeff808204083a71120c6dbf8ebb2144436a42ce912e3d"
+N2_SWEEP_SHA256 = "a108cf26d4a06e1d9e996f7b754b6fa94fb16b9b79316c0210f631aeceb4cae5"
 
 # sha256 of ``checkpoint_bytes()``
 CHECKPOINT_SHA256 = "05a251b5d6fbab2c30d663bea57d4dfa5561b12d58737c71e9a8d85815dc6fff"
@@ -226,31 +225,31 @@ GOLDEN_RUNS = {
 # ``occupation`` runs over the ``simulate-slow`` directory and adds its report.
 GOLDEN_RUNS_SHA256 = {
     "simulate-slow": {
-        "config.ini": "a4800193562c07b5925aef81a2af9c44d78b94bba53a1f81e49c2d3bfc30e1d9",
-        "manifest.json": "420aab5a07400f1888c1a35528635abcb33c818c2da6967b20fff101b3ebac32",
-        "occupation_report.jsonl": "610a68666f4946ba0e08a0956a3410de35b6eb88a4176b6a496ce31270ca2e06",
-        "report.jsonl": "d49da37466cad383c6cd7d4c8a73b2fc17cef70003fbf92ad28c5c985c5f6b97",
+        "config.ini": "896e10a2a6486e31f69e808d1266d7016fbe1d4e464dde7e1020fb262286a391",
+        "manifest.json": "833d008a91266b99211249a2ec49dda632a19d8ddacbfe961679ab2c3386486d",
+        "occupation_report.jsonl": "0a0a9eec85dcd2f3761f1f12247220b658628ba6271d35534dd2f4b980f52cbb",
+        "report.jsonl": "5abe468d928ba1b7b5f4b498c11a0afeafed7e7bf288641ca53a341d7a6f3f6b",
         "streams/traj_0000.csv": "93e304460655031031442b5414fbee66401bc742c6ef5a893a49742cf71710c6",
         "streams/traj_0001.csv": "2f4b11db07d4bd6ddc96c81e7332201f2692c832bdf91c283e51351f9a9b0bc1",
     },
     "simulate-fast": {
-        "config.ini": "a7f1ba2cefa99d3c01dbd3db1f227bbd51994bc140d2db497e5edfbc1c640112",
-        "manifest.json": "d2523c38b3b075ac8593bb6c8d10fdc3dfac75e330f49dd5cdb4c2cfec62b890",
-        "report.jsonl": "90476154fb023a3210f7b2a5e10a3dbd1bf53f98b9ab9caa5035eb96e6d101c7",
+        "config.ini": "8ff7543601b89f7c98e9e0c56fd8acd348c66efe42ecb8808cf7fc8fcba71107",
+        "manifest.json": "b5263675190a9a6cb0b88956feafd008bbb33b83a2b37f6ae6be046d57193ca5",
+        "report.jsonl": "6e19e90a1dfa8ce4a80b41ee15d9555297662235ecfbe97bb32d8a449c018040",
         "streams/traj_0000.csv": "f0795b8216dc10082d4378372b5ab769e7acdea9838ccde033b995cb696543f8",
         "streams/traj_0001.csv": "722af744426c37be5a65d1b3afed90690d45696643afa6219bb7f3f050199355",
     },
     "spectrum": {
-        "config.ini": "cce74964518b9418d7653a39ed7445742afb0099234a3a0dd795c23d3fcf35c0",
-        "manifest.json": "6f66afe8290efe1636e6694b4c937bbfb61f356ce547d2924b822dd3245c1525",
-        "report.jsonl": "184ddfd1ea08ce0bff85b554e6efce8aea88284e0be05942d4b6a0384e40b4ce",
+        "config.ini": "2b6de225e18c81c7dfab981921357b40dd31c66a5159e0a06a3051a3d78ee466",
+        "manifest.json": "90ecab445ded2a9c24557f4e61c9561ec5adb1024309784c02a5845a2124888f",
+        "report.jsonl": "b4ac5eb105119a7b936b61dcafa6e5da6de03f0b56dca0e381c2db26d53551c3",
         "streams/traj_0000.csv": "74b8e509c83aa3980b293da887d6f50675d7fbffc2eb9a3dffc3dc69695c8a89",
         "streams/traj_0001.csv": "2f4508200addf3eefbfb6cc98e3c4e3740c77b85f61f80ca37a5f8c83d430992",
     },
     "sweep-slow": {
-        "config.ini": "c88e843ebf461471f57903e49538d6257692c5849a3a5fb9ee2475cba18e58c1",
-        "manifest.json": "6e4351a0e66ecc072eaeae089e7babc0b028a0a241f30b1afb41cc1625cfbbce",
-        "report.jsonl": "ee91e7f606a896cb5024d3cc7a535094ba5e2745fbee5e553a91a6b1657907a7",
+        "config.ini": "5aba1c0a83973e4cf118e01c2423409d3bc891d2da94920cb0d2c894380b04ba",
+        "manifest.json": "9208d2df7347c871610ed9ea61494625ff5d5141b213be7f93f0db0758592f7a",
+        "report.jsonl": "ee181e68db9ae921d8b1fe5a7ca29655cdc95dda6c89e890a65aec423d146465",
         "streams/nu_0.25/traj_0000.csv": "3feddfccb77ffd66d7ff5e0ab0af0d17303187754ab30eeea69bfa02bfc49c2d",
         "streams/nu_0.25/traj_0001.csv": "1728fcc6b69cc7a205cfe0cc9bfe7cf794b765b7bf00f54355a9b05e70d06cb2",
         "streams/nu_0.4/traj_0000.csv": "dc6f990386a260abc626cc87a5c9a2e1794374efe94d30500f90f1880cf375a4",
@@ -259,9 +258,9 @@ GOLDEN_RUNS_SHA256 = {
         "streams/nu_0.5/traj_0001.csv": "631692ad2c5473d31e443415d2f2d994eb23af3131344ad74dbabff7796a6bd4",
     },
     "sweep-fast": {
-        "config.ini": "ea929485771aa343f4520296c4716117284cff5cc870af66f91ccb11b1cb4746",
-        "manifest.json": "5d75287e28417f3b08a6f8aba13adafc62cb819187194e9dcb72afd823e81f22",
-        "report.jsonl": "ee91e7f606a896cb5024d3cc7a535094ba5e2745fbee5e553a91a6b1657907a7",
+        "config.ini": "508439e255748ac1cd622834c62904f7151e08f8c9c10e5fd75d1bd368b73b4b",
+        "manifest.json": "ec6ba7b3aa4a3a9d014b20e1518f515a8cdb8cc950a1de4622afbb32917e8f93",
+        "report.jsonl": "ee181e68db9ae921d8b1fe5a7ca29655cdc95dda6c89e890a65aec423d146465",
         "streams/nu_0.25/traj_0000.csv": "3feddfccb77ffd66d7ff5e0ab0af0d17303187754ab30eeea69bfa02bfc49c2d",
         "streams/nu_0.25/traj_0001.csv": "1728fcc6b69cc7a205cfe0cc9bfe7cf794b765b7bf00f54355a9b05e70d06cb2",
         "streams/nu_0.4/traj_0000.csv": "dc6f990386a260abc626cc87a5c9a2e1794374efe94d30500f90f1880cf375a4",
@@ -270,9 +269,9 @@ GOLDEN_RUNS_SHA256 = {
         "streams/nu_0.5/traj_0001.csv": "631692ad2c5473d31e443415d2f2d994eb23af3131344ad74dbabff7796a6bd4",
     },
     "stationary": {
-        "config.ini": "ac2b2d30290eb5486c97b2dcbab0c4672cb6eda33075b1626c1a98e8147fbc71",
-        "manifest.json": "9b10461574060d658f0e1236f3959335437f72ae5265046322e201934b029173",
-        "report.jsonl": "40651e61653b907675b14c39309b4f0cbfd89813934a40dbafc17234bc749780",
+        "config.ini": "ef0bddd6d86eea013200b385099afbd00485da531789ee011f2ee566f3aec575",
+        "manifest.json": "2852b6921952b0248d90edf24757fc5298635de9a1a92cea648893d7689d7040",
+        "report.jsonl": "de6d73d188bde9ba95e8041b76fec30804104d58f86b484d9ca2149ac763c991",
         "streams/nu_0.25/traj_0000.csv": "44c914d99474cd68ea9cbc19fde370113f85c82d5ec52138425a4460457de93b",
         "streams/nu_0.25/traj_0001.csv": "d75120a303b27981b69405ae27fa396cfeeddddcba9ea5b18f2241d615b209fe",
         "streams/nu_0.4/traj_0000.csv": "51cd2ec443ac52f70426105379059c25a5f6ae4a96f5f806dd1aca9b99dde55b",
@@ -507,22 +506,17 @@ def full_recorder(p):
 
 
 @pytest.mark.parametrize(
-    "grid, scheme, nonlinear",
+    "grid, nonlinear",
     [
-        (GridSpec(1, 64, 32), "strang", True),
-        (GridSpec(1, 32, 16), "em", True),
-        (N2_GRID, "strang", True),  # M=16 lattice batch is 256 KiB: numpy's temporary-elision size
-        (N2_GRID, "em", True),
-        (GridSpec(1, 64, 32), "strang", False),  # the linear path of simulate-occupation
+        (GridSpec(1, 64, 32), True),
+        (N2_GRID, True),  # M=16 lattice batch is 256 KiB: numpy's temporary-elision size
+        (GridSpec(1, 64, 32), False),  # the linear path of simulate-occupation
     ],
-    ids=["n1-strang", "n1-em", "n2-strang", "n2-em", "n1-strang-linear"],
+    ids=["n1-strang", "n2-strang", "n1-strang-linear"],
 )
-def test_ensemble_equals_single_runs(grid, scheme, nonlinear):
-    nu, M = 0.5, 16
-    dt = default_dt(scheme, nu, grid)
-    params = SimParams(
-        nu=nu, dt=dt, T=12 * dt, scheme=scheme, record_every=4, seed=99, nonlinear=nonlinear
-    )
+def test_ensemble_equals_single_runs(grid, nonlinear):
+    nu, M, dt = 0.5, 16, 0.01
+    params = SimParams(nu=nu, dt=dt, T=12 * dt, record_every=4, seed=99, nonlinear=nonlinear)
     spec = NoiseSpec.from_profile(grid, "band:1,1,1")
 
     def u0(sid):

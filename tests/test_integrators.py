@@ -29,7 +29,6 @@ from cascade_lab.integrators import (
     checkpoint_to_bytes,
     constrained_profile,
     continue_trajectory,
-    default_dt,
     em_step,
     initial_state,
     load_checkpoint,
@@ -95,14 +94,14 @@ def capture(store):
     return sink
 
 
-def em_until_it_raises(state, spec, params):
-    """The last state of an em_step loop from ``state`` to the horizon, and the step that raised (None if none)."""
+def strang_until_it_raises(state, spec, params):
+    """The last state of a strang_step loop from ``state`` to the horizon, closed, and the step that raised (None if none)."""
     while state.step_index < params.n_steps:
         try:
-            state = em_step(state, spec, params)
+            state = strang_step(state, spec, params)
         except NonFiniteFieldError:
-            return state, state.step_index + 1
-    return state, None
+            return _closed(state, spec, params), state.step_index + 1
+    return _closed(state, spec, params), None
 
 
 def ou_noise(spec, nu, dt, rng, step_index=0):
@@ -467,10 +466,12 @@ class TestForcedModeDraws:
 
     def test_degenerate_spec_draws_nothing(self, monkeypatch):
         calls = self.count_normals(monkeypatch)
-        for scheme in ("strang", "em"):
-            params = SimParams(nu=0.5, dt=1e-3, T=4e-3, scheme=scheme, seed=1)
-            run(random_field(GRID, 3, 0.2), SILENT, params)
-            run(SpectralField(GRID, rows(*(random_field(GRID, i, 0.2) for i in range(3)))), SILENT, params)
+        params = SimParams(nu=0.5, dt=1e-3, T=4e-3, seed=1)
+        for u0 in (random_field(GRID, 3, 0.2), SpectralField(GRID, rows(*(random_field(GRID, i, 0.2) for i in range(3))))):
+            run(u0, SILENT, params)
+            state = initial_state(u0, params)
+            while state.step_index < params.n_steps:
+                state = em_step(state, SILENT, params)
         assert calls == []
         # a forced spec addresses each stream once per block of K Strang steps
         K = ou_block_steps(BAND.forced.size)
@@ -640,7 +641,7 @@ class TestForcedModeAdd:
 
 class TestEmStep:
     def test_zero_is_fixed_point(self):
-        params = SimParams(nu=0.5, dt=0.001, T=0.001, scheme="em", seed=0)
+        params = SimParams(nu=0.5, dt=0.001, T=0.001, seed=0)
         state = em_step(initial_state(zero_field(GRID), params), SILENT, params)
         assert np.all(state.u.coeffs == 0)
 
@@ -649,14 +650,14 @@ class TestEmStep:
         u0 = random_field(GRID, 8)
         errs = []
         for dt in (1e-3, 5e-4):
-            params = SimParams(nu=0.5, dt=dt, T=dt, scheme="em", nonlinear=False, seed=0)
+            params = SimParams(nu=0.5, dt=dt, T=dt, nonlinear=False, seed=0)
             em = em_step(initial_state(u0, params), SILENT, params)
             ou = ou_exact_step(planes(u0), SILENT, 0.5, dt, ou_noise(SILENT, 0.5, dt, RngStream(0, 0)))
             errs.append(np.abs(em.u.coeffs - from_planes(ou)).max())
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
 
     def test_stability_guard_warns(self):
-        params = SimParams(nu=1.0, dt=0.01, T=0.01, scheme="em", seed=0)  # nu D^2 dt = 2.56
+        params = SimParams(nu=1.0, dt=0.01, T=0.01, seed=0)  # nu D^2 dt = 2.56
         with pytest.warns(RuntimeWarning, match="stability guard"):
             em_step(initial_state(zero_field(GRID), params), SILENT, params)
 
@@ -899,41 +900,20 @@ class TestRunTrajectory:
             continue_trajectory(start, BAND, (a, replace(a, dt=0.01)))
 
     def test_nan_abort_carries_last_good_time(self):
-        # EM far beyond its stability limit blows up to inf/NaN after a few steps: the abort carries
-        # the last good state of a one-row em_step loop, its step, t and bytes.
-        params = SimParams(nu=1.0, dt=0.5, T=50.0, scheme="em", seed=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            final, (abort,) = continue_trajectory(initial_state(random_field(GRID, 10), params), BAND, params)
-            good, failing = em_until_it_raises(initial_state(random_field(GRID, 10), params), BAND, params)
+        # A row resumed at step 5 with one mode at 1e160 overflows |u|^2 in its next rotation: the
+        # abort carries the last good state of a one-row strang_step loop, its step, t and bytes.
+        params = SimParams(nu=0.5, dt=0.01, T=0.5, seed=0)
+        c = random_field(GRID, 10).coeffs
+        c[0, 0] = 1e160
+        start = State.of(SpectralField(GRID, c), (RngStream(params.seed, 0),), 5 * params.dt, 5)
+        final, (abort,) = continue_trajectory(start, BAND, params)
+        good, failing = strang_until_it_raises(start, BAND, params)
         assert final is None and isinstance(abort, TrajectoryAbortError)
         assert failing is not None and failing > 1
         last = abort.last_state
         assert (last.step_index, last.t) == (failing - 1, (failing - 1) * params.dt) == (good.step_index, good.t)
         assert last.u.coeffs.tobytes() == good.u.coeffs.tobytes() and last.c.tobytes() == good.c.tobytes()
         assert f"step {failing}" in str(abort)
-
-    def test_an_em_row_that_overflows_leaves_alone(self):
-        # Only row 1 overflows (|u|^2 u at 1e160), with dt under the stability guard: its abort
-        # carries its last good one-row em_step state, and the other rows end on their one-row
-        # em_step loops' bits.
-        params = SimParams(nu=0.5, dt=0.002, T=0.02, scheme="em", seed=4)
-        assert params.nu * GRID.n * GRID.D**2 * params.dt < 1.0
-        c = rows(*(random_field(GRID, 80 + i, 0.3) for i in range(3)))
-        c[1, 0] = 1e160
-        rngs = tuple(RngStream(params.seed, 10 + i) for i in range(3))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            final, (abort,) = continue_trajectory(State.of(SpectralField(GRID, c), rngs), BAND, params)
-            ends = [em_until_it_raises(State.of(SpectralField(GRID, c[i : i + 1]), rngs[i : i + 1]), BAND, params) for i in range(3)]
-        assert [failing for _, failing in ends] == [None, 1, None]
-        good = ends[1][0]
-        last = abort.last_state
-        assert (last.rngs, last.step_index, last.t) == (good.rngs, good.step_index, good.t) == (rngs[1:2], 0, 0.0)
-        assert last.u.coeffs.tobytes() == good.u.coeffs.tobytes() and "step 1" in str(abort)
-        assert final.step_index == params.n_steps and final.rngs == (rngs[0], rngs[2])
-        for row, i in enumerate((0, 2)):
-            assert final.u.coeffs[row : row + 1].tobytes() == ends[i][0].u.coeffs.tobytes()
 
     def test_slow_time_equivalence(self):
         # A fast chain at (nu, dt) performs the same arithmetic as a unit-viscosity
@@ -1007,11 +987,6 @@ class TestInitialData:
         u = constrained_profile(GRID, nu, sup_bound=1.0)
         assert sup_norm(u) <= 1.0 + 1e-12
         assert sobolev_norm(u, 3.0) <= nu ** (-0.06) + 1e-12
-
-    def test_default_dt(self):
-        assert default_dt("strang", 0.1, GRID) == 0.01
-        em = default_dt("em", 0.2, GRID)
-        assert em == pytest.approx(0.5 * min(0.01, 0.5 / (0.2 * 16**2)))
 
 
 class TestCheckpoints:
@@ -1096,20 +1071,40 @@ class TestCheckpoints:
             assert aborts == [] and final.step_index == K + 10
             assert sorted(calls) == [(b, SUB_OU) for b in blocks]
 
+    @staticmethod
+    def with_meta(buf: bytes, edit) -> bytes:
+        """The checkpoint ``buf`` with its metadata replaced by ``edit(metadata)``."""
+        (n,) = struct.unpack("<I", buf[8:12])
+        blob = json.dumps(edit(json.loads(buf[12 : 12 + n])), sort_keys=True).encode()
+        return buf[:8] + struct.pack("<I", len(blob)) + blob + buf[12 + n :]
+
     def test_counter_key_of_older_files_is_ignored(self):
         state = initial_state(random_field(GRID, 13, 0.2), SimParams(nu=0.5, dt=0.01, T=0.1, seed=3))
         buf = checkpoint_to_bytes(state)
         (n,) = struct.unpack("<I", buf[8:12])
-        meta = json.loads(buf[12 : 12 + n])
-        assert "counter" not in meta
-        blob = json.dumps({**meta, "counter": 7}, sort_keys=True).encode()
-        back = checkpoint_from_bytes(buf[:8] + struct.pack("<I", len(blob)) + blob + buf[12 + n :])
+        assert "counter" not in json.loads(buf[12 : 12 + n])
+        back = checkpoint_from_bytes(self.with_meta(buf, lambda meta: {**meta, "counter": 7}))
         assert (back.t, back.step_index, back.rngs[0].stream_id) == (state.t, state.step_index, 0)
         assert np.array_equal(back.u.coeffs, state.u.coeffs)
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             checkpoint_from_bytes(b"XXXXXXXX\x00\x00\x00\x00")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda meta: {k: v for k, v in meta.items() if k != "base_seed"},
+            lambda meta: {**meta, "step_index": -3},
+            lambda meta: {**meta, "step_index": 1.5},
+            lambda meta: {**meta, "t": "x"},
+        ],
+        ids=["no-base-seed", "negative-step", "fractional-step", "text-t"],
+    )
+    def test_rejects_bad_metadata(self, edit):
+        buf = checkpoint_to_bytes(initial_state(random_field(GRID, 13, 0.2), SimParams(nu=0.5, dt=0.01, T=0.1, seed=3)))
+        with pytest.raises(ValueError, match="checkpoint"):
+            checkpoint_from_bytes(self.with_meta(buf, edit))
 
 
 class TestSimParams:
@@ -1122,8 +1117,6 @@ class TestSimParams:
             SimParams(nu=0.5, dt=-0.01, T=1.0)
         with pytest.raises(ValueError):
             SimParams(nu=0.5, dt=0.2, T=0.1)
-        with pytest.raises(ValueError):
-            SimParams(nu=0.5, dt=0.01, T=1.0, scheme="rk4")
 
     def test_slow_time_conversions(self):
         p = SimParams(nu=0.25, dt=0.01, T=1.0)
