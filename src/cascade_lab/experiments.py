@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, groupby
-from math import inf, sqrt
+from math import inf, isfinite, sqrt
 from typing import Callable
 
 import numpy as np
@@ -310,6 +310,10 @@ class SweepPlan:
             raise ValueError("nu_grid entries must lie in (0, 1]")
         if any(a <= b for a, b in zip(nus, nus[1:])):
             raise ValueError("nu_grid must be strictly decreasing")
+        for name in ("dt", "dt_slow", "T", "t_slow_total", "window_t0_slow"):
+            value = getattr(self, name)
+            if value is not None and not isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.dt_slow is not None and self.dt_slow <= 0:
             raise ValueError(f"dt_slow must be positive, got {self.dt_slow}")
 

@@ -103,6 +103,9 @@ class SimParams:
     def __post_init__(self):
         if not all(0 < nu <= 1 for nu in (self.nu if isinstance(self.nu, tuple) else (self.nu,))):
             raise ValueError(f"viscosity must satisfy 0 < nu <= 1, got {self.nu}")
+        for name, value in (("dt", self.dt), ("T", self.T)):
+            if not isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.dt <= 0:
             raise ValueError(f"time step must be positive, got {self.dt}")
         if self.T < self.dt:
@@ -380,8 +383,9 @@ def strang_step(state: State, spec: NoiseSpec, params: SimParams) -> State:
 
 
 def _closed(state: State, spec: NoiseSpec, params: SimParams, pending=None) -> State:
-    """``state`` with its closed field ``u``: an open state's pending OU(dt/2) applied to a copy,
-    flushed, from step k - 1's closing half ``pending`` when the caller holds it (else :func:`_pending`)."""
+    """``state`` with its closed field ``u``, whose planes are read-only: an open state's pending OU(dt/2)
+    applied to a copy, flushed, from step k - 1's closing half ``pending`` when the caller holds it (else
+    :func:`_pending`)."""
     if state.u is not None:
         return state
     c = state.c
@@ -390,6 +394,7 @@ def _closed(state: State, spec: NoiseSpec, params: SimParams, pending=None) -> S
             pending = _pending(state.rngs, _held(state, spec, params), spec, params, state.step_index)
         c = _flush(ou_exact_step(c, spec, params.nu, params.dt / 2.0, pending))
     u = SpectralField(state.grid, from_planes(c), c)
+    c.flags.writeable = False  # a sink may keep the planes: no later step writes into them
     return State(state.t, state.grid, state.c, state.rngs, state.step_index, u, state.draws)
 
 
@@ -474,7 +479,9 @@ class _Batch:
 
     def record(self, state: State, spec: NoiseSpec, fresh: bool = False) -> State:
         """Call each sink due at this step once, with the closed rows of all its due entries (a slice
-        of the state when they are adjacent); returns the state closed if any sink was due."""
+        of the state when they are adjacent); returns the state closed if any sink was due.  The
+        closed planes are read-only, so a sink may keep them: a recorder measures its pending
+        record steps in passes of ``diagnostics.PASS_BYTES`` of lattice values (see NormRecorder)."""
         k, rows = state.step_index, len(self.row_params)
         due: dict[int, tuple[Sink, list[int]]] = {}
         for start, stop, p, sink in self.entries:
@@ -504,7 +511,10 @@ def continue_trajectory(
     share dt and nonlinearity, and each row steps with its own viscosity.  An entry
     is due at step 0 (fresh starts only), after every record_every-th step, and at its final
     step; at each step where any is due, each sink is called once, with the rows of all its
-    due entries as one closed state.  The batch steps from one such
+    due entries as one closed state, whose planes are read-only: a recorder keeps them and
+    measures its pending record steps once they hold ``diagnostics.PASS_BYTES`` (128 KiB) of
+    lattice values, a size that measured best (larger C^m passes at n=2 hit page faults),
+    and a larger record step in row chunks.  The batch steps from one such
     record step to the next in one loop (:func:`_advance`) up to the nearest horizon, and the
     rows that reach it leave.  A step that turns non-finite ends the loop.  Rows are independent,
     so that step's array already holds each finite row's next state: those rows go on from it,

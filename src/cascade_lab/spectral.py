@@ -141,10 +141,17 @@ class SpectralField:
             object.__setattr__(self, "planes", planes)
 
     def rows(self, keep: list[int] | slice) -> "SpectralField":
-        """Rows ``keep`` of this field, in that order, with their planes; not checked again, since
-        this field's rows are finite.  A slice keeps views."""
-        out = object.__new__(SpectralField)
-        vars(out).update(grid=self.grid, coeffs=self.coeffs[keep], planes=self.planes[:, keep])
+        """Rows ``keep`` of this field, in that order, with their planes, read-only; not checked again,
+        since this field's rows are finite.  A slice keeps views."""
+        return SpectralField.of_planes(self.grid, self.planes[:, keep], self.coeffs[keep])
+
+    @classmethod
+    def of_planes(cls, grid: GridSpec, planes: np.ndarray, coeffs: np.ndarray | None = None) -> "SpectralField":
+        """The field of finite ``planes``, made read-only, with their ``coeffs`` (made here if not given);
+        not checked again."""
+        planes.flags.writeable = False
+        out = object.__new__(cls)
+        vars(out).update(grid=grid, coeffs=from_planes(planes) if coeffs is None else coeffs, planes=planes)
         return out
 
 

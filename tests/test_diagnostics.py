@@ -262,6 +262,32 @@ class TestExpMoment:
             exp_moment([1.0], -0.1)
 
 
+class TestNormRecorder:
+    def test_reading_streams_mid_run_leaves_the_bytes_alone(self):
+        # At n=1 N=16 two rows hold 512 B of lattice values, so no pass fills PASS_BYTES here: a read
+        # at step 6 measures the 4 pending record steps early, and the rest of the run must append
+        # the same rows as a recorder read only at the end.
+        grid = GridSpec(1, 16, 8)
+        spec = NoiseSpec.band(grid, [1.0, 1.0])
+        params = SimParams(nu=0.5, dt=0.05, T=1.0, record_every=2, seed=7)
+        u0 = SpectralField(grid, np.concatenate([constrained_profile(grid, 0.5).coeffs * s for s in (1.0, 0.5)]))
+        early, late = (NormRecorder(nu=0.5, cm_orders=(1,), shells=True) for _ in range(2))
+        mid = []
+
+        def sink(state):
+            early(state)
+            if state.step_index == 6:
+                mid.append({sid: s.data.copy() for sid, s in early.streams.items()})
+
+        continue_trajectory(initial_state(u0, params), spec, params, sink)
+        continue_trajectory(initial_state(u0, params), spec, params, late)
+        assert [len(rows) for rows in mid[0].values()] == [4, 4]  # steps 0, 2, 4 and 6
+        assert sorted(early.streams) == sorted(late.streams) == [0, 1]
+        for sid, stream in late.streams.items():
+            assert stream_csv_text(early.streams[sid]) == stream_csv_text(stream)
+            assert mid[0][sid].tobytes() == stream.data[:4].tobytes()
+
+
 class TestStreamCsv:
     def test_round_trip(self):
         grid = GridSpec(1, 16, 8)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascade_lab import integrators
+from cascade_lab import diagnostics, integrators
 from cascade_lab.diagnostics import NormRecorder, stream_csv_text
 from cascade_lab.experiments import (
     Ensemble,
@@ -118,6 +118,22 @@ class TestEnsembleRun:
         monkeypatch.setattr(integrators, "continue_trajectory", lambda *a: calls.append(a[0].step_index) or driver(*a))
         summary, streams = ensemble_run(GRID, BAND, small_params(T=0.2), 2, lambda sid: zero_field(GRID))
         assert calls == [0] and summary.aborts == 0 and len(streams) == 2
+
+    def test_record_steps_split_into_row_chunks_leave_each_stream_as_its_one_row_run(self, monkeypatch):
+        # At n=2 N=32 a row holds 16 KiB of lattice values, so each record step of 16 rows (256 KiB)
+        # is larger than PASS_BYTES and is measured in two 8-row C^m passes.
+        grid = GridSpec(2, 32, 16)
+        spec = NoiseSpec.band(grid, [1.0, 1.0])
+        params = small_params(T=0.1, dt=0.01, record_every=3)
+        obs = (Observable("sup_cm", 2.0),)
+        u0 = lambda sid: SpectralField(grid, (1.0 + sid / 16) * constrained_profile(grid, 0.5).coeffs)
+        measured, cm_norm = [], diagnostics.cm_norm
+        monkeypatch.setattr(diagnostics, "cm_norm", lambda u, m: measured.append(len(u.coeffs)) or cm_norm(u, m))
+        _, streams = ensemble_run(grid, spec, params, 16, u0, obs)
+        assert measured == [8] * 2 * 5  # record steps 0, 3, 6, 9 and 10
+        for sid, stream in enumerate(streams):
+            _, (one,) = ensemble_run(grid, spec, replace(params, stream_id=sid), 1, u0, obs)
+            assert stream_csv_text(stream) == stream_csv_text(one)
 
     def test_several_cm_orders_match_one_order_value_for_value(self):
         # Each sup_cm order reads its own column: asking for C^3 too leaves sup_cm_2 as it was.
@@ -356,6 +372,12 @@ class TestSweepPlan:
             nu_sweep(SweepPlan(GRID, "band:1", (0.2, 0.1), M=1, base_seed=1))
         with pytest.raises(ValueError, match="window"):
             nu_sweep(SweepPlan(GRID, "band:1", (0.2, 0.1), M=4, base_seed=1, t_slow_total=1.5))
+
+    @pytest.mark.parametrize("field", ["dt", "dt_slow", "T", "t_slow_total", "window_t0_slow"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_a_non_finite_time_is_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SweepPlan(GRID, "band:1", (0.2, 0.1), M=2, base_seed=1, **{field: value})
 
     def test_u0_policy_applied_per_nu(self):
         plan = SweepPlan(GRID, "band:1,1,1", (0.4, 0.2), M=2, base_seed=1)

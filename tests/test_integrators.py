@@ -770,6 +770,21 @@ class TestRunTrajectory:
         continue_trajectory(start, BAND, (every2, every3, every2), sink)
         assert calls == [(0, [0, 1, 2]), (2, [0, 2]), (3, [1]), (4, [0, 2]), (6, [0, 1, 2])]
 
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_a_sink_is_handed_read_only_planes(self, nonlinear):
+        # A recorder keeps the planes it is handed and measures them later, so no step may write into
+        # them: all rows (step 0 and 6), a list of rows (0 and 2) and a slice of them (row 1).
+        every2 = SimParams(nu=0.5, dt=0.02, T=0.12, record_every=2, seed=21, nonlinear=nonlinear)
+        every3 = replace(every2, nu=0.25, record_every=3)
+        fields = [random_field(GRID, 50 + i, 0.3) for i in range(3)]
+        seen = []
+        start = State.of(SpectralField(GRID, rows(*fields)), tuple(RngStream(21, i) for i in range(3)))
+        continue_trajectory(start, BAND, (every2, every3, every2), seen.append)
+        assert [(s.step_index, len(s.rngs)) for s in seen] == [(0, 3), (2, 2), (3, 1), (4, 2), (6, 3)]
+        for state in seen:
+            with pytest.raises(ValueError, match="read-only"):
+                state.u.planes[0, 0, 0] = 1.0
+
     def test_record_cadence_leaves_the_bits_alone(self):
         # The running state never closes, so runs that record every 1, 7 and 10 steps end on
         # the same bits, and their records agree wherever their steps coincide.
@@ -1117,6 +1132,13 @@ class TestSimParams:
             SimParams(nu=0.5, dt=-0.01, T=1.0)
         with pytest.raises(ValueError):
             SimParams(nu=0.5, dt=0.2, T=0.1)
+
+    @pytest.mark.parametrize("field", ["dt", "T"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_a_non_finite_step_or_horizon_is_rejected_by_name(self, field, value):
+        # NaN passed dt <= 0 and T < dt, and n_steps then raised a bare ValueError or OverflowError.
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SimParams(**{"nu": 0.5, "dt": 0.01, "T": 1.0, field: value})
 
     def test_slow_time_conversions(self):
         p = SimParams(nu=0.25, dt=0.01, T=1.0)

@@ -3,13 +3,14 @@
 A renamed or removed target would otherwise only show up as a layer that reads
 0 in ``python -m pytest perfbench`` or in a traced benchmark run.  A target the
 program no longer calls reads 0 the same way, so the step's transforms, and
-the recorder's one C^m pass per record step, are checked by their call counts.
+the recorder's C^m passes over the pending record steps, are checked by their
+call counts.
 """
 
 import importlib
 from pathlib import Path
 
-from cascade_lab import experiments, integrators
+from cascade_lab import diagnostics, experiments, integrators
 from cascade_lab.experiments import Observable, SweepPlan
 from cascade_lab.forcing import NoiseSpec
 from cascade_lab.integrators import SimParams, constrained_profile
@@ -69,9 +70,11 @@ def test_layer_map_sees_the_step_transforms(monkeypatch):
     assert calls["spectral.dst"] >= 2 * calls["integrators.phase_rotation"] > 0
 
 
-def test_a_sweep_batch_takes_one_recorder_pass_per_record_step(monkeypatch):
-    # Three entries of a fixed-dt sweep step as one batch and leave at steps 5, 10 and 20; at every
-    # step where any of them records, one C^m pass covers the rows of every entry due there.
+def test_a_sweep_batch_measures_each_due_row_once_in_lattice_sized_passes(monkeypatch):
+    # Three entries of a fixed-dt sweep step as one batch and leave at steps 5, 10 and 20. At every
+    # step where any of them records, the recorder is called once with the rows of every entry due
+    # there; it keeps them until they hold PASS_BYTES of lattice values or the streams are read. At
+    # n=2 N=8 the 42 due rows hold 42 KiB, so one C^m pass through diagnostics.cm_norm measures all.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
@@ -82,6 +85,10 @@ def test_a_sweep_batch_takes_one_recorder_pass_per_record_step(monkeypatch):
     horizons = [plan.params_for(nu).n_steps for nu in plan.nu_grid]
     assert horizons == [5, 10, 20]
     record_steps = {k for n in horizons for k in (0, n, *range(2, n, 2))}
+    due_rows = sum(plan.M for n in horizons for k in record_steps if k <= n and (k % 2 == 0 or k == n))
+    assert len(record_steps) == 12 and due_rows == 42
+    measured, cm_norm = [], diagnostics.cm_norm
+    monkeypatch.setattr(diagnostics, "cm_norm", lambda u, m: measured.append(len(u.coeffs)) or cm_norm(u, m))
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -89,5 +96,5 @@ def test_a_sweep_batch_takes_one_recorder_pass_per_record_step(monkeypatch):
     finally:
         tracer.remove()
     calls = tracer.summary()["calls"]
-    assert calls["spectral.cm_norm"] == len(record_steps) == 12
-    assert calls["diagnostics.recorder"] > 0
+    assert measured == [due_rows] and calls["spectral.cm_norm"] == 1
+    assert calls["diagnostics.recorder"] == len(record_steps)
