@@ -113,25 +113,26 @@ class Stream:
 # Lattice bytes (2 x rows x N^n x 8 B) of the pending record steps that a recorder measures in one pass.
 # 128 KiB measured best: a pass per record step spent ~45 us of numpy call overhead on 16 KiB at n=1
 # M=16, and at n=2 a C^m pass over 16 or more rows took ~770 minor page faults a call (1.5 ms against
-# 0.28 ms at 12 rows), so a larger record step is measured in row chunks of at most this size.
+# 0.28 ms at 12 rows), so record steps join a pass only while it stays within this size.
 PASS_BYTES = 128 * 1024
 
 
 class NormRecorder:
     """Trajectory sink recording each row's norms at each recorded step.
 
-    A call keeps the planes of the closed state it is handed (they are read-only) and
-    measures them later.  Once the pending record steps hold ``PASS_BYTES`` of lattice
-    values (the size that measured best, see there), one pass computes the columns of all
-    their rows and appends them, in call order, as one (rows, columns) block with their
-    stream ids.  A record step larger than ``PASS_BYTES`` is measured alone, in row chunks
-    of at most that size, and a change of grid or columns ends the pending pass first.
-    ``streams`` measures whatever is pending, then holds each stream id's rows as a
-    :class:`Stream`.  A :meth:`joint` sink serves the rows of several recorders: its
-    passes compute the union of the columns that the recorders of those rows ask for, and
-    append to each recorder its rows and columns of it.  Rows are independent in every
-    product, and the sup and C^m are exact maxima, so a row's columns have the same bits
-    in any pass.
+    A call keeps the closed field it is handed (its planes are read-only) and measures it
+    later.  Record steps join the pending pass while it stays within ``PASS_BYTES`` of
+    lattice values (the size that measured best, see there); a record step that would
+    take it over, or that changes the grid or the columns, ends the pass first, and a pass
+    that reaches ``PASS_BYTES`` is measured at once.  So a record step larger than
+    ``PASS_BYTES`` is one pass of its own.  A pass computes the columns of all its rows
+    and appends them, in call order, as one (rows, columns) block with their stream ids.
+    :meth:`flush` measures whatever is pending, and ``streams`` flushes before it returns
+    each stream id's rows as a :class:`Stream`.  A :meth:`joint` sink serves the rows of
+    several recorders: its passes compute the union of the columns that the recorders of
+    those rows ask for, and append to each recorder its rows and columns of it.  Rows are
+    independent in every product, and the sup and C^m are exact maxima, so a row's
+    columns have the same bits in any pass.
     """
 
     def __init__(
@@ -150,8 +151,7 @@ class NormRecorder:
         self._ids: list[list[int]] = []
         self._streams: dict[int, Stream] | None = None
         self._owners: dict[int, NormRecorder] | None = None  # a joint sink's: id(RngStream) -> recorder
-        self._sinks: list[NormRecorder] = [self]  # the sinks that may hold this recorder's rows pending
-        self._pending: list[tuple[float, np.ndarray, tuple, list]] = []  # (t, planes, rngs, runs) per record step
+        self._pending: list[tuple[float, SpectralField, tuple, list]] = []  # (t, u, rngs, runs) per record step
         self._pending_bytes = 0
         self._kind: tuple | None = None  # (grid, ms, cm orders, shells) of the pending pass
 
@@ -160,12 +160,12 @@ class NormRecorder:
         """One sink for the rows of several recorders, which records nothing itself.
 
         ``rngs[j]`` holds the RngStream objects of ``recorders[j]``'s rows.  Stream ids
-        repeat across recorders, so a row's recorder is that of its stream object.
+        repeat across recorders, so a row's recorder is that of its stream object.  Its
+        pending rows reach the recorders at its :meth:`flush`, which the caller makes
+        before it reads their streams.
         """
         sink = cls(nu=0.0, ms=())
         sink._owners = {id(rng): rec for rec, rows in zip(recorders, rngs) for rng in rows}
-        for rec in recorders:
-            rec._sinks.append(sink)
         return sink
 
     def __call__(self, state: State) -> None:
@@ -175,13 +175,13 @@ class NormRecorder:
         else:
             runs, kind = self._union(rngs)
         kind, size = (grid, *kind), _lattice_bytes(grid, len(rngs))
-        if self._pending and (kind != self._kind or size > PASS_BYTES):
-            self._measure()
+        if kind != self._kind or self._pending_bytes + size > PASS_BYTES:
+            self.flush()
         self._kind = kind
-        self._pending.append((state.t, state.u.planes, rngs, runs))
+        self._pending.append((state.t, state.u, rngs, runs))
         self._pending_bytes += size
         if self._pending_bytes >= PASS_BYTES:
-            self._measure()
+            self.flush()
 
     def _union(self, rngs) -> tuple[list, tuple[tuple[float, ...], tuple[int, ...], bool]]:
         """A joint sink's (recorder, rows) for each run of consecutive rows that share a recorder, and
@@ -196,21 +196,26 @@ class NormRecorder:
         orders = tuple(sorted({k for rec in recs for k in rec.cm_orders}))
         return runs, (ms, orders, any(rec.shells for rec in recs))
 
-    def _measure(self) -> None:
-        """Measure the pending record steps in one pass (one larger step in row chunks) and append
-        to each recorder its rows of them as one block."""
+    def flush(self) -> None:
+        """Measure the pending record steps in one pass and append to each recorder its rows of them
+        as one block."""
         if not self._pending:
             return
         pending, (grid, ms, orders, with_shells) = self._pending, self._kind
         self._pending, self._pending_bytes = [], 0
-        planes = pending[0][1] if len(pending) == 1 else np.concatenate([p[1] for p in pending], axis=1)
-        u = SpectralField.of_planes(grid, planes)
-        rows = len(u.coeffs)
-        chunk = rows if len(pending) > 1 else max(1, PASS_BYTES // _lattice_bytes(grid, 1))
-        parts = [_columns(u.rows(slice(lo, lo + chunk)), ms, orders, with_shells) for lo in range(0, rows, chunk)]
-        norms, sup, cms, shells = parts[0] if len(parts) == 1 else (
-            None if p[0] is None else np.concatenate(p) for p in zip(*parts)
-        )
+        if len(pending) == 1:
+            u = pending[0][1]
+        else:
+            fields = [p[1] for p in pending]
+            planes = np.concatenate([f.planes for f in fields], axis=1)
+            u = SpectralField.of_planes(grid, planes, np.concatenate([f.coeffs for f in fields]))
+        norms = sobolev_norm(u, ms).T
+        if orders:  # the sup is C^0: one pass gives both, with the sup's own bits
+            both = cm_norm(u, (0, *orders))
+            sup, cms = both[0], both[1:].T
+        else:
+            sup = sup_norm(u)
+        shells = shell_energies(grid, u.coeffs) if with_shells else None
         picked: dict[NormRecorder, tuple[list, list, list]] = {}  # each recorder's times, rows and stream objects
         start = 0
         for t, _, rngs, runs in pending:
@@ -221,7 +226,7 @@ class NormRecorder:
                 objs += rngs[run]
             start += len(rngs)
         for rec, (times, at, objs) in picked.items():
-            at = slice(None) if len(at) == rows else np.array(at)  # every row, in order, or some
+            at = slice(None) if len(at) == start else np.array(at)  # every row, in order, or some
             cols = [_pick(norms[at], ms, rec.ms), sup[at]]
             if rec.cm_orders:
                 cols.append(_pick(cms[at], orders, rec.cm_orders))
@@ -242,8 +247,7 @@ class NormRecorder:
     @property
     def streams(self) -> dict[int, Stream]:
         """Each stream id's rows, in step order, once the pending record steps are measured."""
-        for sink in self._sinks:
-            sink._measure()
+        self.flush()
         if self._streams is None:
             self._streams = {}
             if self._blocks:
@@ -255,19 +259,6 @@ class NormRecorder:
 def _lattice_bytes(grid, rows: int) -> int:
     """Bytes of the lattice values of ``rows`` rows: two float64 planes of N^n points each."""
     return 16 * rows * grid.N**grid.n
-
-
-def _columns(u: SpectralField, ms, orders, with_shells) -> tuple:
-    """(Sobolev norms (rows, orders), sup, C^m (rows, orders) or None, shells or None) of ``u``'s rows, in one pass."""
-    norms, cms, shells = sobolev_norm(u, ms).T, None, None
-    if orders:  # the sup is C^0: one pass gives both, with the sup's own bits
-        both = cm_norm(u, (0, *orders))
-        sup, cms = both[0], both[1:].T
-    else:
-        sup = sup_norm(u)
-    if with_shells:
-        shells = shell_energies(u.grid, u.coeffs)
-    return norms, sup, cms, shells
 
 
 def _pick(values: np.ndarray, have: tuple, want: tuple) -> np.ndarray:

@@ -174,8 +174,8 @@ def run_ensembles(
     The batch holds each ensemble's M rows in turn, each row at its own ensemble's
     viscosity, and an ensemble's rows leave at its horizon.  Each ensemble keeps its own
     recorder, observable window, abort count and tolerated fraction, checked in order.
-    The recorders share one sink (:meth:`NormRecorder.joint`), so a record step takes one
-    pass over the rows of every ensemble due there.  Stream ids repeat across ensembles,
+    The recorders share one sink (:meth:`NormRecorder.joint`), so a pass measures the rows
+    of every ensemble due at its record steps.  Stream ids repeat across ensembles,
     so a row's record and its abort go to the ensemble whose stream object it carries.
     Each result is bit for bit that of :func:`ensemble_run`.
     """
@@ -190,6 +190,7 @@ def run_ensembles(
     sink = recorders[0] if len(recorders) == 1 else NormRecorder.joint(recorders, rngs)
     # Resolved at call time, so a wrapper installed on the integrators module sees the call.
     _, aborted = integrators.continue_trajectory(state, spec, row_params, sink)
+    sink.flush()  # a joint sink's pending rows reach the recorders
     owner = {id(rng): j for j, rows in enumerate(rngs) for rng in rows}
     lost: list[set[int]] = [set() for _ in ensembles]
     for exc in aborted:

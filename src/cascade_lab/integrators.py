@@ -481,7 +481,8 @@ class _Batch:
         """Call each sink due at this step once, with the closed rows of all its due entries (a slice
         of the state when they are adjacent); returns the state closed if any sink was due.  The
         closed planes are read-only, so a sink may keep them: a recorder measures its pending
-        record steps in passes of ``diagnostics.PASS_BYTES`` of lattice values (see NormRecorder)."""
+        record steps in passes of at most ``diagnostics.PASS_BYTES`` of lattice values (see
+        NormRecorder)."""
         k, rows = state.step_index, len(self.row_params)
         due: dict[int, tuple[Sink, list[int]]] = {}
         for start, stop, p, sink in self.entries:
@@ -512,9 +513,9 @@ def continue_trajectory(
     is due at step 0 (fresh starts only), after every record_every-th step, and at its final
     step; at each step where any is due, each sink is called once, with the rows of all its
     due entries as one closed state, whose planes are read-only: a recorder keeps them and
-    measures its pending record steps once they hold ``diagnostics.PASS_BYTES`` (128 KiB) of
-    lattice values, a size that measured best (larger C^m passes at n=2 hit page faults),
-    and a larger record step in row chunks.  The batch steps from one such
+    measures its pending record steps in passes of at most ``diagnostics.PASS_BYTES``
+    (128 KiB) of lattice values, a size that measured best (larger C^m passes at n=2 hit
+    page faults); a larger record step is one pass of its own.  The batch steps from one such
     record step to the next in one loop (:func:`_advance`) up to the nearest horizon, and the
     rows that reach it leave.  A step that turns non-finite ends the loop.  Rows are independent,
     so that step's array already holds each finite row's next state: those rows go on from it,

@@ -146,12 +146,11 @@ class SpectralField:
         return SpectralField.of_planes(self.grid, self.planes[:, keep], self.coeffs[keep])
 
     @classmethod
-    def of_planes(cls, grid: GridSpec, planes: np.ndarray, coeffs: np.ndarray | None = None) -> "SpectralField":
-        """The field of finite ``planes``, made read-only, with their ``coeffs`` (made here if not given);
-        not checked again."""
+    def of_planes(cls, grid: GridSpec, planes: np.ndarray, coeffs: np.ndarray) -> "SpectralField":
+        """The field of finite ``planes``, made read-only, and their ``coeffs``; not checked again."""
         planes.flags.writeable = False
         out = object.__new__(cls)
-        vars(out).update(grid=grid, coeffs=from_planes(planes) if coeffs is None else coeffs, planes=planes)
+        vars(out).update(grid=grid, coeffs=coeffs, planes=planes)
         return out
 
 

@@ -10,7 +10,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from cascade_lab import schema
+from cascade_lab import diagnostics, schema
 from cascade_lab.diagnostics import (
     DiagnosticsRecord,
     NormRecorder,
@@ -286,6 +286,29 @@ class TestNormRecorder:
         for sid, stream in late.streams.items():
             assert stream_csv_text(early.streams[sid]) == stream_csv_text(stream)
             assert mid[0][sid].tobytes() == stream.data[:4].tobytes()
+
+
+    def test_a_record_step_that_would_overfill_the_pending_pass_ends_it_first(self, monkeypatch):
+        # Rows recording every 2 and 3 steps are due 3, 2, 1, 2 and 3 at a time at steps 0, 2, 3, 4
+        # and 6, at 512 B of lattice values a row (n=1 N=32). With 2 KiB passes no pass goes over
+        # 2 KiB, and every row has the bits of a recorder that measures each record step alone.
+        grid = GridSpec(1, 32, 8)
+        spec = NoiseSpec.band(grid, [1.0, 1.0])
+        every2 = SimParams(nu=0.5, dt=0.02, T=0.12, record_every=2, seed=21)
+        row_params = (every2, replace(every2, nu=0.25, record_every=3), every2)
+        u0 = SpectralField(grid, np.concatenate([constrained_profile(grid, 0.5).coeffs * s for s in (1.0, 0.5, 0.25)]))
+        measured, cm_norm = [], diagnostics.cm_norm
+        monkeypatch.setattr(diagnostics, "cm_norm", lambda u, m: measured.append(len(u.coeffs)) or cm_norm(u, m))
+        streams = {}
+        for size in (2048, 0):
+            monkeypatch.setattr(diagnostics, "PASS_BYTES", size)
+            rec = NormRecorder(nu=0.5, cm_orders=(2,), shells=True)
+            continue_trajectory(initial_state(u0, every2), spec, row_params, rec)
+            streams[size] = rec.streams
+        assert measured == [3, 3, 2, 3] + [3, 2, 1, 2, 3]
+        assert sorted(streams[2048]) == [0, 1, 2]
+        for sid, stream in streams[0].items():
+            assert stream_csv_text(streams[2048][sid]) == stream_csv_text(stream)
 
 
 class TestStreamCsv:

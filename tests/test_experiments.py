@@ -119,9 +119,10 @@ class TestEnsembleRun:
         summary, streams = ensemble_run(GRID, BAND, small_params(T=0.2), 2, lambda sid: zero_field(GRID))
         assert calls == [0] and summary.aborts == 0 and len(streams) == 2
 
-    def test_record_steps_split_into_row_chunks_leave_each_stream_as_its_one_row_run(self, monkeypatch):
+    def test_record_steps_past_a_pass_leave_each_stream_as_its_one_row_run(self, monkeypatch):
         # At n=2 N=32 a row holds 16 KiB of lattice values, so each record step of 16 rows (256 KiB)
-        # is larger than PASS_BYTES and is measured in two 8-row C^m passes.
+        # is larger than PASS_BYTES and is one 16-row C^m pass of its own, while a one-row run
+        # gathers its 5 record steps into one pass.
         grid = GridSpec(2, 32, 16)
         spec = NoiseSpec.band(grid, [1.0, 1.0])
         params = small_params(T=0.1, dt=0.01, record_every=3)
@@ -130,10 +131,11 @@ class TestEnsembleRun:
         measured, cm_norm = [], diagnostics.cm_norm
         monkeypatch.setattr(diagnostics, "cm_norm", lambda u, m: measured.append(len(u.coeffs)) or cm_norm(u, m))
         _, streams = ensemble_run(grid, spec, params, 16, u0, obs)
-        assert measured == [8] * 2 * 5  # record steps 0, 3, 6, 9 and 10
+        assert measured == [16] * 5  # record steps 0, 3, 6, 9 and 10
         for sid, stream in enumerate(streams):
             _, (one,) = ensemble_run(grid, spec, replace(params, stream_id=sid), 1, u0, obs)
             assert stream_csv_text(stream) == stream_csv_text(one)
+        assert measured[5:] == [5] * 16
 
     def test_several_cm_orders_match_one_order_value_for_value(self):
         # Each sup_cm order reads its own column: asking for C^3 too leaves sup_cm_2 as it was.
