@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import chain
 from math import sqrt
 
 import numpy as np
@@ -123,16 +123,14 @@ class NormRecorder:
     A call keeps the closed field it is handed (its planes are read-only) and measures it
     later.  Record steps join the pending pass while it stays within ``PASS_BYTES`` of
     lattice values (the size that measured best, see there); a record step that would
-    take it over, or that changes the grid or the columns, ends the pass first, and a pass
-    that reaches ``PASS_BYTES`` is measured at once.  So a record step larger than
-    ``PASS_BYTES`` is one pass of its own.  A pass computes the columns of all its rows
-    and appends them, in call order, as one (rows, columns) block with their stream ids.
-    :meth:`flush` measures whatever is pending, and ``streams`` flushes before it returns
-    each stream id's rows as a :class:`Stream`.  A :meth:`joint` sink serves the rows of
-    several recorders: its passes compute the union of the columns that the recorders of
-    those rows ask for, and append to each recorder its rows and columns of it.  Rows are
-    independent in every product, and the sup and C^m are exact maxima, so a row's
-    columns have the same bits in any pass.
+    take it over, or that is on another grid, ends the pass first, and a pass that
+    reaches ``PASS_BYTES`` is measured at once.  So a record step larger than
+    ``PASS_BYTES`` is one pass of its own.  A pass computes this recorder's columns of all
+    its rows and appends them, in call order, as one (rows, columns) block with their
+    stream ids.  ``streams`` measures whatever is pending before it returns each stream
+    id's rows as a :class:`Stream`.  Rows are independent in every product, and the sup
+    and C^m are exact maxima, so a row's columns have the same bits in any pass.
+    Repeated Sobolev or C^m orders are recorded once, Sobolev orders in first-seen order.
     """
 
     def __init__(
@@ -143,65 +141,32 @@ class NormRecorder:
         shells: bool = False,
     ):
         self.nu = nu
-        self.ms = tuple(float(m) for m in ms)
+        self.ms = tuple(dict.fromkeys(float(m) for m in ms))
         self.cm_orders = tuple(sorted({int(k) for k in cm_orders}))
         self.shells = shells
         self.columns: tuple[str, ...] | None = None
         self._blocks: list[np.ndarray] = []
         self._ids: list[list[int]] = []
         self._streams: dict[int, Stream] | None = None
-        self._owners: dict[int, NormRecorder] | None = None  # a joint sink's: id(RngStream) -> recorder
-        self._pending: list[tuple[float, SpectralField, tuple, list]] = []  # (t, u, rngs, runs) per record step
+        self._pending: list[tuple[float, SpectralField, tuple]] = []  # (t, u, rngs) per record step
         self._pending_bytes = 0
-        self._kind: tuple | None = None  # (grid, ms, cm orders, shells) of the pending pass
-
-    @classmethod
-    def joint(cls, recorders, rngs) -> "NormRecorder":
-        """One sink for the rows of several recorders, which records nothing itself.
-
-        ``rngs[j]`` holds the RngStream objects of ``recorders[j]``'s rows.  Stream ids
-        repeat across recorders, so a row's recorder is that of its stream object.  Its
-        pending rows reach the recorders at its :meth:`flush`, which the caller makes
-        before it reads their streams.
-        """
-        sink = cls(nu=0.0, ms=())
-        sink._owners = {id(rng): rec for rec, rows in zip(recorders, rngs) for rng in rows}
-        return sink
+        self._grid = None  # of the pending pass
 
     def __call__(self, state: State) -> None:
-        grid, rngs = state.grid, state.rngs
-        if self._owners is None:
-            runs, kind = [(self, slice(0, len(rngs)))], (self.ms, self.cm_orders, self.shells)
-        else:
-            runs, kind = self._union(rngs)
-        kind, size = (grid, *kind), _lattice_bytes(grid, len(rngs))
-        if kind != self._kind or self._pending_bytes + size > PASS_BYTES:
-            self.flush()
-        self._kind = kind
-        self._pending.append((state.t, state.u, rngs, runs))
+        size = _lattice_bytes(state.grid, len(state.rngs))
+        if state.grid != self._grid or self._pending_bytes + size > PASS_BYTES:
+            self._flush()
+        self._grid = state.grid
+        self._pending.append((state.t, state.u, state.rngs))
         self._pending_bytes += size
         if self._pending_bytes >= PASS_BYTES:
-            self.flush()
+            self._flush()
 
-    def _union(self, rngs) -> tuple[list, tuple[tuple[float, ...], tuple[int, ...], bool]]:
-        """A joint sink's (recorder, rows) for each run of consecutive rows that share a recorder, and
-        the union of those recorders' Sobolev orders, C^m orders and shells."""
-        runs, start = [], 0
-        for rec, rows in groupby(self._owners[id(rng)] for rng in rngs):
-            stop = start + len(tuple(rows))
-            runs.append((rec, slice(start, stop)))
-            start = stop
-        recs = [rec for rec, _ in runs]
-        ms = tuple(dict.fromkeys(m for rec in recs for m in rec.ms))
-        orders = tuple(sorted({k for rec in recs for k in rec.cm_orders}))
-        return runs, (ms, orders, any(rec.shells for rec in recs))
-
-    def flush(self) -> None:
-        """Measure the pending record steps in one pass and append to each recorder its rows of them
-        as one block."""
+    def _flush(self) -> None:
+        """Measure the pending record steps in one pass and append their rows as one block."""
         if not self._pending:
             return
-        pending, (grid, ms, orders, with_shells) = self._pending, self._kind
+        pending, grid = self._pending, self._grid
         self._pending, self._pending_bytes = [], 0
         if len(pending) == 1:
             u = pending[0][1]
@@ -209,45 +174,27 @@ class NormRecorder:
             fields = [p[1] for p in pending]
             planes = np.concatenate([f.planes for f in fields], axis=1)
             u = SpectralField.of_planes(grid, planes, np.concatenate([f.coeffs for f in fields]))
-        norms = sobolev_norm(u, ms).T
-        if orders:  # the sup is C^0: one pass gives both, with the sup's own bits
-            both = cm_norm(u, (0, *orders))
-            sup, cms = both[0], both[1:].T
+        cols = [sobolev_norm(u, self.ms).T]
+        if self.cm_orders:  # the sup is C^0: one pass gives both, with the sup's own bits
+            both = cm_norm(u, (0, *self.cm_orders))
+            cols += [both[0], both[1:].T]
         else:
-            sup = sup_norm(u)
-        shells = shell_energies(grid, u.coeffs) if with_shells else None
-        picked: dict[NormRecorder, tuple[list, list, list]] = {}  # each recorder's times, rows and stream objects
-        start = 0
-        for t, _, rngs, runs in pending:
-            for rec, run in runs:
-                times, at, objs = picked.setdefault(rec, ([], [], []))
-                times += [t] * (run.stop - run.start)
-                at += range(start + run.start, start + run.stop)
-                objs += rngs[run]
-            start += len(rngs)
-        for rec, (times, at, objs) in picked.items():
-            at = slice(None) if len(at) == start else np.array(at)  # every row, in order, or some
-            cols = [_pick(norms[at], ms, rec.ms), sup[at]]
-            if rec.cm_orders:
-                cols.append(_pick(cms[at], orders, rec.cm_orders))
-            if rec.shells:
-                cols.append(shells[at])
-            rec._append(np.array(times), objs, cols)
-
-    def _append(self, t: np.ndarray, rngs, parts: list[np.ndarray]) -> None:
-        """Append the block of ``rngs``' rows at times ``t``: t, tau and ``parts``, this recorder's columns of a pass."""
-        block = np.column_stack([t, self.nu * t, *parts])
+            cols.append(sup_norm(u))
+        if self.shells:
+            cols.append(shell_energies(grid, u.coeffs))
+        t = np.concatenate([np.full(len(rngs), at) for at, _, rngs in pending])
+        block = np.column_stack([t, self.nu * t, *cols])
         if self.columns is None:
             n_shells = block.shape[1] - 3 - len(self.ms) - len(self.cm_orders)
             self.columns = tuple(schema.stream_columns(self.ms, self.cm_orders, n_shells))
         self._blocks.append(block)
-        self._ids.append([rng.stream_id for rng in rngs])
+        self._ids.append([rng.stream_id for _, _, rngs in pending for rng in rngs])
         self._streams = None
 
     @property
     def streams(self) -> dict[int, Stream]:
         """Each stream id's rows, in step order, once the pending record steps are measured."""
-        self.flush()
+        self._flush()
         if self._streams is None:
             self._streams = {}
             if self._blocks:
@@ -259,11 +206,6 @@ class NormRecorder:
 def _lattice_bytes(grid, rows: int) -> int:
     """Bytes of the lattice values of ``rows`` rows: two float64 planes of N^n points each."""
     return 16 * rows * grid.N**grid.n
-
-
-def _pick(values: np.ndarray, have: tuple, want: tuple) -> np.ndarray:
-    """The columns of ``values`` (one per entry of ``have``) for the entries ``want``, in that order."""
-    return values if want == have else values[:, [have.index(x) for x in want]]
 
 
 # --- stream serialization ----------------------------------------------------

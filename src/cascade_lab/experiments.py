@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, groupby
 from math import inf, isfinite, sqrt
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -145,8 +146,8 @@ class Ensemble:
     recorder_factory: Callable[[SimParams], NormRecorder] | None = None
 
     def __post_init__(self):
-        if self.M < 1:
-            raise ValueError("ensemble size must be >= 1")
+        if not isinstance(self.M, Integral) or self.M < 1:
+            raise ValueError(f"ensemble size M must be an integer >= 1, got {self.M!r}")
         if self.observables and self.recorder_factory is not None:
             raise ValueError("a recorder_factory takes no observables: they read the default recorder's columns")
 
@@ -174,10 +175,9 @@ def run_ensembles(
     The batch holds each ensemble's M rows in turn, each row at its own ensemble's
     viscosity, and an ensemble's rows leave at its horizon.  Each ensemble keeps its own
     recorder, observable window, abort count and tolerated fraction, checked in order.
-    The recorders share one sink (:meth:`NormRecorder.joint`), so a pass measures the rows
-    of every ensemble due at its record steps.  Stream ids repeat across ensembles,
-    so a row's record and its abort go to the ensemble whose stream object it carries.
-    Each result is bit for bit that of :func:`ensemble_run`.
+    Each recorder is the sink of its ensemble's rows and gathers their record steps into its
+    own passes.  Stream ids repeat across ensembles, so a row's abort goes to the ensemble
+    whose stream object it carries.  Each result is bit for bit that of :func:`ensemble_run`.
     """
     recorders, rngs = [], []
     for e in ensembles:
@@ -187,10 +187,9 @@ def run_ensembles(
     u0 = np.concatenate([e.u0_factory(rng.stream_id).coeffs for e, rows in zip(ensembles, rngs) for rng in rows])
     state = State.of(SpectralField(grid, u0), tuple(chain.from_iterable(rngs)))
     row_params = tuple(chain.from_iterable((e.params,) * e.M for e in ensembles))
-    sink = recorders[0] if len(recorders) == 1 else NormRecorder.joint(recorders, rngs)
+    sinks = tuple(chain.from_iterable((rec,) * e.M for e, rec in zip(ensembles, recorders)))
     # Resolved at call time, so a wrapper installed on the integrators module sees the call.
-    _, aborted = integrators.continue_trajectory(state, spec, row_params, sink)
-    sink.flush()  # a joint sink's pending rows reach the recorders
+    _, aborted = integrators.continue_trajectory(state, spec, row_params, sinks)
     owner = {id(rng): j for j, rows in enumerate(rngs) for rng in rows}
     lost: list[set[int]] = [set() for _ in ensembles]
     for exc in aborted:

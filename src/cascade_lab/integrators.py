@@ -45,6 +45,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import groupby
 from math import ceil, isfinite, sqrt
+from numbers import Integral
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -110,8 +111,8 @@ class SimParams:
             raise ValueError(f"time step must be positive, got {self.dt}")
         if self.T < self.dt:
             raise ValueError(f"horizon T={self.T} is shorter than one step dt={self.dt}")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        if not isinstance(self.record_every, Integral) or self.record_every < 1:
+            raise ValueError(f"record_every must be an integer >= 1, got {self.record_every!r}")
 
     @property
     def n_steps(self) -> int:
@@ -431,7 +432,7 @@ def em_step(state: State, spec: NoiseSpec, params: SimParams) -> State:
 
 # --- trajectory driver --------------------------------------------------------
 
-# A sink is called at each record step, once, with the closed rows of every entry it serves that is due there.
+# A sink is called at each record step of each entry it serves, with that entry's closed rows.
 Sink = Callable[[State], None]
 
 
@@ -478,23 +479,17 @@ class _Batch:
         return min((self.horizon, *((k // every + 1) * every for every in self.cadences)))
 
     def record(self, state: State, spec: NoiseSpec, fresh: bool = False) -> State:
-        """Call each sink due at this step once, with the closed rows of all its due entries (a slice
-        of the state when they are adjacent); returns the state closed if any sink was due.  The
-        closed planes are read-only, so a sink may keep them: a recorder measures its pending
-        record steps in passes of at most ``diagnostics.PASS_BYTES`` of lattice values (see
-        NormRecorder)."""
+        """Call the sink of each entry due at this step with that entry's closed rows (the state, or a
+        slice of it); returns the state closed if any entry was due.  The closed planes are read-only,
+        so a sink may keep them: a recorder measures its pending record steps in passes of at most
+        ``diagnostics.PASS_BYTES`` of lattice values (see NormRecorder)."""
         k, rows = state.step_index, len(self.row_params)
-        due: dict[int, tuple[Sink, list[int]]] = {}
-        for start, stop, p, sink in self.entries:
-            if sink is not None and (fresh or k % p.record_every == 0 or k == p.n_steps):
-                due.setdefault(id(sink), (sink, []))[1].extend(range(start, stop))
+        due = [(start, stop, sink) for start, stop, p, sink in self.entries
+               if sink is not None and (fresh or k % p.record_every == 0 or k == p.n_steps)]
         if due:
             state = _closed(state, spec, self.params)
-        for sink, keep in due.values():
-            if len(keep) == rows:
-                sink(state)
-            else:
-                sink(_take(state, slice(keep[0], keep[-1] + 1) if keep[-1] - keep[0] < len(keep) else keep))
+        for start, stop, sink in due:
+            sink(state if stop - start == rows else _take(state, slice(start, stop)))
         return state
 
     def keep(self, rows: list[int]) -> "_Batch":
@@ -511,17 +506,16 @@ def continue_trajectory(
     rows that share both are one entry; entries may differ in viscosity and horizon but
     share dt and nonlinearity, and each row steps with its own viscosity.  An entry
     is due at step 0 (fresh starts only), after every record_every-th step, and at its final
-    step; at each step where any is due, each sink is called once, with the rows of all its
-    due entries as one closed state, whose planes are read-only: a recorder keeps them and
-    measures its pending record steps in passes of at most ``diagnostics.PASS_BYTES``
-    (128 KiB) of lattice values, a size that measured best (larger C^m passes at n=2 hit
-    page faults); a larger record step is one pass of its own.  The batch steps from one such
-    record step to the next in one loop (:func:`_advance`) up to the nearest horizon, and the
-    rows that reach it leave.  A step that turns non-finite ends the loop.  Rows are independent,
-    so that step's array already holds each finite row's next state: those rows go on from it,
-    and each non-finite row is dropped with its abort, in row order, which carries its row of
-    the last good state, closed.  The final state holds the rows that finish last, closed (None
-    if none is left).
+    step; there its sink is called with its rows as one closed state, whose planes are
+    read-only: a recorder keeps them and measures its pending record steps in passes of at
+    most ``diagnostics.PASS_BYTES`` (128 KiB) of lattice values, a size that measured best
+    (larger C^m passes at n=2 hit page faults); a larger record step is one pass of its own.
+    The batch steps from one such record step to the next in one loop (:func:`_advance`) up to
+    the nearest horizon, and the rows that reach it leave.  A step that turns non-finite ends
+    the loop.  Rows are independent, so that step's array already holds each finite row's next
+    state: those rows go on from it, and each non-finite row is dropped with its abort, in row
+    order, which carries its row of the last good state, closed.  The final state holds the
+    rows that finish last, closed (None if none is left).
     """
     if spec.grid != state.grid:
         raise GridMismatchError("state and noise spec live on different grids")

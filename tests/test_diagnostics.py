@@ -22,8 +22,15 @@ from cascade_lab.diagnostics import (
     stream_csv_text,
     time_avg_sobolev,
 )
-from cascade_lab.forcing import NoiseSpec, bk_sum
-from cascade_lab.integrators import SimParams, constrained_profile, continue_trajectory, initial_state, zero_field
+from cascade_lab.forcing import NoiseSpec, RngStream, bk_sum
+from cascade_lab.integrators import (
+    SimParams,
+    State,
+    constrained_profile,
+    continue_trajectory,
+    initial_state,
+    zero_field,
+)
 from cascade_lab.spectral import GridSpec, SpectralField, sup_norm
 from oracles import exp_moment
 
@@ -289,26 +296,45 @@ class TestNormRecorder:
 
 
     def test_a_record_step_that_would_overfill_the_pending_pass_ends_it_first(self, monkeypatch):
-        # Rows recording every 2 and 3 steps are due 3, 2, 1, 2 and 3 at a time at steps 0, 2, 3, 4
-        # and 6, at 512 B of lattice values a row (n=1 N=32). With 2 KiB passes no pass goes over
-        # 2 KiB, and every row has the bits of a recorder that measures each record step alone.
+        # Closed states of 3, 2, 1, 2 and 3 rows at steps 0, 2, 3, 4 and 6, at 512 B of lattice values
+        # a row (n=1 N=32). With 2 KiB passes no pass goes over 2 KiB, and every row has the bits of a
+        # recorder that measures each record step alone.
         grid = GridSpec(1, 32, 8)
-        spec = NoiseSpec.band(grid, [1.0, 1.0])
-        every2 = SimParams(nu=0.5, dt=0.02, T=0.12, record_every=2, seed=21)
-        row_params = (every2, replace(every2, nu=0.25, record_every=3), every2)
-        u0 = SpectralField(grid, np.concatenate([constrained_profile(grid, 0.5).coeffs * s for s in (1.0, 0.5, 0.25)]))
+        profile = constrained_profile(grid, 0.5).coeffs
+        due = [(0, [0, 1, 2]), (2, [0, 2]), (3, [1]), (4, [0, 2]), (6, [0, 1, 2])]
+        states = [
+            State.of(
+                SpectralField(grid, np.concatenate([profile * (1.0 + sid) / (1.0 + k) for sid in sids])),
+                tuple(RngStream(21, sid) for sid in sids),
+                t=0.02 * k,
+            )
+            for k, sids in due
+        ]
         measured, cm_norm = [], diagnostics.cm_norm
         monkeypatch.setattr(diagnostics, "cm_norm", lambda u, m: measured.append(len(u.coeffs)) or cm_norm(u, m))
         streams = {}
         for size in (2048, 0):
             monkeypatch.setattr(diagnostics, "PASS_BYTES", size)
             rec = NormRecorder(nu=0.5, cm_orders=(2,), shells=True)
-            continue_trajectory(initial_state(u0, every2), spec, row_params, rec)
+            for state in states:
+                rec(state)
             streams[size] = rec.streams
         assert measured == [3, 3, 2, 3] + [3, 2, 1, 2, 3]
         assert sorted(streams[2048]) == [0, 1, 2]
+        assert [len(streams[2048][sid]) for sid in range(3)] == [4, 3, 4]
         for sid, stream in streams[0].items():
             assert stream_csv_text(streams[2048][sid]) == stream_csv_text(stream)
+
+    def test_a_repeated_sobolev_order_is_one_column_in_first_seen_order(self):
+        grid = GridSpec(1, 16, 8)
+        spec = NoiseSpec.band(grid, [1.0])
+        params = SimParams(nu=0.5, dt=0.05, T=0.2, seed=3)
+        recs = [NormRecorder(nu=0.5, ms=ms) for ms in ((2.0, 2.0), (2.0, 0.0, 0.5, 0.0), (2.0, 0.0, 0.5))]
+        for rec in recs:
+            continue_trajectory(initial_state(constrained_profile(grid, 0.5), params), spec, params, rec)
+        assert stream_csv_text(recs[0].streams[0]).startswith("t,tau,norm_2,sup\n")
+        assert recs[1].streams[0] == recs[2].streams[0]
+        assert stream_csv_text(recs[2].streams[0]).startswith("t,tau,norm_2,norm_0,norm_0.5,sup\n")
 
 
 class TestStreamCsv:

@@ -111,6 +111,12 @@ def small_params(nu=0.5, T=2.0, **kw):
 
 
 class TestEnsembleRun:
+    @pytest.mark.parametrize("M", [0, 2.0])
+    def test_an_ensemble_size_that_is_not_a_positive_integer_is_rejected_by_name(self, M):
+        # M = 2.0 used to reach range() and raise a bare TypeError there.
+        with pytest.raises(ValueError, match="^ensemble size M must be an integer >= 1"):
+            ensemble_run(GRID, BAND, small_params(T=0.2), M, lambda sid: zero_field(GRID))
+
     def test_runs_through_the_integrators_driver_at_call_time(self, monkeypatch):
         # A wrapper installed on integrators.continue_trajectory (as a tracer does) sees the run.
         calls = []

@@ -756,7 +756,7 @@ class TestRunTrajectory:
 
     def test_a_sink_of_several_entries_sees_their_due_rows_in_one_call(self):
         # Rows 0 and 2 record every 2 steps and row 1 every 3, to step 6, all into one plain sink: at
-        # each record step it is called once, with the closed rows of the entries due there.
+        # each record step it is called once per due entry, in row order, with that entry's closed rows.
         every2 = SimParams(nu=0.5, dt=0.02, T=0.12, record_every=2, seed=21)
         every3 = replace(every2, nu=0.25, record_every=3)
         fields = [random_field(GRID, 50 + i, 0.3) for i in range(3)]
@@ -768,19 +768,23 @@ class TestRunTrajectory:
 
         start = State.of(SpectralField(GRID, rows(*fields)), tuple(RngStream(21, i) for i in range(3)))
         continue_trajectory(start, BAND, (every2, every3, every2), sink)
-        assert calls == [(0, [0, 1, 2]), (2, [0, 2]), (3, [1]), (4, [0, 2]), (6, [0, 1, 2])]
+        assert calls == [
+            (0, [0]), (0, [1]), (0, [2]), (2, [0]), (2, [2]), (3, [1]), (4, [0]), (4, [2]),
+            (6, [0]), (6, [1]), (6, [2]),
+        ]
 
     @pytest.mark.parametrize("nonlinear", [True, False])
     def test_a_sink_is_handed_read_only_planes(self, nonlinear):
         # A recorder keeps the planes it is handed and measures them later, so no step may write into
-        # them: all rows (step 0 and 6), a list of rows (0 and 2) and a slice of them (row 1).
-        every2 = SimParams(nu=0.5, dt=0.02, T=0.12, record_every=2, seed=21, nonlinear=nonlinear)
-        every3 = replace(every2, nu=0.25, record_every=3)
+        # them: a slice of the rows (rows 0-1 to step 4, row 2 until then) and the whole state (row 2
+        # alone after rows 0-1 leave at step 4).
+        every2 = SimParams(nu=0.5, dt=0.02, T=0.08, record_every=2, seed=21, nonlinear=nonlinear)
+        every3 = replace(every2, nu=0.25, T=0.12, record_every=3)
         fields = [random_field(GRID, 50 + i, 0.3) for i in range(3)]
         seen = []
         start = State.of(SpectralField(GRID, rows(*fields)), tuple(RngStream(21, i) for i in range(3)))
-        continue_trajectory(start, BAND, (every2, every3, every2), seen.append)
-        assert [(s.step_index, len(s.rngs)) for s in seen] == [(0, 3), (2, 2), (3, 1), (4, 2), (6, 3)]
+        continue_trajectory(start, BAND, (every2, every2, every3), seen.append)
+        assert [(s.step_index, len(s.rngs)) for s in seen] == [(0, 2), (0, 1), (2, 2), (3, 1), (4, 2), (6, 1)]
         for state in seen:
             with pytest.raises(ValueError, match="read-only"):
                 state.u.planes[0, 0, 0] = 1.0
@@ -1132,6 +1136,8 @@ class TestSimParams:
             SimParams(nu=0.5, dt=-0.01, T=1.0)
         with pytest.raises(ValueError):
             SimParams(nu=0.5, dt=0.2, T=0.1)
+        with pytest.raises(ValueError, match="^record_every must be an integer >= 1"):
+            SimParams(nu=0.5, dt=0.05, T=0.5, record_every=2.5)
 
     @pytest.mark.parametrize("field", ["dt", "T"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

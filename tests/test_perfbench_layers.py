@@ -3,8 +3,8 @@
 A renamed or removed target would otherwise only show up as a layer that reads
 0 in ``python -m pytest perfbench`` or in a traced benchmark run.  A target the
 program no longer calls reads 0 the same way, so the step's transforms, and
-the recorder's C^m passes over the pending record steps, are checked by their
-call counts.
+each recorder's C^m passes over its own pending record steps, are checked by
+their call counts.
 """
 
 import importlib
@@ -71,10 +71,10 @@ def test_layer_map_sees_the_step_transforms(monkeypatch):
 
 
 def test_a_sweep_batch_measures_each_due_row_once_in_lattice_sized_passes(monkeypatch):
-    # Three entries of a fixed-dt sweep step as one batch and leave at steps 5, 10 and 20. At every
-    # step where any of them records, the recorder is called once with the rows of every entry due
-    # there; it keeps them until they hold PASS_BYTES of lattice values or the streams are read. At
-    # n=2 N=8 the 42 due rows hold 42 KiB, so one C^m pass through diagnostics.cm_norm measures all.
+    # Three entries of a fixed-dt sweep step as one batch and leave at steps 5, 10 and 20. At each of
+    # its record steps an entry's recorder is called with its rows; it keeps them until they hold
+    # PASS_BYTES of lattice values or its streams are read. At n=2 N=8 a row holds 1 KiB, so each
+    # entry's 8, 12 and 22 due rows are one C^m pass through diagnostics.cm_norm.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
@@ -84,9 +84,9 @@ def test_a_sweep_batch_measures_each_due_row_once_in_lattice_sized_passes(monkey
     )
     horizons = [plan.params_for(nu).n_steps for nu in plan.nu_grid]
     assert horizons == [5, 10, 20]
-    record_steps = {k for n in horizons for k in (0, n, *range(2, n, 2))}
-    due_rows = sum(plan.M for n in horizons for k in record_steps if k <= n and (k % 2 == 0 or k == n))
-    assert len(record_steps) == 12 and due_rows == 42
+    record_steps = [{0, n, *range(2, n, 2)} for n in horizons]
+    due_rows = [plan.M * len(steps) for steps in record_steps]
+    assert due_rows == [8, 12, 22] and sum(due_rows) == 42
     measured, cm_norm = [], diagnostics.cm_norm
     monkeypatch.setattr(diagnostics, "cm_norm", lambda u, m: measured.append(len(u.coeffs)) or cm_norm(u, m))
     tracer = tracing.Tracer()
@@ -96,5 +96,5 @@ def test_a_sweep_batch_measures_each_due_row_once_in_lattice_sized_passes(monkey
     finally:
         tracer.remove()
     calls = tracer.summary()["calls"]
-    assert measured == [due_rows] and calls["spectral.cm_norm"] == 1
-    assert calls["diagnostics.recorder"] == len(record_steps)
+    assert measured == due_rows and calls["spectral.cm_norm"] == 3
+    assert calls["diagnostics.recorder"] == sum(map(len, record_steps)) == 21
