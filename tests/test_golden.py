@@ -46,6 +46,7 @@ from cascade_lab.experiments import (
     ScalingFit,
     SweepPlan,
     ensemble_run,
+    nu_sweep,
 )
 from cascade_lab.forcing import NoiseSpec, RngStream
 from cascade_lab.integrators import (
@@ -124,6 +125,12 @@ N2_ENSEMBLE_SHA256 = "6432072332511a7f3dcf945db431abc298b559d18e1a4661bb186f7572
 
 # sha256 over the CSV streams and the summaries of ``n2_sweep``
 N2_SWEEP_SHA256 = "a108cf26d4a06e1d9e996f7b754b6fa94fb16b9b79316c0210f631aeceb4cae5"
+
+# sha256 over the CSV streams and the summaries of ``coupled_sweep_hash(n)``, per n
+COUPLED_SWEEP_SHA256 = {
+    1: "1e6d1140c1eff54a3a41f4cdfefb232788da604bd082deaad5d9a0f39e53bf3c",
+    2: "c174d74d25d2427ea201be2ead37f41c99cfc5c3aee8fb269c59eb3e6783283b",
+}
 
 # sha256 of ``checkpoint_bytes()``
 CHECKPOINT_SHA256 = "05a251b5d6fbab2c30d663bea57d4dfa5561b12d58737c71e9a8d85815dc6fff"
@@ -425,6 +432,26 @@ def n2_sweep_hash() -> str:
 def test_n2_sweep_matches_golden():
     skip_unless_golden_build()
     assert n2_sweep_hash() == N2_SWEEP_SHA256
+
+
+def coupled_sweep_hash(n: int) -> str:
+    """The three-entry sweep of test_experiments at n = 1 or 2, coupled at dt_slow = 0.004: its
+    entries share step count and draws, and step at fast dt 0.008, 0.01 and 0.016."""
+    from test_experiments import sweep_plan
+
+    result = nu_sweep(sweep_plan(n, dt_slow=0.004))
+    h = hashlib.sha256()
+    for summary, streams in zip(result.summaries, result.streams):
+        for records in streams:
+            h.update(stream_csv_text(records).encode())
+        h.update(json.dumps(schema.report(summary)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_coupled_sweep_matches_golden(n):
+    skip_unless_golden_build()
+    assert coupled_sweep_hash(n) == COUPLED_SWEEP_SHA256[n]
 
 
 def checkpoint_bytes() -> bytes:
