@@ -477,7 +477,7 @@ def _cmd_spectrum(cfg: RunConfig, out: str | None) -> int:
     (nu,) = plan.nu_grid
 
     def recorder_factory(p):
-        return NormRecorder(nu=p.nu, ms=(0.0, 1.0, 2.0), shells=True)
+        return NormRecorder(ms=(0.0, 1.0, 2.0), shells=True)
 
     ((_, streams),) = plan.ensembles(recorder_factory)
     burn = BURN_IN_FRACTION * plan.T

@@ -34,7 +34,7 @@ from math import sqrt
 import numpy as np
 
 from . import schema
-from .integrators import State
+from .integrators import SimParams, State
 from .spectral import SpectralField, cm_norm, shell_energies, sobolev_norm, sup_norm
 
 DISCRETIZATION_NOTE = (
@@ -121,7 +121,8 @@ class NormRecorder:
     """Trajectory sink recording each row's norms at each recorded step.
 
     A call keeps the closed field it is handed (its planes are read-only) and measures it
-    later.  Record steps join the pending pass while it stays within ``PASS_BYTES`` of
+    later, and takes the rows' t = step_index * dt and tau = nu * t from the params it is
+    handed.  Record steps join the pending pass while it stays within ``PASS_BYTES`` of
     lattice values (the size that measured best, see there); a record step that would
     take it over, or that is on another grid, ends the pass first, and a pass that
     reaches ``PASS_BYTES`` is measured at once.  So a record step larger than
@@ -133,14 +134,7 @@ class NormRecorder:
     Repeated Sobolev or C^m orders are recorded once, Sobolev orders in first-seen order.
     """
 
-    def __init__(
-        self,
-        nu: float,
-        ms: tuple[float, ...] = (0.0, 1.0, 2.0),
-        cm_orders: tuple[int, ...] = (),
-        shells: bool = False,
-    ):
-        self.nu = nu
+    def __init__(self, ms: tuple[float, ...] = (0.0, 1.0, 2.0), cm_orders: tuple[int, ...] = (), shells: bool = False):
         self.ms = tuple(dict.fromkeys(float(m) for m in ms))
         self.cm_orders = tuple(sorted({int(k) for k in cm_orders}))
         self.shells = shells
@@ -148,16 +142,16 @@ class NormRecorder:
         self._blocks: list[np.ndarray] = []
         self._ids: list[list[int]] = []
         self._streams: dict[int, Stream] | None = None
-        self._pending: list[tuple[float, SpectralField, tuple]] = []  # (t, u, rngs) per record step
+        self._pending: list[tuple[float, float, SpectralField, tuple]] = []  # (t, tau, u, rngs) per record step
         self._pending_bytes = 0
         self._grid = None  # of the pending pass
 
-    def __call__(self, state: State) -> None:
-        size = _lattice_bytes(state.grid, len(state.rngs))
+    def __call__(self, state: State, params: SimParams) -> None:
+        size = lattice_bytes(state.grid, len(state.rngs))
         if state.grid != self._grid or self._pending_bytes + size > PASS_BYTES:
             self._flush()
         self._grid = state.grid
-        self._pending.append((state.t, state.u, state.rngs))
+        self._pending.append((t := state.step_index * params.dt, params.nu * t, state.u, state.rngs))
         self._pending_bytes += size
         if self._pending_bytes >= PASS_BYTES:
             self._flush()
@@ -169,9 +163,9 @@ class NormRecorder:
         pending, grid = self._pending, self._grid
         self._pending, self._pending_bytes = [], 0
         if len(pending) == 1:
-            u = pending[0][1]
+            u = pending[0][2]
         else:
-            fields = [p[1] for p in pending]
+            fields = [p[2] for p in pending]
             planes = np.concatenate([f.planes for f in fields], axis=1)
             u = SpectralField.of_planes(grid, planes, np.concatenate([f.coeffs for f in fields]))
         cols = [sobolev_norm(u, self.ms).T]
@@ -182,13 +176,13 @@ class NormRecorder:
             cols.append(sup_norm(u))
         if self.shells:
             cols.append(shell_energies(grid, u.coeffs))
-        t = np.concatenate([np.full(len(rngs), at) for at, _, rngs in pending])
-        block = np.column_stack([t, self.nu * t, *cols])
+        times = np.concatenate([np.full((len(rngs), 2), (t, tau)) for t, tau, _, rngs in pending])
+        block = np.column_stack([times, *cols])
         if self.columns is None:
             n_shells = block.shape[1] - 3 - len(self.ms) - len(self.cm_orders)
             self.columns = tuple(schema.stream_columns(self.ms, self.cm_orders, n_shells))
         self._blocks.append(block)
-        self._ids.append([rng.stream_id for _, _, rngs in pending for rng in rngs])
+        self._ids.append([rng.stream_id for *_, rngs in pending for rng in rngs])
         self._streams = None
 
     @property
@@ -203,7 +197,7 @@ class NormRecorder:
         return self._streams
 
 
-def _lattice_bytes(grid, rows: int) -> int:
+def lattice_bytes(grid, rows: int) -> int:
     """Bytes of the lattice values of ``rows`` rows: two float64 planes of N^n points each."""
     return 16 * rows * grid.N**grid.n
 

@@ -5,9 +5,9 @@ A sweep runs an ensemble of M independent trajectories per viscosity value
 across viscosities), evaluates windowed observables per trajectory, and fits
 the scaling exponent alpha of log(observable) against log(1/nu).
 
-Entries that share a fast dt step as one batch of rows (``run_ensembles``),
-each row at its own entry's viscosity, so a step's fixed cost is paid once per
-step; each entry's streams and summary are still those of its run alone.
+A sweep's consecutive entries step as one batch of rows up to ``BATCH_BYTES``
+(``run_ensembles``), each row at its own entry's viscosity and fast dt, so a step's
+fixed cost is paid once per batch; each entry's streams and summary are its own.
 
 Desk-scale honesty: the asymptotic statements behind these experiments hold
 for nu below an unknown threshold, so sweep verdicts are reported as trends
@@ -18,7 +18,7 @@ constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import chain
 from math import inf, isfinite, sqrt
 from numbers import Integral
 from typing import Callable
@@ -33,6 +33,7 @@ from .diagnostics import (
     Stream,
     balance_check,
     batch_means,
+    lattice_bytes,
     time_avg_sobolev,
 )
 from .forcing import NoiseSpec, RngStream, bk_sum
@@ -125,12 +126,12 @@ def cm_orders(observables) -> list[int]:
     return sorted({int(obs.m) for obs in observables if obs.kind == "sup_cm"})
 
 
-def _needed_recorder(observables: tuple[Observable, ...], nu: float) -> NormRecorder:
+def _needed_recorder(observables: tuple[Observable, ...]) -> NormRecorder:
     ms = {0.0, 1.0, 2.0}
     for obs in observables:
         if obs.kind in ("sup_sobolev", "time_avg_sobolev"):
             ms.add(float(obs.m))
-    return NormRecorder(nu=nu, ms=tuple(sorted(ms)), cm_orders=tuple(cm_orders(observables)))
+    return NormRecorder(ms=tuple(sorted(ms)), cm_orders=tuple(cm_orders(observables)))
 
 
 @dataclass(frozen=True)
@@ -170,10 +171,10 @@ class Ensemble:
 def run_ensembles(
     grid: GridSpec, spec: NoiseSpec, ensembles
 ) -> list[tuple[EnsembleSummary, list[Stream]]]:
-    """Run ensembles that share dt and nonlinearity as one batch of rows; each one's (summary, streams).
+    """Run ensembles that share nonlinearity as one batch of rows; each one's (summary, streams).
 
     The batch holds each ensemble's M rows in turn, each row at its own ensemble's
-    viscosity, and an ensemble's rows leave at its horizon.  Each ensemble keeps its own
+    viscosity and dt, and an ensemble's rows leave at its horizon.  Each ensemble keeps its own
     recorder, observable window, abort count and tolerated fraction, checked in order.
     Each recorder is the sink of its ensemble's rows and gathers their record steps into its
     own passes.  Stream ids repeat across ensembles, so a row's abort goes to the ensemble
@@ -182,7 +183,7 @@ def run_ensembles(
     recorders, rngs = [], []
     for e in ensembles:
         p = e.params
-        recorders.append(_needed_recorder(e.observables, p.nu) if e.recorder_factory is None else e.recorder_factory(p))
+        recorders.append(_needed_recorder(e.observables) if e.recorder_factory is None else e.recorder_factory(p))
         rngs.append(tuple(RngStream(p.seed, sid) for sid in range(p.stream_id, p.stream_id + e.M)))
     u0 = np.concatenate([e.u0_factory(rng.stream_id).coeffs for e, rows in zip(ensembles, rngs) for rng in rows])
     state = State.of(SpectralField(grid, u0), tuple(chain.from_iterable(rngs)))
@@ -262,6 +263,13 @@ def fit_exponent(points) -> ScalingFit:
 # --- sweeps ----------------------------------------------------------------------
 
 
+# Lattice bytes (``diagnostics.lattice_bytes``) up to which a plan's consecutive entries step as one batch.
+# 256 KiB measured best (2-core shared host, 2 MiB L2, medians of 6 runs): the n=1 criteria 7-9 fixture (5 x 32
+# rows, 160 KiB) took 1.18 s as one batch, 1.28 s at 128 KiB (128 + 32 rows); the n=2 twin (N=32, 5 x 16 rows,
+# 256 KiB each) 2.87 s as one entry a batch, 3.20 s as one 1.25 MiB batch, whose step temporaries spill L2.
+BATCH_BYTES = 256 * 1024
+
+
 @dataclass(frozen=True)
 class SweepPlan:
     """A viscosity grid with per-entry ensemble settings; one entry is a single ensemble.
@@ -280,9 +288,8 @@ class SweepPlan:
     1/nu.  That common-random-number coupling makes trend comparisons across
     the grid far less noisy than independent runs at a fixed fast dt.
 
-    Entries that share a fast dt (every entry, unless ``dt_slow`` is set) run
-    as one batch of rows (:func:`run_ensembles`); with ``dt_slow`` each entry
-    is a batch of its own.
+    Consecutive entries, each at its own fast dt, run as one batch of rows
+    (:func:`run_ensembles`) up to ``BATCH_BYTES``; a larger entry runs alone.
     """
 
     grid: GridSpec
@@ -335,13 +342,12 @@ class SweepPlan:
         return lambda stream_id: u0
 
     def ensembles(self, recorder_factory=None) -> list[tuple[EnsembleSummary, list[Stream]]]:
-        """Every grid entry's (summary, streams), in grid order; entries that share a fast dt
-        run as one batch through :func:`run_ensembles`.
+        """Every grid entry's (summary, streams), in grid order; consecutive entries run as one
+        batch through :func:`run_ensembles` while its lattice values fit ``BATCH_BYTES``.
 
         Each entry evaluates the plan's observables, or, with ``recorder_factory``, none:
         the caller reads the streams that recorder writes.
         """
-        spec, results = self.spec(), []
         entries = [
             Ensemble(
                 self.params_for(nu),
@@ -353,9 +359,9 @@ class SweepPlan:
             )
             for nu in self.nu_grid
         ]
-        for _, batch in groupby(entries, key=lambda e: e.params.dt):
-            results += run_ensembles(self.grid, spec, tuple(batch))
-        return results
+        spec, per_batch = self.spec(), max(1, BATCH_BYTES // lattice_bytes(self.grid, self.M))
+        return [result for i in range(0, len(entries), per_batch)
+                for result in run_ensembles(self.grid, spec, tuple(entries[i : i + per_batch]))]
 
 
 def _check_sweep(plan: SweepPlan) -> None:
@@ -480,7 +486,7 @@ def stationary_sweep(
     rec_ms = tuple(sorted({0.0, 1.0, 2.0} | {float(m) for m in ms}))
 
     def recorder_factory(p):
-        return NormRecorder(nu=p.nu, ms=rec_ms)
+        return NormRecorder(ms=rec_ms)
 
     balance_reports = []
     streams_per_nu = []

@@ -23,7 +23,7 @@ finiteness check; the driver feeds it from one record step to the next, and
 :func:`strang_step` is the driver run for one step.  Only an observed state gets
 a closed copy, so a row's bits do not depend on when it is recorded.  Row i is
 bit for bit the one-row run on its stream, also when rows carry their own
-viscosities and horizons; so when a step turns non-finite, its array already
+viscosities, steps and horizons; so when a step turns non-finite, its array already
 holds the next state of every finite row, and only the non-finite rows leave.
 
 Only the s forced modes (b_d > 0) are driven, from draws addressed by
@@ -85,16 +85,21 @@ class TrajectoryAbortError(RuntimeError):
         self.last_state = last_state
 
 
+def _rows(value, rows: int) -> tuple:
+    """A value that may be one per row, as one per row: the tuple itself, or a shared value ``rows`` times."""
+    return value if isinstance(value, tuple) else (value,) * rows
+
+
 @dataclass(frozen=True)
 class SimParams:
     """One trajectory's contract: viscosity, step, horizon, record cadence, and seed.
 
-    ``nu`` may also be a tuple of one viscosity per row: the step parameters of a
+    ``nu`` and ``dt`` may also be tuples of one value per row: the step parameters of a
     batch whose rows come from several entries (see :func:`continue_trajectory`).
     """
 
     nu: float | tuple[float, ...]
-    dt: float
+    dt: float | tuple[float, ...]
     T: float
     record_every: int = 1
     seed: int = 0
@@ -102,14 +107,14 @@ class SimParams:
     nonlinear: bool = True
 
     def __post_init__(self):
-        if not all(0 < nu <= 1 for nu in (self.nu if isinstance(self.nu, tuple) else (self.nu,))):
+        if not all(0 < nu <= 1 for nu in _rows(self.nu, 1)):
             raise ValueError(f"viscosity must satisfy 0 < nu <= 1, got {self.nu}")
-        for name, value in (("dt", self.dt), ("T", self.T)):
-            if not isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.dt <= 0:
+        for name in ("dt", "T"):
+            if not all(map(isfinite, _rows(getattr(self, name), 1))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if min(_rows(self.dt, 1)) <= 0:
             raise ValueError(f"time step must be positive, got {self.dt}")
-        if self.T < self.dt:
+        if self.T < min(_rows(self.dt, 1)):
             raise ValueError(f"horizon T={self.T} is shorter than one step dt={self.dt}")
         if not isinstance(self.record_every, Integral) or self.record_every < 1:
             raise ValueError(f"record_every must be an integer >= 1, got {self.record_every!r}")
@@ -129,7 +134,7 @@ class SimParams:
 
 class Draws(NamedTuple):
     """Draw block ``index`` of a state's rows: each step's OU-update noise and scaled closing half, (K, M, 2, s),
-    made under ``key``, (spec, dt, nonlinear, each row's viscosity)."""
+    made under ``key``, (spec, nonlinear, each row's dt, each row's viscosity)."""
 
     key: tuple
     index: int
@@ -141,14 +146,13 @@ class Draws(NamedTuple):
 class State:
     """M trajectories at a common step, one stream per row; a single trajectory is one row.
 
-    ``c`` holds the coefficient planes: the start data at step 0, later, in a nonlinear Strang run,
-    the open state, whose last closing OU(dt/2) is pending.  ``u`` is the closed field, set at step
-    0 and where the driver hands the state on (sinks, aborts, the final state).  ``draws`` are those
-    of the block the last Strang step came from, used only under the params they were made with
-    (:func:`_held`); None for a fresh start and a checkpoint.
+    A row's time is ``step_index`` times its own dt.  ``c`` holds the coefficient planes: the start
+    data at step 0, later, in a nonlinear Strang run, the open state, whose last closing OU(dt/2) is
+    pending.  ``u`` is the closed field, set at step 0 and where the driver hands the state on (sinks,
+    aborts, the final state).  ``draws`` are those of the block the last Strang step came from, used
+    only under the params they were made with (:func:`_held`); None for a fresh start and a checkpoint.
     """
 
-    t: float
     grid: GridSpec
     c: np.ndarray
     rngs: tuple[RngStream, ...]
@@ -157,22 +161,23 @@ class State:
     draws: Draws | None = None
 
     @classmethod
-    def of(cls, u: SpectralField, rngs: tuple[RngStream, ...], t: float = 0.0, step_index: int = 0) -> "State":
+    def of(cls, u: SpectralField, rngs: tuple[RngStream, ...], step_index: int = 0) -> "State":
         """The state with ``u``'s planes, taken as open at a step >= 1."""
-        return cls(t, u.grid, u.planes, rngs, step_index, None if step_index else u)
+        return cls(u.grid, u.planes, rngs, step_index, None if step_index else u)
 
 
 # --- elementary flows --------------------------------------------------------
 
 
 @lru_cache(maxsize=64)
-def _ou_tables(spec: NoiseSpec, nu, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ou_tables(spec: NoiseSpec, nu, dt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cached decay over all modes, and conv standard deviation and sqrt(nu) b_d over the forced modes.
 
-    For one viscosity per row, the rows' own tables stacked in row order.
+    For one viscosity or step per row, the rows' own tables stacked in row order.
     """
-    if isinstance(nu, tuple):
-        tables = tuple(np.stack(rows) for rows in zip(*(_ou_tables(spec, v, dt) for v in nu)))
+    if isinstance(nu, tuple) or isinstance(dt, tuple):
+        n = len(nu if isinstance(nu, tuple) else dt)
+        tables = tuple(map(np.stack, zip(*(_ou_tables(spec, *row) for row in zip(_rows(nu, n), _rows(dt, n))))))
     else:
         lam = nu * mode_abs_sq(spec.grid)  # > 0, since nu > 0 and |d|^2 >= 1
         tables = (
@@ -195,7 +200,7 @@ def _forced_index(spec: NoiseSpec, rows: int) -> np.ndarray:
 
 
 def ou_exact_step(
-    c: np.ndarray, spec: NoiseSpec, nu: float | tuple[float, ...], dt: float, noise: np.ndarray
+    c: np.ndarray, spec: NoiseSpec, nu: float | tuple[float, ...], dt: float | tuple[float, ...], noise: np.ndarray
 ) -> np.ndarray:
     """Exact one-step solve of du_d = -nu |d|^2 u_d dt + sqrt(nu) b_d dbeta_d, on coefficient planes.
 
@@ -204,7 +209,7 @@ def ou_exact_step(
     dt.  The result is a new array, unchecked.  ``noise`` is (M, 2, s), each of the M plane rows'
     real, then imaginary parts over the s forced modes; every other mode is exactly u_d * decay.
     """
-    if dt <= 0:
+    if (min(dt) if isinstance(dt, tuple) else dt) <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     decay = _ou_tables(spec, nu, dt)[0]
     if c.shape[2:] != spec.grid.coeff_shape:
@@ -231,14 +236,14 @@ def _cos_sin(half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, t
 
 
-def phase_rotation_step(grid: GridSpec, c: np.ndarray, dt: float) -> np.ndarray:
+def phase_rotation_step(grid: GridSpec, c: np.ndarray, dt: float | tuple[float, ...]) -> np.ndarray:
     """Exact flow of u_t = -i |u|^2 u: pointwise u <- u * exp(-i |u|^2 dt) on the lattice.
 
-    ``c`` holds rows of coefficient planes; the result is a new array, unchecked (``c`` itself when
-    dt = 0).  The pointwise modulus is preserved exactly before the closing Galerkin truncation.  A
-    non-finite lattice value or an overflowing |u|^2 turns into NaN, without warnings.
+    ``c`` holds rows of coefficient planes, ``dt`` is shared or one per row; the result is a new array,
+    unchecked (``c`` itself when dt = 0).  The pointwise modulus is preserved exactly before the closing
+    Galerkin truncation.  A non-finite lattice value or an overflowing |u|^2 turns into NaN, unwarned.
     """
-    if dt < 0:
+    if (min(dt) if isinstance(dt, tuple) else dt) < 0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
     if dt == 0:
         return c
@@ -246,7 +251,7 @@ def phase_rotation_step(grid: GridSpec, c: np.ndarray, dt: float) -> np.ndarray:
         v = to_physical(grid, c)
         sq = np.square(v)
         half = np.add(sq[0], sq[1])  # indexed: unpacking an array costs more
-        half *= 0.5 * dt
+        half *= np.multiply(0.5, dt).reshape(-1, *(1,) * grid.n) if isinstance(dt, tuple) else 0.5 * dt
         cos, sin = _cos_sin(half)
         # (re + i im)(cos - i sin) = (re cos + im sin) + i (im cos - re sin), plane by plane
         re, im = v[0], v[1]
@@ -268,7 +273,12 @@ def _flush(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def _merged_noise(spec: NoiseSpec, nu, dt: float, nonlinear: bool, n0, n1, pending=None) -> np.ndarray:
+def _half(dt):
+    """dt / 2, row by row for one step per row."""
+    return tuple(d / 2.0 for d in dt) if isinstance(dt, tuple) else dt / 2.0
+
+
+def _merged_noise(spec: NoiseSpec, nu, dt, nonlinear: bool, n0, n1, pending=None) -> np.ndarray:
     """The noise of each step's one OU update, (steps, M, 2, s), from the steps' scaled halves n0, n1 (alike).
 
     A nonlinear step merges the closing half before it into its opening one: step j's update is
@@ -276,7 +286,7 @@ def _merged_noise(spec: NoiseSpec, nu, dt: float, nonlinear: bool, n0, n1, pendi
     nothing is pending.  A linear step's own halves are one OU(dt): n0 decay + n1.  ``decay`` is
     the forced modes' OU(dt/2) decay; each step's noise is contiguous.
     """
-    decay = _ou_tables(spec, nu, dt / 2.0)[0].reshape(-1, spec.grid.n_modes)[:, spec.forced][:, None]  # (1 or M, 1, s)
+    decay = _ou_tables(spec, nu, _half(dt))[0].reshape(-1, spec.grid.n_modes)[:, spec.forced][:, None]  # (1 or M, 1, s)
     noise = np.empty(n0.shape)
     if nonlinear:
         np.multiply(n1[:-1], decay, out=noise[1:])
@@ -288,15 +298,15 @@ def _merged_noise(spec: NoiseSpec, nu, dt: float, nonlinear: bool, n0, n1, pendi
     return noise
 
 
-def _strang(c: np.ndarray, spec: NoiseSpec, nu, dt: float, nonlinear: bool, noise: np.ndarray, first=False):
+def _strang(c: np.ndarray, spec: NoiseSpec, nu, dt, nonlinear: bool, noise: np.ndarray, first=False):
     """One Strang step's work on planes, noise given, unchecked: OU(dt) (OU(dt/2) if ``first``), rotation, flush."""
-    c = ou_exact_step(c, spec, nu, dt / 2.0 if first else dt, noise)
+    c = ou_exact_step(c, spec, nu, _half(dt) if first else dt, noise)
     if nonlinear:
         c = phase_rotation_step(spec.grid, c, dt)
     return _flush(c)
 
 
-def _steps(c: np.ndarray, spec: NoiseSpec, nu, dt: float, nonlinear: bool, noise: np.ndarray, first=False):
+def _steps(c: np.ndarray, spec: NoiseSpec, nu, dt, nonlinear: bool, noise: np.ndarray, first=False):
     """Strang steps on planes ``c``, one per step of ``noise`` (:func:`_merged_noise`): (the planes
     reached, the steps taken, None), or, when a step turns non-finite, (the last good planes, the
     steps taken before it, that step's planes, unchecked).  ``first`` makes the first step a run's
@@ -313,7 +323,7 @@ def _steps(c: np.ndarray, spec: NoiseSpec, nu, dt: float, nonlinear: bool, noise
 
 def _key(spec: NoiseSpec, params: SimParams, rows: int) -> tuple:
     """What the draws of ``rows`` rows under ``spec`` and ``params`` are made under (:class:`Draws`)."""
-    return spec, params.dt, params.nonlinear, params.nu if isinstance(params.nu, tuple) else (params.nu,) * rows
+    return spec, params.nonlinear, _rows(params.dt, rows), _rows(params.nu, rows)
 
 
 def _held(state: State, spec: NoiseSpec, params: SimParams) -> Draws | None:
@@ -327,13 +337,13 @@ def _pending(rngs, draws: Draws | None, spec: NoiseSpec, params: SimParams, k: i
     index, slot = divmod(k - 1, ou_block_steps(spec.forced.size))
     if draws is not None and draws.index == index:
         return draws.closing[slot]
-    _, sd, scale = _ou_tables(spec, params.nu, params.dt / 2.0)
+    _, sd, scale = _ou_tables(spec, params.nu, _half(params.dt))
     return ou_convolutions(rngs, k - 1, sd, scale)[1]
 
 
 def _block_draws(rngs, spec: NoiseSpec, params: SimParams, index: int, pending) -> Draws:
     """Draw block ``index`` of the rows ``rngs``: its normals scaled once, and each step's merged noise."""
-    _, sd, scale = _ou_tables(spec, params.nu, params.dt / 2.0)
+    _, sd, scale = _ou_tables(spec, params.nu, _half(params.dt))
     z = np.moveaxis(ou_normals(rngs, index, sd.shape[-1]), 0, 2) * sd[..., None, :]  # (K, 2, M, 2, s)
     z *= scale[..., None, :]
     steps = _merged_noise(spec, params.nu, params.dt, params.nonlinear, z[:, 0], z[:, 1], pending)
@@ -362,10 +372,10 @@ def _advance(state: State, spec: NoiseSpec, params: SimParams, stop: int) -> tup
         c, taken, failed = _steps(c, spec, nu, dt, nonlinear, draws.steps[slot : slot + stop - k], nonlinear and not k)
         k += taken
         if failed is not None:
-            last = state if k == state.step_index else State(k * dt, state.grid, c, state.rngs, k)
+            last = state if k == state.step_index else State(state.grid, c, state.rngs, k)
             pending = draws.closing[slot + taken - 1] if slot + taken else pending
-            return _closed(last, spec, params, pending), State((k + 1) * dt, state.grid, failed, state.rngs, k + 1, None, draws)
-    return State(k * dt, state.grid, c, state.rngs, k, None, draws), None
+            return _closed(last, spec, params, pending), State(state.grid, failed, state.rngs, k + 1, None, draws)
+    return State(state.grid, c, state.rngs, k, None, draws), None
 
 
 def strang_step(state: State, spec: NoiseSpec, params: SimParams) -> State:
@@ -393,10 +403,10 @@ def _closed(state: State, spec: NoiseSpec, params: SimParams, pending=None) -> S
     if state.step_index and params.nonlinear:
         if pending is None:
             pending = _pending(state.rngs, _held(state, spec, params), spec, params, state.step_index)
-        c = _flush(ou_exact_step(c, spec, params.nu, params.dt / 2.0, pending))
+        c = _flush(ou_exact_step(c, spec, params.nu, _half(params.dt), pending))
     u = SpectralField(state.grid, from_planes(c), c)
     c.flags.writeable = False  # a sink may keep the planes: no later step writes into them
-    return State(state.t, state.grid, state.c, state.rngs, state.step_index, u, state.draws)
+    return State(state.grid, state.c, state.rngs, state.step_index, u, state.draws)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result is left to the caller's check, unwarned
@@ -427,13 +437,13 @@ def em_step(state: State, spec: NoiseSpec, params: SimParams) -> State:
         warnings.warn(message, RuntimeWarning, stacklevel=2)
     u = state.u if state.u is not None else SpectralField(grid, from_planes(state.c))
     u = SpectralField(grid, _euler_maruyama(u, nu, dt, params.nonlinear, forced_increments(spec, dt, state.rngs, k)))
-    return State((k + 1) * dt, grid, u.planes, state.rngs, k + 1, u)
+    return State(grid, u.planes, state.rngs, k + 1, u)
 
 
 # --- trajectory driver --------------------------------------------------------
 
-# A sink is called at each record step of each entry it serves, with that entry's closed rows.
-Sink = Callable[[State], None]
+# A sink is called at each record step of each entry it serves, with that entry's closed rows and params.
+Sink = Callable[[State, SimParams], None]
 
 
 def initial_state(u0: SpectralField, params: SimParams) -> State:
@@ -442,16 +452,16 @@ def initial_state(u0: SpectralField, params: SimParams) -> State:
 
 
 def _take(state: State, keep: list[int] | slice) -> State:
-    """Rows ``keep`` of ``state``, in that order, with their draws, its closed field's rows not checked
-    again; a slice keeps views."""
+    """Rows ``keep`` of ``state``, in that order, with their draws, its closed field's rows a copy (see
+    ``SpectralField.rows``) not checked again; a slice keeps views of the rest."""
     pick = (lambda seq: seq[keep]) if isinstance(keep, slice) else (lambda seq: tuple(seq[i] for i in keep))
     u, draws = state.u, state.draws
     if u is not None:
         u = u.rows(keep)
     if draws is not None:  # a list's rows copied C-contiguous, so that each step's noise is
         steps = draws.steps[:, keep] if isinstance(keep, slice) else np.ascontiguousarray(draws.steps[:, keep])
-        draws = Draws((*draws.key[:3], pick(draws.key[3])), draws.index, steps, draws.closing[:, keep])
-    return State(state.t, state.grid, state.c[:, keep], pick(state.rngs), state.step_index, u, draws)
+        draws = Draws((*draws.key[:2], *map(pick, draws.key[2:])), draws.index, steps, draws.closing[:, keep])
+    return State(state.grid, state.c[:, keep], pick(state.rngs), state.step_index, u, draws)
 
 
 class _Batch:
@@ -459,9 +469,8 @@ class _Batch:
 
     def __init__(self, row_params: tuple[SimParams, ...], row_sinks: tuple[Sink | None, ...]):
         self.row_params, self.row_sinks = row_params, row_sinks
-        nus = tuple(p.nu for p in row_params)
-        first = row_params[0]
-        self.params = first if len(set(nus)) == 1 else replace(first, nu=nus)
+        per_row = {name: tuple(getattr(p, name) for p in row_params) for name in ("nu", "dt")}
+        self.params = replace(row_params[0], **{name: v for name, v in per_row.items() if len(set(v)) > 1})
         self.horizon = min(p.n_steps for p in row_params)
         self.entries = []  # (start, stop, params, sink) of each run of consecutive rows that share both
         start = 0
@@ -479,17 +488,17 @@ class _Batch:
         return min((self.horizon, *((k // every + 1) * every for every in self.cadences)))
 
     def record(self, state: State, spec: NoiseSpec, fresh: bool = False) -> State:
-        """Call the sink of each entry due at this step with that entry's closed rows (the state, or a
-        slice of it); returns the state closed if any entry was due.  The closed planes are read-only,
-        so a sink may keep them: a recorder measures its pending record steps in passes of at most
-        ``diagnostics.PASS_BYTES`` of lattice values (see NormRecorder)."""
+        """Call the sink of each entry due at this step with that entry's params and closed rows: the
+        state, or its rows with their closed field copied, so that a sink may keep that field (its planes
+        are read-only) and no other rows with it, as a recorder keeps its pending record steps (see
+        NormRecorder).  Returns the state closed if any entry was due."""
         k, rows = state.step_index, len(self.row_params)
-        due = [(start, stop, sink) for start, stop, p, sink in self.entries
+        due = [(start, stop, p, sink) for start, stop, p, sink in self.entries
                if sink is not None and (fresh or k % p.record_every == 0 or k == p.n_steps)]
         if due:
             state = _closed(state, spec, self.params)
-        for start, stop, sink in due:
-            sink(state if stop - start == rows else _take(state, slice(start, stop)))
+        for start, stop, p, sink in due:
+            sink(state if stop - start == rows else _take(state, slice(start, stop)), p)
         return state
 
     def keep(self, rows: list[int]) -> "_Batch":
@@ -503,19 +512,18 @@ def continue_trajectory(
     """Step every row of ``state`` to its horizon; returns (final state, aborts).
 
     ``params`` and ``sink`` serve every row, or are tuples with one per row.  Consecutive
-    rows that share both are one entry; entries may differ in viscosity and horizon but
-    share dt and nonlinearity, and each row steps with its own viscosity.  An entry
+    rows that share both are one entry; entries may differ in viscosity, dt and horizon but
+    share nonlinearity, and each row steps with its own viscosity and dt.  An entry
     is due at step 0 (fresh starts only), after every record_every-th step, and at its final
-    step; there its sink is called with its rows as one closed state, whose planes are
-    read-only: a recorder keeps them and measures its pending record steps in passes of at
-    most ``diagnostics.PASS_BYTES`` (128 KiB) of lattice values, a size that measured best
-    (larger C^m passes at n=2 hit page faults); a larger record step is one pass of its own.
-    The batch steps from one such record step to the next in one loop (:func:`_advance`) up to
-    the nearest horizon, and the rows that reach it leave.  A step that turns non-finite ends
-    the loop.  Rows are independent, so that step's array already holds each finite row's next
-    state: those rows go on from it, and each non-finite row is dropped with its abort, in row
-    order, which carries its row of the last good state, closed.  The final state holds the
-    rows that finish last, closed (None if none is left).
+    step; there its sink is called with its params and its rows as one closed state, whose
+    planes are read-only (a row's time is step_index times its dt): a recorder keeps the planes
+    and measures its pending record steps in passes of at most ``diagnostics.PASS_BYTES`` (128
+    KiB, see there) of lattice values.  The batch steps from one such record step to the next in
+    one loop (:func:`_advance`) up to the nearest horizon, and the rows that reach it leave.  A
+    step that turns non-finite ends the loop.  Rows are independent, so that step's array
+    already holds each finite row's next state: those rows go on from it, and each non-finite row
+    is dropped with its abort, in row order, which carries its row of the last good state,
+    closed.  The final state holds the rows that finish last, closed (None if none is left).
     """
     if spec.grid != state.grid:
         raise GridMismatchError("state and noise spec live on different grids")
@@ -524,8 +532,8 @@ def continue_trajectory(
     row_sinks = sink if isinstance(sink, tuple) else (sink,) * rows
     if len(row_params) != rows or len(row_sinks) != rows:
         raise ValueError(f"{len(row_params)} params and {len(row_sinks)} sinks for {rows} rows")
-    if len({(p.dt, p.nonlinear) for p in row_params}) > 1:
-        raise ValueError("the rows of one batch must share dt and nonlinearity")
+    if len({p.nonlinear for p in row_params}) > 1:
+        raise ValueError("the rows of one batch must share nonlinearity")
     batch = _Batch(row_params, row_sinks)
     aborts: list[TrajectoryAbortError] = []
     if state.step_index == 0:
@@ -535,8 +543,9 @@ def continue_trajectory(
             state, failed = _advance(state, spec, batch.params, batch.next_stop(state.step_index))
             if failed is not None:
                 finite = np.isfinite(failed.c).all(axis=(0, *range(2, failed.c.ndim)))
-                message = f"non-finite field at step {failed.step_index} (last good t = {state.t:.6g})"
-                aborts += [TrajectoryAbortError(message, _take(state, [i])) for i in np.flatnonzero(~finite)]
+                aborts += [TrajectoryAbortError(f"non-finite field at step {failed.step_index} (last good t = "
+                                                f"{state.step_index * batch.row_params[i].dt:.6g})", _take(state, [i]))
+                           for i in np.flatnonzero(~finite)]
                 going = np.flatnonzero(finite).tolist()
                 if not going:
                     return None, aborts
@@ -603,20 +612,20 @@ def constrained_profile(grid: GridSpec, nu: float, sup_bound: float = 1.0) -> Sp
 # A checkpoint holds one row.  Layout: 8-byte magic, uint32 length of a JSON
 # metadata blob, the blob, then the row's field snapshot: the state's planes as
 # coefficients, so at a Strang step >= 1 the open state (see State).  The
-# metadata carries the time, the step index, and the rng key (base seed, stream
-# id), which is all that is needed to resume bit-exactly; the ``counter`` key of
-# older checkpoints is ignored.
+# metadata carries the time (step index times the writer's dt, checked on load),
+# the step index, and the rng key (base seed, stream id), which is all that is
+# needed to resume bit-exactly; the ``counter`` key of older files is ignored.
 
 CHECKPOINT_MAGIC = b"CLABCKP1"
 
 
-def checkpoint_to_bytes(state: State) -> bytes:
+def checkpoint_to_bytes(state: State, dt: float) -> bytes:
     if len(state.rngs) != 1:
         raise ValueError(f"a checkpoint holds one row, got {len(state.rngs)}")
     (rng,) = state.rngs
     meta = json.dumps(
         {
-            "t": state.t,
+            "t": state.step_index * dt,
             "step_index": state.step_index,
             "base_seed": rng.base_seed,
             "stream_id": rng.stream_id,
@@ -643,13 +652,13 @@ def checkpoint_from_bytes(buf: bytes) -> State:
     if type(base_seed) is not int or type(stream_id) is not int:
         raise ValueError(f"checkpoint rng key must be integers, got {(base_seed, stream_id)!r}")
     u = field_from_bytes(buf[12 + meta_len :])
-    return State.of(u, (RngStream(base_seed, stream_id),), t, step_index)
+    return State.of(u, (RngStream(base_seed, stream_id),), step_index)
 
 
-def save_checkpoint(state: State, path) -> None:
+def save_checkpoint(state: State, dt: float, path) -> None:
     from .cli_io import atomic_write_bytes
 
-    atomic_write_bytes(path, checkpoint_to_bytes(state))
+    atomic_write_bytes(path, checkpoint_to_bytes(state, dt))
 
 
 def load_checkpoint(path) -> State:

@@ -169,9 +169,9 @@ def run_selftest() -> bool:
 
     same = True
     for step in (2**40, 2**40 + 1):  # the first slot of a block, merged with the last slot of the one before
-        stepped = strang_step(State.of(u, (stream,), 0.0, step), spec2, params).c
+        stepped = strang_step(State.of(u, (stream,), step), spec2, params).c
         same = same and stepped.tobytes() == expected(step, step)[0].tobytes()
-    state = State.of(u, (stream,), 0.0, 2**40 - 1)  # step 2**40 takes its slot-0 closing half from the held block
+    state = State.of(u, (stream,), 2**40 - 1)  # step 2**40 takes its slot-0 closing half from the held block
     for _ in range(2):
         state = strang_step(state, spec2, params)
     c, pending = expected(2**40 - 1, 2**40)

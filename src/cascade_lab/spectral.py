@@ -141,9 +141,9 @@ class SpectralField:
             object.__setattr__(self, "planes", planes)
 
     def rows(self, keep: list[int] | slice) -> "SpectralField":
-        """Rows ``keep`` of this field, in that order, with their planes, read-only; not checked again,
-        since this field's rows are finite.  A slice keeps views."""
-        return SpectralField.of_planes(self.grid, self.planes[:, keep], self.coeffs[keep])
+        """A copy of rows ``keep`` of this field, in that order, with their planes, read-only; not checked
+        again, since this field's rows are finite.  A kept copy keeps no other row's memory alive."""
+        return SpectralField.of_planes(self.grid, self.planes[:, keep].copy(), self.coeffs[keep].copy())
 
     @classmethod
     def of_planes(cls, grid: GridSpec, planes: np.ndarray, coeffs: np.ndarray) -> "SpectralField":

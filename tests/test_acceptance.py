@@ -90,35 +90,26 @@ def test_criterion_3_linear_stationary_spectrum():
     nu, dt, M = 0.5, 0.05, 16
     T = 250.0 / nu  # 50 slow units of burn-in + 200 measured
 
-    sums = np.zeros(3)
-    h1_acc = 0.0
-    count = 0
-
-    class ModeSink:
+    class ModeSink:  # sums over the M rows, which run as one batch on streams 0..M-1
         def __init__(self):
             self.local = np.zeros(3)
             self.h1 = 0.0
             self.n = 0
 
-        def __call__(self, state):
-            if state.t >= 0.2 * T:
-                c = state.u.coeffs  # one row
-                self.local += np.abs(c[0, :3]) ** 2
-                self.h1 += sobolev_norm(state.u, 1.0)[0] ** 2
-                self.n += 1
+        def __call__(self, state, params):
+            if state.step_index * params.dt >= 0.2 * T:
+                c = state.u.coeffs
+                self.local += (np.abs(c[:, :3]) ** 2).sum(axis=0)
+                self.h1 += float((sobolev_norm(state.u, 1.0) ** 2).sum())
+                self.n += len(c)
 
-    for sid in range(M):
-        params = SimParams(
-            nu=nu, dt=dt, T=T, record_every=1, seed=424242, stream_id=sid, nonlinear=False
-        )
-        sink = ModeSink()
-        continue_trajectory(initial_state(zero_field(grid), params), spec, params, sink)
-        sums += sink.local
-        h1_acc += sink.h1
-        count += sink.n
+    params = SimParams(nu=nu, dt=dt, T=T, record_every=1, seed=424242, nonlinear=False)
+    sink = ModeSink()
+    u0 = SpectralField(grid, np.zeros((M, *grid.coeff_shape), dtype=complex))
+    continue_trajectory(initial_state(u0, params), spec, params, sink)
 
-    mode_means = sums / count
-    h1_mean = h1_acc / count
+    mode_means = sink.local / sink.n
+    h1_mean = sink.h1 / sink.n
     expected = linear_stationary_mode_energy(spec)[:3]
     mode_err = float(np.abs(mode_means / expected - 1).max())
     h1_err = abs(h1_mean / b0 - 1)

@@ -188,7 +188,7 @@ class TestBalanceCheck:
                     nu=1.0, dt=0.05, T=t_slow, record_every=2, seed=99, stream_id=sid,
                     nonlinear=False,
                 )
-                rec = NormRecorder(nu=1.0)
+                rec = NormRecorder()
                 continue_trajectory(initial_state(zero_field(grid), params), spec, params, rec)
                 streams.append(rec.streams[sid])
             results.append(balance_check(streams, b0, nu=1.0))
@@ -278,11 +278,11 @@ class TestNormRecorder:
         spec = NoiseSpec.band(grid, [1.0, 1.0])
         params = SimParams(nu=0.5, dt=0.05, T=1.0, record_every=2, seed=7)
         u0 = SpectralField(grid, np.concatenate([constrained_profile(grid, 0.5).coeffs * s for s in (1.0, 0.5)]))
-        early, late = (NormRecorder(nu=0.5, cm_orders=(1,), shells=True) for _ in range(2))
+        early, late = (NormRecorder(cm_orders=(1,), shells=True) for _ in range(2))
         mid = []
 
-        def sink(state):
-            early(state)
+        def sink(state, params):
+            early(state, params)
             if state.step_index == 6:
                 mid.append({sid: s.data.copy() for sid, s in early.streams.items()})
 
@@ -302,12 +302,12 @@ class TestNormRecorder:
         grid = GridSpec(1, 32, 8)
         profile = constrained_profile(grid, 0.5).coeffs
         due = [(0, [0, 1, 2]), (2, [0, 2]), (3, [1]), (4, [0, 2]), (6, [0, 1, 2])]
+        params = SimParams(nu=0.5, dt=0.02, T=0.12)
         states = [
-            State.of(
+            replace(State.of(
                 SpectralField(grid, np.concatenate([profile * (1.0 + sid) / (1.0 + k) for sid in sids])),
                 tuple(RngStream(21, sid) for sid in sids),
-                t=0.02 * k,
-            )
+            ), step_index=k)
             for k, sids in due
         ]
         measured, cm_norm = [], diagnostics.cm_norm
@@ -315,9 +315,9 @@ class TestNormRecorder:
         streams = {}
         for size in (2048, 0):
             monkeypatch.setattr(diagnostics, "PASS_BYTES", size)
-            rec = NormRecorder(nu=0.5, cm_orders=(2,), shells=True)
+            rec = NormRecorder(cm_orders=(2,), shells=True)
             for state in states:
-                rec(state)
+                rec(state, params)
             streams[size] = rec.streams
         assert measured == [3, 3, 2, 3] + [3, 2, 1, 2, 3]
         assert sorted(streams[2048]) == [0, 1, 2]
@@ -329,7 +329,7 @@ class TestNormRecorder:
         grid = GridSpec(1, 16, 8)
         spec = NoiseSpec.band(grid, [1.0])
         params = SimParams(nu=0.5, dt=0.05, T=0.2, seed=3)
-        recs = [NormRecorder(nu=0.5, ms=ms) for ms in ((2.0, 2.0), (2.0, 0.0, 0.5, 0.0), (2.0, 0.0, 0.5))]
+        recs = [NormRecorder(ms=ms) for ms in ((2.0, 2.0), (2.0, 0.0, 0.5, 0.0), (2.0, 0.0, 0.5))]
         for rec in recs:
             continue_trajectory(initial_state(constrained_profile(grid, 0.5), params), spec, params, rec)
         assert stream_csv_text(recs[0].streams[0]).startswith("t,tau,norm_2,sup\n")
@@ -342,7 +342,7 @@ class TestStreamCsv:
         grid = GridSpec(1, 16, 8)
         spec = NoiseSpec.band(grid, [1.0])
         params = SimParams(nu=0.5, dt=0.05, T=0.5, record_every=2, seed=7)
-        rec = NormRecorder(nu=0.5, ms=(0.0, 1.0, 2.0, 2.5), cm_orders=(1,), shells=True)
+        rec = NormRecorder(ms=(0.0, 1.0, 2.0, 2.5), cm_orders=(1,), shells=True)
         continue_trajectory(initial_state(zero_field(grid), params), spec, params, rec)
         text = stream_csv_text(rec.streams[0])
         back = read_stream_csv(io.StringIO(text))
@@ -352,7 +352,7 @@ class TestStreamCsv:
         grid = GridSpec(1, 16, 8)
         spec = NoiseSpec.band(grid, [1.0])
         params = SimParams(nu=0.5, dt=0.1, T=0.2, seed=1)
-        rec = NormRecorder(nu=0.5)
+        rec = NormRecorder()
         continue_trajectory(initial_state(zero_field(grid), params), spec, params, rec)
         header = stream_csv_text(rec.streams[0]).splitlines()[0]
         assert header == "t,tau,norm_0,norm_1,norm_2,sup"
@@ -394,7 +394,7 @@ class TestStreamCsv:
         u0 = constrained_profile(grid, 0.5)
         runs = {}
         for orders in ((2,), (1, 2), (2, 3)):
-            rec = NormRecorder(nu=0.5, cm_orders=orders)
+            rec = NormRecorder(cm_orders=orders)
             continue_trajectory(initial_state(u0, params), NoiseSpec.band(grid, [1.0]), params, rec)
             runs[orders] = rec.streams[0]
         assert runs[(2,)].columns[-1] == "cm_2" and runs[(2, 3)].columns[-2:] == ("cm_2", "cm_3")
@@ -410,12 +410,12 @@ class TestStreamCsv:
     def test_sup_taken_with_the_cm_columns_is_sup_norm_to_the_bit(self, grid):
         # With C^m columns the recorder takes the sup from the C^m pass as its order 0.
         params = SimParams(nu=0.5, dt=0.05, T=0.5, record_every=2, seed=7)
-        seen, with_cm, without = [], NormRecorder(nu=0.5, cm_orders=(2,)), NormRecorder(nu=0.5)
+        seen, with_cm, without = [], NormRecorder(cm_orders=(2,)), NormRecorder()
 
-        def sink(state):
+        def sink(state, params):
             seen.append(sup_norm(state.u))
-            with_cm(state)
-            without(state)
+            with_cm(state, params)
+            without(state, params)
 
         u0 = SpectralField(grid, np.repeat(constrained_profile(grid, 0.5).coeffs, 2, axis=0))
         continue_trajectory(initial_state(u0, params), NoiseSpec.band(grid, [1.0]), params, sink)

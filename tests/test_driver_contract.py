@@ -1,7 +1,7 @@
 """The driver's contract as one property: row i of any batch is bit for bit its one-row run.
 
 Hypothesis draws a small grid at n = 1 or 2, one to four entries (each with its own
-viscosity, horizon, record cadence and row count), a fresh start or a resume at step k
+viscosity, dt, horizon, record cadence and row count), a fresh start or a resume at step k
 (a draw block's first slot among them), and rows that start at 1e160 and so abort at
 their first rotation.  The batch is run once through ``continue_trajectory`` and each
 row once on its own.  Every sink call, every abort, the final state and every draw must
@@ -20,7 +20,6 @@ from cascade_lab.spectral import GridSpec, SpectralField
 GRIDS = {1: GridSpec(1, 16, 8), 2: GridSpec(2, 8, 4)}
 SPECS = {n: NoiseSpec.power(grid, 1.0) for n, grid in GRIDS.items()}  # every mode forced: short draw blocks
 SEED = 41
-DT = 0.01
 
 
 @st.composite
@@ -32,8 +31,10 @@ def batches(draw):
     entries = []
     for _ in range(draw(st.integers(1, 4))):
         steps = start + draw(st.integers(1, 2 * K))
+        nu = draw(st.sampled_from((0.5, 0.4, 0.25)))
+        dt = draw(st.sampled_from((0.01, 0.02, 0.004 / nu)))  # the last as in a dt_slow sweep
         params = SimParams(
-            nu=draw(st.sampled_from((0.5, 0.4, 0.25))), dt=DT, T=steps * DT,
+            nu=nu, dt=dt, T=steps * dt,
             record_every=draw(st.integers(1, K + 1)), seed=SEED, nonlinear=nonlinear,
         )
         assert params.n_steps == steps
@@ -54,7 +55,7 @@ def field(grid, row: int, blown: bool) -> np.ndarray:
 
 def run(grid, spec, coeffs, sids, start, params, sinks):
     """``continue_trajectory`` from step ``start`` on the rows ``coeffs``; (final, aborts, draws made)."""
-    state = State.of(SpectralField(grid, coeffs), tuple(RngStream(SEED, sid) for sid in sids), start * DT, start)
+    state = State.of(SpectralField(grid, coeffs), tuple(RngStream(SEED, sid) for sid in sids), start)
     draws = []
     normals = RngStream.normals
 
@@ -69,9 +70,9 @@ def run(grid, spec, coeffs, sids, start, params, sinks):
 
 
 def recorder(calls: list):
-    """A sink that keeps, per call, its step, its rows' stream ids and their closed coefficient bytes."""
-    def sink(state):
-        calls.append((state.step_index, [r.stream_id for r in state.rngs], [c.tobytes() for c in state.u.coeffs]))
+    """A sink that keeps, per call, its step, its rows' stream ids, their closed coefficient bytes and the params."""
+    def sink(state, params):
+        calls.append((state.step_index, [r.stream_id for r in state.rngs], [c.tobytes() for c in state.u.coeffs], params))
     return sink
 
 
@@ -89,7 +90,7 @@ def test_every_row_of_a_batch_is_its_one_row_run(case):
         tuple(entries[j][0] for j, _, _ in rows), tuple(sinks[j] for j, _, _ in rows),
     )
 
-    expected_calls = [{} for _ in entries]  # per entry: step -> (stream ids, bytes)
+    expected_calls = [{} for _ in entries]  # per entry: step -> (stream ids, bytes, params)
     expected_aborts, expected_draws, finals = [], set(), []
     for i, (j, sid, _) in enumerate(rows):
         params = entries[j][0]
@@ -97,8 +98,8 @@ def test_every_row_of_a_batch_is_its_one_row_run(case):
         one, one_aborts, one_draws = run(grid, spec, coeffs[i : i + 1], [sid], start, params, recorder(one_calls))
         assert len(one_draws) == len(set(one_draws)), "a one-row run drew a block twice"
         expected_draws.update(one_draws)
-        for step, sids, data in one_calls:
-            got = expected_calls[j].setdefault(step, ([], []))
+        for step, sids, data, p in one_calls:
+            got = expected_calls[j].setdefault(step, ([], [], p))
             got[0].extend(sids)
             got[1].extend(data)
         for abort in one_aborts:

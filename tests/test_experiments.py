@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascade_lab import diagnostics, integrators
+from cascade_lab import diagnostics, experiments, integrators
 from cascade_lab.diagnostics import NormRecorder, stream_csv_text
 from cascade_lab.experiments import (
     Ensemble,
@@ -153,13 +153,13 @@ class TestEnsembleRun:
         assert both.observables["sup_cm_2"] == alone.observables["sup_cm_2"]
         assert [c2.evaluate(s, 0.0, 0.5) for s in s_both] == [c2.evaluate(s, 0.0, 0.5) for s in s_alone]
         assert both.observables["sup_cm_3"].mean > both.observables["sup_cm_2"].mean
-        assert _needed_recorder((c3, c2, c2), 0.5).cm_orders == (2, 3)
+        assert _needed_recorder((c3, c2, c2)).cm_orders == (2, 3)
         assert s_both[0].columns[-2:] == ("cm_2", "cm_3") and s_alone[0].columns[-1] == "cm_2"
 
     def test_a_recorder_factory_takes_no_observables(self):
         # A recorder of C^2 alone has no cm_3 column for sup_cm:3 to read.
         params, obs = small_params(T=4.0, seed=3), (Observable("sup_cm", 3.0),)
-        c2_only = lambda p: NormRecorder(nu=p.nu, cm_orders=(2,))
+        c2_only = lambda p: NormRecorder(cm_orders=(2,))
         with pytest.raises(ValueError, match="recorder_factory"):
             ensemble_run(GRID, BAND, params, 2, lambda sid: zero_field(GRID), obs, recorder_factory=c2_only)
         summary, _ = ensemble_run(GRID, BAND, params, 2, lambda sid: zero_field(GRID), obs)
@@ -225,7 +225,7 @@ class TestEnsembleRun:
             return zero_field(GRID)
 
         def recorder(p):
-            return NormRecorder(nu=p.nu)
+            return NormRecorder()
 
         summary, streams = ensemble_run(
             GRID, BAND, params, 4, u0, max_abort_fraction=0.5, recorder_factory=recorder
@@ -234,7 +234,7 @@ class TestEnsembleRun:
         final, (abort,) = continue_trajectory(initial_state(u0(2), p), BAND, p)
         assert final is None and isinstance(abort, TrajectoryAbortError)
         assert summary.aborts == 1 and len(streams) == 3
-        assert abort.last_state.step_index == 0 and abort.last_state.t == 0.0
+        assert abort.last_state.step_index == 0 and "(last good t = 0)" in str(abort)
         for sid, records in zip((0, 1, 3), streams):
             rec = recorder(params)
             p = replace(params, stream_id=sid)
@@ -253,7 +253,7 @@ class TestEnsembleRun:
             warnings.simplefilter("error")
             summary, streams = ensemble_run(
                 GRID, BAND, small_params(), 2, u0, max_abort_fraction=0.5,
-                recorder_factory=lambda p: NormRecorder(nu=p.nu, cm_orders=(1,), shells=True),
+                recorder_factory=lambda p: NormRecorder(cm_orders=(1,), shells=True),
             )
         assert summary.aborts == 1 and len(streams) == 1
 
@@ -312,13 +312,21 @@ class TestBatchedSweep:
             assert batched == summary and summary.aborts == 0
             assert batched_streams == streams and len(streams) == plan.M
 
-    def test_dt_slow_sweep_runs_one_batch_per_entry(self, monkeypatch):
-        plan = sweep_plan(1, dt_slow=0.004)  # fast dt 0.008, 0.01, 0.016
+    def test_dt_slow_sweep_runs_in_batches_within_the_byte_budget(self, monkeypatch):
+        # Entries at fast dt 0.008, 0.01 and 0.016 step as one batch, each row at its own dt.  At n=2
+        # N=32 an entry of M=8 holds 128 KiB of lattice values, so two entries fill BATCH_BYTES and the
+        # third runs alone.
+        plan = sweep_plan(1, dt_slow=0.004)
         rows = driver_rows(monkeypatch)
         result = nu_sweep(plan)
-        assert rows == [3, 3, 3]
+        assert rows == [9]
         for (summary, streams), batched, batched_streams in zip(one_by_one(plan), result.summaries, result.streams):
             assert batched == summary and batched_streams == streams
+        rows.clear()
+        wide = replace(plan, grid=GridSpec(2, 32, 16), M=8, t_slow_total=0.02, window_t0_slow=0.0, observables=())
+        assert experiments.BATCH_BYTES == 2 * diagnostics.lattice_bytes(wide.grid, wide.M)
+        wide.ensembles()
+        assert rows == [16, 8]
 
     def test_an_abort_counts_only_in_its_own_entry(self):
         # Row 1 of the middle entry starts at 1e160 in mode 1, so |u|^2 overflows in its first
@@ -348,9 +356,9 @@ class TestBatchedSweep:
         grid = GridSpec(2, 12, 6)
         spec = NoiseSpec.band(grid, [1.0, 1.0, 1.0])
         settings = (
-            (0.5, 1.5, 7, lambda p: NormRecorder(nu=p.nu, ms=(2.0, 0.0, 0.5))),
-            (0.4, 2.4, 5, lambda p: NormRecorder(nu=p.nu, cm_orders=(3, 1), shells=True)),
-            (0.25, 3.0, 7, lambda p: NormRecorder(nu=p.nu, ms=(1.0, 3.0), cm_orders=(2,))),
+            (0.5, 1.5, 7, lambda p: NormRecorder(ms=(2.0, 0.0, 0.5))),
+            (0.4, 2.4, 5, lambda p: NormRecorder(cm_orders=(3, 1), shells=True)),
+            (0.25, 3.0, 7, lambda p: NormRecorder(ms=(1.0, 3.0), cm_orders=(2,))),
         )
         entries = tuple(
             Ensemble(SimParams(nu=nu, dt=0.01, T=T, record_every=every, seed=9), 2,

@@ -463,7 +463,7 @@ def checkpoint_bytes() -> bytes:
     params = SimParams(nu=0.5, dt=0.01, T=0.1, seed=3, stream_id=2)
     spec = NoiseSpec.band(grid, [1.0, 1.0, 1.0])
     state, _ = continue_trajectory(initial_state(SpectralField(grid, 0.2 * c), params), spec, params)
-    return checkpoint_to_bytes(state)
+    return checkpoint_to_bytes(state, params.dt)
 
 
 def test_checkpoint_bytes_match_golden():
@@ -512,7 +512,7 @@ def records_view_ensemble():
     u0 = zero_field(grid)
     _, streams = ensemble_run(
         grid, NoiseSpec.from_profile(grid, "band:1,1,1"), params, 4, lambda sid: u0,
-        recorder_factory=lambda p: NormRecorder(nu=p.nu, cm_orders=(2,), shells=True),
+        recorder_factory=lambda p: NormRecorder(cm_orders=(2,), shells=True),
     )
     return params, streams
 
@@ -529,7 +529,7 @@ def test_benchmark_record_view_matches_golden(monkeypatch):
 
 
 def full_recorder(p):
-    return NormRecorder(nu=p.nu, ms=(0.0, 1.0, 2.0, 3.0), cm_orders=(2,), shells=True)
+    return NormRecorder(ms=(0.0, 1.0, 2.0, 3.0), cm_orders=(2,), shells=True)
 
 
 @pytest.mark.parametrize(
@@ -598,7 +598,7 @@ def strang_step_hashes() -> list[str]:
         u = SpectralField(grid, gen.normal(size=shape) + 1j * gen.normal(size=shape))
         values = to_physical(grid, to_planes(u.coeffs))
         params = SimParams(nu=0.5, dt=0.01, T=1.0, seed=29)
-        state = State.of(u, tuple(RngStream(29, i) for i in range(3)), params.dt, 1)
+        state = State.of(u, tuple(RngStream(29, i) for i in range(3)), 1)
         stepped = strang_step(state, NoiseSpec.band(grid, [1.0, 1.0, 1.0]), params)
         data = values.tobytes() + to_spectral(grid, values).tobytes() + stepped.c.tobytes()
         hashes.append(hashlib.sha256(data).hexdigest())

@@ -88,7 +88,7 @@ def lattice(grid, c):
 
 def capture(store):
     """A sink that keeps each row's closed coefficient bytes under (stream id, step)."""
-    def sink(state):
+    def sink(state, params):
         for coeffs, rng in zip(state.u.coeffs, state.rngs):
             store[rng.stream_id, state.step_index] = coeffs.tobytes()
     return sink
@@ -284,7 +284,7 @@ class TestStrangStep:
         a = run(u0, BAND, params)
         b = run(u0, BAND, params)
         assert np.array_equal(a.u.coeffs, b.u.coeffs)
-        assert a.t == b.t and a.step_index == b.step_index
+        assert a.step_index == b.step_index
 
     def test_two_draws_per_step_addressing(self):
         # Both OU half-step convolutions come from one draw addressed by (step, SUB_OU);
@@ -311,7 +311,7 @@ class TestStrangStep:
         params = SimParams(nu=1.0, dt=1.0, T=800.0, nonlinear=False, seed=1)
         u0 = constrained_profile(GRID, params.nu)
 
-        def no_subnormals(state):
+        def no_subnormals(state, params):
             parts = np.abs(state.u.coeffs.view(np.float64))
             assert np.all((parts == 0.0) | (parts >= tiny)), f"subnormal at step {state.step_index}"
 
@@ -334,14 +334,14 @@ class TestStrangStep:
         # whose last good state is its input closed, and leaves its input as it was.
         bad = np.zeros((1, *GRID.coeff_shape), dtype=complex)
         bad[0, 0], bad[0, -1] = 1e160, 1e-310
-        good = State.of(SpectralField(GRID, bad), (RngStream(3, 0),), 0.05, 5)
+        good = State.of(SpectralField(GRID, bad), (RngStream(3, 0),), 5)
         before = good.c.tobytes()
         with pytest.raises(NonFiniteFieldError):
             strang_step(good, BAND, params)
         final, (abort,) = continue_trajectory(good, BAND, params)
         assert final is None and isinstance(abort, TrajectoryAbortError)
         last = abort.last_state
-        assert (last.t, last.step_index, last.rngs) == (good.t, good.step_index, good.rngs)
+        assert (last.step_index, last.rngs) == (good.step_index, good.rngs)
         assert last.c.tobytes() == good.c.tobytes() == before
         assert last.u.coeffs.tobytes() == _closed(good, BAND, params).u.coeffs.tobytes()
 
@@ -368,12 +368,12 @@ class TestStrangStep:
         for bad in ([1], [0, 2], [0, 1, 2]):
             c = rows(*(random_field(GRID, 80 + i, 0.3) for i in range(3)))
             c[bad, 0] = 1e160
-            one_row = [State.of(SpectralField(GRID, c[i : i + 1]), rngs[i : i + 1], 0.05, 5) for i in range(3)]
-            final, aborts = continue_trajectory(State.of(SpectralField(GRID, c), rngs, 0.05, 5), BAND, params)
+            one_row = [State.of(SpectralField(GRID, c[i : i + 1]), rngs[i : i + 1], 5) for i in range(3)]
+            final, aborts = continue_trajectory(State.of(SpectralField(GRID, c), rngs, 5), BAND, params)
             assert [abort.last_state.rngs[0].stream_id for abort in aborts] == [10 + i for i in bad]
             for i, abort in zip(bad, aborts):
                 last = abort.last_state
-                assert (last.step_index, last.t) == (5, 0.05) and "step 6" in str(abort)
+                assert last.step_index == 5 and "step 6 (last good t = 0.05)" in str(abort)
                 assert last.u.coeffs.tobytes() == _closed(one_row[i], BAND, params).u.coeffs.tobytes()
             going = [i for i in range(3) if i not in bad]
             if not going:
@@ -431,7 +431,7 @@ class TestForcedModeDraws:
             assert noise0.tobytes() == np.stack([f[0] for f in fresh]).tobytes()
             assert noise1.tobytes() == np.stack([f[1] for f in fresh]).tobytes()
             # the step merges step - 1's closing half with its own opening one
-            state = State.of(SpectralField(grid, u), rngs, 0.0, step)
+            state = State.of(SpectralField(grid, u), rngs, step)
             before = [self.fresh_convolutions(params.seed, 2**63 + i, step - 1, sd, scale) for i in range(M)]
             pending = np.stack([f[1] for f in before])
             noise = _merged_noise(spec, params.nu, params.dt, True, noise0[None], noise1[None], pending)[0]
@@ -626,7 +626,7 @@ class TestForcedModeAdd:
         g = np.random.default_rng(5).normal(size=(2, 3, 2, spec.forced.size))
         assert ou_exact_step(c, spec, 0.3, 0.01, noise=g[0]).tobytes() == self.reference_half(c, spec, 0.3, 0.01, g[0]).tobytes()
         # a whole Strang step on the block's noise against the indexed reference, closed
-        state = State(0.0, grid, c, tuple(RngStream(17, i) for i in range(3)), 0)
+        state = State(grid, c, tuple(RngStream(17, i) for i in range(3)), 0)
         _, sd, scale = _ou_tables(spec, params.nu, params.dt / 2)
         noise0, noise1 = ou_convolutions(state.rngs, 0, sd, scale)
         ref = from_planes(self.reference_half(c, spec, params.nu, params.dt / 2, noise0))
@@ -694,7 +694,7 @@ class TestRunTrajectory:
     def test_horizon_of_one_step(self):
         params = SimParams(nu=0.5, dt=0.25, T=0.25, seed=0)
         seen = []
-        final = run(zero_field(GRID), BAND, params, seen.append)
+        final = run(zero_field(GRID), BAND, params, lambda s, p: seen.append(s))
         assert final.step_index == 1
         assert [s.step_index for s in seen] == [0, 1]
 
@@ -707,7 +707,7 @@ class TestRunTrajectory:
         params = SimParams(nu=0.5, dt=0.02, T=0.2, record_every=2, seed=21)
         streams = []
         for _ in range(2):
-            rec = NormRecorder(nu=params.nu)
+            rec = NormRecorder()
             run(random_field(GRID, 9, 0.2), BAND, params, rec)
             streams.append(rec.streams[0])
         assert streams[0] == streams[1]
@@ -715,19 +715,19 @@ class TestRunTrajectory:
     def test_record_cadence(self):
         params = SimParams(nu=0.5, dt=0.01, T=0.05, record_every=2, seed=0)
         seen = []
-        run(zero_field(GRID), BAND, params, seen.append)
+        run(zero_field(GRID), BAND, params, lambda s, p: seen.append(s))
         assert [s.step_index for s in seen] == [0, 2, 4, 5]  # cadence plus final step
 
     def test_rows_run_on_consecutive_stream_ids(self):
         # Row i of a run with stream_id 5 is stream 5 + i, byte for byte its one-row run.
         params = SimParams(nu=0.5, dt=0.02, T=0.2, record_every=2, seed=21, stream_id=5)
         fields = [random_field(GRID, 30 + i, 0.3) for i in range(3)]
-        rec = NormRecorder(nu=params.nu)
+        rec = NormRecorder()
         final = run(SpectralField(GRID, rows(*fields)), BAND, params, rec)
         assert [rng.stream_id for rng in final.rngs] == [5, 6, 7] and sorted(rec.streams) == [5, 6, 7]
         for i, field in enumerate(fields):
             p = replace(params, stream_id=5 + i)
-            one = NormRecorder(nu=p.nu)
+            one = NormRecorder()
             single = run(field, BAND, p, one)
             assert [rng.stream_id for rng in single.rngs] == [5 + i]
             assert single.u.coeffs.tobytes() == final.u.coeffs[i : i + 1].tobytes()
@@ -740,8 +740,8 @@ class TestRunTrajectory:
         short = SimParams(nu=0.5, dt=0.02, T=0.1, record_every=3, seed=21)
         long = SimParams(nu=0.25, dt=0.02, T=0.16, record_every=3, seed=21)
         fields = [random_field(GRID, 30 + i, 0.3) for i in range(3)]
-        seen, recs = [], (NormRecorder(nu=short.nu), NormRecorder(nu=long.nu))
-        sinks = tuple(lambda s, rec=rec: seen.append((rec.nu, s.step_index, len(s.rngs))) or rec(s) for rec in recs)
+        seen, recs = [], (NormRecorder(), NormRecorder())
+        sinks = tuple(lambda s, p, rec=rec: seen.append((p.nu, s.step_index, len(s.rngs))) or rec(s, p) for rec in recs)
         start = State.of(SpectralField(GRID, rows(*fields)), (RngStream(21, 0), RngStream(21, 1), RngStream(21, 0)))
         final, aborts = continue_trajectory(start, BAND, (short, short, long), (sinks[0], sinks[0], sinks[1]))
         assert aborts == [] and final.step_index == 8 and len(final.rngs) == 1
@@ -749,7 +749,7 @@ class TestRunTrajectory:
         assert [(k, m) for nu, k, m in seen if nu == 0.25] == [(0, 1), (3, 1), (6, 1), (8, 1)]
         for rec, p, sid, field in ((recs[0], short, 0, fields[0]), (recs[0], short, 1, fields[1]), (recs[1], long, 0, fields[2])):
             p = replace(p, stream_id=sid)
-            one = NormRecorder(nu=p.nu)
+            one = NormRecorder()
             single = run(field, BAND, p, one)
             assert one.streams[sid] == rec.streams[sid]
         assert single.u.coeffs.tobytes() == final.u.coeffs.tobytes()
@@ -762,7 +762,7 @@ class TestRunTrajectory:
         fields = [random_field(GRID, 50 + i, 0.3) for i in range(3)]
         calls = []
 
-        def sink(state):
+        def sink(state, params):
             assert state.u is not None
             calls.append((state.step_index, [rng.stream_id for rng in state.rngs]))
 
@@ -783,11 +783,27 @@ class TestRunTrajectory:
         fields = [random_field(GRID, 50 + i, 0.3) for i in range(3)]
         seen = []
         start = State.of(SpectralField(GRID, rows(*fields)), tuple(RngStream(21, i) for i in range(3)))
-        continue_trajectory(start, BAND, (every2, every2, every3), seen.append)
+        continue_trajectory(start, BAND, (every2, every2, every3), lambda s, p: seen.append(s))
         assert [(s.step_index, len(s.rngs)) for s in seen] == [(0, 2), (0, 1), (2, 2), (3, 1), (4, 2), (6, 1)]
         for state in seen:
             with pytest.raises(ValueError, match="read-only"):
                 state.u.planes[0, 0, 0] = 1.0
+
+    def test_a_pending_record_step_keeps_only_its_entrys_rows(self):
+        # A recorder keeps the fields it is handed until its pass fills: the rows of an entry that is a
+        # strict slice of the batch are a copy, so they keep no other entry's rows alive.
+        every2 = SimParams(nu=0.5, dt=0.02, T=0.08, record_every=2, seed=21)
+        recs = (NormRecorder(), NormRecorder())
+        start = State.of(SpectralField(GRID, rows(*(random_field(GRID, 50 + i, 0.3) for i in range(3)))),
+                         tuple(RngStream(21, i) for i in range(3)))
+        continue_trajectory(start, BAND, (every2, every2, replace(every2, nu=0.25)), (recs[0], recs[0], recs[1]))
+        for rec, n_rows in zip(recs, (2, 1)):
+            assert [len(rngs) for *_, rngs in rec._pending] == [n_rows] * 3  # record steps 0, 2 and 4
+            for array in (a for _, _, u, _ in rec._pending for a in (u.planes, u.coeffs)):
+                owner = array
+                while owner.base is not None:
+                    owner = owner.base
+                assert owner.nbytes == array.nbytes
 
     def test_record_cadence_leaves_the_bits_alone(self):
         # The running state never closes, so runs that record every 1, 7 and 10 steps end on
@@ -875,9 +891,9 @@ class TestRunTrajectory:
         c = rows(*(random_field(GRID, 80 + i, 0.3) for i in range(3)))
         c[1, 0] = 1e160
         rngs = tuple(RngStream(params.seed, 10 + i) for i in range(3))
-        start = State.of(SpectralField(GRID, c), rngs, K * 0.01, K)
+        start = State.of(SpectralField(GRID, c), rngs, K)
         if cache == "warm":  # the draws of block 0, from a step K - 1 on the same streams
-            held = strang_step(State.of(SpectralField(GRID, np.zeros_like(c)), rngs, (K - 1) * 0.01, K - 1), BAND, params)
+            held = strang_step(State.of(SpectralField(GRID, np.zeros_like(c)), rngs, K - 1), BAND, params)
             assert held.step_index == K and held.draws.index == 0
             start = replace(start, draws=held.draws)
         calls = TestForcedModeDraws.count_normals(monkeypatch, by_stream=True)
@@ -885,13 +901,13 @@ class TestRunTrajectory:
         blocks = (0, 1) if cache == "cold" else (1,)
         assert sorted(calls) == [(sid, index, SUB_OU) for sid in (10, 11, 12) for index in blocks]
         last = abort.last_state
-        assert (last.rngs[0].stream_id, last.step_index, last.t) == (11, K, K * 0.01)
-        row_1 = State.of(SpectralField(GRID, c[1:2]), rngs[1:2], K * 0.01, K)
+        assert (last.rngs[0].stream_id, last.step_index) == (11, K)
+        row_1 = State.of(SpectralField(GRID, c[1:2]), rngs[1:2], K)
         assert last.u.coeffs.tobytes() == _closed(row_1, BAND, params).u.coeffs.tobytes()
-        assert f"step {K + 1}" in str(abort)
+        assert f"step {K + 1} (last good t = {K * 0.01:.6g})" in str(abort)
         assert final.step_index == K + 4 and [r.stream_id for r in final.rngs] == [10, 12]
         for i, row in ((0, 0), (2, 1)):
-            one, none = continue_trajectory(State.of(SpectralField(GRID, c[i : i + 1]), rngs[i : i + 1], K * 0.01, K), BAND, params)
+            one, none = continue_trajectory(State.of(SpectralField(GRID, c[i : i + 1]), rngs[i : i + 1], K), BAND, params)
             assert none == [] and one.u.coeffs.tobytes() == final.u.coeffs[row : row + 1].tobytes()
 
     def test_an_abort_inside_a_block_draws_it_once_per_stream(self, monkeypatch):
@@ -903,20 +919,25 @@ class TestRunTrajectory:
         c[1, 0] = 1e160
         rngs = tuple(RngStream(params.seed, 10 + i) for i in range(3))
         calls = TestForcedModeDraws.count_normals(monkeypatch)
-        final, (abort,) = continue_trajectory(State.of(SpectralField(GRID, c), rngs, 0.05, 5), BAND, params)
+        final, (abort,) = continue_trajectory(State.of(SpectralField(GRID, c), rngs, 5), BAND, params)
         assert calls == [(0, SUB_OU)] * 3
         assert abort.last_state.step_index == 5 and [r.stream_id for r in final.rngs] == [10, 12]
         for i, row in ((0, 0), (2, 1)):
-            one, _ = continue_trajectory(State.of(SpectralField(GRID, c[i : i + 1]), rngs[i : i + 1], 0.05, 5), BAND, params)
+            one, _ = continue_trajectory(State.of(SpectralField(GRID, c[i : i + 1]), rngs[i : i + 1], 5), BAND, params)
             assert one.u.coeffs.tobytes() == final.u.coeffs[row : row + 1].tobytes()
-        row_1 = State.of(SpectralField(GRID, c[1:2]), rngs[1:2], 0.05, 5)
+        row_1 = State.of(SpectralField(GRID, c[1:2]), rngs[1:2], 5)
         assert abort.last_state.u.coeffs.tobytes() == _closed(row_1, BAND, params).u.coeffs.tobytes()
 
-    def test_a_batch_rejects_rows_with_different_dt(self):
-        a = SimParams(nu=0.5, dt=0.02, T=0.1)
-        start = initial_state(SpectralField(GRID, rows(zero_field(GRID), zero_field(GRID))), a)
-        with pytest.raises(ValueError, match="share dt"):
-            continue_trajectory(start, BAND, (a, replace(a, dt=0.01)))
+    def test_a_batch_rejects_rows_with_different_nonlinearity(self):
+        # Rows may step at their own dt, each on its one-row run's bits, but not with and without the rotation.
+        a = SimParams(nu=0.5, dt=0.02, T=0.1, seed=3)
+        fields = [random_field(GRID, 60 + i, 0.3) for i in range(2)]
+        start = initial_state(SpectralField(GRID, rows(*fields)), a)
+        final, _ = continue_trajectory(start, BAND, (a, replace(a, dt=0.01)))
+        one = run(fields[1], BAND, replace(a, dt=0.01, stream_id=1))
+        assert final.step_index == 10 and final.u.coeffs.tobytes() == one.u.coeffs.tobytes()
+        with pytest.raises(ValueError, match="share nonlinearity"):
+            continue_trajectory(start, BAND, (a, replace(a, nonlinear=False)))
 
     def test_nan_abort_carries_last_good_time(self):
         # A row resumed at step 5 with one mode at 1e160 overflows |u|^2 in its next rotation: the
@@ -924,15 +945,15 @@ class TestRunTrajectory:
         params = SimParams(nu=0.5, dt=0.01, T=0.5, seed=0)
         c = random_field(GRID, 10).coeffs
         c[0, 0] = 1e160
-        start = State.of(SpectralField(GRID, c), (RngStream(params.seed, 0),), 5 * params.dt, 5)
+        start = State.of(SpectralField(GRID, c), (RngStream(params.seed, 0),), 5)
         final, (abort,) = continue_trajectory(start, BAND, params)
         good, failing = strang_until_it_raises(start, BAND, params)
         assert final is None and isinstance(abort, TrajectoryAbortError)
         assert failing is not None and failing > 1
         last = abort.last_state
-        assert (last.step_index, last.t) == (failing - 1, (failing - 1) * params.dt) == (good.step_index, good.t)
+        assert last.step_index == failing - 1 == good.step_index
         assert last.u.coeffs.tobytes() == good.u.coeffs.tobytes() and last.c.tobytes() == good.c.tobytes()
-        assert f"step {failing}" in str(abort)
+        assert f"step {failing} (last good t = {(failing - 1) * params.dt:.6g})" in str(abort)
 
     def test_slow_time_equivalence(self):
         # A fast chain at (nu, dt) performs the same arithmetic as a unit-viscosity
@@ -1012,8 +1033,10 @@ class TestCheckpoints:
     def test_round_trip(self):
         params = SimParams(nu=0.5, dt=0.01, T=0.1, seed=3, stream_id=2)
         state = run(random_field(GRID, 11, 0.2), BAND, params)
-        back = checkpoint_from_bytes(checkpoint_to_bytes(state))
-        assert back.t == state.t
+        buf = checkpoint_to_bytes(state, params.dt)
+        back = checkpoint_from_bytes(buf)
+        (n,) = struct.unpack("<I", buf[8:12])
+        assert json.loads(buf[12 : 12 + n])["t"] == state.step_index * params.dt
         assert back.step_index == state.step_index
         (rng,) = back.rngs
         assert rng.base_seed == 3 and rng.stream_id == 2
@@ -1023,7 +1046,7 @@ class TestCheckpoints:
     def test_rejects_a_state_of_several_rows(self):
         u0 = SpectralField(GRID, rows(*(random_field(GRID, 20 + i, 0.2) for i in range(3))))
         with pytest.raises(ValueError, match="one row"):
-            checkpoint_to_bytes(initial_state(u0, SimParams(nu=0.5, dt=0.01, T=0.1, seed=3)))
+            checkpoint_to_bytes(initial_state(u0, SimParams(nu=0.5, dt=0.01, T=0.1, seed=3)), 0.01)
 
     def test_resume_is_bit_exact(self, tmp_path):
         params = SimParams(nu=0.5, dt=0.01, T=0.2, seed=5)
@@ -1033,7 +1056,7 @@ class TestCheckpoints:
         half_params = SimParams(nu=0.5, dt=0.01, T=0.1, seed=5)
         half = run(u0, BAND, half_params)
         path = tmp_path / "state.ckpt"
-        save_checkpoint(half, path)
+        save_checkpoint(half, half_params.dt, path)
         resumed, aborts = continue_trajectory(load_checkpoint(path), BAND, params)
         assert aborts == [] and resumed.step_index == full.step_index
         assert np.array_equal(resumed.u.coeffs, full.u.coeffs)
@@ -1048,7 +1071,7 @@ class TestCheckpoints:
         half = run(u0, BAND, replace(params, T=0.13))
         assert half.step_index == 13
         resumed, aborts = continue_trajectory(
-            checkpoint_from_bytes(checkpoint_to_bytes(half)), BAND, params, capture(resumed_records)
+            checkpoint_from_bytes(checkpoint_to_bytes(half, params.dt)), BAND, params, capture(resumed_records)
         )
         assert aborts == [] and resumed.c.tobytes() == full.c.tobytes()
         assert resumed.u.coeffs.tobytes() == full.u.coeffs.tobytes()
@@ -1064,7 +1087,7 @@ class TestCheckpoints:
         for at in (K - 3, K - 1, K):
             half = run(u0, BAND, SimParams(nu=0.5, dt=0.01, T=at * 0.01, seed=15))
             assert half.step_index == at and half.draws is not None
-            cold = checkpoint_from_bytes(checkpoint_to_bytes(half))
+            cold = checkpoint_from_bytes(checkpoint_to_bytes(half, 0.01))
             assert cold.draws is None
             resumed, _ = continue_trajectory(
                 cold,
@@ -1086,7 +1109,7 @@ class TestCheckpoints:
             half = run(u0, BAND, replace(params, T=at * 0.01))
             assert half.step_index == at
             calls = TestForcedModeDraws.count_normals(monkeypatch)
-            final, aborts = continue_trajectory(checkpoint_from_bytes(checkpoint_to_bytes(half)), BAND, params, capture({}))
+            final, aborts = continue_trajectory(checkpoint_from_bytes(checkpoint_to_bytes(half, params.dt)), BAND, params, capture({}))
             assert aborts == [] and final.step_index == K + 10
             assert sorted(calls) == [(b, SUB_OU) for b in blocks]
 
@@ -1099,11 +1122,11 @@ class TestCheckpoints:
 
     def test_counter_key_of_older_files_is_ignored(self):
         state = initial_state(random_field(GRID, 13, 0.2), SimParams(nu=0.5, dt=0.01, T=0.1, seed=3))
-        buf = checkpoint_to_bytes(state)
+        buf = checkpoint_to_bytes(state, 0.01)
         (n,) = struct.unpack("<I", buf[8:12])
         assert "counter" not in json.loads(buf[12 : 12 + n])
         back = checkpoint_from_bytes(self.with_meta(buf, lambda meta: {**meta, "counter": 7}))
-        assert (back.t, back.step_index, back.rngs[0].stream_id) == (state.t, state.step_index, 0)
+        assert (back.step_index, back.rngs[0].stream_id) == (state.step_index, 0)
         assert np.array_equal(back.u.coeffs, state.u.coeffs)
 
     def test_rejects_garbage(self):
@@ -1121,7 +1144,7 @@ class TestCheckpoints:
         ids=["no-base-seed", "negative-step", "fractional-step", "text-t"],
     )
     def test_rejects_bad_metadata(self, edit):
-        buf = checkpoint_to_bytes(initial_state(random_field(GRID, 13, 0.2), SimParams(nu=0.5, dt=0.01, T=0.1, seed=3)))
+        buf = checkpoint_to_bytes(initial_state(random_field(GRID, 13, 0.2), SimParams(nu=0.5, dt=0.01, T=0.1, seed=3)), 0.01)
         with pytest.raises(ValueError, match="checkpoint"):
             checkpoint_from_bytes(self.with_meta(buf, edit))
 
